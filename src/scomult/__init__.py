@@ -77,7 +77,6 @@ from .rings import (
     ideal_ops,
     is_s_noetherian,
     jacobson_radical,
-    make_ring,
     make_ring_table,
     make_ring_zn,
     maximal_ideals,

@@ -38,6 +38,9 @@ from .rings import (
     product_mcs,
 )
 
+# Largest n for which the catalog builds Z_n; the CLI rejects a larger --max-ring.
+MAX_RING_ORDER = 12
+
 
 @dataclass(frozen=True)
 class CatalogParams:
@@ -107,7 +110,7 @@ def _dedupe(seq):
 def _ring_modules(ring, params):
     mods = [self_module(ring)]
     cap = params.max_module_carrier
-    if ring.kind == "zn_product" and len(ring.moduli) == 1:
+    if ring.moduli is not None and len(ring.moduli) == 1:
         n = ring.moduli[0]
         for d in _divisors(n):
             mods.append(zn_over_zk(ring, d))
@@ -170,7 +173,7 @@ def _ring_homs(ring, modules, params):
 def _factor_pool(ring, params):
     """Small module/mcs pools for the factors of product cases."""
     modules = [self_module(ring)]
-    if ring.kind == "zn_product" and len(ring.moduli) == 1:
+    if ring.moduli is not None and len(ring.moduli) == 1:
         divs = _divisors(ring.moduli[0])
         if divs:
             modules.append(zn_over_zk(ring, divs[0]))
@@ -182,7 +185,7 @@ def _factor_pool(ring, params):
 def generate_catalog(params=None):
     params = params or CatalogParams()
     rings = []
-    for n in range(2, min(12, params.max_ring_order) + 1):
+    for n in range(2, min(MAX_RING_ORDER, params.max_ring_order) + 1):
         rings.append(make_ring_zn([n]))
     for moduli in params.product_moduli:
         order = 1

@@ -14,7 +14,7 @@ import time
 
 from . import morphisms as mor
 from . import s_theory as st
-from .catalog import CatalogParams, generate_catalog
+from .catalog import MAX_RING_ORDER, CatalogParams, generate_catalog
 from .errors import (
     DisjointnessFailure,
     InstanceParseError,
@@ -25,7 +25,7 @@ from .errors import (
 from .instancefile import parse_instance_file
 from .modules import enumerate_submodules, torsion_set
 from .mutations import mutation_catalog_params, run_mutation_suite
-from .rings import enumerate_ideals, enumerate_mcs, validate_mcs
+from .rings import DEFAULT_CAP, enumerate_ideals, enumerate_mcs, validate_mcs
 from .statements import STATEMENTS, verify_all
 
 EXIT_TRUE = 0
@@ -183,7 +183,14 @@ def cmd_check(args):
     return EXIT_TRUE if verdict else EXIT_FALSE
 
 
+def _require_range(flag, value, low, high):
+    if not low <= value <= high:
+        raise ScomultError(f"{flag} must be in {low}..{high}, got {value}")
+
+
 def cmd_verify(args):
+    _require_range("--max-ring", args.max_ring, 2, MAX_RING_ORDER)
+    _require_range("--max-module", args.max_module, 1, DEFAULT_CAP)
     statement_ids = None
     if args.statements:
         statement_ids = [tok.strip() for tok in args.statements.split(",") if tok.strip()]
@@ -281,9 +288,10 @@ def build_parser():
     verify = sub.add_parser("verify", help="run the statement suite over a catalog")
     verify.add_argument("--statements", help="comma-separated statement ids")
     verify.add_argument("--max-ring", type=int, default=12,
-                        help="largest ring order in the catalog (default 12)")
+                        help=f"largest ring order in the catalog, 2..{MAX_RING_ORDER} "
+                             "(default 12)")
     verify.add_argument("--max-module", type=int, default=16,
-                        help="largest module carrier (default 16)")
+                        help=f"largest module carrier, 1..{DEFAULT_CAP} (default 16)")
     verify.add_argument("--report", help="write the JSON report document here")
     verify.add_argument("--mutation", action="store_true",
                         help="run the deliberately broken predicate variants")

@@ -213,7 +213,7 @@ def _render_rows(rows):
 
 def serialize_ring(ring):
     lines = ["[ring]"]
-    if ring.kind == "zn_product":
+    if ring.moduli is not None:
         lines.append("kind = zn_product")
         lines.append("moduli = " + " ".join(str(n) for n in ring.moduli))
     else:

@@ -1,15 +1,17 @@
 """Finite unital modules over a Ring: carriers, actions, and submodules.
 
-A module carrier is either a product of cyclic groups Z_{d1} x ... x Z_{dm}
-(elements indexed in mixed radix, lexicographic on residue tuples) or an
-explicit addition table.  Table carriers are what quotients, localizations
-and submodule restrictions naturally produce; index 0 is always the zero
-element.  The scalar action is held as a full table, built and checked
-exhaustively at construction time.
+Every module, like every ring, is held as tables: a carrier addition table
+and a full scalar action table, built and checked exhaustively at
+construction time.  Index 0 is always the zero element.  A carrier given as
+Z_{d1} x ... x Z_{dm} is indexed in mixed radix, lexicographic on residue
+tuples, the same canonical order that Z_n product rings use; quotients,
+localizations and submodule restrictions index their elements as they
+build them.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -18,8 +20,10 @@ from .rings import (
     DEFAULT_CAP,
     Ideal,
     _canonical_subset_key,
+    componentwise_table,
+    mixed_radix_residues,
     product_ring,
-    split_product_element,
+    residue_labels,
 )
 
 _MODULE_CACHE = {}
@@ -78,8 +82,6 @@ class Module:
     def label(self, m):
         if self._labels is not None:
             return self._labels[m]
-        if self.moduli is not None and len(self.moduli) > 1:
-            return "(" + ",".join(str(c) for c in _decode(m, self.moduli)) + ")"
         return str(m)
 
     def describe(self):
@@ -107,33 +109,6 @@ class Module:
 
     def __repr__(self):
         return f"Module({self.describe()})"
-
-
-def _decode(index, moduli):
-    out = []
-    w = 1
-    weights = []
-    for n in reversed(moduli):
-        weights.append(w)
-        w *= n
-    for n, w in zip(moduli, reversed(weights)):
-        out.append((index // w) % n)
-    return tuple(out)
-
-
-def _moduli_add_rows(moduli):
-    size = 1
-    for n in moduli:
-        size *= n
-    tuples = [_decode(i, moduli) for i in range(size)]
-    index = {t: i for i, t in enumerate(tuples)}
-    return tuple(
-        tuple(
-            index[tuple((x + y) % n for x, y, n in zip(ta, tb, moduli))]
-            for tb in tuples
-        )
-        for ta in tuples
-    )
 
 
 def _validate_module(ring, size, add_rows, act_rows):
@@ -202,39 +177,30 @@ def module_from_rule(ring, moduli, rule, kind, name, cap=DEFAULT_CAP):
         size *= n
     if size > cap:
         raise SizeCapExceeded("module carrier", size, cap)
-    tuples = [_decode(i, moduli) for i in range(size)]
+    tuples = mixed_radix_residues(moduli)
     index = {t: i for i, t in enumerate(tuples)}
     act_rows = tuple(
         tuple(index[rule(r, t)] for t in tuples) for r in ring.elements()
     )
     return make_module(
-        ring, _moduli_add_rows(moduli), act_rows,
-        kind=kind, name=name, moduli=moduli, cap=cap,
+        ring, componentwise_table(moduli, operator.add), act_rows,
+        kind=kind, name=name, moduli=moduli, labels=residue_labels(moduli),
+        cap=cap,
     )
 
 
 @lru_cache(maxsize=None)
 def self_module(ring):
     """The ring viewed as a module over itself."""
-    if ring.kind == "zn_product":
-        mods = ring.moduli
-
-        def rule(r, t):
-            rt = ring._tuples[r]
-            return tuple((a * b) % n for a, b, n in zip(rt, t, mods))
-
-        return module_from_rule(ring, mods, rule, "self", ring.name)
-    add_rows = ring._add_rows
-    act_rows = ring._mul_rows
     if ring.zero != 0:
         raise AxiomViolation("table ring must place zero at index 0 for self module")
-    return make_module(ring, add_rows, act_rows, kind="self", name=ring.name,
-                       labels=[ring.label(x) for x in ring.elements()])
+    return make_module(ring, ring._add_rows, ring._mul_rows, kind="self",
+                       name=ring.name, labels=[ring.label(x) for x in ring.elements()])
 
 
 def zn_over_zk(ring, d, cap=DEFAULT_CAP):
     """Z_d as a module over Z_n (single-modulus ring), requiring d | n."""
-    if ring.kind != "zn_product" or len(ring.moduli) != 1:
+    if ring.moduli is None or len(ring.moduli) != 1:
         raise AxiomViolation("zn_over_zk needs a single-modulus ring")
     n = ring.moduli[0]
     if d < 1 or n % d != 0:
@@ -246,7 +212,7 @@ def zn_over_zk(ring, d, cap=DEFAULT_CAP):
 
 def direct_sum_module(ring, moduli, cap=DEFAULT_CAP):
     """Z_{d1} + ... + Z_{dk} over Z_n with componentwise action, each d | n."""
-    if ring.kind != "zn_product" or len(ring.moduli) != 1:
+    if ring.moduli is None or len(ring.moduli) != 1:
         raise AxiomViolation("direct_sum needs a single-modulus ring")
     n = ring.moduli[0]
     moduli = tuple(moduli)
@@ -286,7 +252,7 @@ def product_module(m1, m2, ring=None, cap=DEFAULT_CAP):
     )
     act_rows = []
     for r in ring.elements():
-        ra, rb = split_product_element(r1, r2, ring, r)
+        ra, rb = divmod(r, r2.order)
         row1, row2 = m1.act_row(ra), m2.act_row(rb)
         act_rows.append(tuple(
             enc(row1[a], row2[b]) for a in m1.elements() for b in m2.elements()

@@ -1,19 +1,19 @@
 """Finite commutative unital rings, their ideals, and multiplicatively closed sets.
 
-Rings come in two presentations: products of Z_n with componentwise
-arithmetic (tables are never materialized for these) and explicit
-Cayley-table rings.  Elements are plain integer indices.  For Z_n products
-the index is the mixed-radix encoding of the residue tuple, so index order
-is lexicographic on residues; for table rings it is the table index.  That
-index order is the canonical order used by every "first witness" search in
-the library.
+Every ring is held as a pair of Cayley tables over the element indices
+0..order-1.  Products of Z_n are built as tables too: the index of an
+element is the mixed-radix encoding of its residue tuple, so index order is
+lexicographic on residues, and the moduli stay on the ring as metadata.
+That index order is the canonical order used by every "first witness"
+search in the library.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
 from .errors import (
@@ -30,28 +30,27 @@ DEFAULT_CAP = 64
 
 
 class Ring:
-    """A finite commutative ring with 1 != 0, elements indexed 0..order-1."""
+    """A finite commutative ring with 1 != 0, elements indexed 0..order-1.
+
+    `moduli` is set only for Z_{n1} x ... x Z_{nk}; arithmetic never reads it.
+    """
 
     __slots__ = (
-        "kind",
         "moduli",
         "order",
         "zero",
         "one",
         "name",
         "_labels",
-        "_tuples",
-        "_weights",
         "_add_rows",
         "_mul_rows",
         "_neg",
         "_hash",
     )
 
-    def __init__(self, kind, order, zero, one, name, moduli=None, add_rows=None,
-                 mul_rows=None, labels=None):
-        self.kind = kind
-        self.order = order
+    def __init__(self, add_rows, mul_rows, zero, one, name, labels=None,
+                 moduli=None):
+        self.order = len(add_rows)
         self.zero = zero
         self.one = one
         self.name = name
@@ -59,54 +58,16 @@ class Ring:
         self._add_rows = add_rows
         self._mul_rows = mul_rows
         self._labels = labels
-        if kind == "zn_product":
-            weights = []
-            w = 1
-            for n in reversed(moduli):
-                weights.append(w)
-                w *= n
-            self._weights = tuple(reversed(weights))
-            self._tuples = tuple(self._decode(i) for i in range(order))
-            self._neg = tuple(
-                self._encode(tuple((-c) % n for c, n in zip(t, moduli)))
-                for t in self._tuples
-            )
-        else:
-            self._weights = None
-            self._tuples = None
-            self._neg = tuple(add_rows[a].index(zero) for a in range(order))
+        self._neg = tuple(row.index(zero) for row in add_rows)
         self._hash = None
-
-    def _decode(self, index):
-        out = []
-        for n, w in zip(self.moduli, self._weights):
-            out.append((index // w) % n)
-        return tuple(out)
-
-    def _encode(self, residues):
-        return sum(c * w for c, w in zip(residues, self._weights))
 
     def elements(self):
         return range(self.order)
 
     def add(self, a, b):
-        if self.kind == "zn_product":
-            if len(self.moduli) == 1:
-                return (a + b) % self.order
-            ta, tb = self._tuples[a], self._tuples[b]
-            return self._encode(
-                tuple((x + y) % n for x, y, n in zip(ta, tb, self.moduli))
-            )
         return self._add_rows[a][b]
 
     def mul(self, a, b):
-        if self.kind == "zn_product":
-            if len(self.moduli) == 1:
-                return (a * b) % self.order
-            ta, tb = self._tuples[a], self._tuples[b]
-            return self._encode(
-                tuple((x * y) % n for x, y, n in zip(ta, tb, self.moduli))
-            )
         return self._mul_rows[a][b]
 
     def neg(self, a):
@@ -115,46 +76,64 @@ class Ring:
     def label(self, a):
         if self._labels is not None:
             return self._labels[a]
-        if self.kind == "zn_product" and len(self.moduli) > 1:
-            return "(" + ",".join(str(c) for c in self._tuples[a]) + ")"
         return str(a)
 
     def describe(self):
         return self.name
+
+    def _key(self):
+        return (self.moduli, self.order, self.zero, self.one,
+                self._add_rows, self._mul_rows)
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, Ring):
             return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if self.kind == "zn_product":
-            return self.moduli == other.moduli
-        return (
-            self.order == other.order
-            and self.zero == other.zero
-            and self.one == other.one
-            and self._add_rows == other._add_rows
-            and self._mul_rows == other._mul_rows
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
         if self._hash is None:
-            if self.kind == "zn_product":
-                h = hash(("zn_product", self.moduli))
-            else:
-                h = hash(("table", self.order, self.zero, self.one,
-                          self._add_rows, self._mul_rows))
-            self._hash = h
+            self._hash = hash(self._key())
         return self._hash
 
     def __repr__(self):
         return f"Ring({self.name})"
 
 
+def mixed_radix_residues(moduli):
+    """Residue tuples of Z_{n1} x ... x Z_{nk}, listed in mixed-radix index order."""
+    return tuple(product(*(range(n) for n in moduli)))
+
+
+def residue_labels(moduli):
+    """Element labels: "(a,b,...)" for two or more moduli, plain "a" for one."""
+    if len(moduli) == 1:
+        return tuple(str(a) for a in range(moduli[0]))
+    return tuple(
+        "(" + ",".join(map(str, t)) + ")" for t in mixed_radix_residues(moduli)
+    )
+
+
+def componentwise_table(moduli, op):
+    """Cayley table of `op` applied per component mod each n, mixed-radix indexed."""
+    tuples = mixed_radix_residues(moduli)
+    index = {t: i for i, t in enumerate(tuples)}
+    return tuple(
+        tuple(
+            index[tuple(op(x, y) % n for x, y, n in zip(ta, tb, moduli))]
+            for tb in tuples
+        )
+        for ta in tuples
+    )
+
+
 def make_ring_zn(moduli, cap=DEFAULT_CAP):
-    """Ring Z_{n1} x ... x Z_{nk} under componentwise modular arithmetic."""
+    """Ring Z_{n1} x ... x Z_{nk} under componentwise modular arithmetic.
+
+    The tables are correct by construction, so the exhaustive axiom check
+    that make_ring_table runs on outside input is skipped here.
+    """
     moduli = tuple(int(n) for n in moduli)
     if not moduli or any(n < 2 for n in moduli):
         raise AxiomViolation("zn_product moduli must all be >= 2", moduli)
@@ -163,10 +142,13 @@ def make_ring_zn(moduli, cap=DEFAULT_CAP):
         order *= n
     if order > cap:
         raise SizeCapExceeded("ring", order, cap)
-    name = "x".join(f"Z{n}" for n in moduli)
-    ring = Ring("zn_product", order, 0, 0, name, moduli=moduli)
-    ring.one = ring._encode(tuple(1 for _ in moduli))
-    return ring
+    one = mixed_radix_residues(moduli).index((1,) * len(moduli))
+    return Ring(
+        componentwise_table(moduli, operator.add),
+        componentwise_table(moduli, operator.mul),
+        0, one, "x".join(f"Z{n}" for n in moduli),
+        labels=residue_labels(moduli), moduli=moduli,
+    )
 
 
 def make_ring_table(add_rows, mul_rows, zero, one, cap=DEFAULT_CAP,
@@ -179,24 +161,9 @@ def make_ring_table(add_rows, mul_rows, zero, one, cap=DEFAULT_CAP,
         raise SizeCapExceeded("ring", order, cap)
     _validate_ring_tables(add_rows, mul_rows, zero, one, order)
     return Ring(
-        "table", order, zero, one, name or f"table({order})",
-        add_rows=add_rows, mul_rows=mul_rows,
+        add_rows, mul_rows, zero, one, name or f"table({order})",
         labels=tuple(labels) if labels is not None else None,
     )
-
-
-def make_ring(presentation, cap=DEFAULT_CAP):
-    """Dispatching constructor: {'kind': 'zn_product'|'table', ...}."""
-    kind = presentation["kind"]
-    if kind == "zn_product":
-        return make_ring_zn(presentation["moduli"], cap=cap)
-    if kind == "table":
-        return make_ring_table(
-            presentation["add"], presentation["mul"],
-            presentation["zero"], presentation["one"],
-            cap=cap, name=presentation.get("name"),
-        )
-    raise AxiomViolation(f"unknown ring presentation kind {kind!r}")
 
 
 def _validate_ring_tables(add, mul, zero, one, order):
@@ -238,8 +205,11 @@ def _validate_ring_tables(add, mul, zero, one, order):
 
 
 def product_ring(r1, r2, cap=DEFAULT_CAP):
-    """Direct product R1 x R2; zn products concatenate their moduli."""
-    if r1.kind == "zn_product" and r2.kind == "zn_product":
+    """Direct product R1 x R2; (a, b) has index a*|R2| + b.
+
+    Z_n products concatenate their moduli, whose mixed-radix index is the same.
+    """
+    if r1.moduli is not None and r2.moduli is not None:
         return make_ring_zn(r1.moduli + r2.moduli, cap=cap)
     order = r1.order * r2.order
     if order > cap:
@@ -265,22 +235,6 @@ def product_ring(r1, r2, cap=DEFAULT_CAP):
         add, mul, enc(r1.zero, r2.zero), enc(r1.one, r2.one),
         cap=cap, labels=labels, name=f"{r1.name}x{r2.name}",
     )
-
-
-def split_product_element(r1, r2, product, index):
-    """Inverse of the product encoding: index in r1 x r2 -> (a, b)."""
-    if product.kind == "zn_product":
-        t = product._tuples[index]
-        k = len(r1.moduli)
-        return r1._encode(t[:k]), r2._encode(t[k:])
-    return index // r2.order, index % r2.order
-
-
-def join_product_element(r1, r2, product, a, b):
-    if product.kind == "zn_product":
-        k = len(r1.moduli)
-        return product._encode(r1._tuples[a] + r2._tuples[b])
-    return a * r2.order + b
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +610,6 @@ def cyclic_mcs(ring):
 
 def product_mcs(s1, s2, ring):
     """S1 x S2 inside the given product of the two base rings."""
-    els = frozenset(
-        join_product_element(s1.ring, s2.ring, ring, a, b)
-        for a in s1.elements for b in s2.elements
-    )
+    order2 = s2.ring.order
+    els = frozenset(a * order2 + b for a in s1.elements for b in s2.elements)
     return validate_mcs(ring, els)

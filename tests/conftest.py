@@ -7,7 +7,9 @@ between the two is a real check rather than a tautology.
 
 import pytest
 
+from scomult.catalog import generate_catalog
 from scomult.modules import self_module, zn_over_zk, direct_sum_module
+from scomult.mutations import mutation_catalog_params, run_mutation_suite
 from scomult.rings import make_ring_zn, validate_mcs
 
 
@@ -114,3 +116,9 @@ def s13(z6):
 @pytest.fixture(scope="session")
 def s124(z6):
     return validate_mcs(z6, {1, 2, 4})
+
+
+@pytest.fixture(scope="session")
+def mutation_outcomes():
+    """The mutation suite on its reduced catalog, run once per test session."""
+    return tuple(run_mutation_suite(generate_catalog(mutation_catalog_params())))

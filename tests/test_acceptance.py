@@ -18,7 +18,7 @@ from scomult.modules import (
     self_module,
     zero_colon_set,
 )
-from scomult.mutations import MUTANTS, mutation_catalog_params, run_mutation_suite
+from scomult.mutations import MUTANTS
 from scomult.rings import (
     enumerate_ideals,
     has_maximal_multiple,
@@ -170,8 +170,8 @@ def test_criterion_6_dual_nakayama(suite):
           f"C-DU {cdu.instances} instances, zero counterexamples")
 
 
-def test_criterion_7_mutation_sensitivity():
-    outcomes = run_mutation_suite(generate_catalog(mutation_catalog_params()))
+def test_criterion_7_mutation_sensitivity(mutation_outcomes):
+    outcomes = mutation_outcomes
     assert len(outcomes) == len(MUTANTS) == 5
     for name, failed in outcomes:
         assert failed, f"mutant {name} escaped"

@@ -135,6 +135,24 @@ def test_verify_unknown_statement(capsys):
     assert main(["verify", "--statements", "T-NOPE"]) == 3
 
 
+def _no_catalog(params):
+    raise AssertionError("the catalog must not be built for a rejected flag")
+
+
+@pytest.mark.parametrize("value", ["1", "13", "20"])
+def test_verify_rejects_max_ring_out_of_range(value, monkeypatch, capsys):
+    monkeypatch.setattr("scomult.cli.generate_catalog", _no_catalog)
+    assert main(["verify", "--max-ring", value]) == 3
+    assert "--max-ring" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "65"])
+def test_verify_rejects_max_module_out_of_range(value, monkeypatch, capsys):
+    monkeypatch.setattr("scomult.cli.generate_catalog", _no_catalog)
+    assert main(["verify", "--max-module", value]) == 3
+    assert "--max-module" in capsys.readouterr().err
+
+
 def test_verify_mutation_exits_one(tmp_path, capsys):
     report_path = tmp_path / "mutation.json"
     code = main(["verify", "--mutation", "--report", str(report_path)])

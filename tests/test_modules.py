@@ -139,7 +139,7 @@ def test_product_annihilators_factor():
             combined = frozenset(
                 a * m2.size + b for a in n1.elements for b in n2.elements)
             expected = frozenset(
-                ring._encode((x, y))
+                x * 3 + y
                 for x in annihilator_set(m1, n1.elements)
                 for y in annihilator_set(m2, n2.elements))
             assert annihilator_set(prod, combined) == expected

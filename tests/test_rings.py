@@ -13,6 +13,7 @@ from scomult.errors import (
 )
 from scomult.modules import self_module, zero_divisors_on
 from scomult.rings import (
+    _validate_ring_tables,
     cyclic_mcs,
     divides,
     enumerate_ideals,
@@ -226,9 +227,63 @@ def test_product_ring_and_split():
     assert prod == make_ring_zn([2, 3])
     f4 = make_ring_table(F4_ADD, F4_MUL, 0, 1)
     mixed = product_ring(f4, z2)
-    assert mixed.order == 8 and mixed.kind == "table"
+    assert mixed.order == 8 and mixed.moduli is None
     assert units(mixed) == frozenset(
         a * 2 + b for a in units(f4) for b in units(z2))
+    # (a, b) sits at index a*|R2| + b in every product, Z_n or table.
+    for r1, r2 in ((z2, z3), (make_ring_zn([2, 2]), z3), (f4, z2)):
+        prod = product_ring(r1, r2)
+        n2 = r2.order
+        assert prod.zero == r1.zero * n2 + r2.zero
+        assert prod.one == r1.one * n2 + r2.one
+        for a in r1.elements():
+            for b in r2.elements():
+                for c in r1.elements():
+                    for d in r2.elements():
+                        x, y = a * n2 + b, c * n2 + d
+                        assert prod.add(x, y) == r1.add(a, c) * n2 + r2.add(b, d)
+                        assert prod.mul(x, y) == r1.mul(a, c) * n2 + r2.mul(b, d)
+
+
+def _residues(index, moduli):
+    out = []
+    for n in reversed(moduli):
+        out.append(index % n)
+        index //= n
+    return tuple(reversed(out))
+
+
+def _index(residues, moduli):
+    index = 0
+    for r, n in zip(residues, moduli):
+        index = index * n + r
+    return index
+
+
+@pytest.mark.parametrize("moduli", [
+    (2,), (12,), (64,), (2, 3), (2, 2, 3), (4, 16), (2, 2, 2, 2, 2, 2)])
+def test_zn_tables_match_residue_arithmetic(moduli):
+    ring = make_ring_zn(moduli)
+    order = 1
+    for n in moduli:
+        order *= n
+    assert ring.order == order and ring.moduli == moduli
+    assert ring.zero == 0
+    assert ring.one == _index((1,) * len(moduli), moduli)
+    for a in range(order):
+        ra = _residues(a, moduli)
+        expected_label = str(a) if len(moduli) == 1 else \
+            "(" + ",".join(str(x) for x in ra) + ")"
+        assert ring.label(a) == expected_label
+        assert ring.neg(a) == _index(
+            tuple((-x) % n for x, n in zip(ra, moduli)), moduli)
+        for b in range(order):
+            rb = _residues(b, moduli)
+            assert ring.add(a, b) == _index(
+                tuple((x + y) % n for x, y, n in zip(ra, rb, moduli)), moduli)
+            assert ring.mul(a, b) == _index(
+                tuple((x * y) % n for x, y, n in zip(ra, rb, moduli)), moduli)
+    _validate_ring_tables(ring._add_rows, ring._mul_rows, ring.zero, ring.one, order)
 
 
 def test_minimal_nonzero_ideals(z6):

@@ -16,7 +16,6 @@ from scomult.mutations import (
     MUTANTS,
     mutant_toolbox,
     mutation_catalog_params,
-    run_mutation_suite,
 )
 from scomult.rings import (
     make_ring_zn,
@@ -171,15 +170,14 @@ def test_product_statements_on_default_instances():
 # mutation sensitivity
 
 
-def test_every_mutant_is_killed(small_catalog):
-    outcomes = run_mutation_suite(small_catalog)
-    assert [name for name, _ in outcomes] == sorted(MUTANTS)
-    for name, failed in outcomes:
+def test_every_mutant_is_killed(mutation_outcomes):
+    assert [name for name, _ in mutation_outcomes] == sorted(MUTANTS)
+    for name, failed in mutation_outcomes:
         assert failed, f"mutant {name} escaped the suite"
 
 
-def test_expected_kill_sets(small_catalog):
-    kills = dict(run_mutation_suite(small_catalog))
+def test_expected_kill_sets(mutation_outcomes):
+    kills = dict(mutation_outcomes)
     assert kills["lemma_pair_direction_flip"] == ["L-EQ"]
     assert kills["localization_drop_ufactor"] == ["P-LOC", "T-LOC"]
     assert kills["s_prime_quantifier_swap"] == ["P-SPR", "T-M3"]
