@@ -75,7 +75,6 @@ from .rings import (
     has_maximal_multiple,
     ideal_closure,
     ideal_ops,
-    is_s_noetherian,
     jacobson_radical,
     make_ring_table,
     make_ring_zn,

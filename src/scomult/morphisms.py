@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
+from typing import NamedTuple
 
 from .errors import AxiomViolation, PreconditionUnmet, SizeCapExceeded
 from .modules import (
@@ -135,17 +136,13 @@ def is_s_zero(f, mcs):
 
 def is_s_monic(f, mcs):
     """First s with f(m) = 0 implying sm = 0; cross-checked via s*Ker(f)."""
-    direct = None
-    for s in mcs:
-        if is_s_monic_with(f, s):
-            direct = Witness.make("s-monic", hom=f, s=s)
-            break
+    direct = next((s for s in mcs if is_s_monic_with(f, s)), None)
     via_kernel = is_s_monic_via_kernel(f, mcs)
     if (direct is None) != (via_kernel is None):
         raise AxiomViolation("S-monic characterizations disagree")
-    if direct is not None and direct.get("s") != via_kernel.get("s"):
+    if direct is not None and direct != via_kernel.get("s"):
         raise AxiomViolation("S-monic characterizations picked different witnesses")
-    return direct
+    return via_kernel
 
 
 def is_s_monic_via_kernel(f, mcs):
@@ -214,55 +211,51 @@ def homothety_on(submodule, a):
 # bridges and transfer
 
 
-@dataclass(frozen=True)
-class BridgeReport:
+# how each of the four bridge claims fails, in field order
+_BRIDGE_FAILURES = (
+    "monic map is not S-monic",
+    "S-monic did not force monic despite S avoiding z(M)",
+    "epic map is not S-epic",
+    "S-epic did not force epic despite S being units",
+)
+
+
+class BridgeReport(NamedTuple):
     monic_forward: bool
     monic_converse: bool | None   # None when the side condition fails
     epic_forward: bool
     epic_converse: bool | None
+    s_monic: Witness | None
+    s_epic: Witness | None
+
+    def failure(self):
+        """How the first false claim fails, or None when every claim holds."""
+        for claim, detail in zip(self, _BRIDGE_FAILURES):
+            if claim is False:
+                return detail
+        return None
 
     def holds(self):
-        return (
-            self.monic_forward
-            and self.epic_forward
-            and self.monic_converse in (None, True)
-            and self.epic_converse in (None, True)
-        )
+        return False not in self[:4]
 
 
 def monic_epic_bridge(f, mcs):
     """Forward claims and their side-conditioned converses for one hom."""
     ring = f.source.ring
-    monic_forward = (not is_monic(f)) or is_s_monic(f, mcs) is not None
-    epic_forward = (not is_epic(f)) or is_s_epic(f, mcs) is not None
+    monic, s_monic = is_monic(f), is_s_monic(f, mcs)
+    epic, s_epic = is_epic(f), is_s_epic(f, mcs)
     monic_converse = None
     if not (mcs.elements & zero_divisors_on(ring, f.source)):
-        monic_converse = (is_s_monic(f, mcs) is None) or is_monic(f)
+        monic_converse = s_monic is None or monic
     epic_converse = None
     if mcs.elements <= units(ring):
-        epic_converse = (is_s_epic(f, mcs) is None) or is_epic(f)
-    return BridgeReport(monic_forward, monic_converse, epic_forward, epic_converse)
+        epic_converse = s_epic is None or epic
+    return BridgeReport(not monic or s_monic is not None, monic_converse,
+                        not epic or s_epic is not None, epic_converse,
+                        s_monic, s_epic)
 
 
-@revalidator("kernel-killer")
-def _check_kernel_killer(w):
-    f = w.get("hom")
-    row = f.source.act_row(w.get("s"))
-    return all(row[m] == 0 for m in f.source.elements() if f.values[m] == 0)
-
-
-def kernel_killer(f, mcs):
-    """First t in S with t*Ker(f) = 0, or None."""
-    ker = [m for m in f.source.elements() if f.values[m] == 0]
-    for t in mcs:
-        row = f.source.act_row(t)
-        if all(row[m] == 0 for m in ker):
-            return Witness.make("kernel-killer", hom=f, s=t)
-    return None
-
-
-@dataclass(frozen=True)
-class TransferReport:
+class TransferReport(NamedTuple):
     kernel_witness: Witness
     downward_applicable: bool     # target had the property
     downward_holds: bool | None
@@ -276,14 +269,12 @@ class TransferReport:
 
 def transfer_theorem_check(f, mcs):
     """Transfer of the S-comultiplication property along f when tKer(f)=0."""
-    from .s_theory import is_s_comultiplication
-
-    witness = kernel_killer(f, mcs)
+    witness = is_s_monic_via_kernel(f, mcs)
     if witness is None:
         raise PreconditionUnmet("no element of S annihilates the kernel")
     failing = None
-    target_res = is_s_comultiplication(f.target, mcs)
-    source_res = is_s_comultiplication(f.source, mcs)
+    target_res = _s_theory.is_s_comultiplication(f.target, mcs)
+    source_res = _s_theory.is_s_comultiplication(f.source, mcs)
     downward_applicable = target_res.holds
     downward = None
     if downward_applicable:
@@ -364,3 +355,8 @@ def enumerate_homs(source, target, cap=8):
         except AxiomViolation:
             continue
     return tuple(out)
+
+
+# s_theory builds on the homothety helpers above, so it is bound last; a
+# function-level import here would run once per transfer check
+from . import s_theory as _s_theory  # noqa: E402

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .catalog import CatalogParams, generate_catalog
-from .errors import PreconditionUnmet
 from .modules import (
     Submodule,
     annihilator_set,
@@ -24,11 +23,14 @@ from .modules import (
     enumerate_submodules,
     scalar_times_set,
 )
-from .s_theory import _require_disjoint, _scalar_multiples, LemmaPairResult
+from .s_theory import (
+    LemmaPairResult,
+    _nonzero_submodule,
+    _require_disjoint,
+    _s_second_search,
+)
 from .statements import Toolbox, verify_all
 from .witnesses import Witness
-
-_ZERO = frozenset((0,))
 
 
 def s_prime_quantifier_swap(module, p, mcs):
@@ -57,20 +59,7 @@ def s_prime_quantifier_swap(module, p, mcs):
 
 def s_second_drop_disjointness(module, n, mcs):
     """Skips the ann(N) and S disjointness precondition."""
-    n_sub = n if isinstance(n, Submodule) else Submodule(module, frozenset(n))
-    if n_sub.is_zero():
-        raise PreconditionUnmet("S-second requires a nonzero submodule")
-    multiples = _scalar_multiples(module, n_sub.elements)
-    ring = module.ring
-    for s in mcs:
-        s_image = multiples[s]
-        if all(
-            multiples[ring.mul(s, a)] == _ZERO or multiples[ring.mul(s, a)] == s_image
-            for a in ring.elements()
-        ):
-            return Witness.make("s-second", module=module, n=n_sub.elements,
-                                mcs=mcs, s=s)
-    return None
+    return _s_second_search(module, _nonzero_submodule(module, n), mcs)
 
 
 def lemma_pair_direction_flip(module, mcs):

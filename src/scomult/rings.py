@@ -14,7 +14,6 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
-from typing import NamedTuple
 
 from .errors import (
     AxiomViolation,
@@ -555,16 +554,6 @@ def _check_maximal_multiple(w):
     mcs = w.get("mcs")
     s = w.get("s")
     return s in mcs.elements and all(divides(mcs.ring, t, s) for t in mcs)
-
-
-class NoetherianVerdict(NamedTuple):
-    value: bool
-    note: str
-
-
-def is_s_noetherian(ring, mcs):
-    """Whether every ideal is S-finite; finite rings make this automatic."""
-    return NoetherianVerdict(True, "trivially true at finite scale")
 
 
 def enumerate_mcs(ring, cap=16):

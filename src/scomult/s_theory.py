@@ -65,6 +65,14 @@ def _require_disjoint(shared_name, left, mcs):
         raise DisjointnessFailure(min(common), shared_name)
 
 
+def _guard(thunk):
+    """The thunk's result, or None when it raises a precondition error."""
+    try:
+        return thunk()
+    except (DisjointnessFailure, PreconditionUnmet):
+        return None
+
+
 def is_s_prime_submodule(module, p, mcs):
     """Single s making every am in P resolve to sa in (P:M) or sm in P."""
     p_set = p.elements if isinstance(p, Submodule) else frozenset(p)
@@ -175,15 +183,17 @@ def s_prime_homothety_form(module, p, mcs):
 
 
 def s_prime_characterizations(module, p, mcs, direct_fn=None):
-    """Definitional, colon-by-s, and quotient-homothety verdicts for S-prime."""
+    """Definitional, colon-by-s, and quotient-homothety verdicts for S-prime.
+
+    The definitional form runs first and its precondition errors propagate;
+    a derived form whose own precondition fails reads as None.
+    """
     p_sub = p if isinstance(p, Submodule) else Submodule(module, frozenset(p))
-    colon = colon_set_into_ring(module, p_sub.elements, _full_set(module))
-    _require_disjoint("(P:M) and S", colon, mcs)
     direct = (direct_fn or is_s_prime_submodule)(module, p_sub, mcs)
     return SPrimeForms(
         direct,
-        s_prime_colon_form(module, p_sub, mcs),
-        s_prime_homothety_form(module, p_sub, mcs),
+        _guard(lambda: s_prime_colon_form(module, p_sub, mcs)),
+        _guard(lambda: s_prime_homothety_form(module, p_sub, mcs)),
     )
 
 
@@ -211,13 +221,22 @@ def _check_s_prime_homothety(w):
 # S-second submodules
 
 
-def is_s_second(module, n, mcs):
-    """Single s making saN = 0 or saN = sN for every scalar a."""
+def _nonzero_submodule(module, n):
     n_sub = n if isinstance(n, Submodule) else Submodule(module, frozenset(n))
     if n_sub.is_zero():
         raise PreconditionUnmet("S-second requires a nonzero submodule")
-    ann = annihilator_set(module, n_sub.elements)
-    _require_disjoint("ann(N) and S", ann, mcs)
+    return n_sub
+
+
+def _s_second_subject(module, n, mcs):
+    """N as a nonzero submodule whose annihilator misses S, else raise."""
+    n_sub = _nonzero_submodule(module, n)
+    _require_disjoint("ann(N) and S", annihilator_set(module, n_sub.elements), mcs)
+    return n_sub
+
+
+def _s_second_search(module, n_sub, mcs):
+    """The search behind `is_s_second`, with no precondition checked."""
     multiples = _scalar_multiples(module, n_sub.elements)
     ring = module.ring
     for s in mcs:
@@ -229,6 +248,11 @@ def is_s_second(module, n, mcs):
             return Witness.make("s-second", module=module, n=n_sub.elements,
                                 mcs=mcs, s=s)
     return None
+
+
+def is_s_second(module, n, mcs):
+    """Single s making saN = 0 or saN = sN for every scalar a."""
+    return _s_second_search(module, _s_second_subject(module, n, mcs), mcs)
 
 
 @revalidator("s-second")
@@ -271,11 +295,7 @@ class SSecondForms:
 
 def s_second_homothety_form(module, n, mcs):
     """Some s making every homothety on N S-zero or S-surjective with it."""
-    n_sub = n if isinstance(n, Submodule) else Submodule(module, frozenset(n))
-    if n_sub.is_zero():
-        raise PreconditionUnmet("S-second requires a nonzero submodule")
-    ann = annihilator_set(module, n_sub.elements)
-    _require_disjoint("ann(N) and S", ann, mcs)
+    n_sub = _s_second_subject(module, n, mcs)
     family = homothety_on_family(n_sub)
     for s in mcs:
         if all(is_s_zero_with(h, s) or is_s_epic_with(h, s) for h in family):
@@ -286,11 +306,7 @@ def s_second_homothety_form(module, n, mcs):
 
 def s_second_containment_form(module, n, mcs):
     """Some s with saN = 0 or sN <= aN for every scalar a."""
-    n_sub = n if isinstance(n, Submodule) else Submodule(module, frozenset(n))
-    if n_sub.is_zero():
-        raise PreconditionUnmet("S-second requires a nonzero submodule")
-    ann = annihilator_set(module, n_sub.elements)
-    _require_disjoint("ann(N) and S", ann, mcs)
+    n_sub = _s_second_subject(module, n, mcs)
     multiples = _scalar_multiples(module, n_sub.elements)
     ring = module.ring
     for s in mcs:
@@ -304,17 +320,17 @@ def s_second_containment_form(module, n, mcs):
 
 
 def s_second_characterizations(module, n, mcs, direct_fn=None):
-    """Definitional, homothety, and containment verdicts for S-second."""
+    """Definitional, homothety, and containment verdicts for S-second.
+
+    As for S-prime: the definitional form's precondition errors propagate,
+    and a derived form whose own precondition fails reads as None.
+    """
     n_sub = n if isinstance(n, Submodule) else Submodule(module, frozenset(n))
-    if n_sub.is_zero():
-        raise PreconditionUnmet("S-second requires a nonzero submodule")
-    ann = annihilator_set(module, n_sub.elements)
-    _require_disjoint("ann(N) and S", ann, mcs)
     direct = (direct_fn or is_s_second)(module, n_sub, mcs)
     return SSecondForms(
         direct,
-        s_second_homothety_form(module, n_sub, mcs),
-        s_second_containment_form(module, n_sub, mcs),
+        _guard(lambda: s_second_homothety_form(module, n_sub, mcs)),
+        _guard(lambda: s_second_containment_form(module, n_sub, mcs)),
     )
 
 

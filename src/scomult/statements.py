@@ -28,16 +28,18 @@ from .modules import (
     annihilator,
     annihilator_set,
     enumerate_submodules,
+    full_submodule,
+    ideal_times_module_set,
     quotient_module,
     scalar_times_set,
     submodule_as_module,
     sum_of_sets,
     torsion_set,
     zero_colon_set,
-    zero_divisors_on,
 )
 from .rings import (
     enumerate_ideals,
+    has_maximal_multiple,
     ideal_sum,
     is_prime_ideal_set,
     jacobson_radical,
@@ -45,7 +47,6 @@ from .rings import (
     minimal_nonzero_ideals,
     prime_ideals,
     saturation,
-    units,
 )
 
 _ZERO = frozenset((0,))
@@ -217,8 +218,6 @@ def _check_p_loc(cat, tb):
 
 
 def _check_t_loc(cat, tb):
-    from .rings import has_maximal_multiple
-
     ctx = _Ctx()
     unasserted = []
     for module, mcs in cat.module_mcs_pairs():
@@ -246,20 +245,19 @@ def _check_t_hom(cat, tb):
     for ring in cat.rings:
         for f in cat.homs[ring]:
             for mcs in cat.mcs[ring]:
-                killer = mor.kernel_killer(f, mcs)
-                if killer is None:
+                try:
+                    report = mor.transfer_theorem_check(f, mcs)
+                except PreconditionUnmet:
                     unmet += 1
                     continue
-                if not _ok(killer):
-                    return ctx.bad_witness(killer, hom=f, mcs=mcs)
+                if not _ok(report.kernel_witness):
+                    return ctx.bad_witness(report.kernel_witness, hom=f, mcs=mcs)
                 ctx.instances += 1
-                target = st.is_s_comultiplication(f.target, mcs)
-                source = st.is_s_comultiplication(f.source, mcs)
-                if target.holds and not source.holds:
-                    return ctx.fail(hom=f, mcs=mcs, failing=source.failing,
+                if report.downward_holds is False:
+                    return ctx.fail(hom=f, mcs=mcs, failing=report.failing_submodule,
                                     detail="property failed to descend to the source")
-                if mor.is_epic(f) and source.holds and not target.holds:
-                    return ctx.fail(hom=f, mcs=mcs, failing=target.failing,
+                if report.upward_holds is False:
+                    return ctx.fail(hom=f, mcs=mcs, failing=report.failing_submodule,
                                     detail="property failed to push to the target")
     ctx.notes["precondition_unmet"] = unmet
     return ctx.done()
@@ -285,9 +283,9 @@ def _check_c_sub(cat, tb):
     return ctx.done()
 
 
-def _check_p_prod(cat, tb):
+def _check_product_cases(cases):
     ctx = _Ctx()
-    for case in cat.product_cases:
+    for case in cases:
         ctx.instances += 1
         whole = st.is_s_comultiplication(case.module, case.mcs).holds
         parts = all(
@@ -297,20 +295,14 @@ def _check_p_prod(cat, tb):
             return ctx.fail(module=case.module, mcs=case.mcs, whole=whole,
                             parts=parts)
     return ctx.done()
+
+
+def _check_p_prod(cat, tb):
+    return _check_product_cases(cat.product_cases)
 
 
 def _check_t_prodn(cat, tb):
-    ctx = _Ctx()
-    for case in cat.triple_cases:
-        ctx.instances += 1
-        whole = st.is_s_comultiplication(case.module, case.mcs).holds
-        parts = all(
-            st.is_s_comultiplication(m, s).holds for m, s in case.factors
-        )
-        if whole != parts:
-            return ctx.fail(module=case.module, mcs=case.mcs, whole=whole,
-                            parts=parts)
-    return ctx.done()
+    return _check_product_cases(cat.triple_cases)
 
 
 def _check_t_com(cat, tb):
@@ -356,8 +348,6 @@ def _check_p_pf(cat, tb):
             if zero_colon_set(module, ideal.elements) != _ZERO:
                 continue
             ctx.instances += 1
-            from .modules import ideal_times_module_set
-
             im = ideal_times_module_set(module, ideal.elements, full)
             if not any(scalar_times_set(module, s, full) <= im for s in mcs):
                 return ctx.fail(module=module, mcs=mcs, ideal=ideal,
@@ -599,8 +589,6 @@ def _check_t_min(cat, tb):
         if not st.is_prime_module(module):
             continue
         ctx.instances += 1
-        from .modules import full_submodule
-
         top = full_submodule(module)
         steps = st.is_s_minimal(module, top, mcs, include_zero=False)
         if steps is None:
@@ -624,37 +612,15 @@ def _check_t_min(cat, tb):
 def _check_p_homs(cat, tb):
     ctx = _Ctx()
     for ring in cat.rings:
-        unit_set = units(ring)
         for f in cat.homs[ring]:
-            zdiv = zero_divisors_on(ring, f.source)
             for mcs in cat.mcs[ring]:
                 ctx.instances += 1
-                direct = next((s for s in mcs if mor.is_s_monic_with(f, s)), None)
-                via_kernel = mor.is_s_monic_via_kernel(f, mcs)
-                if (direct is None) != (via_kernel is None):
-                    return ctx.fail(hom=f, mcs=mcs,
-                                    detail="S-monic forms disagree")
-                if via_kernel is not None and not _ok(via_kernel):
-                    return ctx.bad_witness(via_kernel, hom=f, mcs=mcs)
-                s_epic = mor.is_s_epic(f, mcs)
-                if s_epic is not None and not _ok(s_epic):
-                    return ctx.bad_witness(s_epic, hom=f, mcs=mcs)
-                if mor.is_monic(f) and direct is None:
-                    return ctx.fail(hom=f, mcs=mcs,
-                                    detail="monic map is not S-monic")
-                if not (mcs.elements & zdiv) and direct is not None:
-                    if not mor.is_monic(f):
-                        return ctx.fail(hom=f, mcs=mcs,
-                                        detail="S-monic did not force monic "
-                                               "despite S avoiding z(M)")
-                if mor.is_epic(f) and s_epic is None:
-                    return ctx.fail(hom=f, mcs=mcs,
-                                    detail="epic map is not S-epic")
-                if mcs.elements <= unit_set and s_epic is not None:
-                    if not mor.is_epic(f):
-                        return ctx.fail(hom=f, mcs=mcs,
-                                        detail="S-epic did not force epic "
-                                               "despite S being units")
+                report = mor.monic_epic_bridge(f, mcs)
+                for witness in (report.s_monic, report.s_epic):
+                    if not _ok(witness):
+                        return ctx.bad_witness(witness, hom=f, mcs=mcs)
+                if not report.holds():
+                    return ctx.fail(hom=f, mcs=mcs, detail=report.failure())
     return ctx.done()
 
 
@@ -664,32 +630,21 @@ def _check_p_spr(cat, tb):
     for module, mcs in cat.module_mcs_pairs():
         for p in enumerate_submodules(module):
             try:
-                direct = tb.is_s_prime_submodule(module, p, mcs)
+                forms = st.s_prime_characterizations(
+                    module, p, mcs, direct_fn=tb.is_s_prime_submodule)
             except DisjointnessFailure:
                 skipped += 1
                 continue
-            colon_form = _guard(lambda: st.s_prime_colon_form(module, p, mcs))
-            homothety_form = _guard(
-                lambda: st.s_prime_homothety_form(module, p, mcs))
             ctx.instances += 1
-            verdicts = (direct is not None, colon_form is not None,
-                        homothety_form is not None)
-            if len(set(verdicts)) != 1:
+            if not forms.agree():
                 return ctx.fail(module=module, mcs=mcs, submodule=p,
-                                verdicts=list(verdicts))
-            for witness in (direct, colon_form, homothety_form):
+                                verdicts=list(forms.verdicts))
+            for witness in (forms.direct, forms.colon_prime, forms.homothety):
                 if not _ok(witness):
                     return ctx.bad_witness(witness, module=module, mcs=mcs,
                                            submodule=p)
     ctx.notes["disjointness_skips"] = skipped
     return ctx.done()
-
-
-def _guard(thunk):
-    try:
-        return thunk()
-    except (DisjointnessFailure, PreconditionUnmet):
-        return None
 
 
 def _check_t_sec(cat, tb):
@@ -698,20 +653,16 @@ def _check_t_sec(cat, tb):
     for module, mcs in cat.module_mcs_pairs():
         for n in _nonzero_submodules(module):
             try:
-                direct = tb.is_s_second(module, n, mcs)
+                forms = st.s_second_characterizations(
+                    module, n, mcs, direct_fn=tb.is_s_second)
             except (DisjointnessFailure, PreconditionUnmet):
                 skipped += 1
                 continue
-            homothety = _guard(lambda: st.s_second_homothety_form(module, n, mcs))
-            containment = _guard(
-                lambda: st.s_second_containment_form(module, n, mcs))
             ctx.instances += 1
-            verdicts = (direct is not None, homothety is not None,
-                        containment is not None)
-            if len(set(verdicts)) != 1:
+            if not forms.agree():
                 return ctx.fail(module=module, mcs=mcs, submodule=n,
-                                verdicts=list(verdicts))
-            for witness in (direct, homothety, containment):
+                                verdicts=list(forms.verdicts))
+            for witness in (forms.direct, forms.homothety, forms.containment):
                 if not _ok(witness):
                     return ctx.bad_witness(witness, module=module, mcs=mcs,
                                            submodule=n)
@@ -724,9 +675,9 @@ def _check_t_m3(cat, tb):
     for module, mcs, _ in _s_comult_pairs(cat):
         ring = module.ring
         for n in _nonzero_submodules(module):
-            second = _guard(lambda: tb.is_s_second(module, n, mcs))
+            second = st._guard(lambda: tb.is_s_second(module, n, mcs))
             ann_ideal = annihilator(module, n.elements)
-            prime = _guard(lambda: st.is_s_prime_ideal(
+            prime = st._guard(lambda: st.is_s_prime_ideal(
                 ring, ann_ideal, mcs, submodule_fn=tb.is_s_prime_submodule))
             clause = tb.uniform_multiple(module, n, mcs)
             if clause is not None and not _ok(clause):
@@ -766,7 +717,7 @@ def _check_t_ssum(cat, tb):
     for module, mcs, _ in _s_comult_pairs(cat):
         seconds = []
         for n in _nonzero_submodules(module):
-            witness = _guard(lambda: tb.is_s_second(module, n, mcs))
+            witness = st._guard(lambda: tb.is_s_second(module, n, mcs))
             if witness is None:
                 continue
             if not _ok(witness):

@@ -32,7 +32,6 @@ KINDS = {
     "maximal-multiple": "single-s",
     "lemma-pair": "single-s",
     "uniform-multiple": "single-s",
-    "kernel-killer": "single-s",
 }
 
 

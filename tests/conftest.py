@@ -9,8 +9,9 @@ import pytest
 
 from scomult.catalog import generate_catalog
 from scomult.modules import self_module, zn_over_zk, direct_sum_module
-from scomult.mutations import mutation_catalog_params, run_mutation_suite
+from scomult import mutations
 from scomult.rings import make_ring_zn, validate_mcs
+from scomult.statements import verify_all
 
 
 def brute_force_ideals(ring):
@@ -119,6 +120,32 @@ def s124(z6):
 
 
 @pytest.fixture(scope="session")
-def mutation_outcomes():
-    """The mutation suite on its reduced catalog, run once per test session."""
-    return tuple(run_mutation_suite(generate_catalog(mutation_catalog_params())))
+def mutation_run():
+    """The mutation suite on its reduced catalog, run once per test session.
+
+    Returns the suite's outcomes and every statement report behind them,
+    keyed by mutant name, plus the default toolbox's reports under
+    "default".
+    """
+    catalog = generate_catalog(mutations.mutation_catalog_params())
+    reports = {"default": tuple(verify_all(catalog))}
+
+    def recording_verify_all(cat, statement_ids=None, toolbox=None):
+        out = verify_all(cat, statement_ids, toolbox)
+        reports[toolbox.mutated[0]] = tuple(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mutations, "verify_all", recording_verify_all)
+        outcomes = tuple(mutations.run_mutation_suite(catalog))
+    return outcomes, reports
+
+
+@pytest.fixture(scope="session")
+def mutation_outcomes(mutation_run):
+    return mutation_run[0]
+
+
+@pytest.fixture(scope="session")
+def mutation_reports(mutation_run):
+    return mutation_run[1]

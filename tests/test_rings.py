@@ -24,7 +24,6 @@ from scomult.rings import (
     ideal_colon,
     ideal_from_set,
     ideal_ops,
-    is_s_noetherian,
     jacobson_radical,
     make_ring_table,
     make_ring_zn,
@@ -202,12 +201,6 @@ def test_maximal_multiple_always_exists_finitely():
         for mcs in enumerate_mcs(ring, cap=16):
             witness = has_maximal_multiple(mcs)
             assert witness is not None and witness.validate()
-
-
-def test_is_s_noetherian_note(z6, s13):
-    verdict = is_s_noetherian(z6, s13)
-    assert verdict.value is True
-    assert "finite" in verdict.note
 
 
 def test_enumerate_mcs_z6(z6):

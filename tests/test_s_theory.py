@@ -9,7 +9,7 @@ from scomult.modules import (
     submodule_from_set,
     zn_over_zk,
 )
-from scomult.mutations import s_prime_quantifier_swap
+from scomult.mutations import s_prime_quantifier_swap, s_second_drop_disjointness
 from scomult.rings import make_ring_zn, unit_mcs, validate_mcs
 from scomult.s_theory import (
     is_comultiplication,
@@ -97,6 +97,18 @@ def test_s_second_characterizations_agree(m6, s1, s124):
             except DisjointnessFailure:
                 continue
             assert forms.agree()
+
+
+def test_s_second_bundle_runs_a_direct_form_that_skips_its_precondition(m6, s13):
+    """A direct form without the disjointness check must be evaluated, not
+    skipped, so that the statement suite can kill it."""
+    evens = submodule_from_set(m6, {0, 2, 4})
+    with pytest.raises(DisjointnessFailure):
+        s_second_characterizations(m6, evens, s13)
+    forms = s_second_characterizations(m6, evens, s13,
+                                       direct_fn=s_second_drop_disjointness)
+    assert forms.verdicts == (True, False, False)
+    assert not forms.agree()
 
 
 def test_s_comultiplication_pins(m6, v2, s1, z2):

@@ -11,7 +11,7 @@ from scomult.modules import (
     zero_colon_set,
     zn_over_zk,
 )
-from scomult.morphisms import identity_hom, kernel_killer, projection_hom
+from scomult.morphisms import identity_hom, is_s_monic_via_kernel, projection_hom
 from scomult.mutations import (
     MUTANTS,
     mutant_toolbox,
@@ -98,9 +98,9 @@ def test_thom_filter():
     z4 = make_ring_zn([4])
     m4 = self_module(z4)
     s = unit_mcs(z4)
-    assert kernel_killer(identity_hom(m4), s) is not None
+    assert is_s_monic_via_kernel(identity_hom(m4), s) is not None
     surjection = projection_hom(m4, submodule_from_set(m4, {0, 2}))
-    assert kernel_killer(surjection, s) is None
+    assert is_s_monic_via_kernel(surjection, s) is None
 
 
 def test_tdu_filter_only_zero_modules_qualify(small_catalog):
@@ -183,6 +183,58 @@ def test_expected_kill_sets(mutation_outcomes):
     assert kills["s_prime_quantifier_swap"] == ["P-SPR", "T-M3"]
     assert kills["s_second_drop_disjointness"] == ["T-M3", "T-SEC", "T-SSUM"]
     assert kills["tm3_drop_uniform_clause"] == ["T-M3"]
+
+
+# (verdict, instances, notes) of every statement on the reduced catalog
+# under the default toolbox, and the entries each mutant changes
+REDUCED_OUTCOMES = {
+    "C-DU": ("pass", 8, {"nonzero_instances": 0}),
+    "C-M3": ("pass", 20, {}),
+    "C-SUB": ("pass", 155, {}),
+    "L-EQ": ("pass", 70, {}),
+    "P-CY1": ("pass", 26, {}),
+    "P-EXT": ("pass", 355, {}),
+    "P-FAM": ("pass", 463, {}),
+    "P-HOMS": ("pass", 5784, {}),
+    "P-LOC": ("pass", 54, {}),
+    "P-MONO": ("pass", 74, {}),
+    "P-PF": ("pass", 74, {}),
+    "P-PROD": ("pass", 3, {}),
+    "P-SAT": ("pass", 70, {}),
+    "P-SPR": ("pass", 223, {"disjointness_skips": 149}),
+    "T-COM": ("pass", 18, {}),
+    "T-CY2": ("pass", 6, {"already_cyclic": 6}),
+    "T-CY3": ("pass", 39, {}),
+    "T-DU": ("pass", 27, {"nonzero_instances": 0}),
+    "T-HOM": ("pass", 3089, {"precondition_unmet": 2695}),
+    "T-LOC": ("pass", 70, {}),
+    "T-M3": ("pass", 155, {}),
+    "T-MIN": ("pass", 28, {"holds_all_L_reading": 11,
+                           "holds_nonzero_L_reading": 28}),
+    "T-PRODN": ("vacuous", 0, {}),
+    "T-SEC": ("pass", 223, {"disjointness_skips": 79}),
+    "T-SSUM": ("pass", 440, {}),
+    "T-TOR": ("pass", 54, {}),
+}
+MUTANT_OUTCOMES = {
+    "lemma_pair_direction_flip": {"L-EQ": ("fail", 1, {})},
+    "localization_drop_ufactor": {"P-LOC": ("fail", 0, {}),
+                                  "T-LOC": ("fail", 0, {})},
+    "s_prime_quantifier_swap": {"P-SPR": ("fail", 87, {}),
+                                "T-M3": ("fail", 18, {})},
+    "s_second_drop_disjointness": {"T-M3": ("fail", 17, {}),
+                                   "T-SEC": ("fail", 88, {}),
+                                   "T-SSUM": ("fail", 34, {})},
+    "tm3_drop_uniform_clause": {"T-M3": ("fail", 16, {})},
+}
+
+
+def test_pinned_outcomes_on_reduced_catalog(mutation_reports):
+    assert sorted(mutation_reports) == sorted(["default", *MUTANTS])
+    for name, reports in mutation_reports.items():
+        expected = {**REDUCED_OUTCOMES, **MUTANT_OUTCOMES.get(name, {})}
+        got = {r.statement_id: (r.verdict, r.instances, r.notes) for r in reports}
+        assert got == expected, name
 
 
 def test_mutant_failure_reports_carry_counterexamples(small_catalog):
