@@ -177,9 +177,7 @@ def _factor_pool(ring, params):
         divs = _divisors(ring.moduli[0])
         if divs:
             modules.append(zn_over_zk(ring, divs[0]))
-    mcs_list = list(enumerate_mcs(ring, cap=params.mcs_exhaustive_limit)) \
-        if ring.order <= params.mcs_exhaustive_limit else list(cyclic_mcs(ring))
-    return modules, mcs_list[:3]
+    return modules, _ring_mcs(ring, params)[:3]
 
 
 def generate_catalog(params=None):

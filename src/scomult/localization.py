@@ -1,12 +1,14 @@
 """Localization of finite rings and modules by explicit pair classes.
 
-S^-1 R is built from pairs (r, s) with r in R, s in S under the relation
-(r, s) ~ (r', s') iff u(s'r - sr') = 0 for some u in S.  The u-factor is
+S^-1 M is built from pairs (m, s) with m in M, s in S under the relation
+(m, s) ~ (m', s') iff u(s'm - sm') = 0 for some u in S.  The u-factor is
 mandatory: without it the relation is not transitive over rings with zero
-divisors.  The relation is checked to be an equivalence by an explicit
-scan, arithmetic on representatives is cross-checked against a second
+divisors.  S^-1 R is the same construction on R as a module over itself,
+with its multiplication as the action, built once per (R, S, relation).
+The relation is checked to be an equivalence by an explicit scan,
+arithmetic on representatives is cross-checked against a second
 representative of each class, and the image of every element of S is
-checked to be a unit.  The same construction yields S^-1 M.
+checked to be a unit.
 """
 
 from __future__ import annotations
@@ -19,26 +21,31 @@ from .modules import (
     Module,
     Submodule,
     colon_set_into_module,
+    enumerate_submodules,
     make_module,
     zero_colon_set,
 )
-from .rings import DEFAULT_CAP, Ideal, MCS, make_ring_table, units, validate_mcs
+from .rings import DEFAULT_CAP, MCS, make_ring_table, units, validate_mcs
 
 
-def default_relation(add, neg, act, u_candidates):
+def default_relation(add, neg, act, u_candidates, zero):
     """(x, s) ~ (x', s') iff u(s'x - sx') = 0 for some u in S."""
 
     def related(p, q):
         x, s = p
         y, t = q
         diff = add(act(t, x), neg(act(s, y)))
-        return any(act(u, diff) == 0 for u in u_candidates)
+        return any(act(u, diff) == zero for u in u_candidates)
 
     return related
 
 
 def _partition(pairs, related):
-    """Group pairs into classes via relation rows; verify equivalence."""
+    """Group pairs into classes via relation rows; verify equivalence.
+
+    Returns pair index -> class index and class index -> pair indices; a
+    class is numbered by its least pair, so the class of pair 0 comes first.
+    """
     n = len(pairs)
     rows = []
     for i in range(n):
@@ -60,115 +67,133 @@ def _partition(pairs, related):
                 k = (rows[j] & ~rows[i]).bit_length() - 1
                 raise AxiomViolation("localization relation not transitive",
                                      (pairs[i], pairs[j], pairs[k]))
-    class_of = {}
+    class_of = [None] * n
     classes = []
     for i in range(n):
-        if i in class_of:
+        if class_of[i] is not None:
             continue
-        members = [j for j in range(n) if rows[i] & (1 << j)]
+        members = tuple(j for j in range(n) if rows[i] & (1 << j))
         for j in members:
             class_of[j] = len(classes)
-        classes.append(tuple(members))
-    return class_of, classes
+        classes.append(members)
+    return tuple(class_of), tuple(classes)
 
 
 @dataclass(frozen=True, eq=False)
-class LocalizedRing:
+class _PairClasses:
+    """S^-1 X as classes of pairs (x, s); X is the base ring or module."""
+
     base: object
     mcs: MCS
-    ring: object              # the quotient structure as a table Ring
-    pairs: tuple              # (r, s) pairs in construction order
+    pairs: tuple              # (x, s) pairs; (x, s) sits at x·|S| + rank[s]
     class_of_pair: tuple      # pair index -> class index
+    members: tuple            # class index -> its pair indices, ascending
+    rank: dict                # s -> position of s in mcs.members()
 
-    def class_of(self, r, s):
-        return self.class_of_pair[self.pairs.index((r, s))]
+    def class_of(self, x, s):
+        return self.class_of_pair[x * len(self.rank) + self.rank[s]]
 
-    def map_element(self, r):
-        """Image of r under the canonical map R -> S^-1 R."""
-        return self.class_of(r, self.mcs.members()[0])
+    def map_element(self, x):
+        """Image of x under the canonical map X -> S^-1 X: the class of (x, 1)."""
+        return self.class_of(x, self.mcs.ring.one)
 
     def kernel(self):
         zero = self.map_element(self.base.zero)
-        return frozenset(r for r in self.base.elements()
-                         if self.map_element(r) == zero)
+        return frozenset(x for x in self.base.elements()
+                         if self.map_element(x) == zero)
+
+    def _labels(self):
+        """x/s for the least pair (x, s) of every class."""
+        ring = self.mcs.ring
+        return tuple(f"{self.base.label(x)}/{ring.label(s)}"
+                     for x, s in (self.pairs[m[0]] for m in self.members))
 
 
-def _first(mcs):
-    return mcs.members()[0]
+@dataclass(frozen=True, eq=False)
+class LocalizedRing(_PairClasses):
+    ring: object              # the quotient structure as a table Ring
 
 
-def _build_classes(size, mcs, add, neg, act, relation, what, cap):
-    pairs = tuple((x, s) for x in range(size) for s in mcs.members())
+@dataclass(frozen=True, eq=False)
+class LocalizedModule(_PairClasses):
+    locring: LocalizedRing
+    module: Module
+
+
+def _pair_classes(base, act, mcs, relation, what, cap):
+    """Pair classes of S^-1 base, where R acts on base by act."""
+    pairs = tuple((x, s) for x in base.elements() for s in mcs)
     if len(pairs) > cap * cap:
         raise SizeCapExceeded(f"{what} localization pairs", len(pairs), cap * cap)
-    related = relation(add, neg, act, mcs.members())
-    class_of, classes = _partition(pairs, related)
-    # order classes by their least pair; the class of (0, s0) comes first
-    order = sorted(range(len(classes)), key=lambda c: classes[c][0])
-    rank = {c: i for i, c in enumerate(order)}
-    class_of_pair = tuple(rank[class_of[i]] for i in range(len(pairs)))
-    members = [tuple(classes[c]) for c in order]
-    return pairs, class_of_pair, members
+    related = relation(base.add, base.neg, act, mcs.members(), base.zero)
+    class_of_pair, members = _partition(pairs, related)
+    return _PairClasses(base, mcs, pairs, class_of_pair, members,
+                        {s: i for i, s in enumerate(mcs)})
 
 
-def _cross_checked_table(pairs, class_of_pair, members, combine, index_of):
-    """Build a class-level operation table, checking representative choice."""
-    k = len(members)
-    table = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            picks = set()
-            for pi in members[i][:2]:
-                for pj in members[j][:2]:
-                    picks.add(class_of_pair[index_of[combine(pairs[pi], pairs[pj])]])
-            if len(picks) != 1:
-                raise AxiomViolation("localization operation not well defined",
-                                     (i, j))
-            row.append(picks.pop())
-        table.append(tuple(row))
-    return tuple(table)
+def _cross_checked_tables(left, right, act, act_message):
+    """Addition on the right classes and the action of the left ring classes.
+
+    (x, s) + (y, t) = (tx + sy, st) and (r, s)(y, t) = (ry, st), computed on
+    the first two pairs of every class; each choice must give one class.  With
+    left = right = S^-1 R the action is the ring's own multiplication.
+    """
+    add, mul = right.base.add, right.mcs.ring.mul
+
+    def table(rows, numerator, message):
+        out = []
+        for i, row_pairs in enumerate(rows.members):
+            row = []
+            for j, col_pairs in enumerate(right.members):
+                picks = set()
+                for a in row_pairs[:2]:
+                    x, s = rows.pairs[a]
+                    for b in col_pairs[:2]:
+                        y, t = right.pairs[b]
+                        picks.add(right.class_of(numerator(x, s, y, t), mul(s, t)))
+                if len(picks) != 1:
+                    raise AxiomViolation(message, (i, j))
+                row.append(picks.pop())
+            out.append(tuple(row))
+        return tuple(out)
+
+    add_table = table(right, lambda x, s, y, t: add(act(t, x), act(s, y)),
+                      "localization operation not well defined")
+    act_table = table(left, lambda r, s, y, t: act(r, y), act_message)
+    return add_table, act_table
+
+
+def _check_kernel(wrapper, act, message):
+    """The kernel of X -> S^-1 X must be {x : ux = 0 for some u in S}."""
+    base = wrapper.base
+    expected = frozenset(x for x in base.elements()
+                         if any(act(u, x) == base.zero for u in wrapper.mcs))
+    if wrapper.kernel() != expected:
+        raise AxiomViolation(message)
+
+
+def localize_ring(ring, mcs, cap=DEFAULT_CAP):
+    return localize_ring_with(ring, mcs, default_relation, cap)
 
 
 @lru_cache(maxsize=None)
-def localize_ring(ring, mcs, cap=DEFAULT_CAP):
-    return localize_ring_with(ring, mcs, default_relation, cap=cap)
-
-
 def localize_ring_with(ring, mcs, relation, cap=DEFAULT_CAP):
-    """S^-1 R via pair classes; returns a LocalizedRing wrapper."""
-    pairs, class_of_pair, members = _build_classes(
-        ring.order, mcs, ring.add, ring.neg, ring.mul, relation, "ring", cap
-    )
-    index_of = {p: i for i, p in enumerate(pairs)}
-
-    def add_pairs(p, q):
-        (r1, s1), (r2, s2) = p, q
-        return (ring.add(ring.mul(r1, s2), ring.mul(r2, s1)), ring.mul(s1, s2))
-
-    def mul_pairs(p, q):
-        (r1, s1), (r2, s2) = p, q
-        return (ring.mul(r1, r2), ring.mul(s1, s2))
-
-    add_table = _cross_checked_table(pairs, class_of_pair, members, add_pairs, index_of)
-    mul_table = _cross_checked_table(pairs, class_of_pair, members, mul_pairs, index_of)
-    reps = [pairs[m[0]] for m in members]
-    labels = tuple(
-        f"{ring.label(r)}/{ring.label(s)}" for r, s in reps
-    )
-    s0 = _first(mcs)
-    zero = class_of_pair[index_of[(ring.zero, s0)]]
-    one = class_of_pair[index_of[(ring.one, s0)]]
-    loc = make_ring_table(add_table, mul_table, zero, one, cap=cap, labels=labels,
+    """S^-1 R: R localized as a module over itself; a LocalizedRing wrapper."""
+    classes = _pair_classes(ring, ring.mul, mcs, relation, "ring", cap)
+    add_table, mul_table = _cross_checked_tables(
+        classes, classes, ring.mul, "localization operation not well defined")
+    loc = make_ring_table(add_table, mul_table, classes.map_element(ring.zero),
+                          classes.map_element(ring.one), cap=cap,
+                          labels=classes._labels(),
                           name=f"({ring.name} loc {mcs.describe()})")
-    wrapper = LocalizedRing(ring, mcs, loc, pairs, class_of_pair)
+    wrapper = LocalizedRing(**vars(classes), ring=loc)
     _check_localized_ring(wrapper)
     return wrapper
 
 
 def _check_localized_ring(wrapper):
     ring, loc, mcs = wrapper.base, wrapper.ring, wrapper.mcs
-    phi = [wrapper.class_of(r, _first(mcs)) for r in ring.elements()]
+    phi = [wrapper.map_element(r) for r in ring.elements()]
     for a in ring.elements():
         for b in ring.elements():
             if phi[ring.add(a, b)] != loc.add(phi[a], phi[b]):
@@ -181,33 +206,7 @@ def _check_localized_ring(wrapper):
     for s in mcs:
         if phi[s] not in unit_set:
             raise AxiomViolation("image of S must consist of units", (s,))
-    expected = frozenset(
-        r for r in ring.elements()
-        if any(ring.mul(u, r) == ring.zero for u in mcs)
-    )
-    if wrapper.kernel() != expected:
-        raise AxiomViolation("canonical map kernel mismatch")
-
-
-@dataclass(frozen=True, eq=False)
-class LocalizedModule:
-    base: object
-    mcs: MCS
-    locring: LocalizedRing
-    module: Module
-    pairs: tuple
-    class_of_pair: tuple
-
-    def class_of(self, m, s):
-        return self.class_of_pair[self.pairs.index((m, s))]
-
-    def map_element(self, m):
-        return self.class_of(m, self.mcs.members()[0])
-
-    def kernel(self):
-        zero = self.map_element(0)
-        return frozenset(m for m in self.base.elements()
-                         if self.map_element(m) == zero)
+    _check_kernel(wrapper, ring.mul, "canonical map kernel mismatch")
 
 
 @lru_cache(maxsize=None)
@@ -217,74 +216,32 @@ def localize_module(module, mcs, cap=DEFAULT_CAP):
 
 def localize_module_with(module, mcs, relation, cap=DEFAULT_CAP):
     """S^-1 M as a module over S^-1 R, with the canonical map data."""
-    locring = localize_ring_with(module.ring, mcs, relation, cap=cap)
-    pairs, class_of_pair, members = _build_classes(
-        module.size, mcs, module.add, module.neg, module.act, relation, "module", cap
-    )
-    index_of = {p: i for i, p in enumerate(pairs)}
-
-    def add_pairs(p, q):
-        (m1, s1), (m2, s2) = p, q
-        return (module.add(module.act(s2, m1), module.act(s1, m2)),
-                module.ring.mul(s1, s2))
-
-    add_table = _cross_checked_table(pairs, class_of_pair, members, add_pairs, index_of)
-    reps = [pairs[m[0]] for m in members]
-    # action of each localized-ring class via representatives, cross-checked
-    ring = module.ring
-    rpairs = locring.pairs
-    act_rows = []
-    for rc in range(locring.ring.order):
-        rmembers = [i for i, c in enumerate(locring.class_of_pair) if c == rc][:2]
-        row = []
-        for mc in range(len(members)):
-            picks = set()
-            for ri in rmembers:
-                r, s = rpairs[ri]
-                for mi in members[mc][:2]:
-                    m, t = pairs[mi]
-                    picks.add(class_of_pair[index_of[
-                        (module.act(r, m), ring.mul(s, t))]])
-            if len(picks) != 1:
-                raise AxiomViolation("localized action not well defined", (rc, mc))
-            row.append(picks.pop())
-        act_rows.append(tuple(row))
-    labels = tuple(f"{module.label(m)}/{ring.label(s)}" for m, s in reps)
+    locring = localize_ring_with(module.ring, mcs, relation, cap)
+    classes = _pair_classes(module, module.act, mcs, relation, "module", cap)
+    add_table, act_table = _cross_checked_tables(
+        locring, classes, module.act, "localized action not well defined")
     loc_module = make_module(
-        locring.ring, add_table, tuple(act_rows), kind="localization",
-        name=f"({module.name} loc {mcs.describe()})", labels=labels, cap=cap,
+        locring.ring, add_table, act_table, kind="localization",
+        name=f"({module.name} loc {mcs.describe()})", labels=classes._labels(), cap=cap,
     )
-    wrapper = LocalizedModule(module, mcs, locring, loc_module, pairs, class_of_pair)
-    expected = frozenset(
-        m for m in module.elements()
-        if any(module.act(u, m) == 0 for u in mcs)
-    )
-    if wrapper.kernel() != expected:
-        raise AxiomViolation("canonical module map kernel mismatch")
+    wrapper = LocalizedModule(**vars(classes), locring=locring, module=loc_module)
+    _check_kernel(wrapper, module.act, "canonical module map kernel mismatch")
     return wrapper
+
+
+def _localize_set(loc, elements):
+    """S^-1 X' = {class(x, s) : x in X', s in S} for a subset X' of the base."""
+    return frozenset(loc.class_of(x, s) for x in elements for s in loc.mcs)
 
 
 def localize_submodule(locmod, n):
     """S^-1 N = {class(n, s)} as a submodule of S^-1 M."""
     n_set = n.elements if isinstance(n, Submodule) else frozenset(n)
-    els = frozenset(
-        locmod.class_of(m, s) for m in n_set for s in locmod.mcs
-    )
-    return Submodule(locmod.module, els)
-
-
-def localize_ideal(locring, ideal):
-    """S^-1 I = {class(a, s)} as an ideal of S^-1 R."""
-    els = frozenset(
-        locring.class_of(a, s) for a in ideal.elements for s in locring.mcs
-    )
-    return Ideal(locring.ring, els)
+    return Submodule(locmod.module, _localize_set(locmod, n_set))
 
 
 def all_submodules_are_localizations(module, mcs):
     """Every submodule of S^-1 M arises as S^-1 N for a submodule N of M."""
-    from .modules import enumerate_submodules
-
     locmod = localize_module(module, mcs)
     images = {localize_submodule(locmod, n).elements
               for n in enumerate_submodules(module)}
@@ -296,8 +253,8 @@ def localized_colon_identity_check(module, mcs, ideal):
     """S^-1((0 :_M I)) equals (0 :_{S^-1 M} S^-1 I)."""
     locmod = localize_module(module, mcs)
     left = localize_submodule(locmod, zero_colon_set(module, ideal.elements))
-    loc_ideal = localize_ideal(locmod.locring, ideal)
-    right = colon_set_into_module(locmod.module, frozenset((0,)), loc_ideal.elements)
+    loc_ideal = _localize_set(locmod.locring, ideal.elements)
+    right = colon_set_into_module(locmod.module, frozenset((0,)), loc_ideal)
     return left.elements == right
 
 

@@ -267,14 +267,6 @@ def product_module(m1, m2, ring=None, cap=DEFAULT_CAP):
     )
 
 
-def split_product_module_element(m1, m2, index):
-    return index // m2.size, index % m2.size
-
-
-def join_product_module_element(m1, m2, a, b):
-    return a * m2.size + b
-
-
 # ---------------------------------------------------------------------------
 # submodules
 
@@ -353,10 +345,6 @@ def submodule_from_set(module, elements):
     return Submodule(module, frozenset(elements))
 
 
-def zero_submodule(module):
-    return Submodule(module, frozenset((0,)))
-
-
 def full_submodule(module):
     return Submodule(module, frozenset(module.elements()))
 
@@ -379,22 +367,6 @@ def enumerate_submodules(module, cap=DEFAULT_CAP):
                 frontier.append(grown)
     ordered = sorted(known, key=_canonical_subset_key)
     return tuple(Submodule(module, els) for els in ordered)
-
-
-def is_submodule_set(module, elements):
-    els = frozenset(elements)
-    if 0 not in els:
-        return False
-    for a in els:
-        for b in els:
-            if module.add(a, b) not in els:
-                return False
-    for r in module.ring.elements():
-        row = module.act_row(r)
-        for a in els:
-            if row[a] not in els:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +484,12 @@ def cyclic_set(module, m):
 def quotient_module(module, submodule):
     """M/N with the induced action, cosets indexed by least representative."""
     n_set = submodule.elements
-    seen = {}
-    cosets = []
+    seen = coset_index_map(module, submodule)
+    reps = []                     # cosets are numbered by their least member
     for m in module.elements():
-        if m in seen:
-            continue
-        coset = frozenset(module.add(m, x) for x in n_set)
-        for y in coset:
-            seen[y] = len(cosets)
-        cosets.append(coset)
-    reps = [min(c) for c in cosets]
-    size = len(cosets)
+        if seen[m] == len(reps):
+            reps.append(m)
+    size = len(reps)
     add_rows = tuple(
         tuple(seen[module.add(reps[i], reps[j])] for j in range(size))
         for i in range(size)

@@ -90,13 +90,13 @@ def uniform_multiple_unchecked(module, n, mcs):
                         s=mcs.members()[0])
 
 
-def localization_drop_ufactor(add, neg, act, u_candidates):
+def localization_drop_ufactor(add, neg, act, u_candidates, zero):
     """Relates pairs only when s'x - sx' is exactly zero."""
 
     def related(p, q):
         x, s = p
         y, t = q
-        return add(act(t, x), neg(act(s, y))) == 0
+        return add(act(t, x), neg(act(s, y))) == zero
 
     return related
 

@@ -335,21 +335,6 @@ def enumerate_ideals(ring, cap=DEFAULT_CAP):
     return tuple(Ideal(ring, els) for els in ordered)
 
 
-def is_ideal_set(ring, elements):
-    """Plain subset test against the ideal invariants (no object creation)."""
-    els = frozenset(elements)
-    if ring.zero not in els:
-        return False
-    for a in els:
-        for b in els:
-            if ring.add(a, b) not in els:
-                return False
-        for r in ring.elements():
-            if ring.mul(r, a) not in els:
-                return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def maximal_ideals(ring):
     """Proper ideals maximal under inclusion, in canonical order."""
@@ -479,12 +464,16 @@ class MCS:
 
     ring: Ring
     elements: frozenset
+    _sorted: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_sorted", tuple(sorted(self.elements)))
 
     def members(self):
-        return sorted(self.elements)
+        return list(self._sorted)
 
     def __iter__(self):
-        return iter(self.members())
+        return iter(self._sorted)
 
     def __contains__(self, x):
         return x in self.elements

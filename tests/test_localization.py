@@ -1,7 +1,10 @@
 """Localization by pair classes: structure, canonical maps, identities."""
 
+import hashlib
+
 import pytest
 
+from scomult.catalog import generate_catalog
 from scomult.errors import AxiomViolation
 from scomult.localization import (
     all_submodules_are_localizations,
@@ -15,10 +18,11 @@ from scomult.localization import (
     mm_locally_nonzero,
 )
 from scomult.modules import self_module, submodule_from_set, zn_over_zk
-from scomult.mutations import localization_drop_ufactor
+from scomult.mutations import localization_drop_ufactor, mutation_catalog_params
 from scomult.rings import (
     enumerate_ideals,
     enumerate_mcs,
+    make_ring_table,
     make_ring_zn,
     maximal_ideals,
     units,
@@ -113,3 +117,66 @@ def test_localized_kernel_characterization(m6, z6):
             m for m in m6.elements()
             if any(m6.act(u, m) == 0 for u in mcs))
         assert loc.kernel() == expected
+
+
+@pytest.mark.parametrize("s_set", [{1, 3}, {1, 5}, {1}, {1, 2, 4}])
+def test_ring_with_zero_off_index_0_localizes(z6, s_set):
+    """Z6 with residue x stored at index x + 1 (mod 6), so zero sits at index 1."""
+    residue = [(i - 1) % 6 for i in range(6)]
+
+    def table(op):
+        return [[(op(residue[i], residue[j]) + 1) % 6 for j in range(6)]
+                for i in range(6)]
+
+    shifted = make_ring_table(table(z6.add), table(z6.mul), zero=1, one=2)
+    loc = localize_ring(z6, validate_mcs(z6, s_set))
+    shifted_loc = localize_ring(
+        shifted, validate_mcs(shifted, {(s + 1) % 6 for s in s_set}))
+    assert shifted_loc.ring.order == loc.ring.order
+    assert shifted_loc.kernel() == {(x + 1) % 6 for x in loc.kernel()}
+
+
+def test_module_localization_shares_the_ring_localization(z6, m6, s13):
+    assert localize_module(m6, s13).locring is localize_ring(z6, s13)
+
+
+def localization_digest(catalog):
+    """SHA-256 over every localization of the catalog's (module, m.c.s.) pairs.
+
+    Module labels are x/s for the least pair (x, s) of each class.  They are
+    hashed as computed from the pairs and checked against the built module
+    only when it kept its own name: make_module interns equal modules, so a
+    built module may carry the name and labels of an earlier equal one.
+    """
+    digest = hashlib.sha256()
+    for module, mcs in catalog.module_mcs_pairs(include_zero=True):
+        loc = localize_module(module, mcs)
+        ring, lmod = loc.locring.ring, loc.module
+        rels, mels = ring.elements(), lmod.elements()
+        least = {}
+        for i, c in enumerate(loc.class_of_pair):
+            least.setdefault(c, loc.pairs[i])
+        labels = [f"{module.label(x)}/{module.ring.label(s)}"
+                  for x, s in (least[c] for c in mels)]
+        if lmod.name == f"({module.name} loc {mcs.describe()})":
+            assert [lmod.label(m) for m in mels] == labels
+        digest.update(repr((
+            ring.order, lmod.size, ring.zero, ring.one,
+            [ring.label(a) for a in rels], labels,
+            [[ring.add(a, b) for b in rels] for a in rels],
+            [[ring.mul(a, b) for b in rels] for a in rels],
+            [[lmod.add(m, n) for n in mels] for m in mels],
+            [list(lmod.act_row(r)) for r in rels],
+            [loc.map_element(m) for m in module.elements()],
+        )).encode())
+    return digest.hexdigest()
+
+
+# captured before the ring and module localizations shared one construction
+REDUCED_LOCALIZATION_DIGEST = (
+    "791dfd9c05f364390e96d3ad36091485f5b1e77ec80fd581021efa214cf57f44")
+
+
+def test_reduced_catalog_localizations_are_pinned():
+    catalog = generate_catalog(mutation_catalog_params())
+    assert localization_digest(catalog) == REDUCED_LOCALIZATION_DIGEST
