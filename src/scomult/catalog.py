@@ -38,13 +38,14 @@ from .rings import (
     product_mcs,
 )
 
-# Largest n for which the catalog builds Z_n; the CLI rejects a larger --max-ring.
+# Largest ring order a catalog may ask for; generate_catalog rejects a larger
+# max_ring_order and the CLI a larger --max-ring.
 MAX_RING_ORDER = 12
 
 
 @dataclass(frozen=True)
 class CatalogParams:
-    max_ring_order: int = 12
+    max_ring_order: int = MAX_RING_ORDER
     product_moduli: tuple = ((2, 2), (2, 3), (2, 4), (3, 3), (2, 2, 2), (2, 2, 3))
     max_module_carrier: int = 16
     mcs_exhaustive_limit: int = 8
@@ -182,8 +183,11 @@ def _factor_pool(ring, params):
 
 def generate_catalog(params=None):
     params = params or CatalogParams()
+    if params.max_ring_order > MAX_RING_ORDER:
+        raise ValueError(f"max_ring_order must be at most {MAX_RING_ORDER}, "
+                         f"got {params.max_ring_order}")
     rings = []
-    for n in range(2, min(MAX_RING_ORDER, params.max_ring_order) + 1):
+    for n in range(2, params.max_ring_order + 1):
         rings.append(make_ring_zn([n]))
     for moduli in params.product_moduli:
         order = 1

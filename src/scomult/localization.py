@@ -29,15 +29,31 @@ from .rings import DEFAULT_CAP, MCS, make_ring_table, units, validate_mcs
 
 
 def default_relation(add, neg, act, u_candidates, zero):
-    """(x, s) ~ (x', s') iff u(s'x - sx') = 0 for some u in S."""
+    """(x, s) ~ (x', s') iff u(s'x - sx') = 0 for some u in S.
+
+    The S-torsion test runs once per difference s'x - sx', an element of the
+    carrier, so at most |X| times for the |X|²|S|² pair comparisons.
+    """
+    torsion = {}
 
     def related(p, q):
         x, s = p
         y, t = q
         diff = add(act(t, x), neg(act(s, y)))
-        return any(act(u, diff) == zero for u in u_candidates)
+        killed = torsion.get(diff)
+        if killed is None:
+            killed = torsion[diff] = any(act(u, diff) == zero for u in u_candidates)
+        return killed
 
     return related
+
+
+def _bits(row):
+    """Indices of the set bits of row, ascending."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
 
 
 def _partition(pairs, related):
@@ -54,17 +70,17 @@ def _partition(pairs, related):
             if related(pairs[i], pairs[j]):
                 row |= 1 << j
         rows.append(row)
-    for i in range(n):
-        if not rows[i] & (1 << i):
+    for i, row in enumerate(rows):
+        if not row >> i & 1:
             raise AxiomViolation("localization relation not reflexive", (pairs[i],))
-        for j in range(n):
-            if rows[i] & (1 << j) and not rows[j] & (1 << i):
+        for j in _bits(row):
+            if not rows[j] >> i & 1:
                 raise AxiomViolation("localization relation not symmetric",
                                      (pairs[i], pairs[j]))
-    for i in range(n):
-        for j in range(n):
-            if rows[i] & (1 << j) and rows[j] | rows[i] != rows[i]:
-                k = (rows[j] & ~rows[i]).bit_length() - 1
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            if rows[j] | row != row:
+                k = (rows[j] & ~row).bit_length() - 1
                 raise AxiomViolation("localization relation not transitive",
                                      (pairs[i], pairs[j], pairs[k]))
     class_of = [None] * n
@@ -72,7 +88,7 @@ def _partition(pairs, related):
     for i in range(n):
         if class_of[i] is not None:
             continue
-        members = tuple(j for j in range(n) if rows[i] & (1 << j))
+        members = tuple(_bits(rows[i]))
         for j in members:
             class_of[j] = len(classes)
         classes.append(members)

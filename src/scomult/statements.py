@@ -459,6 +459,7 @@ def _families(module, params):
 
 def _check_p_fam(cat, tb):
     ctx = _Ctx()
+    sums = {}                 # (module, N, part) -> N + part
     for module, mcs, _ in _s_comult_pairs(cat):
         subs = enumerate_submodules(module)
         for family in _families(module, cat.params):
@@ -471,7 +472,10 @@ def _check_p_fam(cat, tb):
             for n in subs:
                 target = None
                 for part in family:
-                    summed = sum_of_sets(module, (n.elements, part))
+                    key = (module, n.elements, part)
+                    summed = sums.get(key)
+                    if summed is None:
+                        summed = sums[key] = sum_of_sets(module, (n.elements, part))
                     target = summed if target is None else target & summed
                 if not n.elements <= target:
                     return ctx.fail(module=module, mcs=mcs, submodule=n,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from scomult.catalog import CatalogParams, generate_catalog
+from scomult.catalog import MAX_RING_ORDER, CatalogParams, generate_catalog
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +67,12 @@ def test_empty_catalog():
     empty = generate_catalog(CatalogParams(max_ring_order=1))
     assert empty.rings == ()
     assert empty.counts()["module_mcs_pairs"] == 0
+
+
+@pytest.mark.parametrize("order", [MAX_RING_ORDER + 1, 20])
+def test_ring_order_above_the_maximum_is_rejected(order):
+    with pytest.raises(ValueError, match=f"at most {MAX_RING_ORDER}, got {order}"):
+        generate_catalog(CatalogParams(max_ring_order=order))
 
 
 def test_product_cases_live_on_catalog_rings(default_catalog):

@@ -7,6 +7,7 @@ import pytest
 from scomult.catalog import generate_catalog
 from scomult.errors import AxiomViolation
 from scomult.localization import (
+    _partition,
     all_submodules_are_localizations,
     complement_mcs,
     localize_module,
@@ -89,8 +90,10 @@ def test_ufactor_is_essential(z6, m6, s13):
     """Dropping the u-factor breaks transitivity over rings with zero divisors."""
     with pytest.raises(AxiomViolation):
         localize_ring_with(z6, s13, localization_drop_ufactor)
-    with pytest.raises(AxiomViolation):
+    with pytest.raises(AxiomViolation) as info:
         localize_module_with(m6, s13, localization_drop_ufactor)
+    assert info.value.axiom == "localization relation not transitive"
+    assert info.value.witness == ((0, 1), (0, 3), (4, 3))
 
 
 def test_ufactor_mutant_harmless_without_zero_divisors():
@@ -180,3 +183,74 @@ REDUCED_LOCALIZATION_DIGEST = (
 def test_reduced_catalog_localizations_are_pinned():
     catalog = generate_catalog(mutation_catalog_params())
     assert localization_digest(catalog) == REDUCED_LOCALIZATION_DIGEST
+
+
+def drop_ufactor_outcomes(catalog):
+    """Per (module, m.c.s.) pair: the built size, or the violation raised."""
+    out = []
+    for module, mcs in catalog.module_mcs_pairs(include_zero=True):
+        try:
+            loc = localize_module_with(module, mcs, localization_drop_ufactor)
+        except AxiomViolation as err:
+            out.append((module.name, mcs.describe(), "raised", err.args))
+        else:
+            out.append((module.name, mcs.describe(), "built", loc.module.size))
+    return out
+
+
+# captured before the equivalence scan walked only the set bits of each row
+REDUCED_DROP_UFACTOR_DIGEST = (
+    "d71dcfc12ff652fb5ab12843aeb605df93991bb5887a97c939489b118c5c4033")
+
+
+def test_drop_ufactor_scan_outcomes_are_pinned():
+    outcomes = drop_ufactor_outcomes(generate_catalog(mutation_catalog_params()))
+    assert len(outcomes) == 95
+    assert sum(o[2] == "built" for o in outcomes) == 46
+    assert all(o[3][0].startswith("axiom violated: localization relation not "
+                                  "transitive at ")
+               for o in outcomes if o[2] == "raised")
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == REDUCED_DROP_UFACTOR_DIGEST
+
+
+@pytest.mark.parametrize("related, axiom, witness", [
+    (lambda p, q: p == q and p != "b", "localization relation not reflexive",
+     ("b",)),
+    (lambda p, q: p == q or (p, q) == ("a", "c"),
+     "localization relation not symmetric", ("a", "c")),
+])
+def test_partition_reports_the_first_violation(related, axiom, witness):
+    with pytest.raises(AxiomViolation) as info:
+        _partition(("a", "b", "c"), related)
+    assert info.value.axiom == axiom
+    assert info.value.witness == witness
+
+
+def idempotent_power(ring, mcs):
+    """e = t^k idempotent for t the product of S (Fitting's lemma)."""
+    t = ring.one
+    for s in mcs:
+        t = ring.mul(t, s)
+    e = t
+    while ring.mul(e, e) != e:
+        e = ring.mul(e, t)
+    return e
+
+
+def test_localization_matches_the_idempotent_oracle():
+    """S^-1 M is eM and S^-1 R is eR, computed without pair classes."""
+    catalog = generate_catalog(mutation_catalog_params())
+    pairs = list(catalog.module_mcs_pairs(include_zero=True))
+    assert len(pairs) == 95
+    for module, mcs in pairs:
+        ring = module.ring
+        e = idempotent_power(ring, mcs)
+        e_module = {module.act(e, x) for x in module.elements()}
+        e_ring = {ring.mul(e, r) for r in ring.elements()}
+        killed = frozenset(x for x in module.elements()
+                           if module.act(e, x) == module.zero)
+        loc = localize_module(module, mcs)
+        assert loc.module.size == len(e_module)
+        assert loc.kernel() == killed
+        assert localize_ring(ring, mcs).ring.order == len(e_ring)
