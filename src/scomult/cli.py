@@ -23,7 +23,12 @@ from .errors import (
     UnknownStatement,
 )
 from .instancefile import parse_instance_file
-from .modules import enumerate_submodules, torsion_set
+from .modules import (
+    annihilator_set,
+    enumerate_submodules,
+    torsion_set,
+    zero_colon_set,
+)
 from .mutations import mutation_catalog_params, run_mutation_suite
 from .rings import DEFAULT_CAP, enumerate_ideals, enumerate_mcs, validate_mcs
 from .statements import STATEMENTS, verify_all
@@ -148,7 +153,6 @@ def cmd_check(args):
         print(f"comultiplication({module.describe()}): {verdict}")
         if not verdict:
             for n in enumerate_submodules(module):
-                from .modules import annihilator_set, zero_colon_set
                 if zero_colon_set(module, annihilator_set(module, n.elements)) \
                         != n.elements:
                     print(f"  failing submodule: {n.describe()}")
@@ -287,11 +291,13 @@ def build_parser():
 
     verify = sub.add_parser("verify", help="run the statement suite over a catalog")
     verify.add_argument("--statements", help="comma-separated statement ids")
-    verify.add_argument("--max-ring", type=int, default=12,
+    default_module = CatalogParams().max_module_carrier
+    verify.add_argument("--max-ring", type=int, default=MAX_RING_ORDER,
                         help=f"largest ring order in the catalog, 2..{MAX_RING_ORDER} "
-                             "(default 12)")
-    verify.add_argument("--max-module", type=int, default=16,
-                        help=f"largest module carrier, 1..{DEFAULT_CAP} (default 16)")
+                             f"(default {MAX_RING_ORDER})")
+    verify.add_argument("--max-module", type=int, default=default_module,
+                        help=f"largest module carrier, 1..{DEFAULT_CAP} "
+                             f"(default {default_module})")
     verify.add_argument("--report", help="write the JSON report document here")
     verify.add_argument("--mutation", action="store_true",
                         help="run the deliberately broken predicate variants")

@@ -7,6 +7,10 @@ Z_{d1} x ... x Z_{dm} is indexed in mixed radix, lexicographic on residue
 tuples, the same canonical order that Z_n product rings use; quotients,
 localizations and submodule restrictions index their elements as they
 build them.
+
+Submodule closure, enumeration, `(N : K)`, `IM'` and sums run on the same
+core in `scomult.rings` as ideals do, with the action rows in place of the
+ring's multiplication rows: an ideal is a submodule of R over itself.
 """
 
 from __future__ import annotations
@@ -19,7 +23,11 @@ from .errors import AxiomViolation, SizeCapExceeded
 from .rings import (
     DEFAULT_CAP,
     Ideal,
-    _canonical_subset_key,
+    _check_closed,
+    _colon,
+    _enumerate_closed,
+    _span,
+    _sum,
     componentwise_table,
     mixed_radix_residues,
     product_ring,
@@ -280,22 +288,9 @@ class Submodule:
     generators: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
-        mod = self.module
-        els = self.elements
-        if 0 not in els:
-            raise AxiomViolation("submodule must contain 0")
-        for a in els:
-            for b in els:
-                if mod.add(a, b) not in els:
-                    raise AxiomViolation("submodule not closed under addition", (a, b))
-        for r in mod.ring.elements():
-            row = mod.act_row(r)
-            for a in els:
-                if row[a] not in els:
-                    raise AxiomViolation("submodule not closed under action", (r, a))
-        if self.generators is not None:
-            if _closure_set(mod, self.generators) != els:
-                raise AxiomViolation("generators do not generate the element set")
+        module = self.module
+        _check_closed(module, module._act_rows, self.elements, self.generators,
+                      "submodule", "action")
 
     def members(self):
         return sorted(self.elements)
@@ -317,22 +312,7 @@ class Submodule:
 
 
 def _closure_set(module, generators):
-    elems = {0}
-    frontier = []
-    for g in generators:
-        for r in module.ring.elements():
-            x = module.act(r, g)
-            if x not in elems:
-                elems.add(x)
-                frontier.append(x)
-    while frontier:
-        x = frontier.pop()
-        for y in list(elems):
-            z = module.add(x, y)
-            if z not in elems:
-                elems.add(z)
-                frontier.append(z)
-    return frozenset(elems)
+    return _span(module, module._act_rows, generators)
 
 
 def submodule_closure(module, generators):
@@ -354,19 +334,9 @@ def enumerate_submodules(module, cap=DEFAULT_CAP):
     """All submodules by incremental one-element extensions, canonical order."""
     if module.size > cap:
         raise SizeCapExceeded("module carrier", module.size, cap)
-    known = {frozenset((0,))}
-    frontier = [frozenset((0,))]
-    while frontier:
-        base = frontier.pop()
-        for x in module.elements():
-            if x in base:
-                continue
-            grown = _closure_set(module, tuple(base) + (x,))
-            if grown not in known:
-                known.add(grown)
-                frontier.append(grown)
-    ordered = sorted(known, key=_canonical_subset_key)
-    return tuple(Submodule(module, els) for els in ordered)
+    return tuple(
+        Submodule(module, els) for els in _enumerate_closed(module, module._act_rows)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +347,7 @@ _ZERO_SET = frozenset((0,))
 
 def colon_set_into_ring(module, n_set, k_set):
     """(N : K) = {x in R : xK <= N} as a raw element set."""
-    out = []
-    for x in module.ring.elements():
-        row = module.act_row(x)
-        if all(row[k] in n_set for k in k_set):
-            out.append(x)
-    return frozenset(out)
+    return _colon(module._act_rows, n_set, k_set)
 
 
 def colon_into_ring(n, k_set):
@@ -449,26 +414,12 @@ def scalar_times_set(module, r, elements):
 
 def sum_of_sets(module, sets):
     """N1 + ... + Nk elementwise; submodule sums are already closed."""
-    acc = _ZERO_SET
-    for s in sets:
-        acc = frozenset(module.add(a, b) for a in acc for b in s)
-    return acc
+    return _sum(module, sets)
 
 
 def ideal_times_module_set(module, i_set, m_set):
     """IM' = additive closure of {a*m : a in I, m in M'}."""
-    products = {module.act(a, m) for a in i_set for m in m_set}
-    products.add(0)
-    elems = set(products)
-    frontier = list(elems)
-    while frontier:
-        x = frontier.pop()
-        for y in list(elems):
-            z = module.add(x, y)
-            if z not in elems:
-                elems.add(z)
-                frontier.append(z)
-    return frozenset(elems)
+    return _span(module, module._act_rows, m_set, i_set)
 
 
 def cyclic_set(module, m):

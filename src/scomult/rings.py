@@ -1,5 +1,10 @@
 """Finite commutative unital rings, their ideals, and multiplicatively closed sets.
 
+An ideal is a closed subset of R acting on itself, that is a submodule of
+R as an R-module, so ideals and submodules share the closed-subset core
+below (closure check, generator closure, enumeration, products, colons and
+sums).
+
 Every ring is held as a pair of Cayley tables over the element indices
 0..order-1.  Products of Z_n are built as tables too: the index of an
 element is the mixed-radix encoding of its residue tuple, so index order is
@@ -237,6 +242,94 @@ def product_ring(r1, r2, cap=DEFAULT_CAP):
 
 
 # ---------------------------------------------------------------------------
+# closed subsets: the core shared by ideals and submodules
+#
+# Each routine takes a base (a Ring or a Module; it reads `base.zero` and
+# `base._add_rows`) and its action rows, `ring._mul_rows` for ideals and
+# `module._act_rows` for submodules, where row r maps x to r*x.
+
+
+def _check_closed(base, rows, elements, generators, noun, action):
+    """Raise the first closure axiom the subset breaks, in the caller's words."""
+    if base.zero not in elements:
+        raise AxiomViolation(f"{noun} must contain 0")
+    add = base._add_rows
+    for a in elements:
+        row = add[a]
+        for b in elements:
+            if row[b] not in elements:
+                raise AxiomViolation(f"{noun} not closed under addition", (a, b))
+    for r, row in enumerate(rows):
+        for a in elements:
+            if row[a] not in elements:
+                raise AxiomViolation(f"{noun} not closed under {action}", (r, a))
+    if generators is not None and _span(base, rows, generators) != elements:
+        raise AxiomViolation("generators do not generate the element set")
+
+
+def _span(base, rows, elements, scalars=None):
+    """Additive closure of 0 and every r*x, r in scalars (default all of R).
+
+    With every scalar this is the closed subset the elements generate; with
+    an ideal I as the scalars it is the product I*elements.
+    """
+    add = base._add_rows
+    elems = {base.zero}
+    frontier = []
+    for row in rows if scalars is None else (rows[a] for a in scalars):
+        for x in elements:
+            y = row[x]
+            if y not in elems:
+                elems.add(y)
+                frontier.append(y)
+    while frontier:
+        row = add[frontier.pop()]
+        for y in list(elems):
+            z = row[y]
+            if z not in elems:
+                elems.add(z)
+                frontier.append(z)
+    return frozenset(elems)
+
+
+def _enumerate_closed(base, rows):
+    """Every closed subset by one-element extensions, in canonical order."""
+    zero = frozenset((base.zero,))
+    known = {zero}
+    frontier = [zero]
+    while frontier:
+        current = frontier.pop()
+        for x in range(len(base._add_rows)):
+            if x in current:
+                continue
+            grown = _span(base, rows, tuple(current) + (x,))
+            if grown not in known:
+                known.add(grown)
+                frontier.append(grown)
+    return sorted(known, key=_canonical_subset_key)
+
+
+def _colon(rows, target, subset):
+    """{r : r*k lies in target for every k in subset}."""
+    return frozenset(
+        r for r, row in enumerate(rows) if all(row[k] in target for k in subset)
+    )
+
+
+def _sum(base, sets):
+    """S1 + ... + Sk elementwise."""
+    add = base._add_rows
+    acc = frozenset((base.zero,))
+    for s in sets:
+        acc = frozenset(add[a][b] for a in acc for b in s)
+    return acc
+
+
+def _canonical_subset_key(elements):
+    return (len(elements), tuple(sorted(elements)))
+
+
+# ---------------------------------------------------------------------------
 # ideals
 
 
@@ -249,22 +342,8 @@ class Ideal:
     generators: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
-        ring = self.ring
-        els = self.elements
-        if ring.zero not in els:
-            raise AxiomViolation("ideal must contain 0")
-        for a in els:
-            for b in els:
-                if ring.add(a, b) not in els:
-                    raise AxiomViolation("ideal not closed under addition", (a, b))
-        for r in ring.elements():
-            for a in els:
-                if ring.mul(r, a) not in els:
-                    raise AxiomViolation("ideal not closed under scalars", (r, a))
-        if self.generators is not None:
-            closed = _ideal_closure_set(ring, self.generators)
-            if closed != els:
-                raise AxiomViolation("generators do not generate the element set")
+        _check_closed(self.ring, self.ring._mul_rows, self.elements,
+                      self.generators, "ideal", "scalars")
 
     def members(self):
         return sorted(self.elements)
@@ -282,37 +361,14 @@ class Ideal:
         return "{" + ",".join(self.ring.label(x) for x in self.members()) + "}"
 
 
-def _ideal_closure_set(ring, generators):
-    elems = {ring.zero}
-    frontier = []
-    for g in generators:
-        for r in ring.elements():
-            x = ring.mul(r, g)
-            if x not in elems:
-                elems.add(x)
-                frontier.append(x)
-    while frontier:
-        x = frontier.pop()
-        for y in list(elems):
-            z = ring.add(x, y)
-            if z not in elems:
-                elems.add(z)
-                frontier.append(z)
-    return frozenset(elems)
-
-
 def ideal_closure(ring, generators):
     """Least ideal containing the generators."""
     gens = tuple(sorted(set(generators)))
-    return Ideal(ring, _ideal_closure_set(ring, gens), generators=gens)
+    return Ideal(ring, _span(ring, ring._mul_rows, gens), generators=gens)
 
 
 def ideal_from_set(ring, elements):
     return Ideal(ring, frozenset(elements))
-
-
-def _canonical_subset_key(elements):
-    return (len(elements), tuple(sorted(elements)))
 
 
 @lru_cache(maxsize=None)
@@ -320,19 +376,7 @@ def enumerate_ideals(ring, cap=DEFAULT_CAP):
     """Every ideal exactly once, sorted by (cardinality, element list)."""
     if ring.order > cap:
         raise SizeCapExceeded("ring", ring.order, cap)
-    known = {frozenset((ring.zero,))}
-    frontier = [frozenset((ring.zero,))]
-    while frontier:
-        base = frontier.pop()
-        for x in ring.elements():
-            if x in base:
-                continue
-            grown = _ideal_closure_set(ring, tuple(base) + (x,))
-            if grown not in known:
-                known.add(grown)
-                frontier.append(grown)
-    ordered = sorted(known, key=_canonical_subset_key)
-    return tuple(Ideal(ring, els) for els in ordered)
+    return tuple(Ideal(ring, els) for els in _enumerate_closed(ring, ring._mul_rows))
 
 
 @lru_cache(maxsize=None)
@@ -390,28 +434,12 @@ def jacobson_radical(ring):
 
 
 def ideal_sum(i, j):
-    ring = i.ring
-    return Ideal(ring, frozenset(ring.add(a, b) for a in i.elements for b in j.elements))
+    return Ideal(i.ring, _sum(i.ring, (i.elements, j.elements)))
 
 
 def ideal_product(i, j):
     ring = i.ring
-    products = {ring.mul(a, b) for a in i.elements for b in j.elements}
-    return Ideal(ring, _additive_closure(ring, products))
-
-
-def _additive_closure(ring, elements):
-    elems = set(elements)
-    elems.add(ring.zero)
-    frontier = list(elems)
-    while frontier:
-        x = frontier.pop()
-        for y in list(elems):
-            z = ring.add(x, y)
-            if z not in elems:
-                elems.add(z)
-                frontier.append(z)
-    return frozenset(elems)
+    return Ideal(ring, _span(ring, ring._mul_rows, j.elements, i.elements))
 
 
 def ideal_intersection(i, j):
@@ -420,12 +448,7 @@ def ideal_intersection(i, j):
 
 def ideal_colon(i, j):
     """(I : J) = {x in R : xJ <= I}."""
-    ring = i.ring
-    out = frozenset(
-        x for x in ring.elements()
-        if all(ring.mul(x, a) in i.elements for a in j.elements)
-    )
-    return Ideal(ring, out)
+    return Ideal(i.ring, _colon(i.ring._mul_rows, i.elements, j.elements))
 
 
 def ideal_annihilator(i):

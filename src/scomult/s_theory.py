@@ -22,6 +22,7 @@ from .modules import (
     enumerate_submodules,
     ideal_times_module_set,
     scalar_times_set,
+    self_module,
     zero_colon_set,
     _closure_set,
 )
@@ -115,8 +116,6 @@ def _check_s_prime(w):
 
 def is_s_prime_ideal(ring, ideal, mcs, submodule_fn=None):
     """An ideal is S-prime when it is an S-prime submodule of R over itself."""
-    from .modules import self_module
-
     fn = submodule_fn or is_s_prime_submodule
     return fn(self_module(ring), frozenset(ideal.elements), mcs)
 

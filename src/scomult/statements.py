@@ -32,6 +32,7 @@ from .modules import (
     ideal_times_module_set,
     quotient_module,
     scalar_times_set,
+    self_module,
     submodule_as_module,
     sum_of_sets,
     torsion_set,
@@ -377,11 +378,12 @@ def _check_t_du(cat, tb):
     nonzero_hits = 0
     for module, mcs, _ in _s_comult_pairs(cat, include_zero=True):
         ring = module.ring
+        ring_module = self_module(ring)
         jac = jacobson_radical(ring).elements
         seen = set()
         for t in mcs:
             for ideal in enumerate_ideals(ring):
-                t_ideal = scalar_ideal_set(ring, t, ideal.elements)
+                t_ideal = scalar_times_set(ring_module, t, ideal.elements)
                 if not t_ideal <= jac:
                     continue
                 if zero_colon_set(module, t_ideal) != _ZERO:
@@ -399,10 +401,6 @@ def _check_t_du(cat, tb):
                                     detail="no s with sM = 0")
     ctx.notes["nonzero_instances"] = nonzero_hits
     return ctx.done()
-
-
-def scalar_ideal_set(ring, t, elements):
-    return frozenset(ring.mul(t, a) for a in elements)
 
 
 def _check_c_du(cat, tb):
@@ -718,6 +716,7 @@ def _check_c_m3(cat, tb):
 
 def _check_t_ssum(cat, tb):
     ctx = _Ctx()
+    totals = {}               # (module, family) -> sum of the family
     for module, mcs, _ in _s_comult_pairs(cat):
         seconds = []
         for n in _nonzero_submodules(module):
@@ -730,7 +729,10 @@ def _check_t_ssum(cat, tb):
         if not seconds:
             continue
         for family in _families(module, cat.params):
-            total = sum_of_sets(module, family)
+            key = (module, family)
+            total = totals.get(key)
+            if total is None:
+                total = totals[key] = sum_of_sets(module, family)
             for n in seconds:
                 if not n.elements <= total:
                     continue

@@ -1,9 +1,13 @@
 """Module construction, submodule lattices, residuals, and quotients."""
 
+import hashlib
+
 import pytest
 
+from scomult.catalog import generate_catalog
 from scomult.errors import AxiomViolation
 from scomult.modules import (
+    Submodule,
     annihilator_set,
     colon_into_module,
     colon_into_ring,
@@ -23,7 +27,14 @@ from scomult.modules import (
     zero_module,
     zn_over_zk,
 )
-from scomult.rings import Ideal, ideal_from_set, make_ring_zn, product_ring
+from scomult.mutations import mutation_catalog_params
+from scomult.rings import (
+    Ideal,
+    enumerate_ideals,
+    ideal_from_set,
+    make_ring_zn,
+    product_ring,
+)
 
 from conftest import brute_force_submodules
 
@@ -73,6 +84,52 @@ def test_enumerate_submodules_matches_brute_force(build):
     module = build()
     assert [n.elements for n in enumerate_submodules(module)] == \
         brute_force_submodules(module)
+
+
+@pytest.mark.parametrize("moduli, members, generators, kind, axiom, witness", [
+    ([6], {2, 4}, None, "ideal", "ideal must contain 0", ()),
+    ([6], {2, 4}, None, "submodule", "submodule must contain 0", ()),
+    ([6], {0, 2, 3}, None, "ideal", "ideal not closed under addition", (2, 2)),
+    ([6], {0, 2, 3}, None, "submodule", "submodule not closed under addition",
+     (2, 2)),
+    ([2, 2], {0, 3}, None, "ideal", "ideal not closed under scalars", (1, 3)),
+    ([2, 2], {0, 3}, None, "submodule", "submodule not closed under action",
+     (1, 3)),
+    ([6], {0, 2, 4}, (3,), "ideal",
+     "generators do not generate the element set", ()),
+    ([6], {0, 2, 4}, (3,), "submodule",
+     "generators do not generate the element set", ()),
+])
+def test_closure_violations_are_pinned(moduli, members, generators, kind, axiom,
+                                       witness):
+    """Ideals of R and submodules of R over itself fail with the same witness."""
+    ring = make_ring_zn(moduli)
+    with pytest.raises(AxiomViolation) as err:
+        if kind == "ideal":
+            Ideal(ring, frozenset(members), generators=generators)
+        else:
+            Submodule(self_module(ring), frozenset(members), generators=generators)
+    assert (err.value.axiom, err.value.witness) == (axiom, witness)
+
+
+# captured before ideals and submodules shared one closure and enumeration core
+REDUCED_LATTICE_DIGEST = (
+    "91d6bc01fc554c4e820741a51c16195c5a8ab81001a28ada7cef4a3071d84066")
+
+
+def test_reduced_catalog_lattices_are_pinned():
+    """SHA-256 over every ring's ideals and every module's submodules, in order."""
+    catalog = generate_catalog(mutation_catalog_params())
+    digest = hashlib.sha256()
+    for ring in catalog.rings:
+        digest.update(repr((ring.name, [
+            (i.members(), i.describe()) for i in enumerate_ideals(ring)
+        ])).encode())
+        for module in catalog.modules[ring]:
+            digest.update(repr([
+                (n.members(), n.describe()) for n in enumerate_submodules(module)
+            ]).encode())
+    assert digest.hexdigest() == REDUCED_LATTICE_DIGEST
 
 
 def test_colon_into_ring_pins(z6, m6):

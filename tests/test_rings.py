@@ -24,6 +24,8 @@ from scomult.rings import (
     ideal_colon,
     ideal_from_set,
     ideal_ops,
+    ideal_product,
+    ideal_sum,
     jacobson_radical,
     make_ring_table,
     make_ring_zn,
@@ -141,6 +143,36 @@ def test_ideal_ops_pins(z6):
     assert ops["sum"].members() == [0, 1, 2, 3, 4, 5]
     assert ops["product"].members() == [0]
     assert ops["intersection"].members() == [0]
+
+
+def test_ideal_arithmetic_with_zero_off_index_0(z6):
+    """Z6 with residue x stored at index x + 1 (mod 6), so zero sits at index 1."""
+    residue = [(i - 1) % 6 for i in range(6)]
+
+    def table(op):
+        return [[(op(residue[i], residue[j]) + 1) % 6 for j in range(6)]
+                for i in range(6)]
+
+    def shift(ideal):
+        return frozenset((x + 1) % 6 for x in ideal.elements)
+
+    shifted = make_ring_table(table(z6.add), table(z6.mul), zero=1, one=2)
+    ideals = enumerate_ideals(z6)
+    shifted_ideals = enumerate_ideals(shifted)
+    assert sorted(map(shift, ideals), key=lambda s: (len(s), sorted(s))) == \
+        [i.elements for i in shifted_ideals]
+    by_set = {i.elements: i for i in shifted_ideals}
+    for x in z6.elements():
+        assert ideal_closure(shifted, [(x + 1) % 6]).elements == \
+            shift(ideal_closure(z6, [x]))
+    for i in ideals:
+        si = by_set[shift(i)]
+        assert ideal_annihilator(si).elements == shift(ideal_annihilator(i))
+        for j in ideals:
+            sj = by_set[shift(j)]
+            assert ideal_sum(si, sj).elements == shift(ideal_sum(i, j))
+            assert ideal_product(si, sj).elements == shift(ideal_product(i, j))
+            assert ideal_colon(si, sj).elements == shift(ideal_colon(i, j))
 
 
 def test_colon_product_contained(z6):
