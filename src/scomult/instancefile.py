@@ -52,11 +52,6 @@ class ParsedInstance:
     submodules: dict = field(default_factory=dict)
     homs: dict = field(default_factory=dict)
 
-    def first_module(self):
-        if not self.modules:
-            raise ScomultError("instance file defines no module")
-        return next(iter(self.modules.values()))
-
 
 def _split_sections(text):
     sections = []

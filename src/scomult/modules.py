@@ -103,6 +103,8 @@ class Module:
             return True
         if not isinstance(other, Module):
             return NotImplemented
+        if self._add_rows is other._add_rows and self._act_rows is other._act_rows:
+            return self.ring == other.ring      # tables interned by make_module
         return (
             self.ring == other.ring
             and self.size == other.size
@@ -158,23 +160,30 @@ def _validate_module(ring, size, add_rows, act_rows):
                     raise AxiomViolation("action not multiplicative", (r, r2, m))
 
 
-def _intern(module):
-    return _MODULE_CACHE.setdefault(module, module)
+def _intern(ring, add_rows, act_rows):
+    """The first (add rows, action rows) pair seen with these tables over ring."""
+    key = (ring, add_rows, act_rows)
+    return _MODULE_CACHE.setdefault(key, key)[1:]
 
 
 def make_module(ring, add_rows, act_rows, kind="table", name=None, moduli=None,
                 labels=None, cap=DEFAULT_CAP):
-    """Validated module from explicit tables."""
+    """Validated module from explicit tables.
+
+    Equal tables over an equal ring are stored once and shared, while the
+    module keeps the ring, name, labels and kind it was built with.
+    """
     add_rows = tuple(tuple(row) for row in add_rows)
     act_rows = tuple(tuple(row) for row in act_rows)
     size = len(add_rows)
     if size > cap:
         raise SizeCapExceeded("module carrier", size, cap)
     _validate_module(ring, size, add_rows, act_rows)
-    return _intern(Module(
+    add_rows, act_rows = _intern(ring, add_rows, act_rows)
+    return Module(
         ring, size, add_rows, act_rows, kind, name or f"table({size})",
         moduli=moduli, labels=tuple(labels) if labels is not None else None,
-    ))
+    )
 
 
 def module_from_rule(ring, moduli, rule, kind, name, cap=DEFAULT_CAP):

@@ -16,17 +16,11 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .catalog import CatalogParams, generate_catalog
-from .modules import (
-    Submodule,
-    annihilator_set,
-    colon_set_into_ring,
-    enumerate_submodules,
-    scalar_times_set,
-)
+from .modules import Submodule, scalar_times_set
 from .s_theory import (
-    LemmaPairResult,
+    _lemma_pair_search,
     _nonzero_submodule,
-    _require_disjoint,
+    _s_prime_subject,
     _s_second_search,
 )
 from .statements import Toolbox, verify_all
@@ -35,9 +29,7 @@ from .witnesses import Witness
 
 def s_prime_quantifier_swap(module, p, mcs):
     """Checks each pair am in P on its own and reports the last pair's s."""
-    p_set = p.elements if isinstance(p, Submodule) else frozenset(p)
-    colon = colon_set_into_ring(module, p_set, frozenset(module.elements()))
-    _require_disjoint("(P:M) and S", colon, mcs)
+    p_set, colon = _s_prime_subject(module, p, mcs)
     ring = module.ring
     last = mcs.members()[0]
     for a in ring.elements():
@@ -64,23 +56,8 @@ def s_second_drop_disjointness(module, n, mcs):
 
 def lemma_pair_direction_flip(module, mcs):
     """Tests sK <= N instead of sN <= K."""
-    subs = enumerate_submodules(module)
-    anns = {n: annihilator_set(module, n.elements) for n in subs}
-    found = []
-    for k in subs:
-        for n in subs:
-            if not anns[k] <= anns[n]:
-                continue
-            witness = None
-            for s in mcs:
-                if scalar_times_set(module, s, k.elements) <= n.elements:
-                    witness = Witness.make("lemma-pair", module=module,
-                                           k=k.elements, n=n.elements, s=s)
-                    break
-            if witness is None:
-                return LemmaPairResult(False, tuple(found), (k, n))
-            found.append(((k, n), witness))
-    return LemmaPairResult(True, tuple(found), None)
+    return _lemma_pair_search(
+        module, mcs, lambda k, n, s: scalar_times_set(module, s, k) <= n)
 
 
 def uniform_multiple_unchecked(module, n, mcs):

@@ -10,7 +10,7 @@ deliberately kept distinct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from .errors import AxiomViolation, DisjointnessFailure, PreconditionUnmet
@@ -34,18 +34,56 @@ from .morphisms import (
     is_s_zero_with,
 )
 from .rings import enumerate_ideals
-from .witnesses import KINDS, Witness, revalidator
-
-KINDS.setdefault("s-prime-colon", "single-s")
-KINDS.setdefault("s-prime-homothety", "single-s")
-KINDS.setdefault("s-second-homothety", "single-s")
-KINDS.setdefault("s-second-containment", "single-s")
+from .witnesses import Witness, revalidator
 
 _ZERO = frozenset((0,))
 
 
 def _full_set(module):
     return frozenset(module.elements())
+
+
+def _as_submodule(module, x):
+    """x if a Submodule, else the closure-checked Submodule on its elements."""
+    return x if isinstance(x, Submodule) else Submodule(module, frozenset(x))
+
+
+@dataclass(frozen=True)
+class ForEachResult:
+    """A witness for every item (a submodule or a pair), or the first without."""
+
+    holds: bool
+    witnesses: tuple          # ((item, Witness), ...)
+    failing: object           # the first item without a witness, or None
+
+    def __bool__(self):
+        return self.holds
+
+
+def _for_each(items, find):
+    """`find(item)` for every item, stopping at the first that gives None."""
+    found = []
+    for item in items:
+        witness = find(item)
+        if witness is None:
+            return ForEachResult(False, tuple(found), item)
+        found.append((item, witness))
+    return ForEachResult(True, tuple(found), None)
+
+
+@dataclass(frozen=True)
+class _Forms:
+    """Equivalent forms of one property, each a witness, a result or None."""
+
+    def __iter__(self):
+        return (getattr(self, f.name) for f in fields(self))
+
+    @property
+    def verdicts(self):
+        return tuple(map(bool, self))
+
+    def agree(self):
+        return len(set(self.verdicts)) == 1
 
 
 @lru_cache(maxsize=None)
@@ -74,11 +112,28 @@ def _guard(thunk):
         return None
 
 
-def is_s_prime_submodule(module, p, mcs):
-    """Single s making every am in P resolve to sa in (P:M) or sm in P."""
+def _characterize(forms, module, x, mcs, direct, *derived):
+    """`forms` of the submodule x: the definitional form, then the derived ones.
+
+    The definitional form runs first and its precondition errors propagate;
+    a derived form whose own precondition fails reads as None.
+    """
+    sub = _as_submodule(module, x)
+    return forms(direct(module, sub, mcs),
+                 *(_guard(lambda f=f: f(module, sub, mcs)) for f in derived))
+
+
+def _s_prime_subject(module, p, mcs):
+    """P's element set and (P:M), once (P:M) is known to miss S, else raise."""
     p_set = p.elements if isinstance(p, Submodule) else frozenset(p)
     colon = colon_set_into_ring(module, p_set, _full_set(module))
     _require_disjoint("(P:M) and S", colon, mcs)
+    return p_set, colon
+
+
+def is_s_prime_submodule(module, p, mcs):
+    """Single s making every am in P resolve to sa in (P:M) or sm in P."""
+    p_set, colon = _s_prime_subject(module, p, mcs)
     ring = module.ring
     for s in mcs:
         s_row = module.act_row(s)
@@ -136,27 +191,15 @@ def is_prime_submodule_set(module, subset):
 
 
 @dataclass(frozen=True)
-class SPrimeForms:
+class SPrimeForms(_Forms):
     direct: Witness | None
     colon_prime: Witness | None
     homothety: Witness | None
 
-    @property
-    def verdicts(self):
-        return (self.direct is not None, self.colon_prime is not None,
-                self.homothety is not None)
-
-    def agree(self):
-        v = self.verdicts
-        return v[0] == v[1] == v[2]
-
 
 def s_prime_colon_form(module, p, mcs):
     """Some s with (P:_M s) prime and (P:_M s') below it for all s'."""
-    p_sub = p if isinstance(p, Submodule) else Submodule(module, frozenset(p))
-    p_set = p_sub.elements
-    colon = colon_set_into_ring(module, p_set, _full_set(module))
-    _require_disjoint("(P:M) and S", colon, mcs)
+    p_set, _ = _s_prime_subject(module, _as_submodule(module, p), mcs)
     by_s = {s: frozenset(m for m in module.elements()
                          if module.act(s, m) in p_set) for s in mcs}
     for s in mcs:
@@ -169,10 +212,8 @@ def s_prime_colon_form(module, p, mcs):
 
 def s_prime_homothety_form(module, p, mcs):
     """Some s making every homothety on M/P S-zero or S-injective with it."""
-    p_sub = p if isinstance(p, Submodule) else Submodule(module, frozenset(p))
-    p_set = p_sub.elements
-    colon = colon_set_into_ring(module, p_set, _full_set(module))
-    _require_disjoint("(P:M) and S", colon, mcs)
+    p_sub = _as_submodule(module, p)
+    p_set, _ = _s_prime_subject(module, p_sub, mcs)
     family = homothety_family(module, p_sub)
     for s in mcs:
         if all(is_s_zero_with(h, s) or is_s_monic_with(h, s) for h in family):
@@ -182,18 +223,10 @@ def s_prime_homothety_form(module, p, mcs):
 
 
 def s_prime_characterizations(module, p, mcs, direct_fn=None):
-    """Definitional, colon-by-s, and quotient-homothety verdicts for S-prime.
-
-    The definitional form runs first and its precondition errors propagate;
-    a derived form whose own precondition fails reads as None.
-    """
-    p_sub = p if isinstance(p, Submodule) else Submodule(module, frozenset(p))
-    direct = (direct_fn or is_s_prime_submodule)(module, p_sub, mcs)
-    return SPrimeForms(
-        direct,
-        _guard(lambda: s_prime_colon_form(module, p_sub, mcs)),
-        _guard(lambda: s_prime_homothety_form(module, p_sub, mcs)),
-    )
+    """Definitional, colon-by-s, and quotient-homothety verdicts for S-prime."""
+    return _characterize(SPrimeForms, module, p, mcs,
+                         direct_fn or is_s_prime_submodule,
+                         s_prime_colon_form, s_prime_homothety_form)
 
 
 @revalidator("s-prime-colon")
@@ -221,7 +254,7 @@ def _check_s_prime_homothety(w):
 
 
 def _nonzero_submodule(module, n):
-    n_sub = n if isinstance(n, Submodule) else Submodule(module, frozenset(n))
+    n_sub = _as_submodule(module, n)
     if n_sub.is_zero():
         raise PreconditionUnmet("S-second requires a nonzero submodule")
     return n_sub
@@ -277,19 +310,10 @@ def is_second_submodule_set(module, subset):
 
 
 @dataclass(frozen=True)
-class SSecondForms:
+class SSecondForms(_Forms):
     direct: Witness | None
     homothety: Witness | None
     containment: Witness | None
-
-    @property
-    def verdicts(self):
-        return (self.direct is not None, self.homothety is not None,
-                self.containment is not None)
-
-    def agree(self):
-        v = self.verdicts
-        return v[0] == v[1] == v[2]
 
 
 def s_second_homothety_form(module, n, mcs):
@@ -319,18 +343,10 @@ def s_second_containment_form(module, n, mcs):
 
 
 def s_second_characterizations(module, n, mcs, direct_fn=None):
-    """Definitional, homothety, and containment verdicts for S-second.
-
-    As for S-prime: the definitional form's precondition errors propagate,
-    and a derived form whose own precondition fails reads as None.
-    """
-    n_sub = n if isinstance(n, Submodule) else Submodule(module, frozenset(n))
-    direct = (direct_fn or is_s_second)(module, n_sub, mcs)
-    return SSecondForms(
-        direct,
-        _guard(lambda: s_second_homothety_form(module, n_sub, mcs)),
-        _guard(lambda: s_second_containment_form(module, n_sub, mcs)),
-    )
+    """Definitional, homothety, and containment verdicts for S-second."""
+    return _characterize(SSecondForms, module, n, mcs,
+                         direct_fn or is_s_second,
+                         s_second_homothety_form, s_second_containment_form)
 
 
 @revalidator("s-second-homothety")
@@ -357,44 +373,24 @@ def _check_s_second_containment(w):
 # S-comultiplication and the equivalence lemma
 
 
-@dataclass(frozen=True)
-class SComultResult:
-    holds: bool
-    witnesses: tuple          # ((Submodule, Witness), ...)
-    failing: Submodule | None
-
-    def __bool__(self):
-        return self.holds
-
-    def witness_for(self, submodule):
-        for sub, w in self.witnesses:
-            if sub == submodule:
-                return w
-        return None
-
-
 @lru_cache(maxsize=None)
 def is_s_comultiplication(module, mcs):
     """For every N, a single s with s(0:_M ann(N)) inside N.
 
     Containment N <= (0:_M ann(N)) holds automatically and is asserted.
     """
-    found = []
-    for n in enumerate_submodules(module):
-        ann = annihilator_set(module, n.elements)
-        colon = zero_colon_set(module, ann)
+
+    def find(n):
+        colon = zero_colon_set(module, annihilator_set(module, n.elements))
         if not n.elements <= colon:
             raise AxiomViolation("N must sit inside (0 :_M ann(N))")
-        witness = None
         for s in mcs:
             if scalar_times_set(module, s, colon) <= n.elements:
-                witness = Witness.make("s-comultiplication", module=module,
-                                       n=n.elements, s=s)
-                break
-        if witness is None:
-            return SComultResult(False, tuple(found), n)
-        found.append((n, witness))
-    return SComultResult(True, tuple(found), None)
+                return Witness.make("s-comultiplication", module=module,
+                                    n=n.elements, s=s)
+        return None
+
+    return _for_each(enumerate_submodules(module), find)
 
 
 @revalidator("s-comultiplication")
@@ -405,32 +401,30 @@ def _check_s_comult(w):
     return scalar_times_set(module, s, colon) <= n_set <= colon
 
 
-@dataclass(frozen=True)
-class LemmaPairResult:
-    holds: bool
-    witnesses: tuple          # (((K, N), Witness), ...)
-    failing: tuple | None
+def _lemma_pair_search(module, mcs, holds):
+    """For each K, N with ann(K) <= ann(N), the first s with holds(K, N, s).
+
+    K and N reach `holds` as element sets.
+    """
+    subs = enumerate_submodules(module)
+    anns = {n: annihilator_set(module, n.elements) for n in subs}
+
+    def find(pair):
+        k, n = pair
+        for s in mcs:
+            if holds(k.elements, n.elements, s):
+                return Witness.make("lemma-pair", module=module,
+                                    k=k.elements, n=n.elements, s=s)
+        return None
+
+    return _for_each(
+        ((k, n) for k in subs for n in subs if anns[k] <= anns[n]), find)
 
 
 def lemma_pair_form(module, mcs):
     """For each K, N with ann(K) <= ann(N), a single s with sN <= K."""
-    subs = enumerate_submodules(module)
-    anns = {n: annihilator_set(module, n.elements) for n in subs}
-    found = []
-    for k in subs:
-        for n in subs:
-            if not anns[k] <= anns[n]:
-                continue
-            witness = None
-            for s in mcs:
-                if scalar_times_set(module, s, n.elements) <= k.elements:
-                    witness = Witness.make("lemma-pair", module=module,
-                                           k=k.elements, n=n.elements, s=s)
-                    break
-            if witness is None:
-                return LemmaPairResult(False, tuple(found), (k, n))
-            found.append(((k, n), witness))
-    return LemmaPairResult(True, tuple(found), None)
+    return _lemma_pair_search(
+        module, mcs, lambda k, n, s: scalar_times_set(module, s, n) <= k)
 
 
 @revalidator("lemma-pair")
@@ -439,32 +433,20 @@ def _check_lemma_pair(w):
     return scalar_times_set(module, s, n_set) <= k_set
 
 
-@dataclass(frozen=True)
-class LemmaDefResult:
-    holds: bool
-    witnesses: tuple
-    failing: Submodule | None
-
-
 def lemma_definitional_form(module, mcs):
     """For each N, some s and ideal I with s(0:_M I) <= N <= (0:_M I)."""
     ideals = enumerate_ideals(module.ring)
     colons = [(i, zero_colon_set(module, i.elements)) for i in ideals]
-    found = []
-    for n in enumerate_submodules(module):
-        witness = None
+
+    def find(n):
         for s in mcs:
             for ideal, colon in colons:
                 if n.elements <= colon and scalar_times_set(module, s, colon) <= n.elements:
-                    witness = Witness.make("s-comultiplication-def", module=module,
-                                           n=n.elements, s=s, ideal=ideal)
-                    break
-            if witness is not None:
-                break
-        if witness is None:
-            return LemmaDefResult(False, tuple(found), n)
-        found.append((n, witness))
-    return LemmaDefResult(True, tuple(found), None)
+                    return Witness.make("s-comultiplication-def", module=module,
+                                        n=n.elements, s=s, ideal=ideal)
+        return None
+
+    return _for_each(enumerate_submodules(module), find)
 
 
 @revalidator("s-comultiplication-def")
@@ -475,18 +457,10 @@ def _check_s_comult_def(w):
 
 
 @dataclass(frozen=True)
-class LemmaForms:
-    definitional: LemmaDefResult
-    annihilator: SComultResult
-    pairwise: LemmaPairResult
-
-    @property
-    def verdicts(self):
-        return (self.definitional.holds, self.annihilator.holds, self.pairwise.holds)
-
-    def agree(self):
-        v = self.verdicts
-        return v[0] == v[1] == v[2]
+class LemmaForms(_Forms):
+    definitional: ForEachResult
+    annihilator: ForEachResult
+    pairwise: ForEachResult
 
 
 def lemma_equivalence_bundle(module, mcs, pair_form_fn=None):
@@ -526,22 +500,19 @@ def is_multiplication(module):
 def is_s_multiplication(module, mcs):
     """For every N a single s with sN <= (N:M)M, using the largest ideal."""
     full = _full_set(module)
-    found = []
-    for n in enumerate_submodules(module):
+
+    def find(n):
         colon = colon_set_into_ring(module, n.elements, full)
         im = ideal_times_module_set(module, colon, full)
         if not im <= n.elements:
             raise AxiomViolation("(N:M)M must sit inside N")
-        witness = None
         for s in mcs:
             if scalar_times_set(module, s, n.elements) <= im:
-                witness = Witness.make("s-multiplication", module=module,
-                                       n=n.elements, s=s)
-                break
-        if witness is None:
-            return SComultResult(False, tuple(found), n)
-        found.append((n, witness))
-    return SComultResult(True, tuple(found), None)
+                return Witness.make("s-multiplication", module=module,
+                                    n=n.elements, s=s)
+        return None
+
+    return _for_each(enumerate_submodules(module), find)
 
 
 @revalidator("s-multiplication")
@@ -593,7 +564,7 @@ def is_cyclic(module):
 
 def is_s_finite(module, n, mcs):
     """Always true at finite scale; reports a greedily minimal generator set."""
-    n_sub = n if isinstance(n, Submodule) else Submodule(module, frozenset(n))
+    n_sub = _as_submodule(module, n)
     gens = []
     current = _ZERO
     while current != n_sub.elements:
@@ -643,7 +614,7 @@ def is_s_minimal(module, k, mcs, include_zero=False):
     The default reading ranges over nonzero L; `include_zero` adds L = 0,
     which forces some s to annihilate K outright.
     """
-    k_sub = k if isinstance(k, Submodule) else Submodule(module, frozenset(k))
+    k_sub = _as_submodule(module, k)
     if k_sub.is_zero():
         raise PreconditionUnmet("S-minimal requires a nonzero submodule")
     out = {}

@@ -159,13 +159,7 @@ def _check_l_eq(cat, tb):
         ctx.instances += 1
         if not bundle.agree():
             return ctx.fail(module=module, mcs=mcs, verdicts=list(bundle.verdicts))
-        for _, w in bundle.definitional.witnesses:
-            if not _ok(w):
-                return ctx.bad_witness(w, module=module, mcs=mcs)
-        for _, w in bundle.annihilator.witnesses:
-            if not _ok(w):
-                return ctx.bad_witness(w, module=module, mcs=mcs)
-        for _, w in bundle.pairwise.witnesses:
+        for w in (w for form in bundle for _, w in form.witnesses):
             if not _ok(w):
                 return ctx.bad_witness(w, module=module, mcs=mcs)
     return ctx.done()
@@ -626,50 +620,46 @@ def _check_p_homs(cat, tb):
     return ctx.done()
 
 
-def _check_p_spr(cat, tb):
+def _check_forms(cat, submodules, characterize, skips):
+    """Every form of a submodule property agrees and every witness holds.
+
+    `characterize(module, n, mcs)` raising one of `skips` counts as a skip.
+    """
     ctx = _Ctx()
     skipped = 0
     for module, mcs in cat.module_mcs_pairs():
-        for p in enumerate_submodules(module):
+        for n in submodules(module):
             try:
-                forms = st.s_prime_characterizations(
-                    module, p, mcs, direct_fn=tb.is_s_prime_submodule)
-            except DisjointnessFailure:
-                skipped += 1
-                continue
-            ctx.instances += 1
-            if not forms.agree():
-                return ctx.fail(module=module, mcs=mcs, submodule=p,
-                                verdicts=list(forms.verdicts))
-            for witness in (forms.direct, forms.colon_prime, forms.homothety):
-                if not _ok(witness):
-                    return ctx.bad_witness(witness, module=module, mcs=mcs,
-                                           submodule=p)
-    ctx.notes["disjointness_skips"] = skipped
-    return ctx.done()
-
-
-def _check_t_sec(cat, tb):
-    ctx = _Ctx()
-    skipped = 0
-    for module, mcs in cat.module_mcs_pairs():
-        for n in _nonzero_submodules(module):
-            try:
-                forms = st.s_second_characterizations(
-                    module, n, mcs, direct_fn=tb.is_s_second)
-            except (DisjointnessFailure, PreconditionUnmet):
+                forms = characterize(module, n, mcs)
+            except skips:
                 skipped += 1
                 continue
             ctx.instances += 1
             if not forms.agree():
                 return ctx.fail(module=module, mcs=mcs, submodule=n,
                                 verdicts=list(forms.verdicts))
-            for witness in (forms.direct, forms.homothety, forms.containment):
+            for witness in forms:
                 if not _ok(witness):
                     return ctx.bad_witness(witness, module=module, mcs=mcs,
                                            submodule=n)
     ctx.notes["disjointness_skips"] = skipped
     return ctx.done()
+
+
+def _check_p_spr(cat, tb):
+    return _check_forms(
+        cat, enumerate_submodules,
+        lambda module, p, mcs: st.s_prime_characterizations(
+            module, p, mcs, direct_fn=tb.is_s_prime_submodule),
+        DisjointnessFailure)
+
+
+def _check_t_sec(cat, tb):
+    return _check_forms(
+        cat, _nonzero_submodules,
+        lambda module, n, mcs: st.s_second_characterizations(
+            module, n, mcs, direct_fn=tb.is_s_second),
+        (DisjointnessFailure, PreconditionUnmet))
 
 
 def _check_t_m3(cat, tb):

@@ -15,25 +15,6 @@ from typing import Any, Callable
 
 REVALIDATORS: dict[str, Callable[["Witness"], bool]] = {}
 
-# shape vocabulary for each witness claim
-KINDS = {
-    "s-prime-submodule": "single-s",
-    "s-second": "single-s",
-    "s-comultiplication": "single-s",
-    "s-comultiplication-def": "s-and-ideal",
-    "s-multiplication": "single-s",
-    "s-cyclic": "s-and-element",
-    "s-finite": "single-s",
-    "s-torsion-free": "single-s",
-    "s-minimal-step": "single-s",
-    "s-zero": "single-s",
-    "s-monic": "single-s",
-    "s-epic": "single-s",
-    "maximal-multiple": "single-s",
-    "lemma-pair": "single-s",
-    "uniform-multiple": "single-s",
-}
-
 
 def revalidator(claim):
     def deco(fn):
@@ -57,10 +38,6 @@ class Witness:
             if key == name:
                 return value
         raise KeyError(name)
-
-    @property
-    def kind(self):
-        return KINDS.get(self.claim, "none")
 
     def validate(self) -> bool:
         """Re-check the defining condition this witness certifies."""

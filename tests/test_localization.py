@@ -147,9 +147,8 @@ def localization_digest(catalog):
     """SHA-256 over every localization of the catalog's (module, m.c.s.) pairs.
 
     Module labels are x/s for the least pair (x, s) of each class.  They are
-    hashed as computed from the pairs and checked against the built module
-    only when it kept its own name: make_module interns equal modules, so a
-    built module may carry the name and labels of an earlier equal one.
+    hashed as computed from the pairs and checked against the labels of the
+    built module on every pair.
     """
     digest = hashlib.sha256()
     for module, mcs in catalog.module_mcs_pairs(include_zero=True):
@@ -161,8 +160,7 @@ def localization_digest(catalog):
             least.setdefault(c, loc.pairs[i])
         labels = [f"{module.label(x)}/{module.ring.label(s)}"
                   for x, s in (least[c] for c in mels)]
-        if lmod.name == f"({module.name} loc {mcs.describe()})":
-            assert [lmod.label(m) for m in mels] == labels
+        assert [lmod.label(m) for m in mels] == labels
         digest.update(repr((
             ring.order, lmod.size, ring.zero, ring.one,
             [ring.label(a) for a in rels], labels,
@@ -183,6 +181,14 @@ REDUCED_LOCALIZATION_DIGEST = (
 def test_reduced_catalog_localizations_are_pinned():
     catalog = generate_catalog(mutation_catalog_params())
     assert localization_digest(catalog) == REDUCED_LOCALIZATION_DIGEST
+
+
+def test_localized_modules_keep_their_own_name_and_ring():
+    catalog = generate_catalog(mutation_catalog_params())
+    for module, mcs in catalog.module_mcs_pairs(include_zero=True):
+        loc = localize_module(module, mcs)
+        assert loc.module.name == f"({module.name} loc {mcs.describe()})"
+        assert loc.module.ring is loc.locring.ring
 
 
 def drop_ufactor_outcomes(catalog):
