@@ -214,7 +214,7 @@ def serialize_ring(ring):
     else:
         lines.append("kind = table")
         lines.append("add = " + _render_rows(ring._add_rows))
-        lines.append("mul = " + _render_rows(ring._mul_rows))
+        lines.append("mul = " + _render_rows(ring._act_rows))
         lines.append(f"zero = {ring.zero}")
         lines.append(f"one = {ring.one}")
     return lines

@@ -4,7 +4,8 @@ S^-1 M is built from pairs (m, s) with m in M, s in S under the relation
 (m, s) ~ (m', s') iff u(s'm - sm') = 0 for some u in S.  The u-factor is
 mandatory: without it the relation is not transitive over rings with zero
 divisors.  S^-1 R is the same construction on R as a module over itself,
-with its multiplication as the action, built once per (R, S, relation).
+built once per (R, S, relation): every helper reads the action from its
+base, which for a ring is its multiplication.
 The relation is checked to be an equivalence by an explicit scan,
 arithmetic on representatives is cross-checked against a second
 representative of each class, and the image of every element of S is
@@ -136,25 +137,25 @@ class LocalizedModule(_PairClasses):
     module: Module
 
 
-def _pair_classes(base, act, mcs, relation, what, cap):
-    """Pair classes of S^-1 base, where R acts on base by act."""
+def _pair_classes(base, mcs, relation, what, cap):
+    """Pair classes of S^-1 base, a ring or a module that R acts on."""
     pairs = tuple((x, s) for x in base.elements() for s in mcs)
     if len(pairs) > cap * cap:
         raise SizeCapExceeded(f"{what} localization pairs", len(pairs), cap * cap)
-    related = relation(base.add, base.neg, act, mcs.members(), base.zero)
+    related = relation(base.add, base.neg, base.act, mcs.members(), base.zero)
     class_of_pair, members = _partition(pairs, related)
     return _PairClasses(base, mcs, pairs, class_of_pair, members,
                         {s: i for i, s in enumerate(mcs)})
 
 
-def _cross_checked_tables(left, right, act, act_message):
+def _cross_checked_tables(left, right, act_message):
     """Addition on the right classes and the action of the left ring classes.
 
     (x, s) + (y, t) = (tx + sy, st) and (r, s)(y, t) = (ry, st), computed on
     the first two pairs of every class; each choice must give one class.  With
     left = right = S^-1 R the action is the ring's own multiplication.
     """
-    add, mul = right.base.add, right.mcs.ring.mul
+    add, act, mul = right.base.add, right.base.act, right.mcs.ring.mul
 
     def table(rows, numerator, message):
         out = []
@@ -179,11 +180,11 @@ def _cross_checked_tables(left, right, act, act_message):
     return add_table, act_table
 
 
-def _check_kernel(wrapper, act, message):
+def _check_kernel(wrapper, message):
     """The kernel of X -> S^-1 X must be {x : ux = 0 for some u in S}."""
     base = wrapper.base
     expected = frozenset(x for x in base.elements()
-                         if any(act(u, x) == base.zero for u in wrapper.mcs))
+                         if any(base.act(u, x) == base.zero for u in wrapper.mcs))
     if wrapper.kernel() != expected:
         raise AxiomViolation(message)
 
@@ -195,9 +196,9 @@ def localize_ring(ring, mcs, cap=DEFAULT_CAP):
 @lru_cache(maxsize=None)
 def localize_ring_with(ring, mcs, relation, cap=DEFAULT_CAP):
     """S^-1 R: R localized as a module over itself; a LocalizedRing wrapper."""
-    classes = _pair_classes(ring, ring.mul, mcs, relation, "ring", cap)
+    classes = _pair_classes(ring, mcs, relation, "ring", cap)
     add_table, mul_table = _cross_checked_tables(
-        classes, classes, ring.mul, "localization operation not well defined")
+        classes, classes, "localization operation not well defined")
     loc = make_ring_table(add_table, mul_table, classes.map_element(ring.zero),
                           classes.map_element(ring.one), cap=cap,
                           labels=classes._labels(),
@@ -222,7 +223,7 @@ def _check_localized_ring(wrapper):
     for s in mcs:
         if phi[s] not in unit_set:
             raise AxiomViolation("image of S must consist of units", (s,))
-    _check_kernel(wrapper, ring.mul, "canonical map kernel mismatch")
+    _check_kernel(wrapper, "canonical map kernel mismatch")
 
 
 @lru_cache(maxsize=None)
@@ -233,15 +234,15 @@ def localize_module(module, mcs, cap=DEFAULT_CAP):
 def localize_module_with(module, mcs, relation, cap=DEFAULT_CAP):
     """S^-1 M as a module over S^-1 R, with the canonical map data."""
     locring = localize_ring_with(module.ring, mcs, relation, cap)
-    classes = _pair_classes(module, module.act, mcs, relation, "module", cap)
+    classes = _pair_classes(module, mcs, relation, "module", cap)
     add_table, act_table = _cross_checked_tables(
-        locring, classes, module.act, "localized action not well defined")
+        locring, classes, "localized action not well defined")
     loc_module = make_module(
         locring.ring, add_table, act_table, kind="localization",
         name=f"({module.name} loc {mcs.describe()})", labels=classes._labels(), cap=cap,
     )
     wrapper = LocalizedModule(**vars(classes), locring=locring, module=loc_module)
-    _check_kernel(wrapper, module.act, "canonical module map kernel mismatch")
+    _check_kernel(wrapper, "canonical module map kernel mismatch")
     return wrapper
 
 

@@ -1,16 +1,18 @@
 """Finite unital modules over a Ring: carriers, actions, and submodules.
 
-Every module, like every ring, is held as tables: a carrier addition table
-and a full scalar action table, built and checked exhaustively at
-construction time.  Index 0 is always the zero element.  A carrier given as
+Every module, like every ring, is held as tables on the carrier shared with
+`scomult.rings`: an addition table and a full scalar action table, checked
+exhaustively by the same axiom check as ring tables the first time they are
+seen over a ring.  Index 0 is always the zero element.  A carrier given as
 Z_{d1} x ... x Z_{dm} is indexed in mixed radix, lexicographic on residue
 tuples, the same canonical order that Z_n product rings use; quotients,
 localizations and submodule restrictions index their elements as they
 build them.
 
 Submodule closure, enumeration, `(N : K)`, `IM'` and sums run on the same
-core in `scomult.rings` as ideals do, with the action rows in place of the
-ring's multiplication rows: an ideal is a submodule of R over itself.
+core in `scomult.rings` as ideals do; the core reads the action rows of its
+base, which for a ring are its multiplication rows: an ideal is a submodule
+of R over itself.
 """
 
 from __future__ import annotations
@@ -24,10 +26,13 @@ from .rings import (
     DEFAULT_CAP,
     Ideal,
     _check_closed,
+    _check_in_range,
+    _check_tables,
     _colon,
     _enumerate_closed,
     _span,
     _sum,
+    _Table,
     componentwise_table,
     mixed_radix_residues,
     product_ring,
@@ -37,133 +42,41 @@ from .rings import (
 _MODULE_CACHE = {}
 
 
-class Module:
+class Module(_Table):
     """A finite unital module; elements are indices 0..size-1, zero is 0."""
 
-    __slots__ = (
-        "ring",
-        "size",
-        "kind",
-        "moduli",
-        "name",
-        "_labels",
-        "_add_rows",
-        "_act_rows",
-        "_neg",
-        "_hash",
-    )
+    __slots__ = ("ring", "kind", "moduli")
 
-    def __init__(self, ring, size, add_rows, act_rows, kind, name,
-                 moduli=None, labels=None):
+    def __init__(self, ring, add_rows, act_rows, kind, name, moduli=None,
+                 labels=None):
+        super().__init__(add_rows, act_rows, 0, name, labels)
         self.ring = ring
-        self.size = size
         self.kind = kind
-        self.name = name
         self.moduli = moduli
-        self._labels = labels
-        self._add_rows = add_rows
-        self._act_rows = act_rows
-        self._neg = tuple(add_rows[m].index(0) for m in range(size))
-        self._hash = None
-
-    zero = 0
-
-    def elements(self):
-        return range(self.size)
-
-    def add(self, a, b):
-        return self._add_rows[a][b]
-
-    def neg(self, a):
-        return self._neg[a]
-
-    def act(self, r, m):
-        return self._act_rows[r][m]
-
-    def act_row(self, r):
-        return self._act_rows[r]
 
     @property
     def is_zero_module(self):
         return self.size == 1
 
-    def label(self, m):
-        if self._labels is not None:
-            return self._labels[m]
-        return str(m)
-
     def describe(self):
         return f"{self.name} over {self.ring.name}"
 
-    def set_label(self, elements):
-        return "{" + ",".join(self.label(x) for x in sorted(elements)) + "}"
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Module):
-            return NotImplemented
-        if self._add_rows is other._add_rows and self._act_rows is other._act_rows:
-            return self.ring == other.ring      # tables interned by make_module
-        return (
-            self.ring == other.ring
-            and self.size == other.size
-            and self._add_rows == other._add_rows
-            and self._act_rows == other._act_rows
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, self.size, self._add_rows, self._act_rows))
-        return self._hash
-
-    def __repr__(self):
-        return f"Module({self.describe()})"
-
-
-def _validate_module(ring, size, add_rows, act_rows):
-    rng = range(size)
-    if len(add_rows) != size or any(len(r) != size for r in add_rows):
-        raise AxiomViolation("carrier addition table has wrong shape")
-    if len(act_rows) != ring.order or any(len(r) != size for r in act_rows):
-        raise AxiomViolation("action table has wrong shape")
-    for a in rng:
-        if add_rows[0][a] != a:
-            raise AxiomViolation("0 is not the carrier identity", (a,))
-        if 0 not in add_rows[a]:
-            raise AxiomViolation("missing carrier inverse", (a,))
-        for b in rng:
-            if add_rows[a][b] != add_rows[b][a]:
-                raise AxiomViolation("carrier addition not commutative", (a, b))
-            for c in rng:
-                if add_rows[add_rows[a][b]][c] != add_rows[a][add_rows[b][c]]:
-                    raise AxiomViolation("carrier addition not associative", (a, b, c))
-    one_row = act_rows[ring.one]
-    for m in rng:
-        if one_row[m] != m:
-            raise AxiomViolation("1 does not act as identity", (m,))
-    for r in ring.elements():
-        row = act_rows[r]
-        for m in rng:
-            for m2 in rng:
-                if row[add_rows[m][m2]] != add_rows[row[m]][row[m2]]:
-                    raise AxiomViolation("action not additive in the module", (r, m, m2))
-    for r in ring.elements():
-        for r2 in ring.elements():
-            sum_row = act_rows[ring.add(r, r2)]
-            prod_row = act_rows[ring.mul(r, r2)]
-            row, row2 = act_rows[r], act_rows[r2]
-            for m in rng:
-                if sum_row[m] != add_rows[row[m]][row2[m]]:
-                    raise AxiomViolation("action not additive in the ring", (r, r2, m))
-                if prod_row[m] != row[row2[m]]:
-                    raise AxiomViolation("action not multiplicative", (r, r2, m))
+    def _key(self):
+        return (self.ring, self.size, self._add_rows, self._act_rows)
 
 
 def _intern(ring, add_rows, act_rows):
-    """The first (add rows, action rows) pair seen with these tables over ring."""
+    """The first (add rows, action rows) pair seen with these tables over ring.
+
+    Tables are checked on their first sight only: a hit means equal tables
+    over an equal ring already passed.
+    """
     key = (ring, add_rows, act_rows)
-    return _MODULE_CACHE.setdefault(key, key)[1:]
+    seen = _MODULE_CACHE.get(key)
+    if seen is None:
+        _check_tables(add_rows, act_rows, 0, ring.one, ring)
+        seen = _MODULE_CACHE[key] = key
+    return seen[1:]
 
 
 def make_module(ring, add_rows, act_rows, kind="table", name=None, moduli=None,
@@ -178,10 +91,9 @@ def make_module(ring, add_rows, act_rows, kind="table", name=None, moduli=None,
     size = len(add_rows)
     if size > cap:
         raise SizeCapExceeded("module carrier", size, cap)
-    _validate_module(ring, size, add_rows, act_rows)
     add_rows, act_rows = _intern(ring, add_rows, act_rows)
     return Module(
-        ring, size, add_rows, act_rows, kind, name or f"table({size})",
+        ring, add_rows, act_rows, kind, name or f"table({size})",
         moduli=moduli, labels=tuple(labels) if labels is not None else None,
     )
 
@@ -211,8 +123,8 @@ def self_module(ring):
     """The ring viewed as a module over itself."""
     if ring.zero != 0:
         raise AxiomViolation("table ring must place zero at index 0 for self module")
-    return make_module(ring, ring._add_rows, ring._mul_rows, kind="self",
-                       name=ring.name, labels=[ring.label(x) for x in ring.elements()])
+    return make_module(ring, ring._add_rows, ring._act_rows, kind="self",
+                       name=ring.name, labels=ring._labels)
 
 
 def zn_over_zk(ring, d, cap=DEFAULT_CAP):
@@ -297,9 +209,8 @@ class Submodule:
     generators: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
-        module = self.module
-        _check_closed(module, module._act_rows, self.elements, self.generators,
-                      "submodule", "action")
+        _check_closed(self.module, self.elements, self.generators, "submodule",
+                      "action")
 
     def members(self):
         return sorted(self.elements)
@@ -320,18 +231,17 @@ class Submodule:
         return self.module.set_label(self.elements)
 
 
-def _closure_set(module, generators):
-    return _span(module, module._act_rows, generators)
-
-
 def submodule_closure(module, generators):
     """Least submodule containing the generators."""
     gens = tuple(sorted(set(generators)))
-    return Submodule(module, _closure_set(module, gens), generators=gens)
+    _check_in_range(module, gens)
+    return Submodule(module, _span(module, gens), generators=gens)
 
 
 def submodule_from_set(module, elements):
-    return Submodule(module, frozenset(elements))
+    elements = frozenset(elements)
+    _check_in_range(module, elements)
+    return Submodule(module, elements)
 
 
 def full_submodule(module):
@@ -343,9 +253,7 @@ def enumerate_submodules(module, cap=DEFAULT_CAP):
     """All submodules by incremental one-element extensions, canonical order."""
     if module.size > cap:
         raise SizeCapExceeded("module carrier", module.size, cap)
-    return tuple(
-        Submodule(module, els) for els in _enumerate_closed(module, module._act_rows)
-    )
+    return tuple(Submodule(module, els) for els in _enumerate_closed(module))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +264,7 @@ _ZERO_SET = frozenset((0,))
 
 def colon_set_into_ring(module, n_set, k_set):
     """(N : K) = {x in R : xK <= N} as a raw element set."""
-    return _colon(module._act_rows, n_set, k_set)
+    return _colon(module, n_set, k_set)
 
 
 def colon_into_ring(n, k_set):
@@ -428,7 +336,7 @@ def sum_of_sets(module, sets):
 
 def ideal_times_module_set(module, i_set, m_set):
     """IM' = additive closure of {a*m : a in I, m in M'}."""
-    return _span(module, module._act_rows, m_set, i_set)
+    return _span(module, m_set, i_set)
 
 
 def cyclic_set(module, m):

@@ -1,9 +1,11 @@
 """Finite commutative unital rings, their ideals, and multiplicatively closed sets.
 
-An ideal is a closed subset of R acting on itself, that is a submodule of
-R as an R-module, so ideals and submodules share the closed-subset core
-below (closure check, generator closure, enumeration, products, colons and
-sums).
+A ring is R acting on itself: rings and modules share one table carrier,
+whose action rows are a ring's multiplication rows, and one axiom check,
+the module axioms, which a ring's tables meet over themselves.  An ideal is
+a closed subset of R acting on itself, that is a submodule of R as an
+R-module, so ideals and submodules share the closed-subset core below
+(closure check, generator closure, enumeration, products, colons and sums).
 
 Every ring is held as a pair of Cayley tables over the element indices
 0..order-1.  Products of Z_n are built as tables too: the index of an
@@ -33,66 +35,54 @@ from .witnesses import Witness, revalidator
 DEFAULT_CAP = 64
 
 
-class Ring:
-    """A finite commutative ring with 1 != 0, elements indexed 0..order-1.
+class _Table:
+    """An abelian group on the indices 0..size-1 with a ring acting by rows.
 
-    `moduli` is set only for Z_{n1} x ... x Z_{nk}; arithmetic never reads it.
+    Row r of the action rows maps x to r*x.  A Ring is R acting on itself,
+    so its action rows are its multiplication rows; a Module's are its
+    scalar action.  Equality and hashing go through the per-class `_key()`.
     """
 
-    __slots__ = (
-        "moduli",
-        "order",
-        "zero",
-        "one",
-        "name",
-        "_labels",
-        "_add_rows",
-        "_mul_rows",
-        "_neg",
-        "_hash",
-    )
+    __slots__ = ("size", "zero", "name", "_labels", "_add_rows", "_act_rows",
+                 "_neg", "_hash")
 
-    def __init__(self, add_rows, mul_rows, zero, one, name, labels=None,
-                 moduli=None):
-        self.order = len(add_rows)
+    def __init__(self, add_rows, act_rows, zero, name, labels):
+        self.size = len(add_rows)
         self.zero = zero
-        self.one = one
         self.name = name
-        self.moduli = moduli
-        self._add_rows = add_rows
-        self._mul_rows = mul_rows
         self._labels = labels
+        self._add_rows = add_rows
+        self._act_rows = act_rows
         self._neg = tuple(row.index(zero) for row in add_rows)
         self._hash = None
 
     def elements(self):
-        return range(self.order)
+        return range(self.size)
 
     def add(self, a, b):
         return self._add_rows[a][b]
 
-    def mul(self, a, b):
-        return self._mul_rows[a][b]
-
     def neg(self, a):
         return self._neg[a]
+
+    def act(self, r, x):
+        return self._act_rows[r][x]
+
+    def act_row(self, r):
+        return self._act_rows[r]
 
     def label(self, a):
         if self._labels is not None:
             return self._labels[a]
         return str(a)
 
-    def describe(self):
-        return self.name
-
-    def _key(self):
-        return (self.moduli, self.order, self.zero, self.one,
-                self._add_rows, self._mul_rows)
+    def set_label(self, elements):
+        return "{" + ",".join(self.label(x) for x in sorted(elements)) + "}"
 
     def __eq__(self, other):
         if self is other:
             return True
-        if not isinstance(other, Ring):
+        if type(other) is not type(self):
             return NotImplemented
         return self._key() == other._key()
 
@@ -102,7 +92,41 @@ class Ring:
         return self._hash
 
     def __repr__(self):
-        return f"Ring({self.name})"
+        return f"{type(self).__name__}({self.describe()})"
+
+
+class Ring(_Table):
+    """A finite commutative ring with 1 != 0, elements indexed 0..order-1.
+
+    `moduli` is set only for Z_{n1} x ... x Z_{nk}; arithmetic never reads it.
+    `add` and `mul` are defined on Ring itself, where perfbench's tracer
+    wraps them.
+    """
+
+    __slots__ = ("one", "moduli")
+
+    def __init__(self, add_rows, mul_rows, zero, one, name, labels=None,
+                 moduli=None):
+        super().__init__(add_rows, mul_rows, zero, name, labels)
+        self.one = one
+        self.moduli = moduli
+
+    @property
+    def order(self):
+        return self.size
+
+    def add(self, a, b):
+        return self._add_rows[a][b]
+
+    def mul(self, a, b):
+        return self._act_rows[a][b]
+
+    def describe(self):
+        return self.name
+
+    def _key(self):
+        return (self.moduli, self.size, self.zero, self.one,
+                self._add_rows, self._act_rows)
 
 
 def mixed_radix_residues(moduli):
@@ -163,31 +187,43 @@ def make_ring_table(add_rows, mul_rows, zero, one, cap=DEFAULT_CAP,
     order = len(add_rows)
     if order > cap:
         raise SizeCapExceeded("ring", order, cap)
-    _validate_ring_tables(add_rows, mul_rows, zero, one, order)
+    _check_tables(add_rows, mul_rows, zero, one)
     return Ring(
         add_rows, mul_rows, zero, one, name or f"table({order})",
         labels=tuple(labels) if labels is not None else None,
     )
 
 
-def _validate_ring_tables(add, mul, zero, one, order):
-    rng = range(order)
-    if len(mul) != order or any(len(r) != order for r in add) or any(
-        len(r) != order for r in mul
-    ):
-        raise AxiomViolation("tables must be square of matching dimension")
-    for table, opname in ((add, "+"), (mul, "*")):
-        for a in rng:
-            for b in rng:
-                v = table[a][b]
-                if not (0 <= v < order):
-                    raise AxiomViolation(f"{opname} table entry out of range", (a, b))
-    if zero == one:
+def _check_tables(add, act, zero, one, ring=None):
+    """Raise the first axiom of a module over `ring` that the tables break.
+
+    `add` is the carrier's addition table and `act` its multiplication by
+    scalars, row r mapping x to r*x.  With `ring` None the tables are a ring
+    acting on itself: `act` is its multiplication, `one` its 1, and it must
+    also be commutative with 1 != 0.
+    """
+    radd, rmul = (add, act) if ring is None else (ring._add_rows, ring._act_rows)
+    size, order = len(add), len(radd)
+    rng = range(size)
+    if any(len(row) != size for row in add):
+        raise AxiomViolation("addition table has wrong shape")
+    if len(act) != order or any(len(row) != size for row in act):
+        raise AxiomViolation("multiplication table has wrong shape")
+    for table, name in ((add, "addition"), (act, "multiplication")):
+        for a, row in enumerate(table):
+            for b, v in enumerate(row):
+                if not 0 <= v < size:
+                    raise AxiomViolation(f"{name} table entry out of range", (a, b))
+    if not 0 <= zero < size:
+        raise AxiomViolation("0 out of range", (zero,))
+    if not 0 <= one < order:
+        raise AxiomViolation("1 out of range", (one,))
+    if ring is None and zero == one:
         raise AxiomViolation("1 must differ from 0")
     for a in rng:
         if add[zero][a] != a:
             raise AxiomViolation("0 is not an additive identity", (a,))
-        if mul[one][a] != a:
+        if act[one][a] != a:
             raise AxiomViolation("1 is not a multiplicative identity", (a,))
         if zero not in add[a]:
             raise AxiomViolation("missing additive inverse", (a,))
@@ -195,17 +231,32 @@ def _validate_ring_tables(add, mul, zero, one, order):
         for b in rng:
             if add[a][b] != add[b][a]:
                 raise AxiomViolation("addition not commutative", (a, b))
-            if mul[a][b] != mul[b][a]:
+            if ring is None and act[a][b] != act[b][a]:
                 raise AxiomViolation("multiplication not commutative", (a, b))
     for a in rng:
+        row = add[a]
         for b in rng:
+            ab = add[row[b]]
             for c in rng:
-                if add[add[a][b]][c] != add[a][add[b][c]]:
+                if ab[c] != row[add[b][c]]:
                     raise AxiomViolation("addition not associative", (a, b, c))
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    raise AxiomViolation("multiplication not associative", (a, b, c))
-                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                    raise AxiomViolation("multiplication not distributive", (a, b, c))
+    for r, row in enumerate(act):
+        for x in rng:
+            rx, x_plus = add[row[x]], add[x]
+            for y in rng:
+                if row[x_plus[y]] != rx[row[y]]:
+                    raise AxiomViolation("multiplication not distributive", (r, x, y))
+    for r in range(order):
+        row = act[r]
+        for s in range(order):
+            sum_row, prod_row, s_row = act[radd[r][s]], act[rmul[r][s]], act[s]
+            for x in rng:
+                if sum_row[x] != add[row[x]][s_row[x]]:
+                    raise AxiomViolation(
+                        "multiplication not distributive over scalar addition",
+                        (r, s, x))
+                if prod_row[x] != row[s_row[x]]:
+                    raise AxiomViolation("multiplication not associative", (r, s, x))
 
 
 def product_ring(r1, r2, cap=DEFAULT_CAP):
@@ -244,12 +295,12 @@ def product_ring(r1, r2, cap=DEFAULT_CAP):
 # ---------------------------------------------------------------------------
 # closed subsets: the core shared by ideals and submodules
 #
-# Each routine takes a base (a Ring or a Module; it reads `base.zero` and
-# `base._add_rows`) and its action rows, `ring._mul_rows` for ideals and
-# `module._act_rows` for submodules, where row r maps x to r*x.
+# Each routine takes a base, a Ring or a Module, and reads its zero, its
+# addition rows and its action rows, where row r maps x to r*x: a ring acts
+# on itself by multiplication, so an ideal is a submodule of R over itself.
 
 
-def _check_closed(base, rows, elements, generators, noun, action):
+def _check_closed(base, elements, generators, noun, action):
     """Raise the first closure axiom the subset breaks, in the caller's words."""
     if base.zero not in elements:
         raise AxiomViolation(f"{noun} must contain 0")
@@ -259,21 +310,21 @@ def _check_closed(base, rows, elements, generators, noun, action):
         for b in elements:
             if row[b] not in elements:
                 raise AxiomViolation(f"{noun} not closed under addition", (a, b))
-    for r, row in enumerate(rows):
+    for r, row in enumerate(base._act_rows):
         for a in elements:
             if row[a] not in elements:
                 raise AxiomViolation(f"{noun} not closed under {action}", (r, a))
-    if generators is not None and _span(base, rows, generators) != elements:
+    if generators is not None and _span(base, generators) != elements:
         raise AxiomViolation("generators do not generate the element set")
 
 
-def _span(base, rows, elements, scalars=None):
+def _span(base, elements, scalars=None):
     """Additive closure of 0 and every r*x, r in scalars (default all of R).
 
     With every scalar this is the closed subset the elements generate; with
     an ideal I as the scalars it is the product I*elements.
     """
-    add = base._add_rows
+    add, rows = base._add_rows, base._act_rows
     elems = {base.zero}
     frontier = []
     for row in rows if scalars is None else (rows[a] for a in scalars):
@@ -292,27 +343,28 @@ def _span(base, rows, elements, scalars=None):
     return frozenset(elems)
 
 
-def _enumerate_closed(base, rows):
+def _enumerate_closed(base):
     """Every closed subset by one-element extensions, in canonical order."""
     zero = frozenset((base.zero,))
     known = {zero}
     frontier = [zero]
     while frontier:
         current = frontier.pop()
-        for x in range(len(base._add_rows)):
+        for x in base.elements():
             if x in current:
                 continue
-            grown = _span(base, rows, tuple(current) + (x,))
+            grown = _span(base, tuple(current) + (x,))
             if grown not in known:
                 known.add(grown)
                 frontier.append(grown)
     return sorted(known, key=_canonical_subset_key)
 
 
-def _colon(rows, target, subset):
+def _colon(base, target, subset):
     """{r : r*k lies in target for every k in subset}."""
     return frozenset(
-        r for r, row in enumerate(rows) if all(row[k] in target for k in subset)
+        r for r, row in enumerate(base._act_rows)
+        if all(row[k] in target for k in subset)
     )
 
 
@@ -323,6 +375,13 @@ def _sum(base, sets):
     for s in sets:
         acc = frozenset(add[a][b] for a in acc for b in s)
     return acc
+
+
+def _check_in_range(base, elements):
+    """Reject element indices from outside that lie beyond 0..size-1."""
+    if elements and (min(elements) < 0 or max(elements) >= base.size):
+        raise AxiomViolation("element out of range", sorted(
+            x for x in elements if not 0 <= x < base.size))
 
 
 def _canonical_subset_key(elements):
@@ -342,8 +401,8 @@ class Ideal:
     generators: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
-        _check_closed(self.ring, self.ring._mul_rows, self.elements,
-                      self.generators, "ideal", "scalars")
+        _check_closed(self.ring, self.elements, self.generators, "ideal",
+                      "scalars")
 
     def members(self):
         return sorted(self.elements)
@@ -358,17 +417,20 @@ class Ideal:
         return len(self.elements) < self.ring.order
 
     def describe(self):
-        return "{" + ",".join(self.ring.label(x) for x in self.members()) + "}"
+        return self.ring.set_label(self.elements)
 
 
 def ideal_closure(ring, generators):
     """Least ideal containing the generators."""
     gens = tuple(sorted(set(generators)))
-    return Ideal(ring, _span(ring, ring._mul_rows, gens), generators=gens)
+    _check_in_range(ring, gens)
+    return Ideal(ring, _span(ring, gens), generators=gens)
 
 
 def ideal_from_set(ring, elements):
-    return Ideal(ring, frozenset(elements))
+    elements = frozenset(elements)
+    _check_in_range(ring, elements)
+    return Ideal(ring, elements)
 
 
 @lru_cache(maxsize=None)
@@ -376,7 +438,7 @@ def enumerate_ideals(ring, cap=DEFAULT_CAP):
     """Every ideal exactly once, sorted by (cardinality, element list)."""
     if ring.order > cap:
         raise SizeCapExceeded("ring", ring.order, cap)
-    return tuple(Ideal(ring, els) for els in _enumerate_closed(ring, ring._mul_rows))
+    return tuple(Ideal(ring, els) for els in _enumerate_closed(ring))
 
 
 @lru_cache(maxsize=None)
@@ -438,8 +500,7 @@ def ideal_sum(i, j):
 
 
 def ideal_product(i, j):
-    ring = i.ring
-    return Ideal(ring, _span(ring, ring._mul_rows, j.elements, i.elements))
+    return Ideal(i.ring, _span(i.ring, j.elements, i.elements))
 
 
 def ideal_intersection(i, j):
@@ -448,7 +509,7 @@ def ideal_intersection(i, j):
 
 def ideal_colon(i, j):
     """(I : J) = {x in R : xJ <= I}."""
-    return Ideal(i.ring, _colon(i.ring._mul_rows, i.elements, j.elements))
+    return Ideal(i.ring, _colon(i.ring, i.elements, j.elements))
 
 
 def ideal_annihilator(i):
@@ -505,12 +566,13 @@ class MCS:
         return len(self.elements)
 
     def describe(self):
-        return "{" + ",".join(self.ring.label(x) for x in self.members()) + "}"
+        return self.ring.set_label(self.elements)
 
 
 def validate_mcs(ring, subset):
     """Return an MCS or raise the specific violated condition."""
     els = frozenset(subset)
+    _check_in_range(ring, els)
     if ring.zero in els:
         raise ContainsZero()
     if ring.one not in els:

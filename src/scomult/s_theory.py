@@ -24,7 +24,6 @@ from .modules import (
     scalar_times_set,
     self_module,
     zero_colon_set,
-    _closure_set,
 )
 from .morphisms import (
     homothety_family,
@@ -33,7 +32,7 @@ from .morphisms import (
     is_s_monic_with,
     is_s_zero_with,
 )
-from .rings import enumerate_ideals
+from .rings import _span, enumerate_ideals
 from .witnesses import Witness, revalidator
 
 _ZERO = frozenset((0,))
@@ -569,7 +568,7 @@ def is_s_finite(module, n, mcs):
     current = _ZERO
     while current != n_sub.elements:
         gens.append(min(n_sub.elements - current))
-        current = _closure_set(module, tuple(gens))
+        current = _span(module, tuple(gens))
     return Witness.make("s-finite", module=module, n=n_sub.elements,
                         s=module.ring.one, generators=tuple(gens))
 
@@ -578,7 +577,7 @@ def is_s_finite(module, n, mcs):
 def _check_s_finite(w):
     module, n_set, s, gens = (w.get("module"), w.get("n"), w.get("s"),
                               w.get("generators"))
-    span = _closure_set(module, gens)
+    span = _span(module, gens)
     return scalar_times_set(module, s, n_set) <= span <= n_set
 
 

@@ -32,7 +32,6 @@ from .modules import (
     ideal_times_module_set,
     quotient_module,
     scalar_times_set,
-    self_module,
     submodule_as_module,
     sum_of_sets,
     torsion_set,
@@ -372,12 +371,11 @@ def _check_t_du(cat, tb):
     nonzero_hits = 0
     for module, mcs, _ in _s_comult_pairs(cat, include_zero=True):
         ring = module.ring
-        ring_module = self_module(ring)
         jac = jacobson_radical(ring).elements
         seen = set()
         for t in mcs:
             for ideal in enumerate_ideals(ring):
-                t_ideal = scalar_times_set(ring_module, t, ideal.elements)
+                t_ideal = scalar_times_set(ring, t, ideal.elements)
                 if not t_ideal <= jac:
                     continue
                 if zero_colon_set(module, t_ideal) != _ZERO:

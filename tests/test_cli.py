@@ -1,6 +1,7 @@
 """CLI behavior: exit codes are the contract."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -171,3 +172,39 @@ def test_hom_predicates(z6_file, capsys):
                  "--mcs", "s13"]) == 1
     assert main(["check", z6_file, "s-monic", "--hom", "double",
                  "--mcs", "1 4"]) == 0
+
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+Z2_TABLE_TEXT = """
+[ring]
+kind = table
+add = 0 1 / 1 0
+mul = 0 0 / 0 1
+zero = 0
+one = 1
+
+[module m]
+kind = self
+"""
+
+
+@pytest.mark.parametrize("instance, predicate, mcs", [
+    ("f4_table.inst", "comultiplication", "1 5"),     # index past the ring
+    ("z6_self.inst", "s-cyclic", "1 -5"),             # negative index
+])
+def test_check_rejects_out_of_range_mcs(instance, predicate, mcs, capsys):
+    assert main(["check", str(INSTANCES / instance), predicate, "--mcs", mcs]) == 3
+    assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("zero = 0", "zero = 9"),
+    ("one = 1", "one = 7"),
+    ("kind = self", "kind = table\nadd = 0 1 / 1 5\naction = 0 0 / 0 1"),
+])
+def test_check_rejects_out_of_range_instance_entries(tmp_path, old, new, capsys):
+    path = tmp_path / "bad.inst"
+    path.write_text(Z2_TABLE_TEXT.replace(old, new))
+    assert main(["check", str(path), "cyclic"]) == 3
+    assert "out of range" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """The library imports nothing outside the standard library and itself."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -30,3 +31,18 @@ def test_runtime_dependencies_are_stdlib_only():
     foreign = [entry for entry in imports
                if entry[2] != "scomult" and entry[2] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_traced_methods_are_defined_on_their_own_class():
+    """perfbench's tracer wraps each METHODS entry in its class's own __dict__."""
+    tracer = SRC.parent.parent / "perfbench" / "tracer.py"
+    methods = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "METHODS" for target in node.targets)
+    )
+    assert methods
+    for layer, class_name, method in methods:
+        cls = getattr(importlib.import_module(f"scomult.{layer}"), class_name)
+        assert method in vars(cls), (layer, class_name, method)

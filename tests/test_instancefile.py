@@ -131,3 +131,35 @@ def test_round_trip_quotient_as_table(m6):
     text = serialize_instance(m6.ring, {"q": quotient})
     again = parse_instance(text)
     assert again.modules["q"] == quotient
+
+
+Z2_TABLE_TEXT = """[ring]
+kind = table
+add = 0 1 / 1 0
+mul = 0 0 / 0 1
+zero = 0
+one = 1
+[module m]
+kind = self
+"""
+
+
+@pytest.mark.parametrize("block", [
+    "[module t]\nkind = table\nadd = 0 1 / 1 5\naction = 0 0 / 0 1\n",
+    "[mcs s]\nelements = 1 9\n",
+    "[submodule n]\nmodule = m\ngenerators = 7\n",
+    "[submodule n]\nmodule = m\nelements = 0 1 -1\n",
+])
+def test_out_of_range_indices_are_parse_errors(block):
+    with pytest.raises(InstanceParseError) as err:
+        parse_instance(Z2_TABLE_TEXT + block)
+    assert err.value.line_no == 9               # the block's header line
+    assert "out of range" in str(err.value)
+
+
+@pytest.mark.parametrize("old, new", [("zero = 0", "zero = 9"), ("one = 1", "one = 7")])
+def test_out_of_range_ring_constants_are_parse_errors(old, new):
+    with pytest.raises(InstanceParseError) as err:
+        parse_instance(Z2_TABLE_TEXT.replace(old, new))
+    assert err.value.line_no == 1
+    assert "out of range" in str(err.value)

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from scomult import modules
 from scomult.catalog import generate_catalog
 from scomult.errors import AxiomViolation
 from scomult.modules import (
@@ -32,6 +33,7 @@ from scomult.rings import (
     Ideal,
     enumerate_ideals,
     ideal_from_set,
+    make_ring_table,
     make_ring_zn,
     product_ring,
 )
@@ -110,6 +112,59 @@ def test_closure_violations_are_pinned(moduli, members, generators, kind, axiom,
         else:
             Submodule(self_module(ring), frozenset(members), generators=generators)
     assert (err.value.axiom, err.value.witness) == (axiom, witness)
+
+
+Z2_ADD = ((0, 1), (1, 0))
+Z2_ACT = ((0, 0), (0, 1))
+F4_ADD = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+F4_MUL = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+F4_ZERO_ROW, F4_ID_ROW = (0, 0, 0, 0), (0, 1, 2, 3)
+Z2 = make_ring_zn([2])
+F4 = make_ring_table(F4_ADD, F4_MUL, 0, 1)
+
+
+@pytest.mark.parametrize("ring, add, act, axiom, witness", [
+    (Z2, ((0, 1), (1,)), Z2_ACT, "addition table has wrong shape", ()),
+    (Z2, Z2_ADD, ((0, 0),), "multiplication table has wrong shape", ()),
+    (Z2, ((0, 1), (1, 5)), Z2_ACT, "addition table entry out of range", (1, 1)),
+    (Z2, Z2_ADD, ((0, 0), (0, 2)),
+     "multiplication table entry out of range", (1, 1)),
+    (Z2, (), ((), ()), "0 out of range", (0,)),
+    (Z2, ((1, 0), (0, 1)), Z2_ACT, "0 is not an additive identity", (0,)),
+    (Z2, Z2_ADD, ((0, 0), (0, 0)), "1 is not a multiplicative identity", (1,)),
+    (Z2, ((0, 1), (1, 1)), Z2_ACT, "missing additive inverse", (1,)),
+    (Z2, ((0, 1, 2), (1, 2, 0), (2, 1, 0)), ((0, 0, 0), (0, 1, 2)),
+     "addition not commutative", (1, 2)),
+    (Z2, ((0, 1, 2), (1, 0, 1), (2, 1, 0)), ((0, 0, 0), (0, 1, 2)),
+     "addition not associative", (1, 1, 2)),
+    (Z2, Z2_ADD, ((1, 0), (0, 1)), "multiplication not distributive", (0, 0, 0)),
+    (Z2, Z2_ADD, ((0, 1), (0, 1)),
+     "multiplication not distributive over scalar addition", (0, 0, 1)),
+    # a acts as 0 on Z2 x Z2, so a*a = a+1 acts as 1 but a(a x) = 0
+    (F4, F4_ADD, (F4_ZERO_ROW, F4_ID_ROW, F4_ZERO_ROW, F4_ID_ROW),
+     "multiplication not associative", (2, 2, 1)),
+])
+def test_module_table_violations_are_pinned(ring, add, act, axiom, witness):
+    """Module tables get the same check, R acting by the given rows."""
+    with pytest.raises(AxiomViolation) as err:
+        make_module(ring, add, act)
+    assert (err.value.axiom, err.value.witness) == (axiom, witness)
+
+
+def test_equal_tables_are_checked_once(monkeypatch):
+    """Interned tables skip the axiom check; invalid ones raise every time."""
+    calls = []
+    check = modules._check_tables
+    monkeypatch.setattr(modules, "_MODULE_CACHE", {})
+    monkeypatch.setattr(modules, "_check_tables",
+                        lambda *args: calls.append(args) or check(*args))
+    z6 = make_ring_zn([6])
+    assert zn_over_zk(z6, 3) == zn_over_zk(make_ring_zn([6]), 3)
+    assert len(calls) == 1
+    for _ in range(2):
+        with pytest.raises(AxiomViolation):
+            make_module(Z2, ((0, 1), (1, 5)), Z2_ACT)
+    assert len(calls) == 3
 
 
 # captured before ideals and submodules shared one closure and enumeration core

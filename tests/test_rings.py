@@ -13,7 +13,7 @@ from scomult.errors import (
 )
 from scomult.modules import self_module, zero_divisors_on
 from scomult.rings import (
-    _validate_ring_tables,
+    _check_tables,
     cyclic_mcs,
     divides,
     enumerate_ideals,
@@ -75,10 +75,70 @@ def test_zero_ring_rejected():
         make_ring_table([[0]], [[0]], 0, 0)
 
 
+Z2_ADD = ((0, 1), (1, 0))
+Z2_MUL = ((0, 0), (0, 1))
+NOT_ASSOCIATIVE_3 = ((0, 1, 2), (1, 0, 1), (2, 1, 0))    # (1+1)+2 != 1+(1+2)
+
+
+def _z2_cubed_mul(basis_products):
+    """Bilinear multiplication on Z2^3 (elements as bit masks) from e_i*e_j."""
+    def mul(x, y):
+        out = 0
+        for i in range(3):
+            for j in range(3):
+                if x >> i & 1 and y >> j & 1:
+                    out ^= basis_products[i][j]
+        return out
+    return tuple(tuple(mul(x, y) for y in range(8)) for x in range(8))
+
+
+@pytest.mark.parametrize("add, mul, zero, one, axiom, witness", [
+    (((0, 1), (1,)), Z2_MUL, 0, 1, "addition table has wrong shape", ()),
+    (Z2_ADD, ((0, 0),), 0, 1, "multiplication table has wrong shape", ()),
+    (((0, 1), (1, 2)), Z2_MUL, 0, 1, "addition table entry out of range", (1, 1)),
+    (Z2_ADD, ((0, 0), (0, -1)), 0, 1,
+     "multiplication table entry out of range", (1, 1)),
+    (Z2_ADD, Z2_MUL, 9, 1, "0 out of range", (9,)),
+    (Z2_ADD, Z2_MUL, 0, 7, "1 out of range", (7,)),
+    (Z2_ADD, Z2_MUL, 0, 0, "1 must differ from 0", ()),
+    (Z2_ADD, Z2_MUL, 1, 0, "0 is not an additive identity", (0,)),
+    (Z2_ADD, ((0, 0), (0, 0)), 0, 1, "1 is not a multiplicative identity", (1,)),
+    (((0, 1), (1, 1)), Z2_MUL, 0, 1, "missing additive inverse", (1,)),
+    (((0, 1, 2), (1, 2, 0), (2, 1, 0)), ((0, 0, 0), (0, 1, 2), (0, 2, 1)), 0, 1,
+     "addition not commutative", (1, 2)),
+    (Z2_ADD, ((0, 1), (0, 1)), 0, 1, "multiplication not commutative", (0, 1)),
+    (NOT_ASSOCIATIVE_3, ((0, 0, 0), (0, 1, 2), (0, 2, 0)), 0, 1,
+     "addition not associative", (1, 1, 2)),
+    (Z2_ADD, ((1, 0), (0, 1)), 0, 1, "multiplication not distributive", (0, 0, 0)),
+    # Z2^3 with a*a = b, a*b = 0, b*b = 1: (a*a)*b = 1 but a*(a*b) = 0
+    (tuple(tuple(x ^ y for y in range(8)) for x in range(8)),
+     _z2_cubed_mul(((1, 2, 4), (2, 4, 0), (4, 0, 1))), 0, 1,
+     "multiplication not associative", (2, 2, 4)),
+])
+def test_ring_table_violations_are_pinned(add, mul, zero, one, axiom, witness):
+    """A ring's tables are checked as R acting on itself, 1 != 0, commutative."""
+    with pytest.raises(AxiomViolation) as err:
+        make_ring_table(add, mul, zero, one)
+    assert (err.value.axiom, err.value.witness) == (axiom, witness)
+
+
 def test_ideal_closure_pins(z6):
     assert ideal_closure(z6, [2]).members() == [0, 2, 4]
     assert ideal_closure(z6, []).members() == [0]
     assert ideal_closure(z6, [5]).members() == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("build, indices, outside", [
+    (ideal_closure, [7], (7,)),
+    (ideal_closure, [-1], (-1,)),
+    (ideal_from_set, [0, 1, 2, 3, 4, 5, -1], (-1,)),
+    (validate_mcs, [1, 9], (9,)),
+    (validate_mcs, [1, -5], (-5,)),
+])
+def test_indices_outside_the_ring_are_rejected(z6, build, indices, outside):
+    with pytest.raises(AxiomViolation) as err:
+        build(z6, indices)
+    assert (err.value.axiom, err.value.witness) == ("element out of range", outside)
 
 
 def test_enumerate_ideals_pins(z6):
@@ -308,7 +368,7 @@ def test_zn_tables_match_residue_arithmetic(moduli):
                 tuple((x + y) % n for x, y, n in zip(ra, rb, moduli)), moduli)
             assert ring.mul(a, b) == _index(
                 tuple((x * y) % n for x, y, n in zip(ra, rb, moduli)), moduli)
-    _validate_ring_tables(ring._add_rows, ring._mul_rows, ring.zero, ring.one, order)
+    _check_tables(ring._add_rows, ring._act_rows, ring.zero, ring.one)
 
 
 def test_minimal_nonzero_ideals(z6):
