@@ -26,7 +26,7 @@ from .instancefile import parse_instance_file
 from .modules import (
     annihilator_set,
     enumerate_submodules,
-    torsion_set,
+    is_torsion,
     zero_colon_set,
 )
 from .mutations import mutation_catalog_params, run_mutation_suite
@@ -173,7 +173,7 @@ def cmd_check(args):
         print(f"cyclic({module.describe()}): {verdict}")
         return EXIT_TRUE if verdict else EXIT_FALSE
     if predicate == "torsion":
-        verdict = len(torsion_set(module)) == module.size
+        verdict = is_torsion(module)
         print(f"torsion({module.describe()}): {verdict}")
         return EXIT_TRUE if verdict else EXIT_FALSE
     if predicate == "s-torsion-free":

@@ -89,6 +89,14 @@ def _ints(value, line_no):
         raise InstanceParseError(line_no, f"expected integers, got {value!r}")
 
 
+def _int(value, line_no):
+    values = _ints(value, line_no)
+    if len(values) != 1:
+        raise InstanceParseError(line_no,
+                                 f"expected exactly one integer, got {value!r}")
+    return values[0]
+
+
 def _rows(value, line_no):
     return [_ints(part, line_no) for part in value.split("/")]
 
@@ -113,7 +121,7 @@ def _parse_ring(fields, line_no):
         one, one_line = _take(fields, "one", line_no)
         return make_ring_table(
             _rows(add, add_line), _rows(mul, mul_line),
-            _ints(zero, zero_line)[0], _ints(one, one_line)[0],
+            _int(zero, zero_line), _int(one, one_line),
         )
     raise InstanceParseError(kind_line, f"unknown ring kind {kind!r}")
 
@@ -126,7 +134,7 @@ def _parse_module(ring, fields, line_no):
         return zero_module(ring)
     if kind == "zn_over_zk":
         d, d_line = _take(fields, "d", line_no)
-        return zn_over_zk(ring, _ints(d, d_line)[0])
+        return zn_over_zk(ring, _int(d, d_line))
     if kind == "direct_sum":
         moduli, mod_line = _take(fields, "moduli", line_no)
         return direct_sum_module(ring, _ints(moduli, mod_line))

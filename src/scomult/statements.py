@@ -1,11 +1,14 @@
 """The statement suite: one exhaustive check per lemma/proposition/theorem.
 
 Each checker iterates every catalog instance satisfying the statement's
-hypotheses, asserts the conclusion, and reports pass/fail with a
-counterexample on failure; a statement whose hypotheses select no instance
-reports `vacuous`.  Every witness consumed along the way is re-validated
-through the definition-level path, so an implementation that emits a bogus
-witness fails the statement even when the boolean verdicts cannot differ.
+hypotheses and asserts the conclusion.  It reports through the run context
+that `verify` hands it (`check(cat, tb, ctx)`): it counts instances and sets
+notes on the context, and leaves early only through `ctx.fail`, which
+carries the counterexample out to `verify`.  A statement whose hypotheses
+select no instance reports `vacuous`.  Every witness consumed along the way
+goes through `ctx.revalidate`, the definition-level re-check, so an
+implementation that emits a bogus witness fails the statement even when the
+boolean verdicts cannot differ.
 """
 
 from __future__ import annotations
@@ -30,11 +33,11 @@ from .modules import (
     enumerate_submodules,
     full_submodule,
     ideal_times_module_set,
+    is_torsion,
     quotient_module,
     scalar_times_set,
     submodule_as_module,
     sum_of_sets,
-    torsion_set,
     zero_colon_set,
 )
 from .rings import (
@@ -93,22 +96,33 @@ class StatementReport:
         return out
 
 
+class _Counterexample(Exception):
+    """A checker's counterexample on its way out to `verify`.
+
+    Not a `ScomultError`, so no checker's precondition handler and not
+    `verify`'s error branch can catch it.
+    """
+
+
 class _Ctx:
-    """Mutable instance counter plus counterexample plumbing per checker."""
+    """The run context `verify` hands a checker: instance count and notes.
+
+    A checker leaves early only through `fail`, directly or from
+    `revalidate`, the one place where a consumed witness is re-checked.
+    """
 
     def __init__(self):
         self.instances = 0
         self.notes = {}
 
     def fail(self, **payload):
-        return self.instances, self.notes, _jsonable(payload)
+        raise _Counterexample(_jsonable(payload))
 
-    def done(self):
-        return self.instances, self.notes, None
-
-    def bad_witness(self, witness, **payload):
-        payload["detail"] = f"witness failed revalidation: {witness.describe()}"
-        return self.fail(**payload)
+    def revalidate(self, witness, **where):
+        """Fail unless the witness re-checks through its definition; None passes."""
+        if witness is not None and not witness.validate():
+            self.fail(**where,
+                      detail=f"witness failed revalidation: {witness.describe()}")
 
 
 def _jsonable(payload):
@@ -123,10 +137,6 @@ def _jsonable(payload):
         else:
             out[key] = value
     return out
-
-
-def _ok(witness):
-    return witness is None or witness.validate()
 
 
 def _localize(module, mcs, tb):
@@ -150,22 +160,18 @@ def _s_comult_pairs(cat, include_zero=False):
 # section 2: the lemma, monotonicity, saturation, localization, transfer
 
 
-def _check_l_eq(cat, tb):
-    ctx = _Ctx()
+def _check_l_eq(cat, tb, ctx):
     for module, mcs in cat.module_mcs_pairs():
         bundle = st.lemma_equivalence_bundle(module, mcs,
                                              pair_form_fn=tb.lemma_pair_form)
         ctx.instances += 1
         if not bundle.agree():
-            return ctx.fail(module=module, mcs=mcs, verdicts=list(bundle.verdicts))
+            ctx.fail(module=module, mcs=mcs, verdicts=list(bundle.verdicts))
         for w in (w for form in bundle for _, w in form.witnesses):
-            if not _ok(w):
-                return ctx.bad_witness(w, module=module, mcs=mcs)
-    return ctx.done()
+            ctx.revalidate(w, module=module, mcs=mcs)
 
 
-def _check_p_mono(cat, tb):
-    ctx = _Ctx()
+def _check_p_mono(cat, tb, ctx):
     for ring in cat.rings:
         sets = cat.mcs[ring]
         for module in cat.modules[ring]:
@@ -178,41 +184,35 @@ def _check_p_mono(cat, tb):
                     if s1.elements < s2.elements:
                         ctx.instances += 1
                         if not st.is_s_comultiplication(module, s2).holds:
-                            return ctx.fail(module=module, smaller=s1, larger=s2)
-    return ctx.done()
+                            ctx.fail(module=module, smaller=s1, larger=s2)
 
 
-def _check_p_sat(cat, tb):
-    ctx = _Ctx()
+def _check_p_sat(cat, tb, ctx):
     for module, mcs in cat.module_mcs_pairs():
         star = saturation(mcs)
         ctx.instances += 1
         before = st.is_s_comultiplication(module, mcs).holds
         after = st.is_s_comultiplication(module, star).holds
         if before != after:
-            return ctx.fail(module=module, mcs=mcs, saturation=star,
-                            before=before, after=after)
-    return ctx.done()
+            ctx.fail(module=module, mcs=mcs, saturation=star,
+                     before=before, after=after)
 
 
-def _check_p_loc(cat, tb):
-    ctx = _Ctx()
+def _check_p_loc(cat, tb, ctx):
     for module, mcs, _ in _s_comult_pairs(cat):
         ctx.instances += 1
         localized = _localize(module, mcs, tb)
         if not st.is_comultiplication(localized.module):
-            return ctx.fail(module=module, mcs=mcs,
-                            detail="localization is not comultiplication")
+            ctx.fail(module=module, mcs=mcs,
+                     detail="localization is not comultiplication")
         if tb.localization_relation is loc.default_relation:
             for ideal in enumerate_ideals(module.ring):
                 if not loc.localized_colon_identity_check(module, mcs, ideal):
-                    return ctx.fail(module=module, mcs=mcs, ideal=ideal,
-                                    detail="localized colon identity broke")
-    return ctx.done()
+                    ctx.fail(module=module, mcs=mcs, ideal=ideal,
+                             detail="localized colon identity broke")
 
 
-def _check_t_loc(cat, tb):
-    ctx = _Ctx()
+def _check_t_loc(cat, tb, ctx):
     unasserted = []
     for module, mcs in cat.module_mcs_pairs():
         witness = has_maximal_multiple(mcs)
@@ -222,19 +222,16 @@ def _check_t_loc(cat, tb):
             # cannot happen over a finite ring; recorded, not asserted
             unasserted.append((left, right))
             continue
-        if not _ok(witness):
-            return ctx.bad_witness(witness, module=module, mcs=mcs)
+        ctx.revalidate(witness, module=module, mcs=mcs)
         ctx.instances += 1
         if left != right:
-            return ctx.fail(module=module, mcs=mcs, s_comultiplication=left,
-                            localized_comultiplication=right)
+            ctx.fail(module=module, mcs=mcs, s_comultiplication=left,
+                     localized_comultiplication=right)
     if unasserted:
         ctx.notes["no_maximal_multiple"] = len(unasserted)
-    return ctx.done()
 
 
-def _check_t_hom(cat, tb):
-    ctx = _Ctx()
+def _check_t_hom(cat, tb, ctx):
     unmet = 0
     for ring in cat.rings:
         for f in cat.homs[ring]:
@@ -244,41 +241,36 @@ def _check_t_hom(cat, tb):
                 except PreconditionUnmet:
                     unmet += 1
                     continue
-                if not _ok(report.kernel_witness):
-                    return ctx.bad_witness(report.kernel_witness, hom=f, mcs=mcs)
+                ctx.revalidate(report.kernel_witness, hom=f, mcs=mcs)
                 ctx.instances += 1
                 if report.downward_holds is False:
-                    return ctx.fail(hom=f, mcs=mcs, failing=report.failing_submodule,
-                                    detail="property failed to descend to the source")
+                    ctx.fail(hom=f, mcs=mcs, failing=report.failing_submodule,
+                             detail="property failed to descend to the source")
                 if report.upward_holds is False:
-                    return ctx.fail(hom=f, mcs=mcs, failing=report.failing_submodule,
-                                    detail="property failed to push to the target")
+                    ctx.fail(hom=f, mcs=mcs, failing=report.failing_submodule,
+                             detail="property failed to push to the target")
     ctx.notes["precondition_unmet"] = unmet
-    return ctx.done()
 
 
-def _check_c_sub(cat, tb):
-    ctx = _Ctx()
+def _check_c_sub(cat, tb, ctx):
     for module, mcs, _ in _s_comult_pairs(cat):
         for n in _nonzero_submodules(module):
             ctx.instances += 1
             restricted = submodule_as_module(n)
             if not st.is_s_comultiplication(restricted, mcs).holds:
-                return ctx.fail(module=module, mcs=mcs, submodule=n,
-                                detail="submodule lost the property")
+                ctx.fail(module=module, mcs=mcs, submodule=n,
+                         detail="submodule lost the property")
             t = next((t for t in mcs
                       if scalar_times_set(module, t, frozenset(module.elements()))
                       <= n.elements), None)
             if t is not None:
                 quotient = quotient_module(module, n)
                 if not st.is_s_comultiplication(quotient, mcs).holds:
-                    return ctx.fail(module=module, mcs=mcs, submodule=n, t=t,
-                                    detail="quotient lost the property")
-    return ctx.done()
+                    ctx.fail(module=module, mcs=mcs, submodule=n, t=t,
+                             detail="quotient lost the property")
 
 
-def _check_product_cases(cases):
-    ctx = _Ctx()
+def _check_product_cases(cases, ctx):
     for case in cases:
         ctx.instances += 1
         whole = st.is_s_comultiplication(case.module, case.mcs).holds
@@ -286,27 +278,23 @@ def _check_product_cases(cases):
             st.is_s_comultiplication(m, s).holds for m, s in case.factors
         )
         if whole != parts:
-            return ctx.fail(module=case.module, mcs=case.mcs, whole=whole,
-                            parts=parts)
-    return ctx.done()
+            ctx.fail(module=case.module, mcs=case.mcs, whole=whole, parts=parts)
 
 
-def _check_p_prod(cat, tb):
-    return _check_product_cases(cat.product_cases)
+def _check_p_prod(cat, tb, ctx):
+    _check_product_cases(cat.product_cases, ctx)
 
 
-def _check_t_prodn(cat, tb):
-    return _check_product_cases(cat.triple_cases)
+def _check_t_prodn(cat, tb, ctx):
+    _check_product_cases(cat.triple_cases, ctx)
 
 
-def _check_t_com(cat, tb):
-    ctx = _Ctx()
+def _check_t_com(cat, tb, ctx):
     for ring in cat.rings:
         primes = prime_ideals(ring)
         maxes = maximal_ideals(ring)
         if set(p.elements for p in primes) != set(m.elements for m in maxes):
-            return ctx.fail(ring=ring,
-                            detail="prime and maximal ideals differ on this ring")
+            ctx.fail(ring=ring, detail="prime and maximal ideals differ on this ring")
         for module in cat.modules[ring]:
             if module.is_zero_module:
                 continue
@@ -325,17 +313,15 @@ def _check_t_com(cat, tb):
                 for m in maxes if loc.mm_locally_nonzero(module, m)
             )
             if not base == via_primes == via_maxes == via_supported:
-                return ctx.fail(module=module, verdicts=[
+                ctx.fail(module=module, verdicts=[
                     base, via_primes, via_maxes, via_supported])
-    return ctx.done()
 
 
 # ---------------------------------------------------------------------------
 # dual Nakayama and its feeder proposition
 
 
-def _check_p_pf(cat, tb):
-    ctx = _Ctx()
+def _check_p_pf(cat, tb, ctx):
     for module, mcs, _ in _s_comult_pairs(cat):
         full = frozenset(module.elements())
         for ideal in enumerate_ideals(module.ring):
@@ -344,30 +330,28 @@ def _check_p_pf(cat, tb):
             ctx.instances += 1
             im = ideal_times_module_set(module, ideal.elements, full)
             if not any(scalar_times_set(module, s, full) <= im for s in mcs):
-                return ctx.fail(module=module, mcs=mcs, ideal=ideal,
-                                detail="no s with sM inside IM")
+                ctx.fail(module=module, mcs=mcs, ideal=ideal,
+                         detail="no s with sM inside IM")
             for m in module.elements():
                 if not any(
                     module.act(s, m) == module.act(a, m)
                     for s in mcs for a in sorted(ideal.elements)
                 ):
-                    return ctx.fail(module=module, mcs=mcs, ideal=ideal, element=m,
-                                    detail="no s, a with sm = am")
+                    ctx.fail(module=module, mcs=mcs, ideal=ideal, element=m,
+                             detail="no s, a with sm = am")
             ring = module.ring
             if not any(
                 scalar_times_set(module, ring.add(s, a), full) == _ZERO
                 for s in mcs for a in sorted(ideal.elements)
             ):
-                return ctx.fail(module=module, mcs=mcs, ideal=ideal,
-                                detail="no s, a with (s+a)M = 0")
-    return ctx.done()
+                ctx.fail(module=module, mcs=mcs, ideal=ideal,
+                         detail="no s, a with (s+a)M = 0")
 
 
-def _check_t_du(cat, tb):
+def _check_t_du(cat, tb, ctx):
     # degenerate modules are admitted here: over a finite ring the
     # hypothesis (0 :_M tI) = 0 forces M = 0, so they are the only
     # instances the statement can see
-    ctx = _Ctx()
     nonzero_hits = 0
     for module, mcs, _ in _s_comult_pairs(cat, include_zero=True):
         ring = module.ring
@@ -389,14 +373,12 @@ def _check_t_du(cat, tb):
                     nonzero_hits += 1
                 full = frozenset(module.elements())
                 if not any(scalar_times_set(module, s, full) == _ZERO for s in mcs):
-                    return ctx.fail(module=module, mcs=mcs, ideal=ideal, t=t,
-                                    detail="no s with sM = 0")
+                    ctx.fail(module=module, mcs=mcs, ideal=ideal, t=t,
+                             detail="no s with sM = 0")
     ctx.notes["nonzero_instances"] = nonzero_hits
-    return ctx.done()
 
 
-def _check_c_du(cat, tb):
-    ctx = _Ctx()
+def _check_c_du(cat, tb, ctx):
     nonzero_hits = 0
     for ring in cat.rings:
         jac = jacobson_radical(ring).elements
@@ -411,18 +393,16 @@ def _check_c_du(cat, tb):
                 ctx.instances += 1
                 if not module.is_zero_module:
                     nonzero_hits += 1
-                    return ctx.fail(module=module, ideal=ideal,
-                                    detail="nonzero module with (0:_M I) = 0")
+                    ctx.fail(module=module, ideal=ideal,
+                             detail="nonzero module with (0:_M I) = 0")
     ctx.notes["nonzero_instances"] = nonzero_hits
-    return ctx.done()
 
 
 # ---------------------------------------------------------------------------
 # section 3: cyclicity, families, torsion, minimality
 
 
-def _check_p_cy1(cat, tb):
-    ctx = _Ctx()
+def _check_p_cy1(cat, tb, ctx):
     for module, mcs, _ in _s_comult_pairs(cat):
         for ideal in minimal_nonzero_ideals(module.ring):
             if zero_colon_set(module, ideal.elements) != _ZERO:
@@ -430,11 +410,9 @@ def _check_p_cy1(cat, tb):
             ctx.instances += 1
             witness = st.is_s_cyclic(module, mcs)
             if witness is None:
-                return ctx.fail(module=module, mcs=mcs, ideal=ideal,
-                                detail="module is not S-cyclic")
-            if not _ok(witness):
-                return ctx.bad_witness(witness, module=module, mcs=mcs)
-    return ctx.done()
+                ctx.fail(module=module, mcs=mcs, ideal=ideal,
+                         detail="module is not S-cyclic")
+            ctx.revalidate(witness, module=module, mcs=mcs)
 
 
 def _families(module, params):
@@ -447,8 +425,7 @@ def _families(module, params):
             yield triple
 
 
-def _check_p_fam(cat, tb):
-    ctx = _Ctx()
+def _check_p_fam(cat, tb, ctx):
     sums = {}                 # (module, N, part) -> N + part
     for module, mcs, _ in _s_comult_pairs(cat):
         subs = enumerate_submodules(module)
@@ -468,18 +445,16 @@ def _check_p_fam(cat, tb):
                         summed = sums[key] = sum_of_sets(module, (n.elements, part))
                     target = summed if target is None else target & summed
                 if not n.elements <= target:
-                    return ctx.fail(module=module, mcs=mcs, submodule=n,
-                                    detail="N escaped the intersection")
+                    ctx.fail(module=module, mcs=mcs, submodule=n,
+                             detail="N escaped the intersection")
                 if not any(scalar_times_set(module, s, target) <= n.elements
                            for s in mcs):
-                    return ctx.fail(module=module, mcs=mcs, submodule=n,
-                                    family=[module.set_label(p) for p in family],
-                                    detail="no s squeezing the intersection into N")
-    return ctx.done()
+                    ctx.fail(module=module, mcs=mcs, submodule=n,
+                             family=[module.set_label(p) for p in family],
+                             detail="no s squeezing the intersection into N")
 
 
-def _check_p_ext(cat, tb):
-    ctx = _Ctx()
+def _check_p_ext(cat, tb, ctx):
     for module, mcs, result in _s_comult_pairs(cat):
         for n, witness in result.witnesses:
             s = witness.get("s")
@@ -491,45 +466,30 @@ def _check_p_ext(cat, tb):
                 ctx.instances += 1
                 bigger = ideal_sum(ideal, annihilator(module, n.elements))
                 if not ideal.elements <= bigger.elements:
-                    return ctx.fail(module=module, mcs=mcs, ideal=ideal,
-                                    detail="sum ideal lost the original")
+                    ctx.fail(module=module, mcs=mcs, ideal=ideal,
+                             detail="sum ideal lost the original")
                 squeezed = scalar_times_set(
                     module, s, zero_colon_set(module, bigger.elements))
                 if not squeezed <= n.elements:
-                    return ctx.fail(module=module, mcs=mcs, ideal=ideal,
-                                    submodule=n,
-                                    detail="s(0:_M J) escaped N for J = I + ann(N)")
-    return ctx.done()
+                    ctx.fail(module=module, mcs=mcs, ideal=ideal,
+                             submodule=n,
+                             detail="s(0:_M J) escaped N for J = I + ann(N)")
 
 
-def _check_t_tor(cat, tb):
-    ctx = _Ctx()
+def _check_t_tor(cat, tb, ctx):
     for module, mcs, _ in _s_comult_pairs(cat):
         ctx.instances += 1
         witness = st.is_s_cyclic(module, mcs)
-        if witness is not None:
-            if not _ok(witness):
-                return ctx.bad_witness(witness, module=module, mcs=mcs)
-            continue
-        if len(torsion_set(module)) != module.size:
-            return ctx.fail(module=module, mcs=mcs,
-                            detail="neither S-cyclic nor torsion")
-    return ctx.done()
+        ctx.revalidate(witness, module=module, mcs=mcs)
+        if witness is None and not is_torsion(module):
+            ctx.fail(module=module, mcs=mcs, detail="neither S-cyclic nor torsion")
 
 
-def _is_domain(ring):
-    return all(
-        ring.mul(a, b) != ring.zero
-        for a in ring.elements() if a != ring.zero
-        for b in ring.elements() if b != ring.zero
-    )
-
-
-def _check_t_cy2(cat, tb):
-    ctx = _Ctx()
+def _check_t_cy2(cat, tb, ctx):
     trivial = 0
     for ring in cat.rings:
-        if not _is_domain(ring):
+        zero_ideal = frozenset((ring.zero,))
+        if not is_prime_ideal_set(ring, zero_ideal):   # R is a domain iff (0) is prime
             continue
         for module in cat.modules[ring]:
             if module.is_zero_module:
@@ -539,11 +499,10 @@ def _check_t_cy2(cat, tb):
                 if not st.is_s_comultiplication(module, mcs).holds:
                     continue
                 finite = st.is_s_finite(module, frozenset(module.elements()), mcs)
-                if not _ok(finite):
-                    return ctx.bad_witness(finite, module=module, mcs=mcs)
+                ctx.revalidate(finite, module=module, mcs=mcs)
                 faithful = all(
                     annihilator_set(module, scalar_times_set(module, s, full))
-                    == frozenset((ring.zero,))
+                    == zero_ideal
                     for s in mcs
                 )
                 if not faithful:
@@ -553,30 +512,24 @@ def _check_t_cy2(cat, tb):
                     trivial += 1
                 witness = st.is_s_cyclic(module, mcs)
                 if witness is None:
-                    return ctx.fail(module=module, mcs=mcs,
-                                    detail="module is not S-cyclic")
+                    ctx.fail(module=module, mcs=mcs, detail="module is not S-cyclic")
     ctx.notes["already_cyclic"] = trivial
-    return ctx.done()
 
 
-def _check_t_cy3(cat, tb):
-    ctx = _Ctx()
+def _check_t_cy3(cat, tb, ctx):
     for module, mcs, _ in _s_comult_pairs(cat):
         torsion_free = st.is_s_torsion_free(module, mcs)
         if torsion_free is None:
             continue
-        if not _ok(torsion_free):
-            return ctx.bad_witness(torsion_free, module=module, mcs=mcs)
+        ctx.revalidate(torsion_free, module=module, mcs=mcs)
         ctx.instances += 1
         witness = st.is_s_cyclic(module, mcs)
         if witness is None:
-            return ctx.fail(module=module, mcs=mcs,
-                            detail="S-torsion-free module is not S-cyclic")
-    return ctx.done()
+            ctx.fail(module=module, mcs=mcs,
+                     detail="S-torsion-free module is not S-cyclic")
 
 
-def _check_t_min(cat, tb):
-    ctx = _Ctx()
+def _check_t_min(cat, tb, ctx):
     nonzero_reading = 0
     all_reading = 0
     for module, mcs, _ in _s_comult_pairs(cat):
@@ -586,44 +539,38 @@ def _check_t_min(cat, tb):
         top = full_submodule(module)
         steps = st.is_s_minimal(module, top, mcs, include_zero=False)
         if steps is None:
-            return ctx.fail(module=module, mcs=mcs,
-                            detail="not S-minimal under the nonzero-L reading")
+            ctx.fail(module=module, mcs=mcs,
+                     detail="not S-minimal under the nonzero-L reading")
         for witness in steps.values():
-            if not _ok(witness):
-                return ctx.bad_witness(witness, module=module, mcs=mcs)
+            ctx.revalidate(witness, module=module, mcs=mcs)
         nonzero_reading += 1
         if st.is_s_minimal(module, top, mcs, include_zero=True) is not None:
             all_reading += 1
     ctx.notes["holds_nonzero_L_reading"] = nonzero_reading
     ctx.notes["holds_all_L_reading"] = all_reading
-    return ctx.done()
 
 
 # ---------------------------------------------------------------------------
 # section 4: hom bridges, S-prime/S-second characterizations
 
 
-def _check_p_homs(cat, tb):
-    ctx = _Ctx()
+def _check_p_homs(cat, tb, ctx):
     for ring in cat.rings:
         for f in cat.homs[ring]:
             for mcs in cat.mcs[ring]:
                 ctx.instances += 1
                 report = mor.monic_epic_bridge(f, mcs)
                 for witness in (report.s_monic, report.s_epic):
-                    if not _ok(witness):
-                        return ctx.bad_witness(witness, hom=f, mcs=mcs)
+                    ctx.revalidate(witness, hom=f, mcs=mcs)
                 if not report.holds():
-                    return ctx.fail(hom=f, mcs=mcs, detail=report.failure())
-    return ctx.done()
+                    ctx.fail(hom=f, mcs=mcs, detail=report.failure())
 
 
-def _check_forms(cat, submodules, characterize, skips):
+def _check_forms(cat, ctx, submodules, characterize, skips):
     """Every form of a submodule property agrees and every witness holds.
 
     `characterize(module, n, mcs)` raising one of `skips` counts as a skip.
     """
-    ctx = _Ctx()
     skipped = 0
     for module, mcs in cat.module_mcs_pairs():
         for n in submodules(module):
@@ -634,34 +581,30 @@ def _check_forms(cat, submodules, characterize, skips):
                 continue
             ctx.instances += 1
             if not forms.agree():
-                return ctx.fail(module=module, mcs=mcs, submodule=n,
-                                verdicts=list(forms.verdicts))
+                ctx.fail(module=module, mcs=mcs, submodule=n,
+                         verdicts=list(forms.verdicts))
             for witness in forms:
-                if not _ok(witness):
-                    return ctx.bad_witness(witness, module=module, mcs=mcs,
-                                           submodule=n)
+                ctx.revalidate(witness, module=module, mcs=mcs, submodule=n)
     ctx.notes["disjointness_skips"] = skipped
-    return ctx.done()
 
 
-def _check_p_spr(cat, tb):
-    return _check_forms(
-        cat, enumerate_submodules,
+def _check_p_spr(cat, tb, ctx):
+    _check_forms(
+        cat, ctx, enumerate_submodules,
         lambda module, p, mcs: st.s_prime_characterizations(
             module, p, mcs, direct_fn=tb.is_s_prime_submodule),
         DisjointnessFailure)
 
 
-def _check_t_sec(cat, tb):
-    return _check_forms(
-        cat, _nonzero_submodules,
+def _check_t_sec(cat, tb, ctx):
+    _check_forms(
+        cat, ctx, _nonzero_submodules,
         lambda module, n, mcs: st.s_second_characterizations(
             module, n, mcs, direct_fn=tb.is_s_second),
         (DisjointnessFailure, PreconditionUnmet))
 
 
-def _check_t_m3(cat, tb):
-    ctx = _Ctx()
+def _check_t_m3(cat, tb, ctx):
     for module, mcs, _ in _s_comult_pairs(cat):
         ring = module.ring
         for n in _nonzero_submodules(module):
@@ -670,24 +613,19 @@ def _check_t_m3(cat, tb):
             prime = st._guard(lambda: st.is_s_prime_ideal(
                 ring, ann_ideal, mcs, submodule_fn=tb.is_s_prime_submodule))
             clause = tb.uniform_multiple(module, n, mcs)
-            if clause is not None and not _ok(clause):
-                return ctx.bad_witness(clause, module=module, mcs=mcs, submodule=n)
+            ctx.revalidate(clause, module=module, mcs=mcs, submodule=n)
             ctx.instances += 1
             left = second is not None
             right = prime is not None and clause is not None
             if left != right:
-                return ctx.fail(module=module, mcs=mcs, submodule=n,
-                                second=left, prime_annihilator=prime is not None,
-                                uniform_multiple=clause is not None)
+                ctx.fail(module=module, mcs=mcs, submodule=n,
+                         second=left, prime_annihilator=prime is not None,
+                         uniform_multiple=clause is not None)
             for witness in (second, prime):
-                if not _ok(witness):
-                    return ctx.bad_witness(witness, module=module, mcs=mcs,
-                                           submodule=n)
-    return ctx.done()
+                ctx.revalidate(witness, module=module, mcs=mcs, submodule=n)
 
 
-def _check_c_m3(cat, tb):
-    ctx = _Ctx()
+def _check_c_m3(cat, tb, ctx):
     for module in cat.nonzero_modules():
         if not st.is_comultiplication(module):
             continue
@@ -697,13 +635,11 @@ def _check_c_m3(cat, tb):
             prime = is_prime_ideal_set(module.ring,
                                        annihilator_set(module, n.elements))
             if second != prime:
-                return ctx.fail(module=module, submodule=n, second=second,
-                                prime_annihilator=prime)
-    return ctx.done()
+                ctx.fail(module=module, submodule=n, second=second,
+                         prime_annihilator=prime)
 
 
-def _check_t_ssum(cat, tb):
-    ctx = _Ctx()
+def _check_t_ssum(cat, tb, ctx):
     totals = {}               # (module, family) -> sum of the family
     for module, mcs, _ in _s_comult_pairs(cat):
         seconds = []
@@ -711,8 +647,7 @@ def _check_t_ssum(cat, tb):
             witness = st._guard(lambda: tb.is_s_second(module, n, mcs))
             if witness is None:
                 continue
-            if not _ok(witness):
-                return ctx.bad_witness(witness, module=module, mcs=mcs, submodule=n)
+            ctx.revalidate(witness, module=module, mcs=mcs, submodule=n)
             seconds.append(n)
         if not seconds:
             continue
@@ -729,10 +664,9 @@ def _check_t_ssum(cat, tb):
                     scalar_times_set(module, s, n.elements) <= part
                     for s in mcs for part in family
                 ):
-                    return ctx.fail(module=module, mcs=mcs, submodule=n,
-                                    family=[module.set_label(p) for p in family],
-                                    detail="no s with sN inside a summand")
-    return ctx.done()
+                    ctx.fail(module=module, mcs=mcs, submodule=n,
+                             family=[module.set_label(p) for p in family],
+                             detail="no s with sN inside a summand")
 
 
 # ---------------------------------------------------------------------------
@@ -783,22 +717,25 @@ def verify(statement_id, catalog, toolbox=None):
     if statement_id not in STATEMENTS:
         raise UnknownStatement(statement_id, STATEMENTS)
     statement = STATEMENTS[statement_id]
-    tb = toolbox or Toolbox()
+    ctx = _Ctx()
+    counterexample = None
     start = time.perf_counter()
     try:
-        instances, notes, counterexample = statement.check(catalog, tb)
+        statement.check(catalog, toolbox or Toolbox(), ctx)
+    except _Counterexample as failure:
+        counterexample = failure.args[0]
     except ScomultError as err:
-        instances, notes = 0, {}
+        ctx.instances, ctx.notes = 0, {}        # drop the counts made before it
         counterexample = {"error": str(err)}
     elapsed = (time.perf_counter() - start) * 1000.0
     if counterexample is not None:
         verdict = "fail"
-    elif instances == 0:
+    elif ctx.instances == 0:
         verdict = "vacuous"
     else:
         verdict = "pass"
-    return StatementReport(statement_id, statement.title, verdict, instances,
-                           counterexample, elapsed, notes)
+    return StatementReport(statement_id, statement.title, verdict, ctx.instances,
+                           counterexample, elapsed, ctx.notes)
 
 
 def verify_all(catalog, statement_ids=None, toolbox=None):

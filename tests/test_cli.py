@@ -208,3 +208,31 @@ def test_check_rejects_out_of_range_instance_entries(tmp_path, old, new, capsys)
     path.write_text(Z2_TABLE_TEXT.replace(old, new))
     assert main(["check", str(path), "cyclic"]) == 3
     assert "out of range" in capsys.readouterr().err
+
+
+Z6_QUOTIENT_TEXT = """
+[ring]
+kind = zn_product
+moduli = 6
+
+[module q]
+kind = zn_over_zk
+d = 2
+"""
+
+
+@pytest.mark.parametrize("old, new", [
+    ("zero = 0", "zero ="),
+    ("zero = 0", "zero = 0 1"),
+    ("one = 1", "one ="),
+    ("one = 1", "one = 1 0"),
+    ("d = 2", "d ="),
+    ("d = 2", "d = 2 3"),
+])
+def test_check_rejects_single_value_keys_without_one_integer(
+        tmp_path, old, new, capsys):
+    text = Z6_QUOTIENT_TEXT if old.startswith("d ") else Z2_TABLE_TEXT
+    path = tmp_path / "bad.inst"
+    path.write_text(text.replace(old, new))
+    assert main(["check", str(path), "cyclic"]) == 3
+    assert "exactly one integer" in capsys.readouterr().err

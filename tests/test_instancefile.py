@@ -163,3 +163,28 @@ def test_out_of_range_ring_constants_are_parse_errors(old, new):
         parse_instance(Z2_TABLE_TEXT.replace(old, new))
     assert err.value.line_no == 1
     assert "out of range" in str(err.value)
+
+
+Z6_QUOTIENT_TEXT = """[ring]
+kind = zn_product
+moduli = 6
+[module q]
+kind = zn_over_zk
+d = 2
+"""
+
+
+@pytest.mark.parametrize("old, new, line_no", [
+    ("zero = 0", "zero =", 5),
+    ("zero = 0", "zero = 0 1", 5),
+    ("one = 1", "one =", 6),
+    ("one = 1", "one = 1 0", 6),
+    ("d = 2", "d =", 6),
+    ("d = 2", "d = 2 3", 6),
+])
+def test_single_value_keys_take_exactly_one_integer(old, new, line_no):
+    text = Z6_QUOTIENT_TEXT if old.startswith("d ") else Z2_TABLE_TEXT
+    with pytest.raises(InstanceParseError) as err:
+        parse_instance(text.replace(old, new))
+    assert err.value.line_no == line_no
+    assert "exactly one integer" in str(err.value)

@@ -1,9 +1,15 @@
 """The statement suite: filters, verdicts, determinism, and mutation kills."""
 
+import ast
+import inspect
+from pathlib import Path
+
 import pytest
 
+from scomult import statements
+
 from scomult.catalog import CatalogParams, generate_catalog
-from scomult.errors import UnknownStatement
+from scomult.errors import AxiomViolation, UnknownStatement
 from scomult.modules import (
     full_submodule,
     self_module,
@@ -23,7 +29,7 @@ from scomult.rings import (
     unit_mcs,
     validate_mcs,
 )
-from scomult.statements import STATEMENTS, verify, verify_all
+from scomult.statements import STATEMENTS, Toolbox, verify, verify_all
 
 
 @pytest.fixture(scope="module")
@@ -250,3 +256,86 @@ def test_witness_revalidation_catches_swapped_quantifiers(small_catalog):
     report = verify("P-SPR", small_catalog, toolbox)
     assert report.verdict == "fail"
     assert "revalidation" in report.counterexample.get("detail", "")
+
+
+# counterexample of every failing report above, keyed like MUTANT_OUTCOMES;
+# key order is pinned too, since the JSON report keeps it
+REVALIDATION = "witness failed revalidation: "
+MUTANT_COUNTEREXAMPLES = {
+    "lemma_pair_direction_flip": {
+        "L-EQ": {"module": "Z2 over Z2", "mcs": "{1}",
+                 "verdicts": [True, True, False]}},
+    "localization_drop_ufactor": {
+        sid: {"error": "axiom violated: localization relation not transitive"
+                       " at ((0, 1), (0, 3), (4, 3))"}
+        for sid in ("P-LOC", "T-LOC")},
+    "s_prime_quantifier_swap": {
+        "P-SPR": {"module": "Z6 over Z6", "mcs": "{1,3}", "submodule": "{0}",
+                  "detail": REVALIDATION + "s-prime-submodule("
+                                           "module=Z6 over Z6, mcs={1,3}, s=1)"},
+        "T-M3": {"module": "Z6 over Z6", "mcs": "{1,3}",
+                 "submodule": "{0,1,2,3,4,5}",
+                 "detail": REVALIDATION + "s-prime-submodule("
+                                          "module=Z6 over Z6, mcs={1,3}, s=1)"}},
+    "s_second_drop_disjointness": {
+        "T-M3": {"module": "Z6 over Z6", "mcs": "{1,3}", "submodule": "{0,2,4}",
+                 "second": True, "prime_annihilator": False,
+                 "uniform_multiple": True},
+        "T-SEC": {"module": "Z6 over Z6", "mcs": "{1,3}", "submodule": "{0,2,4}",
+                  "verdicts": [True, False, False]},
+        "T-SSUM": {"module": "Z6 over Z6", "mcs": "{1,3}", "submodule": "{0,2,4}",
+                   "detail": REVALIDATION + "s-second("
+                                            "module=Z6 over Z6, mcs={1,3}, s=1)"}},
+    "tm3_drop_uniform_clause": {
+        "T-M3": {"module": "Z6 over Z6", "mcs": "{1,3}", "submodule": "{0,2,4}",
+                 "detail": REVALIDATION + "uniform-multiple("
+                                          "module=Z6 over Z6, mcs={1,3}, s=1)"}},
+}
+
+
+def test_pinned_counterexamples_on_reduced_catalog(mutation_reports):
+    for name, reports in mutation_reports.items():
+        got = {r.statement_id: list(r.counterexample.items()) for r in reports
+               if r.counterexample is not None}
+        expected = {sid: list(c.items())
+                    for sid, c in MUTANT_COUNTEREXAMPLES.get(name, {}).items()}
+        assert got == expected, name
+
+
+def test_error_midway_reports_no_instances_or_notes(small_catalog):
+    real = Toolbox().is_s_second
+    calls = []
+
+    def breaks_after_ten(module, n, mcs):
+        calls.append(n)
+        if len(calls) > 10:
+            raise AxiomViolation("injected after ten calls")
+        return real(module, n, mcs)
+
+    report = verify("T-SEC", small_catalog, Toolbox(is_s_second=breaks_after_ten))
+    assert len(calls) == 11
+    assert (report.verdict, report.instances, report.notes) == ("fail", 0, {})
+    assert report.counterexample == {
+        "error": "axiom violated: injected after ten calls"}
+
+
+def test_checkers_return_nothing():
+    """Checkers report only through the context `verify` hands them.
+
+    A value returned by a checker would be ignored and its statement would
+    pass, so no `_check_*` function may return one.
+    """
+    tree = ast.parse(Path(statements.__file__).read_text(encoding="utf-8"))
+    returning = sorted({
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_")
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Return) and sub.value is not None
+    })
+    assert returning == []
+
+
+def test_checkers_take_the_run_context():
+    for statement in STATEMENTS.values():
+        params = list(inspect.signature(statement.check).parameters)
+        assert params == ["cat", "tb", "ctx"], statement.statement_id
