@@ -34,8 +34,6 @@ from .modules import (
     Module,
     Submodule,
     annihilator,
-    colon_into_module,
-    colon_into_ring,
     direct_sum_module,
     enumerate_submodules,
     is_torsion,
@@ -54,8 +52,6 @@ from .modules import (
 from .morphisms import (
     ModuleHom,
     enumerate_homs,
-    homothety,
-    homothety_on,
     image,
     is_s_epic,
     is_s_monic,
@@ -63,7 +59,6 @@ from .morphisms import (
     kernel,
     make_hom,
     monic_epic_bridge,
-    transfer_theorem_check,
 )
 from .rings import (
     Ideal,
@@ -74,7 +69,6 @@ from .rings import (
     enumerate_mcs,
     has_maximal_multiple,
     ideal_closure,
-    ideal_ops,
     jacobson_radical,
     make_ring_table,
     make_ring_zn,
@@ -102,6 +96,7 @@ from .s_theory import (
     lemma_equivalence_bundle,
     s_prime_characterizations,
     s_second_characterizations,
+    transfer_theorem_check,
     uniform_multiple,
 )
 from .statements import STATEMENTS, StatementReport, Toolbox, verify, verify_all

@@ -119,12 +119,11 @@ def cmd_check(args):
             witness = st.is_s_finite(module, sub, mcs)
         else:
             steps = st.is_s_minimal(module, sub, mcs)
-            ok = steps is not None
-            print(f"{predicate}({sub.describe()}): {ok}")
-            if ok:
-                for l, w in steps.items():
+            print(f"{predicate}({sub.describe()}): {steps.holds}")
+            if steps.holds:
+                for l, w in steps.witnesses:
                     print(f"  {l.describe()}: s={module.ring.label(w.get('s'))}")
-            return EXIT_TRUE if ok else EXIT_FALSE
+            return EXIT_TRUE if steps.holds else EXIT_FALSE
         print(f"{predicate}({sub.describe()}, S={mcs.describe()}): "
               f"{witness is not None}")
         _print_witness(witness)

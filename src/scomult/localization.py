@@ -1,13 +1,17 @@
 """Localization of finite rings and modules by explicit pair classes.
 
 S^-1 M is built from pairs (m, s) with m in M, s in S under the relation
-(m, s) ~ (m', s') iff u(s'm - sm') = 0 for some u in S.  The u-factor is
-mandatory: without it the relation is not transitive over rings with zero
-divisors.  S^-1 R is the same construction on R as a module over itself,
-built once per (R, S, relation): every helper reads the action from its
-base, which for a ring is its multiplication.
-The relation is checked to be an equivalence by an explicit scan,
-arithmetic on representatives is cross-checked against a second
+(m, s) ~ (m', s') iff u(s'm - sm') = 0 for some u in S, that is, iff
+s'm - sm' lies in the S-torsion set K = {m : um = 0 for some u in S}, the
+kernel of M -> S^-1 M.  `s_torsion` is the one implementation of K: every
+pair's relation row is built from K, and the kernel of the canonical map is
+checked against it.  The u-factor is mandatory: with K = {0} the relation
+is not transitive over rings with zero divisors.  S^-1 R is the same
+construction on R as a module over itself, built once per (R, S, torsion
+function): every helper reads the action from its base, which for a ring
+is its multiplication.
+The relation is checked to be an equivalence by an explicit scan of its
+rows, arithmetic on representatives is cross-checked against a second
 representative of each class, and the image of every element of S is
 checked to be a unit.
 """
@@ -22,31 +26,35 @@ from .modules import (
     Module,
     Submodule,
     colon_set_into_module,
-    enumerate_submodules,
     make_module,
     zero_colon_set,
 )
 from .rings import DEFAULT_CAP, MCS, make_ring_table, units, validate_mcs
 
 
-def default_relation(add, neg, act, u_candidates, zero):
-    """(x, s) ~ (x', s') iff u(s'x - sx') = 0 for some u in S.
+def s_torsion(base, mcs):
+    """K = {x : ux = 0 for some u in S}, the kernel of X -> S^-1 X."""
+    return frozenset(x for x in base.elements()
+                     if any(base.act(u, x) == base.zero for u in mcs))
 
-    The S-torsion test runs once per difference s'x - sx', an element of the
-    carrier, so at most |X| times for the |X|²|S|² pair comparisons.
+
+def _rows(base, mcs, torsion_set):
+    """Relation rows: row (x, s) sets bit y·|S| + rank[t] iff tx - sy is in K.
+
+    The pair (x, s) sits at index x·|S| + rank[s].  For each s, the mask of
+    {y : v - sy in K} = {y : v in sy + K} is built once per carrier value v,
+    at stride |S|; row (x, s) ORs the mask for v = tx, shifted by rank[t],
+    over every t.
     """
-    torsion = {}
-
-    def related(p, q):
-        x, s = p
-        y, t = q
-        diff = add(act(t, x), neg(act(s, y)))
-        killed = torsion.get(diff)
-        if killed is None:
-            killed = torsion[diff] = any(act(u, diff) == zero for u in u_candidates)
-        return killed
-
-    return related
+    width = len(mcs)
+    masks = {}
+    for s in mcs:
+        by_value = masks[s] = [0] * base.size
+        for y, sy in enumerate(base.act_row(s)):
+            for k in torsion_set:
+                by_value[base.add(sy, k)] |= 1 << (y * width)
+    return [sum(masks[s][base.act(t, x)] << i for i, t in enumerate(mcs))
+            for x in base.elements() for s in mcs]
 
 
 def _bits(row):
@@ -57,20 +65,13 @@ def _bits(row):
         row ^= low
 
 
-def _partition(pairs, related):
-    """Group pairs into classes via relation rows; verify equivalence.
+def _partition(pairs, rows):
+    """Group pairs into classes by their relation rows; verify equivalence.
 
     Returns pair index -> class index and class index -> pair indices; a
     class is numbered by its least pair, so the class of pair 0 comes first.
     """
     n = len(pairs)
-    rows = []
-    for i in range(n):
-        row = 0
-        for j in range(n):
-            if related(pairs[i], pairs[j]):
-                row |= 1 << j
-        rows.append(row)
     for i, row in enumerate(rows):
         if not row >> i & 1:
             raise AxiomViolation("localization relation not reflexive", (pairs[i],))
@@ -137,13 +138,13 @@ class LocalizedModule(_PairClasses):
     module: Module
 
 
-def _pair_classes(base, mcs, relation, what, cap):
+def _pair_classes(base, mcs, torsion, what, cap):
     """Pair classes of S^-1 base, a ring or a module that R acts on."""
     pairs = tuple((x, s) for x in base.elements() for s in mcs)
     if len(pairs) > cap * cap:
         raise SizeCapExceeded(f"{what} localization pairs", len(pairs), cap * cap)
-    related = relation(base.add, base.neg, base.act, mcs.members(), base.zero)
-    class_of_pair, members = _partition(pairs, related)
+    rows = _rows(base, mcs, torsion(base, mcs))
+    class_of_pair, members = _partition(pairs, rows)
     return _PairClasses(base, mcs, pairs, class_of_pair, members,
                         {s: i for i, s in enumerate(mcs)})
 
@@ -181,22 +182,20 @@ def _cross_checked_tables(left, right, act_message):
 
 
 def _check_kernel(wrapper, message):
-    """The kernel of X -> S^-1 X must be {x : ux = 0 for some u in S}."""
-    base = wrapper.base
-    expected = frozenset(x for x in base.elements()
-                         if any(base.act(u, x) == base.zero for u in wrapper.mcs))
-    if wrapper.kernel() != expected:
+    """The kernel of X -> S^-1 X must be `s_torsion` of the base, also when
+    the classes were built from an injected torsion set."""
+    if wrapper.kernel() != s_torsion(wrapper.base, wrapper.mcs):
         raise AxiomViolation(message)
 
 
 def localize_ring(ring, mcs, cap=DEFAULT_CAP):
-    return localize_ring_with(ring, mcs, default_relation, cap)
+    return localize_ring_with(ring, mcs, s_torsion, cap)
 
 
 @lru_cache(maxsize=None)
-def localize_ring_with(ring, mcs, relation, cap=DEFAULT_CAP):
+def localize_ring_with(ring, mcs, torsion, cap=DEFAULT_CAP):
     """S^-1 R: R localized as a module over itself; a LocalizedRing wrapper."""
-    classes = _pair_classes(ring, mcs, relation, "ring", cap)
+    classes = _pair_classes(ring, mcs, torsion, "ring", cap)
     add_table, mul_table = _cross_checked_tables(
         classes, classes, "localization operation not well defined")
     loc = make_ring_table(add_table, mul_table, classes.map_element(ring.zero),
@@ -228,13 +227,14 @@ def _check_localized_ring(wrapper):
 
 @lru_cache(maxsize=None)
 def localize_module(module, mcs, cap=DEFAULT_CAP):
-    return localize_module_with(module, mcs, default_relation, cap=cap)
+    return localize_module_with(module, mcs, s_torsion, cap=cap)
 
 
-def localize_module_with(module, mcs, relation, cap=DEFAULT_CAP):
-    """S^-1 M as a module over S^-1 R, with the canonical map data."""
-    locring = localize_ring_with(module.ring, mcs, relation, cap)
-    classes = _pair_classes(module, mcs, relation, "module", cap)
+def localize_module_with(module, mcs, torsion, cap=DEFAULT_CAP):
+    """S^-1 M as a module over S^-1 R, with the canonical map data; the
+    pair relations of M and R read the set K that `torsion(base, mcs)` gives."""
+    locring = localize_ring_with(module.ring, mcs, torsion, cap)
+    classes = _pair_classes(module, mcs, torsion, "module", cap)
     add_table, act_table = _cross_checked_tables(
         locring, classes, "localized action not well defined")
     loc_module = make_module(
@@ -255,15 +255,6 @@ def localize_submodule(locmod, n):
     """S^-1 N = {class(n, s)} as a submodule of S^-1 M."""
     n_set = n.elements if isinstance(n, Submodule) else frozenset(n)
     return Submodule(locmod.module, _localize_set(locmod, n_set))
-
-
-def all_submodules_are_localizations(module, mcs):
-    """Every submodule of S^-1 M arises as S^-1 N for a submodule N of M."""
-    locmod = localize_module(module, mcs)
-    images = {localize_submodule(locmod, n).elements
-              for n in enumerate_submodules(module)}
-    return all(w.elements in images
-               for w in enumerate_submodules(locmod.module))
 
 
 def localized_colon_identity_check(module, mcs, ideal):

@@ -267,24 +267,12 @@ def colon_set_into_ring(module, n_set, k_set):
     return _colon(module, n_set, k_set)
 
 
-def colon_into_ring(n, k_set):
-    """(N : K) for a submodule N and nonempty subset K; always an ideal."""
-    module = n.module
-    return Ideal(module.ring, colon_set_into_ring(module, n.elements, k_set))
-
-
 def colon_set_into_module(module, n_set, i_set):
     """(N :_M I) = {m : Im <= N} as a raw element set."""
     rows = [module.act_row(a) for a in i_set]
     return frozenset(
         m for m in module.elements() if all(row[m] in n_set for row in rows)
     )
-
-
-def colon_into_module(n, ideal):
-    """(N :_M I) for a submodule N and ideal I; always a submodule."""
-    module = n.module
-    return Submodule(module, colon_set_into_module(module, n.elements, ideal.elements))
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 from typing import NamedTuple
 
-from .errors import AxiomViolation, PreconditionUnmet, SizeCapExceeded
+from .errors import AxiomViolation, SizeCapExceeded
 from .modules import (
     Submodule,
     quotient_module,
@@ -93,10 +93,6 @@ def kernel(f):
 
 def image(f):
     return Submodule(f.target, frozenset(f.values))
-
-
-def is_zero_hom(f):
-    return all(v == 0 for v in f.values)
 
 
 def is_monic(f):
@@ -189,11 +185,6 @@ def homothety_family(module, submodule):
     return tuple(ModuleHom(q, q, q.act_row(a)) for a in module.ring.elements())
 
 
-def homothety(module, submodule, a):
-    """The multiplication-by-a map on M/P."""
-    return homothety_family(module, submodule)[a]
-
-
 @lru_cache(maxsize=None)
 def homothety_on_family(submodule):
     """All homotheties a. on N viewed as a module."""
@@ -202,13 +193,8 @@ def homothety_on_family(submodule):
                  for a in submodule.module.ring.elements())
 
 
-def homothety_on(submodule, a):
-    """The multiplication-by-a map on N."""
-    return homothety_on_family(submodule)[a]
-
-
 # ---------------------------------------------------------------------------
-# bridges and transfer
+# the monic/epic bridge
 
 
 # how each of the four bridge claims fails, in field order
@@ -253,42 +239,6 @@ def monic_epic_bridge(f, mcs):
     return BridgeReport(not monic or s_monic is not None, monic_converse,
                         not epic or s_epic is not None, epic_converse,
                         s_monic, s_epic)
-
-
-class TransferReport(NamedTuple):
-    kernel_witness: Witness
-    downward_applicable: bool     # target had the property
-    downward_holds: bool | None
-    upward_applicable: bool       # f surjective and source had the property
-    upward_holds: bool | None
-    failing_submodule: object
-
-    def holds(self):
-        return self.downward_holds in (None, True) and self.upward_holds in (None, True)
-
-
-def transfer_theorem_check(f, mcs):
-    """Transfer of the S-comultiplication property along f when tKer(f)=0."""
-    witness = is_s_monic_via_kernel(f, mcs)
-    if witness is None:
-        raise PreconditionUnmet("no element of S annihilates the kernel")
-    failing = None
-    target_res = _s_theory.is_s_comultiplication(f.target, mcs)
-    source_res = _s_theory.is_s_comultiplication(f.source, mcs)
-    downward_applicable = target_res.holds
-    downward = None
-    if downward_applicable:
-        downward = source_res.holds
-        if not downward:
-            failing = source_res.failing
-    upward_applicable = is_epic(f) and source_res.holds
-    upward = None
-    if upward_applicable:
-        upward = target_res.holds
-        if not upward:
-            failing = target_res.failing
-    return TransferReport(witness, downward_applicable, downward,
-                          upward_applicable, upward, failing)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +306,3 @@ def enumerate_homs(source, target, cap=8):
             continue
     return tuple(out)
 
-
-# s_theory builds on the homothety helpers above, so it is bound last; a
-# function-level import here would run once per transfer check
-from . import s_theory as _s_theory  # noqa: E402

@@ -67,21 +67,15 @@ def uniform_multiple_unchecked(module, n, mcs):
                         s=mcs.members()[0])
 
 
-def localization_drop_ufactor(add, neg, act, u_candidates, zero):
-    """Relates pairs only when s'x - sx' is exactly zero."""
-
-    def related(p, q):
-        x, s = p
-        y, t = q
-        return add(act(t, x), neg(act(s, y))) == zero
-
-    return related
+def localization_drop_ufactor(base, mcs):
+    """K = {0}: relates pairs only when s'x - sx' is exactly zero."""
+    return frozenset((base.zero,))
 
 
 MUTANTS = {
     "s_prime_quantifier_swap": ("is_s_prime_submodule", s_prime_quantifier_swap),
     "s_second_drop_disjointness": ("is_s_second", s_second_drop_disjointness),
-    "localization_drop_ufactor": ("localization_relation", localization_drop_ufactor),
+    "localization_drop_ufactor": ("localization_torsion", localization_drop_ufactor),
     "lemma_pair_direction_flip": ("lemma_pair_form", lemma_pair_direction_flip),
     "tm3_drop_uniform_clause": ("uniform_multiple", uniform_multiple_unchecked),
 }

@@ -518,17 +518,6 @@ def ideal_annihilator(i):
     return ideal_colon(zero, i)
 
 
-def ideal_ops(ring, i, j):
-    """The standard ideal arithmetic bundle for a pair of ideals."""
-    return {
-        "sum": ideal_sum(i, j),
-        "product": ideal_product(i, j),
-        "intersection": ideal_intersection(i, j),
-        "colon": ideal_colon(i, j),
-        "annihilator": ideal_annihilator(i),
-    }
-
-
 @lru_cache(maxsize=None)
 def units(ring):
     """u(R) = {x : xy = 1 for some y}."""

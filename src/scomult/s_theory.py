@@ -5,13 +5,15 @@ the m.c.s. in canonical element order, witness outermost, and returns a
 `Witness` that re-validates against the defining condition.  Predicates
 whose definition is conditional on a disjointness hypothesis raise
 `DisjointnessFailure` instead of returning False; the two outcomes are
-deliberately kept distinct.
+deliberately kept distinct.  The transfer check along a hom lives here, not
+in `morphisms`, because it reads S-comultiplication at both ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import AxiomViolation, DisjointnessFailure, PreconditionUnmet
 from .modules import (
@@ -28,7 +30,9 @@ from .modules import (
 from .morphisms import (
     homothety_family,
     homothety_on_family,
+    is_epic,
     is_s_epic_with,
+    is_s_monic_via_kernel,
     is_s_monic_with,
     is_s_zero_with,
 )
@@ -523,23 +527,6 @@ def _check_s_mult(w):
     return scalar_times_set(module, s, n_set) <= im <= n_set
 
 
-def s_multiplication_general_form(module, mcs):
-    """Existential-ideal variant, kept as a cross-check of the reduction."""
-    full = _full_set(module)
-    ideals = enumerate_ideals(module.ring)
-    images = [(i, ideal_times_module_set(module, i.elements, full)) for i in ideals]
-    for n in enumerate_submodules(module):
-        ok = False
-        for s in mcs:
-            s_image = scalar_times_set(module, s, n.elements)
-            if any(s_image <= im <= n.elements for _, im in images):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
-
-
 def is_s_cyclic(module, mcs):
     """First (s, m) with sM <= Rm."""
     full_images = {s: scalar_times_set(module, s, _full_set(module)) for s in mcs}
@@ -608,30 +595,27 @@ def _check_s_torsion_free(w):
 
 
 def is_s_minimal(module, k, mcs, include_zero=False):
-    """Per-L witnesses with sK <= L for every submodule L below K, or None.
+    """For every submodule L below K, the first s with sK <= L; a ForEachResult.
 
-    The default reading ranges over nonzero L; `include_zero` adds L = 0,
-    which forces some s to annihilate K outright.
+    L runs in `enumerate_submodules` order.  The default reading ranges over
+    nonzero L; `include_zero` adds L = 0, which forces some s to annihilate
+    K outright.
     """
     k_sub = _as_submodule(module, k)
     if k_sub.is_zero():
         raise PreconditionUnmet("S-minimal requires a nonzero submodule")
-    out = {}
-    for l in enumerate_submodules(module):
-        if not l.elements <= k_sub.elements:
-            continue
-        if l.is_zero() and not include_zero:
-            continue
-        witness = None
+    k_set = k_sub.elements
+
+    def step(l):
         for s in mcs:
-            if scalar_times_set(module, s, k_sub.elements) <= l.elements:
-                witness = Witness.make("s-minimal-step", module=module,
-                                       k=k_sub.elements, l=l.elements, s=s)
-                break
-        if witness is None:
-            return None
-        out[l] = witness
-    return out
+            if scalar_times_set(module, s, k_set) <= l.elements:
+                return Witness.make("s-minimal-step", module=module,
+                                    k=k_set, l=l.elements, s=s)
+        return None
+
+    below = [l for l in enumerate_submodules(module)
+             if l.elements <= k_set and (include_zero or not l.is_zero())]
+    return _for_each(below, step)
 
 
 @revalidator("s-minimal-step")
@@ -667,3 +651,43 @@ def _check_uniform_multiple(w):
     module, n_set, mcs, s = (w.get("module"), w.get("n"), w.get("mcs"), w.get("s"))
     s_image = scalar_times_set(module, s, n_set)
     return all(s_image <= scalar_times_set(module, t, n_set) for t in mcs)
+
+
+# ---------------------------------------------------------------------------
+# transfer along homs
+
+
+class TransferReport(NamedTuple):
+    kernel_witness: Witness
+    downward_applicable: bool     # target had the property
+    downward_holds: bool | None
+    upward_applicable: bool       # f surjective and source had the property
+    upward_holds: bool | None
+    failing_submodule: object
+
+    def holds(self):
+        return self.downward_holds in (None, True) and self.upward_holds in (None, True)
+
+
+def transfer_theorem_check(f, mcs):
+    """Transfer of the S-comultiplication property along f when tKer(f)=0."""
+    witness = is_s_monic_via_kernel(f, mcs)
+    if witness is None:
+        raise PreconditionUnmet("no element of S annihilates the kernel")
+    failing = None
+    target_res = is_s_comultiplication(f.target, mcs)
+    source_res = is_s_comultiplication(f.source, mcs)
+    downward_applicable = target_res.holds
+    downward = None
+    if downward_applicable:
+        downward = source_res.holds
+        if not downward:
+            failing = source_res.failing
+    upward_applicable = is_epic(f) and source_res.holds
+    upward = None
+    if upward_applicable:
+        upward = target_res.holds
+        if not upward:
+            failing = target_res.failing
+    return TransferReport(witness, downward_applicable, downward,
+                          upward_applicable, upward, failing)

@@ -67,7 +67,7 @@ class Toolbox:
     is_s_second: Callable = st.is_s_second
     lemma_pair_form: Callable = st.lemma_pair_form
     uniform_multiple: Callable = st.uniform_multiple
-    localization_relation: Callable = loc.default_relation
+    localization_torsion: Callable = loc.s_torsion
     mutated: tuple = ()
 
 
@@ -140,9 +140,9 @@ def _jsonable(payload):
 
 
 def _localize(module, mcs, tb):
-    if tb.localization_relation is loc.default_relation:
+    if tb.localization_torsion is loc.s_torsion:
         return loc.localize_module(module, mcs)
-    return loc.localize_module_with(module, mcs, tb.localization_relation)
+    return loc.localize_module_with(module, mcs, tb.localization_torsion)
 
 
 def _nonzero_submodules(module):
@@ -205,7 +205,7 @@ def _check_p_loc(cat, tb, ctx):
         if not st.is_comultiplication(localized.module):
             ctx.fail(module=module, mcs=mcs,
                      detail="localization is not comultiplication")
-        if tb.localization_relation is loc.default_relation:
+        if tb.localization_torsion is loc.s_torsion:
             for ideal in enumerate_ideals(module.ring):
                 if not loc.localized_colon_identity_check(module, mcs, ideal):
                     ctx.fail(module=module, mcs=mcs, ideal=ideal,
@@ -237,7 +237,7 @@ def _check_t_hom(cat, tb, ctx):
         for f in cat.homs[ring]:
             for mcs in cat.mcs[ring]:
                 try:
-                    report = mor.transfer_theorem_check(f, mcs)
+                    report = st.transfer_theorem_check(f, mcs)
                 except PreconditionUnmet:
                     unmet += 1
                     continue
@@ -513,6 +513,7 @@ def _check_t_cy2(cat, tb, ctx):
                 witness = st.is_s_cyclic(module, mcs)
                 if witness is None:
                     ctx.fail(module=module, mcs=mcs, detail="module is not S-cyclic")
+                ctx.revalidate(witness, module=module, mcs=mcs)
     ctx.notes["already_cyclic"] = trivial
 
 
@@ -527,6 +528,7 @@ def _check_t_cy3(cat, tb, ctx):
         if witness is None:
             ctx.fail(module=module, mcs=mcs,
                      detail="S-torsion-free module is not S-cyclic")
+        ctx.revalidate(witness, module=module, mcs=mcs)
 
 
 def _check_t_min(cat, tb, ctx):
@@ -538,13 +540,13 @@ def _check_t_min(cat, tb, ctx):
         ctx.instances += 1
         top = full_submodule(module)
         steps = st.is_s_minimal(module, top, mcs, include_zero=False)
-        if steps is None:
+        if not steps.holds:
             ctx.fail(module=module, mcs=mcs,
                      detail="not S-minimal under the nonzero-L reading")
-        for witness in steps.values():
+        for _, witness in steps.witnesses:
             ctx.revalidate(witness, module=module, mcs=mcs)
         nonzero_reading += 1
-        if st.is_s_minimal(module, top, mcs, include_zero=True) is not None:
+        if st.is_s_minimal(module, top, mcs, include_zero=True).holds:
             all_reading += 1
     ctx.notes["holds_nonzero_L_reading"] = nonzero_reading
     ctx.notes["holds_all_L_reading"] = all_reading

@@ -1,16 +1,27 @@
-"""Shared fixtures and the independent brute-force oracles.
+"""Shared fixtures, the independent brute-force oracles and cross-checks.
 
 The oracles deliberately avoid the library's closure-based enumeration:
 they filter raw subsets against the defining invariants, so agreement
-between the two is a real check rather than a tautology.
+between the two is a real check rather than a tautology.  The two
+cross-checks at the end (every submodule of S^-1 M is a localization, and
+S-multiplication in its existential-ideal form) live here, not in the
+library, because only tests call them.
 """
 
 import pytest
 
 from scomult.catalog import generate_catalog
-from scomult.modules import self_module, zn_over_zk, direct_sum_module
+from scomult.localization import localize_module, localize_submodule
+from scomult.modules import (
+    direct_sum_module,
+    enumerate_submodules,
+    ideal_times_module_set,
+    scalar_times_set,
+    self_module,
+    zn_over_zk,
+)
 from scomult import mutations
-from scomult.rings import make_ring_zn, validate_mcs
+from scomult.rings import enumerate_ideals, make_ring_zn, validate_mcs
 from scomult.statements import verify_all
 
 
@@ -149,3 +160,24 @@ def mutation_outcomes(mutation_run):
 @pytest.fixture(scope="session")
 def mutation_reports(mutation_run):
     return mutation_run[1]
+
+
+def all_submodules_are_localizations(module, mcs):
+    """Every submodule of S^-1 M arises as S^-1 N for a submodule N of M."""
+    locmod = localize_module(module, mcs)
+    images = {localize_submodule(locmod, n).elements
+              for n in enumerate_submodules(module)}
+    return all(w.elements in images
+               for w in enumerate_submodules(locmod.module))
+
+
+def s_multiplication_general_form(module, mcs):
+    """Some s and ideal I with sN <= IM <= N for every N: no reduction to (N:M)."""
+    full = frozenset(module.elements())
+    images = [ideal_times_module_set(module, i.elements, full)
+              for i in enumerate_ideals(module.ring)]
+    return all(
+        any(any(scalar_times_set(module, s, n.elements) <= im <= n.elements
+                for im in images)
+            for s in mcs)
+        for n in enumerate_submodules(module))

@@ -1,4 +1,5 @@
-"""The library imports nothing outside the standard library and itself."""
+"""The library imports nothing outside the standard library and itself,
+and its modules import one another without a cycle."""
 
 import ast
 import importlib
@@ -46,3 +47,46 @@ def test_traced_methods_are_defined_on_their_own_class():
     for layer, class_name, method in methods:
         cls = getattr(importlib.import_module(f"scomult.{layer}"), class_name)
         assert method in vars(cls), (layer, class_name, method)
+
+
+def package_import_graph():
+    """Module name -> the scomult modules it imports, `__init__` excluded."""
+    graph = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        targets = graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.ImportFrom) and node.module:   # from .x
+                names = ["scomult." + node.module]
+            elif isinstance(node, ast.ImportFrom):                   # from . import x
+                names = ["scomult." + alias.name for alias in node.names]
+            else:
+                continue
+            targets.update(name.split(".")[1] for name in names
+                           if name.startswith("scomult."))
+    return graph
+
+
+def test_package_import_graph_has_no_cycle():
+    graph = package_import_graph()
+    assert {"modules", "morphisms", "rings"} <= graph["s_theory"]
+    state = {}                      # module -> "open" while on the path, then "done"
+
+    def visit(name, path):
+        state[name] = "open"
+        for target in sorted(graph[name]):
+            if state.get(target) == "open":
+                raise AssertionError(
+                    "import cycle: " + " -> ".join(path + [name, target]))
+            if target not in state:
+                visit(target, path + [name])
+        state[name] = "done"
+
+    for name in sorted(graph):
+        if name not in state:
+            visit(name, [])

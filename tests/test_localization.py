@@ -4,11 +4,12 @@ import hashlib
 
 import pytest
 
+from conftest import all_submodules_are_localizations
 from scomult.catalog import generate_catalog
 from scomult.errors import AxiomViolation
 from scomult.localization import (
     _partition,
-    all_submodules_are_localizations,
+    _rows,
     complement_mcs,
     localize_module,
     localize_module_with,
@@ -17,6 +18,7 @@ from scomult.localization import (
     localize_submodule,
     localized_colon_identity_check,
     mm_locally_nonzero,
+    s_torsion,
 )
 from scomult.modules import self_module, submodule_from_set, zn_over_zk
 from scomult.mutations import localization_drop_ufactor, mutation_catalog_params
@@ -220,6 +222,12 @@ def test_drop_ufactor_scan_outcomes_are_pinned():
     assert digest == REDUCED_DROP_UFACTOR_DIGEST
 
 
+def relation_rows(pairs, related):
+    """Row i sets bit j iff related(pairs[i], pairs[j])."""
+    return [sum(1 << j for j, q in enumerate(pairs) if related(p, q))
+            for p in pairs]
+
+
 @pytest.mark.parametrize("related, axiom, witness", [
     (lambda p, q: p == q and p != "b", "localization relation not reflexive",
      ("b",)),
@@ -227,10 +235,33 @@ def test_drop_ufactor_scan_outcomes_are_pinned():
      "localization relation not symmetric", ("a", "c")),
 ])
 def test_partition_reports_the_first_violation(related, axiom, witness):
+    pairs = ("a", "b", "c")
     with pytest.raises(AxiomViolation) as info:
-        _partition(("a", "b", "c"), related)
+        _partition(pairs, relation_rows(pairs, related))
     assert info.value.axiom == axiom
     assert info.value.witness == witness
+
+
+def definitional_rows(base, mcs, torsion_set):
+    """(x, s) ~ (y, t) iff tx - sy lies in K, tested pair by pair."""
+    pairs = [(x, s) for x in base.elements() for s in mcs]
+
+    def related(p, q):
+        (x, s), (y, t) = p, q
+        return base.add(base.act(t, x), base.neg(base.act(s, y))) in torsion_set
+
+    return relation_rows(pairs, related)
+
+
+@pytest.mark.parametrize("torsion", [s_torsion, localization_drop_ufactor])
+def test_rows_from_k_match_the_definition(torsion):
+    catalog = generate_catalog(mutation_catalog_params())
+    modules = list(catalog.module_mcs_pairs(include_zero=True))
+    rings = [(ring, mcs) for ring in catalog.rings for mcs in catalog.mcs[ring]]
+    assert (len(modules), len(rings)) == (95, 25)
+    for base, mcs in modules + rings:
+        k = torsion(base, mcs)
+        assert _rows(base, mcs, k) == definitional_rows(base, mcs, k)
 
 
 def idempotent_power(ring, mcs):

@@ -10,9 +10,8 @@ from scomult.errors import AxiomViolation
 from scomult.modules import (
     Submodule,
     annihilator_set,
-    colon_into_module,
-    colon_into_ring,
     colon_set_into_module,
+    colon_set_into_ring,
     direct_sum_module,
     enumerate_submodules,
     full_submodule,
@@ -187,11 +186,22 @@ def test_reduced_catalog_lattices_are_pinned():
     assert digest.hexdigest() == REDUCED_LATTICE_DIGEST
 
 
+def colon_ideal(n, k_set):
+    """(N : K) wrapped in `Ideal`, which checks that it is closed."""
+    return Ideal(n.module.ring, colon_set_into_ring(n.module, n.elements, k_set))
+
+
+def colon_submodule(n, ideal):
+    """(N :_M I) wrapped in `Submodule`, which checks that it is closed."""
+    return Submodule(n.module,
+                     colon_set_into_module(n.module, n.elements, ideal.elements))
+
+
 def test_colon_into_ring_pins(z6, m6):
     threes = submodule_from_set(m6, {0, 3})
-    assert colon_into_ring(threes, frozenset({2})).members() == [0, 3]
+    assert colon_ideal(threes, frozenset({2})).members() == [0, 3]
     full = full_submodule(m6)
-    assert colon_into_ring(full, frozenset(m6.elements())).members() == \
+    assert colon_ideal(full, frozenset(m6.elements())).members() == \
         [0, 1, 2, 3, 4, 5]
     assert annihilator_set(m6, frozenset({0, 2, 4})) == frozenset({0, 3})
 
@@ -199,10 +209,10 @@ def test_colon_into_ring_pins(z6, m6):
 def test_colon_into_module_pins(z6, m6, m4):
     zero = submodule_from_set(m6, {0})
     threes = ideal_from_set(z6, {0, 3})
-    assert colon_into_module(zero, threes).members() == [0, 2, 4]
+    assert colon_submodule(zero, threes).members() == [0, 2, 4]
     anything = submodule_from_set(m6, {0, 3})
     zero_ideal = ideal_from_set(z6, {0})
-    assert colon_into_module(anything, zero_ideal).members() == [0, 1, 2, 3, 4, 5]
+    assert colon_submodule(anything, zero_ideal).members() == [0, 1, 2, 3, 4, 5]
     two = Ideal(m4.ring, frozenset({0, 2}))
     assert sorted(colon_set_into_module(m4, frozenset({0}), two.elements)) == [0, 2]
 
@@ -293,7 +303,7 @@ def test_galois_direction(m6):
     subs = enumerate_submodules(m6)
     for n in subs:
         for k in subs:
-            colon = colon_into_ring(n, k.elements)
+            colon = colon_ideal(n, k.elements)
             back = colon_set_into_module(m6, n.elements, colon.elements)
             assert k.elements <= back
 

@@ -23,7 +23,7 @@ from scomult.rings import (
     ideal_closure,
     ideal_colon,
     ideal_from_set,
-    ideal_ops,
+    ideal_intersection,
     ideal_product,
     ideal_sum,
     jacobson_radical,
@@ -199,10 +199,9 @@ def test_ideal_ops_pins(z6):
     assert ideal_colon(threes, evens).members() == [0, 3]
     zero = ideal_from_set(z6, {0})
     assert ideal_colon(evens, zero).members() == [0, 1, 2, 3, 4, 5]
-    ops = ideal_ops(z6, evens, threes)
-    assert ops["sum"].members() == [0, 1, 2, 3, 4, 5]
-    assert ops["product"].members() == [0]
-    assert ops["intersection"].members() == [0]
+    assert ideal_sum(evens, threes).members() == [0, 1, 2, 3, 4, 5]
+    assert ideal_product(evens, threes).members() == [0]
+    assert ideal_intersection(evens, threes).members() == [0]
 
 
 def test_ideal_arithmetic_with_zero_off_index_0(z6):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import s_multiplication_general_form
 from scomult.errors import DisjointnessFailure, PreconditionUnmet
 from scomult.modules import (
     full_submodule,
@@ -26,7 +27,6 @@ from scomult.s_theory import (
     is_s_second,
     is_s_torsion_free,
     lemma_equivalence_bundle,
-    s_multiplication_general_form,
     s_prime_characterizations,
     s_second_characterizations,
     uniform_multiple,
@@ -186,10 +186,11 @@ def test_s_minimal_pins(m4, s1):
     z5 = make_ring_zn([5])
     m5 = self_module(z5)
     steps = is_s_minimal(m5, full_submodule(m5), unit_mcs(z5))
-    assert steps is not None and all(w.validate() for w in steps.values())
-    assert is_s_minimal(m5, full_submodule(m5), unit_mcs(z5),
-                        include_zero=True) is None
-    assert is_s_minimal(m4, full_submodule(m4), unit_mcs(m4.ring)) is None
+    assert steps.holds and all(w.validate() for _, w in steps.witnesses)
+    assert not is_s_minimal(m5, full_submodule(m5), unit_mcs(z5),
+                            include_zero=True).holds
+    failed = is_s_minimal(m4, full_submodule(m4), unit_mcs(m4.ring))
+    assert not failed.holds and failed.failing.members() == [0, 2]
 
 
 def test_prime_module_pins(m6, v2):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from scomult import statements
+from scomult import s_theory, statements
 
 from scomult.catalog import CatalogParams, generate_catalog
 from scomult.errors import AxiomViolation, UnknownStatement
@@ -30,6 +30,7 @@ from scomult.rings import (
     validate_mcs,
 )
 from scomult.statements import STATEMENTS, Toolbox, verify, verify_all
+from scomult.witnesses import Witness
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +301,26 @@ def test_pinned_counterexamples_on_reduced_catalog(mutation_reports):
         expected = {sid: list(c.items())
                     for sid, c in MUTANT_COUNTEREXAMPLES.get(name, {}).items()}
         assert got == expected, name
+
+
+@pytest.mark.parametrize("sid", ["P-CY1", "T-TOR", "T-CY2", "T-CY3"])
+def test_tampered_s_cyclic_witness_fails_its_consumers(small_catalog, sid,
+                                                       monkeypatch):
+    """Every checker that takes an S-cyclic witness revalidates it."""
+    real = s_theory.is_s_cyclic
+
+    def element_zero(module, mcs):
+        witness = real(module, mcs)
+        if witness is None:
+            return None
+        return Witness.make("s-cyclic", module=module, s=witness.get("s"),
+                            element=0)
+
+    monkeypatch.setattr(s_theory, "is_s_cyclic", element_zero)
+    report = verify(sid, small_catalog)
+    assert report.verdict == "fail"
+    assert report.counterexample["detail"] == (
+        REVALIDATION + "s-cyclic(module=Z2 over Z2, s=1, element=0)")
 
 
 def test_error_midway_reports_no_instances_or_notes(small_catalog):
