@@ -262,8 +262,9 @@ def enumerate_submodules(module, cap=DEFAULT_CAP):
 _ZERO_SET = frozenset((0,))
 
 
+@lru_cache(maxsize=None)
 def colon_set_into_ring(module, n_set, k_set):
-    """(N : K) = {x in R : xK <= N} as a raw element set."""
+    """(N : K) = {x in R : xK <= N} as a raw element set; cached per key."""
     return _colon(module, n_set, k_set)
 
 

@@ -1,15 +1,19 @@
 """Module homomorphisms, homotheties, and their S-variant classifications.
 
 A homomorphism is a full value table on the source carrier, validated for
-additivity and R-linearity.  The S-variants (S-zero, S-monic, S-epic)
-search the m.c.s. in canonical order for a single element making the
-respective condition hold; `*_with` helpers check one candidate so that
-characterization proofs can pin a shared witness.
+additivity and R-linearity.  Each hom f knows, once asked, the scalars that
+make it S-zero (ann(Im f)), S-monic (ann(Ker f)) and S-epic
+((Im f :_R M')); it reads them from the library's keyed lattice caches, so
+homs with the same image or kernel share one set.  The S-variant searches
+return the first element of the m.c.s., in canonical order, that lies in
+the hom's set.  The `*_with` helpers are the definitional checks, element
+by element: witness revalidation and the direct side of the S-monic
+cross-check use them, never the hom's sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iproduct
 from typing import NamedTuple
@@ -17,6 +21,8 @@ from typing import NamedTuple
 from .errors import AxiomViolation, SizeCapExceeded
 from .modules import (
     Submodule,
+    annihilator_set,
+    colon_set_into_ring,
     quotient_module,
     coset_index_map,
     submodule_as_module,
@@ -26,19 +32,48 @@ from .rings import units
 from .witnesses import Witness, revalidator
 
 
-@dataclass(frozen=True)
+def _scalar_set():
+    """A slot for a set of scalars, filled on first use; not part of identity."""
+    return field(default=None, init=False, compare=False, repr=False)
+
+
+@dataclass(frozen=True, slots=True)
 class ModuleHom:
     """An R-linear map between modules over the same ring."""
 
     source: object
     target: object
     values: tuple
+    _s_zero: frozenset | None = _scalar_set()
+    _s_monic: frozenset | None = _scalar_set()
+    _s_epic: frozenset | None = _scalar_set()
 
     def __call__(self, m):
         return self.values[m]
 
     def describe(self):
         return f"{self.source.name}->{self.target.name}"
+
+    def s_zero_scalars(self):
+        """ann(Im f): the s with s*f(m) = 0 for every m."""
+        if self._s_zero is None:
+            object.__setattr__(self, "_s_zero",
+                               annihilator_set(self.target, _image_set(self)))
+        return self._s_zero
+
+    def s_monic_scalars(self):
+        """ann(Ker f): the s with sm = 0 whenever f(m) = 0."""
+        if self._s_monic is None:
+            object.__setattr__(self, "_s_monic",
+                               annihilator_set(self.source, _kernel_set(self)))
+        return self._s_monic
+
+    def s_epic_scalars(self):
+        """(Im f :_R M'): the s with sM' inside Im f."""
+        if self._s_epic is None:
+            object.__setattr__(self, "_s_epic", colon_set_into_ring(
+                self.target, _image_set(self), frozenset(self.target.elements())))
+        return self._s_epic
 
 
 def make_hom(source, target, values):
@@ -86,21 +121,28 @@ def projection_hom(module, submodule):
     return ModuleHom(module, q, tuple(index[m] for m in module.elements()))
 
 
+def _kernel_set(f):
+    return frozenset(m for m in f.source.elements() if f.values[m] == 0)
+
+
+def _image_set(f):
+    return frozenset(f.values)
+
+
 def kernel(f):
-    return Submodule(f.source, frozenset(m for m in f.source.elements()
-                                         if f.values[m] == 0))
+    return Submodule(f.source, _kernel_set(f))
 
 
 def image(f):
-    return Submodule(f.target, frozenset(f.values))
+    return Submodule(f.target, _image_set(f))
 
 
 def is_monic(f):
-    return len(set(f.values)) == f.source.size
+    return len(_image_set(f)) == f.source.size
 
 
 def is_epic(f):
-    return len(set(f.values)) == f.target.size
+    return len(_image_set(f)) == f.target.size
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +164,17 @@ def is_s_epic_with(f, s):
     return all(row[m] in img for m in f.target.elements())
 
 
+def _first_in(scalars, mcs):
+    for s in mcs:
+        if s in scalars:
+            return s
+    return None
+
+
 def is_s_zero(f, mcs):
     """First s with s*f(m) = 0 for every m."""
-    for s in mcs:
-        if is_s_zero_with(f, s):
-            return Witness.make("s-zero", hom=f, s=s)
-    return None
+    s = _first_in(f.s_zero_scalars(), mcs)
+    return None if s is None else Witness.make("s-zero", hom=f, s=s)
 
 
 def is_s_monic(f, mcs):
@@ -143,20 +190,14 @@ def is_s_monic(f, mcs):
 
 def is_s_monic_via_kernel(f, mcs):
     """First s with s*Ker(f) = 0, the equivalent kernel form."""
-    ker = [m for m in f.source.elements() if f.values[m] == 0]
-    for s in mcs:
-        row = f.source.act_row(s)
-        if all(row[m] == 0 for m in ker):
-            return Witness.make("s-monic", hom=f, s=s)
-    return None
+    s = _first_in(f.s_monic_scalars(), mcs)
+    return None if s is None else Witness.make("s-monic", hom=f, s=s)
 
 
 def is_s_epic(f, mcs):
     """First s with s*M' contained in Im(f)."""
-    for s in mcs:
-        if is_s_epic_with(f, s):
-            return Witness.make("s-epic", hom=f, s=s)
-    return None
+    s = _first_in(f.s_epic_scalars(), mcs)
+    return None if s is None else Witness.make("s-epic", hom=f, s=s)
 
 
 @revalidator("s-zero")

@@ -499,25 +499,6 @@ def ideal_sum(i, j):
     return Ideal(i.ring, _sum(i.ring, (i.elements, j.elements)))
 
 
-def ideal_product(i, j):
-    return Ideal(i.ring, _span(i.ring, j.elements, i.elements))
-
-
-def ideal_intersection(i, j):
-    return Ideal(i.ring, i.elements & j.elements)
-
-
-def ideal_colon(i, j):
-    """(I : J) = {x in R : xJ <= I}."""
-    return Ideal(i.ring, _colon(i.ring, i.elements, j.elements))
-
-
-def ideal_annihilator(i):
-    """ann(I) = (0 : I)."""
-    zero = Ideal(i.ring, frozenset((i.ring.zero,)))
-    return ideal_colon(zero, i)
-
-
 @lru_cache(maxsize=None)
 def units(ring):
     """u(R) = {x : xy = 1 for some y}."""

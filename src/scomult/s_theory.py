@@ -219,7 +219,8 @@ def s_prime_homothety_form(module, p, mcs):
     p_set, _ = _s_prime_subject(module, p_sub, mcs)
     family = homothety_family(module, p_sub)
     for s in mcs:
-        if all(is_s_zero_with(h, s) or is_s_monic_with(h, s) for h in family):
+        if all(s in h.s_zero_scalars() or s in h.s_monic_scalars()
+               for h in family):
             return Witness.make("s-prime-homothety", module=module, p=p_set,
                                 mcs=mcs, s=s)
     return None
@@ -324,7 +325,8 @@ def s_second_homothety_form(module, n, mcs):
     n_sub = _s_second_subject(module, n, mcs)
     family = homothety_on_family(n_sub)
     for s in mcs:
-        if all(is_s_zero_with(h, s) or is_s_epic_with(h, s) for h in family):
+        if all(s in h.s_zero_scalars() or s in h.s_epic_scalars()
+               for h in family):
             return Witness.make("s-second-homothety", module=module,
                                 n=n_sub.elements, mcs=mcs, s=s)
     return None

@@ -2,10 +2,12 @@
 
 The oracles deliberately avoid the library's closure-based enumeration:
 they filter raw subsets against the defining invariants, so agreement
-between the two is a real check rather than a tautology.  The two
-cross-checks at the end (every submodule of S^-1 M is a localization, and
-S-multiplication in its existential-ideal form) live here, not in the
-library, because only tests call them.
+between the two is a real check rather than a tautology.  The ideal
+arithmetic oracles (product, intersection, colon, annihilator) work from
+the ring's multiplication element by element.  The two cross-checks at the
+end (every submodule of S^-1 M is a localization, and S-multiplication in
+its existential-ideal form) live here, not in the library, because only
+tests call them.
 """
 
 import pytest
@@ -21,7 +23,13 @@ from scomult.modules import (
     zn_over_zk,
 )
 from scomult import mutations
-from scomult.rings import enumerate_ideals, make_ring_zn, validate_mcs
+from scomult.rings import (
+    Ideal,
+    enumerate_ideals,
+    ideal_closure,
+    make_ring_zn,
+    validate_mcs,
+)
 from scomult.statements import verify_all
 
 
@@ -77,6 +85,30 @@ def brute_force_submodules(module):
         if ok:
             out.append(frozenset(members))
     return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def ideal_product(i, j):
+    """I*J, the ideal generated by the products ab with a in I, b in J."""
+    ring = i.ring
+    return ideal_closure(ring, {ring.mul(a, b)
+                                for a in i.elements for b in j.elements})
+
+
+def ideal_intersection(i, j):
+    return Ideal(i.ring, i.elements & j.elements)
+
+
+def ideal_colon(i, j):
+    """(I : J) = {x in R : xJ <= I}."""
+    ring = i.ring
+    return Ideal(ring, frozenset(
+        x for x in ring.elements()
+        if all(ring.mul(x, b) in i.elements for b in j.elements)))
+
+
+def ideal_annihilator(i):
+    """ann(I) = (0 : I)."""
+    return ideal_colon(Ideal(i.ring, frozenset((i.ring.zero,))), i)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,13 @@
 """Homomorphisms, homotheties, S-classifications, and the transfer check."""
 
+import hashlib
+
 import pytest
 
+from scomult.catalog import generate_catalog
 from scomult.errors import AxiomViolation, PreconditionUnmet
 from scomult.modules import (
+    enumerate_submodules,
     full_submodule,
     quotient_module,
     self_module,
@@ -11,6 +15,7 @@ from scomult.modules import (
     submodule_from_set,
 )
 from scomult.morphisms import (
+    ModuleHom,
     enumerate_homs,
     homothety_family,
     homothety_on_family,
@@ -20,17 +25,26 @@ from scomult.morphisms import (
     is_epic,
     is_monic,
     is_s_epic,
+    is_s_epic_with,
     is_s_monic,
     is_s_monic_via_kernel,
+    is_s_monic_with,
     is_s_zero,
+    is_s_zero_with,
     kernel,
     make_hom,
     monic_epic_bridge,
     multiplication_hom,
     projection_hom,
 )
+from scomult.mutations import mutation_catalog_params
 from scomult.rings import make_ring_zn, unit_mcs, validate_mcs
-from scomult.s_theory import transfer_theorem_check
+from scomult.s_theory import (
+    s_prime_homothety_form,
+    s_second_homothety_form,
+    transfer_theorem_check,
+)
+from scomult.statements import verify
 
 
 def test_make_hom_pins(m6):
@@ -143,3 +157,149 @@ def test_inclusion_projection_shapes(m6):
     proj = projection_hom(m6, evens)
     assert proj.target.size == 2
     assert is_epic(proj) and not is_monic(proj)
+
+
+@pytest.fixture(scope="module")
+def reduced_catalog():
+    return generate_catalog(mutation_catalog_params())
+
+
+@pytest.fixture(scope="module")
+def default_catalog():
+    return generate_catalog()
+
+
+def _witness_s(witness):
+    return None if witness is None else witness.get("s")
+
+
+def hom_predicate_digest(catalog):
+    """SHA-256 over the S-hom searches, bridge and transfer of every (hom, m.c.s.).
+
+    Each pair contributes the witness s (or None) of `is_s_zero`,
+    `is_s_monic` and `is_s_epic`, the four bridge claims, and the transfer
+    report, or "unmet" where `transfer_theorem_check` raised
+    `PreconditionUnmet`.
+    """
+    digest = hashlib.sha256()
+    for ring in catalog.rings:
+        for f in catalog.homs[ring]:
+            for mcs in catalog.mcs[ring]:
+                try:
+                    t = transfer_theorem_check(f, mcs)
+                except PreconditionUnmet:
+                    transfer = "unmet"
+                else:
+                    transfer = (_witness_s(t.kernel_witness), *t[1:5],
+                                None if t.failing_submodule is None
+                                else t.failing_submodule.members())
+                digest.update(repr((
+                    f.describe(), f.values, mcs.describe(),
+                    _witness_s(is_s_zero(f, mcs)),
+                    _witness_s(is_s_monic(f, mcs)),
+                    _witness_s(is_s_epic(f, mcs)),
+                    tuple(monic_epic_bridge(f, mcs)[:4]),
+                    transfer,
+                )).encode())
+    return digest.hexdigest()
+
+
+# captured before the S-hom searches read each hom's scalar sets
+REDUCED_HOM_PREDICATE_DIGEST = (
+    "4381f7f9e6677ce9c1ecb2ef4c5178b920469c5f3669e015c30b82d516167d00")
+
+
+def test_hom_predicate_outcomes_are_pinned(reduced_catalog):
+    assert hom_predicate_digest(reduced_catalog) == REDUCED_HOM_PREDICATE_DIGEST
+
+
+def scalar_set_disagreements(homs):
+    """(pairs checked, (hom, s) where a set and its `*_with` check differ)."""
+    pairs, wrong = 0, []
+    for f in homs:
+        for s in f.source.ring.elements():
+            pairs += 1
+            if ((s in f.s_zero_scalars()) != is_s_zero_with(f, s)
+                    or (s in f.s_monic_scalars()) != is_s_monic_with(f, s)
+                    or (s in f.s_epic_scalars()) != is_s_epic_with(f, s)):
+                wrong.append((f.describe(), f.values, s))
+    return pairs, wrong
+
+
+def catalog_homs(catalog):
+    return [f for ring in catalog.rings for f in catalog.homs[ring]]
+
+
+def homothety_homs(catalog):
+    """Every hom of the quotient and submodule homothety families."""
+    out = []
+    for ring in catalog.rings:
+        for module in catalog.modules[ring]:
+            for n in enumerate_submodules(module):
+                out.extend(homothety_family(module, n))
+                out.extend(homothety_on_family(n))
+    return out
+
+
+def test_scalar_sets_match_the_elementwise_checks(reduced_catalog,
+                                                  default_catalog):
+    """s lies in ann(Im f), ann(Ker f), (Im f : M') iff f is S-zero, S-monic,
+    S-epic with s, on every (hom, ring element) pair."""
+    assert scalar_set_disagreements(catalog_homs(reduced_catalog)) == (6944, [])
+    assert scalar_set_disagreements(catalog_homs(default_catalog)) == (25587, [])
+    assert scalar_set_disagreements(homothety_homs(reduced_catalog)) == (4484, [])
+
+
+def _every_scalar(f):
+    return frozenset(f.source.ring.elements())
+
+
+def _tamper(monkeypatch, *names):
+    for name in names:
+        monkeypatch.setattr(ModuleHom, name, _every_scalar)
+
+
+def test_revalidation_does_not_read_the_scalar_sets(reduced_catalog, m4,
+                                                    monkeypatch):
+    """With every ring element in each hom's sets, the searches return bad
+    witnesses; the element-wise revalidators, or the S-monic cross-check,
+    reject them."""
+    _tamper(monkeypatch, "s_zero_scalars", "s_monic_scalars", "s_epic_scalars")
+    report = verify("T-HOM", reduced_catalog)
+    assert report.verdict == "fail"
+    assert report.counterexample["detail"] == (
+        "witness failed revalidation: s-monic(hom=Z2->Z2, s=1)")
+    report = verify("P-HOMS", reduced_catalog)
+    assert report.verdict == "fail"
+    assert report.counterexample == {
+        "error": "axiom violated: S-monic characterizations disagree"}
+    s1 = unit_mcs(m4.ring)
+    # honestly: the identity is not S-zero, {0} is not S-prime in Z4 and
+    # Z4 is not S-second, each for S = {1}
+    for witness in (is_s_zero(identity_hom(m4), s1),
+                    s_prime_homothety_form(m4, submodule_from_set(m4, {0}), s1),
+                    s_second_homothety_form(m4, full_submodule(m4), s1)):
+        assert witness is not None and witness.get("s") == 1
+        assert not witness.validate()
+
+
+def test_revalidation_catches_a_tampered_s_epic_set(reduced_catalog,
+                                                    monkeypatch):
+    _tamper(monkeypatch, "s_epic_scalars")
+    report = verify("P-HOMS", reduced_catalog)
+    assert report.verdict == "fail"
+    assert report.counterexample["detail"] == (
+        "witness failed revalidation: s-epic(hom=Z2->Z2, s=1)")
+
+
+def test_module_hom_is_slotted_and_its_sets_are_not_identity(m6):
+    assert "__slots__" in vars(ModuleHom)
+    f = multiplication_hom(m6, 2)
+    assert not hasattr(f, "__dict__")
+    fresh = ModuleHom(f.source, f.target, f.values)
+    filled = (f.s_zero_scalars(), f.s_monic_scalars(), f.s_epic_scalars())
+    assert filled == (frozenset({0, 3}), frozenset({0, 2, 4}), frozenset({0, 2, 4}))
+    assert (f._s_zero, f._s_monic, f._s_epic) == filled
+    assert (fresh._s_zero, fresh._s_monic, fresh._s_epic) == (None, None, None)
+    assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
+    assert fresh.s_zero_scalars() is f.s_zero_scalars()    # shared, not copied

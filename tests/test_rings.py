@@ -19,12 +19,8 @@ from scomult.rings import (
     enumerate_ideals,
     enumerate_mcs,
     has_maximal_multiple,
-    ideal_annihilator,
     ideal_closure,
-    ideal_colon,
     ideal_from_set,
-    ideal_intersection,
-    ideal_product,
     ideal_sum,
     jacobson_radical,
     make_ring_table,
@@ -38,7 +34,13 @@ from scomult.rings import (
     validate_mcs,
 )
 
-from conftest import brute_force_ideals
+from conftest import (
+    brute_force_ideals,
+    ideal_annihilator,
+    ideal_colon,
+    ideal_intersection,
+    ideal_product,
+)
 
 F4_ADD = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
 F4_MUL = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
