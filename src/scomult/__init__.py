@@ -80,6 +80,7 @@ from .rings import (
     validate_mcs,
 )
 from .s_theory import (
+    comultiplication_result,
     is_comultiplication,
     is_cyclic,
     is_multiplication,

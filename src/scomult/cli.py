@@ -15,37 +15,39 @@ import time
 from . import morphisms as mor
 from . import s_theory as st
 from .catalog import MAX_RING_ORDER, CatalogParams, generate_catalog
-from .errors import (
-    DisjointnessFailure,
-    InstanceParseError,
-    PreconditionUnmet,
-    ScomultError,
-    UnknownStatement,
-)
+from .errors import DisjointnessFailure, PreconditionUnmet, ScomultError, UnknownStatement
 from .instancefile import parse_instance_file
-from .modules import (
-    annihilator_set,
-    enumerate_submodules,
-    is_torsion,
-    zero_colon_set,
-)
+from .modules import enumerate_submodules, is_torsion
 from .mutations import mutation_catalog_params, run_mutation_suite
 from .rings import DEFAULT_CAP, enumerate_ideals, enumerate_mcs, validate_mcs
 from .statements import STATEMENTS, verify_all
+from .witnesses import Witness
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_PRECONDITION = 2
 EXIT_INPUT = 3
 
-MODULE_PREDICATES = (
-    "s-comultiplication", "comultiplication", "multiplication",
-    "s-multiplication", "s-cyclic", "cyclic", "torsion", "s-torsion-free",
-    "prime-module",
-)
-SUBMODULE_PREDICATES = ("s-prime", "s-second", "s-minimal", "s-finite")
-HOM_PREDICATES = ("s-zero", "s-monic", "s-epic")
-ALL_PREDICATES = MODULE_PREDICATES + SUBMODULE_PREDICATES + HOM_PREDICATES
+# name -> (subject, needs --mcs, library function).  The function takes the
+# subject's arguments, then the m.c.s. when it needs one.
+PREDICATES = {
+    "s-comultiplication": ("module", True, st.is_s_comultiplication),
+    "comultiplication": ("module", False, st.comultiplication_result),
+    "multiplication": ("module", False, st.is_multiplication),
+    "s-multiplication": ("module", True, st.is_s_multiplication),
+    "s-cyclic": ("module", True, st.is_s_cyclic),
+    "cyclic": ("module", False, st.is_cyclic),
+    "torsion": ("module", False, is_torsion),
+    "s-torsion-free": ("module", True, st.is_s_torsion_free),
+    "prime-module": ("module", False, st.is_prime_module),
+    "s-prime": ("submodule", True, st.is_s_prime_submodule),
+    "s-second": ("submodule", True, st.is_s_second),
+    "s-minimal": ("submodule", True, st.is_s_minimal),
+    "s-finite": ("submodule", True, st.is_s_finite),
+    "s-zero": ("hom", True, mor.is_s_zero),
+    "s-monic": ("hom", True, mor.is_s_monic),
+    "s-epic": ("hom", True, mor.is_s_epic),
+}
 
 
 def _parse_mcs_argument(instance, text):
@@ -73,117 +75,54 @@ def _pick(mapping, name, what):
     return mapping[name]
 
 
-def _require_mcs(mcs, predicate):
-    if mcs is None:
-        raise ScomultError(f"{predicate} needs an m.c.s. (--mcs)")
-    return mcs
+def _subject(instance, kind, args):
+    """The predicate's arguments before the m.c.s., picked by the flags.
+
+    A submodule is read in the module its `[submodule]` block names.
+    """
+    if kind == "hom":
+        return (_pick(instance.homs, args.hom, "hom"),)
+    if kind == "module":
+        return (_pick(instance.modules, args.module, "module"),)
+    if args.submodule is None:
+        raise ScomultError(f"{args.predicate} needs a submodule (--submodule)")
+    module_name, sub = _pick(instance.submodules, args.submodule, "submodule")
+    if args.module not in (None, module_name):
+        raise ScomultError(f"submodule {args.submodule!r} lies in module "
+                           f"{module_name!r}, not {args.module!r}")
+    return instance.modules[module_name], sub
 
 
-def _print_witness(w, indent="  "):
-    if w is not None:
-        print(f"{indent}witness: {w.describe()}")
+def _report(header, result):
+    """Print a verdict and its evidence; the exit code for the verdict.
+
+    `result` is a Witness or None, a ForEachResult, or a bool.
+    """
+    holds = bool(result)
+    print(f"{header}: {holds}")
+    if isinstance(result, Witness):
+        print(f"  witness: {result.describe()}")
+    elif isinstance(result, st.ForEachResult) and holds:
+        for item, w in result.witnesses:
+            print(f"  {item.describe()}: s={w.get('module').ring.label(w.get('s'))}")
+    elif isinstance(result, st.ForEachResult):
+        print(f"  failing submodule: {result.failing.describe()}")
+    return EXIT_TRUE if holds else EXIT_FALSE
 
 
 def cmd_check(args):
     instance = parse_instance_file(args.instance)
-    predicate = args.predicate
-    if predicate not in ALL_PREDICATES:
-        print(f"unknown predicate {predicate!r}; choose from: "
-              f"{', '.join(ALL_PREDICATES)}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.predicate not in PREDICATES:
+        raise ScomultError(f"unknown predicate {args.predicate!r}; choose from: "
+                           f"{', '.join(PREDICATES)}")
+    kind, needs_mcs, fn = PREDICATES[args.predicate]
     mcs = _parse_mcs_argument(instance, args.mcs)
-
-    if predicate in HOM_PREDICATES:
-        hom = _pick(instance.homs, args.hom, "hom")
-        mcs = _require_mcs(mcs, predicate)
-        fn = {"s-zero": mor.is_s_zero, "s-monic": mor.is_s_monic,
-              "s-epic": mor.is_s_epic}[predicate]
-        witness = fn(hom, mcs)
-        print(f"{predicate}({hom.describe()}, S={mcs.describe()}): "
-              f"{witness is not None}")
-        _print_witness(witness)
-        return EXIT_TRUE if witness is not None else EXIT_FALSE
-
-    module = _pick(instance.modules, args.module, "module")
-
-    if predicate in SUBMODULE_PREDICATES:
-        if args.submodule is None:
-            raise ScomultError(f"{predicate} needs a submodule (--submodule)")
-        _, sub = _pick(instance.submodules, args.submodule, "submodule")
-        mcs = _require_mcs(mcs, predicate)
-        if predicate == "s-prime":
-            witness = st.is_s_prime_submodule(module, sub, mcs)
-        elif predicate == "s-second":
-            witness = st.is_s_second(module, sub, mcs)
-        elif predicate == "s-finite":
-            witness = st.is_s_finite(module, sub, mcs)
-        else:
-            steps = st.is_s_minimal(module, sub, mcs)
-            print(f"{predicate}({sub.describe()}): {steps.holds}")
-            if steps.holds:
-                for l, w in steps.witnesses:
-                    print(f"  {l.describe()}: s={module.ring.label(w.get('s'))}")
-            return EXIT_TRUE if steps.holds else EXIT_FALSE
-        print(f"{predicate}({sub.describe()}, S={mcs.describe()}): "
-              f"{witness is not None}")
-        _print_witness(witness)
-        return EXIT_TRUE if witness is not None else EXIT_FALSE
-
-    if predicate == "s-comultiplication":
-        mcs = _require_mcs(mcs, predicate)
-        result = st.is_s_comultiplication(module, mcs)
-        print(f"s-comultiplication({module.describe()}, S={mcs.describe()}): "
-              f"{result.holds}")
-        if result.holds:
-            for sub, w in result.witnesses:
-                print(f"  {sub.describe()}: s={module.ring.label(w.get('s'))}")
-        else:
-            print(f"  failing submodule: {result.failing.describe()}")
-        return EXIT_TRUE if result.holds else EXIT_FALSE
-    if predicate == "s-multiplication":
-        mcs = _require_mcs(mcs, predicate)
-        result = st.is_s_multiplication(module, mcs)
-        print(f"s-multiplication({module.describe()}): {result.holds}")
-        if not result.holds:
-            print(f"  failing submodule: {result.failing.describe()}")
-        return EXIT_TRUE if result.holds else EXIT_FALSE
-    if predicate == "comultiplication":
-        verdict = st.is_comultiplication(module)
-        print(f"comultiplication({module.describe()}): {verdict}")
-        if not verdict:
-            for n in enumerate_submodules(module):
-                if zero_colon_set(module, annihilator_set(module, n.elements)) \
-                        != n.elements:
-                    print(f"  failing submodule: {n.describe()}")
-                    break
-        return EXIT_TRUE if verdict else EXIT_FALSE
-    if predicate == "multiplication":
-        verdict = st.is_multiplication(module)
-        print(f"multiplication({module.describe()}): {verdict}")
-        return EXIT_TRUE if verdict else EXIT_FALSE
-    if predicate == "s-cyclic":
-        mcs = _require_mcs(mcs, predicate)
-        witness = st.is_s_cyclic(module, mcs)
-        print(f"s-cyclic({module.describe()}): {witness is not None}")
-        _print_witness(witness)
-        return EXIT_TRUE if witness is not None else EXIT_FALSE
-    if predicate == "cyclic":
-        verdict = st.is_cyclic(module)
-        print(f"cyclic({module.describe()}): {verdict}")
-        return EXIT_TRUE if verdict else EXIT_FALSE
-    if predicate == "torsion":
-        verdict = is_torsion(module)
-        print(f"torsion({module.describe()}): {verdict}")
-        return EXIT_TRUE if verdict else EXIT_FALSE
-    if predicate == "s-torsion-free":
-        mcs = _require_mcs(mcs, predicate)
-        witness = st.is_s_torsion_free(module, mcs)
-        print(f"s-torsion-free({module.describe()}): {witness is not None}")
-        _print_witness(witness)
-        return EXIT_TRUE if witness is not None else EXIT_FALSE
-    verdict = st.is_prime_module(module)
-    print(f"prime-module({module.describe()}): {verdict}")
-    return EXIT_TRUE if verdict else EXIT_FALSE
+    subject = _subject(instance, kind, args)
+    if needs_mcs and mcs is None:
+        raise ScomultError(f"{args.predicate} needs an m.c.s. (--mcs)")
+    tail = (mcs,) if needs_mcs else ()
+    shown = [subject[-1].describe()] + [f"S={m.describe()}" for m in tail]
+    return _report(f"{args.predicate}({', '.join(shown)})", fn(*subject, *tail))
 
 
 def _require_range(flag, value, low, high):
@@ -281,8 +220,9 @@ def build_parser():
 
     check = sub.add_parser("check", help="evaluate one predicate on an instance file")
     check.add_argument("instance", help="path to an instance file")
-    check.add_argument("predicate", help=f"one of: {', '.join(ALL_PREDICATES)}")
-    check.add_argument("--module", help="module name (default: first in file)")
+    check.add_argument("predicate", help=f"one of: {', '.join(PREDICATES)}")
+    check.add_argument("--module", help="module name (default: first in file, or "
+                                        "the one a --submodule lies in)")
     check.add_argument("--submodule", help="submodule name from the file")
     check.add_argument("--hom", help="hom name (default: first in file)")
     check.add_argument("--mcs", help="mcs name from the file, or elements like '1 3'")
@@ -321,9 +261,6 @@ def main(argv=None):
     except (DisjointnessFailure, PreconditionUnmet) as err:
         print(f"precondition failure: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except InstanceParseError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
     except (ScomultError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -56,7 +56,7 @@ class ForEachResult:
     """A witness for every item (a submodule or a pair), or the first without."""
 
     holds: bool
-    witnesses: tuple          # ((item, Witness), ...)
+    witnesses: tuple          # ((item, Witness), ...); () for a classical property
     failing: object           # the first item without a witness, or None
 
     def __bool__(self):
@@ -481,14 +481,18 @@ def lemma_equivalence_bundle(module, mcs, pair_form_fn=None):
 # classical counterparts and multiplication-side predicates
 
 
+def comultiplication_result(module):
+    """Every N equals (0 :_M ann(N)); no scalar to record, so no witnesses."""
+    for n in enumerate_submodules(module):
+        if zero_colon_set(module, annihilator_set(module, n.elements)) != n.elements:
+            return ForEachResult(False, (), n)
+    return ForEachResult(True, (), None)
+
+
 @lru_cache(maxsize=None)
 def is_comultiplication(module):
     """Every N equals (0 :_M ann(N))."""
-    for n in enumerate_submodules(module):
-        ann = annihilator_set(module, n.elements)
-        if zero_colon_set(module, ann) != n.elements:
-            return False
-    return True
+    return comultiplication_result(module).holds
 
 
 @lru_cache(maxsize=None)

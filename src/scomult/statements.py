@@ -205,11 +205,10 @@ def _check_p_loc(cat, tb, ctx):
         if not st.is_comultiplication(localized.module):
             ctx.fail(module=module, mcs=mcs,
                      detail="localization is not comultiplication")
-        if tb.localization_torsion is loc.s_torsion:
-            for ideal in enumerate_ideals(module.ring):
-                if not loc.localized_colon_identity_check(module, mcs, ideal):
-                    ctx.fail(module=module, mcs=mcs, ideal=ideal,
-                             detail="localized colon identity broke")
+        for ideal in enumerate_ideals(module.ring):
+            if not loc.localized_colon_identity_check(module, mcs, ideal):
+                ctx.fail(module=module, mcs=mcs, ideal=ideal,
+                         detail="localized colon identity broke")
 
 
 def _check_t_loc(cat, tb, ctx):

@@ -1,11 +1,13 @@
 """Witness objects for existential claims, with definition-level revalidation.
 
 Every predicate that proves an existential statement returns a `Witness`
-recording what was found and against which instance.  A witness can always
-be re-checked from scratch: `validate()` re-evaluates the defining
-condition directly, without reusing any state from the search that
-produced it.  Revalidators are registered next to the predicate they
-certify via the `revalidator` decorator.
+recording what was found and against which instance.  `validate()`
+recomputes the defining condition element by element.  It may read pure
+caches that searches also fill: `annihilator_set`, `zero_colon_set` and
+`colon_set_into_ring` (keyed by frozensets) and the homothety families.
+It never reads a search's result or a hom's scalar sets.  Revalidators
+are registered next to the predicate they certify via the `revalidator`
+decorator.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """CLI behavior: exit codes are the contract."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from scomult.cli import main
+from scomult.instancefile import parse_instance_file
+from scomult.rings import enumerate_mcs
 
 Z6_TEXT = """
 [ring]
@@ -236,3 +239,139 @@ def test_check_rejects_single_value_keys_without_one_integer(
     path.write_text(text.replace(old, new))
     assert main(["check", str(path), "cyclic"]) == 3
     assert "exactly one integer" in capsys.readouterr().err
+
+
+CHECK_PREDICATES = (
+    "s-comultiplication", "comultiplication", "multiplication",
+    "s-multiplication", "s-cyclic", "cyclic", "torsion", "s-torsion-free",
+    "prime-module", "s-prime", "s-second", "s-minimal", "s-finite",
+    "s-zero", "s-monic", "s-epic",
+)
+
+# `check` exit codes per shipped instance file and predicate: one digit per
+# `_check_flag_grid` entry, in its order.
+CHECK_EXIT_CODES = {
+    "f4_table.inst": {
+        "s-comultiplication": "300300",
+        "comultiplication": "000000",
+        "multiplication": "000000",
+        "s-multiplication": "300300",
+        "s-cyclic": "300300",
+        "cyclic": "000000",
+        "torsion": "111111",
+        "s-torsion-free": "300300",
+        "prime-module": "000000",
+        "s-prime": "333333",
+        "s-second": "333333",
+        "s-minimal": "333333",
+        "s-finite": "333333",
+        "s-zero": "333333",
+        "s-monic": "333333",
+        "s-epic": "333333",
+    },
+    "v2_over_f2.inst": {
+        "s-comultiplication": "3131",
+        "comultiplication": "1111",
+        "multiplication": "1111",
+        "s-multiplication": "3131",
+        "s-cyclic": "3131",
+        "cyclic": "1111",
+        "torsion": "1111",
+        "s-torsion-free": "3030",
+        "prime-module": "0000",
+        "s-prime": "3333",
+        "s-second": "3333",
+        "s-minimal": "3333",
+        "s-finite": "3333",
+        "s-zero": "3333",
+        "s-monic": "3333",
+        "s-epic": "3333",
+    },
+    "z6_self.inst": {
+        "s-comultiplication": "3000000030000000300000003000000030000000",
+        "comultiplication": "0000000000000000000000000000000000000000",
+        "multiplication": "0000000000000000000000000000000000000000",
+        "s-multiplication": "3000000030000000300000003000000030000000",
+        "s-cyclic": "3000000030000000300000003000000030000000",
+        "cyclic": "0000000000000000000000000000000000000000",
+        "torsion": "1111111111111111111111111111111111111111",
+        "s-torsion-free": "3100100031001000310010003100100031001000",
+        "prime-module": "1111111111111111111111111111111111111111",
+        "s-prime": "3333333333333333300202023020002033333333",
+        "s-second": "3333333333333333302000203002020233333333",
+        "s-minimal": "3333333333333333300000003000000033333333",
+        "s-finite": "3333333333333333300000003000000033333333",
+        "s-zero": "3101110131011101310111013101110131011101",
+        "s-monic": "3110101031101010311010103110101031101010",
+        "s-epic": "3110101031101010311010103110101031101010",
+    },
+}
+
+
+def _check_flag_grid(instance):
+    """No subject flag, then each named module, submodule and hom; crossed
+    with no --mcs, then each m.c.s. of the ring as an element list."""
+    subjects = [[]] + [[flag, name] for flag, names in (
+        ("--module", instance.modules), ("--submodule", instance.submodules),
+        ("--hom", instance.homs)) for name in names]
+    mcs_flags = [[]] + [["--mcs", " ".join(map(str, sorted(mcs.elements)))]
+                        for mcs in enumerate_mcs(instance.ring)]
+    return [subject + mcs for subject in subjects for mcs in mcs_flags]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in INSTANCES.glob("*.inst")))
+def test_check_exit_codes_are_pinned(name, capsys):
+    path = str(INSTANCES / name)
+    grid = _check_flag_grid(parse_instance_file(path))
+    codes = {predicate: "".join(str(main(["check", path, predicate, *flags]))
+                                for flags in grid)
+             for predicate in CHECK_PREDICATES}
+    assert codes == CHECK_EXIT_CODES[name]
+
+
+TWO_MODULE_TEXT = """
+[ring]
+kind = zn_product
+moduli = 6
+
+[module m]
+kind = self
+
+[module v]
+kind = direct_sum
+moduli = 2 3
+
+[submodule n]
+module = v
+elements = 0 1 2
+"""
+
+
+@pytest.mark.parametrize("predicate", ["s-prime", "s-second", "s-minimal", "s-finite"])
+def test_submodule_predicate_runs_on_its_own_module(tmp_path, predicate, capsys):
+    path = tmp_path / "two.inst"
+    path.write_text(TWO_MODULE_TEXT)
+    args = ["check", str(path), predicate, "--submodule", "n", "--mcs", "1"]
+    assert main(args + ["--module", "v"]) == 0
+    named = capsys.readouterr().out
+    assert main(args) == 0
+    assert capsys.readouterr().out == named
+    assert main(args + ["--module", "m"]) == 3
+    assert "input error" in capsys.readouterr().err
+
+
+def test_readme_lists_the_check_predicates_by_subject():
+    # imported here so the exit-code pins above also run on a `cli` without the table
+    from scomult.cli import PREDICATES
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = {}
+    for kind, rest in re.findall(r"^\* (module|submodule|hom) \(.*?\): (.*?)(?=^\*|^$)",
+                                 readme, re.M | re.S):
+        listed[kind] = re.findall(r"`([a-z-]+)`", rest)
+    table = {}
+    for name, (kind, needs_mcs, _) in PREDICATES.items():
+        table.setdefault(kind, []).append(name)
+        assert needs_mcs == name.startswith("s-"), name
+    assert listed == table
+    assert sorted(CHECK_PREDICATES) == sorted(PREDICATES)

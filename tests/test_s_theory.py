@@ -13,6 +13,7 @@ from scomult.modules import (
 from scomult.mutations import s_prime_quantifier_swap, s_second_drop_disjointness
 from scomult.rings import make_ring_zn, unit_mcs, validate_mcs
 from scomult.s_theory import (
+    comultiplication_result,
     is_comultiplication,
     is_cyclic,
     is_multiplication,
@@ -142,6 +143,18 @@ def test_comultiplication_and_multiplication_pins(m6, v2):
     assert not is_comultiplication(v2)
     assert not is_multiplication(v2)       # lines are not ideal multiples
     assert is_multiplication(self_module(make_ring_zn([5])))
+
+
+def test_comultiplication_result_names_the_first_failing_submodule(m6, v2):
+    from scomult.modules import annihilator_set, enumerate_submodules, zero_colon_set
+
+    held = comultiplication_result(m6)
+    assert held.holds and held.witnesses == () and held.failing is None
+    result = comultiplication_result(v2)
+    assert not result.holds and result.witnesses == ()
+    failing = [n for n in enumerate_submodules(v2)
+               if zero_colon_set(v2, annihilator_set(v2, n.elements)) != n.elements]
+    assert result.failing == failing[0]
 
 
 def test_comultiplication_implies_s_comultiplication(m6):
