@@ -9,6 +9,7 @@ except where a statement's content forces degenerate instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import NamedTuple
@@ -186,28 +187,17 @@ def generate_catalog(params=None):
     if params.max_ring_order > MAX_RING_ORDER:
         raise ValueError(f"max_ring_order must be at most {MAX_RING_ORDER}, "
                          f"got {params.max_ring_order}")
-    rings = []
-    for n in range(2, params.max_ring_order + 1):
-        rings.append(make_ring_zn([n]))
-    for moduli in params.product_moduli:
-        order = 1
-        for m in moduli:
-            order *= m
-        if order <= params.max_ring_order:
-            rings.append(make_ring_zn(moduli))
-    rings = _dedupe(rings)
+    small_products = [moduli for moduli in params.product_moduli
+                      if math.prod(moduli) <= params.max_ring_order]
+    rings = [make_ring_zn([n]) for n in range(2, params.max_ring_order + 1)]
+    rings = _dedupe(rings + [make_ring_zn(moduli) for moduli in small_products])
 
     modules = {ring: list(_ring_modules(ring, params)) for ring in rings}
 
     ring_index = {r: r for r in rings}
     product_cases = []
     triple_cases = []
-    for moduli in params.product_moduli:
-        order = 1
-        for m in moduli:
-            order *= m
-        if order > params.max_ring_order:
-            continue
+    for moduli in small_products:
         if len(moduli) == 2:
             r1, r2 = make_ring_zn([moduli[0]]), make_ring_zn([moduli[1]])
             if r1 not in ring_index or r2 not in ring_index:
@@ -238,11 +228,11 @@ def generate_catalog(params=None):
                 for r in factor_rings
             ]
             inner = product_module(factor_modules[0], factor_modules[1], ring=mid)
+            nested = product_module(inner, factor_modules[2], ring=big)
             for s1 in mcs_pools[0]:
                 for s2 in mcs_pools[1]:
+                    s12 = product_mcs(s1, s2, mid)
                     for s3 in mcs_pools[2]:
-                        s12 = product_mcs(s1, s2, mid)
-                        nested = product_module(inner, factor_modules[2], ring=big)
                         s = product_mcs(s12, s3, big)
                         triple_cases.append(ProductCase(
                             nested, s,

@@ -49,6 +49,11 @@ PREDICATES = {
     "s-epic": ("hom", True, mor.is_s_epic),
 }
 
+# subject kind -> the subject flags its predicates read; any other subject
+# flag, or --mcs on a predicate that takes no m.c.s., is an input error
+SUBJECT_FLAGS = {"module": ("module",), "submodule": ("module", "submodule"),
+                 "hom": ("hom",)}
+
 
 def _parse_mcs_argument(instance, text):
     if text is None:
@@ -117,6 +122,10 @@ def cmd_check(args):
                            f"{', '.join(PREDICATES)}")
     kind, needs_mcs, fn = PREDICATES[args.predicate]
     mcs = _parse_mcs_argument(instance, args.mcs)
+    read = SUBJECT_FLAGS[kind] + (("mcs",) if needs_mcs else ())
+    for flag in ("module", "submodule", "hom", "mcs"):
+        if flag not in read and getattr(args, flag) is not None:
+            raise ScomultError(f"{args.predicate} does not read --{flag}")
     subject = _subject(instance, kind, args)
     if needs_mcs and mcs is None:
         raise ScomultError(f"{args.predicate} needs an m.c.s. (--mcs)")

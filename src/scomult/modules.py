@@ -13,6 +13,9 @@ Submodule closure, enumeration, `(N : K)`, `IM'` and sums run on the same
 core in `scomult.rings` as ideals do; the core reads the action rows of its
 base, which for a ring are its multiplication rows: an ideal is a submodule
 of R over itself.
+
+`first_multiplier`, the first s of an m.c.s. with sX inside Y, is the
+library's one existential-s search; witness revalidation never calls it.
 """
 
 from __future__ import annotations
@@ -316,6 +319,17 @@ def zero_divisors_on(ring, module):
 def scalar_times_set(module, r, elements):
     row = module.act_row(r)
     return frozenset(row[m] for m in elements)
+
+
+def first_multiplier(module, mcs, subset, target):
+    """The first s of S, in canonical order, with s*subset inside target, else None.
+
+    Each s is dropped at its first element that misses; nothing is cached.
+    """
+    for s in mcs:
+        if target.issuperset(map(module.act_row(s).__getitem__, subset)):
+            return s
+    return None
 
 
 def sum_of_sets(module, sets):

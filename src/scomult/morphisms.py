@@ -174,7 +174,7 @@ def _first_in(scalars, mcs):
 def is_s_zero(f, mcs):
     """First s with s*f(m) = 0 for every m."""
     s = _first_in(f.s_zero_scalars(), mcs)
-    return None if s is None else Witness.make("s-zero", hom=f, s=s)
+    return None if s is None else Witness.make("s-zero", hom=f, mcs=mcs, s=s)
 
 
 def is_s_monic(f, mcs):
@@ -191,28 +191,28 @@ def is_s_monic(f, mcs):
 def is_s_monic_via_kernel(f, mcs):
     """First s with s*Ker(f) = 0, the equivalent kernel form."""
     s = _first_in(f.s_monic_scalars(), mcs)
-    return None if s is None else Witness.make("s-monic", hom=f, s=s)
+    return None if s is None else Witness.make("s-monic", hom=f, mcs=mcs, s=s)
 
 
 def is_s_epic(f, mcs):
     """First s with s*M' contained in Im(f)."""
     s = _first_in(f.s_epic_scalars(), mcs)
-    return None if s is None else Witness.make("s-epic", hom=f, s=s)
+    return None if s is None else Witness.make("s-epic", hom=f, mcs=mcs, s=s)
 
 
 @revalidator("s-zero")
-def _check_s_zero(w):
-    return is_s_zero_with(w.get("hom"), w.get("s"))
+def _check_s_zero(hom, mcs, s):
+    return is_s_zero_with(hom, s)
 
 
 @revalidator("s-monic")
-def _check_s_monic(w):
-    return is_s_monic_with(w.get("hom"), w.get("s"))
+def _check_s_monic(hom, mcs, s):
+    return is_s_monic_with(hom, s)
 
 
 @revalidator("s-epic")
-def _check_s_epic(w):
-    return is_s_epic_with(w.get("hom"), w.get("s"))
+def _check_s_epic(hom, mcs, s):
+    return is_s_epic_with(hom, s)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .catalog import CatalogParams, generate_catalog
-from .modules import Submodule, scalar_times_set
+from .modules import Submodule, first_multiplier
 from .s_theory import (
     _lemma_pair_search,
     _nonzero_submodule,
@@ -57,7 +57,7 @@ def s_second_drop_disjointness(module, n, mcs):
 def lemma_pair_direction_flip(module, mcs):
     """Tests sK <= N instead of sN <= K."""
     return _lemma_pair_search(
-        module, mcs, lambda k, n, s: scalar_times_set(module, s, k) <= n)
+        module, mcs, lambda k, n: first_multiplier(module, mcs, k, n))
 
 
 def uniform_multiple_unchecked(module, n, mcs):

@@ -594,10 +594,8 @@ def has_maximal_multiple(mcs):
 
 
 @revalidator("maximal-multiple")
-def _check_maximal_multiple(w):
-    mcs = w.get("mcs")
-    s = w.get("s")
-    return s in mcs.elements and all(divides(mcs.ring, t, s) for t in mcs)
+def _check_maximal_multiple(mcs, s):
+    return all(divides(mcs.ring, t, s) for t in mcs)
 
 
 def enumerate_mcs(ring, cap=16):

@@ -2,11 +2,16 @@
 
 Every predicate of the shape "there exists s in S such that ..." searches
 the m.c.s. in canonical element order, witness outermost, and returns a
-`Witness` that re-validates against the defining condition.  Predicates
-whose definition is conditional on a disjointness hypothesis raise
-`DisjointnessFailure` instead of returning False; the two outcomes are
-deliberately kept distinct.  The transfer check along a hom lives here, not
-in `morphisms`, because it reads S-comultiplication at both ends.
+`Witness` that binds the m.c.s. and s and re-validates against the
+defining condition.  Every search for an s with sX inside Y is one call
+of `modules.first_multiplier`.  The definitional lemma form and
+S-cyclicity keep their own loops because they look for s first and then
+an ideal or an element; the other loops test conditions that are not a
+single containment.  Predicates whose definition is conditional on a
+disjointness hypothesis raise `DisjointnessFailure` instead of returning
+False; the two outcomes are deliberately kept distinct.  The transfer
+check along a hom lives here, not in `morphisms`, because it reads
+S-comultiplication at both ends.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .modules import (
     colon_set_into_ring,
     cyclic_set,
     enumerate_submodules,
+    first_multiplier,
     ideal_times_module_set,
     scalar_times_set,
     self_module,
@@ -158,16 +164,15 @@ def is_s_prime_submodule(module, p, mcs):
 
 
 @revalidator("s-prime-submodule")
-def _check_s_prime(w):
-    module, p_set, mcs, s = (w.get("module"), w.get("p"), w.get("mcs"), w.get("s"))
-    colon = colon_set_into_ring(module, p_set, _full_set(module))
-    if colon & mcs.elements or s not in mcs.elements:
+def _check_s_prime(module, p, mcs, s):
+    colon = colon_set_into_ring(module, p, _full_set(module))
+    if colon & mcs.elements:
         return False
     ring = module.ring
     for a in ring.elements():
         for m in module.elements():
-            if module.act(a, m) in p_set:
-                if ring.mul(s, a) not in colon and module.act(s, m) not in p_set:
+            if module.act(a, m) in p:
+                if ring.mul(s, a) not in colon and module.act(s, m) not in p:
                     return False
     return True
 
@@ -234,22 +239,20 @@ def s_prime_characterizations(module, p, mcs, direct_fn=None):
 
 
 @revalidator("s-prime-colon")
-def _check_s_prime_colon(w):
-    module, p_set, mcs, s = (w.get("module"), w.get("p"), w.get("mcs"), w.get("s"))
-    target = frozenset(m for m in module.elements() if module.act(s, m) in p_set)
+def _check_s_prime_colon(module, p, mcs, s):
+    target = frozenset(m for m in module.elements() if module.act(s, m) in p)
     if not is_prime_submodule_set(module, target):
         return False
     for t in mcs:
-        other = frozenset(m for m in module.elements() if module.act(t, m) in p_set)
+        other = frozenset(m for m in module.elements() if module.act(t, m) in p)
         if not other <= target:
             return False
     return True
 
 
 @revalidator("s-prime-homothety")
-def _check_s_prime_homothety(w):
-    module, p_set, s = w.get("module"), w.get("p"), w.get("s")
-    family = homothety_family(module, Submodule(module, p_set))
+def _check_s_prime_homothety(module, p, mcs, s):
+    family = homothety_family(module, Submodule(module, p))
     return all(is_s_zero_with(h, s) or is_s_monic_with(h, s) for h in family)
 
 
@@ -292,14 +295,13 @@ def is_s_second(module, n, mcs):
 
 
 @revalidator("s-second")
-def _check_s_second(w):
-    module, n_set, mcs, s = (w.get("module"), w.get("n"), w.get("mcs"), w.get("s"))
-    if annihilator_set(module, n_set) & mcs.elements or s not in mcs.elements:
+def _check_s_second(module, n, mcs, s):
+    if annihilator_set(module, n) & mcs.elements:
         return False
     ring = module.ring
-    s_image = scalar_times_set(module, s, n_set)
+    s_image = scalar_times_set(module, s, n)
     for a in ring.elements():
-        sa_image = scalar_times_set(module, ring.mul(s, a), n_set)
+        sa_image = scalar_times_set(module, ring.mul(s, a), n)
         if sa_image != _ZERO and sa_image != s_image:
             return False
     return True
@@ -355,20 +357,18 @@ def s_second_characterizations(module, n, mcs, direct_fn=None):
 
 
 @revalidator("s-second-homothety")
-def _check_s_second_homothety(w):
-    module, n_set, s = w.get("module"), w.get("n"), w.get("s")
-    family = homothety_on_family(Submodule(module, n_set))
+def _check_s_second_homothety(module, n, mcs, s):
+    family = homothety_on_family(Submodule(module, n))
     return all(is_s_zero_with(h, s) or is_s_epic_with(h, s) for h in family)
 
 
 @revalidator("s-second-containment")
-def _check_s_second_containment(w):
-    module, n_set, s = w.get("module"), w.get("n"), w.get("s")
+def _check_s_second_containment(module, n, mcs, s):
     ring = module.ring
-    s_image = scalar_times_set(module, s, n_set)
+    s_image = scalar_times_set(module, s, n)
     for a in ring.elements():
-        sa_image = scalar_times_set(module, ring.mul(s, a), n_set)
-        a_image = scalar_times_set(module, a, n_set)
+        sa_image = scalar_times_set(module, ring.mul(s, a), n)
+        a_image = scalar_times_set(module, a, n)
         if sa_image != _ZERO and not s_image <= a_image:
             return False
     return True
@@ -389,38 +389,32 @@ def is_s_comultiplication(module, mcs):
         colon = zero_colon_set(module, annihilator_set(module, n.elements))
         if not n.elements <= colon:
             raise AxiomViolation("N must sit inside (0 :_M ann(N))")
-        for s in mcs:
-            if scalar_times_set(module, s, colon) <= n.elements:
-                return Witness.make("s-comultiplication", module=module,
-                                    n=n.elements, s=s)
-        return None
+        s = first_multiplier(module, mcs, colon, n.elements)
+        return None if s is None else Witness.make(
+            "s-comultiplication", module=module, n=n.elements, mcs=mcs, s=s)
 
     return _for_each(enumerate_submodules(module), find)
 
 
 @revalidator("s-comultiplication")
-def _check_s_comult(w):
-    module, n_set, s = w.get("module"), w.get("n"), w.get("s")
-    ann = annihilator_set(module, n_set)
-    colon = zero_colon_set(module, ann)
-    return scalar_times_set(module, s, colon) <= n_set <= colon
+def _check_s_comult(module, n, mcs, s):
+    colon = zero_colon_set(module, annihilator_set(module, n))
+    return scalar_times_set(module, s, colon) <= n <= colon
 
 
-def _lemma_pair_search(module, mcs, holds):
-    """For each K, N with ann(K) <= ann(N), the first s with holds(K, N, s).
+def _lemma_pair_search(module, mcs, multiplier):
+    """For each K, N with ann(K) <= ann(N), the s that multiplier(K, N) finds.
 
-    K and N reach `holds` as element sets.
+    K and N reach `multiplier` as element sets; it returns an s or None.
     """
     subs = enumerate_submodules(module)
     anns = {n: annihilator_set(module, n.elements) for n in subs}
 
     def find(pair):
         k, n = pair
-        for s in mcs:
-            if holds(k.elements, n.elements, s):
-                return Witness.make("lemma-pair", module=module,
-                                    k=k.elements, n=n.elements, s=s)
-        return None
+        s = multiplier(k.elements, n.elements)
+        return None if s is None else Witness.make(
+            "lemma-pair", module=module, k=k.elements, n=n.elements, mcs=mcs, s=s)
 
     return _for_each(
         ((k, n) for k in subs for n in subs if anns[k] <= anns[n]), find)
@@ -429,13 +423,12 @@ def _lemma_pair_search(module, mcs, holds):
 def lemma_pair_form(module, mcs):
     """For each K, N with ann(K) <= ann(N), a single s with sN <= K."""
     return _lemma_pair_search(
-        module, mcs, lambda k, n, s: scalar_times_set(module, s, n) <= k)
+        module, mcs, lambda k, n: first_multiplier(module, mcs, n, k))
 
 
 @revalidator("lemma-pair")
-def _check_lemma_pair(w):
-    module, k_set, n_set, s = (w.get("module"), w.get("k"), w.get("n"), w.get("s"))
-    return scalar_times_set(module, s, n_set) <= k_set
+def _check_lemma_pair(module, k, n, mcs, s):
+    return scalar_times_set(module, s, n) <= k
 
 
 def lemma_definitional_form(module, mcs):
@@ -448,17 +441,16 @@ def lemma_definitional_form(module, mcs):
             for ideal, colon in colons:
                 if n.elements <= colon and scalar_times_set(module, s, colon) <= n.elements:
                     return Witness.make("s-comultiplication-def", module=module,
-                                        n=n.elements, s=s, ideal=ideal)
+                                        n=n.elements, mcs=mcs, s=s, ideal=ideal)
         return None
 
     return _for_each(enumerate_submodules(module), find)
 
 
 @revalidator("s-comultiplication-def")
-def _check_s_comult_def(w):
-    module, n_set, s, ideal = (w.get("module"), w.get("n"), w.get("s"), w.get("ideal"))
+def _check_s_comult_def(module, n, mcs, s, ideal):
     colon = zero_colon_set(module, ideal.elements)
-    return scalar_times_set(module, s, colon) <= n_set <= colon
+    return scalar_times_set(module, s, colon) <= n <= colon
 
 
 @dataclass(frozen=True)
@@ -515,22 +507,19 @@ def is_s_multiplication(module, mcs):
         im = ideal_times_module_set(module, colon, full)
         if not im <= n.elements:
             raise AxiomViolation("(N:M)M must sit inside N")
-        for s in mcs:
-            if scalar_times_set(module, s, n.elements) <= im:
-                return Witness.make("s-multiplication", module=module,
-                                    n=n.elements, s=s)
-        return None
+        s = first_multiplier(module, mcs, n.elements, im)
+        return None if s is None else Witness.make(
+            "s-multiplication", module=module, n=n.elements, mcs=mcs, s=s)
 
     return _for_each(enumerate_submodules(module), find)
 
 
 @revalidator("s-multiplication")
-def _check_s_mult(w):
-    module, n_set, s = w.get("module"), w.get("n"), w.get("s")
+def _check_s_mult(module, n, mcs, s):
     full = _full_set(module)
-    colon = colon_set_into_ring(module, n_set, full)
+    colon = colon_set_into_ring(module, n, full)
     im = ideal_times_module_set(module, colon, full)
-    return scalar_times_set(module, s, n_set) <= im <= n_set
+    return scalar_times_set(module, s, n) <= im <= n
 
 
 def is_s_cyclic(module, mcs):
@@ -540,14 +529,14 @@ def is_s_cyclic(module, mcs):
         s_image = full_images[s]
         for m in module.elements():
             if s_image <= cyclic_set(module, m):
-                return Witness.make("s-cyclic", module=module, s=s, element=m)
+                return Witness.make("s-cyclic", module=module, mcs=mcs, s=s,
+                                    element=m)
     return None
 
 
 @revalidator("s-cyclic")
-def _check_s_cyclic(w):
-    module, s, m = w.get("module"), w.get("s"), w.get("element")
-    return scalar_times_set(module, s, _full_set(module)) <= cyclic_set(module, m)
+def _check_s_cyclic(module, mcs, s, element):
+    return scalar_times_set(module, s, _full_set(module)) <= cyclic_set(module, element)
 
 
 def is_cyclic(module):
@@ -562,16 +551,14 @@ def is_s_finite(module, n, mcs):
     while current != n_sub.elements:
         gens.append(min(n_sub.elements - current))
         current = _span(module, tuple(gens))
-    return Witness.make("s-finite", module=module, n=n_sub.elements,
+    return Witness.make("s-finite", module=module, n=n_sub.elements, mcs=mcs,
                         s=module.ring.one, generators=tuple(gens))
 
 
 @revalidator("s-finite")
-def _check_s_finite(w):
-    module, n_set, s, gens = (w.get("module"), w.get("n"), w.get("s"),
-                              w.get("generators"))
-    span = _span(module, gens)
-    return scalar_times_set(module, s, n_set) <= span <= n_set
+def _check_s_finite(module, n, mcs, s, generators):
+    span = _span(module, generators)
+    return scalar_times_set(module, s, n) <= span <= n
 
 
 def is_s_torsion_free(module, mcs):
@@ -589,8 +576,7 @@ def is_s_torsion_free(module, mcs):
 
 
 @revalidator("s-torsion-free")
-def _check_s_torsion_free(w):
-    module, s = w.get("module"), w.get("s")
+def _check_s_torsion_free(module, mcs, s):
     ring = module.ring
     for a in ring.elements():
         for m in module.elements():
@@ -613,11 +599,9 @@ def is_s_minimal(module, k, mcs, include_zero=False):
     k_set = k_sub.elements
 
     def step(l):
-        for s in mcs:
-            if scalar_times_set(module, s, k_set) <= l.elements:
-                return Witness.make("s-minimal-step", module=module,
-                                    k=k_set, l=l.elements, s=s)
-        return None
+        s = first_multiplier(module, mcs, k_set, l.elements)
+        return None if s is None else Witness.make(
+            "s-minimal-step", module=module, k=k_set, l=l.elements, mcs=mcs, s=s)
 
     below = [l for l in enumerate_submodules(module)
              if l.elements <= k_set and (include_zero or not l.is_zero())]
@@ -625,9 +609,8 @@ def is_s_minimal(module, k, mcs, include_zero=False):
 
 
 @revalidator("s-minimal-step")
-def _check_s_minimal_step(w):
-    module, k_set, l_set, s = (w.get("module"), w.get("k"), w.get("l"), w.get("s"))
-    return scalar_times_set(module, s, k_set) <= l_set
+def _check_s_minimal_step(module, k, l, mcs, s):
+    return scalar_times_set(module, s, k) <= l
 
 
 def is_prime_module(module):
@@ -653,10 +636,9 @@ def uniform_multiple(module, n, mcs):
 
 
 @revalidator("uniform-multiple")
-def _check_uniform_multiple(w):
-    module, n_set, mcs, s = (w.get("module"), w.get("n"), w.get("mcs"), w.get("s"))
-    s_image = scalar_times_set(module, s, n_set)
-    return all(s_image <= scalar_times_set(module, t, n_set) for t in mcs)
+def _check_uniform_multiple(module, n, mcs, s):
+    s_image = scalar_times_set(module, s, n)
+    return all(s_image <= scalar_times_set(module, t, n) for t in mcs)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .modules import (
     annihilator,
     annihilator_set,
     enumerate_submodules,
+    first_multiplier,
     full_submodule,
     ideal_times_module_set,
     is_torsion,
@@ -259,9 +260,7 @@ def _check_c_sub(cat, tb, ctx):
             if not st.is_s_comultiplication(restricted, mcs).holds:
                 ctx.fail(module=module, mcs=mcs, submodule=n,
                          detail="submodule lost the property")
-            t = next((t for t in mcs
-                      if scalar_times_set(module, t, frozenset(module.elements()))
-                      <= n.elements), None)
+            t = first_multiplier(module, mcs, module.elements(), n.elements)
             if t is not None:
                 quotient = quotient_module(module, n)
                 if not st.is_s_comultiplication(quotient, mcs).holds:
@@ -328,7 +327,7 @@ def _check_p_pf(cat, tb, ctx):
                 continue
             ctx.instances += 1
             im = ideal_times_module_set(module, ideal.elements, full)
-            if not any(scalar_times_set(module, s, full) <= im for s in mcs):
+            if first_multiplier(module, mcs, full, im) is None:
                 ctx.fail(module=module, mcs=mcs, ideal=ideal,
                          detail="no s with sM inside IM")
             for m in module.elements():
@@ -370,8 +369,7 @@ def _check_t_du(cat, tb, ctx):
                 ctx.instances += 1
                 if not module.is_zero_module:
                     nonzero_hits += 1
-                full = frozenset(module.elements())
-                if not any(scalar_times_set(module, s, full) == _ZERO for s in mcs):
+                if first_multiplier(module, mcs, module.elements(), _ZERO) is None:
                     ctx.fail(module=module, mcs=mcs, ideal=ideal, t=t,
                              detail="no s with sM = 0")
     ctx.notes["nonzero_instances"] = nonzero_hits
@@ -446,8 +444,7 @@ def _check_p_fam(cat, tb, ctx):
                 if not n.elements <= target:
                     ctx.fail(module=module, mcs=mcs, submodule=n,
                              detail="N escaped the intersection")
-                if not any(scalar_times_set(module, s, target) <= n.elements
-                           for s in mcs):
+                if first_multiplier(module, mcs, target, n.elements) is None:
                     ctx.fail(module=module, mcs=mcs, submodule=n,
                              family=[module.set_label(p) for p in family],
                              detail="no s squeezing the intersection into N")
@@ -661,10 +658,8 @@ def _check_t_ssum(cat, tb, ctx):
                 if not n.elements <= total:
                     continue
                 ctx.instances += 1
-                if not any(
-                    scalar_times_set(module, s, n.elements) <= part
-                    for s in mcs for part in family
-                ):
+                if all(first_multiplier(module, mcs, n.elements, part) is None
+                       for part in family):
                     ctx.fail(module=module, mcs=mcs, submodule=n,
                              family=[module.set_label(p) for p in family],
                              detail="no s with sN inside a summand")

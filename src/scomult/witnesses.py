@@ -1,13 +1,17 @@
 """Witness objects for existential claims, with definition-level revalidation.
 
-Every predicate that proves an existential statement returns a `Witness`
-recording what was found and against which instance.  `validate()`
-recomputes the defining condition element by element.  It may read pure
-caches that searches also fill: `annihilator_set`, `zero_colon_set` and
-`colon_set_into_ring` (keyed by frozensets) and the homothety families.
-It never reads a search's result or a hom's scalar sets.  Revalidators
-are registered next to the predicate they certify via the `revalidator`
-decorator.
+Every predicate that proves "there is an s in S such that ..." returns a
+`Witness` recording what was found and against which instance, with the
+m.c.s. it searched bound as `mcs` just before `s`.  `validate()` checks
+once that s lies in that m.c.s., then calls the claim's revalidator with
+the bindings as keyword arguments, so a revalidator's parameters are its
+claim's fields.  A revalidator recomputes the defining condition element
+by element.  It may read pure caches that searches also fill:
+`annihilator_set`, `zero_colon_set` and `colon_set_into_ring` (keyed by
+frozensets) and the homothety families.  It never reads a search's result
+or a hom's scalar sets, and never calls `modules.first_multiplier`.
+Revalidators are registered next to the predicate they certify via the
+`revalidator` decorator.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-REVALIDATORS: dict[str, Callable[["Witness"], bool]] = {}
+REVALIDATORS: dict[str, Callable[..., bool]] = {}
 
 
 def revalidator(claim):
@@ -42,8 +46,9 @@ class Witness:
         raise KeyError(name)
 
     def validate(self) -> bool:
-        """Re-check the defining condition this witness certifies."""
-        return REVALIDATORS[self.claim](self)
+        """s lies in the m.c.s., and the claim's defining condition re-checks."""
+        named = dict(self.bindings)
+        return named["s"] in named["mcs"] and REVALIDATORS[self.claim](**named)
 
     def describe(self) -> str:
         parts = []

@@ -253,14 +253,14 @@ CHECK_PREDICATES = (
 CHECK_EXIT_CODES = {
     "f4_table.inst": {
         "s-comultiplication": "300300",
-        "comultiplication": "000000",
-        "multiplication": "000000",
+        "comultiplication": "033033",
+        "multiplication": "033033",
         "s-multiplication": "300300",
         "s-cyclic": "300300",
-        "cyclic": "000000",
-        "torsion": "111111",
+        "cyclic": "033033",
+        "torsion": "133133",
         "s-torsion-free": "300300",
-        "prime-module": "000000",
+        "prime-module": "033033",
         "s-prime": "333333",
         "s-second": "333333",
         "s-minimal": "333333",
@@ -271,14 +271,14 @@ CHECK_EXIT_CODES = {
     },
     "v2_over_f2.inst": {
         "s-comultiplication": "3131",
-        "comultiplication": "1111",
-        "multiplication": "1111",
+        "comultiplication": "1313",
+        "multiplication": "1313",
         "s-multiplication": "3131",
         "s-cyclic": "3131",
-        "cyclic": "1111",
-        "torsion": "1111",
+        "cyclic": "1313",
+        "torsion": "1313",
         "s-torsion-free": "3030",
-        "prime-module": "0000",
+        "prime-module": "0303",
         "s-prime": "3333",
         "s-second": "3333",
         "s-minimal": "3333",
@@ -288,22 +288,22 @@ CHECK_EXIT_CODES = {
         "s-epic": "3333",
     },
     "z6_self.inst": {
-        "s-comultiplication": "3000000030000000300000003000000030000000",
-        "comultiplication": "0000000000000000000000000000000000000000",
-        "multiplication": "0000000000000000000000000000000000000000",
-        "s-multiplication": "3000000030000000300000003000000030000000",
-        "s-cyclic": "3000000030000000300000003000000030000000",
-        "cyclic": "0000000000000000000000000000000000000000",
-        "torsion": "1111111111111111111111111111111111111111",
-        "s-torsion-free": "3100100031001000310010003100100031001000",
-        "prime-module": "1111111111111111111111111111111111111111",
+        "s-comultiplication": "3000000030000000333333333333333333333333",
+        "comultiplication": "0333333303333333333333333333333333333333",
+        "multiplication": "0333333303333333333333333333333333333333",
+        "s-multiplication": "3000000030000000333333333333333333333333",
+        "s-cyclic": "3000000030000000333333333333333333333333",
+        "cyclic": "0333333303333333333333333333333333333333",
+        "torsion": "1333333313333333333333333333333333333333",
+        "s-torsion-free": "3100100031001000333333333333333333333333",
+        "prime-module": "1333333313333333333333333333333333333333",
         "s-prime": "3333333333333333300202023020002033333333",
         "s-second": "3333333333333333302000203002020233333333",
         "s-minimal": "3333333333333333300000003000000033333333",
         "s-finite": "3333333333333333300000003000000033333333",
-        "s-zero": "3101110131011101310111013101110131011101",
-        "s-monic": "3110101031101010311010103110101031101010",
-        "s-epic": "3110101031101010311010103110101031101010",
+        "s-zero": "3101110133333333333333333333333331011101",
+        "s-monic": "3110101033333333333333333333333331101010",
+        "s-epic": "3110101033333333333333333333333331101010",
     },
 }
 
@@ -375,3 +375,14 @@ def test_readme_lists_the_check_predicates_by_subject():
         assert needs_mcs == name.startswith("s-"), name
     assert listed == table
     assert sorted(CHECK_PREDICATES) == sorted(PREDICATES)
+
+
+@pytest.mark.parametrize("predicate, flags", [
+    ("cyclic", ["--hom", "double", "--mcs", "1"]),
+    ("s-torsion-free", ["--submodule", "evens", "--mcs", "1"]),
+    ("s-prime", ["--submodule", "evens", "--hom", "double", "--mcs", "1"]),
+    ("s-zero", ["--hom", "double", "--module", "m", "--mcs", "1"]),
+])
+def test_check_rejects_flags_the_predicate_does_not_read(predicate, flags, capsys):
+    assert main(["check", str(INSTANCES / "z6_self.inst"), predicate, *flags]) == 3
+    assert "does not read --" in capsys.readouterr().err

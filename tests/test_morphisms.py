@@ -268,7 +268,7 @@ def test_revalidation_does_not_read_the_scalar_sets(reduced_catalog, m4,
     report = verify("T-HOM", reduced_catalog)
     assert report.verdict == "fail"
     assert report.counterexample["detail"] == (
-        "witness failed revalidation: s-monic(hom=Z2->Z2, s=1)")
+        "witness failed revalidation: s-monic(hom=Z2->Z2, mcs={1}, s=1)")
     report = verify("P-HOMS", reduced_catalog)
     assert report.verdict == "fail"
     assert report.counterexample == {
@@ -289,7 +289,7 @@ def test_revalidation_catches_a_tampered_s_epic_set(reduced_catalog,
     report = verify("P-HOMS", reduced_catalog)
     assert report.verdict == "fail"
     assert report.counterexample["detail"] == (
-        "witness failed revalidation: s-epic(hom=Z2->Z2, s=1)")
+        "witness failed revalidation: s-epic(hom=Z2->Z2, mcs={1}, s=1)")
 
 
 def test_module_hom_is_slotted_and_its_sets_are_not_identity(m6):

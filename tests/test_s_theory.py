@@ -1,16 +1,25 @@
 """S-theoretic predicates: pins, characterizations, and witness discipline."""
 
+import hashlib
+
 import pytest
 
 from conftest import s_multiplication_general_form
+from scomult.catalog import generate_catalog
 from scomult.errors import DisjointnessFailure, PreconditionUnmet
 from scomult.modules import (
+    enumerate_submodules,
     full_submodule,
     self_module,
     submodule_from_set,
     zn_over_zk,
 )
-from scomult.mutations import s_prime_quantifier_swap, s_second_drop_disjointness
+from scomult.mutations import (
+    lemma_pair_direction_flip,
+    mutation_catalog_params,
+    s_prime_quantifier_swap,
+    s_second_drop_disjointness,
+)
 from scomult.rings import make_ring_zn, unit_mcs, validate_mcs
 from scomult.s_theory import (
     comultiplication_result,
@@ -27,7 +36,9 @@ from scomult.s_theory import (
     is_s_prime_submodule,
     is_s_second,
     is_s_torsion_free,
+    lemma_definitional_form,
     lemma_equivalence_bundle,
+    lemma_pair_form,
     s_prime_characterizations,
     s_second_characterizations,
     uniform_multiple,
@@ -280,3 +291,60 @@ def test_finite_analog_of_the_divisible_example():
         module = zn_over_zk(z8, d) if d != 8 else self_module(z8)
         assert is_comultiplication(module)
         assert is_s_comultiplication(module, unit_mcs(z8)).holds
+
+
+def _outcome(result):
+    """The s of a witness (or None); for a ForEachResult, its verdict, the s
+    of every witness in order, and the members of the failing item."""
+    if result is None:
+        return None
+    if not hasattr(result, "witnesses"):
+        return result.get("s")
+    failing = result.failing
+    if isinstance(failing, tuple):
+        failing = tuple(item.members() for item in failing)
+    elif failing is not None:
+        failing = failing.members()
+    return (result.holds, tuple(w.get("s") for _, w in result.witnesses), failing)
+
+
+def module_search_digest(catalog):
+    """SHA-256 over the module-side S-searches of every (module, m.c.s.).
+
+    Each pair contributes the outcome of the S-comultiplication forms (the
+    lemma's three and the flipped pair form), S-multiplication, S-cyclic and
+    S-torsion-free, then per nonzero submodule K the S-minimal steps under
+    both readings and the uniform multiple.
+    """
+    digest = hashlib.sha256()
+    for module, mcs in catalog.module_mcs_pairs(include_zero=True):
+        digest.update(repr((
+            module.describe(), mcs.describe(),
+            _outcome(is_s_comultiplication(module, mcs)),
+            _outcome(lemma_definitional_form(module, mcs)),
+            _outcome(lemma_pair_form(module, mcs)),
+            _outcome(lemma_pair_direction_flip(module, mcs)),
+            _outcome(is_s_multiplication(module, mcs)),
+            _outcome(is_s_cyclic(module, mcs)),
+            _outcome(is_s_torsion_free(module, mcs)),
+        )).encode())
+        for k in enumerate_submodules(module):
+            if k.is_zero():
+                continue
+            digest.update(repr((
+                k.members(),
+                _outcome(is_s_minimal(module, k, mcs, include_zero=False)),
+                _outcome(is_s_minimal(module, k, mcs, include_zero=True)),
+                _outcome(uniform_multiple(module, k, mcs)),
+            )).encode())
+    return digest.hexdigest()
+
+
+# captured before the module-side searches shared one multiplier search
+REDUCED_MODULE_SEARCH_DIGEST = (
+    "78915f5e5789c5889842da35e57dc2283660f195236bfe75191199d9d2b27271")
+
+
+def test_module_search_outcomes_are_pinned():
+    catalog = generate_catalog(mutation_catalog_params())
+    assert module_search_digest(catalog) == REDUCED_MODULE_SEARCH_DIGEST

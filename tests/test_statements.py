@@ -313,14 +313,14 @@ def test_tampered_s_cyclic_witness_fails_its_consumers(small_catalog, sid,
         witness = real(module, mcs)
         if witness is None:
             return None
-        return Witness.make("s-cyclic", module=module, s=witness.get("s"),
-                            element=0)
+        return Witness.make("s-cyclic", module=module, mcs=mcs,
+                            s=witness.get("s"), element=0)
 
     monkeypatch.setattr(s_theory, "is_s_cyclic", element_zero)
     report = verify(sid, small_catalog)
     assert report.verdict == "fail"
     assert report.counterexample["detail"] == (
-        REVALIDATION + "s-cyclic(module=Z2 over Z2, s=1, element=0)")
+        REVALIDATION + "s-cyclic(module=Z2 over Z2, mcs={1}, s=1, element=0)")
 
 
 def test_error_midway_reports_no_instances_or_notes(small_catalog):

@@ -1,18 +1,26 @@
-"""The witness registry: every claim made has a revalidator and vice versa."""
+"""The witness registry: every claim made has a revalidator and vice versa,
+every witness binds its m.c.s. and s, and no witness passes with s outside S."""
 
 import ast
+import inspect
 from pathlib import Path
+
+import pytest
 
 import scomult  # noqa: F401  registers the library's claims
 import scomult.localization  # noqa: F401
 import scomult.mutations  # noqa: F401
-from scomult.witnesses import REVALIDATORS
+from scomult.catalog import generate_catalog
+from scomult.morphisms import is_s_zero
+from scomult.s_theory import is_s_multiplication
+from scomult.statements import verify_all
+from scomult.witnesses import REVALIDATORS, Witness
 
 SRC = Path(scomult.__file__).parent
 
 
-def made_claims():
-    """(file, claim) for every literal claim passed to `Witness.make`."""
+def witness_makes():
+    """(file, line, claim, keyword names) for every `Witness.make` call."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -24,8 +32,16 @@ def made_claims():
                 claim = node.args[0]
                 assert isinstance(claim, ast.Constant), (
                     f"{path.name}:{node.lineno} makes a non-literal claim")
-                out.append((path.name, claim.value))
+                names = [k.arg for k in node.keywords]
+                assert None not in names, (
+                    f"{path.name}:{node.lineno} unpacks its bindings")
+                out.append((path.name, node.lineno, claim.value, names))
     return out
+
+
+def made_claims():
+    """(file, claim) for every literal claim passed to `Witness.make`."""
+    return [(name, claim) for name, _, claim, _ in witness_makes()]
 
 
 def test_every_made_claim_has_a_revalidator():
@@ -38,3 +54,50 @@ def test_every_made_claim_has_a_revalidator():
 def test_every_revalidator_claim_is_made():
     made = {claim for _, claim in made_claims()}
     assert sorted(set(REVALIDATORS) - made) == []
+
+
+def test_every_witness_binds_its_claims_revalidator_parameters():
+    """Each `Witness.make` binds `mcs` just before `s`, and its names are
+    its revalidator's parameters, in order."""
+    wrong = []
+    for name, line, claim, names in witness_makes():
+        params = list(inspect.signature(REVALIDATORS[claim]).parameters)
+        if names != params or ("mcs", "s") not in zip(names, names[1:]):
+            wrong.append((name, line, claim, names, params))
+    assert wrong == []
+
+
+@pytest.fixture(scope="module")
+def real_witnesses():
+    """One witness per claim from the reduced catalog: the first that the
+    statement suite revalidates, then S-zero and S-multiplication, which no
+    statement makes."""
+    catalog = generate_catalog(scomult.mutations.mutation_catalog_params())
+    found = {}
+    real_validate = Witness.validate
+
+    def recording_validate(self):
+        found.setdefault(self.claim, self)
+        return real_validate(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Witness, "validate", recording_validate)
+        verify_all(catalog)
+    s_zero = (is_s_zero(f, mcs) for ring in catalog.rings
+              for f in catalog.homs[ring] for mcs in catalog.mcs[ring])
+    found["s-zero"] = next(w for w in s_zero if w is not None)
+    found["s-multiplication"] = next(
+        w for module, mcs in catalog.module_mcs_pairs()
+        for _, w in is_s_multiplication(module, mcs).witnesses)
+    return found
+
+
+@pytest.mark.parametrize("claim", sorted(REVALIDATORS))
+def test_a_witness_with_s_outside_s_fails_validation(real_witnesses, claim):
+    witness = real_witnesses[claim]
+    assert witness is not None and witness.validate()
+    zero = witness.get("mcs").ring.zero
+    assert zero not in witness.get("mcs")
+    moved = Witness(witness.claim, tuple(
+        (key, zero if key == "s" else value) for key, value in witness.bindings))
+    assert not moved.validate(), moved.describe()
