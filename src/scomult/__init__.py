@@ -61,14 +61,12 @@ from .morphisms import (
     monic_epic_bridge,
 )
 from .rings import (
-    Ideal,
     MCS,
     Ring,
     divides,
     enumerate_ideals,
     enumerate_mcs,
     has_maximal_multiple,
-    ideal_closure,
     jacobson_radical,
     make_ring_table,
     make_ring_zn,

@@ -138,11 +138,12 @@ class LocalizedModule(_PairClasses):
     module: Module
 
 
-def _pair_classes(base, mcs, torsion, what, cap):
+def _pair_classes(base, mcs, torsion, what):
     """Pair classes of S^-1 base, a ring or a module that R acts on."""
     pairs = tuple((x, s) for x in base.elements() for s in mcs)
-    if len(pairs) > cap * cap:
-        raise SizeCapExceeded(f"{what} localization pairs", len(pairs), cap * cap)
+    if len(pairs) > DEFAULT_CAP * DEFAULT_CAP:
+        raise SizeCapExceeded(f"{what} localization pairs", len(pairs),
+                              DEFAULT_CAP * DEFAULT_CAP)
     rows = _rows(base, mcs, torsion(base, mcs))
     class_of_pair, members = _partition(pairs, rows)
     return _PairClasses(base, mcs, pairs, class_of_pair, members,
@@ -188,18 +189,18 @@ def _check_kernel(wrapper, message):
         raise AxiomViolation(message)
 
 
-def localize_ring(ring, mcs, cap=DEFAULT_CAP):
-    return localize_ring_with(ring, mcs, s_torsion, cap)
+def localize_ring(ring, mcs):
+    return localize_ring_with(ring, mcs, s_torsion)
 
 
 @lru_cache(maxsize=None)
-def localize_ring_with(ring, mcs, torsion, cap=DEFAULT_CAP):
+def localize_ring_with(ring, mcs, torsion):
     """S^-1 R: R localized as a module over itself; a LocalizedRing wrapper."""
-    classes = _pair_classes(ring, mcs, torsion, "ring", cap)
+    classes = _pair_classes(ring, mcs, torsion, "ring")
     add_table, mul_table = _cross_checked_tables(
         classes, classes, "localization operation not well defined")
     loc = make_ring_table(add_table, mul_table, classes.map_element(ring.zero),
-                          classes.map_element(ring.one), cap=cap,
+                          classes.map_element(ring.one),
                           labels=classes._labels(),
                           name=f"({ring.name} loc {mcs.describe()})")
     wrapper = LocalizedRing(**vars(classes), ring=loc)
@@ -226,20 +227,20 @@ def _check_localized_ring(wrapper):
 
 
 @lru_cache(maxsize=None)
-def localize_module(module, mcs, cap=DEFAULT_CAP):
-    return localize_module_with(module, mcs, s_torsion, cap=cap)
+def localize_module(module, mcs):
+    return localize_module_with(module, mcs, s_torsion)
 
 
-def localize_module_with(module, mcs, torsion, cap=DEFAULT_CAP):
+def localize_module_with(module, mcs, torsion):
     """S^-1 M as a module over S^-1 R, with the canonical map data; the
     pair relations of M and R read the set K that `torsion(base, mcs)` gives."""
-    locring = localize_ring_with(module.ring, mcs, torsion, cap)
-    classes = _pair_classes(module, mcs, torsion, "module", cap)
+    locring = localize_ring_with(module.ring, mcs, torsion)
+    classes = _pair_classes(module, mcs, torsion, "module")
     add_table, act_table = _cross_checked_tables(
         locring, classes, "localized action not well defined")
     loc_module = make_module(
         locring.ring, add_table, act_table, kind="localization",
-        name=f"({module.name} loc {mcs.describe()})", labels=classes._labels(), cap=cap,
+        name=f"({module.name} loc {mcs.describe()})", labels=classes._labels(),
     )
     wrapper = LocalizedModule(**vars(classes), locring=locring, module=loc_module)
     _check_kernel(wrapper, "canonical module map kernel mismatch")

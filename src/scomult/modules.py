@@ -9,10 +9,12 @@ tuples, the same canonical order that Z_n product rings use; quotients,
 localizations and submodule restrictions index their elements as they
 build them.
 
-Submodule closure, enumeration, `(N : K)`, `IM'` and sums run on the same
-core in `scomult.rings` as ideals do; the core reads the action rows of its
-base, which for a ring are its multiplication rows: an ideal is a submodule
-of R over itself.
+`Submodule` and its closure constructors live in the closed-subset core of
+`scomult.rings` and are re-exported here.  Submodule enumeration, `(N : K)`,
+`IM'` and sums run on that core, which reads the action rows of its base;
+for a ring these are its multiplication rows, so an ideal is a `Submodule`
+of R over itself, and `annihilator` returns one.  Direct products of
+modules share one table builder with product rings.
 
 `first_multiplier`, the first s of an m.c.s. with sX inside Y, is the
 library's one existential-s search; witness revalidation never calls it.
@@ -21,18 +23,16 @@ library's one existential-s search; witness revalidation never calls it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import AxiomViolation, SizeCapExceeded
+from .errors import AxiomViolation
 from .rings import (
-    DEFAULT_CAP,
-    Ideal,
-    _check_closed,
-    _check_in_range,
+    Submodule,
+    _check_size,
     _check_tables,
     _colon,
     _enumerate_closed,
+    _product_tables,
     _span,
     _sum,
     _Table,
@@ -40,6 +40,8 @@ from .rings import (
     mixed_radix_residues,
     product_ring,
     residue_labels,
+    submodule_closure,     # re-exported: closed subsets live in rings
+    submodule_from_set,
 )
 
 _MODULE_CACHE = {}
@@ -83,7 +85,7 @@ def _intern(ring, add_rows, act_rows):
 
 
 def make_module(ring, add_rows, act_rows, kind="table", name=None, moduli=None,
-                labels=None, cap=DEFAULT_CAP):
+                labels=None):
     """Validated module from explicit tables.
 
     Equal tables over an equal ring are stored once and shared, while the
@@ -92,8 +94,7 @@ def make_module(ring, add_rows, act_rows, kind="table", name=None, moduli=None,
     add_rows = tuple(tuple(row) for row in add_rows)
     act_rows = tuple(tuple(row) for row in act_rows)
     size = len(add_rows)
-    if size > cap:
-        raise SizeCapExceeded("module carrier", size, cap)
+    _check_size("module carrier", size)
     add_rows, act_rows = _intern(ring, add_rows, act_rows)
     return Module(
         ring, add_rows, act_rows, kind, name or f"table({size})",
@@ -101,14 +102,13 @@ def make_module(ring, add_rows, act_rows, kind="table", name=None, moduli=None,
     )
 
 
-def module_from_rule(ring, moduli, rule, kind, name, cap=DEFAULT_CAP):
+def module_from_rule(ring, moduli, rule, kind, name):
     """Module over a Z-product carrier with action given by a rule on tuples."""
     moduli = tuple(moduli)
     size = 1
     for n in moduli:
         size *= n
-    if size > cap:
-        raise SizeCapExceeded("module carrier", size, cap)
+    _check_size("module carrier", size)
     tuples = mixed_radix_residues(moduli)
     index = {t: i for i, t in enumerate(tuples)}
     act_rows = tuple(
@@ -117,7 +117,6 @@ def module_from_rule(ring, moduli, rule, kind, name, cap=DEFAULT_CAP):
     return make_module(
         ring, componentwise_table(moduli, operator.add), act_rows,
         kind=kind, name=name, moduli=moduli, labels=residue_labels(moduli),
-        cap=cap,
     )
 
 
@@ -130,7 +129,7 @@ def self_module(ring):
                        name=ring.name, labels=ring._labels)
 
 
-def zn_over_zk(ring, d, cap=DEFAULT_CAP):
+def zn_over_zk(ring, d):
     """Z_d as a module over Z_n (single-modulus ring), requiring d | n."""
     if ring.moduli is None or len(ring.moduli) != 1:
         raise AxiomViolation("zn_over_zk needs a single-modulus ring")
@@ -138,11 +137,11 @@ def zn_over_zk(ring, d, cap=DEFAULT_CAP):
     if d < 1 or n % d != 0:
         raise AxiomViolation("carrier modulus must divide the ring modulus", (d, n))
     return module_from_rule(
-        ring, (d,), lambda r, t: ((r * t[0]) % d,), "zn_over_zk", f"Z{d}", cap=cap
+        ring, (d,), lambda r, t: ((r * t[0]) % d,), "zn_over_zk", f"Z{d}"
     )
 
 
-def direct_sum_module(ring, moduli, cap=DEFAULT_CAP):
+def direct_sum_module(ring, moduli):
     """Z_{d1} + ... + Z_{dk} over Z_n with componentwise action, each d | n."""
     if ring.moduli is None or len(ring.moduli) != 1:
         raise AxiomViolation("direct_sum needs a single-modulus ring")
@@ -155,7 +154,7 @@ def direct_sum_module(ring, moduli, cap=DEFAULT_CAP):
     return module_from_rule(
         ring, moduli,
         lambda r, t: tuple((r * x) % d for x, d in zip(t, moduli)),
-        "direct_sum", name, cap=cap,
+        "direct_sum", name,
     )
 
 
@@ -165,37 +164,14 @@ def zero_module(ring):
                        kind="zero", name="0")
 
 
-def product_module(m1, m2, ring=None, cap=DEFAULT_CAP):
+def product_module(m1, m2, ring=None):
     """M1 x M2 over R1 x R2 with componentwise action."""
-    r1, r2 = m1.ring, m2.ring
     if ring is None:
-        ring = product_ring(r1, r2, cap=cap)
-    size = m1.size * m2.size
-    if size > cap:
-        raise SizeCapExceeded("module carrier", size, cap)
-
-    def enc(a, b):
-        return a * m2.size + b
-
-    add_rows = tuple(
-        tuple(enc(m1.add(a1, b1), m2.add(a2, b2))
-              for b1 in m1.elements() for b2 in m2.elements())
-        for a1 in m1.elements() for a2 in m2.elements()
-    )
-    act_rows = []
-    for r in ring.elements():
-        ra, rb = divmod(r, r2.order)
-        row1, row2 = m1.act_row(ra), m2.act_row(rb)
-        act_rows.append(tuple(
-            enc(row1[a], row2[b]) for a in m1.elements() for b in m2.elements()
-        ))
-    labels = tuple(
-        f"({m1.label(a)},{m2.label(b)})"
-        for a in m1.elements() for b in m2.elements()
-    )
+        ring = product_ring(m1.ring, m2.ring)
+    add_rows, act_rows, labels = _product_tables(m1, m2, "module carrier")
     return make_module(
-        ring, add_rows, tuple(act_rows), kind="product",
-        name=f"{m1.name}x{m2.name}", labels=labels, cap=cap,
+        ring, add_rows, act_rows, kind="product",
+        name=f"{m1.name}x{m2.name}", labels=labels,
     )
 
 
@@ -203,60 +179,14 @@ def product_module(m1, m2, ring=None, cap=DEFAULT_CAP):
 # submodules
 
 
-@dataclass(frozen=True)
-class Submodule:
-    """A subset closed under addition and the full ring action."""
-
-    module: Module
-    elements: frozenset
-    generators: tuple = field(default=None, compare=False)
-
-    def __post_init__(self):
-        _check_closed(self.module, self.elements, self.generators, "submodule",
-                      "action")
-
-    def members(self):
-        return sorted(self.elements)
-
-    def __contains__(self, x):
-        return x in self.elements
-
-    def __len__(self):
-        return len(self.elements)
-
-    def is_zero(self):
-        return len(self.elements) == 1
-
-    def is_full(self):
-        return len(self.elements) == self.module.size
-
-    def describe(self):
-        return self.module.set_label(self.elements)
-
-
-def submodule_closure(module, generators):
-    """Least submodule containing the generators."""
-    gens = tuple(sorted(set(generators)))
-    _check_in_range(module, gens)
-    return Submodule(module, _span(module, gens), generators=gens)
-
-
-def submodule_from_set(module, elements):
-    elements = frozenset(elements)
-    _check_in_range(module, elements)
-    return Submodule(module, elements)
-
-
 def full_submodule(module):
     return Submodule(module, frozenset(module.elements()))
 
 
 @lru_cache(maxsize=None)
-def enumerate_submodules(module, cap=DEFAULT_CAP):
+def enumerate_submodules(module):
     """All submodules by incremental one-element extensions, canonical order."""
-    if module.size > cap:
-        raise SizeCapExceeded("module carrier", module.size, cap)
-    return tuple(Submodule(module, els) for els in _enumerate_closed(module))
+    return _enumerate_closed(module, "module carrier")
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +216,8 @@ def annihilator_set(module, subset):
 
 
 def annihilator(module, subset):
-    return Ideal(module.ring, annihilator_set(module, frozenset(subset)))
+    """ann(K) as an ideal, a Submodule of the ring."""
+    return Submodule(module.ring, annihilator_set(module, frozenset(subset)))
 
 
 @lru_cache(maxsize=None)
@@ -308,10 +239,10 @@ def is_torsion(module):
 
 
 @lru_cache(maxsize=None)
-def zero_divisors_on(ring, module):
+def zero_divisors_on(module):
     """z(M) = {x in R : xm = 0 for some nonzero m}."""
     return frozenset(
-        x for x in ring.elements()
+        x for x in module.ring.elements()
         if any(module.act(x, m) == 0 for m in module.elements() if m != 0)
     )
 

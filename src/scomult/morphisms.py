@@ -272,7 +272,7 @@ def monic_epic_bridge(f, mcs):
     monic, s_monic = is_monic(f), is_s_monic(f, mcs)
     epic, s_epic = is_epic(f), is_s_epic(f, mcs)
     monic_converse = None
-    if not (mcs.elements & zero_divisors_on(ring, f.source)):
+    if not (mcs.elements & zero_divisors_on(f.source)):
         monic_converse = s_monic is None or monic
     epic_converse = None
     if mcs.elements <= units(ring):

@@ -2,10 +2,12 @@
 
 A ring is R acting on itself: rings and modules share one table carrier,
 whose action rows are a ring's multiplication rows, and one axiom check,
-the module axioms, which a ring's tables meet over themselves.  An ideal is
-a closed subset of R acting on itself, that is a submodule of R as an
-R-module, so ideals and submodules share the closed-subset core below
-(closure check, generator closure, enumeration, products, colons and sums).
+the module axioms, which a ring's tables meet over themselves.  `Ring.ring`
+is the ring itself, so a ring serves as a base wherever a module does.  An
+ideal is a submodule of R as an R-module: `Submodule(ring, X)`.  Ideals and
+submodules share the one closed-subset type and the core below (closure
+check, generator closure, enumeration, products, colons and sums), and
+direct products of rings and of modules share one table builder.
 
 Every ring is held as a pair of Cayley tables over the element indices
 0..order-1.  Products of Z_n are built as tables too: the index of an
@@ -33,6 +35,11 @@ from .errors import (
 from .witnesses import Witness, revalidator
 
 DEFAULT_CAP = 64
+
+
+def _check_size(what, size):
+    if size > DEFAULT_CAP:
+        raise SizeCapExceeded(what, size, DEFAULT_CAP)
 
 
 class _Table:
@@ -115,6 +122,11 @@ class Ring(_Table):
     def order(self):
         return self.size
 
+    @property
+    def ring(self):
+        """The ring of scalars: a ring is R acting on itself."""
+        return self
+
     def add(self, a, b):
         return self._add_rows[a][b]
 
@@ -156,7 +168,7 @@ def componentwise_table(moduli, op):
     )
 
 
-def make_ring_zn(moduli, cap=DEFAULT_CAP):
+def make_ring_zn(moduli):
     """Ring Z_{n1} x ... x Z_{nk} under componentwise modular arithmetic.
 
     The tables are correct by construction, so the exhaustive axiom check
@@ -168,8 +180,7 @@ def make_ring_zn(moduli, cap=DEFAULT_CAP):
     order = 1
     for n in moduli:
         order *= n
-    if order > cap:
-        raise SizeCapExceeded("ring", order, cap)
+    _check_size("ring", order)
     one = mixed_radix_residues(moduli).index((1,) * len(moduli))
     return Ring(
         componentwise_table(moduli, operator.add),
@@ -179,14 +190,12 @@ def make_ring_zn(moduli, cap=DEFAULT_CAP):
     )
 
 
-def make_ring_table(add_rows, mul_rows, zero, one, cap=DEFAULT_CAP,
-                    labels=None, name=None):
+def make_ring_table(add_rows, mul_rows, zero, one, labels=None, name=None):
     """Ring from explicit Cayley tables; all ring axioms checked exhaustively."""
     add_rows = tuple(tuple(row) for row in add_rows)
     mul_rows = tuple(tuple(row) for row in mul_rows)
     order = len(add_rows)
-    if order > cap:
-        raise SizeCapExceeded("ring", order, cap)
+    _check_size("ring", order)
     _check_tables(add_rows, mul_rows, zero, one)
     return Ring(
         add_rows, mul_rows, zero, one, name or f"table({order})",
@@ -259,36 +268,38 @@ def _check_tables(add, act, zero, one, ring=None):
                     raise AxiomViolation("multiplication not associative", (r, s, x))
 
 
-def product_ring(r1, r2, cap=DEFAULT_CAP):
+def _product_tables(b1, b2, what):
+    """Addition rows, action rows and labels of B1 x B2 over R1 x R2.
+
+    B1 and B2 are both rings or both modules.  The pair (a, b) has index
+    a*|B2| + b, the scalar (r1, r2) index r1*|R2| + r2, and row (r1, r2)
+    maps (a, b) to (r1*a, r2*b).
+    """
+    _check_size(what, b1.size * b2.size)
+    n2 = b2.size
+    pairs = [(a, b) for a in b1.elements() for b in b2.elements()]
+
+    def row(row1, row2):
+        return tuple(row1[a] * n2 + row2[b] for a, b in pairs)
+
+    add = tuple(row(b1._add_rows[a], b2._add_rows[b]) for a, b in pairs)
+    act = tuple(row(b1.act_row(r1), b2.act_row(r2))
+                for r1 in b1.ring.elements() for r2 in b2.ring.elements())
+    labels = tuple(f"({b1.label(a)},{b2.label(b)})" for a, b in pairs)
+    return add, act, labels
+
+
+def product_ring(r1, r2):
     """Direct product R1 x R2; (a, b) has index a*|R2| + b.
 
     Z_n products concatenate their moduli, whose mixed-radix index is the same.
     """
     if r1.moduli is not None and r2.moduli is not None:
-        return make_ring_zn(r1.moduli + r2.moduli, cap=cap)
-    order = r1.order * r2.order
-    if order > cap:
-        raise SizeCapExceeded("ring", order, cap)
-
-    def enc(a, b):
-        return a * r2.order + b
-
-    add = tuple(
-        tuple(enc(r1.add(a1, b1), r2.add(a2, b2)) for b1 in r1.elements()
-              for b2 in r2.elements())
-        for a1 in r1.elements() for a2 in r2.elements()
-    )
-    mul = tuple(
-        tuple(enc(r1.mul(a1, b1), r2.mul(a2, b2)) for b1 in r1.elements()
-              for b2 in r2.elements())
-        for a1 in r1.elements() for a2 in r2.elements()
-    )
-    labels = tuple(
-        f"({r1.label(a)},{r2.label(b)})" for a in r1.elements() for b in r2.elements()
-    )
+        return make_ring_zn(r1.moduli + r2.moduli)
+    add, mul, labels = _product_tables(r1, r2, "ring")
     return make_ring_table(
-        add, mul, enc(r1.zero, r2.zero), enc(r1.one, r2.one),
-        cap=cap, labels=labels, name=f"{r1.name}x{r2.name}",
+        add, mul, r1.zero * r2.order + r2.zero, r1.one * r2.order + r2.one,
+        labels=labels, name=f"{r1.name}x{r2.name}",
     )
 
 
@@ -300,8 +311,57 @@ def product_ring(r1, r2, cap=DEFAULT_CAP):
 # on itself by multiplication, so an ideal is a submodule of R over itself.
 
 
-def _check_closed(base, elements, generators, noun, action):
-    """Raise the first closure axiom the subset breaks, in the caller's words."""
+@dataclass(frozen=True)
+class Submodule:
+    """A subset of a base closed under addition and the full ring action.
+
+    The base is a Module, or a Ring acting on itself, and then the subset
+    is an ideal.
+    """
+
+    module: _Table
+    elements: frozenset
+    generators: tuple = field(default=None, compare=False)
+
+    def __post_init__(self):
+        _check_closed(self.module, self.elements, self.generators)
+
+    def members(self):
+        return sorted(self.elements)
+
+    def __contains__(self, x):
+        return x in self.elements
+
+    def __len__(self):
+        return len(self.elements)
+
+    def is_zero(self):
+        return len(self.elements) == 1
+
+    def is_full(self):
+        return len(self.elements) == self.module.size
+
+    def describe(self):
+        return self.module.set_label(self.elements)
+
+
+def submodule_closure(base, generators):
+    """Least submodule (an ideal, over a ring) containing the generators."""
+    gens = tuple(sorted(set(generators)))
+    _check_in_range(base, gens)
+    return Submodule(base, _span(base, gens), generators=gens)
+
+
+def submodule_from_set(base, elements):
+    elements = frozenset(elements)
+    _check_in_range(base, elements)
+    return Submodule(base, elements)
+
+
+def _check_closed(base, elements, generators):
+    """Raise the first closure axiom the subset breaks, in its base's words."""
+    noun, action = (("ideal", "scalars") if isinstance(base, Ring)
+                    else ("submodule", "action"))
     if base.zero not in elements:
         raise AxiomViolation(f"{noun} must contain 0")
     add = base._add_rows
@@ -343,8 +403,9 @@ def _span(base, elements, scalars=None):
     return frozenset(elems)
 
 
-def _enumerate_closed(base):
-    """Every closed subset by one-element extensions, in canonical order."""
+def _enumerate_closed(base, what):
+    """Every Submodule of the base by one-element extensions, in canonical order."""
+    _check_size(what, base.size)
     zero = frozenset((base.zero,))
     known = {zero}
     frontier = [zero]
@@ -357,7 +418,8 @@ def _enumerate_closed(base):
             if grown not in known:
                 known.add(grown)
                 frontier.append(grown)
-    return sorted(known, key=_canonical_subset_key)
+    return tuple(Submodule(base, els)
+                 for els in sorted(known, key=_canonical_subset_key))
 
 
 def _colon(base, target, subset):
@@ -389,62 +451,19 @@ def _canonical_subset_key(elements):
 
 
 # ---------------------------------------------------------------------------
-# ideals
-
-
-@dataclass(frozen=True)
-class Ideal:
-    """A subset of a ring closed under addition and all scalar multiples."""
-
-    ring: Ring
-    elements: frozenset
-    generators: tuple = field(default=None, compare=False)
-
-    def __post_init__(self):
-        _check_closed(self.ring, self.elements, self.generators, "ideal",
-                      "scalars")
-
-    def members(self):
-        return sorted(self.elements)
-
-    def __contains__(self, x):
-        return x in self.elements
-
-    def __len__(self):
-        return len(self.elements)
-
-    def is_proper(self):
-        return len(self.elements) < self.ring.order
-
-    def describe(self):
-        return self.ring.set_label(self.elements)
-
-
-def ideal_closure(ring, generators):
-    """Least ideal containing the generators."""
-    gens = tuple(sorted(set(generators)))
-    _check_in_range(ring, gens)
-    return Ideal(ring, _span(ring, gens), generators=gens)
-
-
-def ideal_from_set(ring, elements):
-    elements = frozenset(elements)
-    _check_in_range(ring, elements)
-    return Ideal(ring, elements)
+# ideals: submodules of R over itself
 
 
 @lru_cache(maxsize=None)
-def enumerate_ideals(ring, cap=DEFAULT_CAP):
+def enumerate_ideals(ring):
     """Every ideal exactly once, sorted by (cardinality, element list)."""
-    if ring.order > cap:
-        raise SizeCapExceeded("ring", ring.order, cap)
-    return tuple(Ideal(ring, els) for els in _enumerate_closed(ring))
+    return _enumerate_closed(ring, "ring")
 
 
 @lru_cache(maxsize=None)
 def maximal_ideals(ring):
     """Proper ideals maximal under inclusion, in canonical order."""
-    proper = [i for i in enumerate_ideals(ring) if i.is_proper()]
+    proper = [i for i in enumerate_ideals(ring) if not i.is_full()]
     out = []
     for i in proper:
         if not any(i.elements < j.elements for j in proper):
@@ -467,7 +486,7 @@ def prime_ideals(ring):
     """Proper ideals I with ab in I implying a in I or b in I."""
     out = []
     for ideal in enumerate_ideals(ring):
-        if ideal.is_proper() and is_prime_ideal_set(ring, ideal.elements):
+        if not ideal.is_full() and is_prime_ideal_set(ring, ideal.elements):
             out.append(ideal)
     return tuple(out)
 
@@ -492,11 +511,11 @@ def jacobson_radical(ring):
     els = frozenset(ring.elements())
     for m in maximal_ideals(ring):
         els &= m.elements
-    return Ideal(ring, els)
+    return Submodule(ring, els)
 
 
 def ideal_sum(i, j):
-    return Ideal(i.ring, _sum(i.ring, (i.elements, j.elements)))
+    return Submodule(i.module, _sum(i.module, (i.elements, j.elements)))
 
 
 @lru_cache(maxsize=None)

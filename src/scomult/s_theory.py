@@ -240,6 +240,8 @@ def s_prime_characterizations(module, p, mcs, direct_fn=None):
 
 @revalidator("s-prime-colon")
 def _check_s_prime_colon(module, p, mcs, s):
+    if colon_set_into_ring(module, p, _full_set(module)) & mcs.elements:
+        return False
     target = frozenset(m for m in module.elements() if module.act(s, m) in p)
     if not is_prime_submodule_set(module, target):
         return False
@@ -252,6 +254,8 @@ def _check_s_prime_colon(module, p, mcs, s):
 
 @revalidator("s-prime-homothety")
 def _check_s_prime_homothety(module, p, mcs, s):
+    if colon_set_into_ring(module, p, _full_set(module)) & mcs.elements:
+        return False
     family = homothety_family(module, Submodule(module, p))
     return all(is_s_zero_with(h, s) or is_s_monic_with(h, s) for h in family)
 
@@ -358,12 +362,16 @@ def s_second_characterizations(module, n, mcs, direct_fn=None):
 
 @revalidator("s-second-homothety")
 def _check_s_second_homothety(module, n, mcs, s):
+    if annihilator_set(module, n) & mcs.elements:
+        return False
     family = homothety_on_family(Submodule(module, n))
     return all(is_s_zero_with(h, s) or is_s_epic_with(h, s) for h in family)
 
 
 @revalidator("s-second-containment")
 def _check_s_second_containment(module, n, mcs, s):
+    if annihilator_set(module, n) & mcs.elements:
+        return False
     ring = module.ring
     s_image = scalar_times_set(module, s, n)
     for a in ring.elements():

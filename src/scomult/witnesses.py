@@ -51,10 +51,16 @@ class Witness:
         return named["s"] in named["mcs"] and REVALIDATORS[self.claim](**named)
 
     def describe(self) -> str:
+        """The claim and every binding; element sets and tuples are written
+        with the labels of the bound module."""
+        module = dict(self.bindings).get("module")
         parts = []
         for key, value in self.bindings:
-            if isinstance(value, int):
-                parts.append(f"{key}={value}")
-            elif hasattr(value, "describe"):
-                parts.append(f"{key}={value.describe()}")
+            if hasattr(value, "describe"):
+                value = value.describe()
+            elif isinstance(value, frozenset):
+                value = module.set_label(value)
+            elif isinstance(value, tuple):
+                value = "(" + ",".join(map(module.label, value)) + ")"
+            parts.append(f"{key}={value}")
         return f"{self.claim}({', '.join(parts)})"

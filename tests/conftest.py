@@ -24,10 +24,10 @@ from scomult.modules import (
 )
 from scomult import mutations
 from scomult.rings import (
-    Ideal,
+    Submodule,
     enumerate_ideals,
-    ideal_closure,
     make_ring_zn,
+    submodule_closure,
     validate_mcs,
 )
 from scomult.statements import verify_all
@@ -89,26 +89,26 @@ def brute_force_submodules(module):
 
 def ideal_product(i, j):
     """I*J, the ideal generated by the products ab with a in I, b in J."""
-    ring = i.ring
-    return ideal_closure(ring, {ring.mul(a, b)
+    ring = i.module
+    return submodule_closure(ring, {ring.mul(a, b)
                                 for a in i.elements for b in j.elements})
 
 
 def ideal_intersection(i, j):
-    return Ideal(i.ring, i.elements & j.elements)
+    return Submodule(i.module, i.elements & j.elements)
 
 
 def ideal_colon(i, j):
     """(I : J) = {x in R : xJ <= I}."""
-    ring = i.ring
-    return Ideal(ring, frozenset(
+    ring = i.module
+    return Submodule(ring, frozenset(
         x for x in ring.elements()
         if all(ring.mul(x, b) in i.elements for b in j.elements)))
 
 
 def ideal_annihilator(i):
     """ann(I) = (0 : I)."""
-    return ideal_colon(Ideal(i.ring, frozenset((i.ring.zero,))), i)
+    return ideal_colon(Submodule(i.module, frozenset((i.module.zero,))), i)
 
 
 @pytest.fixture(scope="session")

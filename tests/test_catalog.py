@@ -1,8 +1,11 @@
 """Catalog generation: determinism, coverage, and the count snapshot."""
 
+import hashlib
+
 import pytest
 
 from scomult.catalog import MAX_RING_ORDER, CatalogParams, generate_catalog
+from scomult.mutations import mutation_catalog_params
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +83,42 @@ def test_product_cases_live_on_catalog_rings(default_catalog):
     for case in default_catalog.product_cases + default_catalog.triple_cases:
         assert case.module.ring in ring_set
         assert case.mcs.ring == case.module.ring
+
+
+def _catalog_digest(catalog):
+    """SHA-256 over every ring, module, m.c.s., hom and product case."""
+    digest = hashlib.sha256()
+    seen = {}
+
+    def module_key(m):
+        if id(m) not in seen:
+            seen[id(m)] = hashlib.sha256(repr((
+                m.name, m.kind, m.ring.name, m._add_rows, m._act_rows,
+                tuple(m.label(x) for x in m.elements()),
+            )).encode()).hexdigest()
+        return seen[id(m)]
+
+    def feed(*item):
+        digest.update(repr(item).encode())
+
+    for ring in catalog.rings:
+        feed("ring", ring.name, ring.zero, ring.one, ring._add_rows,
+             ring._act_rows)
+        for module in catalog.modules[ring]:
+            feed("module", module_key(module))
+        for mcs in catalog.mcs[ring]:
+            feed("mcs", mcs.members())
+        for f in catalog.homs[ring]:
+            feed("hom", module_key(f.source), module_key(f.target), f.values)
+    for case in catalog.product_cases + catalog.triple_cases:
+        feed("case", module_key(case.module), case.mcs.members(),
+             tuple((module_key(m), s.members()) for m, s in case.factors))
+    return digest.hexdigest()
+
+
+def test_catalog_digest_is_pinned(default_catalog):
+    reduced = generate_catalog(mutation_catalog_params())
+    assert _catalog_digest(default_catalog) == (
+        "9d44a5099f508ac3e7d5889e2285e1aa7812125918768966dbc969a1a1c767f3")
+    assert _catalog_digest(reduced) == (
+        "d11563f512ce757eb05f3fe62ec849bfa9624c85e49fd8dee3c58e7ec804fab3")

@@ -29,9 +29,7 @@ from scomult.modules import (
 )
 from scomult.mutations import mutation_catalog_params
 from scomult.rings import (
-    Ideal,
     enumerate_ideals,
-    ideal_from_set,
     make_ring_table,
     make_ring_zn,
     product_ring,
@@ -107,7 +105,7 @@ def test_closure_violations_are_pinned(moduli, members, generators, kind, axiom,
     ring = make_ring_zn(moduli)
     with pytest.raises(AxiomViolation) as err:
         if kind == "ideal":
-            Ideal(ring, frozenset(members), generators=generators)
+            Submodule(ring, frozenset(members), generators=generators)
         else:
             Submodule(self_module(ring), frozenset(members), generators=generators)
     assert (err.value.axiom, err.value.witness) == (axiom, witness)
@@ -187,8 +185,8 @@ def test_reduced_catalog_lattices_are_pinned():
 
 
 def colon_ideal(n, k_set):
-    """(N : K) wrapped in `Ideal`, which checks that it is closed."""
-    return Ideal(n.module.ring, colon_set_into_ring(n.module, n.elements, k_set))
+    """(N : K) wrapped in `Submodule`, which checks that it is closed."""
+    return Submodule(n.module.ring, colon_set_into_ring(n.module, n.elements, k_set))
 
 
 def colon_submodule(n, ideal):
@@ -208,12 +206,12 @@ def test_colon_into_ring_pins(z6, m6):
 
 def test_colon_into_module_pins(z6, m6, m4):
     zero = submodule_from_set(m6, {0})
-    threes = ideal_from_set(z6, {0, 3})
+    threes = submodule_from_set(z6, {0, 3})
     assert colon_submodule(zero, threes).members() == [0, 2, 4]
     anything = submodule_from_set(m6, {0, 3})
-    zero_ideal = ideal_from_set(z6, {0})
+    zero_ideal = submodule_from_set(z6, {0})
     assert colon_submodule(anything, zero_ideal).members() == [0, 1, 2, 3, 4, 5]
-    two = Ideal(m4.ring, frozenset({0, 2}))
+    two = Submodule(m4.ring, frozenset({0, 2}))
     assert sorted(colon_set_into_module(m4, frozenset({0}), two.elements)) == [0, 2]
 
 
@@ -229,7 +227,7 @@ def test_torsion_contains_zero_when_zero_divisors_act(m6, z2_over_z6, v2):
     from scomult.modules import zero_divisors_on
 
     for module in (m6, z2_over_z6, v2):
-        if zero_divisors_on(module.ring, module) - {module.ring.zero}:
+        if zero_divisors_on(module) - {module.ring.zero}:
             assert 0 in torsion_set(module)
 
 
@@ -326,3 +324,10 @@ def test_mixed_presentation_products():
     prod = product_module(self_module(f4), self_module(z2), ring=ring)
     assert prod.size == 8
     assert len(enumerate_submodules(prod)) == 4
+    # R1 x R2 over itself and R1 x R2 as a product of self modules agree
+    assert [prod.act_row(r) for r in ring.elements()] == \
+        [ring.act_row(r) for r in ring.elements()]
+    assert [[prod.add(a, b) for b in prod.elements()] for a in prod.elements()] \
+        == [[ring.add(a, b) for b in ring.elements()] for a in ring.elements()]
+    assert list(map(prod.label, prod.elements())) == \
+        list(map(ring.label, ring.elements()))

@@ -19,8 +19,6 @@ from scomult.rings import (
     enumerate_ideals,
     enumerate_mcs,
     has_maximal_multiple,
-    ideal_closure,
-    ideal_from_set,
     ideal_sum,
     jacobson_radical,
     make_ring_table,
@@ -30,6 +28,8 @@ from scomult.rings import (
     prime_ideals,
     product_ring,
     saturation,
+    submodule_closure,
+    submodule_from_set,
     units,
     validate_mcs,
 )
@@ -125,15 +125,15 @@ def test_ring_table_violations_are_pinned(add, mul, zero, one, axiom, witness):
 
 
 def test_ideal_closure_pins(z6):
-    assert ideal_closure(z6, [2]).members() == [0, 2, 4]
-    assert ideal_closure(z6, []).members() == [0]
-    assert ideal_closure(z6, [5]).members() == [0, 1, 2, 3, 4, 5]
+    assert submodule_closure(z6, [2]).members() == [0, 2, 4]
+    assert submodule_closure(z6, []).members() == [0]
+    assert submodule_closure(z6, [5]).members() == [0, 1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("build, indices, outside", [
-    (ideal_closure, [7], (7,)),
-    (ideal_closure, [-1], (-1,)),
-    (ideal_from_set, [0, 1, 2, 3, 4, 5, -1], (-1,)),
+    (submodule_closure, [7], (7,)),
+    (submodule_closure, [-1], (-1,)),
+    (submodule_from_set, [0, 1, 2, 3, 4, 5, -1], (-1,)),
     (validate_mcs, [1, 9], (9,)),
     (validate_mcs, [1, -5], (-5,)),
 ])
@@ -195,11 +195,11 @@ def test_jacobson_inside_every_maximal():
 
 
 def test_ideal_ops_pins(z6):
-    evens = ideal_from_set(z6, {0, 2, 4})
-    threes = ideal_from_set(z6, {0, 3})
+    evens = submodule_from_set(z6, {0, 2, 4})
+    threes = submodule_from_set(z6, {0, 3})
     assert ideal_annihilator(evens).members() == [0, 3]
     assert ideal_colon(threes, evens).members() == [0, 3]
-    zero = ideal_from_set(z6, {0})
+    zero = submodule_from_set(z6, {0})
     assert ideal_colon(evens, zero).members() == [0, 1, 2, 3, 4, 5]
     assert ideal_sum(evens, threes).members() == [0, 1, 2, 3, 4, 5]
     assert ideal_product(evens, threes).members() == [0]
@@ -224,8 +224,8 @@ def test_ideal_arithmetic_with_zero_off_index_0(z6):
         [i.elements for i in shifted_ideals]
     by_set = {i.elements: i for i in shifted_ideals}
     for x in z6.elements():
-        assert ideal_closure(shifted, [(x + 1) % 6]).elements == \
-            shift(ideal_closure(z6, [x]))
+        assert submodule_closure(shifted, [(x + 1) % 6]).elements == \
+            shift(submodule_closure(z6, [x]))
     for i in ideals:
         si = by_set[shift(i)]
         assert ideal_annihilator(si).elements == shift(ideal_annihilator(i))
@@ -248,13 +248,13 @@ def test_colon_product_contained(z6):
 def test_units_and_zero_divisors(z6):
     assert units(z6) == frozenset({1, 5})
     assert units(make_ring_zn([5])) == frozenset({1, 2, 3, 4})
-    assert zero_divisors_on(z6, self_module(z6)) == frozenset({0, 2, 3, 4})
+    assert zero_divisors_on(self_module(z6)) == frozenset({0, 2, 3, 4})
 
 
 def test_units_never_divide_zero():
     for moduli in ([2], [4], [6], [9], [12], [2, 3], [2, 4], [2, 2, 2]):
         ring = make_ring_zn(moduli)
-        assert not units(ring) & zero_divisors_on(ring, self_module(ring))
+        assert not units(ring) & zero_divisors_on(self_module(ring))
 
 
 def test_validate_mcs_pins(z6):

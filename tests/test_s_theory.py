@@ -55,12 +55,12 @@ def test_s_prime_pins(m6, s1, s13):
 
 
 def test_s_prime_ideal_pins(z6, s1):
-    from scomult.rings import ideal_from_set
+    from scomult.rings import submodule_from_set
 
-    assert is_s_prime_ideal(z6, ideal_from_set(z6, {0, 3}), s1) is not None
-    assert is_s_prime_ideal(z6, ideal_from_set(z6, {0}), s1) is None
+    assert is_s_prime_ideal(z6, submodule_from_set(z6, {0, 3}), s1) is not None
+    assert is_s_prime_ideal(z6, submodule_from_set(z6, {0}), s1) is None
     z5 = make_ring_zn([5])
-    from scomult.rings import ideal_from_set as ideal
+    from scomult.rings import submodule_from_set as ideal
     assert is_s_prime_ideal(z5, ideal(z5, {0}), unit_mcs(z5)) is not None
 
 

@@ -272,12 +272,12 @@ MUTANT_COUNTEREXAMPLES = {
         for sid in ("P-LOC", "T-LOC")},
     "s_prime_quantifier_swap": {
         "P-SPR": {"module": "Z6 over Z6", "mcs": "{1,3}", "submodule": "{0}",
-                  "detail": REVALIDATION + "s-prime-submodule("
-                                           "module=Z6 over Z6, mcs={1,3}, s=1)"},
+                  "detail": REVALIDATION + "s-prime-submodule(module=Z6 over Z6,"
+                                           " p={0}, mcs={1,3}, s=1)"},
         "T-M3": {"module": "Z6 over Z6", "mcs": "{1,3}",
                  "submodule": "{0,1,2,3,4,5}",
-                 "detail": REVALIDATION + "s-prime-submodule("
-                                          "module=Z6 over Z6, mcs={1,3}, s=1)"}},
+                 "detail": REVALIDATION + "s-prime-submodule(module=Z6 over Z6,"
+                                          " p={0}, mcs={1,3}, s=1)"}},
     "s_second_drop_disjointness": {
         "T-M3": {"module": "Z6 over Z6", "mcs": "{1,3}", "submodule": "{0,2,4}",
                  "second": True, "prime_annihilator": False,
@@ -285,12 +285,12 @@ MUTANT_COUNTEREXAMPLES = {
         "T-SEC": {"module": "Z6 over Z6", "mcs": "{1,3}", "submodule": "{0,2,4}",
                   "verdicts": [True, False, False]},
         "T-SSUM": {"module": "Z6 over Z6", "mcs": "{1,3}", "submodule": "{0,2,4}",
-                   "detail": REVALIDATION + "s-second("
-                                            "module=Z6 over Z6, mcs={1,3}, s=1)"}},
+                   "detail": REVALIDATION + "s-second(module=Z6 over Z6,"
+                                            " n={0,2,4}, mcs={1,3}, s=1)"}},
     "tm3_drop_uniform_clause": {
         "T-M3": {"module": "Z6 over Z6", "mcs": "{1,3}", "submodule": "{0,2,4}",
-                 "detail": REVALIDATION + "uniform-multiple("
-                                          "module=Z6 over Z6, mcs={1,3}, s=1)"}},
+                 "detail": REVALIDATION + "uniform-multiple(module=Z6 over Z6,"
+                                          " n={0,2,4}, mcs={1,3}, s=1)"}},
 }
 
 

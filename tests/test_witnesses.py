@@ -11,8 +11,10 @@ import scomult  # noqa: F401  registers the library's claims
 import scomult.localization  # noqa: F401
 import scomult.mutations  # noqa: F401
 from scomult.catalog import generate_catalog
+from scomult.modules import self_module
 from scomult.morphisms import is_s_zero
-from scomult.s_theory import is_s_multiplication
+from scomult.rings import make_ring_zn, unit_mcs, validate_mcs
+from scomult.s_theory import is_s_finite, is_s_multiplication
 from scomult.statements import verify_all
 from scomult.witnesses import REVALIDATORS, Witness
 
@@ -101,3 +103,29 @@ def test_a_witness_with_s_outside_s_fails_validation(real_witnesses, claim):
     moved = Witness(witness.claim, tuple(
         (key, zero if key == "s" else value) for key, value in witness.bindings))
     assert not moved.validate(), moved.describe()
+
+
+@pytest.mark.parametrize("claim, subset, mcs, s", [
+    ("s-prime-colon", {0, 3}, {1, 3}, 1),
+    ("s-prime-homothety", {0, 3}, {1, 3}, 1),
+    ("s-second-homothety", {0, 3}, {1, 2, 4}, 2),
+    ("s-second-containment", {0, 3}, {1, 2, 4}, 2),
+])
+def test_a_derived_form_witness_fails_when_its_precondition_fails(
+        z6, m6, claim, subset, mcs, s):
+    """Over Z6 acting on itself, (P:M) = {0,3} meets {1,3} and ann(N) = {0,2,4}
+    meets {1,2,4}; the search raises DisjointnessFailure on these instances,
+    so a witness built for them by hand must not validate."""
+    key = "p" if claim.startswith("s-prime") else "n"
+    witness = Witness.make(claim, module=m6, **{key: frozenset(subset)},
+                           mcs=validate_mcs(z6, mcs), s=s)
+    assert not witness.validate(), witness.describe()
+
+
+def test_describe_names_set_and_tuple_bindings_by_label():
+    ring = make_ring_zn([2, 3])
+    module = self_module(ring)
+    witness = is_s_finite(module, frozenset(module.elements()), unit_mcs(ring))
+    assert witness.describe() == (
+        "s-finite(module=Z2xZ3 over Z2xZ3, n={(0,0),(0,1),(0,2),(1,0),(1,1),(1,2)},"
+        " mcs={(1,1)}, s=4, generators=((0,1),(1,0)))")
