@@ -10,10 +10,13 @@ is not transitive over rings with zero divisors.  S^-1 R is the same
 construction on R as a module over itself, built once per (R, S, torsion
 function): every helper reads the action from its base, which for a ring
 is its multiplication.
-The relation is checked to be an equivalence by an explicit scan of its
-rows, arithmetic on representatives is cross-checked against a second
-representative of each class, and the image of every element of S is
-checked to be a unit.
+The relation is checked to be an equivalence in one pass over its classes:
+each class's rows must all equal its leader's row, which must contain the
+leader, and no pair may fall in two classes; only when that fails are the
+rows scanned pair by pair to name the failing axiom.  Sums and actions of
+representatives are computed straight from the base's rows and
+cross-checked against a second representative of each class, and the
+image of every element of S is checked to be a unit.
 """
 
 from __future__ import annotations
@@ -46,14 +49,15 @@ def _rows(base, mcs, torsion_set):
     at stride |S|; row (x, s) ORs the mask for v = tx, shifted by rank[t],
     over every t.
     """
-    width = len(mcs)
+    width, add, act = len(mcs), base._add_rows, base._act_rows
     masks = {}
     for s in mcs:
         by_value = masks[s] = [0] * base.size
-        for y, sy in enumerate(base.act_row(s)):
+        for y, sy in enumerate(act[s]):
+            bit, shifted = 1 << (y * width), add[sy]
             for k in torsion_set:
-                by_value[base.add(sy, k)] |= 1 << (y * width)
-    return [sum(masks[s][base.act(t, x)] << i for i, t in enumerate(mcs))
+                by_value[shifted[k]] |= bit
+    return [sum(masks[s][act[t][x]] << i for i, t in enumerate(mcs))
             for x in base.elements() for s in mcs]
 
 
@@ -70,8 +74,29 @@ def _partition(pairs, rows):
 
     Returns pair index -> class index and class index -> pair indices; a
     class is numbered by its least pair, so the class of pair 0 comes first.
+    The relation is an equivalence iff, taking as leader each pair not yet
+    in a class, the leader's row contains the leader and every member's row
+    equals it and is still unassigned; only when that fails does
+    `_first_violation` scan the rows to name the axiom and the pairs.
     """
-    n = len(pairs)
+    class_of = [None] * len(pairs)
+    classes = []
+    for i, row in enumerate(rows):
+        if class_of[i] is not None:
+            continue
+        members = tuple(_bits(row))
+        if not row >> i & 1 or any(rows[j] != row or class_of[j] is not None
+                                   for j in members):
+            _first_violation(pairs, rows)
+        for j in members:
+            class_of[j] = len(classes)
+        classes.append(members)
+    return tuple(class_of), tuple(classes)
+
+
+def _first_violation(pairs, rows):
+    """Raise for the first reflexive, symmetric or transitive failure of a
+    relation that is not an equivalence."""
     for i, row in enumerate(rows):
         if not row >> i & 1:
             raise AxiomViolation("localization relation not reflexive", (pairs[i],))
@@ -85,16 +110,6 @@ def _partition(pairs, rows):
                 k = (rows[j] & ~row).bit_length() - 1
                 raise AxiomViolation("localization relation not transitive",
                                      (pairs[i], pairs[j], pairs[k]))
-    class_of = [None] * n
-    classes = []
-    for i in range(n):
-        if class_of[i] is not None:
-            continue
-        members = tuple(_bits(rows[i]))
-        for j in members:
-            class_of[j] = len(classes)
-        classes.append(members)
-    return tuple(class_of), tuple(classes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,32 +169,45 @@ def _cross_checked_tables(left, right, act_message):
     """Addition on the right classes and the action of the left ring classes.
 
     (x, s) + (y, t) = (tx + sy, st) and (r, s)(y, t) = (ry, st), computed on
-    the first two pairs of every class; each choice must give one class.  With
-    left = right = S^-1 R the action is the ring's own multiplication.
+    the first two pairs of every class straight from the base's rows; each
+    choice must give the class of the first.  With left = right = S^-1 R the
+    action is the ring's own multiplication.
     """
-    add, act, mul = right.base.add, right.base.act, right.mcs.ring.mul
-
-    def table(rows, numerator, message):
+    add, act = right.base._add_rows, right.base._act_rows
+    mul, rank, width = right.mcs.ring._act_rows, right.rank, len(right.rank)
+    class_of = right.class_of_pair
+    cols = [[right.pairs[b] for b in m[:2]] for m in right.members]
+    add_table = []
+    for i, row in enumerate(cols):
         out = []
-        for i, row_pairs in enumerate(rows.members):
-            row = []
-            for j, col_pairs in enumerate(right.members):
-                picks = set()
-                for a in row_pairs[:2]:
-                    x, s = rows.pairs[a]
-                    for b in col_pairs[:2]:
-                        y, t = right.pairs[b]
-                        picks.add(right.class_of(numerator(x, s, y, t), mul(s, t)))
-                if len(picks) != 1:
-                    raise AxiomViolation(message, (i, j))
-                row.append(picks.pop())
-            out.append(tuple(row))
-        return tuple(out)
-
-    add_table = table(right, lambda x, s, y, t: add(act(t, x), act(s, y)),
-                      "localization operation not well defined")
-    act_table = table(left, lambda r, s, y, t: act(r, y), act_message)
-    return add_table, act_table
+        for j, col in enumerate(cols):
+            first = None
+            for x, s in row:
+                for y, t in col:
+                    c = class_of[add[act[t][x]][act[s][y]] * width + rank[mul[s][t]]]
+                    if first is None:
+                        first = c
+                    elif c != first:
+                        raise AxiomViolation("localization operation not well defined",
+                                             (i, j))
+            out.append(first)
+        add_table.append(tuple(out))
+    act_table = []
+    for i, members in enumerate(left.members):
+        row = [left.pairs[a] for a in members[:2]]
+        out = []
+        for j, col in enumerate(cols):
+            first = None
+            for r, s in row:
+                for y, t in col:
+                    c = class_of[act[r][y] * width + rank[mul[s][t]]]
+                    if first is None:
+                        first = c
+                    elif c != first:
+                        raise AxiomViolation(act_message, (i, j))
+            out.append(first)
+        act_table.append(tuple(out))
+    return tuple(add_table), tuple(act_table)
 
 
 def _check_kernel(wrapper, message):

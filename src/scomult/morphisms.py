@@ -7,8 +7,11 @@ make it S-zero (ann(Im f)), S-monic (ann(Ker f)) and S-epic
 homs with the same image or kernel share one set.  The S-variant searches
 return the first element of the m.c.s., in canonical order, that lies in
 the hom's set.  The `*_with` helpers are the definitional checks, element
-by element: witness revalidation and the direct side of the S-monic
-cross-check use them, never the hom's sets.
+by element, and witness revalidation uses them, never the hom's sets.  The
+direct side of the S-monic cross-check is also element-wise: it scans the
+kernel, listed once per hom, for each s in turn.  The monic/epic bridge
+computes what depends on the hom alone (image, kernel list, the scalar
+sets, z(M) and the units) once and reuses it for every m.c.s.
 """
 
 from __future__ import annotations
@@ -121,6 +124,10 @@ def projection_hom(module, submodule):
     return ModuleHom(module, q, tuple(index[m] for m in module.elements()))
 
 
+def _kernel_list(f):
+    return tuple(m for m in f.source.elements() if f.values[m] == 0)
+
+
 def _kernel_set(f):
     return frozenset(m for m in f.source.elements() if f.values[m] == 0)
 
@@ -159,9 +166,7 @@ def is_s_monic_with(f, s):
 
 
 def is_s_epic_with(f, s):
-    row = f.target.act_row(s)
-    img = set(f.values)
-    return all(row[m] in img for m in f.target.elements())
+    return frozenset(f.values).issuperset(f.target.act_row(s))
 
 
 def _first_in(scalars, mcs):
@@ -179,8 +184,15 @@ def is_s_zero(f, mcs):
 
 def is_s_monic(f, mcs):
     """First s with f(m) = 0 implying sm = 0; cross-checked via s*Ker(f)."""
-    direct = next((s for s in mcs if is_s_monic_with(f, s)), None)
-    via_kernel = is_s_monic_via_kernel(f, mcs)
+    return _s_monic_cross_checked(f, _kernel_list(f), f.s_monic_scalars(), mcs)
+
+
+def _s_monic_cross_checked(f, kernel, scalars, mcs):
+    """The first s of the m.c.s. that kills each element of the kernel list
+    must be the first s in ann(Ker f); returns the kernel form's witness."""
+    direct = next((s for s in mcs
+                   if not any(map(f.source.act_row(s).__getitem__, kernel))), None)
+    via_kernel = _s_monic_witness(f, scalars, mcs)
     if (direct is None) != (via_kernel is None):
         raise AxiomViolation("S-monic characterizations disagree")
     if direct is not None and direct != via_kernel.get("s"):
@@ -190,13 +202,21 @@ def is_s_monic(f, mcs):
 
 def is_s_monic_via_kernel(f, mcs):
     """First s with s*Ker(f) = 0, the equivalent kernel form."""
-    s = _first_in(f.s_monic_scalars(), mcs)
+    return _s_monic_witness(f, f.s_monic_scalars(), mcs)
+
+
+def _s_monic_witness(f, scalars, mcs):
+    s = _first_in(scalars, mcs)
     return None if s is None else Witness.make("s-monic", hom=f, mcs=mcs, s=s)
 
 
 def is_s_epic(f, mcs):
     """First s with s*M' contained in Im(f)."""
-    s = _first_in(f.s_epic_scalars(), mcs)
+    return _s_epic_witness(f, f.s_epic_scalars(), mcs)
+
+
+def _s_epic_witness(f, scalars, mcs):
+    s = _first_in(scalars, mcs)
     return None if s is None else Witness.make("s-epic", hom=f, mcs=mcs, s=s)
 
 
@@ -268,18 +288,31 @@ class BridgeReport(NamedTuple):
 
 def monic_epic_bridge(f, mcs):
     """Forward claims and their side-conditioned converses for one hom."""
-    ring = f.source.ring
-    monic, s_monic = is_monic(f), is_s_monic(f, mcs)
-    epic, s_epic = is_epic(f), is_s_epic(f, mcs)
-    monic_converse = None
-    if not (mcs.elements & zero_divisors_on(f.source)):
-        monic_converse = s_monic is None or monic
-    epic_converse = None
-    if mcs.elements <= units(ring):
-        epic_converse = s_epic is None or epic
-    return BridgeReport(not monic or s_monic is not None, monic_converse,
-                        not epic or s_epic is not None, epic_converse,
-                        s_monic, s_epic)
+    return _bridge_reports(f, (mcs,))[0]
+
+
+def _bridge_reports(f, mcs_list):
+    """monic_epic_bridge(f, mcs) for each m.c.s. in turn, as a tuple; what
+    depends on f alone is computed once."""
+    image = _image_set(f)
+    monic, epic = len(image) == f.source.size, len(image) == f.target.size
+    kernel, monic_scalars = _kernel_list(f), f.s_monic_scalars()
+    epic_scalars = f.s_epic_scalars()
+    zero_divisors, unit_set = zero_divisors_on(f.source), units(f.source.ring)
+    reports = []
+    for mcs in mcs_list:
+        s_monic = _s_monic_cross_checked(f, kernel, monic_scalars, mcs)
+        s_epic = _s_epic_witness(f, epic_scalars, mcs)
+        monic_converse = None
+        if not (mcs.elements & zero_divisors):
+            monic_converse = s_monic is None or monic
+        epic_converse = None
+        if mcs.elements <= unit_set:
+            epic_converse = s_epic is None or epic
+        reports.append(BridgeReport(
+            not monic or s_monic is not None, monic_converse,
+            not epic or s_epic is not None, epic_converse, s_monic, s_epic))
+    return tuple(reports)
 
 
 # ---------------------------------------------------------------------------

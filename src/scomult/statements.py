@@ -555,9 +555,9 @@ def _check_t_min(cat, tb, ctx):
 def _check_p_homs(cat, tb, ctx):
     for ring in cat.rings:
         for f in cat.homs[ring]:
-            for mcs in cat.mcs[ring]:
+            for mcs, report in zip(cat.mcs[ring],
+                                   mor._bridge_reports(f, cat.mcs[ring])):
                 ctx.instances += 1
-                report = mor.monic_epic_bridge(f, mcs)
                 for witness in (report.s_monic, report.s_epic):
                     ctx.revalidate(witness, hom=f, mcs=mcs)
                 if not report.holds():

@@ -51,12 +51,18 @@ class Witness:
         return named["s"] in named["mcs"] and REVALIDATORS[self.claim](**named)
 
     def describe(self) -> str:
-        """The claim and every binding; element sets and tuples are written
-        with the labels of the bound module."""
-        module = dict(self.bindings).get("module")
+        """The claim and every binding; s is written with the label of the
+        m.c.s.'s ring, and an element, element sets and tuples with the
+        labels of the bound module."""
+        named = dict(self.bindings)
+        module = named.get("module")
         parts = []
         for key, value in self.bindings:
-            if hasattr(value, "describe"):
+            if key == "s":
+                value = named["mcs"].ring.label(value)
+            elif key == "element":
+                value = module.label(value)
+            elif hasattr(value, "describe"):
                 value = value.describe()
             elif isinstance(value, frozenset):
                 value = module.set_label(value)

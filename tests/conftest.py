@@ -7,7 +7,10 @@ arithmetic oracles (product, intersection, colon, annihilator) work from
 the ring's multiplication element by element.  The two cross-checks at the
 end (every submodule of S^-1 M is a localization, and S-multiplication in
 its existential-ideal form) live here, not in the library, because only
-tests call them.
+tests call them.  `reference_localization` rebuilds S^-1 X the slow way:
+the relation tested pair by pair, every pair of rows scanned for the three
+equivalence axioms, and each table cell built as a set of the classes its
+representative pairs give.
 """
 
 import pytest
@@ -213,3 +216,68 @@ def s_multiplication_general_form(module, mcs):
                 for im in images)
             for s in mcs)
         for n in enumerate_submodules(module))
+
+
+def reference_classes(base, mcs):
+    """Pairs (x, s) of S^-1 base, pair index -> class and class -> pairs.
+
+    (x, s) ~ (y, t) iff tx - sy is killed by some u in S, tested pair by
+    pair; the relation must pass a scan of every row for reflexivity,
+    symmetry and transitivity.
+    """
+    pairs = [(x, s) for x in base.elements() for s in mcs]
+    killed = {x for x in base.elements()
+              if any(base.act(u, x) == base.zero for u in mcs)}
+    rows = [sum(1 << j for j, (y, t) in enumerate(pairs)
+                if base.add(base.act(t, x), base.neg(base.act(s, y))) in killed)
+            for x, s in pairs]
+    for i, row in enumerate(rows):
+        assert row >> i & 1, ("not reflexive", pairs[i])
+        for j in range(len(pairs)):
+            if row >> j & 1:
+                assert rows[j] >> i & 1, ("not symmetric", pairs[i], pairs[j])
+                assert rows[j] | row == row, ("not transitive", pairs[i], pairs[j])
+    class_of = [None] * len(pairs)
+    members = []
+    for i, row in enumerate(rows):
+        if class_of[i] is None:
+            block = tuple(j for j in range(len(pairs)) if row >> j & 1)
+            for j in block:
+                class_of[j] = len(members)
+            members.append(block)
+    return pairs, tuple(class_of), tuple(members)
+
+
+def reference_localization(base, mcs):
+    """S^-1 base as (class_of_pair, members, labels, add table, action table);
+    the action is by the classes of S^-1 R, the ring's multiplication when
+    base is the ring itself."""
+    ring = mcs.ring
+    pairs, class_of, members = reference_classes(base, mcs)
+    ring_pairs, _, ring_members = reference_classes(ring, mcs)
+    width = len(mcs)
+    rank = {s: i for i, s in enumerate(mcs)}
+
+    def table(row_pairs, row_members, numerator):
+        out = []
+        for row in row_members:
+            cells = []
+            for col in members:
+                picks = set()
+                for a in row[:2]:
+                    x, s = row_pairs[a]
+                    for b in col[:2]:
+                        y, t = pairs[b]
+                        picks.add(class_of[numerator(x, s, y, t) * width
+                                           + rank[ring.mul(s, t)]])
+                assert len(picks) == 1
+                cells.append(picks.pop())
+            out.append(tuple(cells))
+        return tuple(out)
+
+    add_table = table(pairs, members, lambda x, s, y, t: base.add(
+        base.act(t, x), base.act(s, y)))
+    act_table = table(ring_pairs, ring_members, lambda r, s, y, t: base.act(r, y))
+    labels = tuple(f"{base.label(x)}/{ring.label(s)}"
+                   for x, s in (pairs[m[0]] for m in members))
+    return class_of, members, labels, add_table, act_table

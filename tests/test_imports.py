@@ -1,5 +1,6 @@
 """The library imports nothing outside the standard library and itself,
-and its modules import one another without a cycle."""
+its modules import one another without a cycle, and its module-level
+caches are the pinned ones."""
 
 import ast
 import importlib
@@ -90,3 +91,87 @@ def test_package_import_graph_has_no_cycle():
     for name in sorted(graph):
         if name not in state:
             visit(name, [])
+
+
+def _called_name(node):
+    """The bare name of a Name or Attribute node, such as `functools.cache`."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _is_cache_decorator(node):
+    """`lru_cache`, `lru_cache(...)`, `cache` or their `functools.` forms."""
+    return _called_name(node.func if isinstance(node, ast.Call) else node) in (
+        "lru_cache", "cache")
+
+
+def _is_empty_container(node):
+    """`{}`, `[]`, `dict()`, `set()`, `defaultdict(...)` and the like."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return isinstance(node, ast.Call) and _called_name(node.func) in (
+        "dict", "set", "list", "defaultdict", "OrderedDict",
+        "WeakValueDictionary", "WeakKeyDictionary") and not node.args
+
+
+def module_level_caches():
+    """`module.function` for every cached function and `module.NAME` for every
+    module-level name bound to an empty container, across scomult."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and any(map(_is_cache_decorator, node.decorator_list))):
+                found.add(f"{path.stem}.{node.name}")
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            if _is_empty_container(node.value):
+                found.update(f"{path.stem}.{target.id}" for target in targets
+                             if isinstance(target, ast.Name))
+    return found
+
+
+# Every cache that outlives a call: the 23 lru_cache sites and the module
+# table.  All are unbounded.  A change that adds, removes or bounds a cache
+# edits this set and says why.
+MODULE_LEVEL_CACHES = {
+    "localization.localize_module",
+    "localization.localize_ring_with",
+    "modules._MODULE_CACHE",
+    "modules.annihilator_set",
+    "modules.colon_set_into_ring",
+    "modules.enumerate_submodules",
+    "modules.quotient_module",
+    "modules.self_module",
+    "modules.submodule_as_module",
+    "modules.torsion_set",
+    "modules.zero_colon_set",
+    "modules.zero_divisors_on",
+    "morphisms.homothety_family",
+    "morphisms.homothety_on_family",
+    "rings.enumerate_ideals",
+    "rings.jacobson_radical",
+    "rings.maximal_ideals",
+    "rings.minimal_nonzero_ideals",
+    "rings.prime_ideals",
+    "rings.units",
+    "s_theory._scalar_multiples",
+    "s_theory.is_comultiplication",
+    "s_theory.is_multiplication",
+    "s_theory.is_s_comultiplication",
+}
+
+# Filled once at import by the `revalidator` decorator; not a cache.
+IMPORT_TIME_REGISTRIES = {"witnesses.REVALIDATORS"}
+
+
+def test_module_level_caches_are_pinned():
+    assert len(MODULE_LEVEL_CACHES) == 24
+    assert module_level_caches() == MODULE_LEVEL_CACHES | IMPORT_TIME_REGISTRIES

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from conftest import all_submodules_are_localizations
+from conftest import all_submodules_are_localizations, reference_localization
 from scomult.catalog import generate_catalog
 from scomult.errors import AxiomViolation
 from scomult.localization import (
@@ -183,6 +183,42 @@ REDUCED_LOCALIZATION_DIGEST = (
 def test_reduced_catalog_localizations_are_pinned():
     catalog = generate_catalog(mutation_catalog_params())
     assert localization_digest(catalog) == REDUCED_LOCALIZATION_DIGEST
+
+
+# captured on the default catalog before the equivalence check and the
+# cross-checked tables read the rows directly
+DEFAULT_LOCALIZATION_DIGEST = (
+    "4cb3f19b45e55f4f0727bc31769ba48b1704b3c01e4b95aa714ba72979be2a15")
+
+
+def test_default_catalog_localizations_are_pinned():
+    assert localization_digest(generate_catalog()) == DEFAULT_LOCALIZATION_DIGEST
+
+
+def built_localization(loc, structure):
+    """(class_of_pair, members, labels, add table, action table) as built."""
+    carrier = structure.elements()
+    return (loc.class_of_pair, loc.members,
+            tuple(structure.label(m) for m in carrier),
+            tuple(tuple(structure.add(a, b) for b in carrier) for a in carrier),
+            tuple(tuple(structure.act_row(r)) for r in structure.ring.elements()))
+
+
+def test_localizations_match_the_reference_construction():
+    """Every module and ring localization of the reduced catalog equals the
+    pair-by-pair relation, full equivalence scan and per-cell set tables."""
+    catalog = generate_catalog(mutation_catalog_params())
+    modules = list(catalog.module_mcs_pairs(include_zero=True))
+    rings = [(ring, mcs) for ring in catalog.rings for mcs in catalog.mcs[ring]]
+    assert (len(modules), len(rings)) == (95, 25)
+    for module, mcs in modules:
+        loc = localize_module(module, mcs)
+        assert built_localization(loc, loc.module) == reference_localization(
+            module, mcs), (module.name, mcs.describe())
+    for ring, mcs in rings:
+        loc = localize_ring(ring, mcs)
+        assert built_localization(loc, loc.ring) == reference_localization(
+            ring, mcs), (ring.name, mcs.describe())
 
 
 def test_localized_modules_keep_their_own_name_and_ring():

@@ -8,6 +8,7 @@ from scomult.catalog import generate_catalog
 from scomult.errors import AxiomViolation, PreconditionUnmet
 from scomult.modules import (
     enumerate_submodules,
+    zero_divisors_on,
     full_submodule,
     quotient_module,
     self_module,
@@ -16,6 +17,7 @@ from scomult.modules import (
 )
 from scomult.morphisms import (
     ModuleHom,
+    _bridge_reports,
     enumerate_homs,
     homothety_family,
     homothety_on_family,
@@ -38,7 +40,7 @@ from scomult.morphisms import (
     projection_hom,
 )
 from scomult.mutations import mutation_catalog_params
-from scomult.rings import make_ring_zn, unit_mcs, validate_mcs
+from scomult.rings import make_ring_zn, unit_mcs, units, validate_mcs
 from scomult.s_theory import (
     s_prime_homothety_form,
     s_second_homothety_form,
@@ -303,3 +305,52 @@ def test_module_hom_is_slotted_and_its_sets_are_not_identity(m6):
     assert (fresh._s_zero, fresh._s_monic, fresh._s_epic) == (None, None, None)
     assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
     assert fresh.s_zero_scalars() is f.s_zero_scalars()    # shared, not copied
+
+
+def reference_bridge(f, mcs):
+    """The six bridge fields from the public predicates, each asked alone."""
+    monic, s_monic = is_monic(f), is_s_monic(f, mcs)
+    epic, s_epic = is_epic(f), is_s_epic(f, mcs)
+    monic_converse = None
+    if not (mcs.elements & zero_divisors_on(f.source)):
+        monic_converse = s_monic is None or monic
+    epic_converse = None
+    if mcs.elements <= units(f.source.ring):
+        epic_converse = s_epic is None or epic
+    return (not monic or s_monic is not None, monic_converse,
+            not epic or s_epic is not None, epic_converse, s_monic, s_epic)
+
+
+def test_the_per_hom_batch_equals_the_bridge_on_every_pair(reduced_catalog):
+    pairs = 0
+    for ring in reduced_catalog.rings:
+        mcs_list = reduced_catalog.mcs[ring]
+        for f in reduced_catalog.homs[ring]:
+            batch = _bridge_reports(f, mcs_list)
+            assert type(batch) is tuple and len(batch) == len(mcs_list)
+            for mcs, report in zip(mcs_list, batch):
+                pairs += 1
+                single = monic_epic_bridge(f, mcs)
+                for name in single._fields:
+                    assert getattr(report, name) == getattr(single, name), (
+                        f.describe(), f.values, mcs.describe(), name)
+                assert tuple(report) == reference_bridge(f, mcs)
+    assert pairs == 5784        # the reduced catalog's P-HOMS instances
+
+
+@pytest.mark.parametrize("scalars, axiom", [
+    (frozenset(), "S-monic characterizations disagree"),
+    (frozenset({3}), "S-monic characterizations picked different witnesses"),
+])
+def test_a_wrong_s_monic_set_fails_the_cross_check(m6, s13, monkeypatch,
+                                                   scalars, axiom):
+    """The identity on Z6 is S-monic with s = 1 element by element, so a set
+    without 1 disagrees with the direct side on every path."""
+    f = identity_hom(m6)
+    monkeypatch.setattr(ModuleHom, "s_monic_scalars", lambda self: scalars)
+    for call in (lambda: _bridge_reports(f, (s13,)),
+                 lambda: monic_epic_bridge(f, s13),
+                 lambda: is_s_monic(f, s13)):
+        with pytest.raises(AxiomViolation) as info:
+            call()
+        assert info.value.axiom == axiom

@@ -128,4 +128,4 @@ def test_describe_names_set_and_tuple_bindings_by_label():
     witness = is_s_finite(module, frozenset(module.elements()), unit_mcs(ring))
     assert witness.describe() == (
         "s-finite(module=Z2xZ3 over Z2xZ3, n={(0,0),(0,1),(0,2),(1,0),(1,1),(1,2)},"
-        " mcs={(1,1)}, s=4, generators=((0,1),(1,0)))")
+        " mcs={(1,1)}, s=(1,1), generators=((0,1),(1,0)))")
