@@ -5,11 +5,12 @@ S^-1 M is built from pairs (m, s) with m in M, s in S under the relation
 s'm - sm' lies in the S-torsion set K = {m : um = 0 for some u in S}, the
 kernel of M -> S^-1 M.  `s_torsion` is the one implementation of K: every
 pair's relation row is built from K, and the kernel of the canonical map is
-checked against it.  The u-factor is mandatory: with K = {0} the relation
-is not transitive over rings with zero divisors.  S^-1 R is the same
-construction on R as a module over itself, built once per (R, S, torsion
-function): every helper reads the action from its base, which for a ring
-is its multiplication.
+checked against it; K is computed a second time only when an injected
+torsion function built the classes.  The u-factor is mandatory: with
+K = {0} the relation is not transitive over rings with zero divisors.
+S^-1 R is the same construction on R as a module over itself, built once
+per (R, S, torsion function): every helper reads the action from its base,
+which for a ring is its multiplication.
 The relation is checked to be an equivalence in one pass over its classes:
 each class's rows must all equal its leader's row, which must contain the
 leader, and no pair may fall in two classes; only when that fails are the
@@ -154,15 +155,16 @@ class LocalizedModule(_PairClasses):
 
 
 def _pair_classes(base, mcs, torsion, what):
-    """Pair classes of S^-1 base, a ring or a module that R acts on."""
+    """Pair classes of S^-1 base, a ring or a module that R acts on, and
+    the set K = torsion(base, mcs) they were built from."""
     pairs = tuple((x, s) for x in base.elements() for s in mcs)
     if len(pairs) > DEFAULT_CAP * DEFAULT_CAP:
         raise SizeCapExceeded(f"{what} localization pairs", len(pairs),
                               DEFAULT_CAP * DEFAULT_CAP)
-    rows = _rows(base, mcs, torsion(base, mcs))
-    class_of_pair, members = _partition(pairs, rows)
+    torsion_set = torsion(base, mcs)
+    class_of_pair, members = _partition(pairs, _rows(base, mcs, torsion_set))
     return _PairClasses(base, mcs, pairs, class_of_pair, members,
-                        {s: i for i, s in enumerate(mcs)})
+                        {s: i for i, s in enumerate(mcs)}), torsion_set
 
 
 def _cross_checked_tables(left, right, act_message):
@@ -210,10 +212,13 @@ def _cross_checked_tables(left, right, act_message):
     return tuple(add_table), tuple(act_table)
 
 
-def _check_kernel(wrapper, message):
-    """The kernel of X -> S^-1 X must be `s_torsion` of the base, also when
-    the classes were built from an injected torsion set."""
-    if wrapper.kernel() != s_torsion(wrapper.base, wrapper.mcs):
+def _check_kernel(wrapper, torsion, torsion_set, message):
+    """The kernel of X -> S^-1 X must be `s_torsion` of the base.  The set
+    K that built the classes is that set when `torsion` is `s_torsion`;
+    only an injected torsion function makes it be computed again."""
+    if torsion is not s_torsion:
+        torsion_set = s_torsion(wrapper.base, wrapper.mcs)
+    if wrapper.kernel() != torsion_set:
         raise AxiomViolation(message)
 
 
@@ -224,7 +229,7 @@ def localize_ring(ring, mcs):
 @lru_cache(maxsize=None)
 def localize_ring_with(ring, mcs, torsion):
     """S^-1 R: R localized as a module over itself; a LocalizedRing wrapper."""
-    classes = _pair_classes(ring, mcs, torsion, "ring")
+    classes, torsion_set = _pair_classes(ring, mcs, torsion, "ring")
     add_table, mul_table = _cross_checked_tables(
         classes, classes, "localization operation not well defined")
     loc = make_ring_table(add_table, mul_table, classes.map_element(ring.zero),
@@ -233,6 +238,7 @@ def localize_ring_with(ring, mcs, torsion):
                           name=f"({ring.name} loc {mcs.describe()})")
     wrapper = LocalizedRing(**vars(classes), ring=loc)
     _check_localized_ring(wrapper)
+    _check_kernel(wrapper, torsion, torsion_set, "canonical map kernel mismatch")
     return wrapper
 
 
@@ -251,7 +257,6 @@ def _check_localized_ring(wrapper):
     for s in mcs:
         if phi[s] not in unit_set:
             raise AxiomViolation("image of S must consist of units", (s,))
-    _check_kernel(wrapper, "canonical map kernel mismatch")
 
 
 @lru_cache(maxsize=None)
@@ -263,7 +268,7 @@ def localize_module_with(module, mcs, torsion):
     """S^-1 M as a module over S^-1 R, with the canonical map data; the
     pair relations of M and R read the set K that `torsion(base, mcs)` gives."""
     locring = localize_ring_with(module.ring, mcs, torsion)
-    classes = _pair_classes(module, mcs, torsion, "module")
+    classes, torsion_set = _pair_classes(module, mcs, torsion, "module")
     add_table, act_table = _cross_checked_tables(
         locring, classes, "localized action not well defined")
     loc_module = make_module(
@@ -271,7 +276,8 @@ def localize_module_with(module, mcs, torsion):
         name=f"({module.name} loc {mcs.describe()})", labels=classes._labels(),
     )
     wrapper = LocalizedModule(**vars(classes), locring=locring, module=loc_module)
-    _check_kernel(wrapper, "canonical module map kernel mismatch")
+    _check_kernel(wrapper, torsion, torsion_set,
+                  "canonical module map kernel mismatch")
     return wrapper
 
 

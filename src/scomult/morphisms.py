@@ -11,14 +11,19 @@ by element, and witness revalidation uses them, never the hom's sets.  The
 direct side of the S-monic cross-check is also element-wise: it scans the
 kernel, listed once per hom, for each s in turn.  The monic/epic bridge
 computes what depends on the hom alone (image, kernel list, the scalar
-sets, z(M) and the units) once and reuses it for every m.c.s.
+sets, z(M) and the units) once and reuses it for every m.c.s.  That core
+and the transfer check read only the hom's signature (source, target,
+kernel and image), so the P-HOMS and T-HOM checkers evaluate them once per
+signature; the S-monic and S-epic witnesses are still made for each hom,
+bind that hom, and are revalidated one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import compress, product as iproduct
+from operator import not_
 from typing import NamedTuple
 
 from .errors import AxiomViolation, SizeCapExceeded
@@ -161,8 +166,8 @@ def is_s_zero_with(f, s):
 
 
 def is_s_monic_with(f, s):
-    row = f.source.act_row(s)
-    return all(row[m] == 0 for m in f.source.elements() if f.values[m] == 0)
+    """s*m = 0 for each m of the kernel, checked one kernel element at a time."""
+    return not any(compress(f.source.act_row(s), map(not_, f.values)))
 
 
 def is_s_epic_with(f, s):
@@ -184,39 +189,40 @@ def is_s_zero(f, mcs):
 
 def is_s_monic(f, mcs):
     """First s with f(m) = 0 implying sm = 0; cross-checked via s*Ker(f)."""
-    return _s_monic_cross_checked(f, _kernel_list(f), f.s_monic_scalars(), mcs)
+    return _s_monic_witness(
+        f, mcs, _s_monic_cross_checked(f, _kernel_list(f), f.s_monic_scalars(), mcs))
 
 
 def _s_monic_cross_checked(f, kernel, scalars, mcs):
     """The first s of the m.c.s. that kills each element of the kernel list
-    must be the first s in ann(Ker f); returns the kernel form's witness."""
+    must be the first s in ann(Ker f); returns that s, or None."""
     direct = next((s for s in mcs
                    if not any(map(f.source.act_row(s).__getitem__, kernel))), None)
-    via_kernel = _s_monic_witness(f, scalars, mcs)
+    via_kernel = _first_in(scalars, mcs)
     if (direct is None) != (via_kernel is None):
         raise AxiomViolation("S-monic characterizations disagree")
-    if direct is not None and direct != via_kernel.get("s"):
+    if direct != via_kernel:
         raise AxiomViolation("S-monic characterizations picked different witnesses")
     return via_kernel
 
 
 def is_s_monic_via_kernel(f, mcs):
     """First s with s*Ker(f) = 0, the equivalent kernel form."""
-    return _s_monic_witness(f, f.s_monic_scalars(), mcs)
+    return _s_monic_witness(f, mcs, _first_in(f.s_monic_scalars(), mcs))
 
 
-def _s_monic_witness(f, scalars, mcs):
-    s = _first_in(scalars, mcs)
+def _s_monic_witness(f, mcs, s):
+    """The S-monic witness of f for s, or None when s is None."""
     return None if s is None else Witness.make("s-monic", hom=f, mcs=mcs, s=s)
 
 
 def is_s_epic(f, mcs):
     """First s with s*M' contained in Im(f)."""
-    return _s_epic_witness(f, f.s_epic_scalars(), mcs)
+    return _s_epic_witness(f, mcs, _first_in(f.s_epic_scalars(), mcs))
 
 
-def _s_epic_witness(f, scalars, mcs):
-    s = _first_in(scalars, mcs)
+def _s_epic_witness(f, mcs, s):
+    """The S-epic witness of f for s, or None when s is None."""
     return None if s is None else Witness.make("s-epic", hom=f, mcs=mcs, s=s)
 
 
@@ -292,27 +298,51 @@ def monic_epic_bridge(f, mcs):
 
 
 def _bridge_reports(f, mcs_list):
-    """monic_epic_bridge(f, mcs) for each m.c.s. in turn, as a tuple; what
-    depends on f alone is computed once."""
+    """monic_epic_bridge(f, mcs) for each m.c.s. in turn, as a tuple."""
+    return _bind_bridge(f, mcs_list, _bridge_core(f, mcs_list))
+
+
+def _signature(f):
+    """All that `_bridge_core` and the transfer check read of a hom: its
+    source, its target, its kernel (as the bytes f(m) == 0 over the source)
+    and its image."""
+    return f.source, f.target, bytes(map(not_, f.values)), frozenset(f.values)
+
+
+def _bridge_core(f, mcs_list):
+    """For each m.c.s. in turn: the four bridge claims and the s of the
+    S-monic and S-epic witnesses (None where there is none).
+
+    It reads only `_signature(f)`, so every hom with that signature has the
+    same core; what does not depend on the m.c.s. is computed once.
+    """
     image = _image_set(f)
     monic, epic = len(image) == f.source.size, len(image) == f.target.size
     kernel, monic_scalars = _kernel_list(f), f.s_monic_scalars()
     epic_scalars = f.s_epic_scalars()
     zero_divisors, unit_set = zero_divisors_on(f.source), units(f.source.ring)
-    reports = []
+    core = []
     for mcs in mcs_list:
         s_monic = _s_monic_cross_checked(f, kernel, monic_scalars, mcs)
-        s_epic = _s_epic_witness(f, epic_scalars, mcs)
+        s_epic = _first_in(epic_scalars, mcs)
         monic_converse = None
         if not (mcs.elements & zero_divisors):
             monic_converse = s_monic is None or monic
         epic_converse = None
         if mcs.elements <= unit_set:
             epic_converse = s_epic is None or epic
-        reports.append(BridgeReport(
-            not monic or s_monic is not None, monic_converse,
-            not epic or s_epic is not None, epic_converse, s_monic, s_epic))
-    return tuple(reports)
+        core.append((not monic or s_monic is not None, monic_converse,
+                     not epic or s_epic is not None, epic_converse,
+                     s_monic, s_epic))
+    return tuple(core)
+
+
+def _bind_bridge(f, mcs_list, core):
+    """The bridge reports of f from a core of f's signature; each witness
+    binds f itself."""
+    return tuple(BridgeReport(*claims, _s_monic_witness(f, mcs, s_monic),
+                              _s_epic_witness(f, mcs, s_epic))
+                 for mcs, (*claims, s_monic, s_epic) in zip(mcs_list, core))
 
 
 # ---------------------------------------------------------------------------

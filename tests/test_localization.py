@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from conftest import all_submodules_are_localizations, reference_localization
+from scomult import localization
 from scomult.catalog import generate_catalog
 from scomult.errors import AxiomViolation
 from scomult.localization import (
@@ -20,7 +21,7 @@ from scomult.localization import (
     mm_locally_nonzero,
     s_torsion,
 )
-from scomult.modules import self_module, submodule_from_set, zn_over_zk
+from scomult.modules import Module, self_module, submodule_from_set, zn_over_zk
 from scomult.mutations import localization_drop_ufactor, mutation_catalog_params
 from scomult.rings import (
     enumerate_ideals,
@@ -327,3 +328,62 @@ def test_localization_matches_the_idempotent_oracle():
         assert loc.module.size == len(e_module)
         assert loc.kernel() == killed
         assert localize_ring(ring, mcs).ring.order == len(e_ring)
+
+
+def recorded_bases(monkeypatch, name):
+    """Patch `localization.<name>` to record the base of every call."""
+    bases = []
+    real = getattr(localization, name)
+
+    def recording(base, *args):
+        bases.append(base)
+        return real(base, *args)
+
+    monkeypatch.setattr(localization, name, recording)
+    return bases
+
+
+def test_default_torsion_runs_once_per_localization(monkeypatch):
+    """With the default torsion function, the kernel check reuses the K that
+    built the classes: one `s_torsion` call per ring or module built."""
+    catalog = generate_catalog(mutation_catalog_params())
+    torsion_bases = recorded_bases(monkeypatch, "s_torsion")
+    built_bases = recorded_bases(monkeypatch, "_pair_classes")
+    for module, mcs in catalog.module_mcs_pairs(include_zero=True):
+        localize_module_with(module, mcs, localization.s_torsion)
+    for ring in catalog.rings:
+        for mcs in catalog.mcs[ring]:
+            localize_ring_with(ring, mcs, localization.s_torsion)
+    assert len(built_bases) == 95 + 25
+    assert torsion_bases == built_bases
+
+
+def test_an_injected_torsion_still_gets_its_kernel_checked(monkeypatch):
+    """Under the drop-u-factor mutant each module that builds has its kernel
+    checked against a fresh `s_torsion`, and the outcomes are unchanged."""
+    catalog = generate_catalog(mutation_catalog_params())
+    torsion_bases = recorded_bases(monkeypatch, "s_torsion")
+    outcomes = drop_ufactor_outcomes(catalog)
+    built = [o for o in outcomes if o[2] == "built"]
+    assert len(built) == 46
+    assert sum(isinstance(base, Module) for base in torsion_bases) == 46
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == REDUCED_DROP_UFACTOR_DIGEST
+
+
+def test_a_wrong_injected_kernel_is_caught(m6, s1):
+    """For S = {1} over Z6, K = {0, 3} gives the classes of Z6/(3), a
+    consistent but wrong localization; the kernel check names the ring or
+    the module."""
+    def threes(base, mcs):
+        return frozenset((0, 3))
+
+    def threes_for_modules(base, mcs):
+        return threes(base, mcs) if isinstance(base, Module) else s_torsion(base, mcs)
+
+    for torsion, message in ((threes, "canonical map kernel mismatch"),
+                             (threes_for_modules,
+                              "canonical module map kernel mismatch")):
+        with pytest.raises(AxiomViolation) as info:
+            localize_module_with(m6, s1, torsion)
+        assert info.value.axiom == message

@@ -9,7 +9,7 @@ import pytest
 from scomult import s_theory, statements
 
 from scomult.catalog import CatalogParams, generate_catalog
-from scomult.errors import AxiomViolation, UnknownStatement
+from scomult.errors import AxiomViolation, PreconditionUnmet, UnknownStatement
 from scomult.modules import (
     full_submodule,
     self_module,
@@ -17,7 +17,13 @@ from scomult.modules import (
     zero_colon_set,
     zn_over_zk,
 )
-from scomult.morphisms import identity_hom, is_s_monic_via_kernel, projection_hom
+from scomult.morphisms import (
+    _signature,
+    identity_hom,
+    is_s_monic_via_kernel,
+    monic_epic_bridge,
+    projection_hom,
+)
 from scomult.mutations import (
     MUTANTS,
     mutant_toolbox,
@@ -29,8 +35,16 @@ from scomult.rings import (
     unit_mcs,
     validate_mcs,
 )
-from scomult.statements import STATEMENTS, Toolbox, verify, verify_all
-from scomult.witnesses import Witness
+from scomult.s_theory import transfer_theorem_check
+from scomult.statements import (
+    STATEMENTS,
+    Toolbox,
+    _bridge_instances,
+    _transfer_instances,
+    verify,
+    verify_all,
+)
+from scomult.witnesses import REVALIDATORS, Witness
 
 
 @pytest.fixture(scope="module")
@@ -360,3 +374,88 @@ def test_checkers_take_the_run_context():
     for statement in STATEMENTS.values():
         params = list(inspect.signature(statement.check).parameters)
         assert params == ["cat", "tb", "ctx"], statement.statement_id
+
+
+# ---------------------------------------------------------------------------
+# P-HOMS and T-HOM: one evaluation per hom signature, witnesses per hom
+
+
+def test_grouped_bridge_equals_the_per_hom_bridge(small_catalog):
+    """Every (hom, m.c.s.) instance of P-HOMS equals `monic_epic_bridge` on
+    that hom, and its witnesses bind the hom itself, not the first hom of
+    its signature."""
+    pairs, shared = 0, 0
+    firsts = {}
+    for f, mcs, report in _bridge_instances(small_catalog):
+        pairs += 1
+        first = firsts.setdefault((f.source.ring, _signature(f)), f)
+        shared += first is not f
+        assert report == monic_epic_bridge(f, mcs), (f.describe(), f.values)
+        for witness in (report.s_monic, report.s_epic):
+            assert witness is None or witness.get("hom") is f
+    assert (pairs, len(firsts)) == (5784, 440)
+    assert shared > 0
+
+
+def test_grouped_transfer_equals_the_per_hom_transfer(small_catalog):
+    pairs, unmet = 0, 0
+    for f, mcs, report in _transfer_instances(small_catalog):
+        pairs += 1
+        if report is None:
+            unmet += 1
+            with pytest.raises(PreconditionUnmet):
+                transfer_theorem_check(f, mcs)
+            continue
+        assert report == transfer_theorem_check(f, mcs), (f.describe(), f.values)
+        assert report.kernel_witness.get("hom") is f
+    assert (pairs, unmet) == (5784, 2695)
+
+
+@pytest.mark.parametrize("sid, validations", [("P-HOMS", 6178), ("T-HOM", 3089)])
+def test_every_hom_witness_is_revalidated(small_catalog, monkeypatch, sid,
+                                          validations):
+    """Grouping by signature leaves one revalidation per witness of each
+    (hom, m.c.s.) instance, as many as when every hom was evaluated alone."""
+    calls = []
+    real = Witness.validate
+
+    def counting_validate(self):
+        calls.append(self.claim)
+        return real(self)
+
+    monkeypatch.setattr(Witness, "validate", counting_validate)
+    assert verify(sid, small_catalog).verdict == "pass"
+    assert len(calls) == validations
+
+
+def test_a_rejected_witness_of_a_later_hom_fails_p_homs(small_catalog,
+                                                        monkeypatch):
+    """A revalidator that rejects only the last hom of the largest signature
+    class over Z2 (an automorphism of Z2+Z2+Z2, so S-monic with s = 1) fails
+    P-HOMS at that hom's instance."""
+    z2 = small_catalog.rings[0]
+    classes = {}
+    for f in small_catalog.homs[z2]:
+        classes.setdefault(_signature(f), []).append(f)
+    largest = max(classes.values(), key=len)
+    chosen = largest[-1]
+    assert len(largest) == 168 and chosen.describe() == "Z2+Z2+Z2->Z2+Z2+Z2"
+    position = next(i for i, (f, _, report) in enumerate(
+        _bridge_instances(small_catalog)) if f is chosen and report.s_monic)
+    real = REVALIDATORS["s-monic"]
+    rejected = []
+
+    def rejects_chosen(hom, mcs, s):
+        if hom is chosen:
+            rejected.append(hom)
+            return False
+        return real(hom, mcs, s)
+
+    monkeypatch.setitem(REVALIDATORS, "s-monic", rejects_chosen)
+    report = verify("P-HOMS", small_catalog)
+    assert report.verdict == "fail"
+    assert report.instances == position + 1
+    assert rejected == [chosen]
+    assert report.counterexample == {
+        "hom": "Z2+Z2+Z2->Z2+Z2+Z2", "mcs": "{1}",
+        "detail": REVALIDATION + "s-monic(hom=Z2+Z2+Z2->Z2+Z2+Z2, mcs={1}, s=1)"}
