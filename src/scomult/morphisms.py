@@ -6,8 +6,9 @@ make it S-zero (ann(Im f)), S-monic (ann(Ker f)) and S-epic
 ((Im f :_R M')); it reads them from the library's keyed lattice caches, so
 homs with the same image or kernel share one set.  The S-variant searches
 return the first element of the m.c.s., in canonical order, that lies in
-the hom's set.  The `*_with` helpers are the definitional checks, element
-by element, and witness revalidation uses them, never the hom's sets.  The
+the hom's set.  The `*_with` helpers are the definitional checks, each
+reading s's action row once, and witness revalidation uses them, never the
+hom's sets.  The
 direct side of the S-monic cross-check is also element-wise: it scans the
 kernel, listed once per hom, for each s in turn.  The monic/epic bridge
 computes what depends on the hom alone (image, kernel list, the scalar
@@ -161,8 +162,8 @@ def is_epic(f):
 # S-variants
 
 def is_s_zero_with(f, s):
-    row = f.target.act_row(s)
-    return all(row[v] == 0 for v in f.values)
+    """s*f(m) = 0 for each m, read from s's action row on the target."""
+    return not any(map(f.target.act_row(s).__getitem__, f.values))
 
 
 def is_s_monic_with(f, s):

@@ -163,18 +163,21 @@ def is_s_prime_submodule(module, p, mcs):
     return None
 
 
+def _outside(module, t, p):
+    """The m with t*m outside p, read from t's action row."""
+    return [m for m, tm in enumerate(module.act_row(t)) if tm not in p]
+
+
 @revalidator("s-prime-submodule")
 def _check_s_prime(module, p, mcs, s):
     colon = colon_set_into_ring(module, p, _full_set(module))
-    if colon & mcs.elements:
+    if not colon.isdisjoint(mcs.elements):
         return False
-    ring = module.ring
-    for a in ring.elements():
-        for m in module.elements():
-            if module.act(a, m) in p:
-                if ring.mul(s, a) not in colon and module.act(s, m) not in p:
-                    return False
-    return True
+    # am in P must give sa in (P:M) or sm in P: each a with sa outside
+    # (P:M) must send every m with sm outside P outside P too.
+    outside = _outside(module, s, p)
+    return all(p.isdisjoint(map(module.act_row(a).__getitem__, outside))
+               for a, sa in enumerate(module.ring.act_row(s)) if sa not in colon)
 
 
 def is_s_prime_ideal(ring, ideal, mcs, submodule_fn=None):
@@ -188,14 +191,9 @@ def is_prime_submodule_set(module, subset):
     if len(subset) == module.size:
         return False
     colon = colon_set_into_ring(module, subset, _full_set(module))
-    for a in module.ring.elements():
-        if a in colon:
-            continue
-        row = module.act_row(a)
-        for m in module.elements():
-            if m not in subset and row[m] in subset:
-                return False
-    return True
+    outside = [m for m in module.elements() if m not in subset]
+    return all(subset.isdisjoint(map(module.act_row(a).__getitem__, outside))
+               for a in module.ring.elements() if a not in colon)
 
 
 @dataclass(frozen=True)
@@ -240,16 +238,15 @@ def s_prime_characterizations(module, p, mcs, direct_fn=None):
 
 @revalidator("s-prime-colon")
 def _check_s_prime_colon(module, p, mcs, s):
-    if colon_set_into_ring(module, p, _full_set(module)) & mcs.elements:
+    if not colon_set_into_ring(module, p, _full_set(module)).isdisjoint(mcs.elements):
         return False
-    target = frozenset(m for m in module.elements() if module.act(s, m) in p)
+    outside = _outside(module, s, p)
+    target = _full_set(module).difference(outside)      # (P :_M s)
     if not is_prime_submodule_set(module, target):
         return False
-    for t in mcs:
-        other = frozenset(m for m in module.elements() if module.act(t, m) in p)
-        if not other <= target:
-            return False
-    return True
+    # (P :_M t) <= (P :_M s): t sends every m outside (P :_M s) outside P.
+    return all(p.isdisjoint(map(module.act_row(t).__getitem__, outside))
+               for t in mcs)
 
 
 @revalidator("s-prime-homothety")
@@ -298,14 +295,18 @@ def is_s_second(module, n, mcs):
     return _s_second_search(module, _s_second_subject(module, n, mcs), mcs)
 
 
+def _times(module, r, n):
+    """rN, read from r's action row."""
+    return frozenset(map(module.act_row(r).__getitem__, n))
+
+
 @revalidator("s-second")
 def _check_s_second(module, n, mcs, s):
-    if annihilator_set(module, n) & mcs.elements:
+    if not annihilator_set(module, n).isdisjoint(mcs.elements):
         return False
-    ring = module.ring
-    s_image = scalar_times_set(module, s, n)
-    for a in ring.elements():
-        sa_image = scalar_times_set(module, ring.mul(s, a), n)
+    s_image = _times(module, s, n)
+    for sa in set(module.ring.act_row(s)):      # each product sa once
+        sa_image = _times(module, sa, n)
         if sa_image != _ZERO and sa_image != s_image:
             return False
     return True
@@ -370,16 +371,14 @@ def _check_s_second_homothety(module, n, mcs, s):
 
 @revalidator("s-second-containment")
 def _check_s_second_containment(module, n, mcs, s):
-    if annihilator_set(module, n) & mcs.elements:
+    if not annihilator_set(module, n).isdisjoint(mcs.elements):
         return False
-    ring = module.ring
-    s_image = scalar_times_set(module, s, n)
-    for a in ring.elements():
-        sa_image = scalar_times_set(module, ring.mul(s, a), n)
-        a_image = scalar_times_set(module, a, n)
-        if sa_image != _ZERO and not s_image <= a_image:
-            return False
-    return True
+    # saN = 0 or sN <= aN for every a; live holds each product sa with saN != 0
+    s_image = _times(module, s, n)
+    sa_row = module.ring.act_row(s)
+    live = {sa for sa in set(sa_row) if _times(module, sa, n) != _ZERO}
+    return all(s_image.issubset(_times(module, a, n))
+               for a, sa in enumerate(sa_row) if sa in live)
 
 
 # ---------------------------------------------------------------------------
@@ -585,13 +584,12 @@ def is_s_torsion_free(module, mcs):
 
 @revalidator("s-torsion-free")
 def _check_s_torsion_free(module, mcs, s):
-    ring = module.ring
-    for a in ring.elements():
-        for m in module.elements():
-            if module.act(a, m) == 0:
-                if ring.mul(s, a) != ring.zero and module.act(s, m) != 0:
-                    return False
-    return True
+    # am = 0 must give sa = 0 or sm = 0: each a with sa nonzero must not
+    # kill an m with sm nonzero.
+    zero = module.ring.zero
+    moved = [m for m, sm in enumerate(module.act_row(s)) if sm != 0]
+    return all(0 not in map(module.act_row(a).__getitem__, moved)
+               for a, sa in enumerate(module.ring.act_row(s)) if sa != zero)
 
 
 def is_s_minimal(module, k, mcs, include_zero=False):

@@ -10,7 +10,11 @@ its existential-ideal form) live here, not in the library, because only
 tests call them.  `reference_localization` rebuilds S^-1 X the slow way:
 the relation tested pair by pair, every pair of rows scanned for the three
 equivalence axioms, and each table cell built as a set of the classes its
-representative pairs give.
+representative pairs give.  `REFERENCE_REVALIDATORS` holds, by claim, the
+element-by-element form of each revalidator that the library computes from
+action rows, one `act`, `mul` or `scalar_times_set` call per element;
+`reference_is_prime_submodule_set` and `reference_s_zero_with` are the same
+for `s_theory.is_prime_submodule_set` and `morphisms.is_s_zero_with`.
 """
 
 import pytest
@@ -18,6 +22,8 @@ import pytest
 from scomult.catalog import generate_catalog
 from scomult.localization import localize_module, localize_submodule
 from scomult.modules import (
+    annihilator_set,
+    colon_set_into_ring,
     direct_sum_module,
     enumerate_submodules,
     ideal_times_module_set,
@@ -281,3 +287,95 @@ def reference_localization(base, mcs):
     labels = tuple(f"{base.label(x)}/{ring.label(s)}"
                    for x, s in (pairs[m[0]] for m in members))
     return class_of, members, labels, add_table, act_table
+
+
+_ZERO = frozenset((0,))
+
+
+def reference_s_prime(module, p, mcs, s):
+    colon = colon_set_into_ring(module, p, frozenset(module.elements()))
+    if colon & mcs.elements:
+        return False
+    ring = module.ring
+    for a in ring.elements():
+        for m in module.elements():
+            if module.act(a, m) in p:
+                if ring.mul(s, a) not in colon and module.act(s, m) not in p:
+                    return False
+    return True
+
+
+def reference_is_prime_submodule_set(module, subset):
+    if len(subset) == module.size:
+        return False
+    colon = colon_set_into_ring(module, subset, frozenset(module.elements()))
+    for a in module.ring.elements():
+        if a in colon:
+            continue
+        row = module.act_row(a)
+        for m in module.elements():
+            if m not in subset and row[m] in subset:
+                return False
+    return True
+
+
+def reference_s_prime_colon(module, p, mcs, s):
+    if colon_set_into_ring(module, p, frozenset(module.elements())) & mcs.elements:
+        return False
+    target = frozenset(m for m in module.elements() if module.act(s, m) in p)
+    if not reference_is_prime_submodule_set(module, target):
+        return False
+    for t in mcs:
+        other = frozenset(m for m in module.elements() if module.act(t, m) in p)
+        if not other <= target:
+            return False
+    return True
+
+
+def reference_s_second(module, n, mcs, s):
+    if annihilator_set(module, n) & mcs.elements:
+        return False
+    ring = module.ring
+    s_image = scalar_times_set(module, s, n)
+    for a in ring.elements():
+        sa_image = scalar_times_set(module, ring.mul(s, a), n)
+        if sa_image != _ZERO and sa_image != s_image:
+            return False
+    return True
+
+
+def reference_s_second_containment(module, n, mcs, s):
+    if annihilator_set(module, n) & mcs.elements:
+        return False
+    ring = module.ring
+    s_image = scalar_times_set(module, s, n)
+    for a in ring.elements():
+        sa_image = scalar_times_set(module, ring.mul(s, a), n)
+        a_image = scalar_times_set(module, a, n)
+        if sa_image != _ZERO and not s_image <= a_image:
+            return False
+    return True
+
+
+def reference_s_torsion_free(module, mcs, s):
+    ring = module.ring
+    for a in ring.elements():
+        for m in module.elements():
+            if module.act(a, m) == 0:
+                if ring.mul(s, a) != ring.zero and module.act(s, m) != 0:
+                    return False
+    return True
+
+
+def reference_s_zero_with(f, s):
+    row = f.target.act_row(s)
+    return all(row[v] == 0 for v in f.values)
+
+
+REFERENCE_REVALIDATORS = {
+    "s-prime-submodule": reference_s_prime,
+    "s-prime-colon": reference_s_prime_colon,
+    "s-second": reference_s_second,
+    "s-second-containment": reference_s_second_containment,
+    "s-torsion-free": reference_s_torsion_free,
+}

@@ -1,20 +1,28 @@
 """The witness registry: every claim made has a revalidator and vice versa,
-every witness binds its m.c.s. and s, and no witness passes with s outside S."""
+every witness binds its m.c.s. and s, and no witness passes with s outside S
+or with a failing revalidator.  Revalidators read no search result, and the
+ones that read action rows agree with their element-by-element references."""
 
 import ast
 import inspect
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
+from conftest import (
+    REFERENCE_REVALIDATORS,
+    reference_is_prime_submodule_set,
+    reference_s_zero_with,
+)
 
 import scomult  # noqa: F401  registers the library's claims
 import scomult.localization  # noqa: F401
 import scomult.mutations  # noqa: F401
 from scomult.catalog import generate_catalog
-from scomult.modules import self_module
-from scomult.morphisms import is_s_zero
+from scomult.modules import enumerate_submodules, self_module
+from scomult.morphisms import is_s_zero, is_s_zero_with
 from scomult.rings import make_ring_zn, unit_mcs, validate_mcs
-from scomult.s_theory import is_s_finite, is_s_multiplication
+from scomult.s_theory import is_prime_submodule_set, is_s_finite, is_s_multiplication
 from scomult.statements import verify_all
 from scomult.witnesses import REVALIDATORS, Witness
 
@@ -70,21 +78,30 @@ def test_every_witness_binds_its_claims_revalidator_parameters():
 
 
 @pytest.fixture(scope="module")
-def real_witnesses():
-    """One witness per claim from the reduced catalog: the first that the
-    statement suite revalidates, then S-zero and S-multiplication, which no
-    statement makes."""
+def revalidated():
+    """The reduced catalog and, by claim, every witness that the statement
+    suite revalidates on it, in order."""
     catalog = generate_catalog(scomult.mutations.mutation_catalog_params())
-    found = {}
+    found = defaultdict(list)
     real_validate = Witness.validate
 
     def recording_validate(self):
-        found.setdefault(self.claim, self)
+        found[self.claim].append(self)
         return real_validate(self)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Witness, "validate", recording_validate)
         verify_all(catalog)
+    return catalog, found
+
+
+@pytest.fixture(scope="module")
+def real_witnesses(revalidated):
+    """One witness per claim from the reduced catalog: the first that the
+    statement suite revalidates, then S-zero and S-multiplication, which no
+    statement makes."""
+    catalog, revalidated_by_claim = revalidated
+    found = {claim: witnesses[0] for claim, witnesses in revalidated_by_claim.items()}
     s_zero = (is_s_zero(f, mcs) for ring in catalog.rings
               for f in catalog.homs[ring] for mcs in catalog.mcs[ring])
     found["s-zero"] = next(w for w in s_zero if w is not None)
@@ -103,6 +120,129 @@ def test_a_witness_with_s_outside_s_fails_validation(real_witnesses, claim):
     moved = Witness(witness.claim, tuple(
         (key, zero if key == "s" else value) for key, value in witness.bindings))
     assert not moved.validate(), moved.describe()
+
+
+@pytest.mark.parametrize("claim", sorted(REVALIDATORS))
+def test_validate_calls_the_revalidator(real_witnesses, claim, monkeypatch):
+    """With s in S, the verdict is the revalidator's: a real witness whose
+    revalidator says False fails, and the revalidator gets its bindings."""
+    witness = real_witnesses[claim]
+    assert witness.get("s") in witness.get("mcs")
+    calls = []
+
+    def refuse(**named):
+        calls.append(named)
+        return False
+
+    monkeypatch.setitem(REVALIDATORS, claim, refuse)
+    assert not witness.validate()
+    assert calls == [dict(witness.bindings)]
+
+
+@pytest.mark.parametrize("claim", sorted(REFERENCE_REVALIDATORS))
+def test_row_revalidators_equal_their_reference(revalidated, claim):
+    """On every witness of the claim that the suite revalidates, and with its
+    (mcs, s) replaced by each m.c.s. of the ring in the catalog and each
+    element of the ring, the revalidator gives the reference's verdict."""
+    catalog, found = revalidated
+    fast, reference = REVALIDATORS[claim], REFERENCE_REVALIDATORS[claim]
+    verdicts = Counter()
+    assert found[claim]
+    for witness in found[claim]:
+        named = dict(witness.bindings)
+        ring = named["mcs"].ring
+        for mcs in catalog.mcs.get(ring, (named["mcs"],)):
+            for s in ring.elements():
+                named.update(mcs=mcs, s=s)
+                expected = reference(**named)
+                assert fast(**named) == expected, Witness(
+                    claim, tuple(named.items())).describe()
+                verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_row_helpers_equal_their_reference(revalidated):
+    """`is_prime_submodule_set` on every submodule of every module of the
+    reduced catalog, and `is_s_zero_with` on every hom with every element
+    of its ring."""
+    catalog, _ = revalidated
+    verdicts = Counter()
+    for module in catalog.nonzero_modules():
+        for p in enumerate_submodules(module):
+            expected = reference_is_prime_submodule_set(module, p.elements)
+            assert is_prime_submodule_set(module, p.elements) == expected, p.describe()
+            verdicts["prime", expected] += 1
+    for ring in catalog.rings:
+        for f in catalog.homs[ring]:
+            for s in ring.elements():
+                expected = reference_s_zero_with(f, s)
+                assert is_s_zero_with(f, s) == expected, (f.describe(), s)
+                verdicts["s-zero", expected] += 1
+    assert len(verdicts) == 4, verdicts
+
+
+# What a search computes, or a hom caches; a revalidator must recompute it.
+SEARCH_RESULTS = frozenset((
+    "first_multiplier", "_scalar_multiples", "s_zero_scalars",
+    "s_monic_scalars", "s_epic_scalars", "_bridge_core", "_signature",
+    "_s_second_search", "_lemma_pair_search"))
+
+
+def _names(node):
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_revalidators_name_no_search_result():
+    """No `@revalidator` function, nor a private helper of its own module
+    that it reaches, names a search or a hom's scalar sets."""
+    wrong, seen = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        helpers = {node.name: node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+        for node in tree.body:
+            if not (isinstance(node, ast.FunctionDef) and any(
+                    isinstance(d, ast.Call) and getattr(d.func, "id", None) == "revalidator"
+                    for d in node.decorator_list)):
+                continue
+            seen += 1
+            reached, todo = {node.name}, [node]
+            while todo:
+                names = _names(todo.pop())
+                for name in sorted(names & SEARCH_RESULTS):
+                    wrong.append((path.name, node.name, name))
+                for name in (names & helpers.keys()) - reached:
+                    reached.add(name)
+                    todo.append(helpers[name])
+    assert seen == len(REVALIDATORS)
+    assert wrong == []
+
+
+def test_witness_is_an_immutable_record(real_witnesses):
+    witness = real_witnesses["s-prime-submodule"]
+    for name in ("claim", "bindings", "other"):
+        with pytest.raises(AttributeError):
+            setattr(witness, name, None)
+    with pytest.raises(AttributeError):
+        del witness.claim
+    assert witness.claim == "s-prime-submodule"
+
+
+def test_witness_round_trips_its_bindings_in_order(real_witnesses):
+    for claim, witness in real_witnesses.items():
+        bindings = witness.bindings
+        copy = Witness(claim, bindings)
+        assert copy.bindings == bindings
+        assert copy == witness and hash(copy) == hash(witness)
+        assert all(copy.get(key) is value for key, value in bindings)
+        assert copy.describe() == witness.describe()
+    made = Witness.make("uniform-multiple", n=1, module=2, s=3, mcs=4)
+    assert made.bindings == (("n", 1), ("module", 2), ("s", 3), ("mcs", 4))
+    first, second = real_witnesses["s-second"], real_witnesses["s-prime-colon"]
+    assert first != second
+    assert Witness(first.claim, reversed(first.bindings)) != first
+    assert "validate" in vars(Witness)
 
 
 @pytest.mark.parametrize("claim, subset, mcs, s", [
