@@ -246,19 +246,24 @@ def _check_s_epic(hom, mcs, s):
 # homotheties
 
 
+# Both families are keyed by the submodule's element set, so a caller that
+# holds only the set reaches the cached family without building a Submodule;
+# the set is closure-checked once, when its family is built.
+
+
 @lru_cache(maxsize=None)
-def homothety_family(module, submodule):
-    """All homotheties a. on M/P, indexed by a."""
-    q = quotient_module(module, submodule)
+def homothety_family(module, p):
+    """All homotheties a. on M/P, indexed by a; P is an element set."""
+    q = quotient_module(module, Submodule(module, p))
     return tuple(ModuleHom(q, q, q.act_row(a)) for a in module.ring.elements())
 
 
 @lru_cache(maxsize=None)
-def homothety_on_family(submodule):
-    """All homotheties a. on N viewed as a module."""
-    n_mod = submodule_as_module(submodule)
+def homothety_on_family(module, n):
+    """All homotheties a. on N viewed as a module; N is an element set."""
+    n_mod = submodule_as_module(Submodule(module, n))
     return tuple(ModuleHom(n_mod, n_mod, n_mod.act_row(a))
-                 for a in submodule.module.ring.elements())
+                 for a in module.ring.elements())
 
 
 # ---------------------------------------------------------------------------

@@ -218,9 +218,8 @@ def s_prime_colon_form(module, p, mcs):
 
 def s_prime_homothety_form(module, p, mcs):
     """Some s making every homothety on M/P S-zero or S-injective with it."""
-    p_sub = _as_submodule(module, p)
-    p_set, _ = _s_prime_subject(module, p_sub, mcs)
-    family = homothety_family(module, p_sub)
+    p_set, _ = _s_prime_subject(module, _as_submodule(module, p), mcs)
+    family = homothety_family(module, p_set)
     for s in mcs:
         if all(s in h.s_zero_scalars() or s in h.s_monic_scalars()
                for h in family):
@@ -253,7 +252,7 @@ def _check_s_prime_colon(module, p, mcs, s):
 def _check_s_prime_homothety(module, p, mcs, s):
     if colon_set_into_ring(module, p, _full_set(module)) & mcs.elements:
         return False
-    family = homothety_family(module, Submodule(module, p))
+    family = homothety_family(module, p)
     return all(is_s_zero_with(h, s) or is_s_monic_with(h, s) for h in family)
 
 
@@ -330,7 +329,7 @@ class SSecondForms(_Forms):
 def s_second_homothety_form(module, n, mcs):
     """Some s making every homothety on N S-zero or S-surjective with it."""
     n_sub = _s_second_subject(module, n, mcs)
-    family = homothety_on_family(n_sub)
+    family = homothety_on_family(module, n_sub.elements)
     for s in mcs:
         if all(s in h.s_zero_scalars() or s in h.s_epic_scalars()
                for h in family):
@@ -365,7 +364,7 @@ def s_second_characterizations(module, n, mcs, direct_fn=None):
 def _check_s_second_homothety(module, n, mcs, s):
     if annihilator_set(module, n) & mcs.elements:
         return False
-    family = homothety_on_family(Submodule(module, n))
+    family = homothety_on_family(module, n)
     return all(is_s_zero_with(h, s) or is_s_epic_with(h, s) for h in family)
 
 

@@ -13,6 +13,16 @@ and the transfer check once per hom signature (source, target, kernel,
 image) of a ring, in a table that lives for one checker call; every
 (hom, m.c.s.) instance is still counted, gets witnesses that bind its own
 hom, and has them revalidated.
+
+P-PF, P-FAM, P-EXT, T-M3 and T-SSUM build the part of their work that
+does not depend on S once per module, in a table that lives for one module:
+it is built at the module's first (module, m.c.s.) pair and replaced at the
+next module's.  P-PF keeps the ideals with (0:_M I) = 0 and their IM; P-FAM
+the zero-meet families and each intersection of N + part over a family;
+P-EXT s(0:_M I) per (s, I) and J = I + ann(N) per (N, I); T-M3 ann(N) per
+N; T-SSUM the family sums.  Everything that depends on S (the multiplier
+searches, the S-second and S-prime verdicts, instance counts and witness
+revalidation) still runs per (module, m.c.s.) pair, in the same order.
 """
 
 from __future__ import annotations
@@ -152,6 +162,21 @@ def _localize(module, mcs, tb):
 
 def _nonzero_submodules(module):
     return [n for n in enumerate_submodules(module) if not n.is_zero()]
+
+
+def _with_module_table(pairs, build):
+    """Each (module, mcs, ...) item of a module-major stream with
+    build(module) appended.
+
+    The table is built at a module's first item and replaced at the next
+    module's, so it holds the data of one module only.
+    """
+    current = table = None
+    for item in pairs:
+        module = item[0]
+        if module is not current:
+            current, table = module, build(module)
+        yield (*item, table)
 
 
 def _s_comult_pairs(cat, include_zero=False):
@@ -369,30 +394,37 @@ def _check_t_com(cat, tb, ctx):
 
 
 def _check_p_pf(cat, tb, ctx):
-    for module, mcs, _ in _s_comult_pairs(cat):
+    for module, mcs, _, vanishing in _with_module_table(
+            _s_comult_pairs(cat), _vanishing_colon_ideals):
         full = frozenset(module.elements())
-        for ideal in enumerate_ideals(module.ring):
-            if zero_colon_set(module, ideal.elements) != _ZERO:
-                continue
+        ring = module.ring
+        for ideal, members, im in vanishing:
             ctx.instances += 1
-            im = ideal_times_module_set(module, ideal.elements, full)
             if first_multiplier(module, mcs, full, im) is None:
                 ctx.fail(module=module, mcs=mcs, ideal=ideal,
                          detail="no s with sM inside IM")
             for m in module.elements():
                 if not any(
                     module.act(s, m) == module.act(a, m)
-                    for s in mcs for a in sorted(ideal.elements)
+                    for s in mcs for a in members
                 ):
                     ctx.fail(module=module, mcs=mcs, ideal=ideal, element=m,
                              detail="no s, a with sm = am")
-            ring = module.ring
             if not any(
                 scalar_times_set(module, ring.add(s, a), full) == _ZERO
-                for s in mcs for a in sorted(ideal.elements)
+                for s in mcs for a in members
             ):
                 ctx.fail(module=module, mcs=mcs, ideal=ideal,
                          detail="no s, a with (s+a)M = 0")
+
+
+def _vanishing_colon_ideals(module):
+    """(I, sorted I, IM) for every ideal I with (0:_M I) = 0, in ideal order."""
+    full = frozenset(module.elements())
+    return [(ideal, sorted(ideal.elements),
+             ideal_times_module_set(module, ideal.elements, full))
+            for ideal in enumerate_ideals(module.ring)
+            if zero_colon_set(module, ideal.elements) == _ZERO]
 
 
 def _check_t_du(cat, tb, ctx):
@@ -472,24 +504,11 @@ def _families(module, params):
 
 
 def _check_p_fam(cat, tb, ctx):
-    sums = {}                 # (module, N, part) -> N + part
-    for module, mcs, _ in _s_comult_pairs(cat):
-        subs = enumerate_submodules(module)
-        for family in _families(module, cat.params):
-            meet = family[0]
-            for part in family[1:]:
-                meet = meet & part
-            if meet != _ZERO:
-                continue
+    for module, mcs, _, (subs, squeezes) in _with_module_table(
+            _s_comult_pairs(cat), lambda m: _zero_meet_targets(m, cat.params)):
+        for family, targets in squeezes:
             ctx.instances += 1
-            for n in subs:
-                target = None
-                for part in family:
-                    key = (module, n.elements, part)
-                    summed = sums.get(key)
-                    if summed is None:
-                        summed = sums[key] = sum_of_sets(module, (n.elements, part))
-                    target = summed if target is None else target & summed
+            for n, target in zip(subs, targets):
                 if not n.elements <= target:
                     ctx.fail(module=module, mcs=mcs, submodule=n,
                              detail="N escaped the intersection")
@@ -499,26 +518,67 @@ def _check_p_fam(cat, tb, ctx):
                              detail="no s squeezing the intersection into N")
 
 
+def _zero_meet_targets(module, params):
+    """The module's submodules, and (family, targets) for each family whose
+    meet is 0, where targets[i] is the intersection of N + part over the
+    family for the i-th submodule N.
+
+    Each sum N + part is computed once, and each distinct intersection is
+    stored once: it is a submodule, so there are few of them.
+    """
+    subs = enumerate_submodules(module)
+    sums, distinct, out = {}, {}, []
+    for family in _families(module, params):
+        meet = family[0]
+        for part in family[1:]:
+            meet = meet & part
+        if meet != _ZERO:
+            continue
+        targets = []
+        for n in subs:
+            target = None
+            for part in family:
+                key = (n.elements, part)
+                summed = sums.get(key)
+                if summed is None:
+                    summed = sums[key] = sum_of_sets(module, key)
+                target = summed if target is None else target & summed
+            targets.append(distinct.setdefault(target, target))
+        out.append((family, tuple(targets)))
+    return subs, out
+
+
 def _check_p_ext(cat, tb, ctx):
-    for module, mcs, result in _s_comult_pairs(cat):
+    for module, mcs, result, (ideals, shifted, enlarged) in _with_module_table(
+            _s_comult_pairs(cat), lambda m: (enumerate_ideals(m.ring), {}, {})):
         for n, witness in result.witnesses:
             s = witness.get("s")
-            for ideal in enumerate_ideals(module.ring):
-                shifted = scalar_times_set(
-                    module, s, zero_colon_set(module, ideal.elements))
-                if not n.elements <= shifted:
+            for ideal in ideals:
+                if not n.elements <= _times_colon(module, s, ideal, shifted):
                     continue
                 ctx.instances += 1
-                bigger = ideal_sum(ideal, annihilator(module, n.elements))
+                key = (n.elements, ideal.elements)
+                bigger = enlarged.get(key)
+                if bigger is None:
+                    bigger = enlarged[key] = ideal_sum(
+                        ideal, annihilator(module, n.elements))
                 if not ideal.elements <= bigger.elements:
                     ctx.fail(module=module, mcs=mcs, ideal=ideal,
                              detail="sum ideal lost the original")
-                squeezed = scalar_times_set(
-                    module, s, zero_colon_set(module, bigger.elements))
-                if not squeezed <= n.elements:
+                if not _times_colon(module, s, bigger, shifted) <= n.elements:
                     ctx.fail(module=module, mcs=mcs, ideal=ideal,
                              submodule=n,
                              detail="s(0:_M J) escaped N for J = I + ann(N)")
+
+
+def _times_colon(module, s, ideal, table):
+    """s(0:_M I), read from or added to a table keyed by (s, I)."""
+    key = (s, ideal.elements)
+    out = table.get(key)
+    if out is None:
+        out = table[key] = scalar_times_set(
+            module, s, zero_colon_set(module, ideal.elements))
+    return out
 
 
 def _check_t_tor(cat, tb, ctx):
@@ -657,11 +717,13 @@ def _check_t_sec(cat, tb, ctx):
 
 
 def _check_t_m3(cat, tb, ctx):
-    for module, mcs, _ in _s_comult_pairs(cat):
+    for module, mcs, _, annihilated in _with_module_table(
+            _s_comult_pairs(cat),
+            lambda m: [(n, annihilator(m, n.elements))
+                       for n in _nonzero_submodules(m)]):
         ring = module.ring
-        for n in _nonzero_submodules(module):
+        for n, ann_ideal in annihilated:
             second = st._guard(lambda: tb.is_s_second(module, n, mcs))
-            ann_ideal = annihilator(module, n.elements)
             prime = st._guard(lambda: st.is_s_prime_ideal(
                 ring, ann_ideal, mcs, submodule_fn=tb.is_s_prime_submodule))
             clause = tb.uniform_multiple(module, n, mcs)
@@ -692,10 +754,10 @@ def _check_c_m3(cat, tb, ctx):
 
 
 def _check_t_ssum(cat, tb, ctx):
-    totals = {}               # (module, family) -> sum of the family
-    for module, mcs, _ in _s_comult_pairs(cat):
+    for module, mcs, _, (nonzero, totals) in _with_module_table(
+            _s_comult_pairs(cat), lambda m: (_nonzero_submodules(m), [])):
         seconds = []
-        for n in _nonzero_submodules(module):
+        for n in nonzero:
             witness = st._guard(lambda: tb.is_s_second(module, n, mcs))
             if witness is None:
                 continue
@@ -703,11 +765,10 @@ def _check_t_ssum(cat, tb, ctx):
             seconds.append(n)
         if not seconds:
             continue
-        for family in _families(module, cat.params):
-            key = (module, family)
-            total = totals.get(key)
-            if total is None:
-                total = totals[key] = sum_of_sets(module, family)
+        if not totals:          # at the module's first m.c.s. with an S-second N
+            totals.extend((family, sum_of_sets(module, family))
+                          for family in _families(module, cat.params))
+        for family, total in totals:
             for n in seconds:
                 if not n.elements <= total:
                     continue

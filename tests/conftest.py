@@ -15,6 +15,9 @@ element-by-element form of each revalidator that the library computes from
 action rows, one `act`, `mul` or `scalar_times_set` call per element;
 `reference_is_prime_submodule_set` and `reference_s_zero_with` are the same
 for `s_theory.is_prime_submodule_set` and `morphisms.is_s_zero_with`.
+`REFERENCE_CHECKERS` holds, by statement id, the checker bodies of P-EXT,
+P-FAM, P-PF, T-M3 and T-SSUM that recompute their module-only data for
+every (module, m.c.s.) pair.
 """
 
 import pytest
@@ -31,7 +34,7 @@ from scomult.modules import (
     self_module,
     zn_over_zk,
 )
-from scomult import mutations
+from scomult import mutations, s_theory, statements
 from scomult.rings import (
     Submodule,
     enumerate_ideals,
@@ -378,4 +381,149 @@ REFERENCE_REVALIDATORS = {
     "s-second": reference_s_second,
     "s-second-containment": reference_s_second_containment,
     "s-torsion-free": reference_s_torsion_free,
+}
+
+
+# ---------------------------------------------------------------------------
+# reference statement checkers: the per-(module, m.c.s.) bodies that the
+# statement suite's per-module tables replace.  Each reads the library
+# through the `statements` module, so a monkeypatch there reaches it too.
+
+
+def reference_p_pf(cat, tb, ctx):
+    for module, mcs, _ in statements._s_comult_pairs(cat):
+        full = frozenset(module.elements())
+        for ideal in statements.enumerate_ideals(module.ring):
+            if statements.zero_colon_set(module, ideal.elements) != _ZERO:
+                continue
+            ctx.instances += 1
+            im = statements.ideal_times_module_set(module, ideal.elements, full)
+            if statements.first_multiplier(module, mcs, full, im) is None:
+                ctx.fail(module=module, mcs=mcs, ideal=ideal,
+                         detail="no s with sM inside IM")
+            for m in module.elements():
+                if not any(
+                    module.act(s, m) == module.act(a, m)
+                    for s in mcs for a in sorted(ideal.elements)
+                ):
+                    ctx.fail(module=module, mcs=mcs, ideal=ideal, element=m,
+                             detail="no s, a with sm = am")
+            ring = module.ring
+            if not any(
+                statements.scalar_times_set(module, ring.add(s, a), full) == _ZERO
+                for s in mcs for a in sorted(ideal.elements)
+            ):
+                ctx.fail(module=module, mcs=mcs, ideal=ideal,
+                         detail="no s, a with (s+a)M = 0")
+
+
+def reference_p_fam(cat, tb, ctx):
+    sums = {}                 # (module, N, part) -> N + part
+    for module, mcs, _ in statements._s_comult_pairs(cat):
+        subs = statements.enumerate_submodules(module)
+        for family in statements._families(module, cat.params):
+            meet = family[0]
+            for part in family[1:]:
+                meet = meet & part
+            if meet != _ZERO:
+                continue
+            ctx.instances += 1
+            for n in subs:
+                target = None
+                for part in family:
+                    key = (module, n.elements, part)
+                    summed = sums.get(key)
+                    if summed is None:
+                        summed = sums[key] = statements.sum_of_sets(
+                            module, (n.elements, part))
+                    target = summed if target is None else target & summed
+                if not n.elements <= target:
+                    ctx.fail(module=module, mcs=mcs, submodule=n,
+                             detail="N escaped the intersection")
+                if statements.first_multiplier(module, mcs, target,
+                                               n.elements) is None:
+                    ctx.fail(module=module, mcs=mcs, submodule=n,
+                             family=[module.set_label(p) for p in family],
+                             detail="no s squeezing the intersection into N")
+
+
+def reference_p_ext(cat, tb, ctx):
+    for module, mcs, result in statements._s_comult_pairs(cat):
+        for n, witness in result.witnesses:
+            s = witness.get("s")
+            for ideal in statements.enumerate_ideals(module.ring):
+                shifted = statements.scalar_times_set(
+                    module, s, statements.zero_colon_set(module, ideal.elements))
+                if not n.elements <= shifted:
+                    continue
+                ctx.instances += 1
+                bigger = statements.ideal_sum(
+                    ideal, statements.annihilator(module, n.elements))
+                if not ideal.elements <= bigger.elements:
+                    ctx.fail(module=module, mcs=mcs, ideal=ideal,
+                             detail="sum ideal lost the original")
+                squeezed = statements.scalar_times_set(
+                    module, s, statements.zero_colon_set(module, bigger.elements))
+                if not squeezed <= n.elements:
+                    ctx.fail(module=module, mcs=mcs, ideal=ideal,
+                             submodule=n,
+                             detail="s(0:_M J) escaped N for J = I + ann(N)")
+
+
+def reference_t_m3(cat, tb, ctx):
+    for module, mcs, _ in statements._s_comult_pairs(cat):
+        ring = module.ring
+        for n in statements._nonzero_submodules(module):
+            second = s_theory._guard(lambda: tb.is_s_second(module, n, mcs))
+            ann_ideal = statements.annihilator(module, n.elements)
+            prime = s_theory._guard(lambda: s_theory.is_s_prime_ideal(
+                ring, ann_ideal, mcs, submodule_fn=tb.is_s_prime_submodule))
+            clause = tb.uniform_multiple(module, n, mcs)
+            ctx.revalidate(clause, module=module, mcs=mcs, submodule=n)
+            ctx.instances += 1
+            left = second is not None
+            right = prime is not None and clause is not None
+            if left != right:
+                ctx.fail(module=module, mcs=mcs, submodule=n,
+                         second=left, prime_annihilator=prime is not None,
+                         uniform_multiple=clause is not None)
+            for witness in (second, prime):
+                ctx.revalidate(witness, module=module, mcs=mcs, submodule=n)
+
+
+def reference_t_ssum(cat, tb, ctx):
+    totals = {}               # (module, family) -> sum of the family
+    for module, mcs, _ in statements._s_comult_pairs(cat):
+        seconds = []
+        for n in statements._nonzero_submodules(module):
+            witness = s_theory._guard(lambda: tb.is_s_second(module, n, mcs))
+            if witness is None:
+                continue
+            ctx.revalidate(witness, module=module, mcs=mcs, submodule=n)
+            seconds.append(n)
+        if not seconds:
+            continue
+        for family in statements._families(module, cat.params):
+            key = (module, family)
+            total = totals.get(key)
+            if total is None:
+                total = totals[key] = statements.sum_of_sets(module, family)
+            for n in seconds:
+                if not n.elements <= total:
+                    continue
+                ctx.instances += 1
+                if all(statements.first_multiplier(module, mcs, n.elements,
+                                                   part) is None
+                       for part in family):
+                    ctx.fail(module=module, mcs=mcs, submodule=n,
+                             family=[module.set_label(p) for p in family],
+                             detail="no s with sN inside a summand")
+
+
+REFERENCE_CHECKERS = {
+    "P-EXT": reference_p_ext,
+    "P-FAM": reference_p_fam,
+    "P-PF": reference_p_pf,
+    "T-M3": reference_t_m3,
+    "T-SSUM": reference_t_ssum,
 }

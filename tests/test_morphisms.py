@@ -97,12 +97,12 @@ def test_bridge_claims(m6, s13):
 
 def test_homothety_pins(m4, m6):
     half = submodule_from_set(m4, {0, 2})
-    squash = homothety_family(m4, half)[2]
+    squash = homothety_family(m4, half.elements)[2]
     assert all(squash(x) == 0 for x in squash.source.elements())
-    ident = homothety_family(m4, half)[1]
+    ident = homothety_family(m4, half.elements)[1]
     assert list(ident.values) == list(ident.source.elements())
     evens = submodule_from_set(m6, {0, 2, 4})
-    double_on = homothety_on_family(evens)[2]
+    double_on = homothety_on_family(m6, evens.elements)[2]
     assert set(double_on.values) == set(double_on.source.elements())
 
 
@@ -111,10 +111,10 @@ def test_homothety_composition(m4):
     ring = m4.ring
     for a in ring.elements():
         for b in ring.elements():
-            left = homothety_family(m4, half)[a]
-            right = homothety_family(m4, half)[b]
+            left = homothety_family(m4, half.elements)[a]
+            right = homothety_family(m4, half.elements)[b]
             composed = tuple(left(right(x)) for x in left.source.elements())
-            assert composed == homothety_family(m4, half)[ring.mul(a, b)].values
+            assert composed == homothety_family(m4, half.elements)[ring.mul(a, b)].values
 
 
 def test_transfer_inclusion(m6, s1):
@@ -238,8 +238,8 @@ def homothety_homs(catalog):
     for ring in catalog.rings:
         for module in catalog.modules[ring]:
             for n in enumerate_submodules(module):
-                out.extend(homothety_family(module, n))
-                out.extend(homothety_on_family(n))
+                out.extend(homothety_family(module, n.elements))
+                out.extend(homothety_on_family(module, n.elements))
     return out
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from scomult import s_theory, statements
+from scomult import rings, s_theory, statements
 
 from scomult.catalog import CatalogParams, generate_catalog
 from scomult.errors import AxiomViolation, PreconditionUnmet, UnknownStatement
@@ -38,6 +38,7 @@ from scomult.rings import (
 from scomult.s_theory import transfer_theorem_check
 from scomult.statements import (
     STATEMENTS,
+    Statement,
     Toolbox,
     _bridge_instances,
     _transfer_instances,
@@ -45,6 +46,8 @@ from scomult.statements import (
     verify_all,
 )
 from scomult.witnesses import REVALIDATORS, Witness
+
+from conftest import REFERENCE_CHECKERS
 
 
 @pytest.fixture(scope="module")
@@ -459,3 +462,135 @@ def test_a_rejected_witness_of_a_later_hom_fails_p_homs(small_catalog,
     assert report.counterexample == {
         "hom": "Z2+Z2+Z2->Z2+Z2+Z2", "mcs": "{1}",
         "detail": REVALIDATION + "s-monic(hom=Z2+Z2+Z2->Z2+Z2+Z2, mcs={1}, s=1)"}
+
+
+# ---------------------------------------------------------------------------
+# P-EXT, P-FAM, P-PF, T-M3 and T-SSUM: per-module tables, same reports
+
+
+def outcome(report):
+    """Everything a report says but its time."""
+    return (report.statement_id, report.title, report.verdict,
+            report.instances, report.notes, report.counterexample)
+
+
+def reference_outcome(sid, catalog, toolbox=None):
+    """The outcome of `verify(sid)` with the reference checker in its place."""
+    title = STATEMENTS[sid].title
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(STATEMENTS, sid,
+                      Statement(sid, title, REFERENCE_CHECKERS[sid]))
+        return outcome(verify(sid, catalog, toolbox))
+
+
+@pytest.mark.parametrize("toolbox_name", ["default", *sorted(MUTANTS)])
+def test_module_tables_match_the_reference_checkers(small_catalog,
+                                                    mutation_reports,
+                                                    toolbox_name):
+    toolbox = (Toolbox() if toolbox_name == "default"
+               else mutant_toolbox(toolbox_name))
+    reports = {r.statement_id: r for r in mutation_reports[toolbox_name]}
+    for sid in sorted(REFERENCE_CHECKERS):
+        assert outcome(reports[sid]) == reference_outcome(
+            sid, small_catalog, toolbox), sid
+
+
+CHOSEN_MODULE = "Z2+Z3 over Z6"
+
+
+def chosen(module):
+    return module.describe() == CHOSEN_MODULE
+
+
+def none_from_the_second_mcs(catalog):
+    """first_multiplier, but None on the chosen module from its ring's
+    second m.c.s. on."""
+    real = statements.first_multiplier
+
+    def patched(module, mcs, subset, target):
+        if chosen(module) and catalog.mcs[module.ring].index(mcs) >= 1:
+            return None
+        return real(module, mcs, subset, target)
+    return patched
+
+
+def drops_an_element(catalog):
+    """sum_of_sets, but a sum of two or more elements on the chosen module
+    loses its largest element."""
+    real = statements.sum_of_sets
+
+    def patched(module, sets):
+        total = real(module, sets)
+        if chosen(module) and len(total) > 1:
+            return total - {max(total)}
+        return total
+    return patched
+
+
+def returns_the_first(catalog):
+    """ideal_sum(I, J), but I itself over the chosen module's ring."""
+    real = statements.ideal_sum
+    ring = next(m.ring for m in catalog.nonzero_modules() if chosen(m))
+    return lambda i, j: i if i.module == ring else real(i, j)
+
+
+def zero_annihilator(catalog):
+    """annihilator, but (0) for every N of the chosen module."""
+    real = statements.annihilator
+
+    def patched(module, subset):
+        if chosen(module):
+            return rings.Submodule(module.ring, frozenset((0,)))
+        return real(module, subset)
+    return patched
+
+
+@pytest.mark.parametrize("sid, name, forced, failing_module", [
+    ("P-FAM", "first_multiplier", none_from_the_second_mcs, CHOSEN_MODULE),
+    ("T-SSUM", "first_multiplier", none_from_the_second_mcs, CHOSEN_MODULE),
+    ("P-PF", "first_multiplier", none_from_the_second_mcs, CHOSEN_MODULE),
+    ("P-FAM", "sum_of_sets", drops_an_element, CHOSEN_MODULE),
+    ("T-SSUM", "sum_of_sets", drops_an_element, None),
+    ("P-EXT", "ideal_sum", returns_the_first, "Z6 over Z6"),
+    ("P-EXT", "annihilator", zero_annihilator, CHOSEN_MODULE),
+    ("T-M3", "annihilator", zero_annihilator, CHOSEN_MODULE),
+])
+def test_forced_failures_match_the_reference_checkers(small_catalog,
+                                                      monkeypatch, sid, name,
+                                                      forced, failing_module):
+    """A broken library call seen through `statements` gives the report of
+    the reference checker: the same instance count, and a failure at the
+    same module, m.c.s., submodule and family.  None: the statement passes
+    (a lossy sum only drops T-SSUM instances)."""
+    monkeypatch.setattr(statements, name, forced(small_catalog))
+    actual = outcome(verify(sid, small_catalog))
+    assert actual == reference_outcome(sid, small_catalog)
+    if failing_module is None:
+        assert actual[2] == "pass"
+    else:
+        assert actual[2] == "fail" and actual[5]["module"] == failing_module
+        if forced is none_from_the_second_mcs:
+            assert actual[5]["mcs"] != "{1}"
+
+
+@pytest.mark.parametrize("sid, closure_checks", [
+    ("P-EXT", 160), ("T-M3", 39), ("P-SPR", 0), ("T-SEC", 0)])
+def test_closure_checks_of_a_warm_run_are_pinned(small_catalog, monkeypatch,
+                                                 sid, closure_checks):
+    """Once a first run has filled the library's caches, a second run makes
+    only the closure checks that no cache keeps.  P-EXT builds J = I + ann(N)
+    once per (N, I) of a module, T-M3 ann(N) once per N of a module, and the
+    homothety revalidators of P-SPR and T-SEC reach their cached family from
+    the element set; a Submodule built per (module, m.c.s.) pair again would
+    raise these counts (at the parent: 710, 155, 208 and 208)."""
+    verify(sid, small_catalog)
+    calls = []
+    real = rings._check_closed
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(rings, "_check_closed", counting)
+    assert verify(sid, small_catalog).verdict == "pass"
+    assert len(calls) == closure_checks

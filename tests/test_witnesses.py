@@ -19,6 +19,7 @@ import scomult  # noqa: F401  registers the library's claims
 import scomult.localization  # noqa: F401
 import scomult.mutations  # noqa: F401
 from scomult.catalog import generate_catalog
+from scomult.errors import AxiomViolation
 from scomult.modules import enumerate_submodules, self_module
 from scomult.morphisms import is_s_zero, is_s_zero_with
 from scomult.rings import make_ring_zn, unit_mcs, validate_mcs
@@ -260,6 +261,22 @@ def test_a_derived_form_witness_fails_when_its_precondition_fails(
     witness = Witness.make(claim, module=m6, **{key: frozenset(subset)},
                            mcs=validate_mcs(z6, mcs), s=s)
     assert not witness.validate(), witness.describe()
+
+
+@pytest.mark.parametrize("claim, key", [
+    ("s-prime-homothety", "p"), ("s-second-homothety", "n")])
+def test_a_homothety_witness_on_a_non_submodule_raises(z6, m6, s1, claim, key):
+    """{0,1} is not closed under addition in Z6, and (P:M) = ann(N) = {0}
+    misses S = {1}, so the revalidator goes on to the homothety family.  The
+    family is reached from the element set and built through a closure check,
+    which raises on every call: a set that is not a submodule gets no cached
+    family."""
+    witness = Witness.make(claim, module=m6, **{key: frozenset({0, 1})},
+                           mcs=s1, s=1)
+    for _ in range(2):
+        with pytest.raises(AxiomViolation,
+                           match="submodule not closed under addition"):
+            witness.validate()
 
 
 def test_describe_names_set_and_tuple_bindings_by_label():
