@@ -18,6 +18,8 @@ modules share one table builder with product rings.
 
 `first_multiplier`, the first s of an m.c.s. with sX inside Y, is the
 library's one existential-s search; witness revalidation never calls it.
+The P-FAM and T-SSUM checkers do not search: they ask whether the colon
+(Y :_R X), built once per module, meets S.
 """
 
 from __future__ import annotations

@@ -20,9 +20,13 @@ it is built at the module's first (module, m.c.s.) pair and replaced at the
 next module's.  P-PF keeps the ideals with (0:_M I) = 0 and their IM; P-FAM
 the zero-meet families and each intersection of N + part over a family;
 P-EXT s(0:_M I) per (s, I) and J = I + ann(N) per (N, I); T-M3 ann(N) per
-N; T-SSUM the family sums.  Everything that depends on S (the multiplier
-searches, the S-second and S-prime verdicts, instance counts and witness
-revalidation) still runs per (module, m.c.s.) pair, in the same order.
+N; T-SSUM the family sums.  P-FAM and T-SSUM also keep, per (X, Y) that
+their question "is there an s in S with sX inside Y?" names, the colon
+(Y :_R X) = {s in R : sX inside Y}, built the first time the module needs
+it; an instance then only asks whether that set meets S.  Everything else
+that depends on S (the other multiplier searches, the S-second and S-prime
+verdicts, instance counts and witness revalidation) still runs per
+(module, m.c.s.) pair, in the same order.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .modules import (
     zero_colon_set,
 )
 from .rings import (
+    _colon,
     enumerate_ideals,
     has_maximal_multiple,
     ideal_sum,
@@ -177,6 +182,21 @@ def _with_module_table(pairs, build):
         if module is not current:
             current, table = module, build(module)
         yield (*item, table)
+
+
+def _has_multiplier(module, mcs, colons, subset, target):
+    """Whether some s of S has s*subset inside target: whether the colon
+    (target :_R subset) meets S.
+
+    `colons` maps (subset, target) to that colon, which does not depend on
+    S; a colon not in it yet is built here and kept for the module's next
+    m.c.s.
+    """
+    key = subset, target
+    colon = colons.get(key)
+    if colon is None:
+        colon = colons[key] = _colon(module, target, subset)
+    return not colon.isdisjoint(mcs.elements)
 
 
 def _s_comult_pairs(cat, include_zero=False):
@@ -504,15 +524,16 @@ def _families(module, params):
 
 
 def _check_p_fam(cat, tb, ctx):
-    for module, mcs, _, (subs, squeezes) in _with_module_table(
-            _s_comult_pairs(cat), lambda m: _zero_meet_targets(m, cat.params)):
+    for module, mcs, _, (subs, squeezes, colons) in _with_module_table(
+            _s_comult_pairs(cat),
+            lambda m: (*_zero_meet_targets(m, cat.params), {})):
         for family, targets in squeezes:
             ctx.instances += 1
             for n, target in zip(subs, targets):
                 if not n.elements <= target:
                     ctx.fail(module=module, mcs=mcs, submodule=n,
                              detail="N escaped the intersection")
-                if first_multiplier(module, mcs, target, n.elements) is None:
+                if not _has_multiplier(module, mcs, colons, target, n.elements):
                     ctx.fail(module=module, mcs=mcs, submodule=n,
                              family=[module.set_label(p) for p in family],
                              detail="no s squeezing the intersection into N")
@@ -754,8 +775,8 @@ def _check_c_m3(cat, tb, ctx):
 
 
 def _check_t_ssum(cat, tb, ctx):
-    for module, mcs, _, (nonzero, totals) in _with_module_table(
-            _s_comult_pairs(cat), lambda m: (_nonzero_submodules(m), [])):
+    for module, mcs, _, (nonzero, totals, colons) in _with_module_table(
+            _s_comult_pairs(cat), lambda m: (_nonzero_submodules(m), [], {})):
         seconds = []
         for n in nonzero:
             witness = st._guard(lambda: tb.is_s_second(module, n, mcs))
@@ -773,8 +794,8 @@ def _check_t_ssum(cat, tb, ctx):
                 if not n.elements <= total:
                     continue
                 ctx.instances += 1
-                if all(first_multiplier(module, mcs, n.elements, part) is None
-                       for part in family):
+                if not any(_has_multiplier(module, mcs, colons, n.elements, part)
+                           for part in family):
                     ctx.fail(module=module, mcs=mcs, submodule=n,
                              family=[module.set_label(p) for p in family],
                              detail="no s with sN inside a summand")

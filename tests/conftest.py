@@ -17,7 +17,8 @@ action rows, one `act`, `mul` or `scalar_times_set` call per element;
 for `s_theory.is_prime_submodule_set` and `morphisms.is_s_zero_with`.
 `REFERENCE_CHECKERS` holds, by statement id, the checker bodies of P-EXT,
 P-FAM, P-PF, T-M3 and T-SSUM that recompute their module-only data for
-every (module, m.c.s.) pair.
+every (module, m.c.s.) pair and run a `first_multiplier` search for every
+instance.
 """
 
 import pytest

@@ -11,6 +11,7 @@ from scomult import rings, s_theory, statements
 from scomult.catalog import CatalogParams, generate_catalog
 from scomult.errors import AxiomViolation, PreconditionUnmet, UnknownStatement
 from scomult.modules import (
+    first_multiplier,
     full_submodule,
     self_module,
     submodule_from_set,
@@ -502,15 +503,32 @@ def chosen(module):
     return module.describe() == CHOSEN_MODULE
 
 
+def past_the_first_mcs(catalog, module, mcs):
+    return chosen(module) and catalog.mcs[module.ring].index(mcs) >= 1
+
+
 def none_from_the_second_mcs(catalog):
     """first_multiplier, but None on the chosen module from its ring's
     second m.c.s. on."""
     real = statements.first_multiplier
 
     def patched(module, mcs, subset, target):
-        if chosen(module) and catalog.mcs[module.ring].index(mcs) >= 1:
+        if past_the_first_mcs(catalog, module, mcs):
             return None
         return real(module, mcs, subset, target)
+    return patched
+
+
+def no_s_from_the_second_mcs(catalog):
+    """_has_multiplier, but False on the chosen module from its ring's
+    second m.c.s. on: the fault of `none_from_the_second_mcs` as P-FAM and
+    T-SSUM see it through their colon tables."""
+    real = statements._has_multiplier
+
+    def patched(module, mcs, colons, subset, target):
+        if past_the_first_mcs(catalog, module, mcs):
+            return False
+        return real(module, mcs, colons, subset, target)
     return patched
 
 
@@ -561,8 +579,13 @@ def test_forced_failures_match_the_reference_checkers(small_catalog,
     """A broken library call seen through `statements` gives the report of
     the reference checker: the same instance count, and a failure at the
     same module, m.c.s., submodule and family.  None: the statement passes
-    (a lossy sum only drops T-SSUM instances)."""
+    (a lossy sum only drops T-SSUM instances).  The reference checkers ask
+    `first_multiplier`, P-FAM and T-SSUM ask `_has_multiplier`, so a
+    multiplier fault is forced on both."""
     monkeypatch.setattr(statements, name, forced(small_catalog))
+    if forced is none_from_the_second_mcs:
+        monkeypatch.setattr(statements, "_has_multiplier",
+                            no_s_from_the_second_mcs(small_catalog))
     actual = outcome(verify(sid, small_catalog))
     assert actual == reference_outcome(sid, small_catalog)
     if failing_module is None:
@@ -594,3 +617,60 @@ def test_closure_checks_of_a_warm_run_are_pinned(small_catalog, monkeypatch,
     monkeypatch.setattr(rings, "_check_closed", counting)
     assert verify(sid, small_catalog).verdict == "pass"
     assert len(calls) == closure_checks
+
+
+@pytest.mark.parametrize("sid, colon_sets", [("P-FAM", 83), ("T-SSUM", 63)])
+def test_multiplier_sets_of_a_run_are_pinned(small_catalog, monkeypatch, sid,
+                                             colon_sets):
+    """P-FAM and T-SSUM build each colon {s : sX inside Y} once per
+    (module, X, Y) and make no `first_multiplier` search; a search per
+    (module, m.c.s.) instance would make 4,157 and 863 of them."""
+    colons, searches = [], []
+    real_colon = statements._colon
+    real_search = statements.first_multiplier
+
+    def counting_colon(*args):
+        colons.append(args)
+        return real_colon(*args)
+
+    def counting_search(*args):
+        searches.append(args)
+        return real_search(*args)
+
+    monkeypatch.setattr(statements, "_colon", counting_colon)
+    monkeypatch.setattr(statements, "first_multiplier", counting_search)
+    assert verify(sid, small_catalog).verdict == "pass"
+    assert (len(colons), len(searches)) == (colon_sets, 0)
+
+
+def test_colon_tables_answer_like_first_multiplier(small_catalog, monkeypatch):
+    """Every question P-FAM and T-SSUM ask of their colon tables gets the
+    answer of `first_multiplier`: the stored colon equals {r : rX inside Y}
+    computed element by element, `_has_multiplier` says yes exactly when
+    `first_multiplier` finds an s, and that s is the first of S in the
+    colon."""
+    asked = {"P-FAM": [], "T-SSUM": []}
+    real = statements._has_multiplier
+    for sid, questions in asked.items():
+        def recording(module, mcs, colons, subset, target, questions=questions):
+            answer = real(module, mcs, colons, subset, target)
+            questions.append((module, mcs, subset, target,
+                              colons[subset, target], answer))
+            return answer
+
+        monkeypatch.setattr(statements, "_has_multiplier", recording)
+        assert verify(sid, small_catalog).verdict == "pass"
+    assert {sid: len(q) for sid, q in asked.items()} == {
+        "P-FAM": 4157, "T-SSUM": 863}
+    expected = {}
+    for questions in asked.values():
+        for module, mcs, subset, target, colon, answer in questions:
+            key = (module, subset, target)
+            if key not in expected:
+                expected[key] = frozenset(
+                    r for r in module.ring.elements()
+                    if all(module.act(r, x) in target for x in subset))
+            assert colon == expected[key]
+            first = first_multiplier(module, mcs, subset, target)
+            assert answer == (first is not None)
+            assert first == next((s for s in mcs if s in colon), None)
