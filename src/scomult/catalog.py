@@ -25,7 +25,7 @@ from .modules import (
     zn_over_zk,
 )
 from .morphisms import (
-    enumerate_homs,
+    _linear_homs,
     identity_hom,
     inclusion_hom,
     multiplication_hom,
@@ -149,17 +149,16 @@ def _ring_mcs(ring, params):
     return cyclic_mcs(ring)
 
 
-def _ring_homs(ring, modules, params):
+def _ring_homs(ring, modules, params, additive):
     pool = []
     for module in modules:
         if module.is_zero_module:
             continue
         if module.size <= params.hom_enum_limit:
-            pool.extend(enumerate_homs(module, module, cap=params.hom_enum_limit))
+            pool.extend(_linear_homs(module, module, additive))
         else:
             pool.append(identity_hom(module))
-            for a in ring.elements():
-                pool.append(multiplication_hom(module, a))
+            pool.extend(multiplication_hom(module, a) for a in ring.elements())
         picked = 0
         for sub in enumerate_submodules(module):
             if sub.is_zero() or sub.is_full():
@@ -249,9 +248,10 @@ def generate_catalog(params=None):
     modules = {ring: tuple(pool) for ring, pool in modules.items()}
     mcs = {}
     homs = {}
+    additive = {}       # additive maps per pair of addition tables, for this call
     for ring in rings:
         mcs[ring] = _ring_mcs(ring, params)
-        homs[ring] = _ring_homs(ring, modules[ring], params)
+        homs[ring] = _ring_homs(ring, modules[ring], params, additive)
 
     return Catalog(params, tuple(rings), modules, mcs, homs,
                    tuple(product_cases), tuple(triple_cases))

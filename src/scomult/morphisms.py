@@ -1,22 +1,26 @@
 """Module homomorphisms, homotheties, and their S-variant classifications.
 
 A homomorphism is a full value table on the source carrier, validated for
-additivity and R-linearity.  Each hom f knows, once asked, the scalars that
-make it S-zero (ann(Im f)), S-monic (ann(Ker f)) and S-epic
-((Im f :_R M')); it reads them from the library's keyed lattice caches, so
-homs with the same image or kernel share one set.  The S-variant searches
-return the first element of the m.c.s., in canonical order, that lies in
-the hom's set.  The `*_with` helpers are the definitional checks, each
-reading s's action row once, and witness revalidation uses them, never the
-hom's sets.  The
-direct side of the S-monic cross-check is also element-wise: it scans the
-kernel, listed once per hom, for each s in turn.  The monic/epic bridge
-computes what depends on the hom alone (image, kernel list, the scalar
-sets, z(M) and the units) once and reuses it for every m.c.s.  That core
-and the transfer check read only the hom's signature (source, target,
-kernel and image), so the P-HOMS and T-HOM checkers evaluate them once per
-signature; the S-monic and S-epic witnesses are still made for each hom,
-bind that hom, and are revalidated one by one.
+additivity and R-linearity, both compared row by row.  Hom enumeration has
+two exact stages: the additive maps, which read only the two addition
+tables, and among them the R-linear ones, checked once per distinct pair of
+action rows.  `generate_catalog` keeps one dict of additive maps per pair
+of addition tables for the length of the call; `enumerate_homs` uses a
+fresh one.  Each hom f knows, once asked, the scalars that make it S-zero
+(ann(Im f)), S-monic (ann(Ker f)) and S-epic ((Im f :_R M')); it reads them
+from the library's keyed lattice caches, so homs with the same image or
+kernel share one set.  The S-variant searches return the first element of
+the m.c.s., in canonical order, that lies in the hom's set.  The `*_with`
+helpers are the definitional checks, each reading s's action row once, and
+witness revalidation uses them, never the hom's sets.  The direct side of
+the S-monic cross-check is also element-wise: it scans the kernel, listed
+once per hom, for each s in turn.  The monic/epic bridge computes what
+depends on the hom alone (image, kernel list, the scalar sets, z(M) and the
+units) once and reuses it for every m.c.s.  That core and the transfer
+check read only the hom's signature (source, target, kernel and image), so
+the P-HOMS and T-HOM checkers evaluate them once per signature; the S-monic
+and S-epic witnesses are still made for each hom, bind that hom, and are
+revalidated one by one.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, product as iproduct
-from operator import not_
+from operator import itemgetter, not_
 from typing import NamedTuple
 
 from .errors import AxiomViolation, SizeCapExceeded
@@ -86,7 +90,7 @@ class ModuleHom:
 
 
 def make_hom(source, target, values):
-    """Validated homomorphism from a full value table."""
+    """Validated hom from a full value table; errors name the first bad pair."""
     if source.ring != target.ring:
         raise AxiomViolation("homomorphism requires a common base ring")
     values = tuple(values)
@@ -95,17 +99,29 @@ def make_hom(source, target, values):
     for v in values:
         if not (0 <= v < target.size):
             raise AxiomViolation("value out of range", (v,))
-    for a in source.elements():
-        for b in source.elements():
+    getters = [itemgetter(*row) for row in source._add_rows]
+    if not _commutes(zip(getters, map(target._add_rows.__getitem__, values)), values):
+        for a, b in iproduct(source.elements(), repeat=2):
             if values[source.add(a, b)] != target.add(values[a], values[b]):
                 raise AxiomViolation("map is not additive", (a, b))
-    for r in source.ring.elements():
-        src_row = source.act_row(r)
-        tgt_row = target.act_row(r)
-        for m in source.elements():
-            if values[src_row[m]] != tgt_row[values[m]]:
+    if not _commutes(_action_pairs(source, target), values):
+        for r, m in iproduct(source.ring.elements(), source.elements()):
+            if values[source.act(r, m)] != target.act(r, values[m]):
                 raise AxiomViolation("map is not linear", (r, m))
     return ModuleHom(source, target, values)
+
+
+def _commutes(pairs, values):
+    """f(p(m)) = q(f(m)) for all m, per (getter of row p, row q): a + _ and
+    f(a) + _ for additivity, r*_ on source and target for linearity."""
+    get_values = itemgetter(*values)
+    return all(get(values) == get_values(row) for get, row in pairs)
+
+
+def _action_pairs(source, target):
+    """(getter of r's source action row, r's target row), once per distinct pair."""
+    return [(itemgetter(*row), target_row) for row, target_row
+            in dict.fromkeys(zip(source._act_rows, target._act_rows))]
 
 
 def identity_hom(module):
@@ -357,62 +373,66 @@ def _bind_bridge(f, mcs_list, core):
 
 def _additive_generators(module):
     """Greedy additive generating sequence with BFS parents for rebuilding."""
-    gens = []
-    span = {0}
-    order = [0]
-    parent = {0: None}
-    while len(span) < module.size:
-        g = min(m for m in module.elements() if m not in span)
-        gens.append(g)
-        gi = len(gens) - 1
+    gens, order, parent = [], [0], {0: None}
+    while len(order) < module.size:
+        gens.append(min(m for m in module.elements() if m not in parent))
         frontier = list(order)
         while frontier:
             x = frontier.pop(0)
-            y = module.add(x, g)
-            if y not in span:
-                span.add(y)
-                parent[y] = (x, gi)
+            y = module.add(x, gens[-1])
+            if y not in parent:
+                parent[y] = (x, len(gens) - 1)
                 order.append(y)
                 frontier.append(y)
     return gens, order, parent
 
 
 def _additive_order(module, m):
-    k = 1
-    acc = m
+    k, acc = 1, m
     while acc != 0:
-        acc = module.add(acc, m)
-        k += 1
+        acc, k = module.add(acc, m), k + 1
     return k
 
 
-def enumerate_homs(source, target, cap=8):
-    """All homs source -> target, for small carriers."""
-    if source.size > cap or target.size > cap:
-        raise SizeCapExceeded("hom enumeration carrier", max(source.size, target.size), cap)
+def _additive_maps(source, target):
+    """The additive value tables source -> target, in enumeration order:
+    each additive generator goes to a target element whose order divides its
+    own, extended along the BFS parents.  Reads only the addition tables."""
     gens, order, parent = _additive_generators(source)
     if not gens:
-        return (ModuleHom(source, target, (0,)),)
-    candidate_images = []
-    for g in gens:
-        o = _additive_order(source, g)
-        ok = []
-        for y in target.elements():
-            acc = 0
-            for _ in range(o):
-                acc = target.add(acc, y)
-            if acc == 0:
-                ok.append(y)
-        candidate_images.append(ok)
+        return ((0,),)
+    orders = [_additive_order(target, y) for y in target.elements()]
+    candidate_images = [[y for y, o in enumerate(orders) if k % o == 0]
+                        for k in (_additive_order(source, g) for g in gens)]
+    getters = [itemgetter(*row) for row in source._add_rows]
     out = []
     for combo in iproduct(*candidate_images):
         values = [0] * source.size
         for m in order[1:]:
             x, gi = parent[m]
             values[m] = target.add(values[x], combo[gi])
-        try:
-            out.append(make_hom(source, target, values))
-        except AxiomViolation:
-            continue
+        values = tuple(values)
+        if _commutes(zip(getters, map(target._add_rows.__getitem__, values)),
+                     values):
+            out.append(values)
     return tuple(out)
 
+
+def _linear_homs(source, target, additive):
+    """The homs source -> target: the R-linear tables, in order, among the
+    additive maps, read from `additive` by both addition tables or put there."""
+    if source.ring != target.ring:
+        return ()
+    key = source._add_rows, target._add_rows
+    if key not in additive:
+        additive[key] = _additive_maps(source, target)
+    pairs = _action_pairs(source, target)
+    return tuple(ModuleHom(source, target, values) for values in additive[key]
+                 if _commutes(pairs, values))
+
+
+def enumerate_homs(source, target, cap=8):
+    """All homs source -> target, for small carriers."""
+    if source.size > cap or target.size > cap:
+        raise SizeCapExceeded("hom enumeration carrier", max(source.size, target.size), cap)
+    return _linear_homs(source, target, {})

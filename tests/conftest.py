@@ -15,11 +15,15 @@ element-by-element form of each revalidator that the library computes from
 action rows, one `act`, `mul` or `scalar_times_set` call per element;
 `reference_is_prime_submodule_set` and `reference_s_zero_with` are the same
 for `s_theory.is_prime_submodule_set` and `morphisms.is_s_zero_with`.
+`reference_enumerate_homs` is hom enumeration as one loop over candidates,
+each checked pair by pair, with no table shared between calls.
 `REFERENCE_CHECKERS` holds, by statement id, the checker bodies of P-EXT,
 P-FAM, P-PF, T-M3 and T-SSUM that recompute their module-only data for
 every (module, m.c.s.) pair and run a `first_multiplier` search for every
 instance.
 """
+
+from itertools import product
 
 import pytest
 
@@ -35,6 +39,7 @@ from scomult.modules import (
     self_module,
     zn_over_zk,
 )
+from scomult.morphisms import ModuleHom
 from scomult import mutations, s_theory, statements
 from scomult.rings import (
     Submodule,
@@ -383,6 +388,65 @@ REFERENCE_REVALIDATORS = {
     "s-second-containment": reference_s_second_containment,
     "s-torsion-free": reference_s_torsion_free,
 }
+
+
+# ---------------------------------------------------------------------------
+# reference hom enumeration: the candidate-by-candidate body that the two
+# stages of `morphisms.enumerate_homs` replace.  It rebuilds the same
+# candidates in the same order, but checks each one element by element.
+
+
+def _reference_additive_generators(module):
+    gens, span, order, parent = [], {0}, [0], {0: None}
+    while len(span) < module.size:
+        g = min(m for m in module.elements() if m not in span)
+        gens.append(g)
+        frontier = list(order)
+        while frontier:
+            x = frontier.pop(0)
+            y = module.add(x, g)
+            if y not in span:
+                span.add(y)
+                parent[y] = (x, len(gens) - 1)
+                order.append(y)
+                frontier.append(y)
+    return gens, order, parent
+
+
+def _reference_is_hom(source, target, values):
+    """Every f(a + b) = f(a) + f(b) and every f(r*m) = r*f(m), one at a time."""
+    return (all(values[source.add(a, b)] == target.add(values[a], values[b])
+                for a in source.elements() for b in source.elements())
+            and all(values[source.act(r, m)] == target.act(r, values[m])
+                    for r in source.ring.elements() for m in source.elements()))
+
+
+def reference_enumerate_homs(source, target):
+    gens, order, parent = _reference_additive_generators(source)
+    if not gens:
+        return (ModuleHom(source, target, (0,)),)
+    candidate_images = []
+    for g in gens:
+        o, acc = 1, g
+        while acc != 0:
+            acc, o = source.add(acc, g), o + 1
+        ok = []
+        for y in target.elements():
+            acc = 0
+            for _ in range(o):
+                acc = target.add(acc, y)
+            if acc == 0:
+                ok.append(y)
+        candidate_images.append(ok)
+    out = []
+    for combo in product(*candidate_images):
+        values = [0] * source.size
+        for m in order[1:]:
+            x, gi = parent[m]
+            values[m] = target.add(values[x], combo[gi])
+        if _reference_is_hom(source, target, values):
+            out.append(ModuleHom(source, target, tuple(values)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

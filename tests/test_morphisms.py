@@ -1,23 +1,32 @@
 """Homomorphisms, homotheties, S-classifications, and the transfer check."""
 
 import hashlib
+from itertools import product
+from pathlib import Path
 
 import pytest
 
-from scomult.catalog import generate_catalog
+from conftest import reference_enumerate_homs
+from scomult.catalog import CatalogParams, _ring_homs, generate_catalog
 from scomult.errors import AxiomViolation, PreconditionUnmet
+from scomult.instancefile import parse_instance_file
 from scomult.modules import (
+    direct_sum_module,
     enumerate_submodules,
+    make_module,
     zero_divisors_on,
     full_submodule,
     quotient_module,
     self_module,
     submodule_as_module,
     submodule_from_set,
+    zn_over_zk,
 )
 from scomult.morphisms import (
     ModuleHom,
+    _additive_maps,
     _bridge_reports,
+    _linear_homs,
     enumerate_homs,
     homothety_family,
     homothety_on_family,
@@ -48,6 +57,8 @@ from scomult.s_theory import (
 )
 from scomult.statements import verify
 
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
 
 def test_make_hom_pins(m6):
     ident = identity_hom(m6)
@@ -56,8 +67,15 @@ def test_make_hom_pins(m6):
     double = multiplication_hom(m6, 2)
     assert kernel(double).members() == [0, 3]
     assert image(double).members() == [0, 2, 4]
-    with pytest.raises(AxiomViolation):
+    with pytest.raises(AxiomViolation) as err:
         make_hom(m6, m6, (0, 1, 1, 1, 1, 1))
+    assert (err.value.axiom, err.value.witness) == ("map is not additive", (1, 1))
+    plane = self_module(make_ring_zn([2, 2]))
+    swap = (0, 2, 1, 3)                          # (x, y) -> (y, x)
+    assert swap in _additive_maps(plane, plane)  # additive, but not linear
+    with pytest.raises(AxiomViolation) as err:
+        make_hom(plane, plane, swap)
+    assert (err.value.axiom, err.value.witness) == ("map is not linear", (1, 1))
 
 
 def test_s_zero_pins(m6, s13):
@@ -149,6 +167,65 @@ def test_enumerate_homs_counts(m6, v2):
     assert len(enumerate_homs(v2, v2)) == 16           # 2x2 matrices over F2
     z3 = zn_over_zk(m6.ring, 3)
     assert len(enumerate_homs(m6, z3)) == 3            # reductions mod 3
+
+
+def _swapped_z4():
+    """Z_4 over itself with the indices of 1 and 2 swapped.  Its greedy
+    additive generators, 2 and then 1, are dependent, so some of the
+    candidate tables that hom enumeration builds are not additive."""
+    perm = (0, 2, 1, 3)                          # its own inverse
+    add = [[perm[(perm[a] + perm[b]) % 4] for b in range(4)] for a in range(4)]
+    act = [[perm[(r * perm[x]) % 4] for x in range(4)] for r in range(4)]
+    return make_module(make_ring_zn([4]), add, act, name="Z4 swapped")
+
+
+def _oracle_module_pairs():
+    """Every ordered pair of nonzero modules with carrier at most 8 over each
+    reduced-catalog ring, then the pairs of each shipped table instance and
+    of the swapped Z_4 with Z_4."""
+    cat = generate_catalog(mutation_catalog_params())
+    for ring in cat.rings:
+        modules = [m for m in cat.modules[ring]
+                   if not m.is_zero_module and m.size <= 8]
+        yield from product(modules, repeat=2)
+    for name in ("v2_over_f2.inst", "f4_table.inst"):
+        modules = parse_instance_file(INSTANCES / name).modules.values()
+        yield from product(modules, repeat=2)
+    yield from product((_swapped_z4(), self_module(make_ring_zn([4]))), repeat=2)
+
+
+def test_enumerate_homs_matches_reference():
+    pairs = list(_oracle_module_pairs())
+    assert any(source != target for source, target in pairs)
+    swapped = _swapped_z4()
+    assert len(_additive_maps(swapped, swapped)) < 8   # 2 * 4 candidates
+    for source, target in pairs:
+        assert enumerate_homs(source, target) == reference_enumerate_homs(source, target)
+
+
+def test_additive_table_is_keyed_by_both_addition_tables():
+    """One table serves modules with equal addition tables and different
+    actions, and pairs with one addition table in common."""
+    z2, z22, z4 = make_ring_zn([2]), make_ring_zn([2, 2]), make_ring_zn([4])
+    plane, self22 = direct_sum_module(z2, (2, 2)), self_module(z22)
+    assert plane._add_rows == self22._add_rows
+    expected = {plane: 16, self22: 4}
+    for order in ((plane, self22), (self22, plane)):
+        additive = {}
+        for module in order:
+            pool = _ring_homs(module.ring, (module,), CatalogParams(), additive)
+            endo = [f for f in pool if f.source == f.target == module]
+            assert len(endo) == expected[module]
+        assert len(additive) == 1
+    m4, z2_over_z4 = self_module(z4), zn_over_zk(z4, 2)
+    pairs = [(m4, m4), (m4, z2_over_z4), (z2_over_z4, m4)]
+    for order in (pairs, pairs[::-1]):
+        additive = {}
+        for source, target in order:
+            homs = _linear_homs(source, target, additive)
+            assert homs == reference_enumerate_homs(source, target)
+        assert len(additive) == 3
+    assert [len(enumerate_homs(*pair)) for pair in pairs] == [4, 2, 2]
 
 
 def test_inclusion_projection_shapes(m6):
