@@ -16,11 +16,11 @@ witness revalidation uses them, never the hom's sets.  The direct side of
 the S-monic cross-check is also element-wise: it scans the kernel, listed
 once per hom, for each s in turn.  The monic/epic bridge computes what
 depends on the hom alone (image, kernel list, the scalar sets, z(M) and the
-units) once and reuses it for every m.c.s.  That core and the transfer
-check read only the hom's signature (source, target, kernel and image), so
-the P-HOMS and T-HOM checkers evaluate them once per signature; the S-monic
-and S-epic witnesses are still made for each hom, bind that hom, and are
-revalidated one by one.
+units) once and reuses it for every m.c.s.  That core reads only the hom's
+signature (source, target, kernel and image).  `monic_epic_bridge` builds
+its report from the core; the P-HOMS checker reads the core once per
+signature and makes, per (hom, m.c.s.) instance, only the witnesses, which
+bind that hom.
 """
 
 from __future__ import annotations
@@ -305,13 +305,18 @@ class BridgeReport(NamedTuple):
 
     def failure(self):
         """How the first false claim fails, or None when every claim holds."""
-        for claim, detail in zip(self, _BRIDGE_FAILURES):
-            if claim is False:
-                return detail
-        return None
+        return _bridge_failure(self[:4])
 
     def holds(self):
         return False not in self[:4]
+
+
+def _bridge_failure(claims):
+    """How the first false one of the four bridge claims fails, or None."""
+    for claim, detail in zip(claims, _BRIDGE_FAILURES):
+        if claim is False:
+            return detail
+    return None
 
 
 def monic_epic_bridge(f, mcs):
@@ -320,12 +325,16 @@ def monic_epic_bridge(f, mcs):
 
 
 def _bridge_reports(f, mcs_list):
-    """monic_epic_bridge(f, mcs) for each m.c.s. in turn, as a tuple."""
-    return _bind_bridge(f, mcs_list, _bridge_core(f, mcs_list))
+    """monic_epic_bridge(f, mcs) for each m.c.s. in turn, as a tuple; each
+    witness binds f itself."""
+    return tuple(BridgeReport(*claims, _s_monic_witness(f, mcs, s_monic),
+                              _s_epic_witness(f, mcs, s_epic))
+                 for mcs, (*claims, s_monic, s_epic)
+                 in zip(mcs_list, _bridge_core(f, mcs_list)))
 
 
 def _signature(f):
-    """All that `_bridge_core` and the transfer check read of a hom: its
+    """All that `_bridge_core` and the transfer core read of a hom: its
     source, its target, its kernel (as the bytes f(m) == 0 over the source)
     and its image."""
     return f.source, f.target, bytes(map(not_, f.values)), frozenset(f.values)
@@ -357,14 +366,6 @@ def _bridge_core(f, mcs_list):
                      not epic or s_epic is not None, epic_converse,
                      s_monic, s_epic))
     return tuple(core)
-
-
-def _bind_bridge(f, mcs_list, core):
-    """The bridge reports of f from a core of f's signature; each witness
-    binds f itself."""
-    return tuple(BridgeReport(*claims, _s_monic_witness(f, mcs, s_monic),
-                              _s_epic_witness(f, mcs, s_epic))
-                 for mcs, (*claims, s_monic, s_epic) in zip(mcs_list, core))
 
 
 # ---------------------------------------------------------------------------

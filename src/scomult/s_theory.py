@@ -11,7 +11,8 @@ single containment.  Predicates whose definition is conditional on a
 disjointness hypothesis raise `DisjointnessFailure` instead of returning
 False; the two outcomes are deliberately kept distinct.  The transfer
 check along a hom lives here, not in `morphisms`, because it reads
-S-comultiplication at both ends.
+S-comultiplication at both ends; `transfer_theorem_check` builds its report
+from a core that T-HOM reads once per hom signature.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ from .modules import (
     zero_colon_set,
 )
 from .morphisms import (
+    _first_in,
+    _s_monic_witness,
     homothety_family,
     homothety_on_family,
     is_epic,
     is_s_epic_with,
-    is_s_monic_via_kernel,
     is_s_monic_with,
     is_s_zero_with,
 )
@@ -664,23 +666,42 @@ class TransferReport(NamedTuple):
 
 def transfer_theorem_check(f, mcs):
     """Transfer of the S-comultiplication property along f when tKer(f)=0."""
-    witness = is_s_monic_via_kernel(f, mcs)
-    if witness is None:
+    entry = _transfer_core(f, (mcs,))[0]
+    if entry is None:
         raise PreconditionUnmet("no element of S annihilates the kernel")
-    failing = None
-    target_res = is_s_comultiplication(f.target, mcs)
-    source_res = is_s_comultiplication(f.source, mcs)
-    downward_applicable = target_res.holds
-    downward = None
-    if downward_applicable:
-        downward = source_res.holds
-        if not downward:
-            failing = source_res.failing
-    upward_applicable = is_epic(f) and source_res.holds
-    upward = None
-    if upward_applicable:
-        upward = target_res.holds
-        if not upward:
-            failing = target_res.failing
-    return TransferReport(witness, downward_applicable, downward,
-                          upward_applicable, upward, failing)
+    s, *verdicts = entry
+    return TransferReport(_s_monic_witness(f, mcs, s), *verdicts)
+
+
+def _transfer_core(f, mcs_list):
+    """For each m.c.s. in turn: None where no s of S annihilates Ker(f),
+    else the first such s and the other five `TransferReport` fields.
+
+    It reads only the hom's signature (source, target, kernel and image),
+    so every hom with that signature has the same core.
+    """
+    kernel_scalars, epic = f.s_monic_scalars(), is_epic(f)
+    core = []
+    for mcs in mcs_list:
+        s = _first_in(kernel_scalars, mcs)
+        if s is None:
+            core.append(None)
+            continue
+        failing = None
+        target_res = is_s_comultiplication(f.target, mcs)
+        source_res = is_s_comultiplication(f.source, mcs)
+        downward_applicable = target_res.holds
+        downward = None
+        if downward_applicable:
+            downward = source_res.holds
+            if not downward:
+                failing = source_res.failing
+        upward_applicable = epic and source_res.holds
+        upward = None
+        if upward_applicable:
+            upward = target_res.holds
+            if not upward:
+                failing = target_res.failing
+        core.append((s, downward_applicable, downward, upward_applicable,
+                     upward, failing))
+    return tuple(core)

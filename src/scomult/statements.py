@@ -8,11 +8,15 @@ carries the counterexample out to `verify`.  A statement whose hypotheses
 select no instance reports `vacuous`.  Every witness consumed along the way
 goes through `ctx.revalidate`, the definition-level re-check, so an
 implementation that emits a bogus witness fails the statement even when the
-boolean verdicts cannot differ.  P-HOMS and T-HOM evaluate the bridge core
-and the transfer check once per hom signature (source, target, kernel,
-image) of a ring, in a table that lives for one checker call; every
-(hom, m.c.s.) instance is still counted, gets witnesses that bind its own
-hom, and has them revalidated.
+boolean verdicts cannot differ.  P-HOMS and T-HOM read the bridge core and
+the transfer core, the cores behind `monic_epic_bridge` and
+`transfer_theorem_check`, once per hom signature (source, target, kernel,
+image) of a ring, in a table that lives for one checker call.  The table
+keeps, per m.c.s., what does not depend on the hom: the s of each witness
+and the outcome (how the bridge fails, if it does; the transfer verdicts
+and failing submodule).  Each (hom, m.c.s.) instance is counted, makes the
+witnesses that bind its own hom, has each revalidated once, and fails where
+its table entry says so; no report tuple is built.
 
 P-PF, P-FAM, P-EXT, T-M3 and T-SSUM build the part of their work that
 does not depend on S once per module, in a table that lives for one module:
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
+from itertools import combinations
 from typing import Callable
 
 from . import localization as loc
@@ -71,6 +75,7 @@ from .rings import (
     prime_ideals,
     saturation,
 )
+from .witnesses import Witness
 
 _ZERO = frozenset((0,))
 
@@ -282,47 +287,22 @@ def _check_t_loc(cat, tb, ctx):
 
 def _check_t_hom(cat, tb, ctx):
     unmet = 0
-    for f, mcs, report in _transfer_instances(cat):
-        if report is None:
-            unmet += 1
-            continue
-        ctx.revalidate(report.kernel_witness, hom=f, mcs=mcs)
-        ctx.instances += 1
-        if report.downward_holds is False:
-            ctx.fail(hom=f, mcs=mcs, failing=report.failing_submodule,
-                     detail="property failed to descend to the source")
-        if report.upward_holds is False:
-            ctx.fail(hom=f, mcs=mcs, failing=report.failing_submodule,
-                     detail="property failed to push to the target")
+    for f, mcs_list, core in _by_signature(cat, st._transfer_core):
+        for mcs, entry in zip(mcs_list, core):
+            if entry is None:
+                unmet += 1
+                continue
+            s, _, downward, _, upward, failing = entry
+            ctx.revalidate(Witness.make("s-monic", hom=f, mcs=mcs, s=s),
+                           hom=f, mcs=mcs)
+            ctx.instances += 1
+            if downward is False:
+                ctx.fail(hom=f, mcs=mcs, failing=failing,
+                         detail="property failed to descend to the source")
+            if upward is False:
+                ctx.fail(hom=f, mcs=mcs, failing=failing,
+                         detail="property failed to push to the target")
     ctx.notes["precondition_unmet"] = unmet
-
-
-def _transfer_instances(cat):
-    """(f, mcs, transfer_theorem_check(f, mcs)) for every catalog hom and
-    m.c.s. in catalog order, with None for the report where the check raises
-    `PreconditionUnmet`.  The check runs once per hom signature; each
-    report's kernel witness binds f itself."""
-    for f, mcs_list, reports in _by_signature(cat, _transfer_reports):
-        for mcs, report in zip(mcs_list, reports):
-            if report is not None:
-                s, rest = report
-                report = st.TransferReport(mor._s_monic_witness(f, mcs, s), *rest)
-            yield f, mcs, report
-
-
-def _transfer_reports(f, mcs_list):
-    """Per m.c.s., transfer_theorem_check(f, mcs) as the s of its kernel
-    witness and the other fields, or None where it raises
-    `PreconditionUnmet`."""
-    reports = []
-    for mcs in mcs_list:
-        try:
-            report = st.transfer_theorem_check(f, mcs)
-        except PreconditionUnmet:
-            reports.append(None)
-        else:
-            reports.append((report.kernel_witness.get("s"), report[1:]))
-    return reports
 
 
 def _by_signature(cat, evaluate):
@@ -683,20 +663,25 @@ def _check_t_min(cat, tb, ctx):
 
 
 def _check_p_homs(cat, tb, ctx):
-    for f, mcs, report in _bridge_instances(cat):
-        ctx.instances += 1
-        for witness in (report.s_monic, report.s_epic):
-            ctx.revalidate(witness, hom=f, mcs=mcs)
-        if not report.holds():
-            ctx.fail(hom=f, mcs=mcs, detail=report.failure())
+    for f, mcs_list, outcomes in _by_signature(cat, _bridge_outcomes):
+        for mcs, (s_monic, s_epic, failure) in zip(mcs_list, outcomes):
+            ctx.instances += 1
+            if s_monic is not None:
+                ctx.revalidate(Witness.make("s-monic", hom=f, mcs=mcs, s=s_monic),
+                               hom=f, mcs=mcs)
+            if s_epic is not None:
+                ctx.revalidate(Witness.make("s-epic", hom=f, mcs=mcs, s=s_epic),
+                               hom=f, mcs=mcs)
+            if failure is not None:
+                ctx.fail(hom=f, mcs=mcs, detail=failure)
 
 
-def _bridge_instances(cat):
-    """(f, mcs, monic_epic_bridge(f, mcs)) for every catalog hom and m.c.s.
-    in catalog order.  The bridge core runs once per hom signature; each
-    report's witnesses bind f itself."""
-    for f, mcs_list, core in _by_signature(cat, mor._bridge_core):
-        yield from zip(repeat(f), mcs_list, mor._bind_bridge(f, mcs_list, core))
+def _bridge_outcomes(f, mcs_list):
+    """Per m.c.s., the s of the S-monic and S-epic witnesses of
+    `monic_epic_bridge` (None where there is none) and how the bridge fails
+    (None when it holds)."""
+    return [(s_monic, s_epic, mor._bridge_failure(claims))
+            for *claims, s_monic, s_epic in mor._bridge_core(f, mcs_list)]
 
 
 def _check_forms(cat, ctx, submodules, characterize, skips):

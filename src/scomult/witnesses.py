@@ -3,7 +3,8 @@
 Every predicate that proves "there is an s in S such that ..." returns a
 `Witness` recording what was found and against which instance, with the
 m.c.s. it searched bound as `mcs` just before `s`.  A `Witness` is an
-immutable slotted record that keeps the keyword mapping `make` receives.
+immutable tuple of its claim and the keyword mapping `make` receives, built
+without a per-instance `__init__`.
 `validate()` checks once that s lies in the m.c.s.'s element set, then
 calls the claim's revalidator with that mapping as keyword arguments, so
 a revalidator's parameters are its claim's fields.
@@ -21,6 +22,7 @@ they certify via the `revalidator` decorator.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable
 
 REVALIDATORS: dict[str, Callable[..., bool]] = {}
@@ -34,60 +36,60 @@ def revalidator(claim):
     return deco
 
 
-class Witness:
+_new = tuple.__new__
+
+
+class Witness(tuple):
     """An immutable record of a claim and its named bindings, in make order.
 
-    The bindings are held as the keyword mapping `make` receives, so making
-    a witness copies nothing and `validate()` passes the mapping on as is.
+    A witness is the pair (claim, the keyword mapping `make` receives), so
+    making one copies nothing and `validate()` passes the mapping on as is.
+    Equality and hashing are by the claim and the bindings in order, and a
+    witness equals no plain tuple.
     """
 
-    __slots__ = ("claim", "_named")
+    __slots__ = ()
 
-    def __init__(self, claim: str, bindings: tuple[tuple[str, Any], ...]):
-        _set_claim(self, claim)
-        _set_named(self, dict(bindings))
+    def __new__(cls, claim: str, bindings: tuple[tuple[str, Any], ...]):
+        return _new(cls, (claim, dict(bindings)))
 
-    @classmethod
-    def make(cls, claim, **named):
-        witness = object.__new__(cls)
-        _set_claim(witness, claim)
-        _set_named(witness, named)
-        return witness
+    @staticmethod
+    def make(claim, **named):
+        return _new(Witness, (claim, named))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Witness is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Witness is immutable; cannot delete {name!r}")
+    claim = property(itemgetter(0))
 
     @property
     def bindings(self) -> tuple[tuple[str, Any], ...]:
-        return tuple(self._named.items())
+        return tuple(self[1].items())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.claim == other.claim and self.bindings == other.bindings
+            return False
+        return self[0] == other[0] and self.bindings == other.bindings
+
+    def __ne__(self, other):
+        return not self == other
 
     def __hash__(self):
-        return hash((self.claim, self.bindings))
+        return hash((self[0], self.bindings))
 
     def __repr__(self):
-        return f"Witness(claim={self.claim!r}, bindings={self.bindings!r})"
+        return f"Witness(claim={self[0]!r}, bindings={self.bindings!r})"
 
     def get(self, name):
-        return self._named[name]
+        return self[1][name]
 
     def validate(self) -> bool:
         """s lies in the m.c.s., and the claim's defining condition re-checks."""
-        named = self._named
-        return named["s"] in named["mcs"].elements and REVALIDATORS[self.claim](**named)
+        claim, named = self
+        return named["s"] in named["mcs"].elements and REVALIDATORS[claim](**named)
 
     def describe(self) -> str:
         """The claim and every binding; s is written with the label of the
         m.c.s.'s ring, and an element, element sets and tuples with the
         labels of the bound module."""
-        named = self._named
+        claim, named = self
         module = named.get("module")
         parts = []
         for key, value in named.items():
@@ -102,8 +104,4 @@ class Witness:
             elif isinstance(value, tuple):
                 value = "(" + ",".join(map(module.label, value)) + ")"
             parts.append(f"{key}={value}")
-        return f"{self.claim}({', '.join(parts)})"
-
-
-_set_claim = Witness.claim.__set__
-_set_named = Witness._named.__set__
+        return f"{claim}({', '.join(parts)})"

@@ -20,6 +20,8 @@ each checked pair by pair, with no table shared between calls.
 `REFERENCE_CHECKERS` holds, by statement id, the checker bodies of P-EXT,
 P-FAM, P-PF, T-M3 and T-SSUM that recompute their module-only data for
 every (module, m.c.s.) pair and run a `first_multiplier` search for every
+instance, and the bodies of P-HOMS and T-HOM that ask the public
+`monic_epic_bridge` and `transfer_theorem_check` once per (hom, m.c.s.)
 instance.
 """
 
@@ -451,7 +453,8 @@ def reference_enumerate_homs(source, target):
 
 # ---------------------------------------------------------------------------
 # reference statement checkers: the per-(module, m.c.s.) bodies that the
-# statement suite's per-module tables replace.  Each reads the library
+# statement suite's per-module tables replace, and the per-(hom, m.c.s.)
+# bodies of the two hom statements.  Each reads the library
 # through the `statements` module, so a monkeypatch there reaches it too.
 
 
@@ -585,10 +588,49 @@ def reference_t_ssum(cat, tb, ctx):
                              detail="no s with sN inside a summand")
 
 
+def _hom_instances(cat):
+    """(f, mcs) for every catalog hom and m.c.s. of its ring, in catalog order."""
+    for ring in cat.rings:
+        for f in cat.homs[ring]:
+            for mcs in cat.mcs[ring]:
+                yield f, mcs
+
+
+def reference_p_homs(cat, tb, ctx):
+    for f, mcs in _hom_instances(cat):
+        report = statements.mor.monic_epic_bridge(f, mcs)
+        ctx.instances += 1
+        for witness in (report.s_monic, report.s_epic):
+            ctx.revalidate(witness, hom=f, mcs=mcs)
+        if not report.holds():
+            ctx.fail(hom=f, mcs=mcs, detail=report.failure())
+
+
+def reference_t_hom(cat, tb, ctx):
+    unmet = 0
+    for f, mcs in _hom_instances(cat):
+        try:
+            report = statements.st.transfer_theorem_check(f, mcs)
+        except statements.PreconditionUnmet:
+            unmet += 1
+            continue
+        ctx.revalidate(report.kernel_witness, hom=f, mcs=mcs)
+        ctx.instances += 1
+        if report.downward_holds is False:
+            ctx.fail(hom=f, mcs=mcs, failing=report.failing_submodule,
+                     detail="property failed to descend to the source")
+        if report.upward_holds is False:
+            ctx.fail(hom=f, mcs=mcs, failing=report.failing_submodule,
+                     detail="property failed to push to the target")
+    ctx.notes["precondition_unmet"] = unmet
+
+
 REFERENCE_CHECKERS = {
     "P-EXT": reference_p_ext,
     "P-FAM": reference_p_fam,
+    "P-HOMS": reference_p_homs,
     "P-PF": reference_p_pf,
+    "T-HOM": reference_t_hom,
     "T-M3": reference_t_m3,
     "T-SSUM": reference_t_ssum,
 }

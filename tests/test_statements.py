@@ -2,11 +2,12 @@
 
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from scomult import rings, s_theory, statements
+from scomult import morphisms as mor, rings, s_theory, statements
 
 from scomult.catalog import CatalogParams, generate_catalog
 from scomult.errors import AxiomViolation, PreconditionUnmet, UnknownStatement
@@ -19,6 +20,8 @@ from scomult.modules import (
     zn_over_zk,
 )
 from scomult.morphisms import (
+    BridgeReport,
+    ModuleHom,
     _signature,
     identity_hom,
     is_s_monic_via_kernel,
@@ -36,13 +39,17 @@ from scomult.rings import (
     unit_mcs,
     validate_mcs,
 )
-from scomult.s_theory import transfer_theorem_check
+from scomult.s_theory import (
+    TransferReport,
+    _transfer_core,
+    transfer_theorem_check,
+)
 from scomult.statements import (
     STATEMENTS,
     Statement,
     Toolbox,
-    _bridge_instances,
-    _transfer_instances,
+    _bridge_outcomes,
+    _by_signature,
     verify,
     verify_all,
 )
@@ -384,35 +391,85 @@ def test_checkers_take_the_run_context():
 # P-HOMS and T-HOM: one evaluation per hom signature, witnesses per hom
 
 
+def hom_instances(catalog):
+    """(f, mcs) for every catalog hom and m.c.s. of its ring, in instance
+    order."""
+    for ring in catalog.rings:
+        for f in catalog.homs[ring]:
+            for mcs in catalog.mcs[ring]:
+                yield f, mcs
+
+
+def grouped_outcomes(catalog, evaluate):
+    """(f, mcs, the value of `evaluate` for f at mcs) for every instance, as
+    the hom checkers walk them."""
+    for f, mcs_list, outcomes in _by_signature(catalog, evaluate):
+        yield from zip([f] * len(mcs_list), mcs_list, outcomes)
+
+
+def validated_witnesses(catalog, sid):
+    """The witnesses that `verify(sid)` validates, in order; it must pass."""
+    found = []
+    real = Witness.validate
+
+    def recording(self):
+        found.append(self)
+        return real(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Witness, "validate", recording)
+        assert verify(sid, catalog).verdict == "pass"
+    return found
+
+
+def s_of(witness):
+    return None if witness is None else witness.get("s")
+
+
+def assert_bind_their_own_homs(validated, expected):
+    """The validated witnesses are the per-hom witnesses, in order, and each
+    binds the very hom of its instance."""
+    assert validated == expected
+    assert all(w.get("hom") is e.get("hom") for w, e in zip(validated, expected))
+
+
 def test_grouped_bridge_equals_the_per_hom_bridge(small_catalog):
-    """Every (hom, m.c.s.) instance of P-HOMS equals `monic_epic_bridge` on
-    that hom, and its witnesses bind the hom itself, not the first hom of
-    its signature."""
-    pairs, shared = 0, 0
+    """Every (hom, m.c.s.) instance of P-HOMS agrees with `monic_epic_bridge`
+    on that hom: the s of both witnesses and how the bridge fails.  The
+    witnesses P-HOMS validates are that function's, in instance order, and
+    bind the hom itself, not the first hom of its signature."""
+    pairs, shared, expected = 0, 0, []
     firsts = {}
-    for f, mcs, report in _bridge_instances(small_catalog):
+    for f, mcs, outcome in grouped_outcomes(small_catalog, _bridge_outcomes):
         pairs += 1
         first = firsts.setdefault((f.source.ring, _signature(f)), f)
         shared += first is not f
-        assert report == monic_epic_bridge(f, mcs), (f.describe(), f.values)
-        for witness in (report.s_monic, report.s_epic):
-            assert witness is None or witness.get("hom") is f
+        report = monic_epic_bridge(f, mcs)
+        assert outcome == (s_of(report.s_monic), s_of(report.s_epic),
+                           report.failure()), (f.describe(), f.values)
+        expected += [w for w in (report.s_monic, report.s_epic) if w is not None]
     assert (pairs, len(firsts)) == (5784, 440)
     assert shared > 0
+    assert_bind_their_own_homs(validated_witnesses(small_catalog, "P-HOMS"),
+                               expected)
 
 
 def test_grouped_transfer_equals_the_per_hom_transfer(small_catalog):
-    pairs, unmet = 0, 0
-    for f, mcs, report in _transfer_instances(small_catalog):
+    pairs, unmet, expected = 0, 0, []
+    for f, mcs, entry in grouped_outcomes(small_catalog, _transfer_core):
         pairs += 1
-        if report is None:
+        if entry is None:
             unmet += 1
             with pytest.raises(PreconditionUnmet):
                 transfer_theorem_check(f, mcs)
             continue
-        assert report == transfer_theorem_check(f, mcs), (f.describe(), f.values)
-        assert report.kernel_witness.get("hom") is f
+        report = transfer_theorem_check(f, mcs)
+        assert entry == (s_of(report.kernel_witness), *report[1:]), (
+            f.describe(), f.values)
+        expected.append(report.kernel_witness)
     assert (pairs, unmet) == (5784, 2695)
+    assert_bind_their_own_homs(validated_witnesses(small_catalog, "T-HOM"),
+                               expected)
 
 
 @pytest.mark.parametrize("sid, validations", [("P-HOMS", 6178), ("T-HOM", 3089)])
@@ -432,6 +489,30 @@ def test_every_hom_witness_is_revalidated(small_catalog, monkeypatch, sid,
     assert len(calls) == validations
 
 
+@pytest.mark.parametrize("sid, witnesses", [("P-HOMS", 6178), ("T-HOM", 3089)])
+def test_hom_statements_make_only_the_witnesses_they_validate(
+        small_catalog, monkeypatch, sid, witnesses):
+    """A run of P-HOMS or T-HOM builds no `BridgeReport` or `TransferReport`,
+    and makes each witness it validates, once."""
+    counts = Counter()
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for report_type in (BridgeReport, TransferReport):
+        monkeypatch.setattr(report_type, "__new__",
+                            counting("reports", report_type.__new__))
+    monkeypatch.setattr(Witness, "make", staticmethod(
+        counting("made", Witness.make)))
+    monkeypatch.setattr(Witness, "validate", counting(
+        "validated", Witness.validate))
+    assert verify(sid, small_catalog).verdict == "pass"
+    assert counts == {"made": witnesses, "validated": witnesses}
+
+
 def test_a_rejected_witness_of_a_later_hom_fails_p_homs(small_catalog,
                                                         monkeypatch):
     """A revalidator that rejects only the last hom of the largest signature
@@ -444,8 +525,8 @@ def test_a_rejected_witness_of_a_later_hom_fails_p_homs(small_catalog,
     largest = max(classes.values(), key=len)
     chosen = largest[-1]
     assert len(largest) == 168 and chosen.describe() == "Z2+Z2+Z2->Z2+Z2+Z2"
-    position = next(i for i, (f, _, report) in enumerate(
-        _bridge_instances(small_catalog)) if f is chosen and report.s_monic)
+    position = next(i for i, (f, mcs) in enumerate(hom_instances(small_catalog))
+                    if f is chosen and monic_epic_bridge(f, mcs).s_monic)
     real = REVALIDATORS["s-monic"]
     rejected = []
 
@@ -594,6 +675,98 @@ def test_forced_failures_match_the_reference_checkers(small_catalog,
         assert actual[2] == "fail" and actual[5]["module"] == failing_module
         if forced is none_from_the_second_mcs:
             assert actual[5]["mcs"] != "{1}"
+
+
+# ---------------------------------------------------------------------------
+# P-HOMS and T-HOM: forced failures, pinned and equal to the reference
+
+
+def identity_signature(catalog, name):
+    """The signature of the identity on the catalog module named `name`."""
+    module = next(m for ring in catalog.rings for f in catalog.homs[ring]
+                  for m in (f.source, f.target) if m.describe() == name)
+    return _signature(identity_hom(module))
+
+
+def no_s_monic_on_z2_z4_automorphisms(catalog):
+    """_s_monic_cross_checked, but None for the homs with the signature of
+    the identity on Z2+Z4 over Z4: monic maps that are not S-monic."""
+    real, chosen = mor._s_monic_cross_checked, identity_signature(
+        catalog, "Z2+Z4 over Z4")
+    return lambda f, kernel, scalars, mcs: (
+        None if _signature(f) == chosen else real(f, kernel, scalars, mcs))
+
+
+def no_zero_divisors_on_z2_z3(catalog):
+    """zero_divisors_on, but empty on Z2+Z3 over Z6, so every S avoids it."""
+    real = mor.zero_divisors_on
+    return lambda module: (frozenset() if module.describe() == "Z2+Z3 over Z6"
+                           else real(module))
+
+
+def no_s_epic_on_z6_automorphisms(catalog):
+    """ModuleHom.s_epic_scalars, but empty for the homs with the signature of
+    the identity on Z6 over Z6: epic maps that are not S-epic."""
+    real, chosen = ModuleHom.s_epic_scalars, identity_signature(
+        catalog, "Z6 over Z6")
+    return lambda f: frozenset() if _signature(f) == chosen else real(f)
+
+
+def every_element_a_unit_of_z2xz3(catalog):
+    """units, but the whole ring for Z2xZ3, so every S of it is units."""
+    real = mor.units
+    return lambda ring: (frozenset(ring.elements()) if ring.name == "Z2xZ3"
+                         else real(ring))
+
+
+def not_s_comultiplication(name):
+    """is_s_comultiplication, but failing at the whole module on the module
+    named `name`, for every m.c.s."""
+    def forced(catalog):
+        real = s_theory.is_s_comultiplication
+
+        def patched(module, mcs):
+            if module.describe() == name:
+                return s_theory.ForEachResult(False, (), full_submodule(module))
+            return real(module, mcs)
+        return patched
+    return forced
+
+
+@pytest.mark.parametrize("sid, name, forced, instances, counterexample", [
+    ("P-HOMS", "morphisms._s_monic_cross_checked",
+     no_s_monic_on_z2_z4_automorphisms, 1657,
+     {"hom": "Z2+Z4->Z2+Z4", "mcs": "{1}",
+      "detail": "monic map is not S-monic"}),
+    ("P-HOMS", "morphisms.zero_divisors_on", no_zero_divisors_on_z2_z3, 2003,
+     {"hom": "Z2+Z3->Z2+Z3", "mcs": "{1,3}",
+      "detail": "S-monic did not force monic despite S avoiding z(M)"}),
+    ("P-HOMS", "morphisms.ModuleHom.s_epic_scalars",
+     no_s_epic_on_z6_automorphisms, 1743,
+     {"hom": "Z6->Z6", "mcs": "{1}", "detail": "epic map is not S-epic"}),
+    ("P-HOMS", "morphisms.units", every_element_a_unit_of_z2xz3, 5724,
+     {"hom": "Z2xZ3->Z2xZ3", "mcs": "{(1,0),(1,1)}",
+      "detail": "S-epic did not force epic despite S being units"}),
+    ("T-HOM", "s_theory.is_s_comultiplication",
+     not_s_comultiplication("Z6|{0,3} over Z6"), 610,
+     {"hom": "Z6|{0,3}->Z6", "mcs": "{1}", "failing": "{0,3}",
+      "detail": "property failed to descend to the source"}),
+    ("T-HOM", "s_theory.is_s_comultiplication",
+     not_s_comultiplication("Z6/{0,3} over Z6"), 617,
+     {"hom": "Z6->Z6/{0,3}", "mcs": "{1,4}", "failing": "{[0],[1],[2]}",
+      "detail": "property failed to push to the target"}),
+])
+def test_forced_hom_failures_are_pinned(small_catalog, monkeypatch, sid, name,
+                                        forced, instances, counterexample):
+    """Each of the four bridge claims, and T-HOM's downward and upward
+    verdicts, forced false through a library call that the hom statements
+    read: the report fails at the pinned instance with the pinned payload,
+    as the reference checker's does."""
+    monkeypatch.setattr("scomult." + name, forced(small_catalog))
+    actual = outcome(verify(sid, small_catalog))
+    assert actual[2:4] == ("fail", instances)
+    assert actual[5] == counterexample
+    assert actual == reference_outcome(sid, small_catalog)
 
 
 @pytest.mark.parametrize("sid, closure_checks", [

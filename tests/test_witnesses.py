@@ -246,6 +246,22 @@ def test_witness_round_trips_its_bindings_in_order(real_witnesses):
     assert "validate" in vars(Witness)
 
 
+def test_witness_equality_is_order_sensitive_and_typed(real_witnesses):
+    """Reordered bindings make a different witness under both == and !=; a
+    witness is truthy and equals no plain tuple of its claim and bindings,
+    from either side."""
+    for witness in real_witnesses.values():
+        same = Witness(witness.claim, witness.bindings)
+        assert same == witness and not same != witness
+        reordered = Witness(witness.claim, reversed(witness.bindings))
+        assert reordered != witness and not reordered == witness
+        assert bool(witness) is True
+        for plain in ((witness.claim, witness.bindings),
+                      (witness.claim, dict(witness.bindings))):
+            assert witness != plain and plain != witness
+            assert not witness == plain and not plain == witness
+
+
 @pytest.mark.parametrize("claim, subset, mcs, s", [
     ("s-prime-colon", {0, 3}, {1, 3}, 1),
     ("s-prime-homothety", {0, 3}, {1, 3}, 1),
