@@ -476,24 +476,12 @@ def test_grouped_transfer_equals_the_per_hom_transfer(small_catalog):
 def test_every_hom_witness_is_revalidated(small_catalog, monkeypatch, sid,
                                           validations):
     """Grouping by signature leaves one revalidation per witness of each
-    (hom, m.c.s.) instance, as many as when every hom was evaluated alone."""
-    calls = []
-    real = Witness.validate
-
-    def counting_validate(self):
-        calls.append(self.claim)
-        return real(self)
-
-    monkeypatch.setattr(Witness, "validate", counting_validate)
+    (hom, m.c.s.) instance, as many as when every hom was evaluated alone.
+    A warm run builds no `BridgeReport` or `TransferReport` and makes only
+    the witnesses it validates.  (The first run fills the cached
+    S-comultiplication searches that T-HOM reads, which make their own
+    witnesses once per (module, m.c.s.).)"""
     assert verify(sid, small_catalog).verdict == "pass"
-    assert len(calls) == validations
-
-
-@pytest.mark.parametrize("sid, witnesses", [("P-HOMS", 6178), ("T-HOM", 3089)])
-def test_hom_statements_make_only_the_witnesses_they_validate(
-        small_catalog, monkeypatch, sid, witnesses):
-    """A run of P-HOMS or T-HOM builds no `BridgeReport` or `TransferReport`,
-    and makes each witness it validates, once."""
     counts = Counter()
 
     def counting(name, real):
@@ -510,7 +498,7 @@ def test_hom_statements_make_only_the_witnesses_they_validate(
     monkeypatch.setattr(Witness, "validate", counting(
         "validated", Witness.validate))
     assert verify(sid, small_catalog).verdict == "pass"
-    assert counts == {"made": witnesses, "validated": witnesses}
+    assert counts == {"made": validations, "validated": validations}
 
 
 def test_a_rejected_witness_of_a_later_hom_fails_p_homs(small_catalog,
