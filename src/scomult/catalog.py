@@ -4,13 +4,16 @@ Everything is deterministic in the parameters: ring list, modules per ring,
 multiplicatively closed sets per ring, homomorphism pools, and the product
 cases used by the product-characterization statements.  The one-element
 module is constructed per ring and flagged; statement checkers skip it
-except where a statement's content forces degenerate instances.
+except where a statement's content forces degenerate instances.  A catalog
+also owns a private memo of data derived from it, empty when generated and
+dropped with it: the hom statements keep their signature classes and core
+values there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
@@ -71,6 +74,10 @@ class Catalog:
     homs: dict
     product_cases: tuple
     triple_cases: tuple
+    # Data derived from the catalog and kept as long as it lives, filled the
+    # first time a checker asks (statements._by_signature); not identity.
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def module_mcs_pairs(self, include_zero=False):
         for ring in self.rings:

@@ -19,8 +19,8 @@ depends on the hom alone (image, kernel list, the scalar sets, z(M) and the
 units) once and reuses it for every m.c.s.  That core reads only the hom's
 signature (source, target, kernel and image).  `monic_epic_bridge` builds
 its report from the core; the P-HOMS checker reads the core once per
-signature and makes, per (hom, m.c.s.) instance, only the witnesses, which
-bind that hom.
+signature class of a catalog, for as long as the catalog lives, and makes,
+per (hom, m.c.s.) instance, only the witnesses, which bind that hom.
 """
 
 from __future__ import annotations

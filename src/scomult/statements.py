@@ -10,13 +10,16 @@ goes through `ctx.revalidate`, the definition-level re-check, so an
 implementation that emits a bogus witness fails the statement even when the
 boolean verdicts cannot differ.  P-HOMS and T-HOM read the bridge core and
 the transfer core, the cores behind `monic_epic_bridge` and
-`transfer_theorem_check`, once per hom signature (source, target, kernel,
-image) of a ring, in a table that lives for one checker call.  The table
-keeps, per m.c.s., what does not depend on the hom: the s of each witness
-and the outcome (how the bridge fails, if it does; the transfer verdicts
-and failing submodule).  Each (hom, m.c.s.) instance is counted, makes the
-witnesses that bind its own hom, has each revalidated once, and fails where
-its table entry says so; no report tuple is built.
+`transfer_theorem_check`, once per hom signature class (source, target,
+kernel, image) of a ring.  The classes and each core's values live in the
+catalog's memo, as long as the catalog: a class is evaluated the first
+time a run reaches it, and later runs over the same catalog, under any
+toolbox, read it.  Per m.c.s. the memo keeps what does not depend on the
+hom: the s of each witness and the outcome (how the bridge fails, if it
+does; the transfer verdicts and failing submodule).  Each (hom, m.c.s.)
+instance is counted, makes the witnesses that bind its own hom, has each
+revalidated once, and fails where its class's entry says so; no report
+tuple is built.
 
 P-PF, P-FAM, P-EXT, T-M3 and T-SSUM build the part of their work that
 does not depend on S once per module, in a table that lives for one module:
@@ -310,20 +313,50 @@ def _by_signature(cat, evaluate):
     catalog hom in catalog order.
 
     `evaluate` reads only the hom's signature (source, target, kernel,
-    image), so it runs for the first hom of each signature in a ring and
-    later homs reuse its values.  The table lives for one call.  Few values
-    are distinct (73 among the 5,643 of the default catalog's bridge), so
-    each is stored once.
+    image) and no `Toolbox` field reaches it, so its values belong to the
+    catalog: they live in its memo, keyed by `evaluate`, one per signature
+    class of a ring (`_hom_classes`).  A class is evaluated, at its first
+    hom, when a walk first reaches it, so a walk fails where one without
+    the memo would; a later walk evaluates nothing.  Once `Toolbox` routes
+    `is_s_monic`, `is_s_epic` or `is_s_comultiplication`, the memo must
+    also be keyed by those fields.  Few values are distinct (the default
+    catalog's bridge has 73 among 5,643 per-m.c.s. entries and 103 among
+    994 classes), so each is stored once.
     """
+    memo = cat._memo
     for ring in cat.rings:
-        mcs_list, values_of, distinct = cat.mcs[ring], {}, {}
-        for f in cat.homs[ring]:
-            key = mor._signature(f)
-            values = values_of.get(key)
+        class_of, firsts = _hom_classes(cat, ring)
+        entry = memo.get((evaluate, ring))
+        if entry is None:
+            entry = memo[evaluate, ring] = [None] * len(firsts), {}
+        values_of, distinct = entry
+        mcs_list = cat.mcs[ring]
+        for f, c in zip(cat.homs[ring], class_of):
+            values = values_of[c]
             if values is None:
-                values = values_of[key] = tuple(
-                    distinct.setdefault(v, v) for v in evaluate(f, mcs_list))
+                values = tuple(distinct.setdefault(v, v)
+                               for v in evaluate(firsts[c], mcs_list))
+                values = values_of[c] = distinct.setdefault(values, values)
             yield f, mcs_list, values
+
+
+def _hom_classes(cat, ring):
+    """The class index of each of the ring's catalog homs, in catalog order,
+    and the first hom of each class; a class is one signature.
+
+    Built the first time it is asked for and kept in the catalog's memo;
+    the signatures themselves are dropped.
+    """
+    table = cat._memo.get((_hom_classes, ring))
+    if table is None:
+        index, firsts, class_of = {}, [], []
+        for f in cat.homs[ring]:
+            c = index.setdefault(mor._signature(f), len(firsts))
+            if c == len(firsts):
+                firsts.append(f)
+            class_of.append(c)
+        table = cat._memo[_hom_classes, ring] = tuple(class_of), tuple(firsts)
+    return table
 
 
 def _check_c_sub(cat, tb, ctx):

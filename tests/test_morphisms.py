@@ -338,17 +338,18 @@ def _tamper(monkeypatch, *names):
         monkeypatch.setattr(ModuleHom, name, _every_scalar)
 
 
-def test_revalidation_does_not_read_the_scalar_sets(reduced_catalog, m4,
-                                                    monkeypatch):
+def test_revalidation_does_not_read_the_scalar_sets(m4, monkeypatch):
     """With every ring element in each hom's sets, the searches return bad
     witnesses; the element-wise revalidators, or the S-monic cross-check,
-    reject them."""
+    reject them.  The hom statements keep their core values as long as the
+    catalog lives, so a tampered run gets a catalog of its own."""
     _tamper(monkeypatch, "s_zero_scalars", "s_monic_scalars", "s_epic_scalars")
-    report = verify("T-HOM", reduced_catalog)
+    catalog = generate_catalog(mutation_catalog_params())
+    report = verify("T-HOM", catalog)
     assert report.verdict == "fail"
     assert report.counterexample["detail"] == (
         "witness failed revalidation: s-monic(hom=Z2->Z2, mcs={1}, s=1)")
-    report = verify("P-HOMS", reduced_catalog)
+    report = verify("P-HOMS", catalog)
     assert report.verdict == "fail"
     assert report.counterexample == {
         "error": "axiom violated: S-monic characterizations disagree"}
@@ -362,10 +363,9 @@ def test_revalidation_does_not_read_the_scalar_sets(reduced_catalog, m4,
         assert not witness.validate()
 
 
-def test_revalidation_catches_a_tampered_s_epic_set(reduced_catalog,
-                                                    monkeypatch):
+def test_revalidation_catches_a_tampered_s_epic_set(monkeypatch):
     _tamper(monkeypatch, "s_epic_scalars")
-    report = verify("P-HOMS", reduced_catalog)
+    report = verify("P-HOMS", generate_catalog(mutation_catalog_params()))
     assert report.verdict == "fail"
     assert report.counterexample["detail"] == (
         "witness failed revalidation: s-epic(hom=Z2->Z2, mcs={1}, s=1)")

@@ -50,6 +50,7 @@ from scomult.statements import (
     Toolbox,
     _bridge_outcomes,
     _by_signature,
+    _hom_classes,
     verify,
     verify_all,
 )
@@ -472,33 +473,57 @@ def test_grouped_transfer_equals_the_per_hom_transfer(small_catalog):
                                expected)
 
 
+def counting(counts, name, real):
+    """`real`, counting its calls in counts[name]."""
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+    return counted
+
+
+# The core each hom statement evaluates once per signature class.
+CORES = {"P-HOMS": (mor, "_bridge_core"), "T-HOM": (s_theory, "_transfer_core")}
+
+
 @pytest.mark.parametrize("sid, validations", [("P-HOMS", 6178), ("T-HOM", 3089)])
-def test_every_hom_witness_is_revalidated(small_catalog, monkeypatch, sid,
-                                          validations):
-    """Grouping by signature leaves one revalidation per witness of each
-    (hom, m.c.s.) instance, as many as when every hom was evaluated alone.
-    A warm run builds no `BridgeReport` or `TransferReport` and makes only
-    the witnesses it validates.  (The first run fills the cached
+def test_every_hom_witness_is_revalidated(monkeypatch, sid, validations):
+    """The cores' values live as long as their catalog: a fresh reduced
+    catalog (1,719 homs in 440 signature classes) evaluates each core once
+    per class on its first run and never on its second, and a second
+    catalog built from the same params evaluates every class again.  Both
+    runs revalidate one witness per witness of each (hom, m.c.s.)
+    instance, as many as when every hom was evaluated alone.  The second
+    run builds no `BridgeReport` or `TransferReport` and makes only the
+    witnesses it validates.  (A cold first run also fills the cached
     S-comultiplication searches that T-HOM reads, which make their own
     witnesses once per (module, m.c.s.).)"""
-    assert verify(sid, small_catalog).verdict == "pass"
     counts = Counter()
-
-    def counting(name, real):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
-        return counted
-
+    module, core = CORES[sid]
+    monkeypatch.setattr(module, core,
+                        counting(counts, "core", getattr(module, core)))
     for report_type in (BridgeReport, TransferReport):
         monkeypatch.setattr(report_type, "__new__",
-                            counting("reports", report_type.__new__))
-    monkeypatch.setattr(Witness, "make", staticmethod(
-        counting("made", Witness.make)))
+                            counting(counts, "reports", report_type.__new__))
     monkeypatch.setattr(Witness, "validate", counting(
-        "validated", Witness.validate))
-    assert verify(sid, small_catalog).verdict == "pass"
+        counts, "validated", Witness.validate))
+    catalog = generate_catalog(mutation_catalog_params())
+    assert verify(sid, catalog).verdict == "pass"
+    classes = [_hom_classes(catalog, ring) for ring in catalog.rings]
+    assert sum(len(class_of) for class_of, _ in classes) == 1719
+    assert sum(len(firsts) for _, firsts in classes) == 440
+    assert counts == {"core": 440, "validated": validations}
+
+    counts.clear()
+    monkeypatch.setattr(Witness, "make", staticmethod(
+        counting(counts, "made", Witness.make)))
+    assert verify(sid, catalog).verdict == "pass"
     assert counts == {"made": validations, "validated": validations}
+
+    counts.clear()
+    fresh = generate_catalog(mutation_catalog_params())
+    assert fresh._memo == {} and fresh == catalog    # the memo is not identity
+    assert verify(sid, fresh).verdict == "pass"
+    assert counts["core"] == 440 and counts["validated"] == validations
 
 
 def test_a_rejected_witness_of_a_later_hom_fails_p_homs(small_catalog,
@@ -532,6 +557,57 @@ def test_a_rejected_witness_of_a_later_hom_fails_p_homs(small_catalog,
     assert report.counterexample == {
         "hom": "Z2+Z2+Z2->Z2+Z2+Z2", "mcs": "{1}",
         "detail": REVALIDATION + "s-monic(hom=Z2+Z2+Z2->Z2+Z2+Z2, mcs={1}, s=1)"}
+
+
+def test_the_core_values_fill_in_catalog_order(monkeypatch):
+    """A signature class is evaluated when the walk first reaches it, not
+    before.  The revalidator rejects the first Z2 hom with a witness (the
+    identity on Z2, first of Z2's second class) and the bridge core raises
+    on Z2's next class: P-HOMS fails with the revalidation detail at the
+    identity's instance, as it does when the core runs per call; a table
+    that filled a ring's classes before walking its homs would report the
+    error instead.  The class that raised is not stored, so once the
+    revalidator is sound again the next run reaches it and reports the
+    error."""
+    catalog = generate_catalog(mutation_catalog_params())
+    z2 = catalog.rings[0]
+    firsts = {}
+    for f in catalog.homs[z2]:
+        firsts.setdefault(_signature(f), f)
+    zero, identity, raising = list(firsts.values())[:3]
+    assert [f.values for f in (zero, identity)] == [(0, 0), (0, 1)]
+    real_core, real_check = mor._bridge_core, REVALIDATORS["s-monic"]
+
+    def raises_on_the_third_class(f, mcs_list):
+        if f is raising:
+            raise AxiomViolation("forced on Z2's third class")
+        return real_core(f, mcs_list)
+
+    monkeypatch.setattr(mor, "_bridge_core", raises_on_the_third_class)
+    monkeypatch.setitem(REVALIDATORS, "s-monic", lambda hom, mcs, s: (
+        hom is not identity and real_check(hom, mcs, s)))
+    report = verify("P-HOMS", catalog)
+    assert (report.verdict, report.instances) == ("fail", 2)
+    assert report.counterexample == {
+        "hom": "Z2->Z2", "mcs": "{1}",
+        "detail": REVALIDATION + "s-monic(hom=Z2->Z2, mcs={1}, s=1)"}
+    monkeypatch.setitem(REVALIDATORS, "s-monic", real_check)
+    report = verify("P-HOMS", catalog)
+    assert (report.verdict, report.instances) == ("fail", 0)
+    assert report.counterexample == {
+        "error": "axiom violated: forced on Z2's third class"}
+
+
+@pytest.mark.parametrize("sid", ["P-HOMS", "T-HOM"])
+def test_the_core_values_do_not_depend_on_the_toolbox(sid):
+    """No `Toolbox` field reaches the bridge or transfer core, so a catalog
+    whose first runs were under the five mutants reports, under each of
+    them and then under the default toolbox, what a fresh catalog reports
+    under the default toolbox first."""
+    expected = outcome(verify(sid, generate_catalog(mutation_catalog_params())))
+    catalog = generate_catalog(mutation_catalog_params())
+    for toolbox in [mutant_toolbox(name) for name in sorted(MUTANTS)] + [None]:
+        assert outcome(verify(sid, catalog, toolbox)) == expected, toolbox
 
 
 # ---------------------------------------------------------------------------
@@ -744,17 +820,19 @@ def not_s_comultiplication(name):
      {"hom": "Z6->Z6/{0,3}", "mcs": "{1,4}", "failing": "{[0],[1],[2]}",
       "detail": "property failed to push to the target"}),
 ])
-def test_forced_hom_failures_are_pinned(small_catalog, monkeypatch, sid, name,
-                                        forced, instances, counterexample):
+def test_forced_hom_failures_are_pinned(monkeypatch, sid, name, forced,
+                                        instances, counterexample):
     """Each of the four bridge claims, and T-HOM's downward and upward
     verdicts, forced false through a library call that the hom statements
     read: the report fails at the pinned instance with the pinned payload,
-    as the reference checker's does."""
-    monkeypatch.setattr("scomult." + name, forced(small_catalog))
-    actual = outcome(verify(sid, small_catalog))
+    as the reference checker's does.  The cores' values live as long as
+    their catalog, so each case builds its own."""
+    catalog = generate_catalog(mutation_catalog_params())
+    monkeypatch.setattr("scomult." + name, forced(catalog))
+    actual = outcome(verify(sid, catalog))
     assert actual[2:4] == ("fail", instances)
     assert actual[5] == counterexample
-    assert actual == reference_outcome(sid, small_catalog)
+    assert actual == reference_outcome(sid, catalog)
 
 
 @pytest.mark.parametrize("sid, closure_checks", [
