@@ -143,8 +143,13 @@ def cmd_verify(args):
     _require_range("--max-ring", args.max_ring, 2, MAX_RING_ORDER)
     _require_range("--max-module", args.max_module, 1, DEFAULT_CAP)
     statement_ids = None
-    if args.statements:
+    if args.statements is not None:
         statement_ids = [tok.strip() for tok in args.statements.split(",") if tok.strip()]
+        if not statement_ids:
+            raise ScomultError("--statements names no statement")
+        repeated = sorted({s for s in statement_ids if statement_ids.count(s) > 1})
+        if repeated:
+            raise ScomultError(f"--statements repeats {', '.join(repeated)}")
         for statement_id in statement_ids:
             if statement_id not in STATEMENTS:
                 raise UnknownStatement(statement_id, STATEMENTS)

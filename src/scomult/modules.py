@@ -228,7 +228,6 @@ def zero_colon_set(module, i_set):
     return colon_set_into_module(module, _ZERO_SET, i_set)
 
 
-@lru_cache(maxsize=None)
 def torsion_set(module):
     """T(M) = {m : rm = 0 for some nonzero r}."""
     ring = module.ring
@@ -250,8 +249,7 @@ def zero_divisors_on(module):
 
 
 def scalar_times_set(module, r, elements):
-    row = module.act_row(r)
-    return frozenset(row[m] for m in elements)
+    return frozenset(map(module.act_row(r).__getitem__, elements))
 
 
 def first_multiplier(module, mcs, subset, target):

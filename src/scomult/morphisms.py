@@ -200,14 +200,13 @@ def _first_in(scalars, mcs):
 
 def is_s_zero(f, mcs):
     """First s with s*f(m) = 0 for every m."""
-    s = _first_in(f.s_zero_scalars(), mcs)
-    return None if s is None else Witness.make("s-zero", hom=f, mcs=mcs, s=s)
+    return _hom_witness("s-zero", f, mcs, _first_in(f.s_zero_scalars(), mcs))
 
 
 def is_s_monic(f, mcs):
     """First s with f(m) = 0 implying sm = 0; cross-checked via s*Ker(f)."""
-    return _s_monic_witness(
-        f, mcs, _s_monic_cross_checked(f, _kernel_list(f), f.s_monic_scalars(), mcs))
+    return _hom_witness("s-monic", f, mcs, _s_monic_cross_checked(
+        f, _kernel_list(f), f.s_monic_scalars(), mcs))
 
 
 def _s_monic_cross_checked(f, kernel, scalars, mcs):
@@ -225,22 +224,18 @@ def _s_monic_cross_checked(f, kernel, scalars, mcs):
 
 def is_s_monic_via_kernel(f, mcs):
     """First s with s*Ker(f) = 0, the equivalent kernel form."""
-    return _s_monic_witness(f, mcs, _first_in(f.s_monic_scalars(), mcs))
-
-
-def _s_monic_witness(f, mcs, s):
-    """The S-monic witness of f for s, or None when s is None."""
-    return None if s is None else Witness.make("s-monic", hom=f, mcs=mcs, s=s)
+    return _hom_witness("s-monic", f, mcs, _first_in(f.s_monic_scalars(), mcs))
 
 
 def is_s_epic(f, mcs):
     """First s with s*M' contained in Im(f)."""
-    return _s_epic_witness(f, mcs, _first_in(f.s_epic_scalars(), mcs))
+    return _hom_witness("s-epic", f, mcs, _first_in(f.s_epic_scalars(), mcs))
 
 
-def _s_epic_witness(f, mcs, s):
-    """The S-epic witness of f for s, or None when s is None."""
-    return None if s is None else Witness.make("s-epic", hom=f, mcs=mcs, s=s)
+def _hom_witness(claim, f, mcs, s):
+    """The witness of f's claim (S-zero, S-monic or S-epic) for s, or None
+    when s is None."""
+    return None if s is None else Witness.make(claim, hom=f, mcs=mcs, s=s)
 
 
 @revalidator("s-zero")
@@ -320,17 +315,11 @@ def _bridge_failure(claims):
 
 
 def monic_epic_bridge(f, mcs):
-    """Forward claims and their side-conditioned converses for one hom."""
-    return _bridge_reports(f, (mcs,))[0]
-
-
-def _bridge_reports(f, mcs_list):
-    """monic_epic_bridge(f, mcs) for each m.c.s. in turn, as a tuple; each
-    witness binds f itself."""
-    return tuple(BridgeReport(*claims, _s_monic_witness(f, mcs, s_monic),
-                              _s_epic_witness(f, mcs, s_epic))
-                 for mcs, (*claims, s_monic, s_epic)
-                 in zip(mcs_list, _bridge_core(f, mcs_list)))
+    """Forward claims and their side-conditioned converses for one hom;
+    each witness binds f itself."""
+    *claims, s_monic, s_epic = _bridge_core(f, (mcs,))[0]
+    return BridgeReport(*claims, _hom_witness("s-monic", f, mcs, s_monic),
+                        _hom_witness("s-epic", f, mcs, s_epic))
 
 
 def _signature(f):

@@ -36,7 +36,7 @@ from .modules import (
 )
 from .morphisms import (
     _first_in,
-    _s_monic_witness,
+    _hom_witness,
     homothety_family,
     homothety_on_family,
     is_epic,
@@ -296,18 +296,13 @@ def is_s_second(module, n, mcs):
     return _s_second_search(module, _s_second_subject(module, n, mcs), mcs)
 
 
-def _times(module, r, n):
-    """rN, read from r's action row."""
-    return frozenset(map(module.act_row(r).__getitem__, n))
-
-
 @revalidator("s-second")
 def _check_s_second(module, n, mcs, s):
     if not annihilator_set(module, n).isdisjoint(mcs.elements):
         return False
-    s_image = _times(module, s, n)
+    s_image = scalar_times_set(module, s, n)
     for sa in set(module.ring.act_row(s)):      # each product sa once
-        sa_image = _times(module, sa, n)
+        sa_image = scalar_times_set(module, sa, n)
         if sa_image != _ZERO and sa_image != s_image:
             return False
     return True
@@ -375,10 +370,11 @@ def _check_s_second_containment(module, n, mcs, s):
     if not annihilator_set(module, n).isdisjoint(mcs.elements):
         return False
     # saN = 0 or sN <= aN for every a; live holds each product sa with saN != 0
-    s_image = _times(module, s, n)
+    s_image = scalar_times_set(module, s, n)
     sa_row = module.ring.act_row(s)
-    live = {sa for sa in set(sa_row) if _times(module, sa, n) != _ZERO}
-    return all(s_image.issubset(_times(module, a, n))
+    live = {sa for sa in set(sa_row)
+            if scalar_times_set(module, sa, n) != _ZERO}
+    return all(s_image.issubset(scalar_times_set(module, a, n))
                for a, sa in enumerate(sa_row) if sa in live)
 
 
@@ -495,7 +491,6 @@ def is_comultiplication(module):
     return comultiplication_result(module).holds
 
 
-@lru_cache(maxsize=None)
 def is_multiplication(module):
     """Every N equals (N : M)M."""
     full = _full_set(module)
@@ -670,7 +665,7 @@ def transfer_theorem_check(f, mcs):
     if entry is None:
         raise PreconditionUnmet("no element of S annihilates the kernel")
     s, *verdicts = entry
-    return TransferReport(_s_monic_witness(f, mcs, s), *verdicts)
+    return TransferReport(_hom_witness("s-monic", f, mcs, s), *verdicts)
 
 
 def _transfer_core(f, mcs_list):

@@ -2,11 +2,12 @@
 
 Each checker iterates every catalog instance satisfying the statement's
 hypotheses and asserts the conclusion.  It reports through the run context
-that `verify` hands it (`check(cat, tb, ctx)`): it counts instances and sets
-notes on the context, and leaves early only through `ctx.fail`, which
-carries the counterexample out to `verify`.  A statement whose hypotheses
-select no instance reports `vacuous`.  Every witness consumed along the way
-goes through `ctx.revalidate`, the definition-level re-check, so an
+that `verify` hands it (`check(cat, tb, ctx)`): it names each subject once
+(`ctx.instance`, which also counts, or `ctx.at`), tallies notes, and leaves
+early only through `ctx.fail`, which carries the subject and the failure's
+own fields out to `verify`.  A statement whose hypotheses select no
+instance reports `vacuous`.  Every witness consumed along the way goes
+through `ctx.revalidate`, the definition-level re-check, so an
 implementation that emits a bogus witness fails the statement even when the
 boolean verdicts cannot differ.  P-HOMS and T-HOM read the bridge core and
 the transfer core, the cores behind `monic_epic_bridge` and
@@ -133,23 +134,39 @@ class _Counterexample(Exception):
 
 
 class _Ctx:
-    """The run context `verify` hands a checker: instance count and notes.
+    """The run context `verify` hands a checker: subject, count and notes.
 
-    A checker leaves early only through `fail`, directly or from
-    `revalidate`, the one place where a consumed witness is re-checked.
+    `instance` counts one instance and, given fields, names a new subject;
+    `at` names one without counting, for a witness revalidated before its
+    instance counts.  A checker leaves early only through `fail`, directly
+    or from `revalidate`, the one place where a consumed witness is
+    re-checked; the counterexample is the subject's fields, then the
+    failure's own.  `tally` adds to a note; a failing report drops them.
     """
 
     def __init__(self):
         self.instances = 0
         self.notes = {}
+        self.subject = {}
 
-    def fail(self, **payload):
-        raise _Counterexample(_jsonable(payload))
+    def instance(self, **subject):
+        self.instances += 1
+        if subject:
+            self.subject = subject
 
-    def revalidate(self, witness, **where):
+    def at(self, **subject):
+        self.subject = subject
+
+    def tally(self, note, by=1):
+        self.notes[note] = self.notes.get(note, 0) + by
+
+    def fail(self, **extra):
+        raise _Counterexample(_jsonable({**self.subject, **extra}))
+
+    def revalidate(self, witness, **extra):
         """Fail unless the witness re-checks through its definition; None passes."""
         if witness is not None and not witness.validate():
-            self.fail(**where,
+            self.fail(**extra,
                       detail=f"witness failed revalidation: {witness.describe()}")
 
 
@@ -222,11 +239,11 @@ def _check_l_eq(cat, tb, ctx):
     for module, mcs in cat.module_mcs_pairs():
         bundle = st.lemma_equivalence_bundle(module, mcs,
                                              pair_form_fn=tb.lemma_pair_form)
-        ctx.instances += 1
+        ctx.instance(module=module, mcs=mcs)
         if not bundle.agree():
-            ctx.fail(module=module, mcs=mcs, verdicts=list(bundle.verdicts))
+            ctx.fail(verdicts=list(bundle.verdicts))
         for w in (w for form in bundle for _, w in form.witnesses):
-            ctx.revalidate(w, module=module, mcs=mcs)
+            ctx.revalidate(w)
 
 
 def _check_p_mono(cat, tb, ctx):
@@ -240,72 +257,65 @@ def _check_p_mono(cat, tb, ctx):
                     continue
                 for s2 in sets:
                     if s1.elements < s2.elements:
-                        ctx.instances += 1
+                        ctx.instance(module=module, smaller=s1, larger=s2)
                         if not st.is_s_comultiplication(module, s2).holds:
-                            ctx.fail(module=module, smaller=s1, larger=s2)
+                            ctx.fail()
 
 
 def _check_p_sat(cat, tb, ctx):
     for module, mcs in cat.module_mcs_pairs():
         star = saturation(mcs)
-        ctx.instances += 1
+        ctx.instance(module=module, mcs=mcs)
         before = st.is_s_comultiplication(module, mcs).holds
         after = st.is_s_comultiplication(module, star).holds
         if before != after:
-            ctx.fail(module=module, mcs=mcs, saturation=star,
-                     before=before, after=after)
+            ctx.fail(saturation=star, before=before, after=after)
 
 
 def _check_p_loc(cat, tb, ctx):
     for module, mcs, _ in _s_comult_pairs(cat):
-        ctx.instances += 1
+        ctx.instance(module=module, mcs=mcs)
         localized = _localize(module, mcs, tb)
         if not st.is_comultiplication(localized.module):
-            ctx.fail(module=module, mcs=mcs,
-                     detail="localization is not comultiplication")
+            ctx.fail(detail="localization is not comultiplication")
         for ideal in enumerate_ideals(module.ring):
             if not loc.localized_colon_identity_check(module, mcs, ideal):
-                ctx.fail(module=module, mcs=mcs, ideal=ideal,
-                         detail="localized colon identity broke")
+                ctx.fail(ideal=ideal, detail="localized colon identity broke")
 
 
 def _check_t_loc(cat, tb, ctx):
-    unasserted = []
     for module, mcs in cat.module_mcs_pairs():
         witness = has_maximal_multiple(mcs)
         left = st.is_s_comultiplication(module, mcs).holds
         right = st.is_comultiplication(_localize(module, mcs, tb).module)
         if witness is None:
-            # cannot happen over a finite ring; recorded, not asserted
-            unasserted.append((left, right))
+            # cannot happen over a finite ring; counted, not asserted
+            ctx.tally("no_maximal_multiple")
             continue
-        ctx.revalidate(witness, module=module, mcs=mcs)
-        ctx.instances += 1
+        ctx.at(module=module, mcs=mcs)
+        ctx.revalidate(witness)
+        ctx.instance()
         if left != right:
-            ctx.fail(module=module, mcs=mcs, s_comultiplication=left,
-                     localized_comultiplication=right)
-    if unasserted:
-        ctx.notes["no_maximal_multiple"] = len(unasserted)
+            ctx.fail(s_comultiplication=left, localized_comultiplication=right)
 
 
 def _check_t_hom(cat, tb, ctx):
-    unmet = 0
+    ctx.tally("precondition_unmet", 0)
     for f, mcs_list, core in _by_signature(cat, st._transfer_core):
+        ctx.at(hom=f)
+        ctx.tally("precondition_unmet", core.count(None))
         for mcs, entry in zip(mcs_list, core):
             if entry is None:
-                unmet += 1
                 continue
             s, _, downward, _, upward, failing = entry
-            ctx.revalidate(Witness.make("s-monic", hom=f, mcs=mcs, s=s),
-                           hom=f, mcs=mcs)
-            ctx.instances += 1
+            ctx.revalidate(Witness.make("s-monic", hom=f, mcs=mcs, s=s), mcs=mcs)
+            ctx.instance()
             if downward is False:
-                ctx.fail(hom=f, mcs=mcs, failing=failing,
+                ctx.fail(mcs=mcs, failing=failing,
                          detail="property failed to descend to the source")
             if upward is False:
-                ctx.fail(hom=f, mcs=mcs, failing=failing,
+                ctx.fail(mcs=mcs, failing=failing,
                          detail="property failed to push to the target")
-    ctx.notes["precondition_unmet"] = unmet
 
 
 def _by_signature(cat, evaluate):
@@ -362,28 +372,26 @@ def _hom_classes(cat, ring):
 def _check_c_sub(cat, tb, ctx):
     for module, mcs, _ in _s_comult_pairs(cat):
         for n in _nonzero_submodules(module):
-            ctx.instances += 1
+            ctx.instance(module=module, mcs=mcs, submodule=n)
             restricted = submodule_as_module(n)
             if not st.is_s_comultiplication(restricted, mcs).holds:
-                ctx.fail(module=module, mcs=mcs, submodule=n,
-                         detail="submodule lost the property")
+                ctx.fail(detail="submodule lost the property")
             t = first_multiplier(module, mcs, module.elements(), n.elements)
             if t is not None:
                 quotient = quotient_module(module, n)
                 if not st.is_s_comultiplication(quotient, mcs).holds:
-                    ctx.fail(module=module, mcs=mcs, submodule=n, t=t,
-                             detail="quotient lost the property")
+                    ctx.fail(t=t, detail="quotient lost the property")
 
 
 def _check_product_cases(cases, ctx):
     for case in cases:
-        ctx.instances += 1
+        ctx.instance(module=case.module, mcs=case.mcs)
         whole = st.is_s_comultiplication(case.module, case.mcs).holds
         parts = all(
             st.is_s_comultiplication(m, s).holds for m, s in case.factors
         )
         if whole != parts:
-            ctx.fail(module=case.module, mcs=case.mcs, whole=whole, parts=parts)
+            ctx.fail(whole=whole, parts=parts)
 
 
 def _check_p_prod(cat, tb, ctx):
@@ -399,11 +407,12 @@ def _check_t_com(cat, tb, ctx):
         primes = prime_ideals(ring)
         maxes = maximal_ideals(ring)
         if set(p.elements for p in primes) != set(m.elements for m in maxes):
-            ctx.fail(ring=ring, detail="prime and maximal ideals differ on this ring")
+            ctx.at(ring=ring)
+            ctx.fail(detail="prime and maximal ideals differ on this ring")
         for module in cat.modules[ring]:
             if module.is_zero_module:
                 continue
-            ctx.instances += 1
+            ctx.instance(module=module)
             base = st.is_comultiplication(module)
             via_primes = all(
                 st.is_s_comultiplication(module, loc.complement_mcs(ring, p)).holds
@@ -418,8 +427,7 @@ def _check_t_com(cat, tb, ctx):
                 for m in maxes if loc.mm_locally_nonzero(module, m)
             )
             if not base == via_primes == via_maxes == via_supported:
-                ctx.fail(module=module, verdicts=[
-                    base, via_primes, via_maxes, via_supported])
+                ctx.fail(verdicts=[base, via_primes, via_maxes, via_supported])
 
 
 # ---------------------------------------------------------------------------
@@ -432,23 +440,20 @@ def _check_p_pf(cat, tb, ctx):
         full = frozenset(module.elements())
         ring = module.ring
         for ideal, members, im in vanishing:
-            ctx.instances += 1
+            ctx.instance(module=module, mcs=mcs, ideal=ideal)
             if first_multiplier(module, mcs, full, im) is None:
-                ctx.fail(module=module, mcs=mcs, ideal=ideal,
-                         detail="no s with sM inside IM")
+                ctx.fail(detail="no s with sM inside IM")
             for m in module.elements():
                 if not any(
                     module.act(s, m) == module.act(a, m)
                     for s in mcs for a in members
                 ):
-                    ctx.fail(module=module, mcs=mcs, ideal=ideal, element=m,
-                             detail="no s, a with sm = am")
+                    ctx.fail(element=m, detail="no s, a with sm = am")
             if not any(
                 scalar_times_set(module, ring.add(s, a), full) == _ZERO
                 for s in mcs for a in members
             ):
-                ctx.fail(module=module, mcs=mcs, ideal=ideal,
-                         detail="no s, a with (s+a)M = 0")
+                ctx.fail(detail="no s, a with (s+a)M = 0")
 
 
 def _vanishing_colon_ideals(module):
@@ -464,7 +469,7 @@ def _check_t_du(cat, tb, ctx):
     # degenerate modules are admitted here: over a finite ring the
     # hypothesis (0 :_M tI) = 0 forces M = 0, so they are the only
     # instances the statement can see
-    nonzero_hits = 0
+    ctx.tally("nonzero_instances", 0)
     for module, mcs, _ in _s_comult_pairs(cat, include_zero=True):
         ring = module.ring
         jac = jacobson_radical(ring).elements
@@ -480,17 +485,15 @@ def _check_t_du(cat, tb, ctx):
                 if key in seen:
                     continue
                 seen.add(key)
-                ctx.instances += 1
+                ctx.instance(module=module, mcs=mcs, ideal=ideal, t=t)
                 if not module.is_zero_module:
-                    nonzero_hits += 1
+                    ctx.tally("nonzero_instances")
                 if first_multiplier(module, mcs, module.elements(), _ZERO) is None:
-                    ctx.fail(module=module, mcs=mcs, ideal=ideal, t=t,
-                             detail="no s with sM = 0")
-    ctx.notes["nonzero_instances"] = nonzero_hits
+                    ctx.fail(detail="no s with sM = 0")
 
 
 def _check_c_du(cat, tb, ctx):
-    nonzero_hits = 0
+    ctx.tally("nonzero_instances", 0)     # a nonzero instance fails
     for ring in cat.rings:
         jac = jacobson_radical(ring).elements
         for module in cat.modules[ring]:
@@ -501,12 +504,9 @@ def _check_c_du(cat, tb, ctx):
                     continue
                 if zero_colon_set(module, ideal.elements) != _ZERO:
                     continue
-                ctx.instances += 1
+                ctx.instance(module=module, ideal=ideal)
                 if not module.is_zero_module:
-                    nonzero_hits += 1
-                    ctx.fail(module=module, ideal=ideal,
-                             detail="nonzero module with (0:_M I) = 0")
-    ctx.notes["nonzero_instances"] = nonzero_hits
+                    ctx.fail(detail="nonzero module with (0:_M I) = 0")
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +518,11 @@ def _check_p_cy1(cat, tb, ctx):
         for ideal in minimal_nonzero_ideals(module.ring):
             if zero_colon_set(module, ideal.elements) != _ZERO:
                 continue
-            ctx.instances += 1
+            ctx.instance(module=module, mcs=mcs)
             witness = st.is_s_cyclic(module, mcs)
             if witness is None:
-                ctx.fail(module=module, mcs=mcs, ideal=ideal,
-                         detail="module is not S-cyclic")
-            ctx.revalidate(witness, module=module, mcs=mcs)
+                ctx.fail(ideal=ideal, detail="module is not S-cyclic")
+            ctx.revalidate(witness)
 
 
 def _families(module, params):
@@ -540,14 +539,14 @@ def _check_p_fam(cat, tb, ctx):
     for module, mcs, _, (subs, squeezes, colons) in _with_module_table(
             _s_comult_pairs(cat),
             lambda m: (*_zero_meet_targets(m, cat.params), {})):
+        ctx.at(module=module, mcs=mcs)
         for family, targets in squeezes:
-            ctx.instances += 1
+            ctx.instance()
             for n, target in zip(subs, targets):
                 if not n.elements <= target:
-                    ctx.fail(module=module, mcs=mcs, submodule=n,
-                             detail="N escaped the intersection")
+                    ctx.fail(submodule=n, detail="N escaped the intersection")
                 if not _has_multiplier(module, mcs, colons, target, n.elements):
-                    ctx.fail(module=module, mcs=mcs, submodule=n,
+                    ctx.fail(submodule=n,
                              family=[module.set_label(p) for p in family],
                              detail="no s squeezing the intersection into N")
 
@@ -585,23 +584,22 @@ def _zero_meet_targets(module, params):
 def _check_p_ext(cat, tb, ctx):
     for module, mcs, result, (ideals, shifted, enlarged) in _with_module_table(
             _s_comult_pairs(cat), lambda m: (enumerate_ideals(m.ring), {}, {})):
+        ctx.at(module=module, mcs=mcs)
         for n, witness in result.witnesses:
             s = witness.get("s")
             for ideal in ideals:
                 if not n.elements <= _times_colon(module, s, ideal, shifted):
                     continue
-                ctx.instances += 1
+                ctx.instance()
                 key = (n.elements, ideal.elements)
                 bigger = enlarged.get(key)
                 if bigger is None:
                     bigger = enlarged[key] = ideal_sum(
                         ideal, annihilator(module, n.elements))
                 if not ideal.elements <= bigger.elements:
-                    ctx.fail(module=module, mcs=mcs, ideal=ideal,
-                             detail="sum ideal lost the original")
+                    ctx.fail(ideal=ideal, detail="sum ideal lost the original")
                 if not _times_colon(module, s, bigger, shifted) <= n.elements:
-                    ctx.fail(module=module, mcs=mcs, ideal=ideal,
-                             submodule=n,
+                    ctx.fail(ideal=ideal, submodule=n,
                              detail="s(0:_M J) escaped N for J = I + ann(N)")
 
 
@@ -617,15 +615,15 @@ def _times_colon(module, s, ideal, table):
 
 def _check_t_tor(cat, tb, ctx):
     for module, mcs, _ in _s_comult_pairs(cat):
-        ctx.instances += 1
+        ctx.instance(module=module, mcs=mcs)
         witness = st.is_s_cyclic(module, mcs)
-        ctx.revalidate(witness, module=module, mcs=mcs)
+        ctx.revalidate(witness)
         if witness is None and not is_torsion(module):
-            ctx.fail(module=module, mcs=mcs, detail="neither S-cyclic nor torsion")
+            ctx.fail(detail="neither S-cyclic nor torsion")
 
 
 def _check_t_cy2(cat, tb, ctx):
-    trivial = 0
+    ctx.tally("already_cyclic", 0)
     for ring in cat.rings:
         zero_ideal = frozenset((ring.zero,))
         if not is_prime_ideal_set(ring, zero_ideal):   # R is a domain iff (0) is prime
@@ -637,8 +635,8 @@ def _check_t_cy2(cat, tb, ctx):
             for mcs in cat.mcs[ring]:
                 if not st.is_s_comultiplication(module, mcs).holds:
                     continue
-                finite = st.is_s_finite(module, frozenset(module.elements()), mcs)
-                ctx.revalidate(finite, module=module, mcs=mcs)
+                ctx.at(module=module, mcs=mcs)
+                ctx.revalidate(st.is_s_finite(module, full, mcs))
                 faithful = all(
                     annihilator_set(module, scalar_times_set(module, s, full))
                     == zero_ideal
@@ -646,14 +644,13 @@ def _check_t_cy2(cat, tb, ctx):
                 )
                 if not faithful:
                     continue
-                ctx.instances += 1
+                ctx.instance()
                 if st.is_cyclic(module):
-                    trivial += 1
+                    ctx.tally("already_cyclic")
                 witness = st.is_s_cyclic(module, mcs)
                 if witness is None:
-                    ctx.fail(module=module, mcs=mcs, detail="module is not S-cyclic")
-                ctx.revalidate(witness, module=module, mcs=mcs)
-    ctx.notes["already_cyclic"] = trivial
+                    ctx.fail(detail="module is not S-cyclic")
+                ctx.revalidate(witness)
 
 
 def _check_t_cy3(cat, tb, ctx):
@@ -661,34 +658,31 @@ def _check_t_cy3(cat, tb, ctx):
         torsion_free = st.is_s_torsion_free(module, mcs)
         if torsion_free is None:
             continue
-        ctx.revalidate(torsion_free, module=module, mcs=mcs)
-        ctx.instances += 1
+        ctx.at(module=module, mcs=mcs)
+        ctx.revalidate(torsion_free)
+        ctx.instance()
         witness = st.is_s_cyclic(module, mcs)
         if witness is None:
-            ctx.fail(module=module, mcs=mcs,
-                     detail="S-torsion-free module is not S-cyclic")
-        ctx.revalidate(witness, module=module, mcs=mcs)
+            ctx.fail(detail="S-torsion-free module is not S-cyclic")
+        ctx.revalidate(witness)
 
 
 def _check_t_min(cat, tb, ctx):
-    nonzero_reading = 0
-    all_reading = 0
+    ctx.tally("holds_nonzero_L_reading", 0)
+    ctx.tally("holds_all_L_reading", 0)
     for module, mcs, _ in _s_comult_pairs(cat):
         if not st.is_prime_module(module):
             continue
-        ctx.instances += 1
+        ctx.instance(module=module, mcs=mcs)
         top = full_submodule(module)
         steps = st.is_s_minimal(module, top, mcs, include_zero=False)
         if not steps.holds:
-            ctx.fail(module=module, mcs=mcs,
-                     detail="not S-minimal under the nonzero-L reading")
+            ctx.fail(detail="not S-minimal under the nonzero-L reading")
         for _, witness in steps.witnesses:
-            ctx.revalidate(witness, module=module, mcs=mcs)
-        nonzero_reading += 1
+            ctx.revalidate(witness)
+        ctx.tally("holds_nonzero_L_reading")
         if st.is_s_minimal(module, top, mcs, include_zero=True).holds:
-            all_reading += 1
-    ctx.notes["holds_nonzero_L_reading"] = nonzero_reading
-    ctx.notes["holds_all_L_reading"] = all_reading
+            ctx.tally("holds_all_L_reading")
 
 
 # ---------------------------------------------------------------------------
@@ -698,15 +692,13 @@ def _check_t_min(cat, tb, ctx):
 def _check_p_homs(cat, tb, ctx):
     for f, mcs_list, outcomes in _by_signature(cat, _bridge_outcomes):
         for mcs, (s_monic, s_epic, failure) in zip(mcs_list, outcomes):
-            ctx.instances += 1
+            ctx.instance(hom=f, mcs=mcs)
             if s_monic is not None:
-                ctx.revalidate(Witness.make("s-monic", hom=f, mcs=mcs, s=s_monic),
-                               hom=f, mcs=mcs)
+                ctx.revalidate(Witness.make("s-monic", hom=f, mcs=mcs, s=s_monic))
             if s_epic is not None:
-                ctx.revalidate(Witness.make("s-epic", hom=f, mcs=mcs, s=s_epic),
-                               hom=f, mcs=mcs)
+                ctx.revalidate(Witness.make("s-epic", hom=f, mcs=mcs, s=s_epic))
             if failure is not None:
-                ctx.fail(hom=f, mcs=mcs, detail=failure)
+                ctx.fail(detail=failure)
 
 
 def _bridge_outcomes(f, mcs_list):
@@ -722,21 +714,19 @@ def _check_forms(cat, ctx, submodules, characterize, skips):
 
     `characterize(module, n, mcs)` raising one of `skips` counts as a skip.
     """
-    skipped = 0
+    ctx.tally("disjointness_skips", 0)
     for module, mcs in cat.module_mcs_pairs():
         for n in submodules(module):
             try:
                 forms = characterize(module, n, mcs)
             except skips:
-                skipped += 1
+                ctx.tally("disjointness_skips")
                 continue
-            ctx.instances += 1
+            ctx.instance(module=module, mcs=mcs, submodule=n)
             if not forms.agree():
-                ctx.fail(module=module, mcs=mcs, submodule=n,
-                         verdicts=list(forms.verdicts))
+                ctx.fail(verdicts=list(forms.verdicts))
             for witness in forms:
-                ctx.revalidate(witness, module=module, mcs=mcs, submodule=n)
-    ctx.notes["disjointness_skips"] = skipped
+                ctx.revalidate(witness)
 
 
 def _check_p_spr(cat, tb, ctx):
@@ -766,16 +756,16 @@ def _check_t_m3(cat, tb, ctx):
             prime = st._guard(lambda: st.is_s_prime_ideal(
                 ring, ann_ideal, mcs, submodule_fn=tb.is_s_prime_submodule))
             clause = tb.uniform_multiple(module, n, mcs)
-            ctx.revalidate(clause, module=module, mcs=mcs, submodule=n)
-            ctx.instances += 1
+            ctx.at(module=module, mcs=mcs, submodule=n)
+            ctx.revalidate(clause)
+            ctx.instance()
             left = second is not None
             right = prime is not None and clause is not None
             if left != right:
-                ctx.fail(module=module, mcs=mcs, submodule=n,
-                         second=left, prime_annihilator=prime is not None,
+                ctx.fail(second=left, prime_annihilator=prime is not None,
                          uniform_multiple=clause is not None)
             for witness in (second, prime):
-                ctx.revalidate(witness, module=module, mcs=mcs, submodule=n)
+                ctx.revalidate(witness)
 
 
 def _check_c_m3(cat, tb, ctx):
@@ -783,24 +773,24 @@ def _check_c_m3(cat, tb, ctx):
         if not st.is_comultiplication(module):
             continue
         for n in _nonzero_submodules(module):
-            ctx.instances += 1
+            ctx.instance(module=module, submodule=n)
             second = st.is_second_submodule_set(module, n.elements)
             prime = is_prime_ideal_set(module.ring,
                                        annihilator_set(module, n.elements))
             if second != prime:
-                ctx.fail(module=module, submodule=n, second=second,
-                         prime_annihilator=prime)
+                ctx.fail(second=second, prime_annihilator=prime)
 
 
 def _check_t_ssum(cat, tb, ctx):
     for module, mcs, _, (nonzero, totals, colons) in _with_module_table(
             _s_comult_pairs(cat), lambda m: (_nonzero_submodules(m), [], {})):
+        ctx.at(module=module, mcs=mcs)
         seconds = []
         for n in nonzero:
             witness = st._guard(lambda: tb.is_s_second(module, n, mcs))
             if witness is None:
                 continue
-            ctx.revalidate(witness, module=module, mcs=mcs, submodule=n)
+            ctx.revalidate(witness, submodule=n)
             seconds.append(n)
         if not seconds:
             continue
@@ -811,11 +801,10 @@ def _check_t_ssum(cat, tb, ctx):
             for n in seconds:
                 if not n.elements <= total:
                     continue
-                ctx.instances += 1
+                ctx.instance()
                 if not any(_has_multiplier(module, mcs, colons, n.elements, part)
                            for part in family):
-                    ctx.fail(module=module, mcs=mcs, submodule=n,
-                             family=[module.set_label(p) for p in family],
+                    ctx.fail(submodule=n, family=[module.set_label(p) for p in family],
                              detail="no s with sN inside a summand")
 
 
@@ -873,6 +862,7 @@ def verify(statement_id, catalog, toolbox=None):
     try:
         statement.check(catalog, toolbox or Toolbox(), ctx)
     except _Counterexample as failure:
+        ctx.notes = {}                          # tallied only part way
         counterexample = failure.args[0]
     except ScomultError as err:
         ctx.instances, ctx.notes = 0, {}        # drop the counts made before it

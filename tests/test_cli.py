@@ -143,6 +143,21 @@ def _no_catalog(params):
     raise AssertionError("the catalog must not be built for a rejected flag")
 
 
+@pytest.mark.parametrize("value", ["", ",", " , ,", "P-SAT,P-SAT",
+                                   "L-EQ,P-SAT,L-EQ"])
+@pytest.mark.parametrize("mutation", [False, True])
+def test_verify_rejects_an_empty_or_repeated_statement_list(
+        value, mutation, monkeypatch, capsys):
+    """A list that names no statement would run none (and, with --mutation,
+    report every mutant as escaped); a repeated id would be reported twice."""
+    monkeypatch.setattr("scomult.cli.generate_catalog", _no_catalog)
+    argv = ["verify", "--statements", value] + ["--mutation"] * mutation
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: --statements")
+
+
 @pytest.mark.parametrize("value", ["1", "13", "20"])
 def test_verify_rejects_max_ring_out_of_range(value, monkeypatch, capsys):
     monkeypatch.setattr("scomult.cli.generate_catalog", _no_catalog)

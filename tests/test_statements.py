@@ -835,6 +835,376 @@ def test_forced_hom_failures_are_pinned(monkeypatch, sid, name, forced,
     assert actual == reference_outcome(sid, catalog)
 
 
+# ---------------------------------------------------------------------------
+# every other fail and revalidation site: forced, pinned payload and key order
+
+
+def pinned(report):
+    """What a failing report pins: its verdict, count, notes and payload."""
+    return (report.verdict, report.instances, report.notes,
+            list(report.counterexample.items()))
+
+
+def past_its_first_mcs(catalog, mcs):
+    return catalog.mcs[mcs.ring].index(mcs) >= 1
+
+
+def not_s_comultiplication_past_the_first_mcs(catalog):
+    """is_s_comultiplication, but failing at the whole chosen module from
+    its ring's second m.c.s. on."""
+    real = s_theory.is_s_comultiplication
+
+    def patched(module, mcs):
+        if past_the_first_mcs(catalog, module, mcs):
+            return s_theory.ForEachResult(False, (), full_submodule(module))
+        return real(module, mcs)
+    return patched
+
+
+def not_comultiplication(name):
+    """is_comultiplication, but False on the module named `name`."""
+    def forced(catalog):
+        real = s_theory.is_comultiplication
+        return lambda module: module.describe() != name and real(module)
+    return forced
+
+
+def colon_identity_breaks_past_the_first_mcs(catalog):
+    real = statements.loc.localized_colon_identity_check
+    return lambda module, mcs, ideal: (
+        not past_the_first_mcs(catalog, module, mcs)
+        and real(module, mcs, ideal))
+
+
+def no_maximal_ideals_of_z6(catalog):
+    real = statements.maximal_ideals
+    return lambda ring: [] if ring.name == "Z6" else real(ring)
+
+
+def no_members_on_the_chosen_module(catalog):
+    """_vanishing_colon_ideals, but each ideal of the chosen module with no
+    members to try as a."""
+    real = statements._vanishing_colon_ideals
+    return lambda module: ([(ideal, [], im) for ideal, _, im in real(module)]
+                           if chosen(module) else real(module))
+
+
+def whole_module_on_the_chosen_module(catalog):
+    """scalar_times_set, but the whole chosen module for every scalar."""
+    real = statements.scalar_times_set
+    return lambda module, r, elements: (
+        frozenset(module.elements()) if chosen(module)
+        else real(module, r, elements))
+
+
+def no_multiplier_past_the_first_mcs_of_z6(catalog):
+    real = statements.first_multiplier
+
+    def patched(module, mcs, subset, target):
+        if module.ring.name == "Z6" and past_its_first_mcs(catalog, mcs):
+            return None
+        return real(module, mcs, subset, target)
+    return patched
+
+
+def vanishing_colons_on_the_chosen_module(catalog):
+    real = statements.zero_colon_set
+    return lambda module, ideal: (frozenset((0,)) if chosen(module)
+                                  else real(module, ideal))
+
+
+def not_s_cyclic_past_the_first_mcs(catalog):
+    real = s_theory.is_s_cyclic
+    return lambda module, mcs: (None if past_the_first_mcs(catalog, module, mcs)
+                                else real(module, mcs))
+
+
+def not_s_cyclic_past_the_first_mcs_of_any_ring(catalog):
+    real = s_theory.is_s_cyclic
+    return lambda module, mcs: (None if past_its_first_mcs(catalog, mcs)
+                                else real(module, mcs))
+
+
+def not_s_minimal_on_z2_over_z6(catalog):
+    """is_s_minimal, but failing on Z2 over Z6 from Z6's second m.c.s. on."""
+    real = s_theory.is_s_minimal
+
+    def patched(module, k, mcs, include_zero=False):
+        if (module.describe() == "Z2 over Z6"
+                and past_its_first_mcs(catalog, mcs)):
+            return s_theory.ForEachResult(False, (), None)
+        return real(module, k, mcs, include_zero=include_zero)
+    return patched
+
+
+def second_flipped_on_the_chosen_module(catalog):
+    """is_second_submodule_set, but negated on the chosen module."""
+    real = s_theory.is_second_submodule_set
+    return lambda module, subset: (real(module, subset) != chosen(module))
+
+
+FAIL_SITES = [
+    ("P-MONO", "s_theory.is_s_comultiplication",
+     not_s_comultiplication_past_the_first_mcs,
+     ("fail", 46, {}, [
+         ("module", "Z2+Z3 over Z6"),
+         ("smaller", "{1}"),
+         ("larger", "{1,3}"),
+     ])),
+    ("P-SAT", "s_theory.is_s_comultiplication",
+     not_s_comultiplication_past_the_first_mcs,
+     ("fail", 47, {}, [
+         ("module", "Z2+Z3 over Z6"),
+         ("mcs", "{1}"),
+         ("saturation", "{1,5}"),
+         ("before", True),
+         ("after", False),
+     ])),
+    ("P-LOC", "s_theory.is_comultiplication",
+     not_comultiplication("(Z2+Z3 loc {1,3}) over (Z6 loc {1,3})"),
+     ("fail", 36, {}, [
+         ("module", "Z2+Z3 over Z6"),
+         ("mcs", "{1,3}"),
+         ("detail", "localization is not comultiplication"),
+     ])),
+    ("P-LOC", "localization.localized_colon_identity_check",
+     colon_identity_breaks_past_the_first_mcs,
+     ("fail", 36, {}, [
+         ("module", "Z2+Z3 over Z6"),
+         ("mcs", "{1,3}"),
+         ("ideal", "{0}"),
+         ("detail", "localized colon identity broke"),
+     ])),
+    ("T-LOC", "s_theory.is_comultiplication",
+     not_comultiplication("(Z2+Z3 loc {1,3}) over (Z6 loc {1,3})"),
+     ("fail", 48, {}, [
+         ("module", "Z2+Z3 over Z6"),
+         ("mcs", "{1,3}"),
+         ("s_comultiplication", True),
+         ("localized_comultiplication", False),
+     ])),
+    ("C-SUB", "s_theory.is_s_comultiplication",
+     not_s_comultiplication("Z2+Z3|{(0,0),(0,1),(0,2)} over Z6"),
+     ("fail", 61, {}, [
+         ("module", "Z2+Z3 over Z6"),
+         ("mcs", "{1}"),
+         ("submodule", "{(0,0),(0,1),(0,2)}"),
+         ("detail", "submodule lost the property"),
+     ])),
+    ("C-SUB", "s_theory.is_s_comultiplication",
+     not_s_comultiplication("Z2+Z3/{(0,0),(1,0)} over Z6"),
+     ("fail", 63, {}, [
+         ("module", "Z2+Z3 over Z6"),
+         ("mcs", "{1,3}"),
+         ("submodule", "{(0,0),(1,0)}"),
+         ("t", 3),
+         ("detail", "quotient lost the property"),
+     ])),
+    ("P-PROD", "s_theory.is_s_comultiplication",
+     not_s_comultiplication("Z2xZ3 over Z2xZ3"),
+     ("fail", 2, {}, [
+         ("module", "Z2xZ3 over Z2xZ3"),
+         ("mcs", "{(1,1)}"),
+         ("whole", False),
+         ("parts", True),
+     ])),
+    ("T-COM", "statements.maximal_ideals", no_maximal_ideals_of_z6,
+     ("fail", 10, {}, [
+         ("ring", "Z6"),
+         ("detail", "prime and maximal ideals differ on this ring"),
+     ])),
+    ("T-COM", "s_theory.is_comultiplication",
+     not_comultiplication(CHOSEN_MODULE),
+     ("fail", 15, {}, [
+         ("module", "Z2+Z3 over Z6"),
+         ("verdicts", [False, True, True, True]),
+     ])),
+    ("P-PF", "statements._vanishing_colon_ideals",
+     no_members_on_the_chosen_module,
+     ("fail", 52, {}, [
+         ("module", "Z2+Z3 over Z6"),
+         ("mcs", "{1}"),
+         ("ideal", "{0,1,2,3,4,5}"),
+         ("element", 0),
+         ("detail", "no s, a with sm = am"),
+     ])),
+    ("P-PF", "statements.scalar_times_set",
+     whole_module_on_the_chosen_module,
+     ("fail", 52, {}, [
+         ("module", "Z2+Z3 over Z6"),
+         ("mcs", "{1}"),
+         ("ideal", "{0,1,2,3,4,5}"),
+         ("detail", "no s, a with (s+a)M = 0"),
+     ])),
+    ("T-DU", "statements.first_multiplier",
+     no_multiplier_past_the_first_mcs_of_z6,
+     ("fail", 12, {}, [
+         ("module", "0 over Z6"),
+         ("mcs", "{1,3}"),
+         ("ideal", "{0}"),
+         ("t", 1),
+         ("detail", "no s with sM = 0"),
+     ])),
+    ("C-DU", "statements.zero_colon_set",
+     vanishing_colons_on_the_chosen_module,
+     ("fail", 6, {}, [
+         ("module", "Z2+Z3 over Z6"),
+         ("ideal", "{0}"),
+         ("detail", "nonzero module with (0:_M I) = 0"),
+     ])),
+    ("T-TOR", "s_theory.is_s_cyclic", not_s_cyclic_past_the_first_mcs,
+     ("fail", 36, {}, [
+         ("module", "Z2+Z3 over Z6"),
+         ("mcs", "{1,3}"),
+         ("detail", "neither S-cyclic nor torsion"),
+     ])),
+    ("P-CY1", "s_theory.is_s_cyclic",
+     not_s_cyclic_past_the_first_mcs_of_any_ring,
+     ("fail", 3, {}, [
+         ("module", "Z3 over Z3"),
+         ("mcs", "{1,2}"),
+         ("ideal", "{0,1,2}"),
+         ("detail", "module is not S-cyclic"),
+     ])),
+    ("T-CY2", "s_theory.is_s_cyclic",
+     not_s_cyclic_past_the_first_mcs_of_any_ring,
+     ("fail", 3, {}, [
+         ("module", "Z3 over Z3"),
+         ("mcs", "{1,2}"),
+         ("detail", "module is not S-cyclic"),
+     ])),
+    ("T-CY3", "s_theory.is_s_cyclic",
+     not_s_cyclic_past_the_first_mcs_of_any_ring,
+     ("fail", 3, {}, [
+         ("module", "Z3 over Z3"),
+         ("mcs", "{1,2}"),
+         ("detail", "S-torsion-free module is not S-cyclic"),
+     ])),
+    ("T-MIN", "s_theory.is_s_minimal", not_s_minimal_on_z2_over_z6,
+     ("fail", 10, {}, [
+         ("module", "Z2 over Z6"),
+         ("mcs", "{1,3}"),
+         ("detail", "not S-minimal under the nonzero-L reading"),
+     ])),
+    ("C-M3", "s_theory.is_second_submodule_set",
+     second_flipped_on_the_chosen_module,
+     ("fail", 12, {}, [
+         ("module", "Z2+Z3 over Z6"),
+         ("submodule", "{(0,0),(1,0)}"),
+         ("second", False),
+         ("prime_annihilator", True),
+     ])),
+]
+
+
+@pytest.mark.parametrize("sid, name, forced, expected", FAIL_SITES)
+def test_forced_fail_sites_are_pinned(small_catalog, monkeypatch, sid, name,
+                                      forced, expected):
+    """A library call that a checker reads, broken on one module, ring or
+    m.c.s.: the report fails at the pinned instance with the pinned payload,
+    its keys in the pinned order."""
+    monkeypatch.setattr("scomult." + name, forced(small_catalog))
+    assert pinned(verify(sid, small_catalog)) == expected
+
+
+REVALIDATION_SITES = [
+    ("L-EQ", "s-comultiplication-def",
+     ("fail", 5, {}, [
+         ("module", "Z3 over Z3"),
+         ("mcs", "{1,2}"),
+         ("detail",
+          "witness failed revalidation: s-comultiplication-def(module=Z3"
+          " over Z3, n={0}, mcs={1,2}, s=1, ideal={0,1,2})"),
+     ])),
+    ("T-LOC", "maximal-multiple",
+     ("fail", 4, {}, [
+         ("module", "Z3 over Z3"),
+         ("mcs", "{1,2}"),
+         ("detail",
+          "witness failed revalidation: maximal-multiple(mcs={1,2}, s=1)"),
+     ])),
+    ("T-HOM", "s-monic",
+     ("fail", 182, {}, [
+         ("hom", "Z3->Z3"),
+         ("mcs", "{1,2}"),
+         ("detail",
+          "witness failed revalidation: s-monic(hom=Z3->Z3, mcs={1,2}, s=1)"),
+     ])),
+    ("T-CY2", "s-finite",
+     ("fail", 2, {}, [
+         ("module", "Z3 over Z3"),
+         ("mcs", "{1,2}"),
+         ("detail",
+          "witness failed revalidation: s-finite(module=Z3 over Z3,"
+          " n={0,1,2}, mcs={1,2}, s=1, generators=(1))"),
+     ])),
+    ("T-CY3", "s-torsion-free",
+     ("fail", 2, {}, [
+         ("module", "Z3 over Z3"),
+         ("mcs", "{1,2}"),
+         ("detail",
+          "witness failed revalidation: s-torsion-free(module=Z3 over Z3,"
+          " mcs={1,2}, s=1)"),
+     ])),
+    ("T-MIN", "s-minimal-step",
+     ("fail", 3, {}, [
+         ("module", "Z3 over Z3"),
+         ("mcs", "{1,2}"),
+         ("detail",
+          "witness failed revalidation: s-minimal-step(module=Z3 over Z3,"
+          " k={0,1,2}, l={0,1,2}, mcs={1,2}, s=1)"),
+     ])),
+    ("P-CY1", "s-cyclic",
+     ("fail", 3, {}, [
+         ("module", "Z3 over Z3"),
+         ("mcs", "{1,2}"),
+         ("detail",
+          "witness failed revalidation: s-cyclic(module=Z3 over Z3,"
+          " mcs={1,2}, s=1, element=1)"),
+     ])),
+    ("T-TOR", "s-cyclic",
+     ("fail", 3, {}, [
+         ("module", "Z3 over Z3"),
+         ("mcs", "{1,2}"),
+         ("detail",
+          "witness failed revalidation: s-cyclic(module=Z3 over Z3,"
+          " mcs={1,2}, s=1, element=1)"),
+     ])),
+    ("T-CY2", "s-cyclic",
+     ("fail", 3, {}, [
+         ("module", "Z3 over Z3"),
+         ("mcs", "{1,2}"),
+         ("detail",
+          "witness failed revalidation: s-cyclic(module=Z3 over Z3,"
+          " mcs={1,2}, s=1, element=1)"),
+     ])),
+    ("T-CY3", "s-cyclic",
+     ("fail", 3, {}, [
+         ("module", "Z3 over Z3"),
+         ("mcs", "{1,2}"),
+         ("detail",
+          "witness failed revalidation: s-cyclic(module=Z3 over Z3,"
+          " mcs={1,2}, s=1, element=1)"),
+     ])),
+]
+
+
+@pytest.mark.parametrize("sid, claim, expected", REVALIDATION_SITES)
+def test_revalidation_sites_are_pinned(small_catalog, monkeypatch, sid, claim,
+                                       expected):
+    """The claim's revalidator rejects every witness whose m.c.s. is past the
+    first of its ring: the report fails at the first such witness the
+    checker consumes, with the pinned payload and key order."""
+    real = REVALIDATORS[claim]
+
+    def rejects_past_the_first_mcs(**named):
+        return (not past_its_first_mcs(small_catalog, named["mcs"])
+                and real(**named))
+
+    monkeypatch.setitem(REVALIDATORS, claim, rejects_past_the_first_mcs)
+    assert pinned(verify(sid, small_catalog)) == expected
+
+
 @pytest.mark.parametrize("sid, closure_checks", [
     ("P-EXT", 160), ("T-M3", 39), ("P-SPR", 0), ("T-SEC", 0)])
 def test_closure_checks_of_a_warm_run_are_pinned(small_catalog, monkeypatch,

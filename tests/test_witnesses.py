@@ -31,22 +31,43 @@ SRC = Path(scomult.__file__).parent
 
 
 def witness_makes():
-    """(file, line, claim, keyword names) for every `Witness.make` call."""
-    out = []
+    """(file, line, claim, keyword names) for every `Witness.make` call with
+    a literal claim, and for every call that passes a literal claim to a
+    helper whose `Witness.make` takes the claim from its first parameter."""
+    out, helpers, trees = [], {}, []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        trees.append((path, tree))
+        enclosing = {child: node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)
+                     for child in ast.walk(node)}       # innermost last
+        for node in ast.walk(tree):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "make"
                     and isinstance(node.func.value, ast.Name)
                     and node.func.value.id == "Witness"):
                 claim = node.args[0]
-                assert isinstance(claim, ast.Constant), (
-                    f"{path.name}:{node.lineno} makes a non-literal claim")
                 names = [k.arg for k in node.keywords]
                 assert None not in names, (
                     f"{path.name}:{node.lineno} unpacks its bindings")
-                out.append((path.name, node.lineno, claim.value, names))
+                if isinstance(claim, ast.Constant):
+                    out.append((path.name, node.lineno, claim.value, names))
+                    continue
+                func = enclosing.get(node)
+                assert (func is not None and isinstance(claim, ast.Name)
+                        and claim.id == func.args.args[0].arg), (
+                    f"{path.name}:{node.lineno} makes a non-literal claim")
+                helpers[func.name] = names
+    for path, tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in helpers):
+                claim = node.args[0]
+                assert isinstance(claim, ast.Constant), (
+                    f"{path.name}:{node.lineno} passes a non-literal claim")
+                out.append((path.name, node.lineno, claim.value,
+                            helpers[node.func.id]))
     return out
 
 
