@@ -193,24 +193,24 @@ def generate_catalog(params=None):
     if params.max_ring_order > MAX_RING_ORDER:
         raise ValueError(f"max_ring_order must be at most {MAX_RING_ORDER}, "
                          f"got {params.max_ring_order}")
-    small_products = [moduli for moduli in params.product_moduli
+    small_products = [tuple(moduli) for moduli in params.product_moduli
                       if math.prod(moduli) <= params.max_ring_order]
     rings = [make_ring_zn([n]) for n in range(2, params.max_ring_order + 1)]
     rings = _dedupe(rings + [make_ring_zn(moduli) for moduli in small_products])
 
     modules = {ring: list(_ring_modules(ring, params)) for ring in rings}
 
-    ring_index = {r: r for r in rings}
+    by_moduli = {r.moduli: r for r in rings}
     product_cases = []
     triple_cases = []
     for moduli in small_products:
+        factor_rings = [by_moduli.get((m,)) for m in moduli]
+        if any(r is None for r in factor_rings):
+            continue
+        big = by_moduli[moduli]
         if len(moduli) == 2:
-            r1, r2 = make_ring_zn([moduli[0]]), make_ring_zn([moduli[1]])
-            if r1 not in ring_index or r2 not in ring_index:
-                continue
-            big = ring_index[make_ring_zn(moduli)]
-            mods1, mcss1 = _factor_pool(r1, params)
-            mods2, mcss2 = _factor_pool(r2, params)
+            (mods1, mcss1), (mods2, mcss2) = (_factor_pool(r, params)
+                                              for r in factor_rings)
             for m1 in mods1:
                 for m2 in mods2:
                     if m1.size * m2.size > params.max_module_carrier:
@@ -223,16 +223,10 @@ def generate_catalog(params=None):
                                 prod, s, ((m1, s1), (m2, s2))
                             ))
         elif len(moduli) == 3:
-            factor_rings = [make_ring_zn([m]) for m in moduli]
-            if any(r not in ring_index for r in factor_rings):
-                continue
-            big = ring_index[make_ring_zn(moduli)]
-            mid = make_ring_zn(moduli[:2])
+            mid = by_moduli.get(moduli[:2]) or make_ring_zn(moduli[:2])
             factor_modules = [self_module(r) for r in factor_rings]
-            mcs_pools = [
-                list(enumerate_mcs(r, cap=params.mcs_exhaustive_limit))[:2]
-                for r in factor_rings
-            ]
+            mcs_pools = [enumerate_mcs(r, cap=params.mcs_exhaustive_limit)[:2]
+                         for r in factor_rings]
             inner = product_module(factor_modules[0], factor_modules[1], ring=mid)
             nested = product_module(inner, factor_modules[2], ring=big)
             for s1 in mcs_pools[0]:

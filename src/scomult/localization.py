@@ -282,8 +282,10 @@ def localize_module_with(module, mcs, torsion):
 
 
 def _localize_set(loc, elements):
-    """S^-1 X' = {class(x, s) : x in X', s in S} for a subset X' of the base."""
-    return frozenset(loc.class_of(x, s) for x in elements for s in loc.mcs)
+    """S^-1 X' = {class(x, s) : x in X', s in S} for a subset X' of the base:
+    the union of the slices class_of_pair[x*|S| : (x+1)*|S|], x in X'."""
+    w, class_of = len(loc.rank), loc.class_of_pair
+    return frozenset().union(*(class_of[x * w:(x + 1) * w] for x in elements))
 
 
 def localize_submodule(locmod, n):

@@ -187,7 +187,7 @@ def full_submodule(module):
 
 @lru_cache(maxsize=None)
 def enumerate_submodules(module):
-    """All submodules by incremental one-element extensions, canonical order."""
+    """All submodules, as sums of cyclic submodules Rm, in canonical order."""
     return _enumerate_closed(module, "module carrier")
 
 

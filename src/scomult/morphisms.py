@@ -25,10 +25,9 @@ per (hom, m.c.s.) instance, only the witnesses, which bind that hom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, product as iproduct
-from operator import itemgetter, not_
+from operator import attrgetter, itemgetter, not_
 from typing import NamedTuple
 
 from .errors import AxiomViolation, SizeCapExceeded
@@ -45,47 +44,58 @@ from .rings import units
 from .witnesses import Witness, revalidator
 
 
-def _scalar_set():
-    """A slot for a set of scalars, filled on first use; not part of identity."""
-    return field(default=None, init=False, compare=False, repr=False)
-
-
-@dataclass(frozen=True, slots=True)
 class ModuleHom:
-    """An R-linear map between modules over the same ring."""
+    """An R-linear map between modules over the same ring: a slotted record
+    whose `source`, `target` and `values` are read-only and make its
+    identity; the three scalar sets are filled on first use."""
 
-    source: object
-    target: object
-    values: tuple
-    _s_zero: frozenset | None = _scalar_set()
-    _s_monic: frozenset | None = _scalar_set()
-    _s_epic: frozenset | None = _scalar_set()
+    __slots__ = ("_source", "_target", "_values", "_s_zero", "_s_monic",
+                 "_s_epic")
+
+    def __init__(self, source, target, values):
+        self._source, self._target, self._values = source, target, values
+        self._s_zero = self._s_monic = self._s_epic = None
+
+    source = property(attrgetter("_source"))
+    target = property(attrgetter("_target"))
+    values = property(attrgetter("_values"))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self._source, self._target, self._values)
+                == (other._source, other._target, other._values))
+
+    def __hash__(self):
+        return hash((self._source, self._target, self._values))
+
+    def __repr__(self):
+        return (f"ModuleHom(source={self._source!r}, target={self._target!r}, "
+                f"values={self._values!r})")
 
     def __call__(self, m):
-        return self.values[m]
+        return self._values[m]
 
     def describe(self):
-        return f"{self.source.name}->{self.target.name}"
+        return f"{self._source.name}->{self._target.name}"
 
     def s_zero_scalars(self):
         """ann(Im f): the s with s*f(m) = 0 for every m."""
         if self._s_zero is None:
-            object.__setattr__(self, "_s_zero",
-                               annihilator_set(self.target, _image_set(self)))
+            self._s_zero = annihilator_set(self._target, _image_set(self))
         return self._s_zero
 
     def s_monic_scalars(self):
         """ann(Ker f): the s with sm = 0 whenever f(m) = 0."""
         if self._s_monic is None:
-            object.__setattr__(self, "_s_monic",
-                               annihilator_set(self.source, _kernel_set(self)))
+            self._s_monic = annihilator_set(self._source, _kernel_set(self))
         return self._s_monic
 
     def s_epic_scalars(self):
         """(Im f :_R M'): the s with sM' inside Im f."""
         if self._s_epic is None:
-            object.__setattr__(self, "_s_epic", colon_set_into_ring(
-                self.target, _image_set(self), frozenset(self.target.elements())))
+            self._s_epic = colon_set_into_ring(
+                self._target, _image_set(self), frozenset(self._target.elements()))
         return self._s_epic
 
 

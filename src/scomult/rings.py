@@ -379,47 +379,38 @@ def _check_closed(base, elements, generators):
 
 
 def _span(base, elements, scalars=None):
-    """Additive closure of 0 and every r*x, r in scalars (default all of R).
+    """The sum of the cyclic pieces {r*x : r in scalars}, x in the elements.
 
-    With every scalar this is the closed subset the elements generate; with
-    an ideal I as the scalars it is the product I*elements.
+    The scalars are all of R (the default) or an ideal I, so each piece, Rx
+    or Ix, is an additive subgroup and their sum is closed: the closed
+    subset the elements generate, or the product I*elements.  A piece
+    already inside the running sum is skipped.
     """
-    add, rows = base._add_rows, base._act_rows
-    elems = {base.zero}
-    frontier = []
-    for row in rows if scalars is None else (rows[a] for a in scalars):
-        for x in elements:
-            y = row[x]
-            if y not in elems:
-                elems.add(y)
-                frontier.append(y)
-    while frontier:
-        row = add[frontier.pop()]
-        for y in list(elems):
-            z = row[y]
-            if z not in elems:
-                elems.add(z)
-                frontier.append(z)
-    return frozenset(elems)
+    rows = base._act_rows if scalars is None else [base._act_rows[a] for a in scalars]
+    acc = frozenset((base.zero,))
+    for piece in (frozenset(row[x] for row in rows) for x in elements):
+        if not piece <= acc:
+            acc = _sum(base, (acc, piece))
+    return acc
 
 
 def _enumerate_closed(base, what):
-    """Every Submodule of the base by one-element extensions, in canonical order."""
+    """Every Submodule of the base, in canonical order.  Each is a sum of
+    cyclic ones Rx (the columns of the action rows), so from {0} on, each
+    subset found is grown by each distinct Rx that it does not contain."""
     _check_size(what, base.size)
-    zero = frozenset((base.zero,))
-    known = {zero}
-    frontier = [zero]
-    while frontier:
-        current = frontier.pop()
-        for x in base.elements():
-            if x in current:
-                continue
-            grown = _span(base, tuple(current) + (x,))
-            if grown not in known:
-                known.add(grown)
-                frontier.append(grown)
+    cyclic = dict.fromkeys(map(frozenset, zip(*base._act_rows)))
+    found = [frozenset((base.zero,))]
+    known = set(found)
+    for current in found:               # grows while it is walked
+        for piece in cyclic:
+            if not piece <= current:
+                grown = _sum(base, (current, piece))
+                if grown not in known:
+                    known.add(grown)
+                    found.append(grown)
     return tuple(Submodule(base, els)
-                 for els in sorted(known, key=_canonical_subset_key))
+                 for els in sorted(found, key=_canonical_subset_key))
 
 
 def _colon(base, target, subset):

@@ -17,7 +17,7 @@ from a core that T-HOM reads once per hom signature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -87,7 +87,8 @@ class _Forms:
     """Equivalent forms of one property, each a witness, a result or None."""
 
     def __iter__(self):
-        return (getattr(self, f.name) for f in fields(self))
+        # the class's own field names, in order (none is a ClassVar)
+        return map(self.__getattribute__, self.__dataclass_fields__)
 
     @property
     def verdicts(self):

@@ -15,6 +15,9 @@ element-by-element form of each revalidator that the library computes from
 action rows, one `act`, `mul` or `scalar_times_set` call per element;
 `reference_is_prime_submodule_set` and `reference_s_zero_with` are the same
 for `s_theory.is_prime_submodule_set` and `morphisms.is_s_zero_with`.
+`reference_span` is the closed-subset core's span as a frontier closure:
+every r*x first, then every sum of a new element with every element so
+far, until nothing new appears; it keeps no cyclic piece and no sum.
 `reference_enumerate_homs` is hom enumeration as one loop over candidates,
 each checked pair by pair, with no table shared between calls.
 `REFERENCE_CHECKERS` holds, by statement id, the checker bodies of P-EXT,
@@ -105,6 +108,27 @@ def brute_force_submodules(module):
         if ok:
             out.append(frozenset(members))
     return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def reference_span(base, elements, scalars=None):
+    """Additive closure of 0 and every r*x, r in scalars (default all of R)."""
+    add, rows = base._add_rows, base._act_rows
+    elems = {base.zero}
+    frontier = []
+    for row in rows if scalars is None else (rows[a] for a in scalars):
+        for x in elements:
+            y = row[x]
+            if y not in elems:
+                elems.add(y)
+                frontier.append(y)
+    while frontier:
+        row = add[frontier.pop()]
+        for y in list(elems):
+            z = row[y]
+            if z not in elems:
+                elems.add(z)
+                frontier.append(z)
+    return frozenset(elems)
 
 
 def ideal_product(i, j):

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from scomult import catalog as catalog_module
 from scomult.catalog import MAX_RING_ORDER, CatalogParams, generate_catalog
 from scomult.mutations import mutation_catalog_params
 
@@ -83,6 +84,36 @@ def test_product_cases_live_on_catalog_rings(default_catalog):
     for case in default_catalog.product_cases + default_catalog.triple_cases:
         assert case.module.ring in ring_set
         assert case.mcs.ring == case.module.ring
+
+
+def _is_catalog_ring(catalog, ring):
+    return any(ring is r for r in catalog.rings)
+
+
+@pytest.mark.parametrize("params", [CatalogParams(), mutation_catalog_params()])
+def test_product_cases_use_the_catalog_ring_objects(params, monkeypatch):
+    """Factor, middle and product rings are looked up among the catalog's
+    own rings, so generation builds each ring once.  A factor's self module
+    may come from the cache filled by an earlier catalog, so its ring is
+    only equal to the catalog's."""
+    built = []
+    real = catalog_module.make_ring_zn
+
+    def counting(moduli):
+        built.append(tuple(moduli))
+        return real(moduli)
+
+    monkeypatch.setattr(catalog_module, "make_ring_zn", counting)
+    catalog = generate_catalog(params)
+    assert built == [r.moduli for r in catalog.rings]
+    cases = catalog.product_cases + catalog.triple_cases
+    assert cases
+    for case in cases:
+        assert _is_catalog_ring(catalog, case.module.ring)
+        assert case.mcs.ring is case.module.ring
+        for module, mcs in case.factors:
+            assert _is_catalog_ring(catalog, mcs.ring)
+            assert module.ring == mcs.ring
 
 
 def _catalog_digest(catalog):

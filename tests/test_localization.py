@@ -21,7 +21,13 @@ from scomult.localization import (
     mm_locally_nonzero,
     s_torsion,
 )
-from scomult.modules import Module, self_module, submodule_from_set, zn_over_zk
+from scomult.modules import (
+    Module,
+    enumerate_submodules,
+    self_module,
+    submodule_from_set,
+    zn_over_zk,
+)
 from scomult.mutations import localization_drop_ufactor, mutation_catalog_params
 from scomult.rings import (
     enumerate_ideals,
@@ -387,3 +393,24 @@ def test_a_wrong_injected_kernel_is_caught(m6, s1):
         with pytest.raises(AxiomViolation) as info:
             localize_module_with(m6, s1, torsion)
         assert info.value.axiom == message
+
+
+def test_localized_sets_match_the_pair_by_pair_classes():
+    """S^-1 X' read as slices of the pair-class table equals the class of
+    every (x, s), on every submodule, ideal and singleton of the reduced
+    catalog.  Over a finite ring each s in S has an inverse s^k/1, so on a
+    submodule the classes (x, 1) alone already give S^-1 X'; the
+    singletons are what tell the two apart."""
+    catalog = generate_catalog(mutation_catalog_params())
+    checked = distinct = 0
+    for module, mcs in catalog.module_mcs_pairs(include_zero=True):
+        locmod = localize_module(module, mcs)
+        for loc, subsets in ((locmod, enumerate_submodules(module)),
+                             (locmod.locring, enumerate_ideals(module.ring))):
+            subsets = [n.elements for n in subsets] + [{x} for x in loc.base.elements()]
+            for subset in subsets:
+                expected = {loc.class_of(x, s) for x in subset for s in mcs}
+                assert localization._localize_set(loc, subset) == expected
+                checked += 1
+                distinct += expected != {loc.map_element(x) for x in subset}
+    assert (checked, distinct) == (1606, 198)

@@ -1,11 +1,15 @@
 """Module construction, submodule lattices, residuals, and quotients."""
 
 import hashlib
+import inspect
+import re
+import sys
+from itertools import combinations
 
 import pytest
 
-from scomult import modules
-from scomult.catalog import generate_catalog
+from scomult import modules, s_theory, statements
+from scomult.catalog import CatalogParams, generate_catalog
 from scomult.errors import AxiomViolation
 from scomult.modules import (
     Submodule,
@@ -15,6 +19,7 @@ from scomult.modules import (
     direct_sum_module,
     enumerate_submodules,
     full_submodule,
+    ideal_times_module_set,
     is_torsion,
     make_module,
     product_module,
@@ -27,15 +32,21 @@ from scomult.modules import (
     zero_module,
     zn_over_zk,
 )
+from scomult.localization import localize_module
+from scomult.morphisms import homothety_family, homothety_on_family
 from scomult.mutations import mutation_catalog_params
 from scomult.rings import (
+    Ring,
+    _span,
     enumerate_ideals,
     make_ring_table,
     make_ring_zn,
     product_ring,
 )
+from scomult.s_theory import is_multiplication, is_s_multiplication
+from scomult.statements import verify
 
-from conftest import brute_force_submodules
+from conftest import brute_force_ideals, brute_force_submodules, reference_span
 
 
 def test_self_module(z6, m6):
@@ -182,6 +193,110 @@ def test_reduced_catalog_lattices_are_pinned():
                 (n.members(), n.describe()) for n in enumerate_submodules(module)
             ]).encode())
     assert digest.hexdigest() == REDUCED_LATTICE_DIGEST
+
+
+@pytest.fixture(scope="module")
+def reduced_catalog():
+    return generate_catalog(mutation_catalog_params())
+
+
+def _modules(catalog):
+    return [module for ring in catalog.rings for module in catalog.modules[ring]]
+
+
+def test_span_matches_the_frontier_reference(reduced_catalog):
+    """The sum of cyclic pieces equals the frontier closure for every set of
+    at most two generators, on every ring and module of the catalog."""
+    checked = 0
+    for base in (*reduced_catalog.rings, *_modules(reduced_catalog)):
+        for k in range(3):
+            for gens in combinations(base.elements(), k):
+                assert _span(base, gens) == reference_span(base, gens), (
+                    base.describe(), gens)
+                checked += 1
+    assert checked == 418
+
+
+def test_ideal_times_submodule_matches_the_frontier_reference(reduced_catalog):
+    """I*N for every ideal I and submodule N of every catalog module."""
+    checked = 0
+    for module in _modules(reduced_catalog):
+        for ideal in enumerate_ideals(module.ring):
+            for n in enumerate_submodules(module):
+                assert ideal_times_module_set(module, ideal.elements, n.elements) \
+                    == reference_span(module, n.elements, ideal.elements)
+                checked += 1
+    assert checked == 341
+
+
+def test_an_empty_scalar_set_spans_zero(m6, v2):
+    for module in (m6, v2):
+        full = frozenset(module.elements())
+        assert _span(module, tuple(full), ()) == frozenset({0})
+        assert ideal_times_module_set(module, frozenset(), full) == frozenset({0})
+    assert _span(m6, ()) == frozenset({0})
+
+
+def test_every_caller_of_ideal_times_module_set_passes_an_ideal(
+        reduced_catalog, monkeypatch):
+    """Each cyclic piece {a*x : a in I} is a subgroup only when I is an ideal,
+    so every call site is run and each scalar set it passes is checked."""
+    seen = {}
+    real = modules._span
+
+    def checking_span(base, elements, scalars=None):
+        if scalars is not None:
+            frame = sys._getframe(2)
+            while frame.f_code.co_name.startswith("<"):     # a comprehension
+                frame = frame.f_back
+            caller = frame.f_code.co_name
+            ideals = {i.elements for i in enumerate_ideals(base.ring)}
+            assert frozenset(scalars) in ideals, (caller, sorted(scalars))
+            seen[caller] = seen.get(caller, 0) + 1
+        return real(base, elements, scalars)
+
+    monkeypatch.setattr(modules, "_span", checking_span)
+    assert verify("P-PF", reduced_catalog).verdict == "pass"
+    for module in _modules(reduced_catalog):
+        is_multiplication(module)
+        for mcs in reduced_catalog.mcs[module.ring]:
+            result = is_s_multiplication(module, mcs)
+            assert all(w.validate() for _, w in result.witnesses)
+    assert set(seen) == {"_vanishing_colon_ideals", "is_multiplication",
+                         "find", "_check_s_mult"}
+    sources = [inspect.getsource(m) for m in (modules, s_theory, statements)]
+    calls = r"(?<!def )ideal_times_module_set\(module,"
+    assert sum(len(re.findall(calls, s)) for s in sources) == 4
+
+
+@pytest.mark.parametrize("params, count", [
+    (mutation_catalog_params(), 83),
+    (CatalogParams(), 320),
+])
+def test_enumeration_matches_brute_force_on_the_modules_verify_builds(
+        params, count):
+    """Localizations S^-1 M and S^-1 R, quotients M/P of the homothety
+    families and submodules N as modules, each table checked once."""
+    catalog = generate_catalog(params)
+    bases = set()
+    for module, mcs in catalog.module_mcs_pairs(include_zero=True):
+        loc = localize_module(module, mcs)
+        bases.update((loc.module, loc.locring.ring))
+        for n in enumerate_submodules(module):
+            bases.update(family[0].source for family in (
+                homothety_family(module, n.elements),
+                homothety_on_family(module, n.elements)))
+    kinds = set()
+    for base in bases:
+        if isinstance(base, Ring):
+            assert [i.elements for i in enumerate_ideals(base)] == \
+                brute_force_ideals(base)
+        else:
+            assert [n.elements for n in enumerate_submodules(base)] == \
+                brute_force_submodules(base)
+            kinds.add(base.kind)
+    assert kinds == {"localization", "quotient", "restriction"}
+    assert len(bases) == count
 
 
 def colon_ideal(n, k_set):

@@ -384,6 +384,30 @@ def test_module_hom_is_slotted_and_its_sets_are_not_identity(m6):
     assert fresh.s_zero_scalars() is f.s_zero_scalars()    # shared, not copied
 
 
+def test_a_rebuilt_hom_keeps_equality_hash_repr_and_slots(reduced_catalog):
+    """Identity is (source, target, values), hashed as that tuple, and the
+    repr names those three fields only, filled scalar sets or not."""
+    homs = catalog_homs(reduced_catalog)
+    for f in homs:
+        f.s_zero_scalars()
+        fresh = ModuleHom(f.source, f.target, f.values)
+        key = (f.source, f.target, f.values)
+        assert fresh == f and not fresh != f and hash(fresh) == hash(key)
+        assert repr(fresh) == repr(f) == (
+            f"ModuleHom(source={f.source!r}, target={f.target!r}, "
+            f"values={f.values!r})")
+        assert fresh != key and key != fresh
+        assert not hasattr(fresh, "__dict__")
+        assert fresh._s_zero is None and f._s_zero is not None
+    assert len(set(homs)) == len(homs)
+    f = homs[0]
+    for name in ("source", "target", "values"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+    with pytest.raises(AttributeError):
+        f.extra = 1
+
+
 def reference_bridge(f, mcs):
     """The six bridge fields from the public predicates, each asked alone."""
     monic, s_monic = is_monic(f), is_s_monic(f, mcs)
