@@ -9,8 +9,6 @@ from scomult import localization
 from scomult.catalog import generate_catalog
 from scomult.errors import AxiomViolation
 from scomult.localization import (
-    _partition,
-    _rows,
     complement_mcs,
     localize_module,
     localize_module_with,
@@ -96,13 +94,13 @@ def test_complement_mcs_validated(z6):
 
 
 def test_ufactor_is_essential(z6, m6, s13):
-    """Dropping the u-factor breaks transitivity over rings with zero divisors."""
-    with pytest.raises(AxiomViolation):
-        localize_ring_with(z6, s13, localization_drop_ufactor)
-    with pytest.raises(AxiomViolation) as info:
-        localize_module_with(m6, s13, localization_drop_ufactor)
-    assert info.value.axiom == "localization relation not transitive"
-    assert info.value.witness == ((0, 1), (0, 3), (4, 3))
+    """With K = {0}, the zero divisor 3 of Z6 cannot permute the cosets of K,
+    so its image cannot be a unit; the ring is refused before the module."""
+    for localize, base in ((localize_ring_with, z6), (localize_module_with, m6)):
+        with pytest.raises(AxiomViolation) as info:
+            localize(base, s13, localization_drop_ufactor)
+        assert info.value.axiom == "image of S must consist of units"
+        assert info.value.witness == (3,)
 
 
 def test_ufactor_mutant_harmless_without_zero_divisors():
@@ -249,62 +247,39 @@ def drop_ufactor_outcomes(catalog):
     return out
 
 
-# captured before the equivalence scan walked only the set bits of each row
+# captured when the classes became cosets of K
 REDUCED_DROP_UFACTOR_DIGEST = (
-    "d71dcfc12ff652fb5ab12843aeb605df93991bb5887a97c939489b118c5c4033")
+    "ff0fdadac7c1a8b460813eac30a118f5ad2b3fe348f55e7846614974f669edc0")
+
+
+def without_messages(outcomes):
+    """The outcomes with each violation's text dropped: built or raised."""
+    return [o[:3] if o[2] == "raised" else o for o in outcomes]
+
+
+# which pairs build under the drop-u-factor mutant, and to what size,
+# independent of how the construction words its violation
+REDUCED_DROP_UFACTOR_SHAPE_DIGEST = (
+    "9f89b2be1feee8cc666ce7fd45c739768e59bb55ba0dfdc1155f8cbe890bc155")
+
+
+def test_drop_ufactor_builds_the_pinned_pairs():
+    outcomes = drop_ufactor_outcomes(generate_catalog(mutation_catalog_params()))
+    shapes = without_messages(outcomes)
+    assert (len(shapes), sum(o[2] == "built" for o in shapes)) == (95, 46)
+    digest = hashlib.sha256(repr(shapes).encode()).hexdigest()
+    assert digest == REDUCED_DROP_UFACTOR_SHAPE_DIGEST
 
 
 def test_drop_ufactor_scan_outcomes_are_pinned():
     outcomes = drop_ufactor_outcomes(generate_catalog(mutation_catalog_params()))
     assert len(outcomes) == 95
     assert sum(o[2] == "built" for o in outcomes) == 46
-    assert all(o[3][0].startswith("axiom violated: localization relation not "
-                                  "transitive at ")
+    assert all(o[3][0].startswith("axiom violated: image of S must consist "
+                                  "of units at ")
                for o in outcomes if o[2] == "raised")
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
     assert digest == REDUCED_DROP_UFACTOR_DIGEST
-
-
-def relation_rows(pairs, related):
-    """Row i sets bit j iff related(pairs[i], pairs[j])."""
-    return [sum(1 << j for j, q in enumerate(pairs) if related(p, q))
-            for p in pairs]
-
-
-@pytest.mark.parametrize("related, axiom, witness", [
-    (lambda p, q: p == q and p != "b", "localization relation not reflexive",
-     ("b",)),
-    (lambda p, q: p == q or (p, q) == ("a", "c"),
-     "localization relation not symmetric", ("a", "c")),
-])
-def test_partition_reports_the_first_violation(related, axiom, witness):
-    pairs = ("a", "b", "c")
-    with pytest.raises(AxiomViolation) as info:
-        _partition(pairs, relation_rows(pairs, related))
-    assert info.value.axiom == axiom
-    assert info.value.witness == witness
-
-
-def definitional_rows(base, mcs, torsion_set):
-    """(x, s) ~ (y, t) iff tx - sy lies in K, tested pair by pair."""
-    pairs = [(x, s) for x in base.elements() for s in mcs]
-
-    def related(p, q):
-        (x, s), (y, t) = p, q
-        return base.add(base.act(t, x), base.neg(base.act(s, y))) in torsion_set
-
-    return relation_rows(pairs, related)
-
-
-@pytest.mark.parametrize("torsion", [s_torsion, localization_drop_ufactor])
-def test_rows_from_k_match_the_definition(torsion):
-    catalog = generate_catalog(mutation_catalog_params())
-    modules = list(catalog.module_mcs_pairs(include_zero=True))
-    rings = [(ring, mcs) for ring in catalog.rings for mcs in catalog.mcs[ring]]
-    assert (len(modules), len(rings)) == (95, 25)
-    for base, mcs in modules + rings:
-        k = torsion(base, mcs)
-        assert _rows(base, mcs, k) == definitional_rows(base, mcs, k)
 
 
 def idempotent_power(ring, mcs):
@@ -377,22 +352,43 @@ def test_an_injected_torsion_still_gets_its_kernel_checked(monkeypatch):
     assert digest == REDUCED_DROP_UFACTOR_DIGEST
 
 
-def test_a_wrong_injected_kernel_is_caught(m6, s1):
-    """For S = {1} over Z6, K = {0, 3} gives the classes of Z6/(3), a
-    consistent but wrong localization; the kernel check names the ring or
-    the module."""
-    def threes(base, mcs):
-        return frozenset((0, 3))
+def only_for_modules(torsion):
+    """torsion on modules, the true `s_torsion` on rings."""
+    return lambda base, mcs: (torsion(base, mcs) if isinstance(base, Module)
+                              else s_torsion(base, mcs))
 
-    def threes_for_modules(base, mcs):
-        return threes(base, mcs) if isinstance(base, Module) else s_torsion(base, mcs)
 
-    for torsion, message in ((threes, "canonical map kernel mismatch"),
-                             (threes_for_modules,
-                              "canonical module map kernel mismatch")):
+def test_a_wrong_injected_kernel_is_caught(z6, m6):
+    """K = {0, 3} with S = {1}, or K = {0, 2, 4} with S = {1, 5}, is a
+    submodule of Z6 whose cosets every s permutes, so it gives the classes
+    of Z6/K, a consistent but wrong localization; the kernel check names
+    the ring or the module."""
+    for s_set, k in (({1}, {0, 3}), ({1, 5}, {0, 2, 4})):
+        mcs = validate_mcs(z6, s_set)
+
+        def wrong(base, mcs, k=frozenset(k)):
+            return k
+
+        for torsion, message in ((wrong, "canonical map kernel mismatch"),
+                                 (only_for_modules(wrong),
+                                  "canonical module map kernel mismatch")):
+            with pytest.raises(AxiomViolation) as info:
+                localize_module_with(m6, mcs, torsion)
+            assert info.value.axiom == message
+
+
+def test_an_injected_kernel_must_be_a_submodule(m6, s1):
+    """K = {0, 1} over Z6 is refused by the closure check, as an ideal of
+    the ring or as a submodule of the module, before any class is built."""
+    def zero_one(base, mcs):
+        return frozenset((0, 1))
+
+    for torsion, message in ((zero_one, "ideal not closed under addition"),
+                             (only_for_modules(zero_one),
+                              "submodule not closed under addition")):
         with pytest.raises(AxiomViolation) as info:
             localize_module_with(m6, s1, torsion)
-        assert info.value.axiom == message
+        assert (info.value.axiom, info.value.witness) == (message, (1, 1))
 
 
 def test_localized_sets_match_the_pair_by_pair_classes():

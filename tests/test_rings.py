@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from scomult.catalog import generate_catalog
 from scomult.errors import (
     AxiomViolation,
     ContainsZero,
@@ -12,6 +13,7 @@ from scomult.errors import (
     SizeCapExceeded,
 )
 from scomult.modules import self_module, zero_divisors_on
+from scomult.mutations import mutation_catalog_params
 from scomult.rings import (
     _check_tables,
     cyclic_mcs,
@@ -288,12 +290,16 @@ def test_divides_and_maximal_multiple(z6, s13):
 
 
 def test_maximal_multiple_always_exists_finitely():
-    # the product of all elements of S lies in S and is a multiple of each
-    for moduli in ([6], [8], [12], [2, 4]):
-        ring = make_ring_zn(moduli)
-        for mcs in enumerate_mcs(ring, cap=16):
-            witness = has_maximal_multiple(mcs)
-            assert witness is not None and witness.validate()
+    """The product of all elements of S lies in S and is a multiple of each,
+    so T-LOC never meets an m.c.s. without a maximal multiple: checked on
+    every m.c.s. of the default and reduced catalogs too."""
+    families = [enumerate_mcs(make_ring_zn(moduli), cap=16)
+                for moduli in ([6], [8], [12], [2, 4])]
+    for catalog in (generate_catalog(), generate_catalog(mutation_catalog_params())):
+        families += [catalog.mcs[ring] for ring in catalog.rings]
+    for mcs in (m for family in families for m in family):
+        witness = has_maximal_multiple(mcs)
+        assert witness is not None and witness.validate()
 
 
 def test_enumerate_mcs_z6(z6):
@@ -395,8 +401,6 @@ def test_saturation_properties(n, picks):
 
 
 def test_saturation_over_whole_catalog():
-    from scomult.catalog import generate_catalog
-
     catalog = generate_catalog()
     for ring in catalog.rings:
         for mcs in catalog.mcs[ring]:

@@ -293,8 +293,8 @@ MUTANT_COUNTEREXAMPLES = {
         "L-EQ": {"module": "Z2 over Z2", "mcs": "{1}",
                  "verdicts": [True, True, False]}},
     "localization_drop_ufactor": {
-        sid: {"error": "axiom violated: localization relation not transitive"
-                       " at ((0, 1), (0, 3), (4, 3))"}
+        sid: {"error": "axiom violated: image of S must consist of units"
+                       " at (3,)"}
         for sid in ("P-LOC", "T-LOC")},
     "s_prime_quantifier_swap": {
         "P-SPR": {"module": "Z6 over Z6", "mcs": "{1,3}", "submodule": "{0}",
