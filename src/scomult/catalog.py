@@ -13,7 +13,6 @@ values there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
@@ -47,8 +46,7 @@ from .rings import (
 MAX_RING_ORDER = 12
 
 
-@dataclass(frozen=True)
-class CatalogParams:
+class CatalogParams(NamedTuple):
     max_ring_order: int = MAX_RING_ORDER
     product_moduli: tuple = ((2, 2), (2, 3), (2, 4), (3, 3), (2, 2, 2), (2, 2, 3))
     max_module_carrier: int = 16
@@ -65,19 +63,30 @@ class ProductCase(NamedTuple):
     factors: tuple        # ((module_i, mcs_i), ...)
 
 
-@dataclass
 class Catalog:
-    params: CatalogParams
-    rings: tuple
-    modules: dict
-    mcs: dict
-    homs: dict
-    product_cases: tuple
-    triple_cases: tuple
-    # Data derived from the catalog and kept as long as it lives, filled the
-    # first time a checker asks (statements._by_signature); not identity.
-    _memo: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
+    """The generated instances.  Two catalogs are equal when every field but
+    `_memo` is: data derived from the catalog and kept as long as it lives,
+    filled the first time a checker asks (statements._by_signature)."""
+
+    def __init__(self, params, rings, modules, mcs, homs, product_cases,
+                 triple_cases):
+        self.params = params
+        self.rings = rings
+        self.modules = modules
+        self.mcs = mcs
+        self.homs = homs
+        self.product_cases = product_cases
+        self.triple_cases = triple_cases
+        self._memo = {}
+
+    def _identity(self):
+        return (self.params, self.rings, self.modules, self.mcs, self.homs,
+                self.product_cases, self.triple_cases)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._identity() == other._identity()
 
     def module_mcs_pairs(self, include_zero=False):
         for ring in self.rings:

@@ -139,9 +139,25 @@ def _require_range(flag, value, low, high):
         raise ScomultError(f"{flag} must be in {low}..{high}, got {value}")
 
 
+def _catalog_params(args):
+    """The catalog `verify` checks: the reduced mutation catalog under
+    --mutation, which takes no size flag, else the default catalog with the
+    size flags given."""
+    if args.mutation:
+        if (args.max_ring, args.max_module) != (None, None):
+            raise ScomultError("--max-ring and --max-module cannot be combined "
+                               "with --mutation, which checks its own reduced catalog")
+        return mutation_catalog_params()
+    params = CatalogParams()
+    max_ring = params.max_ring_order if args.max_ring is None else args.max_ring
+    max_module = params.max_module_carrier if args.max_module is None else args.max_module
+    _require_range("--max-ring", max_ring, 2, MAX_RING_ORDER)
+    _require_range("--max-module", max_module, 1, DEFAULT_CAP)
+    return params._replace(max_ring_order=max_ring, max_module_carrier=max_module)
+
+
 def cmd_verify(args):
-    _require_range("--max-ring", args.max_ring, 2, MAX_RING_ORDER)
-    _require_range("--max-module", args.max_module, 1, DEFAULT_CAP)
+    params = _catalog_params(args)
     statement_ids = None
     if args.statements is not None:
         statement_ids = [tok.strip() for tok in args.statements.split(",") if tok.strip()]
@@ -156,8 +172,8 @@ def cmd_verify(args):
     document = {
         "run": {
             "params": {
-                "max_ring": args.max_ring,
-                "max_module": args.max_module,
+                "max_ring": params.max_ring_order,
+                "max_module": params.max_module_carrier,
                 "statements": statement_ids,
                 "mutation": args.mutation,
             },
@@ -166,9 +182,8 @@ def cmd_verify(args):
         "statements": [],
     }
 
+    catalog = generate_catalog(params)
     if args.mutation:
-        params = mutation_catalog_params()
-        catalog = generate_catalog(params)
         outcomes = run_mutation_suite(catalog, statement_ids)
         document["mutants"] = []
         for name, failed in outcomes:
@@ -179,9 +194,6 @@ def cmd_verify(args):
             _write_report(args.report, document)
         # statements failed by design, so the exit contract reports failure
         return EXIT_FALSE
-    params = CatalogParams(max_ring_order=args.max_ring,
-                           max_module_carrier=args.max_module)
-    catalog = generate_catalog(params)
     reports = verify_all(catalog, statement_ids)
     fails = 0
     nonvacuous = 0
@@ -245,12 +257,12 @@ def build_parser():
     verify = sub.add_parser("verify", help="run the statement suite over a catalog")
     verify.add_argument("--statements", help="comma-separated statement ids")
     default_module = CatalogParams().max_module_carrier
-    verify.add_argument("--max-ring", type=int, default=MAX_RING_ORDER,
+    verify.add_argument("--max-ring", type=int,
                         help=f"largest ring order in the catalog, 2..{MAX_RING_ORDER} "
-                             f"(default {MAX_RING_ORDER})")
-    verify.add_argument("--max-module", type=int, default=default_module,
+                             f"(default {MAX_RING_ORDER}; not with --mutation)")
+    verify.add_argument("--max-module", type=int,
                         help=f"largest module carrier, 1..{DEFAULT_CAP} "
-                             f"(default {default_module})")
+                             f"(default {default_module}; not with --mutation)")
     verify.add_argument("--report", help="write the JSON report document here")
     verify.add_argument("--mutation", action="store_true",
                         help="run the deliberately broken predicate variants")

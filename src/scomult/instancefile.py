@@ -28,8 +28,6 @@ separate rows with `/`.  Parse failures carry the offending line number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InstanceParseError, ScomultError
 from .modules import (
     direct_sum_module,
@@ -41,16 +39,19 @@ from .modules import (
     zn_over_zk,
 )
 from .morphisms import make_hom
-from .rings import Ring, make_ring_table, make_ring_zn, validate_mcs
+from .rings import make_ring_table, make_ring_zn, validate_mcs
 
 
-@dataclass
 class ParsedInstance:
-    ring: Ring
-    modules: dict = field(default_factory=dict)
-    mcs: dict = field(default_factory=dict)
-    submodules: dict = field(default_factory=dict)
-    homs: dict = field(default_factory=dict)
+    """The ring of an instance file and its named blocks, in file order;
+    a submodule is kept with the name of its module."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.modules = {}
+        self.mcs = {}
+        self.submodules = {}
+        self.homs = {}
 
 
 def _split_sections(text):

@@ -23,19 +23,17 @@ is its multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import AxiomViolation, SizeCapExceeded
 from .modules import (
-    Module,
     Submodule,
     colon_set_into_module,
     coset_index_map,
     make_module,
     zero_colon_set,
 )
-from .rings import DEFAULT_CAP, MCS, make_ring_table, units, validate_mcs
+from .rings import DEFAULT_CAP, make_ring_table, units, validate_mcs
 
 
 def s_torsion(base, mcs):
@@ -44,17 +42,20 @@ def s_torsion(base, mcs):
                      if any(base.act(u, x) == base.zero for u in mcs))
 
 
-@dataclass(frozen=True, eq=False)
 class _PairClasses:
     """S^-1 X as classes of pairs (x, s); X is the base ring or module."""
 
-    base: object
-    mcs: MCS
-    pairs: tuple              # (x, s) pairs; (x, s) sits at x·|S| + rank[s]
-    class_of_pair: tuple      # pair index -> class index
-    members: tuple            # class index -> its pair indices, ascending
-    rank: dict                # s -> position of s in mcs.members()
-    reps: tuple               # class index -> least y with (y, 1) in it
+    __slots__ = ("base", "mcs",
+                 "pairs",            # (x, s) pairs; (x, s) sits at x·|S| + rank[s]
+                 "class_of_pair",    # pair index -> class index
+                 "members",          # class index -> its pair indices, ascending
+                 "rank",             # s -> position of s in mcs.members()
+                 "reps")             # class index -> least y with (y, 1) in it
+
+    def __init__(self, base, mcs, pairs, class_of_pair, members, rank, reps):
+        self.base, self.mcs, self.pairs = base, mcs, pairs
+        self.class_of_pair, self.members = class_of_pair, members
+        self.rank, self.reps = rank, reps
 
     def class_of(self, x, s):
         return self.class_of_pair[x * len(self.rank) + self.rank[s]]
@@ -75,20 +76,22 @@ class _PairClasses:
                      for x, s in (self.pairs[m[0]] for m in self.members))
 
 
-@dataclass(frozen=True, eq=False)
 class LocalizedRing(_PairClasses):
-    ring: object              # the quotient structure as a table Ring
+    """S^-1 R: its pair classes, and `ring`, the quotient as a table Ring."""
+
+    __slots__ = ("ring",)
 
 
-@dataclass(frozen=True, eq=False)
 class LocalizedModule(_PairClasses):
-    locring: LocalizedRing
-    module: Module
+    """S^-1 M: its pair classes, `locring` (S^-1 R) and `module`, the
+    quotient as a Module over `locring.ring`."""
+
+    __slots__ = ("locring", "module")
 
 
-def _pair_classes(base, mcs, torsion, what):
-    """Pair classes of S^-1 base, a ring or a module that R acts on, and
-    the set K = torsion(base, mcs) they were built from.
+def _pair_classes(base, mcs, torsion, what, cls):
+    """Pair classes of S^-1 base, a ring or a module that R acts on, as a
+    `cls`, and the set K = torsion(base, mcs) they were built from.
 
     K must be a submodule, and each s in S must permute the cosets of K;
     the class of (x, s) is then the coset y + K with sy + K = x + K, the
@@ -116,10 +119,9 @@ def _pair_classes(base, mcs, torsion, what):
     members = [[] for _ in number]
     for i, c in enumerate(class_of_pair):
         members[c].append(i)
-    return _PairClasses(base, mcs, pairs, class_of_pair,
-                        tuple(map(tuple, members)),
-                        {s: i for i, s in enumerate(mcs)},
-                        tuple(least[c] for c in number)), torsion_set
+    return cls(base, mcs, pairs, class_of_pair, tuple(map(tuple, members)),
+               {s: i for i, s in enumerate(mcs)},
+               tuple(least[c] for c in number)), torsion_set
 
 
 def _tables(left, right):
@@ -156,13 +158,12 @@ def localize_ring(ring, mcs):
 @lru_cache(maxsize=None)
 def localize_ring_with(ring, mcs, torsion):
     """S^-1 R: R localized as a module over itself; a LocalizedRing wrapper."""
-    classes, torsion_set = _pair_classes(ring, mcs, torsion, "ring")
-    add_table, mul_table = _tables(classes, classes)
-    loc = make_ring_table(add_table, mul_table, classes.map_element(ring.zero),
-                          classes.map_element(ring.one),
-                          labels=classes._labels(),
-                          name=f"({ring.name} loc {mcs.describe()})")
-    wrapper = LocalizedRing(**vars(classes), ring=loc)
+    wrapper, torsion_set = _pair_classes(ring, mcs, torsion, "ring", LocalizedRing)
+    add_table, mul_table = _tables(wrapper, wrapper)
+    wrapper.ring = make_ring_table(
+        add_table, mul_table, wrapper.map_element(ring.zero),
+        wrapper.map_element(ring.one), labels=wrapper._labels(),
+        name=f"({ring.name} loc {mcs.describe()})")
     _check_localized_ring(wrapper)
     _check_kernel(wrapper, torsion, torsion_set, "canonical map kernel mismatch")
     return wrapper
@@ -194,13 +195,14 @@ def localize_module_with(module, mcs, torsion):
     """S^-1 M as a module over S^-1 R, with the canonical map data; the
     pair relations of M and R read the set K that `torsion(base, mcs)` gives."""
     locring = localize_ring_with(module.ring, mcs, torsion)
-    classes, torsion_set = _pair_classes(module, mcs, torsion, "module")
-    add_table, act_table = _tables(locring, classes)
-    loc_module = make_module(
+    wrapper, torsion_set = _pair_classes(module, mcs, torsion, "module",
+                                         LocalizedModule)
+    add_table, act_table = _tables(locring, wrapper)
+    wrapper.locring = locring
+    wrapper.module = make_module(
         locring.ring, add_table, act_table, kind="localization",
-        name=f"({module.name} loc {mcs.describe()})", labels=classes._labels(),
+        name=f"({module.name} loc {mcs.describe()})", labels=wrapper._labels(),
     )
-    wrapper = LocalizedModule(**vars(classes), locring=locring, module=loc_module)
     _check_kernel(wrapper, torsion, torsion_set,
                   "canonical module map kernel mismatch")
     return wrapper

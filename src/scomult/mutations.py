@@ -13,8 +13,6 @@ verified, and the suite catches them through witness revalidation.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .catalog import CatalogParams, generate_catalog
 from .modules import Submodule, first_multiplier
 from .s_theory import (
@@ -83,7 +81,7 @@ MUTANTS = {
 
 def mutant_toolbox(name):
     field_name, fn = MUTANTS[name]
-    return replace(Toolbox(), **{field_name: fn, "mutated": (name,)})
+    return Toolbox(**{field_name: fn, "mutated": (name,)})
 
 
 def mutation_catalog_params():

@@ -20,7 +20,6 @@ search in the library.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -311,20 +310,51 @@ def product_ring(r1, r2):
 # on itself by multiplication, so an ideal is a submodule of R over itself.
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, value=None):
+    """`__setattr__` and `__delattr__` of the slotted records below."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _slot_filler(cls):
+    """Store values into the slots of `cls` in `__slots__` order, past the
+    `__setattr__` that refuses assignment.  The fields are plain slots, not
+    properties, so reading one costs what a dataclass field did."""
+    setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def fill(obj, *values):
+        for store, value in zip(setters, values):
+            store(obj, value)
+    return fill
+
+
 class Submodule:
     """A subset of a base closed under addition and the full ring action.
 
     The base is a Module, or a Ring acting on itself, and then the subset
-    is an ideal.
+    is an ideal.  A slotted record whose fields cannot be assigned:
+    `module` and `elements` make its identity, and its hash is computed
+    once; `generators`, when given, must generate the elements.
     """
 
-    module: _Table
-    elements: frozenset
-    generators: tuple = field(default=None, compare=False)
+    __slots__ = ("module", "elements", "generators", "_hash")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        _check_closed(self.module, self.elements, self.generators)
+    def __init__(self, module, elements, generators=None):
+        _check_closed(module, elements, generators)
+        _fill_submodule(self, module, elements, generators, hash((module, elements)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.elements == other.elements
+                and self.module == other.module)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return (f"Submodule(module={self.module!r}, elements={self.elements!r}, "
+                f"generators={self.generators!r})")
 
     def members(self):
         return sorted(self.elements)
@@ -343,6 +373,9 @@ class Submodule:
 
     def describe(self):
         return self.module.set_label(self.elements)
+
+
+_fill_submodule = _slot_filler(Submodule)
 
 
 def submodule_closure(base, generators):
@@ -522,16 +555,30 @@ def units(ring):
 # multiplicatively closed sets
 
 
-@dataclass(frozen=True)
 class MCS:
-    """A validated multiplicatively closed subset: 0 out, 1 in, closed."""
+    """A validated multiplicatively closed subset: 0 out, 1 in, closed.
 
-    ring: Ring
-    elements: frozenset
-    _sorted: tuple = field(init=False, compare=False, repr=False)
+    A slotted record like `Submodule`: `ring` and `elements` make its
+    identity and its hash; the members are kept sorted for iteration.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "_sorted", tuple(sorted(self.elements)))
+    __slots__ = ("ring", "elements", "_sorted", "_hash")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, ring, elements):
+        _fill_mcs(self, ring, elements, tuple(sorted(elements)), hash((ring, elements)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.elements == other.elements
+                and self.ring == other.ring)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"MCS(ring={self.ring!r}, elements={self.elements!r})"
 
     def members(self):
         return list(self._sorted)
@@ -547,6 +594,9 @@ class MCS:
 
     def describe(self):
         return self.ring.set_label(self.elements)
+
+
+_fill_mcs = _slot_filler(MCS)
 
 
 def validate_mcs(ring, subset):

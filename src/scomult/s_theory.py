@@ -17,7 +17,6 @@ from a core that T-HOM reads once per hom signature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -59,8 +58,7 @@ def _as_submodule(module, x):
     return x if isinstance(x, Submodule) else Submodule(module, frozenset(x))
 
 
-@dataclass(frozen=True)
-class ForEachResult:
+class ForEachResult(NamedTuple):
     """A witness for every item (a submodule or a pair), or the first without."""
 
     holds: bool
@@ -82,20 +80,15 @@ def _for_each(items, find):
     return ForEachResult(True, tuple(found), None)
 
 
-@dataclass(frozen=True)
-class _Forms:
-    """Equivalent forms of one property, each a witness, a result or None."""
+def _verdicts(forms):
+    """The truth of each form, in field order: the `verdicts` property of
+    the forms records (NamedTuples of equivalent forms of one property,
+    each form a witness, a result or None)."""
+    return tuple(map(bool, forms))
 
-    def __iter__(self):
-        # the class's own field names, in order (none is a ClassVar)
-        return map(self.__getattribute__, self.__dataclass_fields__)
 
-    @property
-    def verdicts(self):
-        return tuple(map(bool, self))
-
-    def agree(self):
-        return len(set(self.verdicts)) == 1
+def _agree(forms):
+    return len(set(_verdicts(forms))) == 1
 
 
 @lru_cache(maxsize=None)
@@ -199,11 +192,12 @@ def is_prime_submodule_set(module, subset):
                for a in module.ring.elements() if a not in colon)
 
 
-@dataclass(frozen=True)
-class SPrimeForms(_Forms):
+class SPrimeForms(NamedTuple):
     direct: Witness | None
     colon_prime: Witness | None
     homothety: Witness | None
+    verdicts = property(_verdicts)
+    agree = _agree
 
 
 def s_prime_colon_form(module, p, mcs):
@@ -317,11 +311,12 @@ def is_second_submodule_set(module, subset):
     return all(img == _ZERO or img == frozenset(subset) for img in multiples)
 
 
-@dataclass(frozen=True)
-class SSecondForms(_Forms):
+class SSecondForms(NamedTuple):
     direct: Witness | None
     homothety: Witness | None
     containment: Witness | None
+    verdicts = property(_verdicts)
+    agree = _agree
 
 
 def s_second_homothety_form(module, n, mcs):
@@ -458,11 +453,12 @@ def _check_s_comult_def(module, n, mcs, s, ideal):
     return scalar_times_set(module, s, colon) <= n <= colon
 
 
-@dataclass(frozen=True)
-class LemmaForms(_Forms):
+class LemmaForms(NamedTuple):
     definitional: ForEachResult
     annihilator: ForEachResult
     pairwise: ForEachResult
+    verdicts = property(_verdicts)
+    agree = _agree
 
 
 def lemma_equivalence_bundle(module, mcs, pair_form_fn=None):

@@ -40,9 +40,9 @@ verdicts, instance counts and witness revalidation) still runs per
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import localization as loc
 from . import morphisms as mor
@@ -89,7 +89,9 @@ class Toolbox:
     """The predicate implementations a check run routes through.
 
     The default toolbox is the real library; mutation mode swaps individual
-    entries for deliberately broken variants.
+    entries for deliberately broken variants.  The one dataclass in the
+    package: perfbench's tracer rebinds a toolbox's fields through
+    `dataclasses.fields` and `dataclasses.replace`.
     """
 
     is_s_prime_submodule: Callable = st.is_s_prime_submodule
@@ -100,15 +102,14 @@ class Toolbox:
     mutated: tuple = ()
 
 
-@dataclass
-class StatementReport:
+class StatementReport(NamedTuple):
     statement_id: str
     title: str
     verdict: str                  # pass | fail | vacuous
     instances: int
     counterexample: dict | None
     ms: float
-    notes: dict = field(default_factory=dict)
+    notes: dict                   # note -> count; {} when none
 
     def to_json(self):
         out = {
@@ -808,8 +809,7 @@ def _check_t_ssum(cat, tb, ctx):
 # registry and runners
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     statement_id: str
     title: str
     check: Callable

@@ -127,6 +127,7 @@ def test_verify_small(tmp_path, capsys):
     assert len(document["statements"]) == 26
     assert {"id", "verdict", "instances", "ms"} <= set(document["statements"][0])
     assert document["run"]["params"]["max_ring"] == 6
+    assert document["run"]["params"]["max_module"] == 16
 
 
 def test_verify_statement_filter(capsys):
@@ -181,6 +182,21 @@ def test_verify_mutation_exits_one(tmp_path, capsys):
     document = json.loads(report_path.read_text())
     assert len(document["mutants"]) == 5
     assert all(m["failed"] for m in document["mutants"])
+    assert document["run"]["params"] == {"max_ring": 6, "max_module": 8,
+                                         "statements": None, "mutation": True}
+
+
+@pytest.mark.parametrize("flags", [["--max-ring", "3"], ["--max-module", "16"],
+                                   ["--max-ring", "6", "--max-module", "8"]])
+def test_verify_mutation_rejects_catalog_size_flags(flags, monkeypatch, capsys):
+    """--mutation checks its own reduced catalog, so a size flag given with
+    it would be ignored; it is refused before any catalog is built."""
+    monkeypatch.setattr("scomult.cli.generate_catalog", _no_catalog)
+    assert main(["verify", "--mutation", *flags, "--statements", "C-DU"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: --max-ring and --max-module "
+                                   "cannot be combined with --mutation")
 
 
 def test_hom_predicates(z6_file, capsys):

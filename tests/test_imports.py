@@ -1,10 +1,14 @@
 """The library imports nothing outside the standard library and itself,
-its modules import one another without a cycle, and its module-level
-caches are the pinned ones."""
+its modules import one another without a cycle, its module-level caches
+are the pinned ones, and importing it defines one dataclass, the toolbox
+that perfbench's tracer rebinds."""
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import scomult
@@ -173,3 +177,61 @@ IMPORT_TIME_REGISTRIES = {"witnesses.REVALIDATORS"}
 def test_module_level_caches_are_pinned():
     assert len(MODULE_LEVEL_CACHES) == 22
     assert module_level_caches() == MODULE_LEVEL_CACHES | IMPORT_TIME_REGISTRIES
+
+
+def run_fresh(code):
+    """Run `code` in a new interpreter with scomult and perfbench on the path;
+    its stdout."""
+    paths = [str(SRC.parent), str(SRC.parent.parent / "perfbench")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_the_toolbox_is_the_only_dataclass():
+    """Every other record is a NamedTuple or a hand-written class, so the
+    import makes no dataclass but the one the tracer needs."""
+    out = run_fresh("""
+        import sys
+        import scomult, scomult.mutations, scomult.cli
+        for name, module in sorted(sys.modules.items()):
+            if name == "scomult" or name.startswith("scomult."):
+                for attr, obj in vars(module).items():
+                    if (isinstance(obj, type) and obj.__module__ == name
+                            and hasattr(obj, "__dataclass_fields__")):
+                        print(f"{name}.{attr}")
+    """)
+    assert out.split() == ["scomult.statements.Toolbox"]
+
+
+def test_the_tracer_rebinds_every_mutant_toolbox():
+    """`Tracer.rebind` swaps each mutant's field for its wrapper, through
+    `dataclasses.fields` and `dataclasses.replace`; the toolbox it returns
+    still runs, and kills, a statement that reads that field."""
+    out = run_fresh("""
+        import scomult, scomult.mutations
+        from tracer import Tracer
+        from scomult.mutations import MUTANTS, mutant_toolbox, mutation_catalog_params
+        from scomult.statements import Toolbox, verify
+
+        tracer = Tracer()
+        tracer.install()
+        catalog = scomult.generate_catalog(mutation_catalog_params())
+        reader = {"is_s_prime_submodule": "P-SPR", "is_s_second": "T-SEC",
+                  "localization_torsion": "P-LOC", "lemma_pair_form": "L-EQ",
+                  "uniform_multiple": "T-M3"}
+        for name in sorted(MUTANTS):
+            field, mutant = MUTANTS[name]
+            toolbox = tracer.rebind(mutant_toolbox(name))
+            assert type(toolbox) is Toolbox and toolbox.mutated == (name,)
+            assert getattr(toolbox, field).__wrapped__ is mutant
+            report = verify(reader[field], catalog, toolbox)
+            calls = tracer.metrics()[f"mutations.{mutant.__name__}_calls"]
+            print(name, report.verdict, calls > 0)
+    """)
+    assert out.splitlines() == [f"{name} fail True" for name in (
+        "lemma_pair_direction_flip", "localization_drop_ufactor",
+        "s_prime_quantifier_swap", "s_second_drop_disjointness",
+        "tm3_drop_uniform_clause")]

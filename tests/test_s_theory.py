@@ -1,7 +1,6 @@
 """S-theoretic predicates: pins, characterizations, and witness discipline."""
 
 import hashlib
-from dataclasses import fields
 
 import pytest
 
@@ -90,12 +89,12 @@ def test_s_prime_characterizations_agree(m6, s13, s124, m4):
 
 
 def test_forms_iterate_their_fields_in_order(m6, s13, s124):
-    """Each forms record iterates as the dataclass fields it declares."""
+    """Each forms record iterates as the fields it declares."""
     evens = submodule_from_set(m6, {0, 2, 4})
     for forms in (s_prime_characterizations(m6, evens, s13),
                   s_second_characterizations(m6, evens, s124),
                   lemma_equivalence_bundle(m6, s13)):
-        values = tuple(getattr(forms, f.name) for f in fields(forms))
+        values = tuple(getattr(forms, name) for name in type(forms)._fields)
         assert len(values) == 3 and tuple(forms) == values
         assert forms.verdicts == tuple(map(bool, values))
 
