@@ -9,16 +9,16 @@ class of (x, s) is the coset y + K with sy + K = x + K.  `s_torsion` is
 the one implementation of K.  K is checked once to be a submodule, its
 cosets are numbered, and for each s the map y + K -> sy + K is inverted;
 an s that does not permute the cosets is refused, since its image would
-not be a unit.  Classes keep the pair form: numbered by their least pair
-and labelled x/s after it.  Sums and actions are read at one
-representative y/1 of each class straight from the base's rows.  The
-kernel of the canonical map is checked against the K that built the
-classes, and against a fresh `s_torsion` only when an injected torsion
-function built them.  The u-factor is mandatory: with K = {0} a zero
-divisor in S does not permute the cosets.  S^-1 R is the same
-construction on R as a module over itself, built once per (R, S, torsion
-function): every helper reads the action from its base, which for a ring
-is its multiplication.
+not be a unit.  Each x keeps its coset, and each s a row from cosets to
+classes, numbered by their least pair and labelled x/s after it.  Sums
+and actions are read at one representative y/1 of each class straight
+from the base's rows.  The kernel of the canonical map is checked
+against the K that built the classes, and against a fresh `s_torsion`
+only when an injected torsion function built them.  The u-factor is
+mandatory: with K = {0} a zero divisor in S does not permute the
+cosets.  S^-1 R is the same construction on R as a module over itself,
+built once per (R, S, torsion function): every helper reads the action
+from its base, which for a ring is its multiplication.
 """
 
 from __future__ import annotations
@@ -43,22 +43,19 @@ def s_torsion(base, mcs):
 
 
 class _PairClasses:
-    """S^-1 X as classes of pairs (x, s); X is the base ring or module."""
+    """S^-1 X as the cosets of K in X; X is the base ring or module."""
 
     __slots__ = ("base", "mcs",
-                 "pairs",            # (x, s) pairs; (x, s) sits at x·|S| + rank[s]
-                 "class_of_pair",    # pair index -> class index
-                 "members",          # class index -> its pair indices, ascending
-                 "rank",             # s -> position of s in mcs.members()
-                 "reps")             # class index -> least y with (y, 1) in it
+                 "coset",   # x -> index of x + K, cosets numbered by least member
+                 "solve",   # s -> row: coset index of x -> class of (x, s)
+                 "reps")    # class index -> least y with (y, 1) in it
 
-    def __init__(self, base, mcs, pairs, class_of_pair, members, rank, reps):
-        self.base, self.mcs, self.pairs = base, mcs, pairs
-        self.class_of_pair, self.members = class_of_pair, members
-        self.rank, self.reps = rank, reps
+    def __init__(self, base, mcs, coset, solve, reps):
+        self.base, self.mcs, self.coset = base, mcs, coset
+        self.solve, self.reps = solve, reps
 
     def class_of(self, x, s):
-        return self.class_of_pair[x * len(self.rank) + self.rank[s]]
+        return self.solve[s][self.coset[x]]
 
     def map_element(self, x):
         """Image of x under the canonical map X -> S^-1 X: the class of (x, 1)."""
@@ -69,59 +66,59 @@ class _PairClasses:
         return frozenset(x for x in self.base.elements()
                          if self.map_element(x) == zero)
 
-    def _labels(self):
-        """x/s for the least pair (x, s) of every class."""
-        ring = self.mcs.ring
-        return tuple(f"{self.base.label(x)}/{ring.label(s)}"
-                     for x, s in (self.pairs[m[0]] for m in self.members))
-
 
 class LocalizedRing(_PairClasses):
-    """S^-1 R: its pair classes, and `ring`, the quotient as a table Ring."""
+    """S^-1 R: its classes, and `ring`, the quotient as a table Ring."""
 
     __slots__ = ("ring",)
 
 
 class LocalizedModule(_PairClasses):
-    """S^-1 M: its pair classes, `locring` (S^-1 R) and `module`, the
+    """S^-1 M: its classes, `locring` (S^-1 R) and `module`, the
     quotient as a Module over `locring.ring`."""
 
     __slots__ = ("locring", "module")
 
 
 def _pair_classes(base, mcs, torsion, what, cls):
-    """Pair classes of S^-1 base, a ring or a module that R acts on, as a
-    `cls`, and the set K = torsion(base, mcs) they were built from.
+    """S^-1 base, for a ring or a module that R acts on, as a `cls`; the set
+    K = torsion(base, mcs) it was built from; and the x/s class labels.
 
     K must be a submodule, and each s in S must permute the cosets of K;
     the class of (x, s) is then the coset y + K with sy + K = x + K, the
-    class of (y, 1).  Classes are numbered by their least pair.
+    class of (y, 1).  Classes are numbered, and labelled x/s, by their
+    least pair (x, s), x first and then s in S's order.
     """
-    pairs = tuple((x, s) for x in base.elements() for s in mcs)
-    if len(pairs) > DEFAULT_CAP * DEFAULT_CAP:
-        raise SizeCapExceeded(f"{what} localization pairs", len(pairs),
+    # never fires under the default cap, where |X| <= 64 and |S| <= 63
+    pair_count = base.size * len(mcs)
+    if pair_count > DEFAULT_CAP * DEFAULT_CAP:
+        raise SizeCapExceeded(f"{what} localization pairs", pair_count,
                               DEFAULT_CAP * DEFAULT_CAP)
     torsion_set = torsion(base, mcs)
-    coset = coset_index_map(base, Submodule(base, torsion_set))
+    index = coset_index_map(base, Submodule(base, torsion_set))
+    coset = tuple(map(index.__getitem__, base.elements()))
     least = {}
-    for y in base.elements():
-        least.setdefault(coset[y], y)
-    solve = {}
+    for y, c in enumerate(coset):
+        least.setdefault(c, y)
+    inverses = []
     for s in mcs:
-        inverse = solve[s] = [None] * len(least)
+        inverse = [None] * len(least)
         for y, sy in enumerate(base._act_rows[s]):
             inverse[coset[sy]] = coset[y]
         if None in inverse:
             raise AxiomViolation("image of S must consist of units", (s,))
-    number = {}
-    class_of_pair = tuple([number.setdefault(solve[s][coset[x]], len(number))
-                           for x, s in pairs])
-    members = [[] for _ in number]
-    for i, c in enumerate(class_of_pair):
-        members[c].append(i)
-    return cls(base, mcs, pairs, class_of_pair, tuple(map(tuple, members)),
-               {s: i for i, s in enumerate(mcs)},
-               tuple(least[c] for c in number)), torsion_set
+        inverses.append(inverse)
+    # the pairs of any x repeat those of the least member of x + K, so the
+    # least pair of every class has x least in its coset
+    number, labels, ring = {}, [], mcs.ring
+    for c, x in least.items():
+        for s, inverse in zip(mcs, inverses):
+            if number.setdefault(inverse[c], len(number)) == len(labels):
+                labels.append(f"{base.label(x)}/{ring.label(s)}")
+    solve = {s: tuple(map(number.__getitem__, inverse))
+             for s, inverse in zip(mcs, inverses)}
+    return (cls(base, mcs, coset, solve, tuple(least[c] for c in number)),
+            torsion_set, tuple(labels))
 
 
 def _tables(left, right):
@@ -158,11 +155,12 @@ def localize_ring(ring, mcs):
 @lru_cache(maxsize=None)
 def localize_ring_with(ring, mcs, torsion):
     """S^-1 R: R localized as a module over itself; a LocalizedRing wrapper."""
-    wrapper, torsion_set = _pair_classes(ring, mcs, torsion, "ring", LocalizedRing)
+    wrapper, torsion_set, labels = _pair_classes(ring, mcs, torsion, "ring",
+                                                 LocalizedRing)
     add_table, mul_table = _tables(wrapper, wrapper)
     wrapper.ring = make_ring_table(
         add_table, mul_table, wrapper.map_element(ring.zero),
-        wrapper.map_element(ring.one), labels=wrapper._labels(),
+        wrapper.map_element(ring.one), labels=labels,
         name=f"({ring.name} loc {mcs.describe()})")
     _check_localized_ring(wrapper)
     _check_kernel(wrapper, torsion, torsion_set, "canonical map kernel mismatch")
@@ -195,13 +193,13 @@ def localize_module_with(module, mcs, torsion):
     """S^-1 M as a module over S^-1 R, with the canonical map data; the
     pair relations of M and R read the set K that `torsion(base, mcs)` gives."""
     locring = localize_ring_with(module.ring, mcs, torsion)
-    wrapper, torsion_set = _pair_classes(module, mcs, torsion, "module",
-                                         LocalizedModule)
+    wrapper, torsion_set, labels = _pair_classes(module, mcs, torsion, "module",
+                                                 LocalizedModule)
     add_table, act_table = _tables(locring, wrapper)
     wrapper.locring = locring
     wrapper.module = make_module(
         locring.ring, add_table, act_table, kind="localization",
-        name=f"({module.name} loc {mcs.describe()})", labels=wrapper._labels(),
+        name=f"({module.name} loc {mcs.describe()})", labels=labels,
     )
     _check_kernel(wrapper, torsion, torsion_set,
                   "canonical module map kernel mismatch")
@@ -210,9 +208,9 @@ def localize_module_with(module, mcs, torsion):
 
 def _localize_set(loc, elements):
     """S^-1 X' = {class(x, s) : x in X', s in S} for a subset X' of the base:
-    the union of the slices class_of_pair[x*|S| : (x+1)*|S|], x in X'."""
-    w, class_of = len(loc.rank), loc.class_of_pair
-    return frozenset().union(*(class_of[x * w:(x + 1) * w] for x in elements))
+    the union of the S rows at the cosets that X' meets."""
+    cosets = {loc.coset[x] for x in elements}
+    return frozenset(row[c] for row in loc.solve.values() for c in cosets)
 
 
 def localize_submodule(locmod, n):

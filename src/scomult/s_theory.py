@@ -93,10 +93,11 @@ def _agree(forms):
 
 @lru_cache(maxsize=None)
 def _scalar_multiples(module, subset):
-    """x*K for every ring element x, as a tuple indexed by x."""
-    return tuple(
-        scalar_times_set(module, x, subset) for x in module.ring.elements()
-    )
+    """x*N for every ring element x, as a tuple indexed by x.  Equal images
+    within the tuple are one frozenset: the cache keeps every tuple."""
+    shared = {}
+    return tuple(shared.setdefault(image, image) for image in (
+        scalar_times_set(module, x, subset) for x in module.ring.elements()))
 
 
 # ---------------------------------------------------------------------------

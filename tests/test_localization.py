@@ -7,7 +7,7 @@ import pytest
 from conftest import all_submodules_are_localizations, reference_localization
 from scomult import localization
 from scomult.catalog import generate_catalog
-from scomult.errors import AxiomViolation
+from scomult.errors import AxiomViolation, SizeCapExceeded
 from scomult.localization import (
     complement_mcs,
     localize_module,
@@ -150,6 +150,17 @@ def test_module_localization_shares_the_ring_localization(z6, m6, s13):
     assert localize_module(m6, s13).locring is localize_ring(z6, s13)
 
 
+def pair_classes(loc):
+    """(pairs, class_of_pair, members) of a localization, read from
+    `class_of(x, s)` over the pairs in x-major, S-ordered order."""
+    pairs = [(x, s) for x in loc.base.elements() for s in loc.mcs]
+    class_of_pair = tuple(loc.class_of(x, s) for x, s in pairs)
+    members = [[] for _ in loc.reps]
+    for i, c in enumerate(class_of_pair):
+        members[c].append(i)
+    return pairs, class_of_pair, tuple(map(tuple, members))
+
+
 def localization_digest(catalog):
     """SHA-256 over every localization of the catalog's (module, m.c.s.) pairs.
 
@@ -162,9 +173,10 @@ def localization_digest(catalog):
         loc = localize_module(module, mcs)
         ring, lmod = loc.locring.ring, loc.module
         rels, mels = ring.elements(), lmod.elements()
+        pairs, class_of_pair, _ = pair_classes(loc)
         least = {}
-        for i, c in enumerate(loc.class_of_pair):
-            least.setdefault(c, loc.pairs[i])
+        for i, c in enumerate(class_of_pair):
+            least.setdefault(c, pairs[i])
         labels = [f"{module.label(x)}/{module.ring.label(s)}"
                   for x, s in (least[c] for c in mels)]
         assert [lmod.label(m) for m in mels] == labels
@@ -203,7 +215,7 @@ def test_default_catalog_localizations_are_pinned():
 def built_localization(loc, structure):
     """(class_of_pair, members, labels, add table, action table) as built."""
     carrier = structure.elements()
-    return (loc.class_of_pair, loc.members,
+    return (*pair_classes(loc)[1:],
             tuple(structure.label(m) for m in carrier),
             tuple(tuple(structure.add(a, b) for b in carrier) for a in carrier),
             tuple(tuple(structure.act_row(r)) for r in structure.ring.elements()))
@@ -224,6 +236,57 @@ def test_localizations_match_the_reference_construction():
         loc = localize_ring(ring, mcs)
         assert built_localization(loc, loc.ring) == reference_localization(
             ring, mcs), (ring.name, mcs.describe())
+
+
+def every_localization(catalog):
+    """(localization, built structure) for each module localization of the
+    catalog, then for each ring localization."""
+    for module, mcs in catalog.module_mcs_pairs(include_zero=True):
+        loc = localize_module(module, mcs)
+        yield loc, loc.module
+    for ring in catalog.rings:
+        for mcs in catalog.mcs[ring]:
+            loc = localize_ring(ring, mcs)
+            yield loc, loc.ring
+
+
+@pytest.mark.parametrize("params, counts", [
+    (mutation_catalog_params(), (95, 25)),
+    (None, (401, 103)),
+])
+def test_localizations_keep_one_coset_per_element_and_one_row_per_s(params, counts):
+    """Each localization stores |X| coset indices and, for each s in S, a
+    row with one entry per class of the built ring or module."""
+    shapes = []
+    for loc, built in every_localization(generate_catalog(params)):
+        shapes.append(type(loc).__name__)
+        assert len(loc.coset) == loc.base.size
+        assert list(loc.solve) == list(loc.mcs)
+        assert all(len(row) == built.size for row in loc.solve.values())
+        assert len(loc.reps) == built.size
+    assert (shapes.count("LocalizedModule"), shapes.count("LocalizedRing")) == counts
+
+
+@pytest.mark.parametrize("what", ["ring", "module"])
+def test_pair_cap_guard_names_the_pair_count(monkeypatch, z6, m6, s13, what):
+    """Z6 with S = {1, 3} has 12 pairs, over a cap of 3 * 3; at the real cap
+    of 64 * 64 the guard cannot fire, as |X| <= 64 and |S| <= 63."""
+    base, cls = ((z6, localization.LocalizedRing) if what == "ring"
+                 else (m6, localization.LocalizedModule))
+    monkeypatch.setattr(localization, "DEFAULT_CAP", 3)
+    with pytest.raises(SizeCapExceeded) as info:
+        localization._pair_classes(base, s13, s_torsion, what, cls)
+    assert (info.value.what, info.value.size, info.value.cap) == (
+        f"{what} localization pairs", 12, 9)
+
+
+def test_pair_cap_guard_admits_exactly_the_cap(monkeypatch):
+    """Z8 with S = {1, 7} has 16 pairs, which a cap of 4 * 4 still admits."""
+    z8 = make_ring_zn([8])
+    monkeypatch.setattr(localization, "DEFAULT_CAP", 4)
+    loc, _, labels = localization._pair_classes(
+        z8, validate_mcs(z8, {1, 7}), s_torsion, "ring", localization.LocalizedRing)
+    assert len(labels) == len(loc.reps) == 8
 
 
 def test_localized_modules_keep_their_own_name_and_ring():
@@ -392,7 +455,7 @@ def test_an_injected_kernel_must_be_a_submodule(m6, s1):
 
 
 def test_localized_sets_match_the_pair_by_pair_classes():
-    """S^-1 X' read as slices of the pair-class table equals the class of
+    """S^-1 X' read as the S rows at the cosets X' meets equals the class of
     every (x, s), on every submodule, ideal and singleton of the reduced
     catalog.  Over a finite ring each s in S has an inverse s^k/1, so on a
     submodule the classes (x, 1) alone already give S^-1 X'; the

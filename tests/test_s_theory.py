@@ -5,11 +5,13 @@ import hashlib
 import pytest
 
 from conftest import s_multiplication_general_form
+from scomult import s_theory
 from scomult.catalog import generate_catalog
 from scomult.errors import DisjointnessFailure, PreconditionUnmet
 from scomult.modules import (
     enumerate_submodules,
     full_submodule,
+    scalar_times_set,
     self_module,
     submodule_from_set,
     zn_over_zk,
@@ -359,3 +361,20 @@ REDUCED_MODULE_SEARCH_DIGEST = (
 def test_module_search_outcomes_are_pinned():
     catalog = generate_catalog(mutation_catalog_params())
     assert module_search_digest(catalog) == REDUCED_MODULE_SEARCH_DIGEST
+
+
+def test_scalar_multiples_share_equal_images():
+    """Every x*N of a reduced-catalog submodule N, as the unshared images,
+    with one frozenset object per distinct image in each tuple."""
+    catalog = generate_catalog(mutation_catalog_params())
+    tuples = images = distinct = 0
+    for module in (m for pool in catalog.modules.values() for m in pool):
+        for n in enumerate_submodules(module):
+            multiples = s_theory._scalar_multiples(module, n.elements)
+            assert multiples == tuple(scalar_times_set(module, x, n.elements)
+                                      for x in module.ring.elements())
+            assert len(set(map(id, multiples))) == len(set(multiples))
+            tuples += 1
+            images += len(multiples)
+            distinct += len(set(multiples))
+    assert (tuples, images, distinct) == (109, 466, 205)
