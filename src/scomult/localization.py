@@ -33,7 +33,7 @@ from .modules import (
     make_module,
     zero_colon_set,
 )
-from .rings import DEFAULT_CAP, make_ring_table, units, validate_mcs
+from .rings import DEFAULT_CAP, _shared, make_ring_table, units, validate_mcs
 
 
 def s_torsion(base, mcs):
@@ -96,7 +96,7 @@ def _pair_classes(base, mcs, torsion, what, cls):
                               DEFAULT_CAP * DEFAULT_CAP)
     torsion_set = torsion(base, mcs)
     index = coset_index_map(base, Submodule(base, torsion_set))
-    coset = tuple(map(index.__getitem__, base.elements()))
+    coset = _shared(tuple(map(index.__getitem__, base.elements())))
     least = {}
     for y, c in enumerate(coset):
         least.setdefault(c, y)
@@ -115,7 +115,7 @@ def _pair_classes(base, mcs, torsion, what, cls):
         for s, inverse in zip(mcs, inverses):
             if number.setdefault(inverse[c], len(number)) == len(labels):
                 labels.append(f"{base.label(x)}/{ring.label(s)}")
-    solve = {s: tuple(map(number.__getitem__, inverse))
+    solve = {s: _shared(tuple(map(number.__getitem__, inverse)))
              for s, inverse in zip(mcs, inverses)}
     return (cls(base, mcs, coset, solve, tuple(least[c] for c in number)),
             torsion_set, tuple(labels))

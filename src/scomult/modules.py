@@ -35,6 +35,7 @@ from .rings import (
     _colon,
     _enumerate_closed,
     _product_tables,
+    _shared,
     _span,
     _sum,
     _Table,
@@ -76,13 +77,13 @@ def _intern(ring, add_rows, act_rows):
     """The first (add rows, action rows) pair seen with these tables over ring.
 
     Tables are checked on their first sight only: a hit means equal tables
-    over an equal ring already passed.
+    over an equal ring already passed.  Once checked, their rows are shared.
     """
-    key = (ring, add_rows, act_rows)
-    seen = _MODULE_CACHE.get(key)
+    seen = _MODULE_CACHE.get((ring, add_rows, act_rows))
     if seen is None:
         _check_tables(add_rows, act_rows, 0, ring.one, ring)
-        seen = _MODULE_CACHE[key] = key
+        seen = (ring, tuple(map(_shared, add_rows)), tuple(map(_shared, act_rows)))
+        _MODULE_CACHE[seen] = seen
     return seen[1:]
 
 
@@ -182,7 +183,7 @@ def product_module(m1, m2, ring=None):
 
 
 def full_submodule(module):
-    return Submodule(module, frozenset(module.elements()))
+    return Submodule(module, module.carrier)
 
 
 @lru_cache(maxsize=None)
@@ -204,11 +205,11 @@ def colon_set_into_ring(module, n_set, k_set):
 
 
 def colon_set_into_module(module, n_set, i_set):
-    """(N :_M I) = {m : Im <= N} as a raw element set."""
+    """(N :_M I) = {m : Im <= N} as a raw element set, shared."""
     rows = [module.act_row(a) for a in i_set]
-    return frozenset(
+    return _shared(frozenset(
         m for m in module.elements() if all(row[m] in n_set for row in rows)
-    )
+    ))
 
 
 @lru_cache(maxsize=None)

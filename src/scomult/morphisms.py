@@ -40,7 +40,7 @@ from .modules import (
     submodule_as_module,
     zero_divisors_on,
 )
-from .rings import units
+from .rings import _shared, units
 from .witnesses import Witness, revalidator
 
 
@@ -82,20 +82,20 @@ class ModuleHom:
     def s_zero_scalars(self):
         """ann(Im f): the s with s*f(m) = 0 for every m."""
         if self._s_zero is None:
-            self._s_zero = annihilator_set(self._target, _image_set(self))
+            self._s_zero = annihilator_set(self._target, _shared(_image_set(self)))
         return self._s_zero
 
     def s_monic_scalars(self):
         """ann(Ker f): the s with sm = 0 whenever f(m) = 0."""
         if self._s_monic is None:
-            self._s_monic = annihilator_set(self._source, _kernel_set(self))
+            self._s_monic = annihilator_set(self._source, _shared(_kernel_set(self)))
         return self._s_monic
 
     def s_epic_scalars(self):
         """(Im f :_R M'): the s with sM' inside Im f."""
         if self._s_epic is None:
             self._s_epic = colon_set_into_ring(
-                self._target, _image_set(self), frozenset(self._target.elements()))
+                self._target, _shared(_image_set(self)), self._target.carrier)
         return self._s_epic
 
 

@@ -35,6 +35,18 @@ from .witnesses import Witness, revalidator
 
 DEFAULT_CAP = 64
 
+# Hash-consing pool: one object per distinct stored value, shared by value
+# across catalogs.  It holds frozensets of element indices and tuples of
+# ints or of int tuples, never a ring, module or submodule.  Table rows
+# enter only after `_check_tables` passed on their tables, and a ring's
+# (add, mul, zero, one) is in it exactly when its tables passed.
+_POOL = {}
+
+
+def _shared(value):
+    """The first-seen object equal to `value`, which it becomes if new."""
+    return _POOL.setdefault(value, value)
+
 
 def _check_size(what, size):
     if size > DEFAULT_CAP:
@@ -46,20 +58,23 @@ class _Table:
 
     Row r of the action rows maps x to r*x.  A Ring is R acting on itself,
     so its action rows are its multiplication rows; a Module's are its
-    scalar action.  Equality and hashing go through the per-class `_key()`.
+    scalar action.  `carrier` is the element set, shared, so the full
+    submodule and every set built from the carrier hold one object.
+    Equality and hashing go through the per-class `_key()`.
     """
 
-    __slots__ = ("size", "zero", "name", "_labels", "_add_rows", "_act_rows",
-                 "_neg", "_hash")
+    __slots__ = ("size", "zero", "name", "carrier", "_labels", "_add_rows",
+                 "_act_rows", "_neg", "_hash")
 
     def __init__(self, add_rows, act_rows, zero, name, labels):
         self.size = len(add_rows)
         self.zero = zero
         self.name = name
+        self.carrier = _shared(frozenset(range(self.size)))
         self._labels = labels
         self._add_rows = add_rows
         self._act_rows = act_rows
-        self._neg = tuple(row.index(zero) for row in add_rows)
+        self._neg = _shared(tuple(row.index(zero) for row in add_rows))
         self._hash = None
 
     def elements(self):
@@ -190,12 +205,18 @@ def make_ring_zn(moduli):
 
 
 def make_ring_table(add_rows, mul_rows, zero, one, labels=None, name=None):
-    """Ring from explicit Cayley tables; all ring axioms checked exhaustively."""
+    """Ring from explicit Cayley tables; all ring axioms checked exhaustively
+    the first time equal tables are seen, whose rows are then shared."""
     add_rows = tuple(tuple(row) for row in add_rows)
     mul_rows = tuple(tuple(row) for row in mul_rows)
     order = len(add_rows)
     _check_size("ring", order)
-    _check_tables(add_rows, mul_rows, zero, one)
+    seen = _POOL.get((add_rows, mul_rows, zero, one))
+    if seen is None:
+        _check_tables(add_rows, mul_rows, zero, one)
+        seen = _shared((tuple(map(_shared, add_rows)), tuple(map(_shared, mul_rows)),
+                        zero, one))
+    add_rows, mul_rows = seen[:2]
     return Ring(
         add_rows, mul_rows, zero, one, name or f"table({order})",
         labels=tuple(labels) if labels is not None else None,
@@ -420,7 +441,7 @@ def _span(base, elements, scalars=None):
     already inside the running sum is skipped.
     """
     rows = base._act_rows if scalars is None else [base._act_rows[a] for a in scalars]
-    acc = frozenset((base.zero,))
+    acc = _shared(frozenset((base.zero,)))
     for piece in (frozenset(row[x] for row in rows) for x in elements):
         if not piece <= acc:
             acc = _sum(base, (acc, piece))
@@ -433,7 +454,7 @@ def _enumerate_closed(base, what):
     subset found is grown by each distinct Rx that it does not contain."""
     _check_size(what, base.size)
     cyclic = dict.fromkeys(map(frozenset, zip(*base._act_rows)))
-    found = [frozenset((base.zero,))]
+    found = [_shared(frozenset((base.zero,)))]
     known = set(found)
     for current in found:               # grows while it is walked
         for piece in cyclic:
@@ -447,20 +468,20 @@ def _enumerate_closed(base, what):
 
 
 def _colon(base, target, subset):
-    """{r : r*k lies in target for every k in subset}."""
-    return frozenset(
+    """{r : r*k lies in target for every k in subset}, shared."""
+    return _shared(frozenset(
         r for r, row in enumerate(base._act_rows)
         if all(row[k] in target for k in subset)
-    )
+    ))
 
 
 def _sum(base, sets):
-    """S1 + ... + Sk elementwise."""
+    """S1 + ... + Sk elementwise, shared."""
     add = base._add_rows
     acc = frozenset((base.zero,))
     for s in sets:
         acc = frozenset(add[a][b] for a in acc for b in s)
-    return acc
+    return _shared(acc)
 
 
 def _check_in_range(base, elements):

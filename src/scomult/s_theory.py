@@ -43,14 +43,10 @@ from .morphisms import (
     is_s_monic_with,
     is_s_zero_with,
 )
-from .rings import _span, enumerate_ideals
+from .rings import _shared, _span, enumerate_ideals
 from .witnesses import Witness, revalidator
 
 _ZERO = frozenset((0,))
-
-
-def _full_set(module):
-    return frozenset(module.elements())
 
 
 def _as_submodule(module, x):
@@ -94,10 +90,9 @@ def _agree(forms):
 @lru_cache(maxsize=None)
 def _scalar_multiples(module, subset):
     """x*N for every ring element x, as a tuple indexed by x.  Equal images
-    within the tuple are one frozenset: the cache keeps every tuple."""
-    shared = {}
-    return tuple(shared.setdefault(image, image) for image in (
-        scalar_times_set(module, x, subset) for x in module.ring.elements()))
+    are one shared frozenset: the cache keeps every tuple."""
+    return tuple(_shared(scalar_times_set(module, x, subset))
+                 for x in module.ring.elements())
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +127,7 @@ def _characterize(forms, module, x, mcs, direct, *derived):
 def _s_prime_subject(module, p, mcs):
     """P's element set and (P:M), once (P:M) is known to miss S, else raise."""
     p_set = p.elements if isinstance(p, Submodule) else frozenset(p)
-    colon = colon_set_into_ring(module, p_set, _full_set(module))
+    colon = colon_set_into_ring(module, p_set, module.carrier)
     _require_disjoint("(P:M) and S", colon, mcs)
     return p_set, colon
 
@@ -167,7 +162,7 @@ def _outside(module, t, p):
 
 @revalidator("s-prime-submodule")
 def _check_s_prime(module, p, mcs, s):
-    colon = colon_set_into_ring(module, p, _full_set(module))
+    colon = colon_set_into_ring(module, p, module.carrier)
     if not colon.isdisjoint(mcs.elements):
         return False
     # am in P must give sa in (P:M) or sm in P: each a with sa outside
@@ -187,7 +182,7 @@ def is_prime_submodule_set(module, subset):
     """Classical prime: proper, and am in P forces m in P or a in (P:M)."""
     if len(subset) == module.size:
         return False
-    colon = colon_set_into_ring(module, subset, _full_set(module))
+    colon = colon_set_into_ring(module, subset, module.carrier)
     outside = [m for m in module.elements() if m not in subset]
     return all(subset.isdisjoint(map(module.act_row(a).__getitem__, outside))
                for a in module.ring.elements() if a not in colon)
@@ -235,10 +230,10 @@ def s_prime_characterizations(module, p, mcs, direct_fn=None):
 
 @revalidator("s-prime-colon")
 def _check_s_prime_colon(module, p, mcs, s):
-    if not colon_set_into_ring(module, p, _full_set(module)).isdisjoint(mcs.elements):
+    if not colon_set_into_ring(module, p, module.carrier).isdisjoint(mcs.elements):
         return False
     outside = _outside(module, s, p)
-    target = _full_set(module).difference(outside)      # (P :_M s)
+    target = module.carrier.difference(outside)         # (P :_M s)
     if not is_prime_submodule_set(module, target):
         return False
     # (P :_M t) <= (P :_M s): t sends every m outside (P :_M s) outside P.
@@ -248,7 +243,7 @@ def _check_s_prime_colon(module, p, mcs, s):
 
 @revalidator("s-prime-homothety")
 def _check_s_prime_homothety(module, p, mcs, s):
-    if colon_set_into_ring(module, p, _full_set(module)) & mcs.elements:
+    if colon_set_into_ring(module, p, module.carrier) & mcs.elements:
         return False
     family = homothety_family(module, p)
     return all(is_s_zero_with(h, s) or is_s_monic_with(h, s) for h in family)
@@ -491,7 +486,7 @@ def is_comultiplication(module):
 
 def is_multiplication(module):
     """Every N equals (N : M)M."""
-    full = _full_set(module)
+    full = module.carrier
     for n in enumerate_submodules(module):
         colon = colon_set_into_ring(module, n.elements, full)
         if ideal_times_module_set(module, colon, full) != n.elements:
@@ -501,7 +496,7 @@ def is_multiplication(module):
 
 def is_s_multiplication(module, mcs):
     """For every N a single s with sN <= (N:M)M, using the largest ideal."""
-    full = _full_set(module)
+    full = module.carrier
 
     def find(n):
         colon = colon_set_into_ring(module, n.elements, full)
@@ -517,7 +512,7 @@ def is_s_multiplication(module, mcs):
 
 @revalidator("s-multiplication")
 def _check_s_mult(module, n, mcs, s):
-    full = _full_set(module)
+    full = module.carrier
     colon = colon_set_into_ring(module, n, full)
     im = ideal_times_module_set(module, colon, full)
     return scalar_times_set(module, s, n) <= im <= n
@@ -525,7 +520,7 @@ def _check_s_mult(module, n, mcs, s):
 
 def is_s_cyclic(module, mcs):
     """First (s, m) with sM <= Rm."""
-    full_images = {s: scalar_times_set(module, s, _full_set(module)) for s in mcs}
+    full_images = {s: scalar_times_set(module, s, module.carrier) for s in mcs}
     for s in mcs:
         s_image = full_images[s]
         for m in module.elements():
@@ -537,7 +532,7 @@ def is_s_cyclic(module, mcs):
 
 @revalidator("s-cyclic")
 def _check_s_cyclic(module, mcs, s, element):
-    return scalar_times_set(module, s, _full_set(module)) <= cyclic_set(module, element)
+    return scalar_times_set(module, s, module.carrier) <= cyclic_set(module, element)
 
 
 def is_cyclic(module):
@@ -617,7 +612,7 @@ def is_prime_module(module):
     """Every nonzero submodule has the same annihilator as the module."""
     if module.is_zero_module:
         return False
-    ann_m = annihilator_set(module, _full_set(module))
+    ann_m = annihilator_set(module, module.carrier)
     return all(
         annihilator_set(module, n.elements) == ann_m
         for n in enumerate_submodules(module) if not n.is_zero()

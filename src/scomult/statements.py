@@ -434,7 +434,7 @@ def _check_t_com(cat, tb, ctx):
 def _check_p_pf(cat, tb, ctx):
     for module, mcs, _, vanishing in _with_module_table(
             _s_comult_pairs(cat), _vanishing_colon_ideals):
-        full = frozenset(module.elements())
+        full = module.carrier
         ring = module.ring
         for ideal, members, im in vanishing:
             ctx.instance(module=module, mcs=mcs, ideal=ideal)
@@ -455,7 +455,7 @@ def _check_p_pf(cat, tb, ctx):
 
 def _vanishing_colon_ideals(module):
     """(I, sorted I, IM) for every ideal I with (0:_M I) = 0, in ideal order."""
-    full = frozenset(module.elements())
+    full = module.carrier
     return [(ideal, sorted(ideal.elements),
              ideal_times_module_set(module, ideal.elements, full))
             for ideal in enumerate_ideals(module.ring)
@@ -628,7 +628,7 @@ def _check_t_cy2(cat, tb, ctx):
         for module in cat.modules[ring]:
             if module.is_zero_module:
                 continue
-            full = frozenset(module.elements())
+            full = module.carrier
             for mcs in cat.mcs[ring]:
                 if not st.is_s_comultiplication(module, mcs).holds:
                     continue

@@ -142,9 +142,10 @@ def module_level_caches():
     return found
 
 
-# Every cache that outlives a call: the 21 lru_cache sites and the module
-# table.  All are unbounded.  A change that adds, removes or bounds a cache
-# edits this set and says why.
+# Every cache that outlives a call: the 21 lru_cache sites, the module
+# table and the pool of shared values.  All are unbounded; the pool holds
+# one entry per distinct value.  A change that adds, removes or bounds a
+# cache edits this set and says why.
 MODULE_LEVEL_CACHES = {
     "localization.localize_module",
     "localization.localize_ring_with",
@@ -159,6 +160,7 @@ MODULE_LEVEL_CACHES = {
     "modules.zero_divisors_on",
     "morphisms.homothety_family",
     "morphisms.homothety_on_family",
+    "rings._POOL",
     "rings.enumerate_ideals",
     "rings.jacobson_radical",
     "rings.maximal_ideals",
@@ -175,7 +177,7 @@ IMPORT_TIME_REGISTRIES = {"witnesses.REVALIDATORS"}
 
 
 def test_module_level_caches_are_pinned():
-    assert len(MODULE_LEVEL_CACHES) == 22
+    assert len(MODULE_LEVEL_CACHES) == 23
     assert module_level_caches() == MODULE_LEVEL_CACHES | IMPORT_TIME_REGISTRIES
 
 
@@ -235,3 +237,53 @@ def test_the_tracer_rebinds_every_mutant_toolbox():
         "lemma_pair_direction_flip", "localization_drop_ufactor",
         "s_prime_quantifier_swap", "s_second_drop_disjointness",
         "tm3_drop_uniform_clause")]
+
+
+def test_the_pool_shares_plain_values_only():
+    """After `verify_all` on the reduced catalog, the pool of shared values
+    holds only frozensets of ints and tuples built from ints, never a ring,
+    module, submodule or hom, so no catalog's objects reach another through
+    it; and equal stored sets and localization rows are one object."""
+    out = run_fresh("""
+        import scomult
+        from scomult import localization, modules, rings, s_theory
+        from scomult.mutations import mutation_catalog_params
+        from scomult.statements import verify_all
+
+        catalog = scomult.generate_catalog(mutation_catalog_params())
+        verify_all(catalog)
+
+        def plain(value):
+            if type(value) is frozenset:
+                return all(type(x) is int for x in value)
+            if type(value) is tuple:
+                return all(type(x) is int or plain(x) for x in value)
+            return False
+
+        assert all(plain(v) and v is rings._POOL[v] for v in rings._POOL)
+        found, stored = {}, []
+        for ring in catalog.rings:
+            ideals = rings.enumerate_ideals(ring)
+            stored.extend(i.elements for i in ideals)
+            for module in catalog.modules[ring]:
+                subs = [n.elements for n in modules.enumerate_submodules(module)]
+                stored.extend(subs + [module.carrier])
+                stored.extend(modules.colon_set_into_ring(module, n, k)
+                              for n in subs for k in subs)
+                stored.extend(modules.zero_colon_set(module, i.elements)
+                              for i in ideals)
+                for n in subs:
+                    stored.extend(s_theory._scalar_multiples(module, n))
+                for mcs in catalog.mcs[ring]:
+                    loc = localization.localize_module(module, mcs)
+                    for part in (loc, loc.locring):
+                        stored.append(part.coset)
+                        stored.extend(part.solve.values())
+                    for table in (loc.module, loc.locring.ring):
+                        stored.extend(table._add_rows + table._act_rows)
+                        stored.append(table._neg)
+        assert all(found.setdefault(v, v) is v for v in stored)
+        print(len(stored), len(found), len(rings._POOL))
+    """)
+    stored, distinct, pooled = map(int, out.split())
+    assert stored > 4 * distinct and pooled >= distinct

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from scomult import rings
 from scomult.catalog import generate_catalog
 from scomult.errors import (
     AxiomViolation,
@@ -72,6 +73,29 @@ def test_table_ring_validation():
     bad_mul[2][2] = 2          # breaks associativity/commutativity structure
     with pytest.raises(AxiomViolation):
         make_ring_table(F4_ADD, bad_mul, 0, 1)
+
+
+def test_equal_ring_tables_are_checked_once(monkeypatch):
+    """Pooled ring tables skip the axiom check and share their rows, while
+    each ring keeps its own name; invalid tables raise every time."""
+    calls = []
+    check = rings._check_tables
+    monkeypatch.setattr(rings, "_POOL", {})
+    monkeypatch.setattr(rings, "_check_tables",
+                        lambda *args: calls.append(args) or check(*args))
+    first = make_ring_table(F4_ADD, F4_MUL, 0, 1, name="F4")
+    second = make_ring_table([row[:] for row in F4_ADD], F4_MUL, 0, 1, name="GF4")
+    assert len(calls) == 1
+    assert first == second and second.name == "GF4"
+    assert second._add_rows is first._add_rows and second._act_rows is first._act_rows
+    make_ring_table(Z2_ADD, Z2_MUL, 0, 1)
+    assert len(calls) == 2
+    bad_mul = [row[:] for row in F4_MUL]
+    bad_mul[2][2] = 2
+    for _ in range(2):
+        with pytest.raises(AxiomViolation):
+            make_ring_table(F4_ADD, bad_mul, 0, 1)
+    assert len(calls) == 4
 
 
 def test_zero_ring_rejected():
