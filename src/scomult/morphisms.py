@@ -12,9 +12,12 @@ from the library's keyed lattice caches, so homs with the same image or
 kernel share one set.  The S-variant searches return the first element of
 the m.c.s., in canonical order, that lies in the hom's set.  The `*_with`
 helpers are the definitional checks, each reading s's action row once, and
-witness revalidation uses them, never the hom's sets.  The direct side of
-the S-monic cross-check is also element-wise: it scans the kernel, listed
-once per hom, for each s in turn.  The monic/epic bridge computes what
+witness revalidation uses them, never the hom's scalar sets.  They read the
+hom's own kernel tuple (the m with f(m) = 0) and image set, which the first
+check to need one fills from `values`; no search reads those two, and the
+searches derive their kernel and image separately.  The direct side of the
+S-monic cross-check is also element-wise: it scans the kernel, listed once
+per hom, for each s in turn.  The monic/epic bridge computes what
 depends on the hom alone (image, kernel list, the scalar sets, z(M) and the
 units) once and reuses it for every m.c.s.  That core reads only the hom's
 signature (source, target, kernel and image).  `monic_epic_bridge` builds
@@ -26,7 +29,7 @@ per (hom, m.c.s.) instance, only the witnesses, which bind that hom.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, product as iproduct
+from itertools import compress, count, product as iproduct
 from operator import attrgetter, itemgetter, not_
 from typing import NamedTuple
 
@@ -47,14 +50,16 @@ from .witnesses import Witness, revalidator
 class ModuleHom:
     """An R-linear map between modules over the same ring: a slotted record
     whose `source`, `target` and `values` are read-only and make its
-    identity; the three scalar sets are filled on first use."""
+    identity; the three scalar sets, and the kernel tuple and image set that
+    revalidation reads, are filled on first use."""
 
     __slots__ = ("_source", "_target", "_values", "_s_zero", "_s_monic",
-                 "_s_epic")
+                 "_s_epic", "_kernel", "_image")
 
     def __init__(self, source, target, values):
         self._source, self._target, self._values = source, target, values
         self._s_zero = self._s_monic = self._s_epic = None
+        self._kernel = self._image = None
 
     source = property(attrgetter("_source"))
     target = property(attrgetter("_target"))
@@ -187,18 +192,38 @@ def is_epic(f):
 # ---------------------------------------------------------------------------
 # S-variants
 
+def _revalidation_kernel(f):
+    """The m with f(m) = 0, in order: filled from `values` on first use and
+    read by the `*_with` checks only, never by a search."""
+    kernel = f._kernel
+    if kernel is None:
+        kernel = f._kernel = _shared(tuple(compress(count(), map(not_, f._values))))
+    return kernel
+
+
+def _revalidation_image(f):
+    """frozenset(values): filled on first use and read by the `*_with`
+    checks only, never by a search."""
+    image = f._image
+    if image is None:
+        image = f._image = _shared(frozenset(f._values))
+    return image
+
+
 def is_s_zero_with(f, s):
-    """s*f(m) = 0 for each m, read from s's action row on the target."""
-    return not any(map(f.target.act_row(s).__getitem__, f.values))
+    """s*f(m) = 0 for each m, read from s's action row on the target: each
+    distinct value f(m) once."""
+    return not any(map(f.target.act_row(s).__getitem__, _revalidation_image(f)))
 
 
 def is_s_monic_with(f, s):
     """s*m = 0 for each m of the kernel, checked one kernel element at a time."""
-    return not any(compress(f.source.act_row(s), map(not_, f.values)))
+    return not any(map(f.source.act_row(s).__getitem__, _revalidation_kernel(f)))
 
 
 def is_s_epic_with(f, s):
-    return frozenset(f.values).issuperset(f.target.act_row(s))
+    """s*M' inside Im f: every entry of s's action row on the target is a value."""
+    return _revalidation_image(f).issuperset(f.target.act_row(s))
 
 
 def _first_in(scalars, mcs):

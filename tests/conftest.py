@@ -13,8 +13,10 @@ equivalence axioms, and each table cell built as a set of the classes its
 representative pairs give.  `REFERENCE_REVALIDATORS` holds, by claim, the
 element-by-element form of each revalidator that the library computes from
 action rows, one `act`, `mul` or `scalar_times_set` call per element;
-`reference_is_prime_submodule_set` and `reference_s_zero_with` are the same
-for `s_theory.is_prime_submodule_set` and `morphisms.is_s_zero_with`.
+`reference_is_prime_submodule_set` is the same for
+`s_theory.is_prime_submodule_set`, and `reference_s_zero_with`,
+`reference_s_monic_with` and `reference_s_epic_with` for the three `*_with`
+checks of `morphisms`, which the hom claims' revalidators are.
 `reference_span` is the closed-subset core's span as a frontier closure:
 every r*x first, then every sum of a new element with every element so
 far, until nothing new appears; it keeps no cyclic piece and no sum.
@@ -407,7 +409,29 @@ def reference_s_zero_with(f, s):
     return all(row[v] == 0 for v in f.values)
 
 
+def reference_s_monic_with(f, s):
+    """s*m = 0 for every m with f(m) = 0, one `act` call per kernel element."""
+    return all(f.source.act(s, m) == 0
+               for m in f.source.elements() if f(m) == 0)
+
+
+def reference_s_epic_with(f, s):
+    """s*y = f(m) for some m, for every y of the target, searched one pair
+    at a time."""
+    return all(any(f.target.act(s, y) == f(m) for m in f.source.elements())
+               for y in f.target.elements())
+
+
+def _hom_revalidator(check):
+    """A hom's `*_with` check with a hom witness's parameters; like the
+    library's revalidators, it leaves s in S to `Witness.validate`."""
+    return lambda hom, mcs, s: check(hom, s)
+
+
 REFERENCE_REVALIDATORS = {
+    "s-zero": _hom_revalidator(reference_s_zero_with),
+    "s-monic": _hom_revalidator(reference_s_monic_with),
+    "s-epic": _hom_revalidator(reference_s_epic_with),
     "s-prime-submodule": reference_s_prime,
     "s-prime-colon": reference_s_prime_colon,
     "s-second": reference_s_second,

@@ -49,7 +49,7 @@ from scomult.morphisms import (
     projection_hom,
 )
 from scomult.mutations import mutation_catalog_params
-from scomult.rings import make_ring_zn, unit_mcs, units, validate_mcs
+from scomult.rings import _POOL, make_ring_zn, unit_mcs, units, validate_mcs
 from scomult.s_theory import (
     s_prime_homothety_form,
     s_second_homothety_form,
@@ -371,8 +371,18 @@ def test_revalidation_catches_a_tampered_s_epic_set(monkeypatch):
         "witness failed revalidation: s-epic(hom=Z2->Z2, mcs={1}, s=1)")
 
 
+HOM_SLOTS = ("_source", "_target", "_values", "_s_zero", "_s_monic",
+             "_s_epic", "_kernel", "_image")
+
+
+def kernel_and_image(f):
+    """The kernel tuple and image set as defined from the values."""
+    return (tuple(m for m, v in enumerate(f.values) if v == 0),
+            frozenset(f.values))
+
+
 def test_module_hom_is_slotted_and_its_sets_are_not_identity(m6):
-    assert "__slots__" in vars(ModuleHom)
+    assert vars(ModuleHom)["__slots__"] == HOM_SLOTS
     f = multiplication_hom(m6, 2)
     assert not hasattr(f, "__dict__")
     fresh = ModuleHom(f.source, f.target, f.values)
@@ -380,17 +390,37 @@ def test_module_hom_is_slotted_and_its_sets_are_not_identity(m6):
     assert filled == (frozenset({0, 3}), frozenset({0, 2, 4}), frozenset({0, 2, 4}))
     assert (f._s_zero, f._s_monic, f._s_epic) == filled
     assert (fresh._s_zero, fresh._s_monic, fresh._s_epic) == (None, None, None)
+    assert (f._kernel, f._image) == (None, None)   # the scalar sets fill neither
     assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
     assert fresh.s_zero_scalars() is f.s_zero_scalars()    # shared, not copied
+    for check, filled, verdict in ((is_s_zero_with, "_image", True),
+                                   (is_s_monic_with, "_kernel", False),
+                                   (is_s_epic_with, "_image", False)):
+        fresh = ModuleHom(f.source, f.target, f.values)
+        assert (fresh._kernel, fresh._image) == (None, None)
+        assert check(fresh, 3) is verdict and check(fresh, 3) is verdict
+        assert [name for name in ("_kernel", "_image")
+                if getattr(fresh, name) is not None] == [filled]
+        assert check(f, 3) is verdict
+    assert (f._kernel, f._image) == kernel_and_image(f) == ((0, 3), frozenset({0, 2, 4}))
+    assert f._kernel is _POOL[f._kernel] and f._image is _POOL[f._image]
+    assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
 
 
 def test_a_rebuilt_hom_keeps_equality_hash_repr_and_slots(reduced_catalog):
     """Identity is (source, target, values), hashed as that tuple, and the
-    repr names those three fields only, filled scalar sets or not."""
+    repr names those three fields only, filled scalar sets or not.  A rebuilt
+    hom starts with no kernel tuple or image set; a `*_with` check fills
+    both from its values, as objects of the pool."""
     homs = catalog_homs(reduced_catalog)
     for f in homs:
         f.s_zero_scalars()
         fresh = ModuleHom(f.source, f.target, f.values)
+        assert (fresh._kernel, fresh._image) == (None, None)
+        is_s_monic_with(f, 0)
+        is_s_epic_with(f, 0)
+        assert (f._kernel, f._image) == kernel_and_image(f)
+        assert f._kernel is _POOL[f._kernel] and f._image is _POOL[f._image]
         key = (f.source, f.target, f.values)
         assert fresh == f and not fresh != f and hash(fresh) == hash(key)
         assert repr(fresh) == repr(f) == (
@@ -399,7 +429,9 @@ def test_a_rebuilt_hom_keeps_equality_hash_repr_and_slots(reduced_catalog):
         assert fresh != key and key != fresh
         assert not hasattr(fresh, "__dict__")
         assert fresh._s_zero is None and f._s_zero is not None
+        assert (fresh._kernel, fresh._image) == (None, None)
     assert len(set(homs)) == len(homs)
+    assert ModuleHom.__slots__ == HOM_SLOTS
     f = homs[0]
     for name in ("source", "target", "values"):
         with pytest.raises(AttributeError):

@@ -12,19 +12,28 @@ import pytest
 from conftest import (
     REFERENCE_REVALIDATORS,
     reference_is_prime_submodule_set,
+    reference_s_epic_with,
+    reference_s_monic_with,
     reference_s_zero_with,
 )
 
 import scomult  # noqa: F401  registers the library's claims
 import scomult.localization  # noqa: F401
-import scomult.mutations  # noqa: F401
 from scomult.catalog import generate_catalog
 from scomult.errors import AxiomViolation
 from scomult.modules import enumerate_submodules, self_module
-from scomult.morphisms import is_s_zero, is_s_zero_with
+from scomult.morphisms import (
+    homothety_family,
+    homothety_on_family,
+    is_s_epic_with,
+    is_s_monic_with,
+    is_s_zero,
+    is_s_zero_with,
+)
+from scomult.mutations import MUTANTS, mutant_toolbox, mutation_catalog_params
 from scomult.rings import make_ring_zn, unit_mcs, validate_mcs
 from scomult.s_theory import is_prime_submodule_set, is_s_finite, is_s_multiplication
-from scomult.statements import verify_all
+from scomult.statements import STATEMENTS, verify, verify_all
 from scomult.witnesses import REVALIDATORS, Witness
 
 SRC = Path(scomult.__file__).parent
@@ -102,8 +111,10 @@ def test_every_witness_binds_its_claims_revalidator_parameters():
 @pytest.fixture(scope="module")
 def revalidated():
     """The reduced catalog and, by claim, every witness that the statement
-    suite revalidates on it, in order."""
-    catalog = generate_catalog(scomult.mutations.mutation_catalog_params())
+    suite revalidates on it, in order; for S-zero, which no statement makes,
+    the S-zero witness of every (hom, m.c.s.) pair of the catalog that has
+    one."""
+    catalog = generate_catalog(mutation_catalog_params())
     found = defaultdict(list)
     real_validate = Witness.validate
 
@@ -114,19 +125,19 @@ def revalidated():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Witness, "validate", recording_validate)
         verify_all(catalog)
+    s_zero = (is_s_zero(f, mcs) for ring in catalog.rings
+              for f in catalog.homs[ring] for mcs in catalog.mcs[ring])
+    found["s-zero"] = [w for w in s_zero if w is not None]
     return catalog, found
 
 
 @pytest.fixture(scope="module")
 def real_witnesses(revalidated):
     """One witness per claim from the reduced catalog: the first that the
-    statement suite revalidates, then S-zero and S-multiplication, which no
-    statement makes."""
+    statement suite revalidates (the first S-zero witness of its homs for
+    S-zero), then S-multiplication, which no statement makes."""
     catalog, revalidated_by_claim = revalidated
     found = {claim: witnesses[0] for claim, witnesses in revalidated_by_claim.items()}
-    s_zero = (is_s_zero(f, mcs) for ring in catalog.rings
-              for f in catalog.homs[ring] for mcs in catalog.mcs[ring])
-    found["s-zero"] = next(w for w in s_zero if w is not None)
     found["s-multiplication"] = next(
         w for module, mcs in catalog.module_mcs_pairs()
         for _, w in is_s_multiplication(module, mcs).witnesses)
@@ -165,16 +176,23 @@ def test_validate_calls_the_revalidator(real_witnesses, claim, monkeypatch):
 def test_row_revalidators_equal_their_reference(revalidated, claim):
     """On every witness of the claim that the suite revalidates, and with its
     (mcs, s) replaced by each m.c.s. of the ring in the catalog and each
-    element of the ring, the revalidator gives the reference's verdict."""
+    element of the ring, the revalidator gives the reference's verdict.
+    Witnesses that differ only in (mcs, s) are one subject, tried with every
+    m.c.s. that any of them would be tried with."""
     catalog, found = revalidated
     fast, reference = REVALIDATORS[claim], REFERENCE_REVALIDATORS[claim]
     verdicts = Counter()
     assert found[claim]
+    subjects = defaultdict(dict)        # other bindings -> m.c.s.s, in order
     for witness in found[claim]:
         named = dict(witness.bindings)
-        ring = named["mcs"].ring
-        for mcs in catalog.mcs.get(ring, (named["mcs"],)):
-            for s in ring.elements():
+        mcs, _ = named.pop("mcs"), named.pop("s")
+        subjects[tuple(named.items())].update(
+            dict.fromkeys(catalog.mcs.get(mcs.ring, (mcs,))))
+    for bindings, mcs_list in subjects.items():
+        named = dict(bindings)
+        for mcs in mcs_list:
+            for s in mcs.ring.elements():
                 named.update(mcs=mcs, s=s)
                 expected = reference(**named)
                 assert fast(**named) == expected, Witness(
@@ -183,10 +201,19 @@ def test_row_revalidators_equal_their_reference(revalidated, claim):
     assert verdicts[True] and verdicts[False], verdicts
 
 
+HOM_HELPERS = {
+    "s-zero": (is_s_zero_with, reference_s_zero_with),
+    "s-monic": (is_s_monic_with, reference_s_monic_with),
+    "s-epic": (is_s_epic_with, reference_s_epic_with),
+}
+
+
 def test_row_helpers_equal_their_reference(revalidated):
     """`is_prime_submodule_set` on every submodule of every module of the
-    reduced catalog, and `is_s_zero_with` on every hom with every element
-    of its ring."""
+    reduced catalog; the three `*_with` checks on every hom of the catalog
+    and every member of both homothety families of each of its submodules,
+    with every element of the ring, each asked twice of the same hom
+    object, so at least once with its kernel and image already filled."""
     catalog, _ = revalidated
     verdicts = Counter()
     for module in catalog.nonzero_modules():
@@ -195,12 +222,19 @@ def test_row_helpers_equal_their_reference(revalidated):
             assert is_prime_submodule_set(module, p.elements) == expected, p.describe()
             verdicts["prime", expected] += 1
     for ring in catalog.rings:
-        for f in catalog.homs[ring]:
+        homs = list(catalog.homs[ring])
+        for module in catalog.modules[ring]:
+            for n in enumerate_submodules(module):
+                homs.extend(homothety_family(module, n.elements))
+                homs.extend(homothety_on_family(module, n.elements))
+        for f in homs:
             for s in ring.elements():
-                expected = reference_s_zero_with(f, s)
-                assert is_s_zero_with(f, s) == expected, (f.describe(), s)
-                verdicts["s-zero", expected] += 1
-    assert len(verdicts) == 4, verdicts
+                for name, (fast, reference) in HOM_HELPERS.items():
+                    expected = reference(f, s)
+                    assert fast(f, s) == fast(f, s) == expected, (
+                        name, f.describe(), f.values, s)
+                    verdicts[name, expected] += 1
+    assert len(verdicts) == 8, verdicts
 
 
 # What a search computes, or a hom caches; a revalidator must recompute it.
@@ -239,6 +273,83 @@ def test_revalidators_name_no_search_result():
                     todo.append(helpers[name])
     assert seen == len(REVALIDATORS)
     assert wrong == []
+
+
+# The search side of the hom claims, and what only revalidation may read.
+HOM_SEARCHES = frozenset((
+    "_bridge_core", "_signature", "_s_monic_cross_checked", "_transfer_core",
+    "s_zero_scalars", "s_monic_scalars", "s_epic_scalars"))
+REVALIDATION_CACHES = frozenset((
+    "_revalidation_kernel", "_revalidation_image", "_kernel", "_image"))
+
+
+def _library_functions():
+    """Every function and method of the library, by bare name."""
+    functions = defaultdict(list)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef):
+                functions[node.name].append(node)
+    return functions
+
+
+def _reached(functions, start):
+    """The names that `start` reaches, following every name that some
+    function or method of the library bears, in any module."""
+    names, todo = set(), [node for name in start for node in functions[name]]
+    while todo:
+        new = _names(todo.pop()) - names
+        names |= new
+        todo.extend(node for name in new for node in functions.get(name, ()))
+    return names
+
+
+def test_hom_searches_reach_no_revalidation_cache():
+    """No search side of a hom claim reaches, by any chain of names across
+    the library's modules, the kernel tuple and image set that the `*_with`
+    checks keep on a hom; the hom revalidators do reach them."""
+    functions = _library_functions()
+    assert HOM_SEARCHES <= functions.keys()
+    assert sorted(_reached(functions, HOM_SEARCHES) & REVALIDATION_CACHES) == []
+    for claim, cache in (("s-zero", "_revalidation_image"),
+                         ("s-monic", "_revalidation_kernel"),
+                         ("s-epic", "_revalidation_image")):
+        assert cache in _reached(functions, {REVALIDATORS[claim].__name__})
+
+
+# Revalidator calls per claim in one mutation pass over the reduced catalog.
+MUTATION_PASS_REVALIDATIONS = {
+    "lemma-pair": 4512, "maximal-multiple": 299, "s-comultiplication": 900,
+    "s-comultiplication-def": 900, "s-cyclic": 625, "s-epic": 15445,
+    "s-finite": 30, "s-minimal-step": 395, "s-monic": 30890,
+    "s-prime-colon": 909, "s-prime-homothety": 909, "s-prime-submodule": 1084,
+    "s-second": 1366, "s-second-containment": 910, "s-second-homothety": 910,
+    "s-torsion-free": 195, "uniform-multiple": 362,
+}
+
+
+def test_a_mutation_pass_revalidates_every_witness(monkeypatch):
+    """One pass over a fresh reduced catalog as the benchmark runs it: each
+    mutant in name order, its toolbox in place of the default one, every
+    statement in id order.  Each claim's revalidator is called as often as
+    pinned, 60,641 calls in all, so a cheaper check never skips one."""
+    calls = Counter()
+
+    def counting(claim, check):
+        def counted(**named):
+            calls[claim] += 1
+            return check(**named)
+        return counted
+
+    for claim, check in list(REVALIDATORS.items()):
+        monkeypatch.setitem(REVALIDATORS, claim, counting(claim, check))
+    catalog = generate_catalog(mutation_catalog_params())
+    for name in sorted(MUTANTS):
+        toolbox = mutant_toolbox(name)
+        for statement_id in sorted(STATEMENTS):
+            verify(statement_id, catalog, toolbox)
+    assert calls == MUTATION_PASS_REVALIDATIONS
+    assert sum(calls.values()) == 60641
 
 
 def test_witness_is_an_immutable_record(real_witnesses):
