@@ -65,8 +65,9 @@ class ProductCase(NamedTuple):
 
 class Catalog:
     """The generated instances.  Two catalogs are equal when every field but
-    `_memo` is: data derived from the catalog and kept as long as it lives,
-    filled the first time a checker asks (statements._by_signature)."""
+    `_memo` is: toolbox-free checker values derived from the catalog, kept
+    as long as it lives and filled the first time a checker asks (see the
+    `statements` module docstring)."""
 
     def __init__(self, params, rings, modules, mcs, homs, product_cases,
                  triple_cases):

@@ -1,8 +1,10 @@
 """Command-line front end: check predicates, run the suite, enumerate.
 
 Exit codes are the only machine contract: 0 = true/pass, 1 = false/fail,
-2 = precondition failure, 3 = input error.  Human-readable text may change
-freely; `verify --report` writes the machine-readable JSON document.
+2 = precondition failure, 3 = input error.  `verify --mutation` passes when
+every mutant fails exactly its expected statements (`mutations.KILLS`).
+Human-readable text may change freely; `verify --report` writes the
+machine-readable JSON document.
 """
 
 from __future__ import annotations
@@ -18,7 +20,11 @@ from .catalog import MAX_RING_ORDER, CatalogParams, generate_catalog
 from .errors import DisjointnessFailure, PreconditionUnmet, ScomultError, UnknownStatement
 from .instancefile import parse_instance_file
 from .modules import enumerate_submodules, is_torsion
-from .mutations import mutation_catalog_params, run_mutation_suite
+from .mutations import (
+    kill_mismatches,
+    mutation_catalog_params,
+    run_mutation_suite,
+)
 from .rings import DEFAULT_CAP, enumerate_ideals, enumerate_mcs, validate_mcs
 from .statements import STATEMENTS, verify_all
 from .witnesses import Witness
@@ -192,8 +198,11 @@ def cmd_verify(args):
             print(f"mutant {name}: {marker} ({', '.join(failed) or 'no failures'})")
         if args.report:
             _write_report(args.report, document)
-        # statements failed by design, so the exit contract reports failure
-        return EXIT_FALSE
+        mismatches = kill_mismatches(outcomes, statement_ids)
+        for name, failed, expected in mismatches:
+            print(f"mutant {name}: failed {', '.join(failed) or 'nothing'}, "
+                  f"expected {', '.join(expected) or 'nothing'}", file=sys.stderr)
+        return EXIT_FALSE if mismatches else EXIT_TRUE
     reports = verify_all(catalog, statement_ids)
     fails = 0
     nonvacuous = 0

@@ -12,13 +12,16 @@ an s that does not permute the cosets is refused, since its image would
 not be a unit.  Each x keeps its coset, and each s a row from cosets to
 classes, numbered by their least pair and labelled x/s after it.  Sums
 and actions are read at one representative y/1 of each class straight
-from the base's rows.  The kernel of the canonical map is checked
-against the K that built the classes, and against a fresh `s_torsion`
-only when an injected torsion function built them.  The u-factor is
-mandatory: with K = {0} a zero divisor in S does not permute the
-cosets.  S^-1 R is the same construction on R as a module over itself,
-built once per (R, S, torsion function): every helper reads the action
-from its base, which for a ring is its multiplication.
+from the base's rows, so once K is an ideal and every s permutes its
+cosets, the canonical map R -> S^-1 R is a unital ring map sending S to
+units by construction; it is not checked again here, and a test checks
+it element by element on every catalog localization.  The kernel of the
+canonical map is checked against the K that built the classes, and
+against a fresh `s_torsion` only when an injected torsion function built
+them.  The u-factor is mandatory: with K = {0} a zero divisor in S does
+not permute the cosets.  S^-1 R is the same construction on R as a
+module over itself, built once per (R, S, torsion function): every helper
+reads the action from its base, which for a ring is its multiplication.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .modules import (
     make_module,
     zero_colon_set,
 )
-from .rings import DEFAULT_CAP, _shared, make_ring_table, units, validate_mcs
+from .rings import DEFAULT_CAP, _shared, make_ring_table, validate_mcs
 
 
 def s_torsion(base, mcs):
@@ -162,26 +165,8 @@ def localize_ring_with(ring, mcs, torsion):
         add_table, mul_table, wrapper.map_element(ring.zero),
         wrapper.map_element(ring.one), labels=labels,
         name=f"({ring.name} loc {mcs.describe()})")
-    _check_localized_ring(wrapper)
     _check_kernel(wrapper, torsion, torsion_set, "canonical map kernel mismatch")
     return wrapper
-
-
-def _check_localized_ring(wrapper):
-    ring, loc, mcs = wrapper.base, wrapper.ring, wrapper.mcs
-    phi = [wrapper.map_element(r) for r in ring.elements()]
-    for a in ring.elements():
-        for b in ring.elements():
-            if phi[ring.add(a, b)] != loc.add(phi[a], phi[b]):
-                raise AxiomViolation("canonical map is not additive", (a, b))
-            if phi[ring.mul(a, b)] != loc.mul(phi[a], phi[b]):
-                raise AxiomViolation("canonical map is not multiplicative", (a, b))
-    if phi[ring.one] != loc.one:
-        raise AxiomViolation("canonical map must send 1 to 1")
-    unit_set = units(loc)
-    for s in mcs:
-        if phi[s] not in unit_set:
-            raise AxiomViolation("image of S must consist of units", (s,))
 
 
 @lru_cache(maxsize=None)

@@ -79,6 +79,17 @@ MUTANTS = {
 }
 
 
+# The statements each mutant fails on the reduced catalog, in id order;
+# `verify --mutation` exits 0 exactly when every mutant fails these.
+KILLS = {
+    "s_prime_quantifier_swap": ("P-SPR", "T-M3"),
+    "s_second_drop_disjointness": ("T-M3", "T-SEC", "T-SSUM"),
+    "localization_drop_ufactor": ("P-LOC", "T-LOC"),
+    "lemma_pair_direction_flip": ("L-EQ",),
+    "tm3_drop_uniform_clause": ("T-M3",),
+}
+
+
 def mutant_toolbox(name):
     field_name, fn = MUTANTS[name]
     return Toolbox(**{field_name: fn, "mutated": (name,)})
@@ -104,3 +115,16 @@ def run_mutation_suite(catalog=None, statement_ids=None):
         failed = [r.statement_id for r in reports if r.verdict == "fail"]
         outcomes.append((name, failed))
     return outcomes
+
+
+def kill_mismatches(outcomes, statement_ids=None):
+    """(name, failed, expected) for each mutant of `run_mutation_suite`'s
+    outcomes whose failed statements are not its `KILLS` among the
+    statements that ran."""
+    mismatches = []
+    for name, failed in outcomes:
+        expected = [sid for sid in KILLS[name]
+                    if statement_ids is None or sid in statement_ids]
+        if failed != expected:
+            mismatches.append((name, failed, expected))
+    return mismatches

@@ -9,32 +9,42 @@ own fields out to `verify`.  A statement whose hypotheses select no
 instance reports `vacuous`.  Every witness consumed along the way goes
 through `ctx.revalidate`, the definition-level re-check, so an
 implementation that emits a bogus witness fails the statement even when the
-boolean verdicts cannot differ.  P-HOMS and T-HOM read the bridge core and
-the transfer core, the cores behind `monic_epic_bridge` and
-`transfer_theorem_check`, once per hom signature class (source, target,
-kernel, image) of a ring.  The classes and each core's values live in the
-catalog's memo, as long as the catalog: a class is evaluated the first
-time a run reaches it, and later runs over the same catalog, under any
-toolbox, read it.  Per m.c.s. the memo keeps what does not depend on the
-hom: the s of each witness and the outcome (how the bridge fails, if it
-does; the transfer verdicts and failing submodule).  Each (hom, m.c.s.)
-instance is counted, makes the witnesses that bind its own hom, has each
-revalidated once, and fails where its class's entry says so; no report
-tuple is built.
+boolean verdicts cannot differ.
 
-P-PF, P-FAM, P-EXT, T-M3 and T-SSUM build the part of their work that
-does not depend on S once per module, in a table that lives for one module:
-it is built at the module's first (module, m.c.s.) pair and replaced at the
-next module's.  P-PF keeps the ideals with (0:_M I) = 0 and their IM; P-FAM
-the zero-meet families and each intersection of N + part over a family;
-P-EXT s(0:_M I) per (s, I) and J = I + ann(N) per (N, I); T-M3 ann(N) per
+The catalog memo.  A value that no `Toolbox` field reaches is the same
+under every toolbox, so it belongs to the catalog and lives in
+`Catalog._memo`, keyed by its evaluator and subject:
+- P-HOMS and T-HOM: each ring's hom signature classes (source, target,
+  kernel, image) and, per class and m.c.s., the bridge and transfer core
+  values (`_by_signature`);
+- P-SPR and T-SEC: the s of each derived form's witness, or None, per
+  (module, N, m.c.s.) (`_check_forms`);
+- L-EQ: the (s, ideal index) of each witness of the definitional lemma
+  form, per (module, m.c.s.) (`_lemma_definitional`);
+- P-PF, P-FAM, T-M3 and T-SSUM: the part of their work that does not
+  depend on S, one table per module (`_with_module_table`).
+A value is evaluated the first time a walk needs it, so a walk fails where
+one without the memo would; a later walk over the same catalog, under any
+toolbox, reads it back; a fresh catalog starts cold.  Values are stored
+compactly, as ring elements, indices and shared sets, never as a `Witness`
+or a `ForEachResult`: each instance makes the witnesses that bind its own
+subject from the stored s and has each revalidated, on every walk, and the
+toolbox's own seams (the direct S-prime and S-second forms, the pair form,
+the uniform multiple, the localization torsion) run on every walk.  Once
+`Toolbox` routes a function that a memoized evaluator calls, that memo
+must also be keyed by the field.
+
+P-PF keeps the ideals with (0:_M I) = 0 and their IM; P-FAM the zero-meet
+families and each intersection of N + part over a family; T-M3 ann(N) per
 N; T-SSUM the family sums.  P-FAM and T-SSUM also keep, per (X, Y) that
 their question "is there an s in S with sX inside Y?" names, the colon
 (Y :_R X) = {s in R : sX inside Y}, built the first time the module needs
-it; an instance then only asks whether that set meets S.  Everything else
-that depends on S (the other multiplier searches, the S-second and S-prime
-verdicts, instance counts and witness revalidation) still runs per
-(module, m.c.s.) pair, in the same order.
+it; an instance then only asks whether that set meets S.  P-EXT keeps
+s(0:_M I) per (s, I) and J = I + ann(N) per (N, I) in a table that lives
+for one module only.  Everything else that depends on S (the other
+multiplier searches, the S-second and S-prime verdicts, instance counts and
+witness revalidation) still runs per (module, m.c.s.) pair, in the same
+order.
 """
 
 from __future__ import annotations
@@ -195,18 +205,19 @@ def _nonzero_submodules(module):
     return [n for n in enumerate_submodules(module) if not n.is_zero()]
 
 
-def _with_module_table(pairs, build):
-    """Each (module, mcs, ...) item of a module-major stream with
-    build(module) appended.
-
-    The table is built at a module's first item and replaced at the next
-    module's, so it holds the data of one module only.
-    """
+def _with_module_table(cat, key, pairs, build):
+    """Each (module, mcs, ...) item of a module-major stream with the
+    module's table appended: build(module), kept in the catalog memo under
+    (key, module) and built at the module's first item of the first walk
+    that reaches it."""
+    memo = cat._memo
     current = table = None
     for item in pairs:
         module = item[0]
         if module is not current:
-            current, table = module, build(module)
+            current, table = module, memo.get((key, module))
+            if table is None:
+                table = memo[key, module] = build(module)
         yield (*item, table)
 
 
@@ -237,14 +248,45 @@ def _s_comult_pairs(cat, include_zero=False):
 
 
 def _check_l_eq(cat, tb, ctx):
-    for module, mcs in cat.module_mcs_pairs():
-        bundle = st.lemma_equivalence_bundle(module, mcs,
-                                             pair_form_fn=tb.lemma_pair_form)
-        ctx.instance(module=module, mcs=mcs)
-        if not bundle.agree():
-            ctx.fail(verdicts=list(bundle.verdicts))
-        for w in (w for form in bundle for _, w in form.witnesses):
-            ctx.revalidate(w)
+    """`lemma_equivalence_bundle` with the definitional form read from the
+    catalog memo."""
+    for module in cat.nonzero_modules():
+        for index, mcs in enumerate(cat.mcs[module.ring]):
+            bundle = st.LemmaForms(_lemma_definitional(cat, module, index, mcs),
+                                   st.is_s_comultiplication(module, mcs),
+                                   tb.lemma_pair_form(module, mcs))
+            ctx.instance(module=module, mcs=mcs)
+            if not bundle.agree():
+                ctx.fail(verdicts=list(bundle.verdicts))
+            for w in (w for form in bundle for _, w in form.witnesses):
+                ctx.revalidate(w)
+
+
+def _lemma_definitional(cat, module, index, mcs):
+    """`lemma_definitional_form(module, mcs)` for the module's index-th
+    m.c.s.; the memo keeps, per m.c.s., the s and the ideal index of each
+    witness in submodule order, as bytes (a generated catalog's rings have
+    at most 12 elements, so both fit in a byte), and a later walk makes the
+    witnesses from them."""
+    found = cat._memo.get((st.lemma_definitional_form, module))
+    if found is None:
+        found = cat._memo[st.lemma_definitional_form, module] = (
+            [None] * len(cat.mcs[module.ring]))
+    ideals = enumerate_ideals(module.ring)
+    pairs = found[index]
+    if pairs is None:
+        result = st.lemma_definitional_form(module, mcs)
+        found[index] = bytes(v for _, w in result.witnesses
+                             for v in (w.get("s"), ideals.index(w.get("ideal"))))
+        return result
+    subs = enumerate_submodules(module)
+    witnesses = tuple(
+        (n, Witness.make("s-comultiplication-def", module=module, n=n.elements,
+                         mcs=mcs, s=s, ideal=ideals[i]))
+        for n, s, i in zip(subs, pairs[::2], pairs[1::2]))
+    held = len(witnesses)
+    return st.ForEachResult(held == len(subs), witnesses,
+                            subs[held] if held < len(subs) else None)
 
 
 def _check_p_mono(cat, tb, ctx):
@@ -320,15 +362,11 @@ def _by_signature(cat, evaluate):
     catalog hom in catalog order.
 
     `evaluate` reads only the hom's signature (source, target, kernel,
-    image) and no `Toolbox` field reaches it, so its values belong to the
-    catalog: they live in its memo, keyed by `evaluate`, one per signature
-    class of a ring (`_hom_classes`).  A class is evaluated, at its first
-    hom, when a walk first reaches it, so a walk fails where one without
-    the memo would; a later walk evaluates nothing.  Once `Toolbox` routes
-    `is_s_monic`, `is_s_epic` or `is_s_comultiplication`, the memo must
-    also be keyed by those fields.  Few values are distinct (the default
-    catalog's bridge has 73 among 5,643 per-m.c.s. entries and 103 among
-    994 classes), so each is stored once.
+    image), so the memo (see the module docstring) keeps its values keyed
+    by `evaluate`, one per signature class of a ring (`_hom_classes`),
+    evaluated at the class's first hom.  Few values are distinct (the
+    default catalog's bridge has 73 among 5,643 per-m.c.s. entries and 103
+    among 994 classes), so each is stored once.
     """
     memo = cat._memo
     for ring in cat.rings:
@@ -433,7 +471,7 @@ def _check_t_com(cat, tb, ctx):
 
 def _check_p_pf(cat, tb, ctx):
     for module, mcs, _, vanishing in _with_module_table(
-            _s_comult_pairs(cat), _vanishing_colon_ideals):
+            cat, _check_p_pf, _s_comult_pairs(cat), _vanishing_colon_ideals):
         full = module.carrier
         ring = module.ring
         for ideal, members, im in vanishing:
@@ -534,7 +572,7 @@ def _families(module, params):
 
 def _check_p_fam(cat, tb, ctx):
     for module, mcs, _, (subs, squeezes, colons) in _with_module_table(
-            _s_comult_pairs(cat),
+            cat, _check_p_fam, _s_comult_pairs(cat),
             lambda m: (*_zero_meet_targets(m, cat.params), {})):
         ctx.at(module=module, mcs=mcs)
         for family, targets in squeezes:
@@ -579,8 +617,11 @@ def _zero_meet_targets(module, params):
 
 
 def _check_p_ext(cat, tb, ctx):
-    for module, mcs, result, (ideals, shifted, enlarged) in _with_module_table(
-            _s_comult_pairs(cat), lambda m: (enumerate_ideals(m.ring), {}, {})):
+    current = None
+    for module, mcs, result in _s_comult_pairs(cat):
+        if module is not current:       # a table for this module only
+            current, ideals, shifted, enlarged = (
+                module, enumerate_ideals(module.ring), {}, {})
         ctx.at(module=module, mcs=mcs)
         for n, witness in result.witnesses:
             s = witness.get("s")
@@ -706,47 +747,81 @@ def _bridge_outcomes(f, mcs_list):
             for *claims, s_monic, s_epic in mor._bridge_core(f, mcs_list)]
 
 
-def _check_forms(cat, ctx, submodules, characterize, skips):
+def _check_forms(cat, ctx, submodules, direct, record, derived, skips):
     """Every form of a submodule property agrees and every witness holds.
 
-    `characterize(module, n, mcs)` raising one of `skips` counts as a skip.
+    `direct(module, n, mcs)`, the toolbox's definitional form, raising one
+    of `skips` counts as a skip.  `record` is the forms record and
+    `derived` holds, per derived form in field order, the form and the
+    maker of its witness from (module, N's elements, mcs, s); as in
+    `s_theory._characterize`, a derived form whose own precondition fails
+    reads as None.  The memo keeps, per module, one byte per (m.c.s., N,
+    derived form): 0 before the form is evaluated, 1 for None, s + 2 for a
+    witness naming s (a ring has at most 64 elements).
     """
+    width = len(derived)
     ctx.tally("disjointness_skips", 0)
-    for module, mcs in cat.module_mcs_pairs():
-        for n in submodules(module):
-            try:
-                forms = characterize(module, n, mcs)
-            except skips:
-                ctx.tally("disjointness_skips")
-                continue
-            ctx.instance(module=module, mcs=mcs, submodule=n)
-            if not forms.agree():
-                ctx.fail(verdicts=list(forms.verdicts))
-            for witness in forms:
-                ctx.revalidate(witness)
+    for module in cat.nonzero_modules():
+        subs = submodules(module)
+        mcs_list = cat.mcs[module.ring]
+        table = cat._memo.get((record, module))
+        if table is None:
+            table = cat._memo[record, module] = bytearray(
+                len(mcs_list) * len(subs) * width)
+        at = 0
+        for mcs in mcs_list:
+            for n in subs:
+                try:
+                    first = direct(module, n, mcs)
+                except skips:
+                    ctx.tally("disjointness_skips")
+                    at += width
+                    continue
+                witnesses = [first]
+                for form, make in derived:
+                    code = table[at]
+                    if code == 0:
+                        witness = st._guard(lambda: form(module, n, mcs))
+                        table[at] = 1 if witness is None else witness.get("s") + 2
+                    elif code == 1:
+                        witness = None
+                    else:
+                        witness = make(module, n.elements, mcs, code - 2)
+                    witnesses.append(witness)
+                    at += 1
+                ctx.instance(module=module, mcs=mcs, submodule=n)
+                checked = record(*witnesses)
+                if not checked.agree():
+                    ctx.fail(verdicts=list(checked.verdicts))
+                for witness in checked:
+                    ctx.revalidate(witness)
 
 
 def _check_p_spr(cat, tb, ctx):
+    """`s_prime_characterizations`, the derived forms read from the memo."""
     _check_forms(
-        cat, ctx, enumerate_submodules,
-        lambda module, p, mcs: st.s_prime_characterizations(
-            module, p, mcs, direct_fn=tb.is_s_prime_submodule),
+        cat, ctx, enumerate_submodules, tb.is_s_prime_submodule, st.SPrimeForms,
+        ((st.s_prime_colon_form, lambda module, p, mcs, s: Witness.make(
+            "s-prime-colon", module=module, p=p, mcs=mcs, s=s)),
+         (st.s_prime_homothety_form, lambda module, p, mcs, s: Witness.make(
+             "s-prime-homothety", module=module, p=p, mcs=mcs, s=s))),
         DisjointnessFailure)
 
 
 def _check_t_sec(cat, tb, ctx):
+    """`s_second_characterizations`, the derived forms read from the memo."""
     _check_forms(
-        cat, ctx, _nonzero_submodules,
-        lambda module, n, mcs: st.s_second_characterizations(
-            module, n, mcs, direct_fn=tb.is_s_second),
+        cat, ctx, _nonzero_submodules, tb.is_s_second, st.SSecondForms,
+        ((st.s_second_homothety_form, lambda module, n, mcs, s: Witness.make(
+            "s-second-homothety", module=module, n=n, mcs=mcs, s=s)),
+         (st.s_second_containment_form, lambda module, n, mcs, s: Witness.make(
+             "s-second-containment", module=module, n=n, mcs=mcs, s=s))),
         (DisjointnessFailure, PreconditionUnmet))
 
 
 def _check_t_m3(cat, tb, ctx):
     for module, mcs, _, annihilated in _with_module_table(
-            _s_comult_pairs(cat),
-            lambda m: [(n, annihilator(m, n.elements))
-                       for n in _nonzero_submodules(m)]):
+            cat, _check_t_m3, _s_comult_pairs(cat), _nonzero_annihilators):
         ring = module.ring
         for n, ann_ideal in annihilated:
             second = st._guard(lambda: tb.is_s_second(module, n, mcs))
@@ -765,6 +840,12 @@ def _check_t_m3(cat, tb, ctx):
                 ctx.revalidate(witness)
 
 
+def _nonzero_annihilators(module):
+    """(N, ann(N)) for every nonzero submodule N, in submodule order."""
+    return [(n, annihilator(module, n.elements))
+            for n in _nonzero_submodules(module)]
+
+
 def _check_c_m3(cat, tb, ctx):
     for module in cat.nonzero_modules():
         if not st.is_comultiplication(module):
@@ -780,7 +861,8 @@ def _check_c_m3(cat, tb, ctx):
 
 def _check_t_ssum(cat, tb, ctx):
     for module, mcs, _, (nonzero, totals, colons) in _with_module_table(
-            _s_comult_pairs(cat), lambda m: (_nonzero_submodules(m), [], {})):
+            cat, _check_t_ssum, _s_comult_pairs(cat),
+            lambda m: (_nonzero_submodules(m), [], {})):
         ctx.at(module=module, mcs=mcs)
         seconds = []
         for n in nonzero:
@@ -791,7 +873,7 @@ def _check_t_ssum(cat, tb, ctx):
             seconds.append(n)
         if not seconds:
             continue
-        if not totals:          # at the module's first m.c.s. with an S-second N
+        if not totals:          # the first time the module has an S-second N
             totals.extend((family, sum_of_sets(module, family))
                           for family in _families(module, cat.params))
         for family, total in totals:

@@ -10,7 +10,10 @@ its existential-ideal form) live here, not in the library, because only
 tests call them.  `reference_localization` rebuilds S^-1 X the slow way:
 the relation tested pair by pair, every pair of rows scanned for the three
 equivalence axioms, and each table cell built as a set of the classes its
-representative pairs give.  `REFERENCE_REVALIDATORS` holds, by claim, the
+representative pairs give.  `reference_canonical_map_faults` checks, element
+by element, that the canonical map of a built S^-1 R is a unital ring map
+sending S to units, which the library builds in and does not re-check.
+`REFERENCE_REVALIDATORS` holds, by claim, the
 element-by-element form of each revalidator that the library computes from
 action rows, one `act`, `mul` or `scalar_times_set` call per element;
 `reference_is_prime_submodule_set` is the same for
@@ -324,6 +327,28 @@ def reference_localization(base, mcs):
     labels = tuple(f"{base.label(x)}/{ring.label(s)}"
                    for x, s in (pairs[m[0]] for m in members))
     return class_of, members, labels, add_table, act_table
+
+
+def reference_canonical_map_faults(loc):
+    """The faults of the canonical map phi: R -> S^-1 R that a built
+    localized ring `loc` carries, checked element by element against the
+    built ring's tables: (a, b) where phi(a + b) or phi(ab) is not the sum or
+    product of the images, phi(1) other than the one, and each s of S whose
+    image has no inverse.  [] for a unital ring map sending S to units."""
+    ring, local = loc.base, loc.ring
+    phi = [loc.map_element(r) for r in ring.elements()]
+    faults = [(kind, a, b) for a in ring.elements() for b in ring.elements()
+              for kind, image, product in (
+                  ("not additive", phi[ring.add(a, b)], local.add(phi[a], phi[b])),
+                  ("not multiplicative", phi[ring.mul(a, b)],
+                   local.mul(phi[a], phi[b])))
+              if image != product]
+    if phi[ring.one] != local.one:
+        faults.append(("1 not sent to 1",))
+    faults.extend(("not a unit", s) for s in loc.mcs
+                  if all(local.mul(phi[s], y) != local.one
+                         for y in local.elements()))
+    return faults
 
 
 _ZERO = frozenset((0,))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from scomult import mutations
 from scomult.cli import main
 from scomult.instancefile import parse_instance_file
 from scomult.rings import enumerate_mcs
@@ -173,17 +174,38 @@ def test_verify_rejects_max_module_out_of_range(value, monkeypatch, capsys):
     assert "--max-module" in capsys.readouterr().err
 
 
-def test_verify_mutation_exits_one(tmp_path, capsys):
+def test_verify_mutation_exits_zero_when_every_kill_matches(tmp_path, capsys):
     report_path = tmp_path / "mutation.json"
     code = main(["verify", "--mutation", "--report", str(report_path)])
-    assert code == 1
-    out = capsys.readouterr().out
+    assert code == 0
+    captured = capsys.readouterr()
+    out = captured.out
     assert out.count("killed") == 5 and "ESCAPED" not in out
+    assert captured.err == ""
     document = json.loads(report_path.read_text())
     assert len(document["mutants"]) == 5
     assert all(m["failed"] for m in document["mutants"])
     assert document["run"]["params"] == {"max_ring": 6, "max_module": 8,
                                          "statements": None, "mutation": True}
+
+
+def test_verify_mutation_names_each_kill_mismatch_and_exits_one(monkeypatch, capsys):
+    """A mutant whose kills differ from its expected ones, among the
+    statements run, makes the run exit 1 and is named on stderr; the
+    others are not, the drop-u-factor mutant included, which none of
+    these statements is expected to kill."""
+    monkeypatch.setitem(mutations.KILLS, "tm3_drop_uniform_clause",
+                        ("T-M3", "T-SEC"))
+    monkeypatch.setitem(mutations.KILLS, "lemma_pair_direction_flip", ())
+    code = main(["verify", "--mutation", "--statements", "T-M3,T-SEC,L-EQ"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("killed") == 4
+    assert "mutant localization_drop_ufactor: ESCAPED" in captured.out
+    assert captured.err.splitlines() == [
+        "mutant lemma_pair_direction_flip: failed L-EQ, expected nothing",
+        "mutant tm3_drop_uniform_clause: failed T-M3, expected T-M3, T-SEC",
+    ]
 
 
 @pytest.mark.parametrize("flags", [["--max-ring", "3"], ["--max-module", "16"],

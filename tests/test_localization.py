@@ -4,7 +4,11 @@ import hashlib
 
 import pytest
 
-from conftest import all_submodules_are_localizations, reference_localization
+from conftest import (
+    all_submodules_are_localizations,
+    reference_canonical_map_faults,
+    reference_localization,
+)
 from scomult import localization
 from scomult.catalog import generate_catalog
 from scomult.errors import AxiomViolation, SizeCapExceeded
@@ -236,6 +240,47 @@ def test_localizations_match_the_reference_construction():
         loc = localize_ring(ring, mcs)
         assert built_localization(loc, loc.ring) == reference_localization(
             ring, mcs), (ring.name, mcs.describe())
+
+
+@pytest.mark.parametrize("params, torsion, counts", [
+    (mutation_catalog_params(), s_torsion, (25, 0)),
+    (None, s_torsion, (103, 0)),
+    (mutation_catalog_params(), localization_drop_ufactor, (13, 12)),
+    (None, localization_drop_ufactor, (46, 57)),
+])
+def test_every_localized_ring_has_a_unital_canonical_map(params, torsion, counts):
+    """On every localized ring of both catalogs, and on every one the
+    drop-u-factor mutant builds, R -> S^-1 R is a unital ring map that sends
+    S to units; a localization the mutant cannot build raises instead."""
+    catalog = generate_catalog(params)
+    built = refused = 0
+    for ring in catalog.rings:
+        for mcs in catalog.mcs[ring]:
+            try:
+                loc = localize_ring_with(ring, mcs, torsion)
+            except AxiomViolation as err:
+                assert err.axiom == "image of S must consist of units"
+                refused += 1
+                continue
+            built += 1
+            assert reference_canonical_map_faults(loc) == [], (
+                ring.name, mcs.describe())
+    assert (built, refused) == counts
+
+
+def test_the_canonical_map_oracle_names_each_fault(z6, s1, s13):
+    """Stand-ins for a localized ring whose map is x -> 5x (additive, not
+    multiplicative, 1 not sent to 1) or x -> 0 (S not sent to units)."""
+    class Stand:
+        def __init__(self, image, mcs):
+            self.base, self.ring, self.mcs = z6, z6, mcs
+            self.map_element = image
+
+    faults = reference_canonical_map_faults(Stand(lambda x: 5 * x % 6, s1))
+    assert {f[0] for f in faults} == {"not multiplicative", "1 not sent to 1"}
+    faults = reference_canonical_map_faults(Stand(lambda x: 0, s13))
+    assert faults == [("1 not sent to 1",), ("not a unit", 1), ("not a unit", 3)]
+    assert reference_canonical_map_faults(localize_ring(z6, s13)) == []
 
 
 def every_localization(catalog):

@@ -2,7 +2,8 @@
 
 import ast
 import inspect
-from collections import Counter
+from collections import Counter, defaultdict
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,14 @@ import pytest
 from scomult import morphisms as mor, rings, s_theory, statements
 
 from scomult.catalog import CatalogParams, generate_catalog
-from scomult.errors import AxiomViolation, PreconditionUnmet, UnknownStatement
+from scomult.errors import (
+    AxiomViolation,
+    DisjointnessFailure,
+    PreconditionUnmet,
+    UnknownStatement,
+)
 from scomult.modules import (
+    enumerate_submodules,
     first_multiplier,
     full_submodule,
     self_module,
@@ -29,7 +36,9 @@ from scomult.morphisms import (
     projection_hom,
 )
 from scomult.mutations import (
+    KILLS,
     MUTANTS,
+    kill_mismatches,
     mutant_toolbox,
     mutation_catalog_params,
 )
@@ -57,6 +66,8 @@ from scomult.statements import (
 from scomult.witnesses import REVALIDATORS, Witness
 
 from conftest import REFERENCE_CHECKERS
+
+SRC = Path(statements.__file__).parent
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +227,8 @@ def test_expected_kill_sets(mutation_outcomes):
     assert kills["s_prime_quantifier_swap"] == ["P-SPR", "T-M3"]
     assert kills["s_second_drop_disjointness"] == ["T-M3", "T-SEC", "T-SSUM"]
     assert kills["tm3_drop_uniform_clause"] == ["T-M3"]
+    assert kills == {name: list(KILLS[name]) for name in MUTANTS}
+    assert kill_mismatches(mutation_outcomes) == []
 
 
 # (verdict, instances, notes) of every statement on the reduced catalog
@@ -718,21 +731,23 @@ def zero_annihilator(catalog):
     ("P-EXT", "annihilator", zero_annihilator, CHOSEN_MODULE),
     ("T-M3", "annihilator", zero_annihilator, CHOSEN_MODULE),
 ])
-def test_forced_failures_match_the_reference_checkers(small_catalog,
-                                                      monkeypatch, sid, name,
+def test_forced_failures_match_the_reference_checkers(monkeypatch, sid, name,
                                                       forced, failing_module):
     """A broken library call seen through `statements` gives the report of
     the reference checker: the same instance count, and a failure at the
     same module, m.c.s., submodule and family.  None: the statement passes
     (a lossy sum only drops T-SSUM instances).  The reference checkers ask
     `first_multiplier`, P-FAM and T-SSUM ask `_has_multiplier`, so a
-    multiplier fault is forced on both."""
-    monkeypatch.setattr(statements, name, forced(small_catalog))
+    multiplier fault is forced on both.  The module tables live as long as
+    their catalog, so each case builds its own and the fault meets a cold
+    catalog."""
+    catalog = generate_catalog(mutation_catalog_params())
+    monkeypatch.setattr(statements, name, forced(catalog))
     if forced is none_from_the_second_mcs:
         monkeypatch.setattr(statements, "_has_multiplier",
-                            no_s_from_the_second_mcs(small_catalog))
-    actual = outcome(verify(sid, small_catalog))
-    assert actual == reference_outcome(sid, small_catalog)
+                            no_s_from_the_second_mcs(catalog))
+    actual = outcome(verify(sid, catalog))
+    assert actual == reference_outcome(sid, catalog)
     if failing_module is None:
         assert actual[2] == "pass"
     else:
@@ -1098,13 +1113,15 @@ FAIL_SITES = [
 
 
 @pytest.mark.parametrize("sid, name, forced, expected", FAIL_SITES)
-def test_forced_fail_sites_are_pinned(small_catalog, monkeypatch, sid, name,
-                                      forced, expected):
+def test_forced_fail_sites_are_pinned(monkeypatch, sid, name, forced,
+                                      expected):
     """A library call that a checker reads, broken on one module, ring or
     m.c.s.: the report fails at the pinned instance with the pinned payload,
-    its keys in the pinned order."""
-    monkeypatch.setattr("scomult." + name, forced(small_catalog))
-    assert pinned(verify(sid, small_catalog)) == expected
+    its keys in the pinned order.  Each case builds its own catalog, so the
+    fault meets a cold catalog memo."""
+    catalog = generate_catalog(mutation_catalog_params())
+    monkeypatch.setattr("scomult." + name, forced(catalog))
+    assert pinned(verify(sid, catalog)) == expected
 
 
 REVALIDATION_SITES = [
@@ -1207,15 +1224,20 @@ def test_revalidation_sites_are_pinned(small_catalog, monkeypatch, sid, claim,
 
 @pytest.mark.parametrize("sid, closure_checks", [
     ("P-EXT", 160), ("T-M3", 39), ("P-SPR", 0), ("T-SEC", 0)])
-def test_closure_checks_of_a_warm_run_are_pinned(small_catalog, monkeypatch,
-                                                 sid, closure_checks):
-    """Once a first run has filled the library's caches, a second run makes
-    only the closure checks that no cache keeps.  P-EXT builds J = I + ann(N)
-    once per (N, I) of a module, T-M3 ann(N) once per N of a module, and the
-    homothety revalidators of P-SPR and T-SEC reach their cached family from
-    the element set; a Submodule built per (module, m.c.s.) pair again would
-    raise these counts (at the parent: 710, 155, 208 and 208)."""
-    verify(sid, small_catalog)
+def test_closure_checks_of_a_warm_run_are_pinned(monkeypatch, sid,
+                                                 closure_checks):
+    """Once a first run has filled the library's caches, a run over a cold
+    catalog memo makes only the closure checks that no library cache keeps,
+    and a run over the warm memo only those that the memo does not keep
+    either.  P-EXT builds J = I + ann(N) once per (N, I) of a module on
+    every run, T-M3 ann(N) once per N of a module on a cold memo and never
+    on a warm one, and the homothety revalidators of P-SPR and T-SEC reach
+    their cached family from the element set; a Submodule built per
+    (module, m.c.s.) pair again would raise the cold counts (before the
+    per-module tables: 710, 155, 208 and 208)."""
+    catalog = generate_catalog(mutation_catalog_params())
+    verify(sid, catalog)
+    catalog._memo.clear()
     calls = []
     real = rings._check_closed
 
@@ -1224,16 +1246,23 @@ def test_closure_checks_of_a_warm_run_are_pinned(small_catalog, monkeypatch,
         return real(*args)
 
     monkeypatch.setattr(rings, "_check_closed", counting)
-    assert verify(sid, small_catalog).verdict == "pass"
+    assert verify(sid, catalog).verdict == "pass"
     assert len(calls) == closure_checks
+    calls.clear()
+    assert verify(sid, catalog).verdict == "pass"
+    assert len(calls) == WARM_CLOSURE_CHECKS[sid]
+
+
+WARM_CLOSURE_CHECKS = {"P-EXT": 160, "T-M3": 0, "P-SPR": 0, "T-SEC": 0}
 
 
 @pytest.mark.parametrize("sid, colon_sets", [("P-FAM", 83), ("T-SSUM", 63)])
-def test_multiplier_sets_of_a_run_are_pinned(small_catalog, monkeypatch, sid,
-                                             colon_sets):
+def test_multiplier_sets_of_a_run_are_pinned(monkeypatch, sid, colon_sets):
     """P-FAM and T-SSUM build each colon {s : sX inside Y} once per
-    (module, X, Y) and make no `first_multiplier` search; a search per
-    (module, m.c.s.) instance would make 4,157 and 863 of them."""
+    (module, X, Y) of a catalog, on the first run over it, and make no
+    `first_multiplier` search; a second run over the same catalog builds
+    none.  A search per (module, m.c.s.) instance would make 4,157 and 863
+    of them on every run."""
     colons, searches = [], []
     real_colon = statements._colon
     real_search = statements.first_multiplier
@@ -1248,8 +1277,12 @@ def test_multiplier_sets_of_a_run_are_pinned(small_catalog, monkeypatch, sid,
 
     monkeypatch.setattr(statements, "_colon", counting_colon)
     monkeypatch.setattr(statements, "first_multiplier", counting_search)
-    assert verify(sid, small_catalog).verdict == "pass"
+    catalog = generate_catalog(mutation_catalog_params())
+    assert verify(sid, catalog).verdict == "pass"
     assert (len(colons), len(searches)) == (colon_sets, 0)
+    colons.clear()
+    assert verify(sid, catalog).verdict == "pass"
+    assert (len(colons), len(searches)) == (0, 0)
 
 
 def test_colon_tables_answer_like_first_multiplier(small_catalog, monkeypatch):
@@ -1283,3 +1316,173 @@ def test_colon_tables_answer_like_first_multiplier(small_catalog, monkeypatch):
             first = first_multiplier(module, mcs, subset, target)
             assert answer == (first is not None)
             assert first == next((s for s in mcs if s in colon), None)
+
+
+# ---------------------------------------------------------------------------
+# the catalog memo: toolbox-free values only, compact, cold when fresh
+
+# Every evaluator whose values the catalog memo keeps, by module.  The
+# bridge core reaches the memo through `_bridge_outcomes`; the T-SSUM table
+# holds what `sum_of_sets` and `_colon` give; the other module tables are
+# built by the functions named here.
+MEMOIZED_EVALUATORS = {
+    s_theory: ("s_prime_colon_form", "s_prime_homothety_form",
+               "s_second_homothety_form", "s_second_containment_form",
+               "lemma_definitional_form", "_transfer_core"),
+    statements: ("_bridge_outcomes", "_vanishing_colon_ideals",
+                 "_zero_meet_targets", "_nonzero_annihilators", "_colon",
+                 "sum_of_sets"),
+}
+TOOLBOX_NAMES = frozenset(
+    ["tb", "Toolbox", *(f.name for f in fields(Toolbox))]) - {"mutated"}
+
+
+@pytest.fixture(scope="module")
+def memo_rounds():
+    """One reduced catalog walked twice under the default toolbox and each
+    mutant: the calls of each memoized evaluator in the first round and in
+    the second, the second round's reports by toolbox, and the catalog."""
+    catalog = generate_catalog(mutation_catalog_params())
+    calls = Counter()
+    rounds, reports = [], {}
+    with pytest.MonkeyPatch.context() as patch:
+        for module, names in MEMOIZED_EVALUATORS.items():
+            for name in names:
+                real = getattr(module, name)
+                patch.setattr(module, name, counting(calls, name, real))
+        for _ in range(2):
+            calls.clear()
+            for toolbox in [Toolbox(), *map(mutant_toolbox, sorted(MUTANTS))]:
+                reports[toolbox.mutated] = verify_all(catalog, toolbox=toolbox)
+            rounds.append(Counter(calls))
+    return rounds, reports, catalog
+
+
+def test_a_second_round_evaluates_nothing_the_memo_keeps(memo_rounds):
+    (first, second), _, _ = memo_rounds
+    assert sorted(first) == sorted(
+        name for names in MEMOIZED_EVALUATORS.values() for name in names)
+    assert second == Counter()
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_a_warm_catalog_reports_what_a_fresh_one_does(memo_rounds, name):
+    """Under each mutant, the reports from a catalog that every toolbox,
+    the other four mutants included, has walked equal the reports from a
+    fresh catalog: verdict, instances, notes and counterexample."""
+    _, reports, _ = memo_rounds
+    toolbox = mutant_toolbox(name)
+    fresh = verify_all(generate_catalog(mutation_catalog_params()),
+                       toolbox=toolbox)
+    assert list(map(outcome, reports[(name,)])) == list(map(outcome, fresh))
+
+
+def test_the_memo_keeps_no_witness_or_result(memo_rounds):
+    """The memo holds plain values: after every toolbox has walked the
+    catalog twice, nothing reachable from it is a `Witness` or a
+    `ForEachResult`, and the derived forms are one bytearray per module."""
+    _, _, catalog = memo_rounds
+    seen, todo = set(), list(catalog._memo.items())
+    while todo:
+        value = todo.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        assert not isinstance(value, (Witness, s_theory.ForEachResult)), value
+        if isinstance(value, dict):
+            todo.extend(value.items())
+        elif isinstance(value, (tuple, list)):
+            todo.extend(value)
+    keys = Counter(key[0] for key in catalog._memo)
+    assert all(isinstance(catalog._memo[key], bytearray)
+               for key in catalog._memo
+               if key[0] in (s_theory.SPrimeForms, s_theory.SSecondForms))
+    nonzero = len(list(catalog.nonzero_modules()))
+    assert keys[s_theory.SPrimeForms] == keys[s_theory.SSecondForms] == nonzero
+
+
+def reached_names(functions, todo):
+    """The names that the AST nodes in `todo` reach, following every name
+    that some function or method of the library bears, in any module."""
+    names, todo = set(), list(todo)
+    while todo:
+        node = todo.pop()
+        new = ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+               | {n.attr for n in ast.walk(node)
+                  if isinstance(n, ast.Attribute)}) - names
+        names |= new
+        todo.extend(f for name in new for f in functions.get(name, ()))
+    return names
+
+
+def test_memoized_evaluators_name_no_toolbox_field():
+    """No memoized evaluator, nor the build argument of a module table,
+    reaches by any chain of names across the library's modules `tb`,
+    `Toolbox` or the name of a `Toolbox` field; a checker that takes the
+    toolbox does."""
+    functions = defaultdict(list)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef):
+                functions[node.name].append(node)
+    evaluators = [node for names in MEMOIZED_EVALUATORS.values()
+                  for name in names for node in functions[name]]
+    assert len(evaluators) == sum(map(len, MEMOIZED_EVALUATORS.values()))
+    tree = ast.parse(Path(statements.__file__).read_text(encoding="utf-8"))
+    builds = [node.args[3] for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "_with_module_table"]
+    assert len(builds) == 4
+    assert sorted(reached_names(functions, evaluators + builds)
+                  & TOOLBOX_NAMES) == []
+    assert "is_s_second" in reached_names(functions, functions["_check_t_m3"])
+
+
+def revalidated(monkeypatch, sid, catalog):
+    """Every witness (None included) that one run of `sid` revalidates."""
+    seen = []
+    real = statements._Ctx.revalidate
+
+    def recording(ctx, witness, **extra):
+        seen.append(witness)
+        return real(ctx, witness, **extra)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(statements._Ctx, "revalidate", recording)
+        assert verify(sid, catalog).verdict == "pass"
+    return seen
+
+
+def bundle_witnesses(sid, catalog):
+    """The witnesses of the library's bundles over the statement's instances,
+    in the order its checker revalidates them."""
+    out = []
+    for module, mcs in catalog.module_mcs_pairs():
+        if sid == "L-EQ":
+            bundle = s_theory.lemma_equivalence_bundle(module, mcs)
+            out.extend(w for form in bundle for _, w in form.witnesses)
+            continue
+        if sid == "P-SPR":
+            subs = enumerate_submodules(module)
+            forms = s_theory.s_prime_characterizations
+        else:
+            subs = [n for n in enumerate_submodules(module) if not n.is_zero()]
+            forms = s_theory.s_second_characterizations
+        for n in subs:
+            try:
+                out.extend(forms(module, n, mcs))
+            except (DisjointnessFailure, PreconditionUnmet):
+                pass
+    return out
+
+
+@pytest.mark.parametrize("sid", ["L-EQ", "P-SPR", "T-SEC"])
+def test_witnesses_made_from_the_memo_equal_the_bundles(monkeypatch, sid):
+    """A cold run makes its derived witnesses by search and a warm run from
+    the memo's s and ideal index; both revalidate the same witnesses, in
+    the same order, as the library's characterization bundles give."""
+    catalog = generate_catalog(mutation_catalog_params())
+    cold = revalidated(monkeypatch, sid, catalog)
+    warm = revalidated(monkeypatch, sid, catalog)
+    assert cold == warm == bundle_witnesses(sid, catalog)
+    assert sum(w is not None for w in warm) > 100
