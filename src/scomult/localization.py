@@ -6,7 +6,9 @@ K = {m : um = 0 for some u in S} is a submodule, the kernel of
 M -> S^-1 M, and (x, s) ~ (y, 1) iff x - sy lies in K; so S^-1 M is M/K,
 on which each s in S acts invertibly (Atiyah-Macdonald, ch. 3), and the
 class of (x, s) is the coset y + K with sy + K = x + K.  `s_torsion` is
-the one implementation of K.  K is checked once to be a submodule, its
+the one implementation of K, read as ann(e_S) from the action row of e_S
+(`MCS.idempotent`): ux = 0 gives e_S x = 0, since u divides e_S, and e_S
+lies in S.  K is checked once to be a submodule, its
 cosets are numbered, and for each s the map y + K -> sy + K is inverted;
 an s that does not permute the cosets is refused, since its image would
 not be a unit.  Each x keeps its coset, and each s a row from cosets to
@@ -40,9 +42,10 @@ from .rings import DEFAULT_CAP, _shared, make_ring_table, validate_mcs
 
 
 def s_torsion(base, mcs):
-    """K = {x : ux = 0 for some u in S}, the kernel of X -> S^-1 X."""
-    return frozenset(x for x in base.elements()
-                     if any(base.act(u, x) == base.zero for u in mcs))
+    """K = {x : ux = 0 for some u in S} = ann(e_S), the kernel of X -> S^-1 X."""
+    zero = base.zero
+    return frozenset(x for x, ex in enumerate(base.act_row(mcs.idempotent))
+                     if ex == zero)
 
 
 class _PairClasses:

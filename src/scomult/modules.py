@@ -16,10 +16,10 @@ for a ring these are its multiplication rows, so an ideal is a `Submodule`
 of R over itself, and `annihilator` returns one.  Direct products of
 modules share one table builder with product rings.
 
-`first_multiplier`, the first s of an m.c.s. with sX inside Y, is the
-library's one existential-s search; witness revalidation never calls it.
-The P-FAM and T-SSUM checkers do not search: they ask whether the colon
-(Y :_R X), built once per module, meets S.
+`first_multiplier` answers "is there an s of an m.c.s. with sX inside Y?"
+for a submodule Y by one containment test at e_S (`MCS.idempotent`): the s
+that work are closed under multiplication by R, and e_S is a multiple of
+every s in S.  Witness revalidation never calls it.
 """
 
 from __future__ import annotations
@@ -254,14 +254,13 @@ def scalar_times_set(module, r, elements):
 
 
 def first_multiplier(module, mcs, subset, target):
-    """The first s of S, in canonical order, with s*subset inside target, else None.
+    """e_S when e_S*subset lies inside target, else None.
 
-    Each s is dropped at its first element that misses; nothing is cached.
+    For a submodule target, some s of S has s*subset inside it exactly when
+    e_S has; nothing is cached.
     """
-    for s in mcs:
-        if target.issuperset(map(module.act_row(s).__getitem__, subset)):
-            return s
-    return None
+    e = mcs.idempotent
+    return e if target.issuperset(map(module.act_row(e).__getitem__, subset)) else None
 
 
 def sum_of_sets(module, sets):

@@ -9,15 +9,16 @@ of addition tables for the length of the call; `enumerate_homs` uses a
 fresh one.  Each hom f knows, once asked, the scalars that make it S-zero
 (ann(Im f)), S-monic (ann(Ker f)) and S-epic ((Im f :_R M')); it reads them
 from the library's keyed lattice caches, so homs with the same image or
-kernel share one set.  The S-variant searches return the first element of
-the m.c.s., in canonical order, that lies in the hom's set.  The `*_with`
+kernel share one set.  Each set is an ideal, so some s of the m.c.s. lies
+in it exactly when e_S (`MCS.idempotent`) does, and the S-variant tests
+return e_S when it lies in the hom's set.  The `*_with`
 helpers are the definitional checks, each reading s's action row once, and
 witness revalidation uses them, never the hom's scalar sets.  They read the
 hom's own kernel tuple (the m with f(m) = 0) and image set, which the first
-check to need one fills from `values`; no search reads those two, and the
-searches derive their kernel and image separately.  The direct side of the
-S-monic cross-check is also element-wise: it scans the kernel, listed once
-per hom, for each s in turn.  The monic/epic bridge computes what
+check to need one fills from `values`; no test reads those two, and the
+tests derive their kernel and image separately.  The direct side of the
+S-monic cross-check is also element-wise: it checks that e_S kills each
+element of the kernel, listed once per hom.  The monic/epic bridge computes what
 depends on the hom alone (image, kernel list, the scalar sets, z(M) and the
 units) once and reuses it for every m.c.s.  That core reads only the hom's
 signature (source, target, kernel and image).  `monic_epic_bridge` builds
@@ -226,45 +227,42 @@ def is_s_epic_with(f, s):
     return _revalidation_image(f).issuperset(f.target.act_row(s))
 
 
-def _first_in(scalars, mcs):
-    for s in mcs:
-        if s in scalars:
-            return s
-    return None
+def _idempotent_in(scalars, mcs):
+    """e_S if it lies in the ideal `scalars`, else None."""
+    e = mcs.idempotent
+    return e if e in scalars else None
 
 
 def is_s_zero(f, mcs):
-    """First s with s*f(m) = 0 for every m."""
-    return _hom_witness("s-zero", f, mcs, _first_in(f.s_zero_scalars(), mcs))
+    """e_S when s*f(m) = 0 for every m holds for some s of S."""
+    return _hom_witness("s-zero", f, mcs, _idempotent_in(f.s_zero_scalars(), mcs))
 
 
 def is_s_monic(f, mcs):
-    """First s with f(m) = 0 implying sm = 0; cross-checked via s*Ker(f)."""
+    """e_S when f(m) = 0 implies sm = 0 for some s of S; cross-checked via
+    s*Ker(f)."""
     return _hom_witness("s-monic", f, mcs, _s_monic_cross_checked(
         f, _kernel_list(f), f.s_monic_scalars(), mcs))
 
 
 def _s_monic_cross_checked(f, kernel, scalars, mcs):
-    """The first s of the m.c.s. that kills each element of the kernel list
-    must be the first s in ann(Ker f); returns that s, or None."""
-    direct = next((s for s in mcs
-                   if not any(map(f.source.act_row(s).__getitem__, kernel))), None)
-    via_kernel = _first_in(scalars, mcs)
-    if (direct is None) != (via_kernel is None):
+    """Whether e_S kills each element of the kernel list must agree with
+    whether it lies in ann(Ker f); returns e_S if both hold, else None."""
+    e = mcs.idempotent
+    direct = not any(map(f.source.act_row(e).__getitem__, kernel))
+    if direct != (e in scalars):
         raise AxiomViolation("S-monic characterizations disagree")
-    if direct != via_kernel:
-        raise AxiomViolation("S-monic characterizations picked different witnesses")
-    return via_kernel
+    return e if direct else None
 
 
 def is_s_monic_via_kernel(f, mcs):
-    """First s with s*Ker(f) = 0, the equivalent kernel form."""
-    return _hom_witness("s-monic", f, mcs, _first_in(f.s_monic_scalars(), mcs))
+    """e_S when s*Ker(f) = 0 for some s of S, the equivalent kernel form."""
+    return _hom_witness("s-monic", f, mcs, _idempotent_in(f.s_monic_scalars(), mcs))
 
 
 def is_s_epic(f, mcs):
-    """First s with s*M' contained in Im(f)."""
-    return _hom_witness("s-epic", f, mcs, _first_in(f.s_epic_scalars(), mcs))
+    """e_S when s*M' lies inside Im(f) for some s of S."""
+    return _hom_witness("s-epic", f, mcs, _idempotent_in(f.s_epic_scalars(), mcs))
 
 
 def _hom_witness(claim, f, mcs, s):
@@ -379,7 +377,7 @@ def _bridge_core(f, mcs_list):
     core = []
     for mcs in mcs_list:
         s_monic = _s_monic_cross_checked(f, kernel, monic_scalars, mcs)
-        s_epic = _first_in(epic_scalars, mcs)
+        s_epic = _idempotent_in(epic_scalars, mcs)
         monic_converse = None
         if not (mcs.elements & zero_divisors):
             monic_converse = s_monic is None or monic

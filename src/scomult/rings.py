@@ -13,8 +13,11 @@ Every ring is held as a pair of Cayley tables over the element indices
 0..order-1.  Products of Z_n are built as tables too: the index of an
 element is the mixed-radix encoding of its residue tuple, so index order is
 lexicographic on residues, and the moduli stay on the ring as metadata.
-That index order is the canonical order used by every "first witness"
-search in the library.
+That index order is the canonical order of every enumeration in the
+library.  An m.c.s. S carries e_S, the idempotent power of the product of
+its elements: it lies in S and every s of S divides it, so a question "is
+there an s in S with ..." whose good s are closed under multiplication by R
+is answered by testing e_S alone.
 """
 
 from __future__ import annotations
@@ -580,14 +583,16 @@ class MCS:
     """A validated multiplicatively closed subset: 0 out, 1 in, closed.
 
     A slotted record like `Submodule`: `ring` and `elements` make its
-    identity and its hash; the members are kept sorted for iteration.
+    identity and its hash; the members are kept sorted for iteration, and
+    `idempotent` is e_S, filled at construction (`_idempotent_power`).
     """
 
-    __slots__ = ("ring", "elements", "_sorted", "_hash")
+    __slots__ = ("ring", "elements", "idempotent", "_sorted", "_hash")
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, ring, elements):
-        _fill_mcs(self, ring, elements, tuple(sorted(elements)), hash((ring, elements)))
+        _fill_mcs(self, ring, elements, _idempotent_power(ring, elements),
+                  tuple(sorted(elements)), hash((ring, elements)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -618,6 +623,22 @@ class MCS:
 
 
 _fill_mcs = _slot_filler(MCS)
+
+
+def _idempotent_power(ring, elements):
+    """e_S: the idempotent power of the product p of the elements.
+
+    The powers of p in a finite ring reach an idempotent (Howie,
+    *Fundamentals of Semigroup Theory*), so the loop ends.  In a closed S,
+    e_S is a power of p, hence in S, and every s of S divides p, hence e_S.
+    """
+    product = ring.one
+    for s in elements:
+        product = ring.mul(product, s)
+    e = product
+    while ring.mul(e, e) != e:
+        e = ring.mul(e, product)
+    return e
 
 
 def validate_mcs(ring, subset):
@@ -666,12 +687,9 @@ def divides(ring, t, s):
 
 
 def has_maximal_multiple(mcs):
-    """First s in S divisible by every t in S, as a witness, else None."""
-    ring = mcs.ring
-    for s in mcs.members():
-        if all(divides(ring, t, s) for t in mcs.members()):
-            return Witness.make("maximal-multiple", mcs=mcs, s=s)
-    return None
+    """e_S, which every t in S divides, as a witness: a finite m.c.s. always
+    has one."""
+    return Witness.make("maximal-multiple", mcs=mcs, s=mcs.idempotent)
 
 
 @revalidator("maximal-multiple")

@@ -1,13 +1,15 @@
 """S-theoretic predicates with deterministic witness extraction.
 
-Every predicate of the shape "there exists s in S such that ..." searches
-the m.c.s. in canonical element order, witness outermost, and returns a
-`Witness` that binds the m.c.s. and s and re-validates against the
-defining condition.  Every search for an s with sX inside Y is one call
-of `modules.first_multiplier`.  The definitional lemma form and
-S-cyclicity keep their own loops because they look for s first and then
-an ideal or an element; the other loops test conditions that are not a
-single containment.  Predicates whose definition is conditional on a
+Every predicate of the shape "there exists s in S such that ..." is
+answered at one element, e_S (`MCS.idempotent`): e_S lies in S and every s
+of S divides it, and each condition below still holds when s is multiplied
+by a ring element, so some s works exactly when e_S does (see the README,
+"One multiplier answers for S").  A predicate returns a `Witness` that
+binds the m.c.s. and s = e_S and re-validates against the defining
+condition; clauses "for every t in S" still range over S.  Every test
+whether e_S X lies inside Y is one call of `modules.first_multiplier`.
+The definitional lemma form and S-cyclicity then look for an ideal or an
+element in canonical order.  Predicates whose definition is conditional on a
 disjointness hypothesis raise `DisjointnessFailure` instead of returning
 False; the two outcomes are deliberately kept distinct.  The transfer
 check along a hom lives here, not in `morphisms`, because it reads
@@ -34,8 +36,8 @@ from .modules import (
     zero_colon_set,
 )
 from .morphisms import (
-    _first_in,
     _hom_witness,
+    _idempotent_in,
     homothety_family,
     homothety_on_family,
     is_epic,
@@ -133,26 +135,18 @@ def _s_prime_subject(module, p, mcs):
 
 
 def is_s_prime_submodule(module, p, mcs):
-    """Single s making every am in P resolve to sa in (P:M) or sm in P."""
+    """e_S when it makes every am in P resolve to sa in (P:M) or sm in P."""
     p_set, colon = _s_prime_subject(module, p, mcs)
-    ring = module.ring
-    for s in mcs:
-        s_row = module.act_row(s)
-        ok = True
-        for a in ring.elements():
-            if ring.mul(s, a) in colon:
-                continue
-            a_row = module.act_row(a)
-            for m in module.elements():
-                if a_row[m] in p_set and s_row[m] not in p_set:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return Witness.make("s-prime-submodule", module=module, p=p_set,
-                                mcs=mcs, s=s)
-    return None
+    ring, e = module.ring, mcs.idempotent
+    e_row = module.act_row(e)
+    for a in ring.elements():
+        if ring.mul(e, a) in colon:
+            continue
+        a_row = module.act_row(a)
+        for m in module.elements():
+            if a_row[m] in p_set and e_row[m] not in p_set:
+                return None
+    return Witness.make("s-prime-submodule", module=module, p=p_set, mcs=mcs, s=e)
 
 
 def _outside(module, t, p):
@@ -197,27 +191,27 @@ class SPrimeForms(NamedTuple):
 
 
 def s_prime_colon_form(module, p, mcs):
-    """Some s with (P:_M s) prime and (P:_M s') below it for all s'."""
+    """e_S when (P:_M e_S) is prime and (P:_M t) lies below it for all t."""
     p_set, _ = _s_prime_subject(module, _as_submodule(module, p), mcs)
-    by_s = {s: frozenset(m for m in module.elements()
-                         if module.act(s, m) in p_set) for s in mcs}
-    for s in mcs:
-        w = by_s[s]
-        if is_prime_submodule_set(module, w) and all(by_s[t] <= w for t in mcs):
-            return Witness.make("s-prime-colon", module=module, p=p_set,
-                                mcs=mcs, s=s)
+
+    def colon_by(s):
+        return frozenset(m for m in module.elements() if module.act(s, m) in p_set)
+
+    e = mcs.idempotent
+    w = colon_by(e)
+    if is_prime_submodule_set(module, w) and all(colon_by(t) <= w for t in mcs):
+        return Witness.make("s-prime-colon", module=module, p=p_set, mcs=mcs, s=e)
     return None
 
 
 def s_prime_homothety_form(module, p, mcs):
-    """Some s making every homothety on M/P S-zero or S-injective with it."""
+    """e_S when it makes every homothety on M/P S-zero or S-injective."""
     p_set, _ = _s_prime_subject(module, _as_submodule(module, p), mcs)
-    family = homothety_family(module, p_set)
-    for s in mcs:
-        if all(s in h.s_zero_scalars() or s in h.s_monic_scalars()
-               for h in family):
-            return Witness.make("s-prime-homothety", module=module, p=p_set,
-                                mcs=mcs, s=s)
+    e = mcs.idempotent
+    if all(e in h.s_zero_scalars() or e in h.s_monic_scalars()
+           for h in homothety_family(module, p_set)):
+        return Witness.make("s-prime-homothety", module=module, p=p_set,
+                            mcs=mcs, s=e)
     return None
 
 
@@ -268,22 +262,19 @@ def _s_second_subject(module, n, mcs):
 
 
 def _s_second_search(module, n_sub, mcs):
-    """The search behind `is_s_second`, with no precondition checked."""
+    """The test at e_S behind `is_s_second`, with no precondition checked."""
     multiples = _scalar_multiples(module, n_sub.elements)
-    ring = module.ring
-    for s in mcs:
-        s_image = multiples[s]
-        if all(
-            multiples[ring.mul(s, a)] == _ZERO or multiples[ring.mul(s, a)] == s_image
-            for a in ring.elements()
-        ):
-            return Witness.make("s-second", module=module, n=n_sub.elements,
-                                mcs=mcs, s=s)
+    e = mcs.idempotent
+    e_image = multiples[e]
+    if all(multiples[ea] == _ZERO or multiples[ea] == e_image
+           for ea in module.ring.act_row(e)):
+        return Witness.make("s-second", module=module, n=n_sub.elements,
+                            mcs=mcs, s=e)
     return None
 
 
 def is_s_second(module, n, mcs):
-    """Single s making saN = 0 or saN = sN for every scalar a."""
+    """e_S when it makes saN = 0 or saN = sN for every scalar a."""
     return _s_second_search(module, _s_second_subject(module, n, mcs), mcs)
 
 
@@ -316,29 +307,25 @@ class SSecondForms(NamedTuple):
 
 
 def s_second_homothety_form(module, n, mcs):
-    """Some s making every homothety on N S-zero or S-surjective with it."""
+    """e_S when it makes every homothety on N S-zero or S-surjective."""
     n_sub = _s_second_subject(module, n, mcs)
-    family = homothety_on_family(module, n_sub.elements)
-    for s in mcs:
-        if all(s in h.s_zero_scalars() or s in h.s_epic_scalars()
-               for h in family):
-            return Witness.make("s-second-homothety", module=module,
-                                n=n_sub.elements, mcs=mcs, s=s)
+    e = mcs.idempotent
+    if all(e in h.s_zero_scalars() or e in h.s_epic_scalars()
+           for h in homothety_on_family(module, n_sub.elements)):
+        return Witness.make("s-second-homothety", module=module,
+                            n=n_sub.elements, mcs=mcs, s=e)
     return None
 
 
 def s_second_containment_form(module, n, mcs):
-    """Some s with saN = 0 or sN <= aN for every scalar a."""
+    """e_S when, at s = e_S, saN = 0 or sN <= aN for every scalar a."""
     n_sub = _s_second_subject(module, n, mcs)
     multiples = _scalar_multiples(module, n_sub.elements)
-    ring = module.ring
-    for s in mcs:
-        if all(
-            multiples[ring.mul(s, a)] == _ZERO or multiples[s] <= multiples[a]
-            for a in ring.elements()
-        ):
-            return Witness.make("s-second-containment", module=module,
-                                n=n_sub.elements, mcs=mcs, s=s)
+    e = mcs.idempotent
+    if all(multiples[ea] == _ZERO or multiples[e] <= multiples[a]
+           for a, ea in enumerate(module.ring.act_row(e))):
+        return Witness.make("s-second-containment", module=module,
+                            n=n_sub.elements, mcs=mcs, s=e)
     return None
 
 
@@ -376,7 +363,7 @@ def _check_s_second_containment(module, n, mcs, s):
 
 @lru_cache(maxsize=None)
 def is_s_comultiplication(module, mcs):
-    """For every N, a single s with s(0:_M ann(N)) inside N.
+    """For every N, a single s with s(0:_M ann(N)) inside N: e_S, if any.
 
     Containment N <= (0:_M ann(N)) holds automatically and is asserted.
     """
@@ -417,7 +404,7 @@ def _lemma_pair_search(module, mcs, multiplier):
 
 
 def lemma_pair_form(module, mcs):
-    """For each K, N with ann(K) <= ann(N), a single s with sN <= K."""
+    """For each K, N with ann(K) <= ann(N), a single s with sN <= K: e_S, if any."""
     return _lemma_pair_search(
         module, mcs, lambda k, n: first_multiplier(module, mcs, n, k))
 
@@ -428,16 +415,17 @@ def _check_lemma_pair(module, k, n, mcs, s):
 
 
 def lemma_definitional_form(module, mcs):
-    """For each N, some s and ideal I with s(0:_M I) <= N <= (0:_M I)."""
-    ideals = enumerate_ideals(module.ring)
-    colons = [(i, zero_colon_set(module, i.elements)) for i in ideals]
+    """For each N, some s and ideal I with s(0:_M I) <= N <= (0:_M I): s = e_S
+    and the first such I in ideal order, if any."""
+    e = mcs.idempotent
+    colons = [(i, zero_colon_set(module, i.elements))
+              for i in enumerate_ideals(module.ring)]
 
     def find(n):
-        for s in mcs:
-            for ideal, colon in colons:
-                if n.elements <= colon and scalar_times_set(module, s, colon) <= n.elements:
-                    return Witness.make("s-comultiplication-def", module=module,
-                                        n=n.elements, mcs=mcs, s=s, ideal=ideal)
+        for ideal, colon in colons:
+            if n.elements <= colon and scalar_times_set(module, e, colon) <= n.elements:
+                return Witness.make("s-comultiplication-def", module=module,
+                                    n=n.elements, mcs=mcs, s=e, ideal=ideal)
         return None
 
     return _for_each(enumerate_submodules(module), find)
@@ -495,7 +483,8 @@ def is_multiplication(module):
 
 
 def is_s_multiplication(module, mcs):
-    """For every N a single s with sN <= (N:M)M, using the largest ideal."""
+    """For every N a single s with sN <= (N:M)M, using the largest ideal:
+    e_S, if any."""
     full = module.carrier
 
     def find(n):
@@ -519,14 +508,12 @@ def _check_s_mult(module, n, mcs, s):
 
 
 def is_s_cyclic(module, mcs):
-    """First (s, m) with sM <= Rm."""
-    full_images = {s: scalar_times_set(module, s, module.carrier) for s in mcs}
-    for s in mcs:
-        s_image = full_images[s]
-        for m in module.elements():
-            if s_image <= cyclic_set(module, m):
-                return Witness.make("s-cyclic", module=module, mcs=mcs, s=s,
-                                    element=m)
+    """(e_S, m) for the first m with e_S M <= Rm, if any."""
+    e = mcs.idempotent
+    e_image = scalar_times_set(module, e, module.carrier)
+    for m in module.elements():
+        if e_image <= cyclic_set(module, m):
+            return Witness.make("s-cyclic", module=module, mcs=mcs, s=e, element=m)
     return None
 
 
@@ -558,16 +545,13 @@ def _check_s_finite(module, n, mcs, s, generators):
 
 
 def is_s_torsion_free(module, mcs):
-    """First s with am = 0 implying sa = 0 or sm = 0."""
-    ring = module.ring
-    zero_pairs = [
-        (a, m) for a in ring.elements() for m in module.elements()
-        if module.act(a, m) == 0
-    ]
-    for s in mcs:
-        s_row = module.act_row(s)
-        if all(ring.mul(s, a) == ring.zero or s_row[m] == 0 for a, m in zero_pairs):
-            return Witness.make("s-torsion-free", module=module, mcs=mcs, s=s)
+    """e_S when am = 0 implies sa = 0 or sm = 0 at s = e_S."""
+    ring, e = module.ring, mcs.idempotent
+    e_row = module.act_row(e)
+    if all(ring.mul(e, a) == ring.zero or e_row[m] == 0
+           for a in ring.elements() for m in module.elements()
+           if module.act(a, m) == 0):
+        return Witness.make("s-torsion-free", module=module, mcs=mcs, s=e)
     return None
 
 
@@ -582,7 +566,7 @@ def _check_s_torsion_free(module, mcs, s):
 
 
 def is_s_minimal(module, k, mcs, include_zero=False):
-    """For every submodule L below K, the first s with sK <= L; a ForEachResult.
+    """For every submodule L below K, e_S if e_S K <= L; a ForEachResult.
 
     L runs in `enumerate_submodules` order.  The default reading ranges over
     nonzero L; `include_zero` adds L = 0, which forces some s to annihilate
@@ -620,13 +604,12 @@ def is_prime_module(module):
 
 
 def uniform_multiple(module, n, mcs):
-    """First s with sN <= s'N for every s' in S."""
+    """e_S when e_S N <= tN for every t in S."""
     n_set = n.elements if isinstance(n, Submodule) else frozenset(n)
-    multiples = {s: scalar_times_set(module, s, n_set) for s in mcs}
-    for s in mcs:
-        if all(multiples[s] <= multiples[t] for t in mcs):
-            return Witness.make("uniform-multiple", module=module, n=n_set,
-                                mcs=mcs, s=s)
+    e = mcs.idempotent
+    e_image = scalar_times_set(module, e, n_set)
+    if all(e_image <= scalar_times_set(module, t, n_set) for t in mcs):
+        return Witness.make("uniform-multiple", module=module, n=n_set, mcs=mcs, s=e)
     return None
 
 
@@ -663,7 +646,7 @@ def transfer_theorem_check(f, mcs):
 
 def _transfer_core(f, mcs_list):
     """For each m.c.s. in turn: None where no s of S annihilates Ker(f),
-    else the first such s and the other five `TransferReport` fields.
+    else e_S, which then does, and the other five `TransferReport` fields.
 
     It reads only the hom's signature (source, target, kernel and image),
     so every hom with that signature has the same core.
@@ -671,7 +654,7 @@ def _transfer_core(f, mcs_list):
     kernel_scalars, epic = f.s_monic_scalars(), is_epic(f)
     core = []
     for mcs in mcs_list:
-        s = _first_in(kernel_scalars, mcs)
+        s = _idempotent_in(kernel_scalars, mcs)
         if s is None:
             core.append(None)
             continue

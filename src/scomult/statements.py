@@ -17,18 +17,19 @@ under every toolbox, so it belongs to the catalog and lives in
 - P-HOMS and T-HOM: each ring's hom signature classes (source, target,
   kernel, image) and, per class and m.c.s., the bridge and transfer core
   values (`_by_signature`);
-- P-SPR and T-SEC: the s of each derived form's witness, or None, per
+- P-SPR and T-SEC: whether each derived form gave a witness, per
   (module, N, m.c.s.) (`_check_forms`);
-- L-EQ: the (s, ideal index) of each witness of the definitional lemma
-  form, per (module, m.c.s.) (`_lemma_definitional`);
+- L-EQ: the ideal index of each witness of the definitional lemma form,
+  per (module, m.c.s.) (`_lemma_definitional`);
 - P-PF, P-FAM, T-M3 and T-SSUM: the part of their work that does not
   depend on S, one table per module (`_with_module_table`).
 A value is evaluated the first time a walk needs it, so a walk fails where
 one without the memo would; a later walk over the same catalog, under any
 toolbox, reads it back; a fresh catalog starts cold.  Values are stored
-compactly, as ring elements, indices and shared sets, never as a `Witness`
-or a `ForEachResult`: each instance makes the witnesses that bind its own
-subject from the stored s and has each revalidated, on every walk, and the
+compactly, as codes, indices and shared sets, never as a `Witness` or a
+`ForEachResult`: each instance makes the witnesses that bind its own
+subject, at s = e_S (`MCS.idempotent`, see `s_theory`), and has each
+revalidated, on every walk, and the
 toolbox's own seams (the direct S-prime and S-second forms, the pair form,
 the uniform multiple, the localization torsion) run on every walk.  Once
 `Toolbox` routes a function that a memoized evaluator calls, that memo
@@ -36,15 +37,14 @@ must also be keyed by the field.
 
 P-PF keeps the ideals with (0:_M I) = 0 and their IM; P-FAM the zero-meet
 families and each intersection of N + part over a family; T-M3 ann(N) per
-N; T-SSUM the family sums.  P-FAM and T-SSUM also keep, per (X, Y) that
-their question "is there an s in S with sX inside Y?" names, the colon
-(Y :_R X) = {s in R : sX inside Y}, built the first time the module needs
-it; an instance then only asks whether that set meets S.  P-EXT keeps
-s(0:_M I) per (s, I) and J = I + ann(N) per (N, I) in a table that lives
-for one module only.  Everything else that depends on S (the other
-multiplier searches, the S-second and S-prime verdicts, instance counts and
-witness revalidation) still runs per (module, m.c.s.) pair, in the same
-order.
+N; T-SSUM the family sums.  P-FAM and T-SSUM answer their question "is
+there an s in S with sX inside Y?" at e_S, which works exactly when some s
+does: P-FAM computes (N :_M e_S) once per (m.c.s., N) and T-SSUM e_S N once
+per (m.c.s., S-second N).  P-EXT keeps s(0:_M I) per (s, I) and
+J = I + ann(N) per (N, I) in a table that lives for one module only.
+Everything else that depends on S (the multiplier tests, the S-second and
+S-prime verdicts, instance counts and witness revalidation) still runs per
+(module, m.c.s.) pair, in the same order.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .errors import (
 from .modules import (
     annihilator,
     annihilator_set,
+    colon_set_into_module,
     enumerate_submodules,
     first_multiplier,
     full_submodule,
@@ -78,7 +79,6 @@ from .modules import (
     zero_colon_set,
 )
 from .rings import (
-    _colon,
     enumerate_ideals,
     has_maximal_multiple,
     ideal_sum,
@@ -221,21 +221,6 @@ def _with_module_table(cat, key, pairs, build):
         yield (*item, table)
 
 
-def _has_multiplier(module, mcs, colons, subset, target):
-    """Whether some s of S has s*subset inside target: whether the colon
-    (target :_R subset) meets S.
-
-    `colons` maps (subset, target) to that colon, which does not depend on
-    S; a colon not in it yet is built here and kept for the module's next
-    m.c.s.
-    """
-    key = subset, target
-    colon = colons.get(key)
-    if colon is None:
-        colon = colons[key] = _colon(module, target, subset)
-    return not colon.isdisjoint(mcs.elements)
-
-
 def _s_comult_pairs(cat, include_zero=False):
     for module, mcs in cat.module_mcs_pairs(include_zero=include_zero):
         result = st.is_s_comultiplication(module, mcs)
@@ -264,10 +249,10 @@ def _check_l_eq(cat, tb, ctx):
 
 def _lemma_definitional(cat, module, index, mcs):
     """`lemma_definitional_form(module, mcs)` for the module's index-th
-    m.c.s.; the memo keeps, per m.c.s., the s and the ideal index of each
-    witness in submodule order, as bytes (a generated catalog's rings have
-    at most 12 elements, so both fit in a byte), and a later walk makes the
-    witnesses from them."""
+    m.c.s.; the memo keeps, per m.c.s., the ideal index of each witness in
+    submodule order, as bytes (a generated catalog's rings have at most 12
+    elements, so an index fits in a byte), and a later walk makes the
+    witnesses at e_S from them."""
     found = cat._memo.get((st.lemma_definitional_form, module))
     if found is None:
         found = cat._memo[st.lemma_definitional_form, module] = (
@@ -276,14 +261,13 @@ def _lemma_definitional(cat, module, index, mcs):
     pairs = found[index]
     if pairs is None:
         result = st.lemma_definitional_form(module, mcs)
-        found[index] = bytes(v for _, w in result.witnesses
-                             for v in (w.get("s"), ideals.index(w.get("ideal"))))
+        found[index] = bytes(ideals.index(w.get("ideal")) for _, w in result.witnesses)
         return result
     subs = enumerate_submodules(module)
     witnesses = tuple(
         (n, Witness.make("s-comultiplication-def", module=module, n=n.elements,
-                         mcs=mcs, s=s, ideal=ideals[i]))
-        for n, s, i in zip(subs, pairs[::2], pairs[1::2]))
+                         mcs=mcs, s=mcs.idempotent, ideal=ideals[i]))
+        for n, i in zip(subs, pairs))
     held = len(witnesses)
     return st.ForEachResult(held == len(subs), witnesses,
                             subs[held] if held < len(subs) else None)
@@ -470,24 +454,21 @@ def _check_t_com(cat, tb, ctx):
 
 
 def _check_p_pf(cat, tb, ctx):
+    """Each "some s, a" is asked at s = e_S: sm = am and (s + a)M = 0 still
+    hold with s and a both multiplied by r, and ra stays in I."""
     for module, mcs, _, vanishing in _with_module_table(
             cat, _check_p_pf, _s_comult_pairs(cat), _vanishing_colon_ideals):
         full = module.carrier
-        ring = module.ring
+        ring, e = module.ring, mcs.idempotent
         for ideal, members, im in vanishing:
             ctx.instance(module=module, mcs=mcs, ideal=ideal)
             if first_multiplier(module, mcs, full, im) is None:
                 ctx.fail(detail="no s with sM inside IM")
             for m in module.elements():
-                if not any(
-                    module.act(s, m) == module.act(a, m)
-                    for s in mcs for a in members
-                ):
+                if not any(module.act(e, m) == module.act(a, m) for a in members):
                     ctx.fail(element=m, detail="no s, a with sm = am")
-            if not any(
-                scalar_times_set(module, ring.add(s, a), full) == _ZERO
-                for s in mcs for a in members
-            ):
+            if not any(scalar_times_set(module, ring.add(e, a), full) == _ZERO
+                       for a in members):
                 ctx.fail(detail="no s, a with (s+a)M = 0")
 
 
@@ -571,16 +552,20 @@ def _families(module, params):
 
 
 def _check_p_fam(cat, tb, ctx):
-    for module, mcs, _, (subs, squeezes, colons) in _with_module_table(
+    """Some s squeezes a target into N iff e_S does, iff the target lies
+    in (N :_M e_S), computed once per (m.c.s., N)."""
+    for module, mcs, _, (subs, squeezes) in _with_module_table(
             cat, _check_p_fam, _s_comult_pairs(cat),
-            lambda m: (*_zero_meet_targets(m, cat.params), {})):
+            lambda m: _zero_meet_targets(m, cat.params)):
         ctx.at(module=module, mcs=mcs)
+        e = (mcs.idempotent,)
+        pullbacks = [colon_set_into_module(module, n.elements, e) for n in subs]
         for family, targets in squeezes:
             ctx.instance()
-            for n, target in zip(subs, targets):
+            for n, target, pullback in zip(subs, targets, pullbacks):
                 if not n.elements <= target:
                     ctx.fail(submodule=n, detail="N escaped the intersection")
-                if not _has_multiplier(module, mcs, colons, target, n.elements):
+                if not target <= pullback:
                     ctx.fail(submodule=n,
                              family=[module.set_label(p) for p in family],
                              detail="no s squeezing the intersection into N")
@@ -617,14 +602,17 @@ def _zero_meet_targets(module, params):
 
 
 def _check_p_ext(cat, tb, ctx):
+    """The s of each N is the first of S, in canonical order, with
+    s(0:_M ann(N)) inside N, which the instances depend on."""
     current = None
     for module, mcs, result in _s_comult_pairs(cat):
         if module is not current:       # a table for this module only
             current, ideals, shifted, enlarged = (
                 module, enumerate_ideals(module.ring), {}, {})
         ctx.at(module=module, mcs=mcs)
-        for n, witness in result.witnesses:
-            s = witness.get("s")
+        for n, _ in result.witnesses:
+            colon = zero_colon_set(module, annihilator_set(module, n.elements))
+            s = next(s for s in mcs if scalar_times_set(module, s, colon) <= n.elements)
             for ideal in ideals:
                 if not n.elements <= _times_colon(module, s, ideal, shifted):
                     continue
@@ -753,11 +741,11 @@ def _check_forms(cat, ctx, submodules, direct, record, derived, skips):
     `direct(module, n, mcs)`, the toolbox's definitional form, raising one
     of `skips` counts as a skip.  `record` is the forms record and
     `derived` holds, per derived form in field order, the form and the
-    maker of its witness from (module, N's elements, mcs, s); as in
+    maker of its witness at e_S from (module, N's elements, mcs); as in
     `s_theory._characterize`, a derived form whose own precondition fails
     reads as None.  The memo keeps, per module, one byte per (m.c.s., N,
-    derived form): 0 before the form is evaluated, 1 for None, s + 2 for a
-    witness naming s (a ring has at most 64 elements).
+    derived form): 0 before the form is evaluated, 1 for None, 2 for a
+    witness.
     """
     width = len(derived)
     ctx.tally("disjointness_skips", 0)
@@ -782,11 +770,11 @@ def _check_forms(cat, ctx, submodules, direct, record, derived, skips):
                     code = table[at]
                     if code == 0:
                         witness = st._guard(lambda: form(module, n, mcs))
-                        table[at] = 1 if witness is None else witness.get("s") + 2
+                        table[at] = 1 if witness is None else 2
                     elif code == 1:
                         witness = None
                     else:
-                        witness = make(module, n.elements, mcs, code - 2)
+                        witness = make(module, n.elements, mcs)
                     witnesses.append(witness)
                     at += 1
                 ctx.instance(module=module, mcs=mcs, submodule=n)
@@ -801,10 +789,10 @@ def _check_p_spr(cat, tb, ctx):
     """`s_prime_characterizations`, the derived forms read from the memo."""
     _check_forms(
         cat, ctx, enumerate_submodules, tb.is_s_prime_submodule, st.SPrimeForms,
-        ((st.s_prime_colon_form, lambda module, p, mcs, s: Witness.make(
-            "s-prime-colon", module=module, p=p, mcs=mcs, s=s)),
-         (st.s_prime_homothety_form, lambda module, p, mcs, s: Witness.make(
-             "s-prime-homothety", module=module, p=p, mcs=mcs, s=s))),
+        ((st.s_prime_colon_form, lambda module, p, mcs: Witness.make(
+            "s-prime-colon", module=module, p=p, mcs=mcs, s=mcs.idempotent)),
+         (st.s_prime_homothety_form, lambda module, p, mcs: Witness.make(
+             "s-prime-homothety", module=module, p=p, mcs=mcs, s=mcs.idempotent))),
         DisjointnessFailure)
 
 
@@ -812,10 +800,11 @@ def _check_t_sec(cat, tb, ctx):
     """`s_second_characterizations`, the derived forms read from the memo."""
     _check_forms(
         cat, ctx, _nonzero_submodules, tb.is_s_second, st.SSecondForms,
-        ((st.s_second_homothety_form, lambda module, n, mcs, s: Witness.make(
-            "s-second-homothety", module=module, n=n, mcs=mcs, s=s)),
-         (st.s_second_containment_form, lambda module, n, mcs, s: Witness.make(
-             "s-second-containment", module=module, n=n, mcs=mcs, s=s))),
+        ((st.s_second_homothety_form, lambda module, n, mcs: Witness.make(
+            "s-second-homothety", module=module, n=n, mcs=mcs, s=mcs.idempotent)),
+         (st.s_second_containment_form, lambda module, n, mcs: Witness.make(
+             "s-second-containment", module=module, n=n, mcs=mcs,
+             s=mcs.idempotent))),
         (DisjointnessFailure, PreconditionUnmet))
 
 
@@ -860,9 +849,11 @@ def _check_c_m3(cat, tb, ctx):
 
 
 def _check_t_ssum(cat, tb, ctx):
-    for module, mcs, _, (nonzero, totals, colons) in _with_module_table(
+    """Some s puts sN inside a summand iff e_S does: e_S N is computed once
+    per (m.c.s., S-second N)."""
+    for module, mcs, _, (nonzero, totals) in _with_module_table(
             cat, _check_t_ssum, _s_comult_pairs(cat),
-            lambda m: (_nonzero_submodules(m), [], {})):
+            lambda m: (_nonzero_submodules(m), [])):
         ctx.at(module=module, mcs=mcs)
         seconds = []
         for n in nonzero:
@@ -876,13 +867,14 @@ def _check_t_ssum(cat, tb, ctx):
         if not totals:          # the first time the module has an S-second N
             totals.extend((family, sum_of_sets(module, family))
                           for family in _families(module, cat.params))
+        images = [scalar_times_set(module, mcs.idempotent, n.elements)
+                  for n in seconds]
         for family, total in totals:
-            for n in seconds:
+            for n, image in zip(seconds, images):
                 if not n.elements <= total:
                     continue
                 ctx.instance()
-                if not any(_has_multiplier(module, mcs, colons, n.elements, part)
-                           for part in family):
+                if not any(image <= part for part in family):
                     ctx.fail(submodule=n, family=[module.set_label(p) for p in family],
                              detail="no s with sN inside a summand")
 

@@ -27,10 +27,13 @@ far, until nothing new appears; it keeps no cyclic piece and no sum.
 each checked pair by pair, with no table shared between calls.
 `REFERENCE_CHECKERS` holds, by statement id, the checker bodies of P-EXT,
 P-FAM, P-PF, T-M3 and T-SSUM that recompute their module-only data for
-every (module, m.c.s.) pair and run a `first_multiplier` search for every
-instance, and the bodies of P-HOMS and T-HOM that ask the public
-`monic_epic_bridge` and `transfer_theorem_check` once per (hom, m.c.s.)
-instance.
+every (module, m.c.s.) pair and ask `first_multiplier` for every instance
+(P-EXT finds its first s of S by its own loop), and the bodies of P-HOMS
+and T-HOM that ask the public `monic_epic_bridge` and
+`transfer_theorem_check` once per (hom, m.c.s.) instance.  The e_S
+oracles check `MCS.idempotent` element by element and answer each "some
+s in S" question by asking every s in turn, through the `reference_*`
+checks or a claim's revalidator.
 """
 
 from itertools import product
@@ -47,6 +50,7 @@ from scomult.modules import (
     ideal_times_module_set,
     scalar_times_set,
     self_module,
+    zero_colon_set,
     zn_over_zk,
 )
 from scomult.morphisms import ModuleHom
@@ -59,6 +63,7 @@ from scomult.rings import (
     validate_mcs,
 )
 from scomult.statements import verify_all
+from scomult.witnesses import REVALIDATORS
 
 
 def brute_force_ideals(ring):
@@ -466,6 +471,55 @@ REFERENCE_REVALIDATORS = {
 
 
 # ---------------------------------------------------------------------------
+# the e_S oracles: every S-existential predicate of the library tests one
+# element, e_S (`MCS.idempotent`).  These check e_S element by element and
+# answer each question by a search over every s of S, sharing no search
+# code with the library.
+
+
+def reference_idempotent_faults(mcs):
+    """What keeps `mcs.idempotent` from being e_S, checked with `mul`: it
+    lies outside S, is not idempotent, or some t of S does not divide it.
+    [] when it is e_S."""
+    ring, e = mcs.ring, mcs.idempotent
+    faults = []
+    if e not in mcs.elements:
+        faults.append(("not in S", e))
+    if ring.mul(e, e) != e:
+        faults.append(("not idempotent", e))
+    faults.extend(("not divisible by", t) for t in mcs
+                  if all(ring.mul(t, r) != e for r in ring.elements()))
+    return faults
+
+
+def reference_check(claim):
+    """The claim's check of one s, with its witness's bindings as keywords:
+    the element-by-element form in `REFERENCE_REVALIDATORS` where there is
+    one, else the library's revalidator."""
+    return REFERENCE_REVALIDATORS.get(claim, REVALIDATORS[claim])
+
+
+def reference_some_s(mcs, holds):
+    """Whether holds(s) for some s of S, asked of every s in turn."""
+    return any(holds(s) for s in mcs)
+
+
+def reference_for_each(items, has_s):
+    """(whether has_s(item) for every item, the first item without or None):
+    the verdict and failing item of a `ForEachResult`."""
+    for item in items:
+        if not has_s(item):
+            return False, item
+    return True, None
+
+
+def reference_s_torsion(base, mcs):
+    """{x : ux = 0 for some u in S}, one `act` call per (u, x)."""
+    return frozenset(x for x in base.elements()
+                     if any(base.act(u, x) == base.zero for u in mcs))
+
+
+# ---------------------------------------------------------------------------
 # reference hom enumeration: the candidate-by-candidate body that the two
 # stages of `morphisms.enumerate_homs` replace.  It rebuilds the same
 # candidates in the same order, but checks each one element by element.
@@ -589,9 +643,13 @@ def reference_p_fam(cat, tb, ctx):
 
 
 def reference_p_ext(cat, tb, ctx):
+    """s is, for each N, the first s of S in canonical order with
+    s(0:_M ann(N)) inside N, found by its own loop."""
     for module, mcs, result in statements._s_comult_pairs(cat):
-        for n, witness in result.witnesses:
-            s = witness.get("s")
+        for n, _ in result.witnesses:
+            colon = zero_colon_set(module, annihilator_set(module, n.elements))
+            s = next(t for t in mcs
+                     if scalar_times_set(module, t, colon) <= n.elements)
             for ideal in statements.enumerate_ideals(module.ring):
                 shifted = statements.scalar_times_set(
                     module, s, statements.zero_colon_set(module, ideal.elements))

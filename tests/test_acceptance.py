@@ -4,11 +4,13 @@ Derived expectations are pinned from the independent oracles in conftest
 (raw subset filters), never from the enumeration paths they check.
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
-from scomult.catalog import generate_catalog
+from scomult.catalog import CatalogParams, generate_catalog
 from scomult.errors import DisjointnessFailure, PreconditionUnmet
 from scomult.localization import localize_ring
 from scomult.modules import (
@@ -18,7 +20,7 @@ from scomult.modules import (
     self_module,
     zero_colon_set,
 )
-from scomult.mutations import MUTANTS
+from scomult.mutations import KILLS, MUTANTS, mutation_catalog_params
 from scomult.rings import (
     enumerate_ideals,
     has_maximal_multiple,
@@ -210,3 +212,37 @@ def test_criterion_8_witness_revalidation(catalog):
         seen += len(witnesses)
     assert seen > 1000
     print(f"criterion-8 PASS: {seen} emitted witnesses re-validated, 100%")
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+
+
+def workload_params(params):
+    """`CatalogParams` from a catalog of the benchmark's workloads file,
+    its moduli lists read as tuples, as the benchmark's worker reads them."""
+    return CatalogParams(**{**params, "product_moduli": tuple(
+        map(tuple, params["product_moduli"]))})
+
+
+def test_reports_match_the_benchmark_pins(suite, mutation_run):
+    """Every (verdict, instances) that the benchmark pins in its workloads
+    file, read and left as it is: the default catalog, the reduced one, and
+    the reduced one under each mutant, whose failed statements are its kills
+    there and in `mutations.KILLS`.  The benchmark scores a mismatch as a
+    failed operation."""
+    spec = json.loads(WORKLOADS.read_text())
+    catalogs, mutants = spec["catalogs"], spec["mutants"]
+    assert workload_params(catalogs["default"]["params"]) == CatalogParams()
+    assert (workload_params(catalogs["reduced"]["params"])
+            == mutation_catalog_params())
+    outcomes, reports = mutation_run
+
+    def pinned(reports):
+        return {r.statement_id: [r.verdict, r.instances] for r in reports}
+
+    assert pinned(suite[0]) == catalogs["default"]["expected"]
+    assert pinned(reports["default"]) == catalogs["reduced"]["expected"]
+    assert sorted(mutants) == sorted(MUTANTS)
+    for name, failed in outcomes:
+        assert pinned(reports[name]) == mutants[name]["expected"], name
+        assert failed == mutants[name]["kills"] == list(KILLS[name]), name

@@ -88,8 +88,8 @@ def test_s_zero_pins(m6, s13):
 
 def test_s_monic_epic_pins(m6, s1, s13):
     ident = identity_hom(m6)
-    assert is_s_monic(ident, s13).get("s") == 1
-    assert is_s_epic(ident, s13).get("s") == 1
+    assert is_s_monic(ident, s13).get("s") == 3     # e_S of {1, 3}
+    assert is_s_epic(ident, s13).get("s") == 3
     double = multiplication_hom(m6, 2)
     assert is_s_monic(double, s13) is None
     assert is_s_monic(double, s13) == is_s_monic_via_kernel(double, s13)
@@ -283,9 +283,9 @@ def hom_predicate_digest(catalog):
     return digest.hexdigest()
 
 
-# captured before the S-hom searches read each hom's scalar sets
+# captured once the S-hom tests named e_S
 REDUCED_HOM_PREDICATE_DIGEST = (
-    "4381f7f9e6677ce9c1ecb2ef4c5178b920469c5f3669e015c30b82d516167d00")
+    "ee0d56d15a4373811b72aa181092a5e93cd758529eb92f2b93a14bb2a5b4b28f")
 
 
 def test_hom_predicate_outcomes_are_pinned(reduced_catalog):
@@ -477,12 +477,11 @@ def test_the_per_hom_batch_equals_the_bridge_on_every_pair(reduced_catalog):
 
 @pytest.mark.parametrize("scalars, axiom", [
     (frozenset(), "S-monic characterizations disagree"),
-    (frozenset({3}), "S-monic characterizations picked different witnesses"),
 ])
 def test_a_wrong_s_monic_set_fails_the_cross_check(m6, s13, monkeypatch,
                                                    scalars, axiom):
-    """The identity on Z6 is S-monic with s = 1 element by element, so a set
-    without 1 disagrees with the direct side on every path."""
+    """The identity on Z6 is S-monic with s = e_S = 3 element by element, so
+    a set without 3 disagrees with the direct side on every path."""
     f = identity_hom(m6)
     monkeypatch.setattr(ModuleHom, "s_monic_scalars", lambda self: scalars)
     for call in (lambda: _bridge_core(f, (s13,)),

@@ -73,7 +73,7 @@ def test_quantifier_order_regression(m6, s124):
     real = is_s_prime_submodule(m6, zero, s124)
     swapped = s_prime_quantifier_swap(m6, zero, s124)
     assert real is not None and swapped is not None       # booleans agree
-    assert real.get("s") == 2 and real.validate()
+    assert real.get("s") == 4 and real.validate()       # e_S of {1, 2, 4}
     assert swapped.get("s") == 1 and not swapped.validate()
 
 
@@ -353,9 +353,9 @@ def module_search_digest(catalog):
     return digest.hexdigest()
 
 
-# captured before the module-side searches shared one multiplier search
+# captured once the module-side searches named e_S
 REDUCED_MODULE_SEARCH_DIGEST = (
-    "78915f5e5789c5889842da35e57dc2283660f195236bfe75191199d9d2b27271")
+    "668c0a35319c691e62113012f2b407c58a46730588fc7f8894fa72940dd18e1e")
 
 
 def test_module_search_outcomes_are_pinned():

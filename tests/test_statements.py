@@ -19,8 +19,8 @@ from scomult.errors import (
 )
 from scomult.modules import (
     enumerate_submodules,
-    first_multiplier,
     full_submodule,
+    scalar_times_set,
     self_module,
     submodule_from_set,
     zero_colon_set,
@@ -325,7 +325,7 @@ MUTANT_COUNTEREXAMPLES = {
                   "verdicts": [True, False, False]},
         "T-SSUM": {"module": "Z6 over Z6", "mcs": "{1,3}", "submodule": "{0,2,4}",
                    "detail": REVALIDATION + "s-second(module=Z6 over Z6,"
-                                            " n={0,2,4}, mcs={1,3}, s=1)"}},
+                                            " n={0,2,4}, mcs={1,3}, s=3)"}},
     "tm3_drop_uniform_clause": {
         "T-M3": {"module": "Z6 over Z6", "mcs": "{1,3}", "submodule": "{0,2,4}",
                  "detail": REVALIDATION + "uniform-multiple(module=Z6 over Z6,"
@@ -677,17 +677,39 @@ def none_from_the_second_mcs(catalog):
     return patched
 
 
-def no_s_from_the_second_mcs(catalog):
-    """_has_multiplier, but False on the chosen module from its ring's
-    second m.c.s. on: the fault of `none_from_the_second_mcs` as P-FAM and
-    T-SSUM see it through their colon tables."""
-    real = statements._has_multiplier
+# where P-FAM and T-SSUM test e_S, and what a missing multiplier gives there
+E_S_SEAMS = {"P-FAM": ("colon_set_into_module", lambda module: frozenset()),
+             "T-SSUM": ("scalar_times_set",
+                        lambda module: frozenset((module.size,)))}
 
-    def patched(module, mcs, colons, subset, target):
-        if past_the_first_mcs(catalog, module, mcs):
-            return False
-        return real(module, mcs, colons, subset, target)
-    return patched
+
+def no_e_s_from_the_second_mcs(catalog, sid):
+    """The fault of `none_from_the_second_mcs` as P-FAM or T-SSUM sees it,
+    as {name in `statements`: patch}.  They ask no `first_multiplier`: they
+    test e_S through (N :_M e_S) or e_S N.  On the chosen module from its
+    ring's second m.c.s. on, (N :_M e_S) is empty and e_S N holds an index
+    outside the module, so no target or summand takes it."""
+    walked = []
+    name, fault = E_S_SEAMS[sid]
+    real = getattr(statements, name)
+
+    def patched(module, *args):
+        if past_the_first_mcs(catalog, *walked):
+            return fault(module)
+        return real(module, *args)
+    return {"_with_module_table": tracking_walk(walked), name: patched}
+
+
+def tracking_walk(walked):
+    """`_with_module_table`, keeping in `walked` the (module, m.c.s.) of the
+    item it last gave."""
+    real = statements._with_module_table
+
+    def walk(*args):
+        for item in real(*args):
+            walked[:] = item[:2]
+            yield item
+    return walk
 
 
 def drops_an_element(catalog):
@@ -737,15 +759,15 @@ def test_forced_failures_match_the_reference_checkers(monkeypatch, sid, name,
     the reference checker: the same instance count, and a failure at the
     same module, m.c.s., submodule and family.  None: the statement passes
     (a lossy sum only drops T-SSUM instances).  The reference checkers ask
-    `first_multiplier`, P-FAM and T-SSUM ask `_has_multiplier`, so a
+    `first_multiplier`, P-FAM and T-SSUM test e_S themselves, so a
     multiplier fault is forced on both.  The module tables live as long as
     their catalog, so each case builds its own and the fault meets a cold
     catalog."""
     catalog = generate_catalog(mutation_catalog_params())
     monkeypatch.setattr(statements, name, forced(catalog))
-    if forced is none_from_the_second_mcs:
-        monkeypatch.setattr(statements, "_has_multiplier",
-                            no_s_from_the_second_mcs(catalog))
+    if forced is none_from_the_second_mcs and sid in E_S_SEAMS:
+        for seam, patched in no_e_s_from_the_second_mcs(catalog, sid).items():
+            monkeypatch.setattr(statements, seam, patched)
     actual = outcome(verify(sid, catalog))
     assert actual == reference_outcome(sid, catalog)
     if failing_module is None:
@@ -1256,66 +1278,77 @@ def test_closure_checks_of_a_warm_run_are_pinned(monkeypatch, sid,
 WARM_CLOSURE_CHECKS = {"P-EXT": 160, "T-M3": 0, "P-SPR": 0, "T-SEC": 0}
 
 
-@pytest.mark.parametrize("sid, colon_sets", [("P-FAM", 83), ("T-SSUM", 63)])
-def test_multiplier_sets_of_a_run_are_pinned(monkeypatch, sid, colon_sets):
-    """P-FAM and T-SSUM build each colon {s : sX inside Y} once per
-    (module, X, Y) of a catalog, on the first run over it, and make no
-    `first_multiplier` search; a second run over the same catalog builds
-    none.  A search per (module, m.c.s.) instance would make 4,157 and 863
-    of them on every run."""
-    colons, searches = [], []
-    real_colon = statements._colon
+@pytest.mark.parametrize("sid, seam, sets", [
+    ("P-FAM", "colon_set_into_module", 209),
+    ("T-SSUM", "scalar_times_set", 67),
+])
+def test_multiplier_sets_of_a_run_are_pinned(monkeypatch, sid, seam, sets):
+    """P-FAM computes (N :_M e_S) once per (m.c.s., N) of an S-comultiplication
+    pair, T-SSUM e_S N once per (m.c.s., S-second N), on every run, and
+    neither makes a `first_multiplier` call.  A call per question would make
+    4,157 and 863 of them on every run."""
+    built, searches = [], []
+    real_seam = getattr(statements, seam)
     real_search = statements.first_multiplier
 
-    def counting_colon(*args):
-        colons.append(args)
-        return real_colon(*args)
+    def counting_seam(*args):
+        built.append(args)
+        return real_seam(*args)
 
     def counting_search(*args):
         searches.append(args)
         return real_search(*args)
 
-    monkeypatch.setattr(statements, "_colon", counting_colon)
+    monkeypatch.setattr(statements, seam, counting_seam)
     monkeypatch.setattr(statements, "first_multiplier", counting_search)
     catalog = generate_catalog(mutation_catalog_params())
-    assert verify(sid, catalog).verdict == "pass"
-    assert (len(colons), len(searches)) == (colon_sets, 0)
-    colons.clear()
-    assert verify(sid, catalog).verdict == "pass"
-    assert (len(colons), len(searches)) == (0, 0)
+    for _ in range(2):
+        assert verify(sid, catalog).verdict == "pass"
+        assert (len(built), len(searches)) == (sets, 0)
+        built.clear()
 
 
-def test_colon_tables_answer_like_first_multiplier(small_catalog, monkeypatch):
-    """Every question P-FAM and T-SSUM ask of their colon tables gets the
-    answer of `first_multiplier`: the stored colon equals {r : rX inside Y}
-    computed element by element, `_has_multiplier` says yes exactly when
-    `first_multiplier` finds an s, and that s is the first of S in the
-    colon."""
+class AskedSet(frozenset):
+    """A set that logs, with the (module, m.c.s.) being walked and the set
+    it was built from, each subset question asked of it and its answer:
+    `x <= self`, P-FAM's target inside (N :_M e_S), and `self <= x`, T-SSUM's
+    e_S N inside a summand."""
+
+    def __ge__(self, other):
+        answer = frozenset.__ge__(self, other)
+        self.log.append((*self.subject, other, answer))
+        return answer
+
+    def __le__(self, other):
+        answer = frozenset.__le__(self, other)
+        self.log.append((*self.subject, other, answer))
+        return answer
+
+
+def test_e_s_questions_answer_like_a_search_over_s(small_catalog, monkeypatch):
+    """Every question P-FAM and T-SSUM ask at e_S gets the answer of a search
+    over every s of S: a target T lies in (N :_M e_S) iff some s has sT
+    inside N, and e_S N lies in a summand P iff some s has sN inside P."""
+    walked = []
+    monkeypatch.setattr(statements, "_with_module_table", tracking_walk(walked))
     asked = {"P-FAM": [], "T-SSUM": []}
-    real = statements._has_multiplier
-    for sid, questions in asked.items():
-        def recording(module, mcs, colons, subset, target, questions=questions):
-            answer = real(module, mcs, colons, subset, target)
-            questions.append((module, mcs, subset, target,
-                              colons[subset, target], answer))
-            return answer
+    for sid, seam, position in (("P-FAM", "colon_set_into_module", 1),
+                                ("T-SSUM", "scalar_times_set", 2)):
+        real = getattr(statements, seam)
 
-        monkeypatch.setattr(statements, "_has_multiplier", recording)
+        def logging(*args, real=real, position=position, log=asked[sid]):
+            out = AskedSet(real(*args))
+            out.log, out.subject = log, (*walked, args[position])
+            return out
+
+        monkeypatch.setattr(statements, seam, logging)
         assert verify(sid, small_catalog).verdict == "pass"
     assert {sid: len(q) for sid, q in asked.items()} == {
         "P-FAM": 4157, "T-SSUM": 863}
-    expected = {}
-    for questions in asked.values():
-        for module, mcs, subset, target, colon, answer in questions:
-            key = (module, subset, target)
-            if key not in expected:
-                expected[key] = frozenset(
-                    r for r in module.ring.elements()
-                    if all(module.act(r, x) in target for x in subset))
-            assert colon == expected[key]
-            first = first_multiplier(module, mcs, subset, target)
-            assert answer == (first is not None)
-            assert first == next((s for s in mcs if s in colon), None)
+    for module, mcs, n, target, answer in asked["P-FAM"]:
+        assert answer == any(scalar_times_set(module, s, target) <= n for s in mcs)
+    for module, mcs, n, part, answer in asked["T-SSUM"]:
+        assert answer == any(scalar_times_set(module, s, n) <= part for s in mcs)
 
 
 # ---------------------------------------------------------------------------
@@ -1323,15 +1356,14 @@ def test_colon_tables_answer_like_first_multiplier(small_catalog, monkeypatch):
 
 # Every evaluator whose values the catalog memo keeps, by module.  The
 # bridge core reaches the memo through `_bridge_outcomes`; the T-SSUM table
-# holds what `sum_of_sets` and `_colon` give; the other module tables are
-# built by the functions named here.
+# holds what `sum_of_sets` gives; the other module tables are built by the
+# functions named here.
 MEMOIZED_EVALUATORS = {
     s_theory: ("s_prime_colon_form", "s_prime_homothety_form",
                "s_second_homothety_form", "s_second_containment_form",
                "lemma_definitional_form", "_transfer_core"),
     statements: ("_bridge_outcomes", "_vanishing_colon_ideals",
-                 "_zero_meet_targets", "_nonzero_annihilators", "_colon",
-                 "sum_of_sets"),
+                 "_zero_meet_targets", "_nonzero_annihilators", "sum_of_sets"),
 }
 TOOLBOX_NAMES = frozenset(
     ["tb", "Toolbox", *(f.name for f in fields(Toolbox))]) - {"mutated"}
