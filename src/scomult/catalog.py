@@ -6,8 +6,8 @@ cases used by the product-characterization statements.  The one-element
 module is constructed per ring and flagged; statement checkers skip it
 except where a statement's content forces degenerate instances.  A catalog
 also owns a private memo of data derived from it, empty when generated and
-dropped with it: the hom statements keep their signature classes and core
-values there.
+dropped with it: the statement checkers keep there the values that no
+toolbox field reaches (listed in the `statements` module docstring).
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ def lemma_pair_direction_flip(module, mcs):
 
 
 def uniform_multiple_unchecked(module, n, mcs):
-    """Emits the first element of S without verifying sN <= s'N."""
+    """Emits s = 1, the first element of S, unchecked, in place of e_S."""
     n_set = n.elements if isinstance(n, Submodule) else frozenset(n)
     return Witness.make("uniform-multiple", module=module, n=n_set, mcs=mcs,
                         s=mcs.members()[0])

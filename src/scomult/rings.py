@@ -669,12 +669,11 @@ def unit_mcs(ring):
 
 
 def saturation(mcs):
-    """S* = {x : rx in S for some r}; saturated, contains S (both checked)."""
+    """S* = {x : rx in S for some r}, the divisors of e_S (x | s | e_S, or
+    rx = e_S); saturated and containing S (both checked)."""
     ring = mcs.ring
-    star = frozenset(
-        x for x in ring.elements()
-        if any(ring.mul(r, x) in mcs.elements for r in ring.elements())
-    )
+    star = frozenset(x for x in ring.elements()
+                     if mcs.idempotent in ring.act_row(x))
     out = validate_mcs(ring, star)
     if not mcs.elements <= out.elements:
         raise AxiomViolation("saturation must contain the original set")

@@ -6,7 +6,8 @@ of S divides it, and each condition below still holds when s is multiplied
 by a ring element, so some s works exactly when e_S does (see the README,
 "One multiplier answers for S").  A predicate returns a `Witness` that
 binds the m.c.s. and s = e_S and re-validates against the defining
-condition; clauses "for every t in S" still range over S.  Every test
+condition.  A clause "for every t in S" holds at e_S, which t divides, so
+only the revalidators range over S to check it.  Every test
 whether e_S X lies inside Y is one call of `modules.first_multiplier`.
 The definitional lemma form and S-cyclicity then look for an ideal or an
 element in canonical order.  Predicates whose definition is conditional on a
@@ -191,15 +192,12 @@ class SPrimeForms(NamedTuple):
 
 
 def s_prime_colon_form(module, p, mcs):
-    """e_S when (P:_M e_S) is prime and (P:_M t) lies below it for all t."""
+    """e_S when (P:_M e_S) is prime.  (P:_M t) lies below it for every t in
+    S: e_S = rt, so tm in P gives e_S m = r(tm) in P."""
     p_set, _ = _s_prime_subject(module, _as_submodule(module, p), mcs)
-
-    def colon_by(s):
-        return frozenset(m for m in module.elements() if module.act(s, m) in p_set)
-
     e = mcs.idempotent
-    w = colon_by(e)
-    if is_prime_submodule_set(module, w) and all(colon_by(t) <= w for t in mcs):
+    colon = frozenset(m for m, em in enumerate(module.act_row(e)) if em in p_set)
+    if is_prime_submodule_set(module, colon):
         return Witness.make("s-prime-colon", module=module, p=p_set, mcs=mcs, s=e)
     return None
 
@@ -604,13 +602,11 @@ def is_prime_module(module):
 
 
 def uniform_multiple(module, n, mcs):
-    """e_S when e_S N <= tN for every t in S."""
+    """e_S, with e_S N <= tN for every t in S and submodule N: e_S = rt, so
+    e_S N = t(rN) lies in tN."""
     n_set = n.elements if isinstance(n, Submodule) else frozenset(n)
-    e = mcs.idempotent
-    e_image = scalar_times_set(module, e, n_set)
-    if all(e_image <= scalar_times_set(module, t, n_set) for t in mcs):
-        return Witness.make("uniform-multiple", module=module, n=n_set, mcs=mcs, s=e)
-    return None
+    return Witness.make("uniform-multiple", module=module, n=n_set, mcs=mcs,
+                        s=mcs.idempotent)
 
 
 @revalidator("uniform-multiple")

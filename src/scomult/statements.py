@@ -19,8 +19,6 @@ under every toolbox, so it belongs to the catalog and lives in
   values (`_by_signature`);
 - P-SPR and T-SEC: whether each derived form gave a witness, per
   (module, N, m.c.s.) (`_check_forms`);
-- L-EQ: the ideal index of each witness of the definitional lemma form,
-  per (module, m.c.s.) (`_lemma_definitional`);
 - P-PF, P-FAM, T-M3 and T-SSUM: the part of their work that does not
   depend on S, one table per module (`_with_module_table`).
 A value is evaluated the first time a walk needs it, so a walk fails where
@@ -233,44 +231,13 @@ def _s_comult_pairs(cat, include_zero=False):
 
 
 def _check_l_eq(cat, tb, ctx):
-    """`lemma_equivalence_bundle` with the definitional form read from the
-    catalog memo."""
-    for module in cat.nonzero_modules():
-        for index, mcs in enumerate(cat.mcs[module.ring]):
-            bundle = st.LemmaForms(_lemma_definitional(cat, module, index, mcs),
-                                   st.is_s_comultiplication(module, mcs),
-                                   tb.lemma_pair_form(module, mcs))
-            ctx.instance(module=module, mcs=mcs)
-            if not bundle.agree():
-                ctx.fail(verdicts=list(bundle.verdicts))
-            for w in (w for form in bundle for _, w in form.witnesses):
-                ctx.revalidate(w)
-
-
-def _lemma_definitional(cat, module, index, mcs):
-    """`lemma_definitional_form(module, mcs)` for the module's index-th
-    m.c.s.; the memo keeps, per m.c.s., the ideal index of each witness in
-    submodule order, as bytes (a generated catalog's rings have at most 12
-    elements, so an index fits in a byte), and a later walk makes the
-    witnesses at e_S from them."""
-    found = cat._memo.get((st.lemma_definitional_form, module))
-    if found is None:
-        found = cat._memo[st.lemma_definitional_form, module] = (
-            [None] * len(cat.mcs[module.ring]))
-    ideals = enumerate_ideals(module.ring)
-    pairs = found[index]
-    if pairs is None:
-        result = st.lemma_definitional_form(module, mcs)
-        found[index] = bytes(ideals.index(w.get("ideal")) for _, w in result.witnesses)
-        return result
-    subs = enumerate_submodules(module)
-    witnesses = tuple(
-        (n, Witness.make("s-comultiplication-def", module=module, n=n.elements,
-                         mcs=mcs, s=mcs.idempotent, ideal=ideals[i]))
-        for n, i in zip(subs, pairs))
-    held = len(witnesses)
-    return st.ForEachResult(held == len(subs), witnesses,
-                            subs[held] if held < len(subs) else None)
+    for module, mcs in cat.module_mcs_pairs():
+        bundle = st.lemma_equivalence_bundle(module, mcs, tb.lemma_pair_form)
+        ctx.instance(module=module, mcs=mcs)
+        if not bundle.agree():
+            ctx.fail(verdicts=list(bundle.verdicts))
+        for w in (w for form in bundle for _, w in form.witnesses):
+            ctx.revalidate(w)
 
 
 def _check_p_mono(cat, tb, ctx):
@@ -663,12 +630,9 @@ def _check_t_cy2(cat, tb, ctx):
                     continue
                 ctx.at(module=module, mcs=mcs)
                 ctx.revalidate(st.is_s_finite(module, full, mcs))
-                faithful = all(
-                    annihilator_set(module, scalar_times_set(module, s, full))
-                    == zero_ideal
-                    for s in mcs
-                )
-                if not faithful:
+                # every ann(sM) is 0 iff ann(e_S M) is: e_S M lies in each sM
+                e_image = scalar_times_set(module, mcs.idempotent, full)
+                if annihilator_set(module, e_image) != zero_ideal:
                     continue
                 ctx.instance()
                 if st.is_cyclic(module):

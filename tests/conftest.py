@@ -33,7 +33,10 @@ and T-HOM that ask the public `monic_epic_bridge` and
 `transfer_theorem_check` once per (hom, m.c.s.) instance.  The e_S
 oracles check `MCS.idempotent` element by element and answer each "some
 s in S" question by asking every s in turn, through the `reference_*`
-checks or a claim's revalidator.
+checks or a claim's revalidator; `reference_multiple`,
+`reference_annihilator`, `reference_is_comultiplication` and
+`reference_saturation` compute, element by element, the sets behind the
+corollaries of e_S that the checkers use in place of a loop over S.
 """
 
 from itertools import product
@@ -91,12 +94,16 @@ def brute_force_ideals(ring):
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
-def brute_force_submodules(module):
-    """Every subset containing 0 that passes the submodule invariant."""
+def brute_force_submodules(module, within=None):
+    """Every subset containing 0 that passes the submodule invariant; only
+    those inside the element set `within`, when given."""
     size = module.size
     act_rows = [module.act_row(r) for r in module.ring.elements()]
+    allowed = sum(1 << i for i in range(size) if within is None or i in within)
     out = []
     for mask in range(1, 1 << size, 2):
+        if mask & ~allowed:
+            continue
         members = [i for i in range(size) if (mask >> i) & 1]
         ok = True
         for a in members:
@@ -488,8 +495,43 @@ def reference_idempotent_faults(mcs):
     if ring.mul(e, e) != e:
         faults.append(("not idempotent", e))
     faults.extend(("not divisible by", t) for t in mcs
-                  if all(ring.mul(t, r) != e for r in ring.elements()))
+                  if not reference_divides(ring, t, e))
     return faults
+
+
+def reference_divides(ring, t, x):
+    """t | x: some r with tr = x, one `mul` call per r."""
+    return any(ring.mul(t, r) == x for r in ring.elements())
+
+
+def reference_multiple(module, s, subset):
+    """sX, one `act` call per element."""
+    return frozenset(module.act(s, x) for x in subset)
+
+
+def reference_annihilator(module, subset):
+    """{r : rx = 0 for every x of the subset}, one `act` call per (r, x)."""
+    return frozenset(r for r in module.ring.elements()
+                     if all(module.act(r, x) == 0 for x in subset))
+
+
+def reference_is_comultiplication(module, carrier):
+    """Whether the submodule with element set `carrier`, as an R-module, is
+    comultiplication: each of its submodules N, filtered from raw subsets,
+    is the set of x in it that ann(N) kills."""
+    for n in brute_force_submodules(module, carrier):
+        ann = reference_annihilator(module, n)
+        if n != frozenset(x for x in carrier
+                          if all(module.act(a, x) == 0 for a in ann)):
+            return False
+    return True
+
+
+def reference_saturation(mcs):
+    """{x : rx in S for some r}, one `mul` call per (r, x)."""
+    ring = mcs.ring
+    return frozenset(x for x in ring.elements()
+                     if any(ring.mul(r, x) in mcs.elements for r in ring.elements()))
 
 
 def reference_check(claim):

@@ -4,6 +4,7 @@ Derived expectations are pinned from the independent oracles in conftest
 (raw subset filters), never from the enumeration paths they check.
 """
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -246,3 +247,38 @@ def test_reports_match_the_benchmark_pins(suite, mutation_run):
     for name, failed in outcomes:
         assert pinned(reports[name]) == mutants[name]["expected"], name
         assert failed == mutants[name]["kills"] == list(KILLS[name]), name
+
+
+# SHA-256 of each run's statement reports, the same under PYTHONHASHSEED 1
+# and 7: the default catalog, the reduced one, and the reduced one under
+# each mutant
+REPORT_DIGESTS = {
+    "default": "01c5a77af95de546840ae9350016eb3d1af6e6b9c28fd4c73bf79f022f31b6c3",
+    "reduced": "be96595791ca19242e2cb3eababd43f53212452724d4ccb651293a4334b1cb5f",
+    "lemma_pair_direction_flip":
+        "a0352f1ec0f36283ef341706b5553e79cd6165fc4c9e972c16550436975686b8",
+    "localization_drop_ufactor":
+        "3b39eb0ce294d298fab15e33d6bd0626748e72d7bf27df92c5bdd840f4ab131b",
+    "s_prime_quantifier_swap":
+        "5b253a60175e8f4fec465acd38477580fa537f2a654b23acb103af6aa06d47c1",
+    "s_second_drop_disjointness":
+        "35fde585d5e3f426348ebf6fbe2a1f362fb815c0c49fc2cbc5589f3bcdc62b14",
+    "tm3_drop_uniform_clause":
+        "8661e0fb5146aba88b7db011bde79734a20b826650cf23e4ad6a5437083f6450",
+}
+
+
+def report_digest(reports):
+    """SHA-256 of the reports' JSON documents, in order, each without `ms`."""
+    documents = [{key: value for key, value in r.to_json().items() if key != "ms"}
+                 for r in reports]
+    return hashlib.sha256(json.dumps(documents).encode()).hexdigest()
+
+
+def test_every_report_document_is_pinned(suite, mutation_run):
+    """Each statement's whole report (verdict, instances, notes and
+    counterexample) on both catalogs and under every mutant."""
+    _, reports = mutation_run
+    runs = {"default": suite[0], "reduced": reports["default"],
+            **{name: reports[name] for name in MUTANTS}}
+    assert {name: report_digest(r) for name, r in runs.items()} == REPORT_DIGESTS

@@ -7,21 +7,29 @@ with a search over every s of S (the conftest e_S oracles), which uses the
 conftest `reference_*` checks where they exist and the claim's revalidator
 otherwise: on every (module, m.c.s.) pair, on every P-SPR and T-SEC triple
 where disjointness holds, and on every (hom, m.c.s.) pair.  Each witness
-found names e_S.
+found names e_S.  The corollaries that let a checker skip a loop over S are
+checked against element-by-element sets, and a wrong e_S is shown to fail
+statements through their revalidators.
 """
 
 import pytest
 
 from conftest import (
+    reference_annihilator,
     reference_check,
+    reference_divides,
     reference_for_each,
     reference_idempotent_faults,
+    reference_is_comultiplication,
+    reference_multiple,
     reference_s_epic_with,
     reference_s_monic_with,
     reference_s_torsion,
     reference_s_zero_with,
+    reference_saturation,
     reference_some_s,
 )
+from scomult import localization, rings
 from scomult import s_theory as st
 from scomult.catalog import CatalogParams, generate_catalog
 from scomult.errors import DisjointnessFailure, PreconditionUnmet
@@ -29,14 +37,16 @@ from scomult.localization import s_torsion
 from scomult.modules import annihilator_set, enumerate_submodules, first_multiplier
 from scomult.morphisms import is_s_epic, is_s_monic, is_s_zero
 from scomult.mutations import mutation_catalog_params
-from scomult.rings import enumerate_ideals
+from scomult.rings import enumerate_ideals, saturation
+from scomult.statements import verify_all
 
 CATALOGS = {"default": CatalogParams(), "reduced": mutation_catalog_params()}
 
 # per catalog: m.c.s., (module, m.c.s.) pairs with the zero modules, the
-# P-SPR/T-SEC triples where disjointness holds, and (hom, m.c.s.) pairs
-COUNTS = {"default": (103, 401, (1054, 1054), 19603),
-          "reduced": (25, 95, (223, 223), 5784)}
+# P-SPR/T-SEC triples where disjointness holds, (hom, m.c.s.) pairs, pairs
+# with nonzero modules, and pairs S < T of m.c.s. of one ring
+COUNTS = {"default": (103, 401, (1054, 1054), 19603, 298, 160),
+          "reduced": (25, 95, (223, 223), 5784, 70, 31)}
 
 
 @pytest.fixture(scope="module", params=sorted(CATALOGS))
@@ -180,3 +190,96 @@ def test_hom_predicates_answer_like_a_search_over_s(named_catalog):
                     assert (found is not None) == reference_some_s(
                         mcs, lambda s: check(f, s))
     assert pairs == COUNTS[name][3]
+
+
+# ---------------------------------------------------------------------------
+# corollaries of e_S that replace a loop over S
+
+
+def nonzero_pairs_with_e_s_m(name, catalog):
+    """Each (module, m.c.s.) pair with a nonzero module, and e_S M."""
+    pairs = list(catalog.module_mcs_pairs())
+    assert len(pairs) == COUNTS[name][4]
+    for module, mcs in pairs:
+        yield module, mcs, reference_multiple(module, mcs.idempotent,
+                                              module.elements())
+
+
+def test_s_comultiplication_is_comultiplication_of_e_s_m(named_catalog):
+    """M is S-comultiplication iff e_S M is comultiplication."""
+    name, catalog = named_catalog
+    for module, mcs, e_image in nonzero_pairs_with_e_s_m(name, catalog):
+        assert (st.is_s_comultiplication(module, mcs).holds
+                == reference_is_comultiplication(module, e_image)), (module, mcs)
+
+
+def test_every_s_m_is_faithful_iff_e_s_m_is(named_catalog):
+    """ann(sM) = 0 for every s in S iff ann(e_S M) = 0 (T-CY2's hypothesis)."""
+    name, catalog = named_catalog
+    for module, mcs, e_image in nonzero_pairs_with_e_s_m(name, catalog):
+        zero = frozenset((module.ring.zero,))
+        every_s = all(
+            reference_annihilator(module, reference_multiple(
+                module, s, module.elements())) == zero
+            for s in mcs)
+        assert every_s == (reference_annihilator(module, e_image) == zero)
+
+
+def test_saturation_is_the_definitional_set_with_the_same_e_s(named_catalog):
+    name, catalog = named_catalog
+    family = [mcs for ring in catalog.rings for mcs in catalog.mcs[ring]]
+    assert len(family) == COUNTS[name][0]
+    for mcs in family:
+        star = saturation(mcs)
+        assert star.elements == reference_saturation(mcs), mcs
+        assert star.idempotent == mcs.idempotent, mcs
+
+
+def test_a_larger_m_c_s_has_an_e_s_that_the_smaller_one_divides(named_catalog):
+    """S < T gives e_S | e_T (P-MONO's step from S to T)."""
+    name, catalog = named_catalog
+    pairs = [(s, t) for ring in catalog.rings for s in catalog.mcs[ring]
+             for t in catalog.mcs[ring] if s.elements < t.elements]
+    assert len(pairs) == COUNTS[name][5]
+    for s, t in pairs:
+        assert reference_divides(s.ring, s.idempotent, t.idempotent), (s, t)
+
+
+# Each statement that fails on the reduced catalog when every m.c.s. takes
+# 1 for e_S: (instances, counterexample).  P-LOC, T-COM and T-LOC read the
+# S-torsion as ann(1) = 0, on whose cosets some s of S is not a unit,
+# P-SAT's saturation (the divisors of 1) misses S, and T-M3's uniform
+# multiple at s = 1 fails revalidation.
+WRONG_E_S_FAILURES = {
+    "P-LOC": (0, {"error": "axiom violated: image of S must consist of units"
+                           " at (3,)"}),
+    "P-SAT": (0, {"error": "axiom violated: saturation must contain the"
+                           " original set"}),
+    "T-COM": (0, {"error": "axiom violated: image of S must consist of units"
+                           " at (2,)"}),
+    "T-LOC": (0, {"error": "axiom violated: image of S must consist of units"
+                           " at (3,)"}),
+    "T-M3": (16, {"module": "Z6 over Z6", "mcs": "{1,3}", "submodule": "{0,2,4}",
+                  "detail": "witness failed revalidation: uniform-multiple("
+                            "module=Z6 over Z6, n={0,2,4}, mcs={1,3}, s=1)"}),
+}
+
+
+def test_a_wrong_e_s_fails_the_statements_that_rest_on_it(monkeypatch):
+    """No search tests a clause "for every t in S", which t | e_S settles;
+    with 1 in place of e_S, the revalidators still catch the witness that
+    breaks one.  An m.c.s. equals another with the same
+    elements whatever its e_S, so the caches keyed by m.c.s. are cleared
+    before and after."""
+    caches = (st.is_s_comultiplication, localization.localize_module,
+              localization.localize_ring_with)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        monkeypatch.setattr(rings, "_idempotent_power", lambda ring, elements: ring.one)
+        reports = verify_all(generate_catalog(mutation_catalog_params()))
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert {r.statement_id: (r.instances, r.counterexample)
+            for r in reports if r.verdict == "fail"} == WRONG_E_S_FAILURES

@@ -1361,7 +1361,7 @@ def test_e_s_questions_answer_like_a_search_over_s(small_catalog, monkeypatch):
 MEMOIZED_EVALUATORS = {
     s_theory: ("s_prime_colon_form", "s_prime_homothety_form",
                "s_second_homothety_form", "s_second_containment_form",
-               "lemma_definitional_form", "_transfer_core"),
+               "_transfer_core"),
     statements: ("_bridge_outcomes", "_vanishing_colon_ideals",
                  "_zero_meet_targets", "_nonzero_annihilators", "sum_of_sets"),
 }
@@ -1510,9 +1510,10 @@ def bundle_witnesses(sid, catalog):
 
 @pytest.mark.parametrize("sid", ["L-EQ", "P-SPR", "T-SEC"])
 def test_witnesses_made_from_the_memo_equal_the_bundles(monkeypatch, sid):
-    """A cold run makes its derived witnesses by search and a warm run from
-    the memo's s and ideal index; both revalidate the same witnesses, in
-    the same order, as the library's characterization bundles give."""
+    """P-SPR and T-SEC make their derived witnesses by search on a cold run
+    and from the memo on a warm one; L-EQ, which keeps nothing in the memo,
+    calls `lemma_equivalence_bundle` on both.  Both runs revalidate the same
+    witnesses, in the same order, as the library's bundles give."""
     catalog = generate_catalog(mutation_catalog_params())
     cold = revalidated(monkeypatch, sid, catalog)
     warm = revalidated(monkeypatch, sid, catalog)
