@@ -21,10 +21,11 @@ S-monic cross-check is also element-wise: it checks that e_S kills each
 element of the kernel, listed once per hom.  The monic/epic bridge computes what
 depends on the hom alone (image, kernel list, the scalar sets, z(M) and the
 units) once and reuses it for every m.c.s.  That core reads only the hom's
-signature (source, target, kernel and image).  `monic_epic_bridge` builds
-its report from the core; the P-HOMS checker reads the core once per
-signature class of a catalog, for as long as the catalog lives, and makes,
-per (hom, m.c.s.) instance, only the witnesses, which bind that hom.
+signature (source, target, kernel and image) and each m.c.s.'s e_S.
+`monic_epic_bridge` builds its report from the core; the P-HOMS checker
+reads the core once per signature class and e_S class of a catalog, for as
+long as the catalog lives, and makes, per (hom, m.c.s.) instance, only the
+witnesses, which bind that hom and m.c.s.
 """
 
 from __future__ import annotations
@@ -366,8 +367,11 @@ def _bridge_core(f, mcs_list):
     """For each m.c.s. in turn: the four bridge claims and the s of the
     S-monic and S-epic witnesses (None where there is none).
 
-    It reads only `_signature(f)`, so every hom with that signature has the
-    same core; what does not depend on the m.c.s. is computed once.
+    It reads only `_signature(f)` and each m.c.s.'s e_S, so every hom with
+    that signature has the same core, and every m.c.s. with that e_S the
+    same entry; what does not depend on the m.c.s. is computed once.  Both
+    side conditions are read at e_S: S avoids z(M) iff e_S does, and S lies
+    in the units iff e_S, an idempotent, is a unit, that is e_S = 1.
     """
     image = _image_set(f)
     monic, epic = len(image) == f.source.size, len(image) == f.target.size
@@ -379,10 +383,10 @@ def _bridge_core(f, mcs_list):
         s_monic = _s_monic_cross_checked(f, kernel, monic_scalars, mcs)
         s_epic = _idempotent_in(epic_scalars, mcs)
         monic_converse = None
-        if not (mcs.elements & zero_divisors):
+        if mcs.idempotent not in zero_divisors:
             monic_converse = s_monic is None or monic
         epic_converse = None
-        if mcs.elements <= unit_set:
+        if mcs.idempotent in unit_set:
             epic_converse = s_epic is None or epic
         core.append((not monic or s_monic is not None, monic_converse,
                      not epic or s_epic is not None, epic_converse,

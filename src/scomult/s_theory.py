@@ -15,7 +15,7 @@ disjointness hypothesis raise `DisjointnessFailure` instead of returning
 False; the two outcomes are deliberately kept distinct.  The transfer
 check along a hom lives here, not in `morphisms`, because it reads
 S-comultiplication at both ends; `transfer_theorem_check` builds its report
-from a core that T-HOM reads once per hom signature.
+from a core that T-HOM reads once per hom signature and e_S class.
 """
 
 from __future__ import annotations
@@ -644,8 +644,9 @@ def _transfer_core(f, mcs_list):
     """For each m.c.s. in turn: None where no s of S annihilates Ker(f),
     else e_S, which then does, and the other five `TransferReport` fields.
 
-    It reads only the hom's signature (source, target, kernel and image),
-    so every hom with that signature has the same core.
+    It reads only the hom's signature (source, target, kernel and image)
+    and each m.c.s.'s e_S, so every hom with that signature has the same
+    core, and every m.c.s. with that e_S the same entry.
     """
     kernel_scalars, epic = f.s_monic_scalars(), is_epic(f)
     core = []

@@ -14,28 +14,34 @@ boolean verdicts cannot differ.
 The catalog memo.  A value that no `Toolbox` field reaches is the same
 under every toolbox, so it belongs to the catalog and lives in
 `Catalog._memo`, keyed by its evaluator and subject:
+- every ring's e_S classes: each m.c.s.'s class index and the first
+  m.c.s. of each class, in catalog order (`_e_s_classes`);
 - P-HOMS and T-HOM: each ring's hom signature classes (source, target,
-  kernel, image) and, per class and m.c.s., the bridge and transfer core
-  values (`_by_signature`);
+  kernel, image) and, per signature class and e_S class, the bridge and
+  transfer core values, evaluated at the e_S class's first m.c.s. and
+  spread to the class (`_by_signature`);
 - P-SPR and T-SEC: whether each derived form gave a witness, per
-  (module, N, m.c.s.) (`_check_forms`);
+  (module, e_S class, N) (`_check_forms`);
 - P-PF, P-FAM, T-M3 and T-SSUM: the part of their work that does not
   depend on S, one table per module (`_with_module_table`).
+An S-verdict depends on S only through e_S (see `s_theory`), so a value
+kept per e_S class is the value of every m.c.s. in it.
 A value is evaluated the first time a walk needs it, so a walk fails where
 one without the memo would; a later walk over the same catalog, under any
 toolbox, reads it back; a fresh catalog starts cold.  Values are stored
 compactly, as codes, indices and shared sets, never as a `Witness` or a
 `ForEachResult`: each instance makes the witnesses that bind its own
-subject, at s = e_S (`MCS.idempotent`, see `s_theory`), and has each
-revalidated, on every walk, and the
-toolbox's own seams (the direct S-prime and S-second forms, the pair form,
-the uniform multiple, the localization torsion) run on every walk.  Once
-`Toolbox` routes a function that a memoized evaluator calls, that memo
-must also be keyed by the field.
+subject and m.c.s., at s = e_S (`MCS.idempotent`, see `s_theory`), and
+has each revalidated, on every walk, and the toolbox's own seams (the
+direct S-prime and S-second forms, the pair form, the uniform multiple,
+the localization torsion) run on every walk.  Once `Toolbox` routes a
+function that a memoized evaluator calls, that memo must also be keyed by
+the field.
 
 P-PF keeps the ideals with (0:_M I) = 0 and their IM; P-FAM the zero-meet
-families and each intersection of N + part over a family; T-M3 ann(N) per
-N; T-SSUM the family sums.  P-FAM and T-SSUM answer their question "is
+families, each distinct intersection of N + part over a family, and per
+family one index per N into those (`bytes`); T-M3 ann(N) per N; T-SSUM
+the family sums.  P-FAM and T-SSUM answer their question "is
 there an s in S with sX inside Y?" at e_S, which works exactly when some s
 does: P-FAM computes (N :_M e_S) once per (m.c.s., N) and T-SSUM e_S N once
 per (m.c.s., S-second N).  P-EXT keeps s(0:_M I) per (s, I) and
@@ -86,6 +92,7 @@ from .rings import (
     minimal_nonzero_ideals,
     prime_ideals,
     saturation,
+    _shared,
 )
 from .witnesses import Witness
 
@@ -313,15 +320,18 @@ def _by_signature(cat, evaluate):
     catalog hom in catalog order.
 
     `evaluate` reads only the hom's signature (source, target, kernel,
-    image), so the memo (see the module docstring) keeps its values keyed
-    by `evaluate`, one per signature class of a ring (`_hom_classes`),
-    evaluated at the class's first hom.  Few values are distinct (the
-    default catalog's bridge has 73 among 5,643 per-m.c.s. entries and 103
-    among 994 classes), so each is stored once.
+    image) and each m.c.s.'s e_S, so the memo (see the module docstring)
+    keeps its values keyed by `evaluate`, one per signature class of a ring
+    (`_hom_classes`), evaluated at the class's first hom and at the first
+    m.c.s. of each e_S class (`_e_s_classes`), then spread to every m.c.s.
+    of the class.  Few values are distinct (summed over the default
+    catalog's rings, the bridge has 140 among 2,142 per-e_S-class entries
+    and 112 among 994 classes), so each is stored once per ring.
     """
     memo = cat._memo
     for ring in cat.rings:
         class_of, firsts = _hom_classes(cat, ring)
+        e_class_of, e_firsts = _e_s_classes(cat, ring)
         entry = memo.get((evaluate, ring))
         if entry is None:
             entry = memo[evaluate, ring] = [None] * len(firsts), {}
@@ -330,29 +340,46 @@ def _by_signature(cat, evaluate):
         for f, c in zip(cat.homs[ring], class_of):
             values = values_of[c]
             if values is None:
-                values = tuple(distinct.setdefault(v, v)
-                               for v in evaluate(firsts[c], mcs_list))
+                at_firsts = [distinct.setdefault(v, v)
+                             for v in evaluate(firsts[c], e_firsts)]
+                values = tuple(map(at_firsts.__getitem__, e_class_of))
                 values = values_of[c] = distinct.setdefault(values, values)
             yield f, mcs_list, values
 
 
 def _hom_classes(cat, ring):
     """The class index of each of the ring's catalog homs, in catalog order,
-    and the first hom of each class; a class is one signature.
+    and the first hom of each class; a class is one signature."""
+    return _class_table(cat, _hom_classes, ring, cat.homs[ring], mor._signature)
 
-    Built the first time it is asked for and kept in the catalog's memo;
-    the signatures themselves are dropped.
-    """
-    table = cat._memo.get((_hom_classes, ring))
+
+def _e_s_classes(cat, ring):
+    """The class index of each of the ring's catalog m.c.s., in catalog
+    order, and the first m.c.s. of each class; a class is one e_S."""
+    return _class_table(cat, _e_s_classes, ring, cat.mcs[ring],
+                        lambda mcs: mcs.idempotent)
+
+
+def _class_table(cat, owner, ring, members, key):
+    """`_classes(members, key)`, built the first time `owner` asks for the
+    ring's table and kept in the catalog's memo under (owner, ring)."""
+    table = cat._memo.get((owner, ring))
     if table is None:
-        index, firsts, class_of = {}, [], []
-        for f in cat.homs[ring]:
-            c = index.setdefault(mor._signature(f), len(firsts))
-            if c == len(firsts):
-                firsts.append(f)
-            class_of.append(c)
-        table = cat._memo[_hom_classes, ring] = tuple(class_of), tuple(firsts)
+        table = cat._memo[owner, ring] = _classes(members, key)
     return table
+
+
+def _classes(members, key):
+    """(the class index of each member, the first member of each class),
+    where a class is one value of key(member), numbered in member order;
+    the keys themselves are dropped."""
+    index, firsts, class_of = {}, [], []
+    for x in members:
+        c = index.setdefault(key(x), len(firsts))
+        if c == len(firsts):
+            firsts.append(x)
+        class_of.append(c)
+    return tuple(class_of), tuple(firsts)
 
 
 def _check_c_sub(cat, tb, ctx):
@@ -521,7 +548,7 @@ def _families(module, params):
 def _check_p_fam(cat, tb, ctx):
     """Some s squeezes a target into N iff e_S does, iff the target lies
     in (N :_M e_S), computed once per (m.c.s., N)."""
-    for module, mcs, _, (subs, squeezes) in _with_module_table(
+    for module, mcs, _, (subs, meets, squeezes) in _with_module_table(
             cat, _check_p_fam, _s_comult_pairs(cat),
             lambda m: _zero_meet_targets(m, cat.params)):
         ctx.at(module=module, mcs=mcs)
@@ -529,7 +556,8 @@ def _check_p_fam(cat, tb, ctx):
         pullbacks = [colon_set_into_module(module, n.elements, e) for n in subs]
         for family, targets in squeezes:
             ctx.instance()
-            for n, target, pullback in zip(subs, targets, pullbacks):
+            for n, target, pullback in zip(subs, map(meets.__getitem__, targets),
+                                           pullbacks):
                 if not n.elements <= target:
                     ctx.fail(submodule=n, detail="N escaped the intersection")
                 if not target <= pullback:
@@ -539,15 +567,19 @@ def _check_p_fam(cat, tb, ctx):
 
 
 def _zero_meet_targets(module, params):
-    """The module's submodules, and (family, targets) for each family whose
-    meet is 0, where targets[i] is the intersection of N + part over the
-    family for the i-th submodule N.
+    """The module's submodules, the distinct intersections, and (family,
+    targets) for each family whose meet is 0, where targets[i] is the index
+    among those intersections of the one of N + part over the family for
+    the i-th submodule N.
 
     Each sum N + part is computed once, and each distinct intersection is
-    stored once: it is a submodule, so there are few of them.
+    stored once: it is a submodule, so there are no more of them than
+    submodules, and a family's targets are one byte each (a tuple of ints
+    past 256 submodules).
     """
     subs = enumerate_submodules(module)
-    sums, distinct, out = {}, {}, []
+    pack = bytes if len(subs) <= 256 else tuple
+    sums, index, out = {}, {}, []
     for family in _families(module, params):
         meet = family[0]
         for part in family[1:]:
@@ -563,9 +595,9 @@ def _zero_meet_targets(module, params):
                 if summed is None:
                     summed = sums[key] = sum_of_sets(module, key)
                 target = summed if target is None else target & summed
-            targets.append(distinct.setdefault(target, target))
-        out.append((family, tuple(targets)))
-    return subs, out
+            targets.append(index.setdefault(target, len(index)))
+        out.append((family, pack(targets)))
+    return subs, tuple(map(_shared, index)), out
 
 
 def _check_p_ext(cat, tb, ctx):
@@ -707,21 +739,24 @@ def _check_forms(cat, ctx, submodules, direct, record, derived, skips):
     `derived` holds, per derived form in field order, the form and the
     maker of its witness at e_S from (module, N's elements, mcs); as in
     `s_theory._characterize`, a derived form whose own precondition fails
-    reads as None.  The memo keeps, per module, one byte per (m.c.s., N,
-    derived form): 0 before the form is evaluated, 1 for None, 2 for a
-    witness.
+    reads as None.  A derived form reads S only through e_S (its
+    disjointness too: an ideal meets S iff it holds e_S), so the memo
+    keeps, per module, one byte per (e_S class, N, derived form)
+    (`_e_s_classes`): 0 before the form is evaluated, 1 for None, 2 for a
+    witness.  The first m.c.s. of a class that the walk reaches evaluates
+    the form; the class's later m.c.s. read the byte.
     """
     width = len(derived)
     ctx.tally("disjointness_skips", 0)
     for module in cat.nonzero_modules():
         subs = submodules(module)
-        mcs_list = cat.mcs[module.ring]
+        class_of, firsts = _e_s_classes(cat, module.ring)
+        stride = len(subs) * width
         table = cat._memo.get((record, module))
         if table is None:
-            table = cat._memo[record, module] = bytearray(
-                len(mcs_list) * len(subs) * width)
-        at = 0
-        for mcs in mcs_list:
+            table = cat._memo[record, module] = bytearray(len(firsts) * stride)
+        for mcs, c in zip(cat.mcs[module.ring], class_of):
+            at = c * stride
             for n in subs:
                 try:
                     first = direct(module, n, mcs)

@@ -36,7 +36,9 @@ s in S" question by asking every s in turn, through the `reference_*`
 checks or a claim's revalidator; `reference_multiple`,
 `reference_annihilator`, `reference_is_comultiplication` and
 `reference_saturation` compute, element by element, the sets behind the
-corollaries of e_S that the checkers use in place of a loop over S.
+corollaries of e_S that the checkers use in place of a loop over S, and
+`reference_colon`, `reference_zero_divisors` and `reference_units` the
+sets that the side conditions ask S to avoid or to lie in.
 """
 
 from itertools import product
@@ -513,6 +515,24 @@ def reference_annihilator(module, subset):
     """{r : rx = 0 for every x of the subset}, one `act` call per (r, x)."""
     return frozenset(r for r in module.ring.elements()
                      if all(module.act(r, x) == 0 for x in subset))
+
+
+def reference_colon(module, subset):
+    """(P :_R M) = {r : rm in P for every m}, one `act` call per (r, m)."""
+    return frozenset(r for r in module.ring.elements()
+                     if all(module.act(r, m) in subset for m in module.elements()))
+
+
+def reference_zero_divisors(module):
+    """z(M) = {r : rm = 0 for some nonzero m}, one `act` call per (r, m)."""
+    return frozenset(r for r in module.ring.elements()
+                     if any(module.act(r, m) == 0 for m in module.elements() if m != 0))
+
+
+def reference_units(ring):
+    """U(R) = {x : xy = 1 for some y}, one `mul` call per (x, y)."""
+    return frozenset(x for x in ring.elements()
+                     if any(ring.mul(x, y) == ring.one for y in ring.elements()))
 
 
 def reference_is_comultiplication(module, carrier):

@@ -7,8 +7,9 @@ with a search over every s of S (the conftest e_S oracles), which uses the
 conftest `reference_*` checks where they exist and the claim's revalidator
 otherwise: on every (module, m.c.s.) pair, on every P-SPR and T-SEC triple
 where disjointness holds, and on every (hom, m.c.s.) pair.  Each witness
-found names e_S.  The corollaries that let a checker skip a loop over S are
-checked against element-by-element sets, and a wrong e_S is shown to fail
+found names e_S.  The corollaries that let a checker skip a loop over S,
+and the four side conditions that S must avoid or lie in, are checked
+against element-by-element sets, and a wrong e_S is shown to fail
 statements through their revalidators.
 """
 
@@ -17,6 +18,7 @@ import pytest
 from conftest import (
     reference_annihilator,
     reference_check,
+    reference_colon,
     reference_divides,
     reference_for_each,
     reference_idempotent_faults,
@@ -28,6 +30,8 @@ from conftest import (
     reference_s_zero_with,
     reference_saturation,
     reference_some_s,
+    reference_units,
+    reference_zero_divisors,
 )
 from scomult import localization, rings
 from scomult import s_theory as st
@@ -243,6 +247,57 @@ def test_a_larger_m_c_s_has_an_e_s_that_the_smaller_one_divides(named_catalog):
     assert len(pairs) == COUNTS[name][5]
     for s, t in pairs:
         assert reference_divides(s.ring, s.idempotent, t.idempotent), (s, t)
+
+
+def side_conditions(catalog):
+    """(the m.c.s. of its ring, {kind: sets of that kind}) per catalog
+    module, zero modules included: (P :_R M) for every submodule P, ann(N)
+    for every submodule N and z(M), each built element by element."""
+    for ring in catalog.rings:
+        for module in catalog.modules[ring]:
+            subs = [n.elements for n in enumerate_submodules(module)]
+            yield catalog.mcs[ring], {
+                "colon": [reference_colon(module, p) for p in subs],
+                "annihilator": [reference_annihilator(module, n) for n in subs],
+                "zero divisors": [reference_zero_divisors(module)],
+            }
+
+
+# per catalog and kind of side condition: (sets met by S, sets S avoids),
+# over every (module, m.c.s.) pair with the zero modules and every
+# submodule; then the m.c.s. inside the units and the others
+SIDE_CONDITIONS = {
+    "default": {"colon": (739, 1054), "annihilator": (739, 1054),
+                "zero divisors": (124, 277), "units": (46, 57)},
+    "reduced": {"colon": (174, 223), "annihilator": (174, 223),
+                "zero divisors": (28, 67), "units": (13, 12)},
+}
+
+
+def test_side_conditions_hold_for_s_iff_they_hold_for_e_s(named_catalog):
+    """S meets (P :_R M), ann(N) or z(M) iff e_S lies in it, each an ideal
+    or closed under multiplication by R; and S lies in the units iff
+    e_S = 1, iff the idempotent e_S is a unit.  These are the disjointness
+    preconditions of S-prime and S-second and the side conditions of the
+    monic/epic bridge, read at e_S by the derived forms and the bridge."""
+    name, catalog = named_catalog
+    tally = {kind: [0, 0] for kind in SIDE_CONDITIONS[name]}
+    for family, sides in side_conditions(catalog):
+        for mcs in family:
+            for kind, sets in sides.items():
+                for side in sets:
+                    meets = not side.isdisjoint(mcs.elements)
+                    assert meets == (mcs.idempotent in side), (kind, mcs, side)
+                    tally[kind][not meets] += 1
+    for ring in catalog.rings:
+        units = reference_units(ring)
+        for mcs in catalog.mcs[ring]:
+            inside = mcs.elements <= units
+            assert inside == (mcs.idempotent == ring.one) == (
+                mcs.idempotent in units), mcs
+            tally["units"][not inside] += 1
+    assert {kind: tuple(counts) for kind, counts in tally.items()} == (
+        SIDE_CONDITIONS[name])
 
 
 # Each statement that fails on the reduced catalog when every m.c.s. takes

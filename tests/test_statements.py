@@ -59,6 +59,7 @@ from scomult.statements import (
     Toolbox,
     _bridge_outcomes,
     _by_signature,
+    _e_s_classes,
     _hom_classes,
     verify,
     verify_all,
@@ -509,7 +510,7 @@ def test_every_hom_witness_is_revalidated(monkeypatch, sid, validations):
     run builds no `BridgeReport` or `TransferReport` and makes only the
     witnesses it validates.  (A cold first run also fills the cached
     S-comultiplication searches that T-HOM reads, which make their own
-    witnesses once per (module, m.c.s.).)"""
+    witnesses once per module and first m.c.s. of an e_S class.)"""
     counts = Counter()
     module, core = CORES[sid]
     monkeypatch.setattr(module, core,
@@ -1356,14 +1357,16 @@ def test_e_s_questions_answer_like_a_search_over_s(small_catalog, monkeypatch):
 
 # Every evaluator whose values the catalog memo keeps, by module.  The
 # bridge core reaches the memo through `_bridge_outcomes`; the T-SSUM table
-# holds what `sum_of_sets` gives; the other module tables are built by the
-# functions named here.
+# holds what `sum_of_sets` gives; `_classes` builds the hom signature and
+# e_S class tables; the other module tables are built by the functions
+# named here.
 MEMOIZED_EVALUATORS = {
     s_theory: ("s_prime_colon_form", "s_prime_homothety_form",
                "s_second_homothety_form", "s_second_containment_form",
                "_transfer_core"),
     statements: ("_bridge_outcomes", "_vanishing_colon_ideals",
-                 "_zero_meet_targets", "_nonzero_annihilators", "sum_of_sets"),
+                 "_zero_meet_targets", "_nonzero_annihilators", "sum_of_sets",
+                 "_classes"),
 }
 TOOLBOX_NAMES = frozenset(
     ["tb", "Toolbox", *(f.name for f in fields(Toolbox))]) - {"mutated"}
@@ -1412,7 +1415,9 @@ def test_a_warm_catalog_reports_what_a_fresh_one_does(memo_rounds, name):
 def test_the_memo_keeps_no_witness_or_result(memo_rounds):
     """The memo holds plain values: after every toolbox has walked the
     catalog twice, nothing reachable from it is a `Witness` or a
-    `ForEachResult`, and the derived forms are one bytearray per module."""
+    `ForEachResult`, the derived forms are one bytearray per module, and
+    each zero-meet family of P-FAM keeps its targets as `bytes` of indices
+    into the module's distinct intersections."""
     _, _, catalog = memo_rounds
     seen, todo = set(), list(catalog._memo.items())
     while todo:
@@ -1431,6 +1436,11 @@ def test_the_memo_keeps_no_witness_or_result(memo_rounds):
                if key[0] in (s_theory.SPrimeForms, s_theory.SSecondForms))
     nonzero = len(list(catalog.nonzero_modules()))
     assert keys[s_theory.SPrimeForms] == keys[s_theory.SSecondForms] == nonzero
+    families = [value[2] for key, value in catalog._memo.items()
+                if key[0] is statements._check_p_fam]
+    assert len(families) == keys[statements._check_p_fam] > 0
+    assert all(type(targets) is bytes
+               for squeezes in families for _, targets in squeezes)
 
 
 def reached_names(functions, todo):
@@ -1448,10 +1458,11 @@ def reached_names(functions, todo):
 
 
 def test_memoized_evaluators_name_no_toolbox_field():
-    """No memoized evaluator, nor the build argument of a module table,
-    reaches by any chain of names across the library's modules `tb`,
-    `Toolbox` or the name of a `Toolbox` field; a checker that takes the
-    toolbox does."""
+    """No memoized evaluator, nor the build argument of a module table, nor
+    a class table with the key it classes by (`_hom_classes`,
+    `_e_s_classes`), reaches by any chain of names across the library's
+    modules `tb`, `Toolbox` or the name of a `Toolbox` field; a checker that
+    takes the toolbox does."""
     functions = defaultdict(list)
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -1465,9 +1476,125 @@ def test_memoized_evaluators_name_no_toolbox_field():
               if isinstance(node, ast.Call)
               and getattr(node.func, "id", None) == "_with_module_table"]
     assert len(builds) == 4
-    assert sorted(reached_names(functions, evaluators + builds)
+    class_tables = functions["_hom_classes"] + functions["_e_s_classes"]
+    assert len(class_tables) == 2
+    assert {"_class_table", "_signature", "idempotent"} <= reached_names(
+        functions, class_tables)
+    assert sorted(reached_names(functions, evaluators + builds + class_tables)
                   & TOOLBOX_NAMES) == []
     assert "is_s_second" in reached_names(functions, functions["_check_t_m3"])
+
+
+# ---------------------------------------------------------------------------
+# the catalog memo keyed by e_S class
+
+MEMO_CATALOGS = {"default": CatalogParams(), "reduced": mutation_catalog_params()}
+
+# the derived forms of P-SPR and T-SEC by forms record: the submodules the
+# checker walks, its direct form and the derived forms in field order
+DERIVED_FORMS = {
+    s_theory.SPrimeForms: (enumerate_submodules, s_theory.is_s_prime_submodule,
+                           ("s_prime_colon_form", "s_prime_homothety_form")),
+    s_theory.SSecondForms: (lambda module: [n for n in enumerate_submodules(module)
+                                            if not n.is_zero()],
+                            s_theory.is_s_second,
+                            ("s_second_homothety_form",
+                             "s_second_containment_form")),
+}
+
+# per catalog, on a cold walk of P-HOMS, T-HOM, P-SPR and T-SEC: the
+# entries the bridge core computes, those the transfer core computes, and
+# the derived forms evaluated.  One per m.c.s. they were 5,643, 5,643 and
+# 4,216 on the default catalog, 1,520, 1,520 and 892 on the reduced one.
+COLD_WALK_EVALUATIONS = {"default": (2142, 2142, 1848),
+                         "reduced": (758, 758, 484)}
+
+
+def skips(direct, module, n, mcs):
+    """Whether the direct form raises the error its checker counts as a skip."""
+    try:
+        direct(module, n, mcs)
+    except (DisjointnessFailure, PreconditionUnmet):
+        return True
+    return False
+
+
+def counting_entries(counts, name, real):
+    """`real(f, mcs_list)`, adding len(mcs_list) to counts[name]."""
+    def counted(f, mcs_list):
+        counts[name] += len(mcs_list)
+        return real(f, mcs_list)
+    return counted
+
+
+def walk_memo_statements(catalog):
+    for sid in ("P-HOMS", "T-HOM", "P-SPR", "T-SEC"):
+        assert verify(sid, catalog).verdict == "pass", sid
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_CATALOGS))
+def test_a_cold_walk_evaluates_once_per_e_s_class(monkeypatch, name):
+    """Each core computes one entry per (signature class, e_S class) and
+    each derived form runs once per (module, e_S class, N) where the
+    definitional form's disjointness holds, not once per m.c.s.  On the
+    default catalog 103 m.c.s. fall into 43 e_S classes, on the reduced one
+    25 into 13."""
+    counts = Counter()
+    for module, core in CORES.values():
+        monkeypatch.setattr(module, core, counting_entries(
+            counts, core, getattr(module, core)))
+    for _, _, forms in DERIVED_FORMS.values():
+        for form in forms:
+            monkeypatch.setattr(s_theory, form, counting(
+                counts, "forms", getattr(s_theory, form)))
+    catalog = generate_catalog(MEMO_CATALOGS[name])
+    walk_memo_statements(catalog)
+    classes = {ring: len(_e_s_classes(catalog, ring)[1]) for ring in catalog.rings}
+    assert (sum(len(catalog.mcs[ring]) for ring in catalog.rings),
+            sum(classes.values())) == {"default": (103, 43),
+                                       "reduced": (25, 13)}[name]
+    entries = sum(len(_hom_classes(catalog, ring)[1]) * classes[ring]
+                  for ring in catalog.rings)
+    assert entries == COLD_WALK_EVALUATIONS[name][0]
+    assert (counts["_bridge_core"], counts["_transfer_core"], counts["forms"]) == (
+        COLD_WALK_EVALUATIONS[name])
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_CATALOGS))
+def test_the_class_keyed_memo_agrees_with_per_mcs_evaluation(name):
+    """After a walk, the memo gives every (hom, m.c.s.) the bridge and
+    transfer core values that the core gives for that m.c.s. alone, and
+    every (module, N, m.c.s.) the byte of each derived form that the form
+    gives at that m.c.s.: 1 for None, 2 for a witness, and 0 where the
+    definitional form's disjointness fails, which it does for a whole e_S
+    class or not at all."""
+    catalog = generate_catalog(MEMO_CATALOGS[name])
+    walk_memo_statements(catalog)
+    for evaluate in (_bridge_outcomes, _transfer_core):
+        assert all(None not in catalog._memo[evaluate, ring][0]
+                   for ring in catalog.rings)
+        pairs = 0
+        for f, mcs, value in grouped_outcomes(catalog, evaluate):
+            pairs += 1
+            assert value == evaluate(f, (mcs,))[0], (f.describe(), mcs.describe())
+        assert pairs == {"default": 19603, "reduced": 5784}[name]
+    bytes_read = Counter()
+    for record, (submodules, direct, forms) in DERIVED_FORMS.items():
+        forms = [getattr(s_theory, form) for form in forms]
+        for module in catalog.nonzero_modules():
+            table = catalog._memo[record, module]
+            subs = submodules(module)
+            class_of, _ = _e_s_classes(catalog, module.ring)
+            for mcs, c in zip(catalog.mcs[module.ring], class_of):
+                for i, n in enumerate(subs):
+                    skipped = skips(direct, module, n, mcs)
+                    for j, form in enumerate(forms):
+                        code = table[(c * len(subs) + i) * len(forms) + j]
+                        bytes_read[code] += 1
+                        assert code == (0 if skipped else 1 if s_theory._guard(
+                            lambda: form(module, n, mcs)) is None else 2), (
+                            form.__name__, module.describe(), mcs.describe(), n)
+    assert bytes_read[1] and bytes_read[2]
 
 
 def revalidated(monkeypatch, sid, catalog):
