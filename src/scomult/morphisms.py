@@ -45,7 +45,7 @@ from .modules import (
     submodule_as_module,
     zero_divisors_on,
 )
-from .rings import _shared, units
+from .rings import _additive_generators, _shared, units
 from .witnesses import Witness, revalidator
 
 
@@ -398,22 +398,6 @@ def _bridge_core(f, mcs_list):
 # hom enumeration
 
 
-def _additive_generators(module):
-    """Greedy additive generating sequence with BFS parents for rebuilding."""
-    gens, order, parent = [], [0], {0: None}
-    while len(order) < module.size:
-        gens.append(min(m for m in module.elements() if m not in parent))
-        frontier = list(order)
-        while frontier:
-            x = frontier.pop(0)
-            y = module.add(x, gens[-1])
-            if y not in parent:
-                parent[y] = (x, len(gens) - 1)
-                order.append(y)
-                frontier.append(y)
-    return gens, order, parent
-
-
 def _additive_order(module, m):
     k, acc = 1, m
     while acc != 0:
@@ -425,7 +409,7 @@ def _additive_maps(source, target):
     """The additive value tables source -> target, in enumeration order:
     each additive generator goes to a target element whose order divides its
     own, extended along the BFS parents.  Reads only the addition tables."""
-    gens, order, parent = _additive_generators(source)
+    gens, order, parent = _additive_generators(source._add_rows, 0)
     if not gens:
         return ((0,),)
     orders = [_additive_order(target, y) for y in target.elements()]

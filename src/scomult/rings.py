@@ -14,10 +14,14 @@ Every ring is held as a pair of Cayley tables over the element indices
 element is the mixed-radix encoding of its residue tuple, so index order is
 lexicographic on residues, and the moduli stay on the ring as metadata.
 That index order is the canonical order of every enumeration in the
-library.  An m.c.s. S carries e_S, the idempotent power of the product of
-its elements: it lies in S and every s of S divides it, so a question "is
-there an s in S with ..." whose good s are closed under multiplication by R
-is answered by testing e_S alone.
+library.  The axiom check of ring and module tables and the closure check
+of subsets test associativity, the distributive laws and closure under
+the action on additive generators, which decides them (README, "Axioms on
+generators"); a full scan runs only to name the first violation of a
+table or subset that fails.  An m.c.s. S carries e_S, the idempotent
+power of the product of its elements: it lies in S and every s of S
+divides it, so a question "is there an s in S with ..." whose good s are
+closed under multiplication by R is answered by testing e_S alone.
 """
 
 from __future__ import annotations
@@ -41,8 +45,10 @@ DEFAULT_CAP = 64
 # Hash-consing pool: one object per distinct stored value, shared by value
 # across catalogs.  It holds frozensets of element indices and tuples of
 # ints or of int tuples, never a ring, module or submodule.  Table rows
-# enter only after `_check_tables` passed on their tables, and a ring's
-# (add, mul, zero, one) is in it exactly when its tables passed.
+# enter only after `_check_tables` passed on their tables (its pass on
+# generators passes exactly the tables that its full scan does), and a
+# ring's (add, mul, zero, one) is in it exactly when its tables passed.  A
+# ring's additive generators enter when `_ring_generators` first finds them.
 _POOL = {}
 
 
@@ -124,16 +130,18 @@ class Ring(_Table):
 
     `moduli` is set only for Z_{n1} x ... x Z_{nk}; arithmetic never reads it.
     `add` and `mul` are defined on Ring itself, where perfbench's tracer
-    wraps them.
+    wraps them.  `_generators` holds the ring's additive generators once
+    `_ring_generators` has found them.
     """
 
-    __slots__ = ("one", "moduli")
+    __slots__ = ("one", "moduli", "_generators")
 
     def __init__(self, add_rows, mul_rows, zero, one, name, labels=None,
                  moduli=None):
         super().__init__(add_rows, mul_rows, zero, name, labels)
         self.one = one
         self.moduli = moduli
+        self._generators = None
 
     @property
     def order(self):
@@ -232,7 +240,15 @@ def _check_tables(add, act, zero, one, ring=None):
     `add` is the carrier's addition table and `act` its multiplication by
     scalars, row r mapping x to r*x.  With `ring` None the tables are a ring
     acting on itself: `act` is its multiplication, `one` its 1, and it must
-    also be commutative with 1 != 0.
+    also be commutative with 1 != 0; otherwise `ring` is a ring whose own
+    tables passed (or, for `make_ring_zn`, are right by construction).
+
+    Shape, range, identities, inverses and commutativity are scanned in
+    full.  `_axiom_loops` then checks the other laws with b of (a+b)+c and
+    x of r(x+y) over additive generators of the carrier and the scalar r
+    over those of the ring, which fails exactly when the full scan does
+    (README, "Axioms on generators").  Only then does the full scan run,
+    to raise its first violation.
     """
     radd, rmul = (add, act) if ring is None else (ring._add_rows, ring._act_rows)
     size, order = len(add), len(radd)
@@ -265,22 +281,37 @@ def _check_tables(add, act, zero, one, ring=None):
                 raise AxiomViolation("addition not commutative", (a, b))
             if ring is None and act[a][b] != act[b][a]:
                 raise AxiomViolation("multiplication not commutative", (a, b))
+    gens = _additive_generators(add, zero)[0]
+    try:
+        _axiom_loops(add, act, radd, rmul, gens,
+                     gens if ring is None else _ring_generators(ring))
+    except AxiomViolation:
+        _axiom_loops(add, act, radd, rmul, rng, range(order))
+        raise AssertionError("the axioms failed on generators but not in full")
+
+
+def _axiom_loops(add, act, radd, rmul, mids, scalars):
+    """Associativity and the three distributive and associative laws of the
+    action, with b of (a+b)+c and x of r(x+y) ranging over `mids` and the
+    scalar r over `scalars`; every other variable ranges in full."""
+    rng = range(len(add))
     for a in rng:
         row = add[a]
-        for b in rng:
-            ab = add[row[b]]
+        for b in mids:
+            ab, b_plus = add[row[b]], add[b]
             for c in rng:
-                if ab[c] != row[add[b][c]]:
+                if ab[c] != row[b_plus[c]]:
                     raise AxiomViolation("addition not associative", (a, b, c))
-    for r, row in enumerate(act):
-        for x in rng:
+    for r in scalars:
+        row = act[r]
+        for x in mids:
             rx, x_plus = add[row[x]], add[x]
             for y in rng:
                 if row[x_plus[y]] != rx[row[y]]:
                     raise AxiomViolation("multiplication not distributive", (r, x, y))
-    for r in range(order):
+    for r in scalars:
         row = act[r]
-        for s in range(order):
+        for s in range(len(radd)):
             sum_row, prod_row, s_row = act[radd[r][s]], act[rmul[r][s]], act[s]
             for x in rng:
                 if sum_row[x] != add[row[x]][s_row[x]]:
@@ -289,6 +320,37 @@ def _check_tables(add, act, zero, one, ring=None):
                         (r, s, x))
                 if prod_row[x] != row[s_row[x]]:
                     raise AxiomViolation("multiplication not associative", (r, s, x))
+
+
+def _additive_generators(add, zero):
+    """Greedy additive generators of a table whose `zero` is an identity.
+
+    Each generator g is the least element not yet reached, and the elements
+    reached so far are walked, in order, adding g to each; so every element
+    is a left-normed sum ((zero + g1) + g2) + ... of generators, whether or
+    not the addition is associative.  Also returns the elements in the
+    order reached and, for each but zero, its parent (y, i): it was reached
+    as y + gens[i].
+    """
+    gens, order, parent = [], [zero], {zero: None}
+    for g in range(len(add)):
+        if g in parent:
+            continue
+        for x in order:                 # grows while it is walked
+            y = add[x][g]
+            if y not in parent:
+                parent[y] = (x, len(gens))
+                order.append(y)
+        gens.append(g)
+    return gens, order, parent
+
+
+def _ring_generators(ring):
+    """The ring's additive generators, found on first use and kept on it."""
+    if ring._generators is None:
+        ring._generators = _shared(tuple(_additive_generators(ring._add_rows,
+                                                              ring.zero)[0]))
+    return ring._generators
 
 
 def _product_tables(b1, b2, what):
@@ -416,7 +478,14 @@ def submodule_from_set(base, elements):
 
 
 def _check_closed(base, elements, generators):
-    """Raise the first closure axiom the subset breaks, in its base's words."""
+    """Raise the first closure axiom the subset breaks, in its base's words.
+
+    Once the subset holds 0 and is closed under addition, the scalars r
+    with rX inside X are closed under addition, so only the rows of the
+    ring's additive generators are applied (README, "Axioms on
+    generators"); every row is applied only after one of those fails, to
+    raise the first violation in row order.
+    """
     noun, action = (("ideal", "scalars") if isinstance(base, Ring)
                     else ("submodule", "action"))
     if base.zero not in elements:
@@ -427,12 +496,23 @@ def _check_closed(base, elements, generators):
         for b in elements:
             if row[b] not in elements:
                 raise AxiomViolation(f"{noun} not closed under addition", (a, b))
-    for r, row in enumerate(base._act_rows):
+    try:
+        _action_loops(base, elements, _ring_generators(base.ring), noun, action)
+    except AxiomViolation:
+        _action_loops(base, elements, range(len(base._act_rows)), noun, action)
+        raise AssertionError("closure failed on generators but not in full")
+    if generators is not None and _span(base, generators) != elements:
+        raise AxiomViolation("generators do not generate the element set")
+
+
+def _action_loops(base, elements, scalars, noun, action):
+    """Closure of the subset under the action rows of the `scalars`."""
+    act = base._act_rows
+    for r in scalars:
+        row = act[r]
         for a in elements:
             if row[a] not in elements:
                 raise AxiomViolation(f"{noun} not closed under {action}", (r, a))
-    if generators is not None and _span(base, generators) != elements:
-        raise AxiomViolation("generators do not generate the element set")
 
 
 def _span(base, elements, scalars=None):

@@ -39,10 +39,11 @@ function that a memoized evaluator calls, that memo must also be keyed by
 the field.
 
 P-PF keeps the ideals with (0:_M I) = 0 and their IM; P-FAM the zero-meet
-families, each distinct intersection of N + part over a family, and per
-family one index per N into those (`bytes`); T-M3 ann(N) per N; T-SSUM
-the family sums.  P-FAM and T-SSUM answer their question "is
-there an s in S with sX inside Y?" at e_S, which works exactly when some s
+families, as indices into the submodules (`bytes`), each distinct
+intersection of N + part over a family, and per family one index per N
+into those (`bytes`); T-M3 ann(N) per N; T-SSUM the family sums.  P-FAM
+and T-SSUM answer their question "is there an s in S with sX inside Y?"
+at e_S, which works exactly when some s
 does: P-FAM computes (N :_M e_S) once per (m.c.s., N) and T-SSUM e_S N once
 per (m.c.s., S-second N).  P-EXT keeps s(0:_M I) per (s, I) and
 J = I + ann(N) per (N, I) in a table that lives for one module only.
@@ -554,7 +555,7 @@ def _check_p_fam(cat, tb, ctx):
         ctx.at(module=module, mcs=mcs)
         e = (mcs.idempotent,)
         pullbacks = [colon_set_into_module(module, n.elements, e) for n in subs]
-        for family, targets in squeezes:
+        for parts, targets in squeezes:
             ctx.instance()
             for n, target, pullback in zip(subs, map(meets.__getitem__, targets),
                                            pullbacks):
@@ -562,23 +563,25 @@ def _check_p_fam(cat, tb, ctx):
                     ctx.fail(submodule=n, detail="N escaped the intersection")
                 if not target <= pullback:
                     ctx.fail(submodule=n,
-                             family=[module.set_label(p) for p in family],
+                             family=[module.set_label(subs[i].elements) for i in parts],
                              detail="no s squeezing the intersection into N")
 
 
 def _zero_meet_targets(module, params):
     """The module's submodules, the distinct intersections, and (family,
-    targets) for each family whose meet is 0, where targets[i] is the index
-    among those intersections of the one of N + part over the family for
-    the i-th submodule N.
+    targets) for each family whose meet is 0: family holds the indices of
+    its parts among the submodules, and targets[i] is the index among
+    those intersections of the one of N + part over the family for the
+    i-th submodule N.
 
     Each sum N + part is computed once, and each distinct intersection is
     stored once: it is a submodule, so there are no more of them than
-    submodules, and a family's targets are one byte each (a tuple of ints
-    past 256 submodules).
+    submodules, and a family and its targets are one byte per index (a
+    tuple of ints past 256 submodules).
     """
     subs = enumerate_submodules(module)
     pack = bytes if len(subs) <= 256 else tuple
+    position = {n.elements: i for i, n in enumerate(subs)}
     sums, index, out = {}, {}, []
     for family in _families(module, params):
         meet = family[0]
@@ -596,7 +599,7 @@ def _zero_meet_targets(module, params):
                     summed = sums[key] = sum_of_sets(module, key)
                 target = summed if target is None else target & summed
             targets.append(index.setdefault(target, len(index)))
-        out.append((family, pack(targets)))
+        out.append((pack(map(position.__getitem__, family)), pack(targets)))
     return subs, tuple(map(_shared, index)), out
 
 

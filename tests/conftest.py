@@ -150,6 +150,88 @@ def reference_span(base, elements, scalars=None):
     return frozenset(elems)
 
 
+def reference_check_tables(add, act, zero, one, ring=None):
+    """The axiom check of `rings._check_tables` as one full scan, every
+    variable over every element: (axiom, witness) of the first violation
+    in the library's check order, or None."""
+    radd, rmul = (add, act) if ring is None else (ring._add_rows, ring._act_rows)
+    size, order = len(add), len(radd)
+    rng = range(size)
+    if any(len(row) != size for row in add):
+        return ("addition table has wrong shape", ())
+    if len(act) != order or any(len(row) != size for row in act):
+        return ("multiplication table has wrong shape", ())
+    for table, name in ((add, "addition"), (act, "multiplication")):
+        for a, row in enumerate(table):
+            for b, v in enumerate(row):
+                if not 0 <= v < size:
+                    return (f"{name} table entry out of range", (a, b))
+    if not 0 <= zero < size:
+        return ("0 out of range", (zero,))
+    if not 0 <= one < order:
+        return ("1 out of range", (one,))
+    if ring is None and zero == one:
+        return ("1 must differ from 0", ())
+    for a in rng:
+        if add[zero][a] != a:
+            return ("0 is not an additive identity", (a,))
+        if act[one][a] != a:
+            return ("1 is not a multiplicative identity", (a,))
+        if zero not in add[a]:
+            return ("missing additive inverse", (a,))
+    for a in rng:
+        for b in rng:
+            if add[a][b] != add[b][a]:
+                return ("addition not commutative", (a, b))
+            if ring is None and act[a][b] != act[b][a]:
+                return ("multiplication not commutative", (a, b))
+    for a, b, c in product(rng, rng, rng):
+        if add[add[a][b]][c] != add[a][add[b][c]]:
+            return ("addition not associative", (a, b, c))
+    for r, x, y in product(range(order), rng, rng):
+        if act[r][add[x][y]] != add[act[r][x]][act[r][y]]:
+            return ("multiplication not distributive", (r, x, y))
+    for r, s, x in product(range(order), range(order), rng):
+        if act[radd[r][s]][x] != add[act[r][x]][act[s][x]]:
+            return ("multiplication not distributive over scalar addition",
+                    (r, s, x))
+        if act[rmul[r][s]][x] != act[r][act[s][x]]:
+            return ("multiplication not associative", (r, s, x))
+    return None
+
+
+def reference_check_closed(base, elements):
+    """The closure check of `rings._check_closed` with every action row
+    applied: (axiom, witness) of the first violation, or None."""
+    noun, action = (("ideal", "scalars") if base.ring is base
+                    else ("submodule", "action"))
+    if base.zero not in elements:
+        return (f"{noun} must contain 0", ())
+    for a in elements:
+        for b in elements:
+            if base.add(a, b) not in elements:
+                return (f"{noun} not closed under addition", (a, b))
+    for r in base.ring.elements():
+        for a in elements:
+            if base.act(r, a) not in elements:
+                return (f"{noun} not closed under {action}", (r, a))
+    return None
+
+
+def reaches_every_element(add, zero, gens):
+    """Whether the left-normed sums ((zero + g1) + g2) + ..., each g in
+    `gens`, reach every element of the addition table."""
+    reached, frontier = {zero}, [zero]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = add[x][g]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return len(reached) == len(add)
+
+
 def ideal_product(i, j):
     """I*J, the ideal generated by the products ab with a in I, b in J."""
     ring = i.module

@@ -1416,7 +1416,8 @@ def test_the_memo_keeps_no_witness_or_result(memo_rounds):
     """The memo holds plain values: after every toolbox has walked the
     catalog twice, nothing reachable from it is a `Witness` or a
     `ForEachResult`, the derived forms are one bytearray per module, and
-    each zero-meet family of P-FAM keeps its targets as `bytes` of indices
+    each zero-meet family of P-FAM keeps its parts as `bytes` of indices
+    into the module's submodules and its targets as `bytes` of indices
     into the module's distinct intersections."""
     _, _, catalog = memo_rounds
     seen, todo = set(), list(catalog._memo.items())
@@ -1439,8 +1440,8 @@ def test_the_memo_keeps_no_witness_or_result(memo_rounds):
     families = [value[2] for key, value in catalog._memo.items()
                 if key[0] is statements._check_p_fam]
     assert len(families) == keys[statements._check_p_fam] > 0
-    assert all(type(targets) is bytes
-               for squeezes in families for _, targets in squeezes)
+    assert all(type(parts) is bytes and type(targets) is bytes
+               for squeezes in families for parts, targets in squeezes)
 
 
 def reached_names(functions, todo):
