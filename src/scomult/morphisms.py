@@ -269,7 +269,7 @@ def is_s_epic(f, mcs):
 def _hom_witness(claim, f, mcs, s):
     """The witness of f's claim (S-zero, S-monic or S-epic) for s, or None
     when s is None."""
-    return None if s is None else Witness.make(claim, hom=f, mcs=mcs, s=s)
+    return None if s is None else Witness.make(claim, f, mcs, s)
 
 
 @revalidator("s-zero")
@@ -279,12 +279,14 @@ def _check_s_zero(hom, mcs, s):
 
 @revalidator("s-monic")
 def _check_s_monic(hom, mcs, s):
-    return is_s_monic_with(hom, s)
+    """`is_s_monic_with`, inline: the hot loops revalidate this claim."""
+    return not any(map(hom.source.act_row(s).__getitem__, _revalidation_kernel(hom)))
 
 
 @revalidator("s-epic")
 def _check_s_epic(hom, mcs, s):
-    return is_s_epic_with(hom, s)
+    """`is_s_epic_with`, inline: the hot loops revalidate this claim."""
+    return _revalidation_image(hom).issuperset(hom.target.act_row(s))
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,7 @@ def s_prime_quantifier_swap(module, p, mcs):
             if found is None:
                 return None
             last = found
-    return Witness.make("s-prime-submodule", module=module, p=p_set, mcs=mcs,
-                        s=last)
+    return Witness.make("s-prime-submodule", module, p_set, mcs, last)
 
 
 def s_second_drop_disjointness(module, n, mcs):
@@ -61,8 +60,7 @@ def lemma_pair_direction_flip(module, mcs):
 def uniform_multiple_unchecked(module, n, mcs):
     """Emits s = 1, the first element of S, unchecked, in place of e_S."""
     n_set = n.elements if isinstance(n, Submodule) else frozenset(n)
-    return Witness.make("uniform-multiple", module=module, n=n_set, mcs=mcs,
-                        s=mcs.members()[0])
+    return Witness.make("uniform-multiple", module, n_set, mcs, mcs.members()[0])
 
 
 def localization_drop_ufactor(base, mcs):

@@ -480,22 +480,26 @@ def submodule_from_set(base, elements):
 def _check_closed(base, elements, generators):
     """Raise the first closure axiom the subset breaks, in its base's words.
 
-    Once the subset holds 0 and is closed under addition, the scalars r
-    with rX inside X are closed under addition, so only the rows of the
-    ring's additive generators are applied (README, "Axioms on
-    generators"); every row is applied only after one of those fails, to
-    raise the first violation in row order.
+    Once the subset holds 0, it is closed under addition iff the walk of
+    its greedy additive generators stays inside it (`_sums_stay_inside`),
+    and once it is, the scalars r with rX inside X are closed under
+    addition, so only the rows of the ring's additive generators are
+    applied (README, "Axioms on generators").  Every pair, or every row,
+    is tried only after the walk, or one of those rows, fails, to raise
+    the first violation in pair or row order.
     """
     noun, action = (("ideal", "scalars") if isinstance(base, Ring)
                     else ("submodule", "action"))
     if base.zero not in elements:
         raise AxiomViolation(f"{noun} must contain 0")
     add = base._add_rows
-    for a in elements:
-        row = add[a]
-        for b in elements:
-            if row[b] not in elements:
-                raise AxiomViolation(f"{noun} not closed under addition", (a, b))
+    if not _sums_stay_inside(add, base.zero, elements):
+        for a in elements:
+            row = add[a]
+            for b in elements:
+                if row[b] not in elements:
+                    raise AxiomViolation(f"{noun} not closed under addition", (a, b))
+        raise AssertionError("addition closure failed on generators but not in full")
     try:
         _action_loops(base, elements, _ring_generators(base.ring), noun, action)
     except AxiomViolation:
@@ -503,6 +507,31 @@ def _check_closed(base, elements, generators):
         raise AssertionError("closure failed on generators but not in full")
     if generators is not None and _span(base, generators) != elements:
         raise AxiomViolation("generators do not generate the element set")
+
+
+def _sums_stay_inside(add, zero, elements):
+    """Whether the greedy additive generators of X, found inside X, keep
+    every sum inside X; X holds `zero`, and the table is an abelian group.
+
+    As in `_additive_generators`, each element of X not yet reached is the
+    next generator g, and the elements reached so far are walked, in
+    order, adding g to each (g + x, read from g's row).  The reached set
+    is then closed under adding each generator so far, so the walk stays
+    inside X iff X + X lies inside X (README, "Axioms on generators").
+    """
+    order, reached = [zero], {zero}
+    for g in elements:
+        if g in reached:
+            continue
+        row = add[g]
+        for x in order:                 # grows while it is walked
+            y = row[x]
+            if y not in reached:
+                if y not in elements:
+                    return False
+                reached.add(y)
+                order.append(y)
+    return True
 
 
 def _action_loops(base, elements, scalars, noun, action):
@@ -768,7 +797,7 @@ def divides(ring, t, s):
 def has_maximal_multiple(mcs):
     """e_S, which every t in S divides, as a witness: a finite m.c.s. always
     has one."""
-    return Witness.make("maximal-multiple", mcs=mcs, s=mcs.idempotent)
+    return Witness.make("maximal-multiple", mcs, mcs.idempotent)
 
 
 @revalidator("maximal-multiple")

@@ -147,7 +147,7 @@ def is_s_prime_submodule(module, p, mcs):
         for m in module.elements():
             if a_row[m] in p_set and e_row[m] not in p_set:
                 return None
-    return Witness.make("s-prime-submodule", module=module, p=p_set, mcs=mcs, s=e)
+    return Witness.make("s-prime-submodule", module, p_set, mcs, e)
 
 
 def _outside(module, t, p):
@@ -198,7 +198,7 @@ def s_prime_colon_form(module, p, mcs):
     e = mcs.idempotent
     colon = frozenset(m for m, em in enumerate(module.act_row(e)) if em in p_set)
     if is_prime_submodule_set(module, colon):
-        return Witness.make("s-prime-colon", module=module, p=p_set, mcs=mcs, s=e)
+        return Witness.make("s-prime-colon", module, p_set, mcs, e)
     return None
 
 
@@ -208,8 +208,7 @@ def s_prime_homothety_form(module, p, mcs):
     e = mcs.idempotent
     if all(e in h.s_zero_scalars() or e in h.s_monic_scalars()
            for h in homothety_family(module, p_set)):
-        return Witness.make("s-prime-homothety", module=module, p=p_set,
-                            mcs=mcs, s=e)
+        return Witness.make("s-prime-homothety", module, p_set, mcs, e)
     return None
 
 
@@ -266,8 +265,7 @@ def _s_second_search(module, n_sub, mcs):
     e_image = multiples[e]
     if all(multiples[ea] == _ZERO or multiples[ea] == e_image
            for ea in module.ring.act_row(e)):
-        return Witness.make("s-second", module=module, n=n_sub.elements,
-                            mcs=mcs, s=e)
+        return Witness.make("s-second", module, n_sub.elements, mcs, e)
     return None
 
 
@@ -310,8 +308,7 @@ def s_second_homothety_form(module, n, mcs):
     e = mcs.idempotent
     if all(e in h.s_zero_scalars() or e in h.s_epic_scalars()
            for h in homothety_on_family(module, n_sub.elements)):
-        return Witness.make("s-second-homothety", module=module,
-                            n=n_sub.elements, mcs=mcs, s=e)
+        return Witness.make("s-second-homothety", module, n_sub.elements, mcs, e)
     return None
 
 
@@ -322,8 +319,7 @@ def s_second_containment_form(module, n, mcs):
     e = mcs.idempotent
     if all(multiples[ea] == _ZERO or multiples[e] <= multiples[a]
            for a, ea in enumerate(module.ring.act_row(e))):
-        return Witness.make("s-second-containment", module=module,
-                            n=n_sub.elements, mcs=mcs, s=e)
+        return Witness.make("s-second-containment", module, n_sub.elements, mcs, e)
     return None
 
 
@@ -372,7 +368,7 @@ def is_s_comultiplication(module, mcs):
             raise AxiomViolation("N must sit inside (0 :_M ann(N))")
         s = first_multiplier(module, mcs, colon, n.elements)
         return None if s is None else Witness.make(
-            "s-comultiplication", module=module, n=n.elements, mcs=mcs, s=s)
+            "s-comultiplication", module, n.elements, mcs, s)
 
     return _for_each(enumerate_submodules(module), find)
 
@@ -395,7 +391,7 @@ def _lemma_pair_search(module, mcs, multiplier):
         k, n = pair
         s = multiplier(k.elements, n.elements)
         return None if s is None else Witness.make(
-            "lemma-pair", module=module, k=k.elements, n=n.elements, mcs=mcs, s=s)
+            "lemma-pair", module, k.elements, n.elements, mcs, s)
 
     return _for_each(
         ((k, n) for k in subs for n in subs if anns[k] <= anns[n]), find)
@@ -422,8 +418,8 @@ def lemma_definitional_form(module, mcs):
     def find(n):
         for ideal, colon in colons:
             if n.elements <= colon and scalar_times_set(module, e, colon) <= n.elements:
-                return Witness.make("s-comultiplication-def", module=module,
-                                    n=n.elements, mcs=mcs, s=e, ideal=ideal)
+                return Witness.make("s-comultiplication-def", module, n.elements,
+                                    mcs, e, ideal)
         return None
 
     return _for_each(enumerate_submodules(module), find)
@@ -492,7 +488,7 @@ def is_s_multiplication(module, mcs):
             raise AxiomViolation("(N:M)M must sit inside N")
         s = first_multiplier(module, mcs, n.elements, im)
         return None if s is None else Witness.make(
-            "s-multiplication", module=module, n=n.elements, mcs=mcs, s=s)
+            "s-multiplication", module, n.elements, mcs, s)
 
     return _for_each(enumerate_submodules(module), find)
 
@@ -511,7 +507,7 @@ def is_s_cyclic(module, mcs):
     e_image = scalar_times_set(module, e, module.carrier)
     for m in module.elements():
         if e_image <= cyclic_set(module, m):
-            return Witness.make("s-cyclic", module=module, mcs=mcs, s=e, element=m)
+            return Witness.make("s-cyclic", module, mcs, e, m)
     return None
 
 
@@ -532,8 +528,8 @@ def is_s_finite(module, n, mcs):
     while current != n_sub.elements:
         gens.append(min(n_sub.elements - current))
         current = _span(module, tuple(gens))
-    return Witness.make("s-finite", module=module, n=n_sub.elements, mcs=mcs,
-                        s=module.ring.one, generators=tuple(gens))
+    return Witness.make("s-finite", module, n_sub.elements, mcs, module.ring.one,
+                        tuple(gens))
 
 
 @revalidator("s-finite")
@@ -549,7 +545,7 @@ def is_s_torsion_free(module, mcs):
     if all(ring.mul(e, a) == ring.zero or e_row[m] == 0
            for a in ring.elements() for m in module.elements()
            if module.act(a, m) == 0):
-        return Witness.make("s-torsion-free", module=module, mcs=mcs, s=e)
+        return Witness.make("s-torsion-free", module, mcs, e)
     return None
 
 
@@ -578,7 +574,7 @@ def is_s_minimal(module, k, mcs, include_zero=False):
     def step(l):
         s = first_multiplier(module, mcs, k_set, l.elements)
         return None if s is None else Witness.make(
-            "s-minimal-step", module=module, k=k_set, l=l.elements, mcs=mcs, s=s)
+            "s-minimal-step", module, k_set, l.elements, mcs, s)
 
     below = [l for l in enumerate_submodules(module)
              if l.elements <= k_set and (include_zero or not l.is_zero())]
@@ -605,8 +601,7 @@ def uniform_multiple(module, n, mcs):
     """e_S, with e_S N <= tN for every t in S and submodule N: e_S = rt, so
     e_S N = t(rN) lies in tN."""
     n_set = n.elements if isinstance(n, Submodule) else frozenset(n)
-    return Witness.make("uniform-multiple", module=module, n=n_set, mcs=mcs,
-                        s=mcs.idempotent)
+    return Witness.make("uniform-multiple", module, n_set, mcs, mcs.idempotent)
 
 
 @revalidator("uniform-multiple")

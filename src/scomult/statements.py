@@ -156,9 +156,13 @@ class _Ctx:
     `instance` counts one instance and, given fields, names a new subject;
     `at` names one without counting, for a witness revalidated before its
     instance counts.  A checker leaves early only through `fail`, directly
-    or from `revalidate`, the one place where a consumed witness is
-    re-checked; the counterexample is the subject's fields, then the
-    failure's own.  `tally` adds to a note; a failing report drops them.
+    or from `revalidate`, which re-checks a consumed witness, or `reject`,
+    which reports one that did not re-check; the counterexample is the
+    subject's fields, then the failure's own.  The hot loops (P-HOMS,
+    T-HOM, P-SPR and T-SEC) name the subject's outer field with `at`, add
+    to `instances` and call `validate` themselves, so that an instance
+    makes no keyword call, and pass the inner fields only on a failure.
+    `tally` adds to a note; a failing report drops them.
     """
 
     def __init__(self):
@@ -183,8 +187,12 @@ class _Ctx:
     def revalidate(self, witness, **extra):
         """Fail unless the witness re-checks through its definition; None passes."""
         if witness is not None and not witness.validate():
-            self.fail(**extra,
-                      detail=f"witness failed revalidation: {witness.describe()}")
+            self.reject(witness, **extra)
+
+    def reject(self, witness, **extra):
+        """Fail with a witness that did not re-check through its definition."""
+        self.fail(**extra,
+                  detail=f"witness failed revalidation: {witness.describe()}")
 
 
 def _jsonable(payload):
@@ -298,6 +306,7 @@ def _check_t_loc(cat, tb, ctx):
 
 
 def _check_t_hom(cat, tb, ctx):
+    make = Witness.make
     ctx.tally("precondition_unmet", 0)
     for f, mcs_list, core in _by_signature(cat, st._transfer_core):
         ctx.at(hom=f)
@@ -306,8 +315,10 @@ def _check_t_hom(cat, tb, ctx):
             if entry is None:
                 continue
             s, _, downward, _, upward, failing = entry
-            ctx.revalidate(Witness.make("s-monic", hom=f, mcs=mcs, s=s), mcs=mcs)
-            ctx.instance()
+            witness = make("s-monic", f, mcs, s)
+            if not witness.validate():
+                ctx.reject(witness, mcs=mcs)
+            ctx.instances += 1
             if downward is False:
                 ctx.fail(mcs=mcs, failing=failing,
                          detail="property failed to descend to the source")
@@ -715,15 +726,21 @@ def _check_t_min(cat, tb, ctx):
 
 
 def _check_p_homs(cat, tb, ctx):
+    make = Witness.make
     for f, mcs_list, outcomes in _by_signature(cat, _bridge_outcomes):
+        ctx.at(hom=f)
         for mcs, (s_monic, s_epic, failure) in zip(mcs_list, outcomes):
-            ctx.instance(hom=f, mcs=mcs)
+            ctx.instances += 1
             if s_monic is not None:
-                ctx.revalidate(Witness.make("s-monic", hom=f, mcs=mcs, s=s_monic))
+                witness = make("s-monic", f, mcs, s_monic)
+                if not witness.validate():
+                    ctx.reject(witness, mcs=mcs)
             if s_epic is not None:
-                ctx.revalidate(Witness.make("s-epic", hom=f, mcs=mcs, s=s_epic))
+                witness = make("s-epic", f, mcs, s_epic)
+                if not witness.validate():
+                    ctx.reject(witness, mcs=mcs)
             if failure is not None:
-                ctx.fail(detail=failure)
+                ctx.fail(mcs=mcs, detail=failure)
 
 
 def _bridge_outcomes(f, mcs_list):
@@ -740,7 +757,7 @@ def _check_forms(cat, ctx, submodules, direct, record, derived, skips):
     `direct(module, n, mcs)`, the toolbox's definitional form, raising one
     of `skips` counts as a skip.  `record` is the forms record and
     `derived` holds, per derived form in field order, the form and the
-    maker of its witness at e_S from (module, N's elements, mcs); as in
+    claim of its witness, made at e_S from (module, N's elements, mcs); as in
     `s_theory._characterize`, a derived form whose own precondition fails
     reads as None.  A derived form reads S only through e_S (its
     disjointness too: an ideal meets S iff it holds e_S), so the memo
@@ -750,8 +767,10 @@ def _check_forms(cat, ctx, submodules, direct, record, derived, skips):
     the form; the class's later m.c.s. read the byte.
     """
     width = len(derived)
+    make = Witness.make
     ctx.tally("disjointness_skips", 0)
     for module in cat.nonzero_modules():
+        ctx.at(module=module)
         subs = submodules(module)
         class_of, firsts = _e_s_classes(cat, module.ring)
         stride = len(subs) * width
@@ -759,6 +778,7 @@ def _check_forms(cat, ctx, submodules, direct, record, derived, skips):
         if table is None:
             table = cat._memo[record, module] = bytearray(len(firsts) * stride)
         for mcs, c in zip(cat.mcs[module.ring], class_of):
+            e = mcs.idempotent
             at = c * stride
             for n in subs:
                 try:
@@ -768,7 +788,7 @@ def _check_forms(cat, ctx, submodules, direct, record, derived, skips):
                     at += width
                     continue
                 witnesses = [first]
-                for form, make in derived:
+                for form, claim in derived:
                     code = table[at]
                     if code == 0:
                         witness = st._guard(lambda: form(module, n, mcs))
@@ -776,25 +796,24 @@ def _check_forms(cat, ctx, submodules, direct, record, derived, skips):
                     elif code == 1:
                         witness = None
                     else:
-                        witness = make(module, n.elements, mcs)
+                        witness = make(claim, module, n.elements, mcs, e)
                     witnesses.append(witness)
                     at += 1
-                ctx.instance(module=module, mcs=mcs, submodule=n)
+                ctx.instances += 1
                 checked = record(*witnesses)
                 if not checked.agree():
-                    ctx.fail(verdicts=list(checked.verdicts))
+                    ctx.fail(mcs=mcs, submodule=n, verdicts=list(checked.verdicts))
                 for witness in checked:
-                    ctx.revalidate(witness)
+                    if witness is not None and not witness.validate():
+                        ctx.reject(witness, mcs=mcs, submodule=n)
 
 
 def _check_p_spr(cat, tb, ctx):
     """`s_prime_characterizations`, the derived forms read from the memo."""
     _check_forms(
         cat, ctx, enumerate_submodules, tb.is_s_prime_submodule, st.SPrimeForms,
-        ((st.s_prime_colon_form, lambda module, p, mcs: Witness.make(
-            "s-prime-colon", module=module, p=p, mcs=mcs, s=mcs.idempotent)),
-         (st.s_prime_homothety_form, lambda module, p, mcs: Witness.make(
-             "s-prime-homothety", module=module, p=p, mcs=mcs, s=mcs.idempotent))),
+        ((st.s_prime_colon_form, "s-prime-colon"),
+         (st.s_prime_homothety_form, "s-prime-homothety")),
         DisjointnessFailure)
 
 
@@ -802,11 +821,8 @@ def _check_t_sec(cat, tb, ctx):
     """`s_second_characterizations`, the derived forms read from the memo."""
     _check_forms(
         cat, ctx, _nonzero_submodules, tb.is_s_second, st.SSecondForms,
-        ((st.s_second_homothety_form, lambda module, n, mcs: Witness.make(
-            "s-second-homothety", module=module, n=n, mcs=mcs, s=mcs.idempotent)),
-         (st.s_second_containment_form, lambda module, n, mcs: Witness.make(
-             "s-second-containment", module=module, n=n, mcs=mcs,
-             s=mcs.idempotent))),
+        ((st.s_second_homothety_form, "s-second-homothety"),
+         (st.s_second_containment_form, "s-second-containment")),
         (DisjointnessFailure, PreconditionUnmet))
 
 

@@ -3,11 +3,14 @@
 Every predicate that proves "there is an s in S such that ..." returns a
 `Witness` recording what was found and against which instance, with the
 m.c.s. it searched bound as `mcs` just before `s`.  A `Witness` is an
-immutable tuple of its claim and the keyword mapping `make` receives, built
-without a per-instance `__init__`.
+immutable tuple of its claim and `args`, the bound values in the order of
+the claim's revalidator's parameters, built without a per-instance
+`__init__`: `Witness.make(claim, *args)` takes them positionally.
 `validate()` checks once that s lies in the m.c.s.'s element set, then
-calls the claim's revalidator with that mapping as keyword arguments, so
-a revalidator's parameters are its claim's fields.
+calls the claim's revalidator, looked up in `REVALIDATORS` at call time,
+with `args` as they are.  The names are the registry's: `@revalidator`
+records each claim's parameter names, and `bindings`, `get` and
+`describe()` rebuild the named bindings from them.
 
 A revalidator recomputes the defining condition from the module's or the
 hom's tables: it reads the action row of each scalar it needs once and
@@ -28,11 +31,22 @@ from operator import itemgetter
 from typing import Any, Callable
 
 REVALIDATORS: dict[str, Callable[..., bool]] = {}
+PARAMETERS: dict[str, tuple[str, ...]] = {}     # claim -> its bound names
+_MCS_AT: dict[str, tuple[int, int]] = {}        # claim -> where mcs and s sit
 
 
 def revalidator(claim):
+    """Register the claim's revalidator and record its parameter names,
+    which every witness of the claim binds in order, `mcs` just before `s`."""
     def deco(fn):
+        code = fn.__code__
+        names = code.co_varnames[:code.co_argcount]
+        at = names.index("mcs")
+        if names[at + 1:at + 2] != ("s",):
+            raise ValueError(f"{claim}: the revalidator must take s just after mcs")
         REVALIDATORS[claim] = fn
+        PARAMETERS[claim] = names
+        _MCS_AT[claim] = at, at + 1
         return fn
 
     return deco
@@ -42,56 +56,61 @@ _new = tuple.__new__
 
 
 class Witness(tuple):
-    """An immutable record of a claim and its named bindings, in make order.
+    """An immutable record of a claim and its bound values, in the order of
+    the claim's revalidator's parameters.
 
-    A witness is the pair (claim, the keyword mapping `make` receives), so
-    making one copies nothing and `validate()` passes the mapping on as is.
-    Equality and hashing are by the claim and the bindings in order, and a
-    witness equals no plain tuple.
+    A witness is the pair (claim, args), so making one copies nothing and
+    `validate()` passes args on as is.  Equality and hashing are by the
+    claim and the values in order, and a witness equals no plain tuple.
     """
 
     __slots__ = ()
 
-    def __new__(cls, claim: str, bindings: tuple[tuple[str, Any], ...]):
-        return _new(cls, (claim, dict(bindings)))
+    def __new__(cls, claim: str, bindings):
+        """The witness of (name, value) pairs, whose names must be the
+        claim's revalidator's parameters in order; none is reordered."""
+        bindings = tuple(bindings)
+        names = tuple(name for name, _ in bindings)
+        if names != PARAMETERS.get(claim):
+            raise ValueError(f"{claim} binds {PARAMETERS.get(claim)}, not {names}")
+        return _new(cls, (claim, tuple(value for _, value in bindings)))
 
     @staticmethod
-    def make(claim, **named):
-        return _new(Witness, (claim, named))
+    def make(claim, *args):
+        return _new(Witness, (claim, args))
 
     claim = property(itemgetter(0))
 
     @property
     def bindings(self) -> tuple[tuple[str, Any], ...]:
-        return tuple(self[1].items())
+        claim, args = self
+        return tuple(zip(PARAMETERS[claim], args))
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return False
-        return self[0] == other[0] and self.bindings == other.bindings
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
     def __ne__(self, other):
         return not self == other
 
-    def __hash__(self):
-        return hash((self[0], self.bindings))
+    __hash__ = tuple.__hash__
 
     def __repr__(self):
         return f"Witness(claim={self[0]!r}, bindings={self.bindings!r})"
 
     def get(self, name):
-        return self[1][name]
+        return dict(self.bindings)[name]
 
     def validate(self) -> bool:
         """s lies in the m.c.s., and the claim's defining condition re-checks."""
-        claim, named = self
-        return named["s"] in named["mcs"].elements and REVALIDATORS[claim](**named)
+        claim, args = self
+        mcs, s = _MCS_AT[claim]
+        return args[s] in args[mcs].elements and REVALIDATORS[claim](*args)
 
     def describe(self) -> str:
         """The claim and every binding; s is written with the label of the
         m.c.s.'s ring, and an element, element sets and tuples with the
         labels of the bound module."""
-        claim, named = self
+        named = dict(self.bindings)
         module = named.get("module")
         parts = []
         for key, value in named.items():
@@ -106,4 +125,4 @@ class Witness(tuple):
             elif isinstance(value, tuple):
                 value = "(" + ",".join(map(module.label, value)) + ")"
             parts.append(f"{key}={value}")
-        return f"{claim}({', '.join(parts)})"
+        return f"{self[0]}({', '.join(parts)})"

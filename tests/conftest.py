@@ -39,6 +39,10 @@ checks or a claim's revalidator; `reference_multiple`,
 corollaries of e_S that the checkers use in place of a loop over S, and
 `reference_colon`, `reference_zero_divisors` and `reference_units` the
 sets that the side conditions ask S to avoid or to lie in.
+`reference_socle_criterion` decides (S-)comultiplication without the
+submodule lattice, by the socle bound of the README's "A socle criterion
+for (S-)comultiplication", from `reference_maximal_ideals`, the maximal
+ones among `brute_force_ideals`, and the raw action.
 """
 
 from itertools import product
@@ -94,6 +98,29 @@ def brute_force_ideals(ring):
         if ok:
             out.append(frozenset(members))
     return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def reference_maximal_ideals(ring):
+    """The proper ideals among `brute_force_ideals` that lie inside no
+    other proper one."""
+    proper = [i for i in brute_force_ideals(ring) if len(i) < ring.order]
+    return [m for m in proper if not any(m < j for j in proper)]
+
+
+def reference_socle_criterion(module, maximal_ideals, mcs=None):
+    """Whether each maximal ideal m that misses S (every m, with no S) has
+    a socle (0 :_M m) of at most |R/m| elements: the module is then
+    S-comultiplication (comultiplication, with no S), and only then.  The
+    socle is filtered from the elements by one `act` call per (a, x)."""
+    order = module.ring.order
+    for m in maximal_ideals:
+        if mcs is not None and not m.isdisjoint(mcs.elements):
+            continue
+        socle = [x for x in module.elements()
+                 if all(module.act(a, x) == 0 for a in m)]
+        if len(socle) > order // len(m):
+            return False
+    return True
 
 
 def brute_force_submodules(module, within=None):

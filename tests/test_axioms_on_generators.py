@@ -250,3 +250,51 @@ def test_a_reduced_closure_pass_that_disagrees_raises(monkeypatch):
     with pytest.raises(AssertionError):
         Submodule(make_ring_zn([6]), frozenset({0, 3}))
     assert len(full) == 1
+
+
+def test_the_generator_walk_decides_addition_closure():
+    """On every subset holding 0 of the additive groups of Z12, Z2^3 and
+    Z2xZ6 (as their rings' tables), the walk of a subset's greedy
+    generators stays inside it iff every pairwise sum does: on the 32
+    subgroups (6, 16 and 5 * 2) and on no other subset."""
+    tally = {True: 0, False: 0}
+    for ring in (make_ring_zn([12]), make_ring_zn([2, 2, 2]), make_ring_zn([2, 6])):
+        others = [x for x in ring.elements() if x != ring.zero]
+        for bits in range(1 << len(others)):
+            subset = frozenset([ring.zero] + [x for i, x in enumerate(others)
+                                              if bits >> i & 1])
+            expected = all(ring.add(a, b) in subset for a in subset for b in subset)
+            assert rings._sums_stay_inside(ring._add_rows, ring.zero,
+                                           subset) == expected, (ring.name, subset)
+            tally[expected] += 1
+    assert tally == {True: 6 + 16 + 5 * 2, False: 2048 + 128 + 2048 - 32}
+
+
+def test_a_default_run_never_scans_pairs():
+    """A default catalog and `verify_all` in a fresh process walk the
+    generators of 4,488 subsets, and every walk stays inside its subset,
+    so the pairwise addition scan runs on none."""
+    out = run_fresh("""
+        from scomult import generate_catalog, rings
+        from scomult.statements import verify_all
+
+        calls = {}
+        def counting(*args, real=rings._sums_stay_inside):
+            result = real(*args)
+            calls[result] = calls.get(result, 0) + 1
+            return result
+        rings._sums_stay_inside = counting
+        verify_all(generate_catalog())
+        print(sorted(calls.items()))
+    """)
+    assert out.strip() == str([(True, 4488)])
+
+
+def test_a_generator_walk_that_disagrees_raises(monkeypatch):
+    """A closed subset whose generator walk fails is scanned pair by pair,
+    and the disagreement raises rather than passes."""
+    monkeypatch.setattr(rings, "_sums_stay_inside", lambda *args: False)
+    with pytest.raises(AssertionError):
+        Submodule(make_ring_zn([6]), frozenset({0, 3}))
+    with pytest.raises(AxiomViolation, match="ideal not closed under addition"):
+        Submodule(make_ring_zn([6]), frozenset({0, 1}))

@@ -1,7 +1,10 @@
 """CLI behavior: exit codes are the contract."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -439,3 +442,15 @@ def test_readme_lists_the_check_predicates_by_subject():
 def test_check_rejects_flags_the_predicate_does_not_read(predicate, flags, capsys):
     assert main(["check", str(INSTANCES / "z6_self.inst"), predicate, *flags]) == 3
     assert "does not read --" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_command_from_a_checkout():
+    """`python -m scomult` with only `src` on the path verifies one
+    statement and exits 0, as the installed command does."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scomult", "verify", "--statements", "T-DU"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "T-DU" in proc.stdout

@@ -172,8 +172,9 @@ MODULE_LEVEL_CACHES = {
     "s_theory.is_s_comultiplication",
 }
 
-# Filled once at import by the `revalidator` decorator; not a cache.
-IMPORT_TIME_REGISTRIES = {"witnesses.REVALIDATORS"}
+# Filled once at import by the `revalidator` decorator; not caches.
+IMPORT_TIME_REGISTRIES = {"witnesses.REVALIDATORS", "witnesses.PARAMETERS",
+                          "witnesses._MCS_AT"}
 
 
 def test_module_level_caches_are_pinned():

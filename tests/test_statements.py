@@ -64,7 +64,7 @@ from scomult.statements import (
     verify,
     verify_all,
 )
-from scomult.witnesses import REVALIDATORS, Witness
+from scomult.witnesses import PARAMETERS, REVALIDATORS, Witness
 
 from conftest import REFERENCE_CHECKERS
 
@@ -353,8 +353,7 @@ def test_tampered_s_cyclic_witness_fails_its_consumers(small_catalog, sid,
         witness = real(module, mcs)
         if witness is None:
             return None
-        return Witness.make("s-cyclic", module=module, mcs=mcs,
-                            s=witness.get("s"), element=0)
+        return Witness.make("s-cyclic", module, mcs, witness.get("s"), 0)
 
     monkeypatch.setattr(s_theory, "is_s_cyclic", element_zero)
     report = verify(sid, small_catalog)
@@ -1235,11 +1234,11 @@ def test_revalidation_sites_are_pinned(small_catalog, monkeypatch, sid, claim,
     """The claim's revalidator rejects every witness whose m.c.s. is past the
     first of its ring: the report fails at the first such witness the
     checker consumes, with the pinned payload and key order."""
-    real = REVALIDATORS[claim]
+    real, mcs_at = REVALIDATORS[claim], PARAMETERS[claim].index("mcs")
 
-    def rejects_past_the_first_mcs(**named):
-        return (not past_its_first_mcs(small_catalog, named["mcs"])
-                and real(**named))
+    def rejects_past_the_first_mcs(*args):
+        return (not past_its_first_mcs(small_catalog, args[mcs_at])
+                and real(*args))
 
     monkeypatch.setitem(REVALIDATORS, claim, rejects_past_the_first_mcs)
     assert pinned(verify(sid, small_catalog)) == expected
@@ -1599,23 +1598,24 @@ def test_the_class_keyed_memo_agrees_with_per_mcs_evaluation(name):
 
 
 def revalidated(monkeypatch, sid, catalog):
-    """Every witness (None included) that one run of `sid` revalidates."""
+    """Every witness that one run of `sid` revalidates, in order."""
     seen = []
-    real = statements._Ctx.revalidate
+    real = Witness.validate
 
-    def recording(ctx, witness, **extra):
+    def recording(witness):
         seen.append(witness)
-        return real(ctx, witness, **extra)
+        return real(witness)
 
     with monkeypatch.context() as patch:
-        patch.setattr(statements._Ctx, "revalidate", recording)
+        patch.setattr(Witness, "validate", recording)
         assert verify(sid, catalog).verdict == "pass"
     return seen
 
 
 def bundle_witnesses(sid, catalog):
     """The witnesses of the library's bundles over the statement's instances,
-    in the order its checker revalidates them."""
+    in the order its checker revalidates them; a form that gave none has
+    nothing to revalidate."""
     out = []
     for module, mcs in catalog.module_mcs_pairs():
         if sid == "L-EQ":
@@ -1630,7 +1630,7 @@ def bundle_witnesses(sid, catalog):
             forms = s_theory.s_second_characterizations
         for n in subs:
             try:
-                out.extend(forms(module, n, mcs))
+                out.extend(w for w in forms(module, n, mcs) if w is not None)
             except (DisjointnessFailure, PreconditionUnmet):
                 pass
     return out
@@ -1646,4 +1646,4 @@ def test_witnesses_made_from_the_memo_equal_the_bundles(monkeypatch, sid):
     cold = revalidated(monkeypatch, sid, catalog)
     warm = revalidated(monkeypatch, sid, catalog)
     assert cold == warm == bundle_witnesses(sid, catalog)
-    assert sum(w is not None for w in warm) > 100
+    assert len(warm) > 100

@@ -21,8 +21,9 @@ import scomult  # noqa: F401  registers the library's claims
 import scomult.localization  # noqa: F401
 from scomult.catalog import generate_catalog
 from scomult.errors import AxiomViolation
-from scomult.modules import enumerate_submodules, self_module
+from scomult.modules import Module, enumerate_submodules, self_module
 from scomult.morphisms import (
+    ModuleHom,
     homothety_family,
     homothety_on_family,
     is_s_epic_with,
@@ -31,18 +32,20 @@ from scomult.morphisms import (
     is_s_zero_with,
 )
 from scomult.mutations import MUTANTS, mutant_toolbox, mutation_catalog_params
-from scomult.rings import make_ring_zn, unit_mcs, validate_mcs
+from scomult.rings import MCS, Submodule, make_ring_zn, unit_mcs, validate_mcs
 from scomult.s_theory import is_prime_submodule_set, is_s_finite, is_s_multiplication
 from scomult.statements import STATEMENTS, verify, verify_all
-from scomult.witnesses import REVALIDATORS, Witness
+from scomult.witnesses import PARAMETERS, REVALIDATORS, Witness
 
 SRC = Path(scomult.__file__).parent
 
 
 def witness_makes():
-    """(file, line, claim, keyword names) for every `Witness.make` call with
-    a literal claim, and for every call that passes a literal claim to a
-    helper whose `Witness.make` takes the claim from its first parameter."""
+    """(file, line, claim, arguments) for every `Witness.make` call with a
+    literal claim, and for every call that passes a literal claim to a
+    helper whose `Witness.make` takes the claim from its first parameter;
+    the arguments are the source text of the bound values, in order (a
+    helper's own, for the calls of a helper)."""
     out, helpers, trees = [], {}, []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -56,10 +59,11 @@ def witness_makes():
                     and node.func.attr == "make"
                     and isinstance(node.func.value, ast.Name)
                     and node.func.value.id == "Witness"):
-                claim = node.args[0]
-                names = [k.arg for k in node.keywords]
-                assert None not in names, (
-                    f"{path.name}:{node.lineno} unpacks its bindings")
+                claim, *values = node.args
+                assert not node.keywords and not any(
+                    isinstance(v, ast.Starred) for v in values), (
+                    f"{path.name}:{node.lineno} binds by name or unpacks")
+                names = [ast.unparse(v) for v in values]
                 if isinstance(claim, ast.Constant):
                     out.append((path.name, node.lineno, claim.value, names))
                     continue
@@ -98,14 +102,49 @@ def test_every_revalidator_claim_is_made():
 
 
 def test_every_witness_binds_its_claims_revalidator_parameters():
-    """Each `Witness.make` binds `mcs` just before `s`, and its names are
-    its revalidator's parameters, in order."""
+    """Each `Witness.make` passes one value per parameter of its claim's
+    revalidator, in order, positionally, and the m.c.s. it searched, named
+    `mcs`, where the revalidator takes `mcs`, just before `s`.  The
+    registry's names are the revalidator's parameters."""
     wrong = []
-    for name, line, claim, names in witness_makes():
-        params = list(inspect.signature(REVALIDATORS[claim]).parameters)
-        if names != params or ("mcs", "s") not in zip(names, names[1:]):
-            wrong.append((name, line, claim, names, params))
+    for name, line, claim, values in witness_makes():
+        params = tuple(inspect.signature(REVALIDATORS[claim]).parameters)
+        at = params.index("mcs")
+        if (params != PARAMETERS[claim] or len(values) != len(params)
+                or values[at] != "mcs" or params[at + 1] != "s"):
+            wrong.append((name, line, claim, values, params))
     assert wrong == []
+
+
+# The kind of value each bound name holds.
+KINDS = {"module": Module, "hom": ModuleHom, "mcs": MCS, "ideal": Submodule,
+         "s": int, "element": int, "generators": tuple, "p": frozenset,
+         "n": frozenset, "k": frozenset, "l": frozenset}
+
+
+def test_every_revalidated_witness_binds_each_name_a_value_of_its_kind(
+        revalidated):
+    """Every witness the suite revalidates on the reduced catalog binds each
+    name a value of its kind: s an element of the m.c.s.'s ring, and an
+    element, generators and element sets of the bound module; so no make
+    site passes its values in another order."""
+    _, found = revalidated
+    seen = Counter()
+    for claim, witnesses in found.items():
+        for witness in witnesses:
+            named = dict(witness.bindings)
+            for key, value in named.items():
+                assert isinstance(value, KINDS[key]), witness.describe()
+                seen[key] += 1
+            assert named["s"] in range(named["mcs"].ring.size)
+            module = named.get("module")
+            for key in ("p", "n", "k", "l", "generators", "element"):
+                if key in named:
+                    inside = (named[key] if key != "element" else (named[key],))
+                    assert set(inside) <= module.carrier, witness.describe()
+            if "ideal" in named:
+                assert named["ideal"].module == module.ring
+    assert seen.keys() == KINDS.keys(), seen
 
 
 @pytest.fixture(scope="module")
@@ -163,13 +202,13 @@ def test_validate_calls_the_revalidator(real_witnesses, claim, monkeypatch):
     assert witness.get("s") in witness.get("mcs")
     calls = []
 
-    def refuse(**named):
-        calls.append(named)
+    def refuse(*args):
+        calls.append(args)
         return False
 
     monkeypatch.setitem(REVALIDATORS, claim, refuse)
     assert not witness.validate()
-    assert calls == [dict(witness.bindings)]
+    assert calls == [tuple(value for _, value in witness.bindings)]
 
 
 @pytest.mark.parametrize("claim", sorted(REFERENCE_REVALIDATORS))
@@ -195,8 +234,8 @@ def test_row_revalidators_equal_their_reference(revalidated, claim):
             for s in mcs.ring.elements():
                 named.update(mcs=mcs, s=s)
                 expected = reference(**named)
-                assert fast(**named) == expected, Witness(
-                    claim, tuple(named.items())).describe()
+                assert fast(**named) == expected, Witness(claim, (
+                    (key, named[key]) for key in PARAMETERS[claim])).describe()
                 verdicts[expected] += 1
     assert verdicts[True] and verdicts[False], verdicts
 
@@ -336,9 +375,9 @@ def test_a_mutation_pass_revalidates_every_witness(monkeypatch):
     calls = Counter()
 
     def counting(claim, check):
-        def counted(**named):
+        def counted(*args):
             calls[claim] += 1
-            return check(**named)
+            return check(*args)
         return counted
 
     for claim, check in list(REVALIDATORS.items()):
@@ -370,26 +409,32 @@ def test_witness_round_trips_its_bindings_in_order(real_witnesses):
         assert copy == witness and hash(copy) == hash(witness)
         assert all(copy.get(key) is value for key, value in bindings)
         assert copy.describe() == witness.describe()
-    made = Witness.make("uniform-multiple", n=1, module=2, s=3, mcs=4)
-    assert made.bindings == (("n", 1), ("module", 2), ("s", 3), ("mcs", 4))
+    made = Witness.make("uniform-multiple", 2, 1, 4, 3)
+    assert made.bindings == (("module", 2), ("n", 1), ("mcs", 4), ("s", 3))
+    assert made == Witness("uniform-multiple", made.bindings)
     first, second = real_witnesses["s-second"], real_witnesses["s-prime-colon"]
     assert first != second
-    assert Witness(first.claim, reversed(first.bindings)) != first
+    with pytest.raises(ValueError, match="s-second binds"):
+        Witness(first.claim, reversed(first.bindings))
     assert "validate" in vars(Witness)
 
 
 def test_witness_equality_is_order_sensitive_and_typed(real_witnesses):
-    """Reordered bindings make a different witness under both == and !=; a
-    witness is truthy and equals no plain tuple of its claim and bindings,
-    from either side."""
+    """Reordered bindings, or names other than the revalidator's, are
+    refused rather than reordered; a witness equals one built from its own
+    bindings under both == and !=, is truthy, and equals no plain tuple of
+    its claim and its bindings, or its own plain copy, from either side."""
     for witness in real_witnesses.values():
         same = Witness(witness.claim, witness.bindings)
         assert same == witness and not same != witness
-        reordered = Witness(witness.claim, reversed(witness.bindings))
-        assert reordered != witness and not reordered == witness
+        with pytest.raises(ValueError):
+            Witness(witness.claim, reversed(witness.bindings))
+        with pytest.raises(ValueError):
+            Witness(witness.claim, witness.bindings[:-1])
         assert bool(witness) is True
         for plain in ((witness.claim, witness.bindings),
-                      (witness.claim, dict(witness.bindings))):
+                      (witness.claim, dict(witness.bindings)),
+                      tuple(witness)):
             assert witness != plain and plain != witness
             assert not witness == plain and not plain == witness
 
@@ -406,8 +451,8 @@ def test_a_derived_form_witness_fails_when_its_precondition_fails(
     meets {1,2,4}; the search raises DisjointnessFailure on these instances,
     so a witness built for them by hand must not validate."""
     key = "p" if claim.startswith("s-prime") else "n"
-    witness = Witness.make(claim, module=m6, **{key: frozenset(subset)},
-                           mcs=validate_mcs(z6, mcs), s=s)
+    assert PARAMETERS[claim] == ("module", key, "mcs", "s")
+    witness = Witness.make(claim, m6, frozenset(subset), validate_mcs(z6, mcs), s)
     assert not witness.validate(), witness.describe()
 
 
@@ -419,8 +464,8 @@ def test_a_homothety_witness_on_a_non_submodule_raises(z6, m6, s1, claim, key):
     family is reached from the element set and built through a closure check,
     which raises on every call: a set that is not a submodule gets no cached
     family."""
-    witness = Witness.make(claim, module=m6, **{key: frozenset({0, 1})},
-                           mcs=s1, s=1)
+    assert PARAMETERS[claim] == ("module", key, "mcs", "s")
+    witness = Witness.make(claim, m6, frozenset({0, 1}), s1, 1)
     for _ in range(2):
         with pytest.raises(AxiomViolation,
                            match="submodule not closed under addition"):
