@@ -295,22 +295,22 @@ def _check_s_epic(hom, mcs, s):
 
 # Both families are keyed by the submodule's element set, so a caller that
 # holds only the set reaches the cached family without building a Submodule;
-# the set is closure-checked once, when its family is built.
+# the set is closure-checked once, when its family is built.  A homothety is
+# its action row, so a family holds each distinct row's map once (README).
 
 
 @lru_cache(maxsize=None)
 def homothety_family(module, p):
-    """All homotheties a. on M/P, indexed by a; P is an element set."""
+    """Each distinct homothety a. on M/P, in first-a order; P is an element set."""
     q = quotient_module(module, Submodule(module, p))
-    return tuple(ModuleHom(q, q, q.act_row(a)) for a in module.ring.elements())
+    return tuple(ModuleHom(q, q, row) for row in dict.fromkeys(q._act_rows))
 
 
 @lru_cache(maxsize=None)
 def homothety_on_family(module, n):
-    """All homotheties a. on N viewed as a module; N is an element set."""
+    """Each distinct homothety a. on N as a module, in first-a order; N is a set."""
     n_mod = submodule_as_module(Submodule(module, n))
-    return tuple(ModuleHom(n_mod, n_mod, n_mod.act_row(a))
-                 for a in module.ring.elements())
+    return tuple(ModuleHom(n_mod, n_mod, row) for row in dict.fromkeys(n_mod._act_rows))
 
 
 # ---------------------------------------------------------------------------

@@ -243,12 +243,12 @@ def _check_tables(add, act, zero, one, ring=None):
     also be commutative with 1 != 0; otherwise `ring` is a ring whose own
     tables passed (or, for `make_ring_zn`, are right by construction).
 
-    Shape, range, identities, inverses and commutativity are scanned in
-    full.  `_axiom_loops` then checks the other laws with b of (a+b)+c and
-    x of r(x+y) over additive generators of the carrier and the scalar r
-    over those of the ring, which fails exactly when the full scan does
-    (README, "Axioms on generators").  Only then does the full scan run,
-    to raise its first violation.
+    Shape, range (per row), identities, inverses and commutativity (a < b)
+    are scanned in full.  `_axiom_loops` then checks the other laws with b
+    of (a+b)+c and x of r(x+y) over additive generators of the carrier and
+    the scalar r over those of the ring, which fails exactly when the full
+    scan does (README, "Axioms on generators").  Only then does the full
+    scan run, to raise its first violation.
     """
     radd, rmul = (add, act) if ring is None else (ring._add_rows, ring._act_rows)
     size, order = len(add), len(radd)
@@ -257,11 +257,12 @@ def _check_tables(add, act, zero, one, ring=None):
         raise AxiomViolation("addition table has wrong shape")
     if len(act) != order or any(len(row) != size for row in act):
         raise AxiomViolation("multiplication table has wrong shape")
+    carrier = frozenset(rng)
     for table, name in ((add, "addition"), (act, "multiplication")):
         for a, row in enumerate(table):
-            for b, v in enumerate(row):
-                if not 0 <= v < size:
-                    raise AxiomViolation(f"{name} table entry out of range", (a, b))
+            if not carrier.issuperset(row):
+                b = next(b for b, v in enumerate(row) if v not in carrier)
+                raise AxiomViolation(f"{name} table entry out of range", (a, b))
     if not 0 <= zero < size:
         raise AxiomViolation("0 out of range", (zero,))
     if not 0 <= one < order:
@@ -275,8 +276,9 @@ def _check_tables(add, act, zero, one, ring=None):
             raise AxiomViolation("1 is not a multiplicative identity", (a,))
         if zero not in add[a]:
             raise AxiomViolation("missing additive inverse", (a,))
+    # the first asymmetric pair in row-major order has a < b
     for a in rng:
-        for b in rng:
+        for b in range(a + 1, size):
             if add[a][b] != add[b][a]:
                 raise AxiomViolation("addition not commutative", (a, b))
             if ring is None and act[a][b] != act[b][a]:

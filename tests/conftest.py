@@ -15,7 +15,10 @@ by element, that the canonical map of a built S^-1 R is a unital ring map
 sending S to units, which the library builds in and does not re-check.
 `REFERENCE_REVALIDATORS` holds, by claim, the
 element-by-element form of each revalidator that the library computes from
-action rows, one `act`, `mul` or `scalar_times_set` call per element;
+action rows, one `act`, `mul` or `scalar_times_set` call per element
+(`reference_s_prime_homothety` and `reference_s_second_homothety` build
+one homothety per ring element as a list of `act` values, with no
+`ModuleHom`, where the library walks each distinct homothety once);
 `reference_is_prime_submodule_set` is the same for
 `s_theory.is_prime_submodule_set`, and `reference_s_zero_with`,
 `reference_s_monic_with` and `reference_s_epic_with` for the three `*_with`
@@ -570,6 +573,43 @@ def reference_s_epic_with(f, s):
                for y in f.target.elements())
 
 
+def reference_s_prime_homothety(module, p, mcs, s):
+    """P a submodule with (P :_R M) missing S, and for every ring element a
+    the map m + P -> am + P on M/P S-zero with s (sam in P for every m) or
+    S-injective with s (sm in P whenever am in P): one map per a, built as
+    a list of `act` values, equal maps walked again."""
+    if reference_check_closed(module, p) is not None:
+        return False
+    carrier = list(module.elements())
+    if any(all(module.act(t, m) in p for m in carrier) for t in mcs):
+        return False
+    for a in module.ring.elements():
+        h = [module.act(a, m) for m in carrier]
+        s_zero = all(module.act(s, v) in p for v in h)
+        s_monic = all(module.act(s, m) in p for m, v in zip(carrier, h) if v in p)
+        if not (s_zero or s_monic):
+            return False
+    return True
+
+
+def reference_s_second_homothety(module, n, mcs, s):
+    """N a submodule with ann(N) missing S, and for every ring element a the
+    map x -> ax on N S-zero with s (sax = 0 for every x of N) or
+    S-surjective with s (sy in aN for every y of N): one map per a, built
+    as a list of `act` values, equal maps walked again."""
+    if reference_check_closed(module, n) is not None:
+        return False
+    if any(all(module.act(t, x) == 0 for x in n) for t in mcs):
+        return False
+    for a in module.ring.elements():
+        h = [module.act(a, x) for x in n]
+        s_zero = all(module.act(s, v) == 0 for v in h)
+        s_epic = all(module.act(s, y) in h for y in n)
+        if not (s_zero or s_epic):
+            return False
+    return True
+
+
 def _hom_revalidator(check):
     """A hom's `*_with` check with a hom witness's parameters; like the
     library's revalidators, it leaves s in S to `Witness.validate`."""
@@ -582,8 +622,10 @@ REFERENCE_REVALIDATORS = {
     "s-epic": _hom_revalidator(reference_s_epic_with),
     "s-prime-submodule": reference_s_prime,
     "s-prime-colon": reference_s_prime_colon,
+    "s-prime-homothety": reference_s_prime_homothety,
     "s-second": reference_s_second,
     "s-second-containment": reference_s_second_containment,
+    "s-second-homothety": reference_s_second_homothety,
     "s-torsion-free": reference_s_torsion_free,
 }
 

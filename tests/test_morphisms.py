@@ -115,24 +115,50 @@ def test_bridge_claims(m6, s13):
 
 def test_homothety_pins(m4, m6):
     half = submodule_from_set(m4, {0, 2})
-    squash = homothety_family(m4, half.elements)[2]
+    quotient = quotient_module(m4, half)
+    squash = multiplication_hom(quotient, 2)
     assert all(squash(x) == 0 for x in squash.source.elements())
-    ident = homothety_family(m4, half.elements)[1]
+    ident = multiplication_hom(quotient, 1)
     assert list(ident.values) == list(ident.source.elements())
     evens = submodule_from_set(m6, {0, 2, 4})
-    double_on = homothety_on_family(m6, evens.elements)[2]
+    double_on = multiplication_hom(submodule_as_module(evens), 2)
     assert set(double_on.values) == set(double_on.source.elements())
+    # on M/P = Z4/2Z4, a = 2 gives h_0 again and a = 3 gives h_1
+    assert homothety_family(m4, half.elements) == (
+        multiplication_hom(quotient, 0), ident)
+    # on N = 2Z6, a and a + 3 act alike
+    assert homothety_on_family(m6, evens.elements) == (
+        multiplication_hom(submodule_as_module(evens), 0),
+        multiplication_hom(submodule_as_module(evens), 1), double_on)
+
+
+@pytest.mark.parametrize("family, carrier", [
+    (homothety_family, quotient_module),
+    (homothety_on_family, lambda module, n: submodule_as_module(n))])
+def test_a_homothety_family_holds_each_distinct_homothety_once(
+        m4, m6, family, carrier):
+    """Each family is the distinct per-a homotheties in order of the first a
+    that gives each, so h_a = h_b exactly when a and b share an action row."""
+    for module in (m4, m6):
+        ring = module.ring
+        for n in enumerate_submodules(module):
+            on = carrier(module, n)
+            per_a = [multiplication_hom(on, a) for a in ring.elements()]
+            homs = family(module, n.elements)
+            assert homs == tuple(dict.fromkeys(per_a))
+            assert len(homs) == len(set(on._act_rows))
 
 
 def test_homothety_composition(m4):
     half = submodule_from_set(m4, {0, 2})
+    quotient = quotient_module(m4, half)
     ring = m4.ring
     for a in ring.elements():
         for b in ring.elements():
-            left = homothety_family(m4, half.elements)[a]
-            right = homothety_family(m4, half.elements)[b]
+            left = multiplication_hom(quotient, a)
+            right = multiplication_hom(quotient, b)
             composed = tuple(left(right(x)) for x in left.source.elements())
-            assert composed == homothety_family(m4, half.elements)[ring.mul(a, b)].values
+            assert composed == multiplication_hom(quotient, ring.mul(a, b)).values
 
 
 def test_transfer_inclusion(m6, s1):
@@ -310,13 +336,13 @@ def catalog_homs(catalog):
 
 
 def homothety_homs(catalog):
-    """Every hom of the quotient and submodule homothety families."""
+    """Every a's homothety on M/N and on N, one hom per ring element a."""
     out = []
     for ring in catalog.rings:
         for module in catalog.modules[ring]:
             for n in enumerate_submodules(module):
-                out.extend(homothety_family(module, n.elements))
-                out.extend(homothety_on_family(module, n.elements))
+                for on in (quotient_module(module, n), submodule_as_module(n)):
+                    out.extend(multiplication_hom(on, a) for a in ring.elements())
     return out
 
 
