@@ -11,7 +11,7 @@ the one implementation of K, read as ann(e_S) from the action row of e_S
 lies in S.  K is checked once to be a submodule, its
 cosets are numbered, and for each s the map y + K -> sy + K is inverted;
 an s that does not permute the cosets is refused, since its image would
-not be a unit.  Each x keeps its coset, and each s a row from cosets to
+not be a unit, by one test of the product of S's elements.  Each x keeps its coset, and each s a row from cosets to
 classes, numbered by their least pair and labelled x/s after it.  Sums
 and actions are read at one representative y/1 of each class straight
 from the base's rows, so once K is an ideal and every s permutes its
@@ -106,13 +106,12 @@ def _pair_classes(base, mcs, torsion, what, cls):
     least = {}
     for y, c in enumerate(coset):
         least.setdefault(c, y)
+    _refuse_non_units(base, mcs, torsion_set)
     inverses = []
     for s in mcs:
         inverse = [None] * len(least)
         for y, sy in enumerate(base._act_rows[s]):
             inverse[coset[sy]] = coset[y]
-        if None in inverse:
-            raise AxiomViolation("image of S must consist of units", (s,))
         inverses.append(inverse)
     # the pairs of any x repeat those of the least member of x + K, so the
     # least pair of every class has x least in its coset
@@ -125,6 +124,29 @@ def _pair_classes(base, mcs, torsion, what, cls):
              for s, inverse in zip(mcs, inverses)}
     return (cls(base, mcs, coset, solve, tuple(least[c] for c in number)),
             torsion_set, tuple(labels))
+
+
+def _refuse_non_units(base, mcs, torsion_set):
+    """Refuse S unless each s in S permutes the cosets of the submodule
+    K = torsion_set, naming the first s, in S's order, that does not: the
+    image of S in S^-1 X must consist of units.
+
+    s permutes X/K iff s^-1(K) lies in K, and as sK lies in K, iff exactly
+    |K| elements x have sx in K.  The product p of S's elements permutes
+    X/K iff every s does, so p alone is tested, and S is scanned only to
+    name the s that fails (README, "A localization reads S only through
+    its torsion sets").
+    """
+    rows, size, mul = base._act_rows, len(torsion_set), mcs.ring._act_rows
+    p = mcs.ring.one
+    for s in mcs:
+        p = mul[p][s]
+    if sum(map(torsion_set.__contains__, rows[p])) == size:
+        return
+    for s in mcs:
+        if sum(map(torsion_set.__contains__, rows[s])) != size:
+            raise AxiomViolation("image of S must consist of units", (s,))
+    raise AssertionError("the product of S is not a unit but every s is")
 
 
 def _tables(left, right):
@@ -144,13 +166,18 @@ def _tables(left, right):
             tuple([tuple([image[act[r][b]] for b in reps]) for r in left.reps]))
 
 
-def _check_kernel(wrapper, torsion, torsion_set, message):
+_RING_KERNEL = "canonical map kernel mismatch"
+_MODULE_KERNEL = "canonical module map kernel mismatch"
+
+
+def _check_kernel(base, mcs, kernel, torsion, torsion_set, message):
     """The kernel of X -> S^-1 X must be `s_torsion` of the base.  The set
-    K that built the classes is that set when `torsion` is `s_torsion`;
-    only an injected torsion function makes it be computed again."""
+    K = torsion_set that built the classes is that set when `torsion` is
+    `s_torsion`; only an injected torsion function makes it be computed
+    again."""
     if torsion is not s_torsion:
-        torsion_set = s_torsion(wrapper.base, wrapper.mcs)
-    if wrapper.kernel() != torsion_set:
+        torsion_set = s_torsion(base, mcs)
+    if kernel != torsion_set:
         raise AxiomViolation(message)
 
 
@@ -168,7 +195,8 @@ def localize_ring_with(ring, mcs, torsion):
         add_table, mul_table, wrapper.map_element(ring.zero),
         wrapper.map_element(ring.one), labels=labels,
         name=f"({ring.name} loc {mcs.describe()})")
-    _check_kernel(wrapper, torsion, torsion_set, "canonical map kernel mismatch")
+    _check_kernel(ring, mcs, wrapper.kernel(), torsion, torsion_set,
+                  _RING_KERNEL)
     return wrapper
 
 
@@ -189,9 +217,28 @@ def localize_module_with(module, mcs, torsion):
         locring.ring, add_table, act_table, kind="localization",
         name=f"({module.name} loc {mcs.describe()})", labels=labels,
     )
-    _check_kernel(wrapper, torsion, torsion_set,
-                  "canonical module map kernel mismatch")
+    _check_kernel(module, mcs, wrapper.kernel(), torsion, torsion_set,
+                  _MODULE_KERNEL)
     return wrapper
+
+
+def check_s_on_torsion_sets(module, mcs, torsion, ring_set, module_set):
+    """Run the checks of `localize_module_with(module, mcs, torsion)` that
+    read S beyond the sets K_R = ring_set and K_M = module_set that
+    `torsion` gave, in its order and with its messages: S's refusal on
+    R/K_R, the kernel check of R -> S^-1 R, then both on M/K_M.
+
+    The classes of S^-1 X are the cosets of K, so a caller that holds the
+    verdicts of S'^-1 M for another S' with the same sets runs these in
+    place of building S^-1 M (README, "A localization reads S only through
+    its torsion sets"); the kernel of the canonical map is K there.  The
+    pair cap is not checked: it bounds the pairs a build walks, and no
+    pair is built.
+    """
+    for base, torsion_set, message in ((module.ring, ring_set, _RING_KERNEL),
+                                       (module, module_set, _MODULE_KERNEL)):
+        _refuse_non_units(base, mcs, torsion_set)
+        _check_kernel(base, mcs, torsion_set, torsion, torsion_set, message)
 
 
 def _localize_set(loc, elements):
@@ -226,5 +273,9 @@ def mm_locally_nonzero(module, maximal_ideal):
     """Whether the localization at R minus the maximal ideal is nonzero."""
     if module.is_zero_module:
         return False
-    mcs = complement_mcs(module.ring, maximal_ideal)
+    return locally_nonzero(module, complement_mcs(module.ring, maximal_ideal))
+
+
+def locally_nonzero(module, mcs):
+    """Whether S^-1 M is nonzero."""
     return localize_module(module, mcs).module.size > 1

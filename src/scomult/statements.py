@@ -23,9 +23,14 @@ under every toolbox, so it belongs to the catalog and lives in
 - P-SPR and T-SEC: whether each derived form gave a witness, per
   (module, e_S class, N) (`_check_forms`);
 - P-PF, P-FAM, T-M3 and T-SSUM: the part of their work that does not
-  depend on S, one table per module (`_with_module_table`).
+  depend on S, one table per module (`_with_module_table`);
+- P-LOC and T-LOC: whether S^-1 M is comultiplication and the first
+  ideal whose localized colon identity breaks, per (torsion function,
+  module, K_R, K_M) (`_localized`).
 An S-verdict depends on S only through e_S (see `s_theory`), so a value
-kept per e_S class is the value of every m.c.s. in it.
+kept per e_S class is the value of every m.c.s. in it; a localization's
+verdicts depend on S only through its torsion sets, and each pair still
+runs the refusal and kernel checks that read S.
 A value is evaluated the first time a walk needs it, so a walk fails where
 one without the memo would; a later walk over the same catalog, under any
 toolbox, reads it back; a fresh catalog starts cold.  Values are stored
@@ -209,10 +214,28 @@ def _jsonable(payload):
     return out
 
 
-def _localize(module, mcs, tb):
-    if tb.localization_torsion is loc.s_torsion:
-        return loc.localize_module(module, mcs)
-    return loc.localize_module_with(module, mcs, tb.localization_torsion)
+def _localized(cat, module, mcs, torsion):
+    """The catalog memo's entry for S^-1 M built with `torsion`: [whether
+    it is comultiplication, the index of the first ideal whose localized
+    colon identity breaks or -1, None until P-LOC asks].
+
+    Both depend on S only through K_R and K_M, the sets `torsion` gives
+    (README, "A localization reads S only through its torsion sets"), so
+    the entry is keyed by them and built at the first m.c.s. that gives
+    them; every later m.c.s. runs the checks that read S itself.
+    """
+    ring_set, module_set = torsion(module.ring, mcs), torsion(module, mcs)
+    key = (_localized, torsion, module, ring_set, module_set)
+    entry = cat._memo.get(key)
+    if entry is not None:
+        loc.check_s_on_torsion_sets(module, mcs, torsion, ring_set, module_set)
+        return entry
+    if torsion is loc.s_torsion:
+        localized = loc.localize_module(module, mcs)
+    else:
+        localized = loc.localize_module_with(module, mcs, torsion)
+    entry = cat._memo[key] = [st.is_comultiplication(localized.module), None]
+    return entry
 
 
 def _nonzero_submodules(module):
@@ -283,21 +306,32 @@ def _check_p_sat(cat, tb, ctx):
 
 
 def _check_p_loc(cat, tb, ctx):
+    """The colon identities read the default localization, whatever the
+    toolbox's torsion function."""
+    torsion = tb.localization_torsion
     for module, mcs, _ in _s_comult_pairs(cat):
         ctx.instance(module=module, mcs=mcs)
-        localized = _localize(module, mcs, tb)
-        if not st.is_comultiplication(localized.module):
+        entry = _localized(cat, module, mcs, torsion)
+        if not entry[0]:
             ctx.fail(detail="localization is not comultiplication")
-        for ideal in enumerate_ideals(module.ring):
-            if not loc.localized_colon_identity_check(module, mcs, ideal):
-                ctx.fail(ideal=ideal, detail="localized colon identity broke")
+        if torsion is not loc.s_torsion:
+            entry = _localized(cat, module, mcs, loc.s_torsion)
+        ideals = enumerate_ideals(module.ring)
+        if entry[1] is None:
+            entry[1] = next(
+                (i for i, ideal in enumerate(ideals)
+                 if not loc.localized_colon_identity_check(module, mcs, ideal)),
+                -1)
+        if entry[1] >= 0:
+            ctx.fail(ideal=ideals[entry[1]],
+                     detail="localized colon identity broke")
 
 
 def _check_t_loc(cat, tb, ctx):
     for module, mcs in cat.module_mcs_pairs():
         witness = has_maximal_multiple(mcs)
         left = st.is_s_comultiplication(module, mcs).holds
-        right = st.is_comultiplication(_localize(module, mcs, tb).module)
+        right = _localized(cat, module, mcs, tb.localization_torsion)[0]
         ctx.at(module=module, mcs=mcs)
         ctx.revalidate(witness)
         ctx.instance()
@@ -434,22 +468,22 @@ def _check_t_com(cat, tb, ctx):
         if set(p.elements for p in primes) != set(m.elements for m in maxes):
             ctx.at(ring=ring)
             ctx.fail(detail="prime and maximal ideals differ on this ring")
+        at_primes = [loc.complement_mcs(ring, p) for p in primes]
+        at_maxes = [loc.complement_mcs(ring, m) for m in maxes]
         for module in cat.modules[ring]:
             if module.is_zero_module:
                 continue
             ctx.instance(module=module)
             base = st.is_comultiplication(module)
             via_primes = all(
-                st.is_s_comultiplication(module, loc.complement_mcs(ring, p)).holds
-                for p in primes
+                st.is_s_comultiplication(module, s).holds for s in at_primes
             )
             via_maxes = all(
-                st.is_s_comultiplication(module, loc.complement_mcs(ring, m)).holds
-                for m in maxes
+                st.is_s_comultiplication(module, s).holds for s in at_maxes
             )
             via_supported = all(
-                st.is_s_comultiplication(module, loc.complement_mcs(ring, m)).holds
-                for m in maxes if loc.mm_locally_nonzero(module, m)
+                st.is_s_comultiplication(module, s).holds
+                for s in at_maxes if loc.locally_nonzero(module, s)
             )
             if not base == via_primes == via_maxes == via_supported:
                 ctx.fail(verdicts=[base, via_primes, via_maxes, via_supported])
