@@ -11,8 +11,9 @@ the one implementation of K, read as ann(e_S) from the action row of e_S
 lies in S.  K is checked once to be a submodule, its
 cosets are numbered, and for each s the map y + K -> sy + K is inverted;
 an s that does not permute the cosets is refused, since its image would
-not be a unit, by one test of the product of S's elements.  Each x keeps its coset, and each s a row from cosets to
-classes, numbered by their least pair and labelled x/s after it.  Sums
+not be a unit, by one test of the product of S's elements.  Each x keeps
+its coset, and each s a row from cosets to classes, numbered by their
+least pair and labelled x/s after it.  Sums
 and actions are read at one representative y/1 of each class straight
 from the base's rows, so once K is an ideal and every s permutes its
 cosets, the canonical map R -> S^-1 R is a unital ring map sending S to
