@@ -87,9 +87,10 @@ class LocalizedModule(_PairClasses):
     __slots__ = ("locring", "module")
 
 
-def _pair_classes(base, mcs, torsion, what, cls):
+def _pair_classes(base, mcs, torsion, what, cls, torsion_set=None):
     """S^-1 base, for a ring or a module that R acts on, as a `cls`; the set
-    K = torsion(base, mcs) it was built from; and the x/s class labels.
+    K = torsion(base, mcs) it was built from, computed here unless given as
+    torsion_set; and the x/s class labels.
 
     K must be a submodule, and each s in S must permute the cosets of K;
     the class of (x, s) is then the coset y + K with sy + K = x + K, the
@@ -101,7 +102,8 @@ def _pair_classes(base, mcs, torsion, what, cls):
     if pair_count > DEFAULT_CAP * DEFAULT_CAP:
         raise SizeCapExceeded(f"{what} localization pairs", pair_count,
                               DEFAULT_CAP * DEFAULT_CAP)
-    torsion_set = torsion(base, mcs)
+    if torsion_set is None:
+        torsion_set = torsion(base, mcs)
     index = coset_index_map(base, Submodule(base, torsion_set))
     coset = _shared(tuple(map(index.__getitem__, base.elements())))
     least = {}
@@ -209,9 +211,16 @@ def localize_module(module, mcs):
 def localize_module_with(module, mcs, torsion):
     """S^-1 M as a module over S^-1 R, with the canonical map data; the
     pair relations of M and R read the set K that `torsion(base, mcs)` gives."""
+    return _localize_module(module, mcs, torsion)
+
+
+def _localize_module(module, mcs, torsion, torsion_set=None):
+    """`localize_module_with(module, mcs, torsion)`, handed K_M =
+    `torsion(module, mcs)` as torsion_set by a caller that holds it; S^-1 R
+    comes from `localize_ring_with`."""
     locring = localize_ring_with(module.ring, mcs, torsion)
-    wrapper, torsion_set, labels = _pair_classes(module, mcs, torsion, "module",
-                                                 LocalizedModule)
+    wrapper, torsion_set, labels = _pair_classes(
+        module, mcs, torsion, "module", LocalizedModule, torsion_set)
     add_table, act_table = _tables(locring, wrapper)
     wrapper.locring = locring
     wrapper.module = make_module(
@@ -278,5 +287,9 @@ def mm_locally_nonzero(module, maximal_ideal):
 
 
 def locally_nonzero(module, mcs):
-    """Whether S^-1 M is nonzero."""
-    return localize_module(module, mcs).module.size > 1
+    """Whether S^-1 M is nonzero, read off K_M = `s_torsion(module, mcs)`
+    after S's checks on K_R and K_M: x/1 = 0 iff ux = 0 for some u in S,
+    so S^-1 M = 0 iff K_M = M, and S^-1 M is not built."""
+    ring_set, module_set = s_torsion(module.ring, mcs), s_torsion(module, mcs)
+    check_s_on_torsion_sets(module, mcs, s_torsion, ring_set, module_set)
+    return len(module_set) < module.size

@@ -16,10 +16,14 @@ for a ring these are its multiplication rows, so an ideal is a `Submodule`
 of R over itself, and `annihilator` returns one.  Direct products of
 modules share one table builder with product rings.
 
-`first_multiplier` answers "is there an s of an m.c.s. with sX inside Y?"
-for a submodule Y by one containment test at e_S (`MCS.idempotent`): the s
-that work are closed under multiplication by R, and e_S is a multiple of
-every s in S.  Witness revalidation never calls it.
+Every x*N a search reads comes from one table per (module or ring, N):
+`_scalar_multiples` holds x*N for every ring element x, built on first use
+and kept on the table object, and `scalar_times_set` and
+`first_multiplier` read it.  `first_multiplier` answers "is there an s of
+an m.c.s. with sX inside Y?" for a submodule Y by one containment test at
+e_S (`MCS.idempotent`): the s that work are closed under multiplication by
+R, and e_S is a multiple of every s in S.  Witness revalidation reads none
+of them: it keeps a table of its own (`s_theory._revalidation_multiples`).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .rings import (
     _check_tables,
     _colon,
     _enumerate_closed,
+    _multiples_of,
     _product_tables,
     _shared,
     _span,
@@ -249,18 +254,32 @@ def zero_divisors_on(module):
     )
 
 
+def _scalar_multiples(module, subset):
+    """x*subset for every ring element x, as a tuple indexed by x, from the
+    search table of the module (or ring) keyed by the subset, a frozenset;
+    equal images are one shared frozenset."""
+    table = module._multiples
+    if table is None:
+        table = module._multiples = {}
+    multiples = table.get(subset)
+    if multiples is None:
+        multiples = table[subset] = _multiples_of(module, subset)
+    return multiples
+
+
 def scalar_times_set(module, r, elements):
-    return frozenset(map(module.act_row(r).__getitem__, elements))
+    """r*elements, read from the search table."""
+    return _scalar_multiples(module, elements)[r]
 
 
 def first_multiplier(module, mcs, subset, target):
     """e_S when e_S*subset lies inside target, else None.
 
     For a submodule target, some s of S has s*subset inside it exactly when
-    e_S has; nothing is cached.
+    e_S has; e_S*subset is read from the search table.
     """
     e = mcs.idempotent
-    return e if target.issuperset(map(module.act_row(e).__getitem__, subset)) else None
+    return e if target.issuperset(_scalar_multiples(module, subset)[e]) else None
 
 
 def sum_of_sets(module, sets):

@@ -57,6 +57,13 @@ def _shared(value):
     return _POOL.setdefault(value, value)
 
 
+def _multiples_of(base, subset):
+    """x*subset for every ring element x, as a tuple indexed by x, each
+    image read from x's action row and shared."""
+    return tuple([_shared(frozenset(map(row.__getitem__, subset)))
+                  for row in base._act_rows])
+
+
 def _check_size(what, size):
     if size > DEFAULT_CAP:
         raise SizeCapExceeded(what, size, DEFAULT_CAP)
@@ -70,10 +77,17 @@ class _Table:
     scalar action.  `carrier` is the element set, shared, so the full
     submodule and every set built from the carrier hold one object.
     Equality and hashing go through the per-class `_key()`.
+
+    `_multiples` and `_revalidation_multiples` map a subset N to the tuple
+    of x*N for every ring element x (`_multiples_of`), each made on first
+    use: the first is read by the searches, through
+    `modules._scalar_multiples`, the second only by witness revalidation,
+    through `s_theory._revalidation_multiples`.
     """
 
     __slots__ = ("size", "zero", "name", "carrier", "_labels", "_add_rows",
-                 "_act_rows", "_neg", "_hash")
+                 "_act_rows", "_neg", "_multiples", "_revalidation_multiples",
+                 "_hash")
 
     def __init__(self, add_rows, act_rows, zero, name, labels):
         self.size = len(add_rows)
@@ -84,7 +98,7 @@ class _Table:
         self._add_rows = add_rows
         self._act_rows = act_rows
         self._neg = _shared(tuple(row.index(zero) for row in add_rows))
-        self._hash = None
+        self._multiples = self._revalidation_multiples = self._hash = None
 
     def elements(self):
         return range(self.size)

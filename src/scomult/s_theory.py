@@ -9,6 +9,10 @@ binds the m.c.s. and s = e_S and re-validates against the defining
 condition.  A clause "for every t in S" holds at e_S, which t divides, so
 only the revalidators range over S to check it.  Every test
 whether e_S X lies inside Y is one call of `modules.first_multiplier`.
+The searches read x*N from the module's search table
+(`modules._scalar_multiples`), the revalidators from its revalidation
+table (`_revalidation_multiples`): each x*N is built once per (module, N)
+on each side, and neither side reads the other's.
 The definitional lemma form and S-cyclicity then look for an ideal or an
 element in canonical order.  Predicates whose definition is conditional on a
 disjointness hypothesis raise `DisjointnessFailure` instead of returning
@@ -26,6 +30,7 @@ from typing import NamedTuple
 from .errors import AxiomViolation, DisjointnessFailure, PreconditionUnmet
 from .modules import (
     Submodule,
+    _scalar_multiples,
     annihilator_set,
     colon_set_into_ring,
     cyclic_set,
@@ -46,7 +51,7 @@ from .morphisms import (
     is_s_monic_with,
     is_s_zero_with,
 )
-from .rings import _shared, _span, enumerate_ideals
+from .rings import _multiples_of, _span, enumerate_ideals
 from .witnesses import Witness, revalidator
 
 _ZERO = frozenset((0,))
@@ -90,12 +95,17 @@ def _agree(forms):
     return len(set(_verdicts(forms))) == 1
 
 
-@lru_cache(maxsize=None)
-def _scalar_multiples(module, subset):
-    """x*N for every ring element x, as a tuple indexed by x.  Equal images
-    are one shared frozenset: the cache keeps every tuple."""
-    return tuple(_shared(scalar_times_set(module, x, subset))
-                 for x in module.ring.elements())
+def _revalidation_multiples(module, subset):
+    """x*N for every ring element x, as a tuple indexed by x, from the
+    revalidation table of the module keyed by N: built from the action rows
+    on first use and read by the revalidators only, never by a search."""
+    table = module._revalidation_multiples
+    if table is None:
+        table = module._revalidation_multiples = {}
+    multiples = table.get(subset)
+    if multiples is None:
+        multiples = table[subset] = _multiples_of(module, subset)
+    return multiples
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +288,10 @@ def is_s_second(module, n, mcs):
 def _check_s_second(module, n, mcs, s):
     if not annihilator_set(module, n).isdisjoint(mcs.elements):
         return False
-    s_image = scalar_times_set(module, s, n)
+    multiples = _revalidation_multiples(module, n)
+    s_image = multiples[s]
     for sa in set(module.ring.act_row(s)):      # each product sa once
-        sa_image = scalar_times_set(module, sa, n)
+        sa_image = multiples[sa]
         if sa_image != _ZERO and sa_image != s_image:
             return False
     return True
@@ -343,11 +354,11 @@ def _check_s_second_containment(module, n, mcs, s):
     if not annihilator_set(module, n).isdisjoint(mcs.elements):
         return False
     # saN = 0 or sN <= aN for every a; live holds each product sa with saN != 0
-    s_image = scalar_times_set(module, s, n)
+    multiples = _revalidation_multiples(module, n)
+    s_image = multiples[s]
     sa_row = module.ring.act_row(s)
-    live = {sa for sa in set(sa_row)
-            if scalar_times_set(module, sa, n) != _ZERO}
-    return all(s_image.issubset(scalar_times_set(module, a, n))
+    live = {sa for sa in set(sa_row) if multiples[sa] != _ZERO}
+    return all(s_image.issubset(multiples[a])
                for a, sa in enumerate(sa_row) if sa in live)
 
 
@@ -376,7 +387,7 @@ def is_s_comultiplication(module, mcs):
 @revalidator("s-comultiplication")
 def _check_s_comult(module, n, mcs, s):
     colon = zero_colon_set(module, annihilator_set(module, n))
-    return scalar_times_set(module, s, colon) <= n <= colon
+    return _revalidation_multiples(module, colon)[s] <= n <= colon
 
 
 def _lemma_pair_search(module, mcs, multiplier):
@@ -405,7 +416,7 @@ def lemma_pair_form(module, mcs):
 
 @revalidator("lemma-pair")
 def _check_lemma_pair(module, k, n, mcs, s):
-    return scalar_times_set(module, s, n) <= k
+    return _revalidation_multiples(module, n)[s] <= k
 
 
 def lemma_definitional_form(module, mcs):
@@ -428,7 +439,7 @@ def lemma_definitional_form(module, mcs):
 @revalidator("s-comultiplication-def")
 def _check_s_comult_def(module, n, mcs, s, ideal):
     colon = zero_colon_set(module, ideal.elements)
-    return scalar_times_set(module, s, colon) <= n <= colon
+    return _revalidation_multiples(module, colon)[s] <= n <= colon
 
 
 class LemmaForms(NamedTuple):
@@ -498,7 +509,7 @@ def _check_s_mult(module, n, mcs, s):
     full = module.carrier
     colon = colon_set_into_ring(module, n, full)
     im = ideal_times_module_set(module, colon, full)
-    return scalar_times_set(module, s, n) <= im <= n
+    return _revalidation_multiples(module, n)[s] <= im <= n
 
 
 def is_s_cyclic(module, mcs):
@@ -513,7 +524,8 @@ def is_s_cyclic(module, mcs):
 
 @revalidator("s-cyclic")
 def _check_s_cyclic(module, mcs, s, element):
-    return scalar_times_set(module, s, module.carrier) <= cyclic_set(module, element)
+    return (_revalidation_multiples(module, module.carrier)[s]
+            <= cyclic_set(module, element))
 
 
 def is_cyclic(module):
@@ -535,7 +547,7 @@ def is_s_finite(module, n, mcs):
 @revalidator("s-finite")
 def _check_s_finite(module, n, mcs, s, generators):
     span = _span(module, generators)
-    return scalar_times_set(module, s, n) <= span <= n
+    return _revalidation_multiples(module, n)[s] <= span <= n
 
 
 def is_s_torsion_free(module, mcs):
@@ -583,7 +595,7 @@ def is_s_minimal(module, k, mcs, include_zero=False):
 
 @revalidator("s-minimal-step")
 def _check_s_minimal_step(module, k, l, mcs, s):
-    return scalar_times_set(module, s, k) <= l
+    return _revalidation_multiples(module, k)[s] <= l
 
 
 def is_prime_module(module):
@@ -606,8 +618,8 @@ def uniform_multiple(module, n, mcs):
 
 @revalidator("uniform-multiple")
 def _check_uniform_multiple(module, n, mcs, s):
-    s_image = scalar_times_set(module, s, n)
-    return all(s_image <= scalar_times_set(module, t, n) for t in mcs)
+    multiples = _revalidation_multiples(module, n)
+    return all(multiples[s] <= multiples[t] for t in mcs)
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,10 @@ into those (`bytes`); T-M3 ann(N) per N; T-SSUM the family sums.  P-FAM
 and T-SSUM answer their question "is there an s in S with sX inside Y?"
 at e_S, which works exactly when some s
 does: P-FAM computes (N :_M e_S) once per (m.c.s., N) and T-SSUM e_S N once
-per (m.c.s., S-second N).  P-EXT keeps s(0:_M I) per (s, I) and
-J = I + ann(N) per (N, I) in a table that lives for one module only.
+per (m.c.s., S-second N).  P-EXT keeps J = I + ann(N) per (N, I) in a
+table that lives for one module only.  Every x*N a checker reads comes
+from the module's (or ring's) search table (`modules.scalar_times_set`
+and `_scalar_multiples`).
 Everything else that depends on S (the multiplier tests, the S-second and
 S-prime verdicts, instance counts and witness revalidation) still runs per
 (module, m.c.s.) pair, in the same order.
@@ -74,6 +76,7 @@ from .errors import (
     UnknownStatement,
 )
 from .modules import (
+    _scalar_multiples,
     annihilator,
     annihilator_set,
     colon_set_into_module,
@@ -222,7 +225,10 @@ def _localized(cat, module, mcs, torsion):
     Both depend on S only through K_R and K_M, the sets `torsion` gives
     (README, "A localization reads S only through its torsion sets"), so
     the entry is keyed by them and built at the first m.c.s. that gives
-    them; every later m.c.s. runs the checks that read S itself.
+    them; every later m.c.s. runs the checks that read S itself.  An
+    injected torsion's build is handed the K_M computed here; the default
+    one's goes through `localize_module`, whose cache P-LOC's colon
+    identities read.
     """
     ring_set, module_set = torsion(module.ring, mcs), torsion(module, mcs)
     key = (_localized, torsion, module, ring_set, module_set)
@@ -233,7 +239,7 @@ def _localized(cat, module, mcs, torsion):
     if torsion is loc.s_torsion:
         localized = loc.localize_module(module, mcs)
     else:
-        localized = loc.localize_module_with(module, mcs, torsion)
+        localized = loc._localize_module(module, mcs, torsion, module_set)
     entry = cat._memo[key] = [st.is_comultiplication(localized.module), None]
     return entry
 
@@ -435,7 +441,7 @@ def _check_c_sub(cat, tb, ctx):
             restricted = submodule_as_module(n)
             if not st.is_s_comultiplication(restricted, mcs).holds:
                 ctx.fail(detail="submodule lost the property")
-            t = first_multiplier(module, mcs, module.elements(), n.elements)
+            t = first_multiplier(module, mcs, module.carrier, n.elements)
             if t is not None:
                 quotient = quotient_module(module, n)
                 if not st.is_s_comultiplication(quotient, mcs).holds:
@@ -530,9 +536,12 @@ def _check_t_du(cat, tb, ctx):
         ring = module.ring
         jac = jacobson_radical(ring).elements
         seen = set()
+        # tI for every t, read from the ring's search table
+        multiples = [(ideal, _scalar_multiples(ring, ideal.elements))
+                     for ideal in enumerate_ideals(ring)]
         for t in mcs:
-            for ideal in enumerate_ideals(ring):
-                t_ideal = scalar_times_set(ring, t, ideal.elements)
+            for ideal, times in multiples:
+                t_ideal = times[t]
                 if not t_ideal <= jac:
                     continue
                 if zero_colon_set(module, t_ideal) != _ZERO:
@@ -544,7 +553,7 @@ def _check_t_du(cat, tb, ctx):
                 ctx.instance(module=module, mcs=mcs, ideal=ideal, t=t)
                 if not module.is_zero_module:
                     ctx.tally("nonzero_instances")
-                if first_multiplier(module, mcs, module.elements(), _ZERO) is None:
+                if first_multiplier(module, mcs, module.carrier, _ZERO) is None:
                     ctx.fail(detail="no s with sM = 0")
 
 
@@ -650,40 +659,37 @@ def _zero_meet_targets(module, params):
 
 def _check_p_ext(cat, tb, ctx):
     """The s of each N is the first of S, in canonical order, with
-    s(0:_M ann(N)) inside N, which the instances depend on."""
+    s(0:_M ann(N)) inside N, which the instances depend on.  Each x(0:_M I)
+    is read from the module's search table, one tuple per ideal I."""
     current = None
     for module, mcs, result in _s_comult_pairs(cat):
-        if module is not current:       # a table for this module only
-            current, ideals, shifted, enlarged = (
-                module, enumerate_ideals(module.ring), {}, {})
+        if module is not current:       # tables for this module only
+            current, ideals, enlarged = module, enumerate_ideals(module.ring), {}
+            shifts = [_times_colon(module, ideal) for ideal in ideals]
         ctx.at(module=module, mcs=mcs)
         for n, _ in result.witnesses:
             colon = zero_colon_set(module, annihilator_set(module, n.elements))
             s = next(s for s in mcs if scalar_times_set(module, s, colon) <= n.elements)
-            for ideal in ideals:
-                if not n.elements <= _times_colon(module, s, ideal, shifted):
+            for ideal, shifted in zip(ideals, shifts):
+                if not n.elements <= shifted[s]:
                     continue
                 ctx.instance()
                 key = (n.elements, ideal.elements)
-                bigger = enlarged.get(key)
-                if bigger is None:
-                    bigger = enlarged[key] = ideal_sum(
-                        ideal, annihilator(module, n.elements))
+                found = enlarged.get(key)
+                if found is None:
+                    bigger = ideal_sum(ideal, annihilator(module, n.elements))
+                    found = enlarged[key] = bigger, _times_colon(module, bigger)
+                bigger, squeezed = found
                 if not ideal.elements <= bigger.elements:
                     ctx.fail(ideal=ideal, detail="sum ideal lost the original")
-                if not _times_colon(module, s, bigger, shifted) <= n.elements:
+                if not squeezed[s] <= n.elements:
                     ctx.fail(ideal=ideal, submodule=n,
                              detail="s(0:_M J) escaped N for J = I + ann(N)")
 
 
-def _times_colon(module, s, ideal, table):
-    """s(0:_M I), read from or added to a table keyed by (s, I)."""
-    key = (s, ideal.elements)
-    out = table.get(key)
-    if out is None:
-        out = table[key] = scalar_times_set(
-            module, s, zero_colon_set(module, ideal.elements))
-    return out
+def _times_colon(module, ideal):
+    """x(0:_M I) for every ring element x: the search table's tuple."""
+    return _scalar_multiples(module, zero_colon_set(module, ideal.elements))
 
 
 def _check_t_tor(cat, tb, ctx):

@@ -17,12 +17,16 @@ hom's tables: it reads the action row of each scalar it needs once and
 indexes into it, and it re-checks the claim's disjointness precondition.
 It may read pure caches that searches also fill: `annihilator_set`,
 `zero_colon_set` and `colon_set_into_ring` (keyed by frozensets) and the
-homothety families.  A hom claim's revalidator may read the hom's own
-kernel tuple and image set, which the `*_with` checks fill from `values`
-on first use and no search reads.  It never reads a search's result or a
-hom's scalar sets, and never calls `modules.first_multiplier`; its private
-helpers keep the same rule.  Revalidators are registered next to the
-predicate they certify via the `revalidator` decorator.
+homothety families.  It reads a scalar multiple x*N from the module's
+revalidation table (`s_theory._revalidation_multiples`), which it fills
+from the action rows on first use and no search reads.  A hom claim's
+revalidator may read the hom's own kernel tuple and image set, which the
+`*_with` checks fill from `values` on first use and no search reads.  It
+never reads a search's result, the search table of x*N
+(`modules.scalar_times_set` and `_scalar_multiples`) or a hom's scalar
+sets, and never calls `modules.first_multiplier`; its private helpers
+keep the same rule.  Revalidators are registered next to the predicate
+they certify via the `revalidator` decorator.
 """
 
 from __future__ import annotations

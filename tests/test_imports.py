@@ -142,7 +142,7 @@ def module_level_caches():
     return found
 
 
-# Every cache that outlives a call: the 21 lru_cache sites, the module
+# Every cache that outlives a call: the 20 lru_cache sites, the module
 # table and the pool of shared values.  All are unbounded; the pool holds
 # one entry per distinct value.  A change that adds, removes or bounds a
 # cache edits this set and says why.
@@ -167,7 +167,6 @@ MODULE_LEVEL_CACHES = {
     "rings.minimal_nonzero_ideals",
     "rings.prime_ideals",
     "rings.units",
-    "s_theory._scalar_multiples",
     "s_theory.is_comultiplication",
     "s_theory.is_s_comultiplication",
 }
@@ -178,7 +177,7 @@ IMPORT_TIME_REGISTRIES = {"witnesses.REVALIDATORS", "witnesses.PARAMETERS",
 
 
 def test_module_level_caches_are_pinned():
-    assert len(MODULE_LEVEL_CACHES) == 23
+    assert len(MODULE_LEVEL_CACHES) == 22
     assert module_level_caches() == MODULE_LEVEL_CACHES | IMPORT_TIME_REGISTRIES
 
 
@@ -247,7 +246,7 @@ def test_the_pool_shares_plain_values_only():
     it; and equal stored sets and localization rows are one object."""
     out = run_fresh("""
         import scomult
-        from scomult import localization, modules, rings, s_theory
+        from scomult import localization, modules, rings
         from scomult.mutations import mutation_catalog_params
         from scomult.statements import verify_all
 
@@ -274,7 +273,7 @@ def test_the_pool_shares_plain_values_only():
                 stored.extend(modules.zero_colon_set(module, i.elements)
                               for i in ideals)
                 for n in subs:
-                    stored.extend(s_theory._scalar_multiples(module, n))
+                    stored.extend(modules._scalar_multiples(module, n))
                 for mcs in catalog.mcs[ring]:
                     loc = localization.localize_module(module, mcs)
                     for part in (loc, loc.locring):

@@ -19,11 +19,11 @@ from scomult.localization import (
     localized_colon_identity_check,
     s_torsion,
 )
-from scomult.modules import Submodule, coset_index_map, self_module
+from scomult.modules import Module, Submodule, coset_index_map, self_module
 from scomult.mutations import mutation_catalog_params
-from scomult.rings import enumerate_ideals, make_ring_zn, validate_mcs
+from scomult.rings import enumerate_ideals, make_ring_zn, prime_ideals, validate_mcs
 from scomult.s_theory import is_comultiplication, is_s_comultiplication
-from scomult.statements import verify_all
+from scomult.statements import verify, verify_all
 
 CATALOGS = {"default": CatalogParams(), "reduced": mutation_catalog_params()}
 
@@ -131,3 +131,70 @@ def test_the_product_refuses_exactly_when_some_s_does(name):
                 tried += 1
                 refused += s is not None
     assert (tried, refused) == REFUSALS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGS))
+def test_locally_nonzero_reads_the_torsion_set(name):
+    """S^-1 M != 0 iff K_M != M, since x/1 = 0 iff ux = 0 for some u in S:
+    `locally_nonzero` agrees with the size of the built S^-1 M on every
+    catalog module, the zero modules included, at each of its ring's
+    m.c.s. and at the complement of each prime ideal."""
+    catalog = generate_catalog(CATALOGS[name])
+    tally = {True: 0, False: 0}
+    for ring in catalog.rings:
+        sets = [*catalog.mcs[ring],
+                *(localization.complement_mcs(ring, p) for p in prime_ideals(ring))]
+        for module in catalog.modules[ring]:
+            for mcs in sets:
+                expected = localize_module(module, mcs).module.size > 1
+                assert localization.locally_nonzero(module, mcs) == expected
+                tally[expected] += 1
+    assert tally[True] and tally[False]
+
+
+def test_t_com_builds_no_localization(monkeypatch):
+    """T-COM runs S's checks on K_R and K_M once per (module, m.c.s.) it
+    asks about, and builds no S^-1 R or S^-1 M."""
+    catalog = generate_catalog(mutation_catalog_params())
+    built, checked = [], []
+    real_build, real_check = localization._pair_classes, localization.check_s_on_torsion_sets
+
+    def building(*args):
+        built.append(args[0])
+        return real_build(*args)
+
+    def checking(*args):
+        checked.append(args[:2])
+        return real_check(*args)
+
+    monkeypatch.setattr(localization, "_pair_classes", building)
+    monkeypatch.setattr(localization, "check_s_on_torsion_sets", checking)
+    assert verify("T-COM", catalog).verdict == "pass"
+    assert built == [] and checked and len(set(checked)) == len(checked)
+
+
+def test_an_injected_torsion_runs_once_per_pair(monkeypatch):
+    """With an injected torsion function, T-LOC asks it for K_R and K_M
+    once per (module, m.c.s.) pair, and a memo miss hands K_M to the build
+    instead of asking again."""
+    asked, built = [], []
+
+    def torsion(base, mcs):
+        asked.append(base)
+        return s_torsion(base, mcs)
+
+    real_build = localization._pair_classes
+
+    def building(base, *args):
+        built.append(base)
+        return real_build(base, *args)
+
+    monkeypatch.setattr(localization, "_pair_classes", building)
+    catalog = generate_catalog(mutation_catalog_params())
+    pairs = list(catalog.module_mcs_pairs())
+    toolbox = statements.Toolbox(localization_torsion=torsion)
+    assert verify("T-LOC", catalog, toolbox).verdict == "pass"
+    modules_asked = [base for base in asked if isinstance(base, Module)]
+    modules_built = [base for base in built if isinstance(base, Module)]
+    assert len(modules_asked) == len(pairs) == 70
+    assert len(modules_built) == ENTRIES["reduced"][1]

@@ -5,13 +5,12 @@ import hashlib
 import pytest
 
 from conftest import s_multiplication_general_form
-from scomult import s_theory
+from scomult import modules
 from scomult.catalog import generate_catalog
 from scomult.errors import DisjointnessFailure, PreconditionUnmet
 from scomult.modules import (
     enumerate_submodules,
     full_submodule,
-    scalar_times_set,
     self_module,
     submodule_from_set,
     zn_over_zk,
@@ -364,15 +363,17 @@ def test_module_search_outcomes_are_pinned():
 
 
 def test_scalar_multiples_share_equal_images():
-    """Every x*N of a reduced-catalog submodule N, as the unshared images,
-    with one frozenset object per distinct image in each tuple."""
+    """Every x*N of a reduced-catalog submodule N, as the images {xm : m in
+    N} built element by element, with one frozenset object per distinct
+    image in each tuple."""
     catalog = generate_catalog(mutation_catalog_params())
     tuples = images = distinct = 0
     for module in (m for pool in catalog.modules.values() for m in pool):
         for n in enumerate_submodules(module):
-            multiples = s_theory._scalar_multiples(module, n.elements)
-            assert multiples == tuple(scalar_times_set(module, x, n.elements)
-                                      for x in module.ring.elements())
+            multiples = modules._scalar_multiples(module, n.elements)
+            assert multiples == tuple(
+                frozenset(module.act(x, m) for m in n.elements)
+                for x in module.ring.elements())
             assert len(set(map(id, multiples))) == len(set(multiples))
             tuples += 1
             images += len(multiples)

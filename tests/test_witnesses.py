@@ -19,6 +19,7 @@ from conftest import (
 
 import scomult  # noqa: F401  registers the library's claims
 import scomult.localization  # noqa: F401
+from scomult import s_theory
 from scomult.catalog import generate_catalog
 from scomult.errors import AxiomViolation
 from scomult.modules import Module, enumerate_submodules, self_module
@@ -277,10 +278,13 @@ def test_row_helpers_equal_their_reference(revalidated):
 
 
 # What a search computes, or a hom caches; a revalidator must recompute it.
+# x*N is read from the search table (`scalar_times_set`, `_scalar_multiples`
+# and the table slot `_multiples`) on the search side only.
 SEARCH_RESULTS = frozenset((
     "first_multiplier", "_scalar_multiples", "s_zero_scalars",
     "s_monic_scalars", "s_epic_scalars", "_bridge_core", "_signature",
-    "_s_second_search", "_lemma_pair_search"))
+    "_s_second_search", "_lemma_pair_search", "scalar_times_set",
+    "_multiples"))
 
 
 def _names(node):
@@ -319,7 +323,8 @@ HOM_SEARCHES = frozenset((
     "_bridge_core", "_signature", "_s_monic_cross_checked", "_transfer_core",
     "s_zero_scalars", "s_monic_scalars", "s_epic_scalars"))
 REVALIDATION_CACHES = frozenset((
-    "_revalidation_kernel", "_revalidation_image", "_kernel", "_image"))
+    "_revalidation_kernel", "_revalidation_image", "_kernel", "_image",
+    "_revalidation_multiples"))
 
 
 def _library_functions():
@@ -354,6 +359,35 @@ def test_hom_searches_reach_no_revalidation_cache():
                          ("s-monic", "_revalidation_kernel"),
                          ("s-epic", "_revalidation_image")):
         assert cache in _reached(functions, {REVALIDATORS[claim].__name__})
+
+
+# The claims whose revalidators read x*N, from the revalidation table.
+MULTIPLE_CLAIMS = ("lemma-pair", "s-comultiplication", "s-comultiplication-def",
+                   "s-cyclic", "s-finite", "s-minimal-step", "s-multiplication",
+                   "s-second", "s-second-containment", "uniform-multiple")
+
+
+def test_no_search_checker_or_mutant_reaches_a_revalidation_cache():
+    """No search (the hom searches, every function of `s_theory` that is
+    not a revalidator or its table, and the search results above), no
+    statement checker and no mutant reaches, by any chain of names across
+    the library's modules, a cache that only revalidation may read; each
+    revalidator of a claim on x*N reaches the revalidation table."""
+    functions = _library_functions()
+    revalidators = {fn.__name__ for fn in REVALIDATORS.values()}
+    searches = {name for name, fn in vars(s_theory).items()
+                if inspect.isfunction(fn) and fn.__module__ == s_theory.__name__
+                and name not in revalidators | REVALIDATION_CACHES}
+    checkers = {statement.check.__name__ for statement in STATEMENTS.values()}
+    mutants = {fn.__name__ for _, fn in MUTANTS.values()}
+    start = (HOM_SEARCHES | (SEARCH_RESULTS & functions.keys()) | searches
+             | checkers | mutants)
+    assert {"is_s_second", "lemma_pair_form", "first_multiplier",
+            "scalar_times_set", "_check_p_ext"} <= start <= functions.keys()
+    assert sorted(_reached(functions, start) & REVALIDATION_CACHES) == []
+    for claim in MULTIPLE_CLAIMS:
+        assert "_revalidation_multiples" in _reached(
+            functions, {REVALIDATORS[claim].__name__}), claim
 
 
 # Revalidator calls per claim in one mutation pass over the reduced catalog.
