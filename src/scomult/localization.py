@@ -87,10 +87,9 @@ class LocalizedModule(_PairClasses):
     __slots__ = ("locring", "module")
 
 
-def _pair_classes(base, mcs, torsion, what, cls, torsion_set=None):
-    """S^-1 base, for a ring or a module that R acts on, as a `cls`; the set
-    K = torsion(base, mcs) it was built from, computed here unless given as
-    torsion_set; and the x/s class labels.
+def _pair_classes(base, mcs, torsion_set, what, cls):
+    """S^-1 base, for a ring or a module that R acts on, as a `cls`, built
+    from the set K = torsion_set; and the x/s class labels.
 
     K must be a submodule, and each s in S must permute the cosets of K;
     the class of (x, s) is then the coset y + K with sy + K = x + K, the
@@ -102,8 +101,6 @@ def _pair_classes(base, mcs, torsion, what, cls, torsion_set=None):
     if pair_count > DEFAULT_CAP * DEFAULT_CAP:
         raise SizeCapExceeded(f"{what} localization pairs", pair_count,
                               DEFAULT_CAP * DEFAULT_CAP)
-    if torsion_set is None:
-        torsion_set = torsion(base, mcs)
     index = coset_index_map(base, Submodule(base, torsion_set))
     coset = _shared(tuple(map(index.__getitem__, base.elements())))
     least = {}
@@ -126,7 +123,7 @@ def _pair_classes(base, mcs, torsion, what, cls, torsion_set=None):
     solve = {s: _shared(tuple(map(number.__getitem__, inverse)))
              for s, inverse in zip(mcs, inverses)}
     return (cls(base, mcs, coset, solve, tuple(least[c] for c in number)),
-            torsion_set, tuple(labels))
+            tuple(labels))
 
 
 def _refuse_non_units(base, mcs, torsion_set):
@@ -191,8 +188,9 @@ def localize_ring(ring, mcs):
 @lru_cache(maxsize=None)
 def localize_ring_with(ring, mcs, torsion):
     """S^-1 R: R localized as a module over itself; a LocalizedRing wrapper."""
-    wrapper, torsion_set, labels = _pair_classes(ring, mcs, torsion, "ring",
-                                                 LocalizedRing)
+    torsion_set = torsion(ring, mcs)
+    wrapper, labels = _pair_classes(ring, mcs, torsion_set, "ring",
+                                    LocalizedRing)
     add_table, mul_table = _tables(wrapper, wrapper)
     wrapper.ring = make_ring_table(
         add_table, mul_table, wrapper.map_element(ring.zero),
@@ -211,16 +209,15 @@ def localize_module(module, mcs):
 def localize_module_with(module, mcs, torsion):
     """S^-1 M as a module over S^-1 R, with the canonical map data; the
     pair relations of M and R read the set K that `torsion(base, mcs)` gives."""
-    return _localize_module(module, mcs, torsion)
-
-
-def _localize_module(module, mcs, torsion, torsion_set=None):
-    """`localize_module_with(module, mcs, torsion)`, handed K_M =
-    `torsion(module, mcs)` as torsion_set by a caller that holds it; S^-1 R
-    comes from `localize_ring_with`."""
     locring = localize_ring_with(module.ring, mcs, torsion)
-    wrapper, torsion_set, labels = _pair_classes(
-        module, mcs, torsion, "module", LocalizedModule, torsion_set)
+    return _localize_module(locring, module, mcs, torsion, torsion(module, mcs))
+
+
+def _localize_module(locring, module, mcs, torsion, torsion_set):
+    """S^-1 M over locring = S^-1 R, built from K_M = torsion_set, the set
+    `torsion(module, mcs)` gave its caller."""
+    wrapper, labels = _pair_classes(module, mcs, torsion_set, "module",
+                                    LocalizedModule)
     add_table, act_table = _tables(locring, wrapper)
     wrapper.locring = locring
     wrapper.module = make_module(

@@ -228,7 +228,7 @@ def _localized(cat, module, mcs, torsion):
     them; every later m.c.s. runs the checks that read S itself.  An
     injected torsion's build is handed the K_M computed here; the default
     one's goes through `localize_module`, whose cache P-LOC's colon
-    identities read.
+    identities read, and computes K_M again.
     """
     ring_set, module_set = torsion(module.ring, mcs), torsion(module, mcs)
     key = (_localized, torsion, module, ring_set, module_set)
@@ -239,7 +239,9 @@ def _localized(cat, module, mcs, torsion):
     if torsion is loc.s_torsion:
         localized = loc.localize_module(module, mcs)
     else:
-        localized = loc._localize_module(module, mcs, torsion, module_set)
+        localized = loc._localize_module(
+            loc.localize_ring_with(module.ring, mcs, torsion), module, mcs,
+            torsion, module_set)
     entry = cat._memo[key] = [st.is_comultiplication(localized.module), None]
     return entry
 

@@ -15,7 +15,8 @@ by element, that the canonical map of a built S^-1 R is a unital ring map
 sending S to units, which the library builds in and does not re-check.
 `REFERENCE_REVALIDATORS` holds, by claim, the
 element-by-element form of each revalidator that the library computes from
-action rows, one `act`, `mul` or `scalar_times_set` call per element
+action rows, one `act` or `mul` call per element, with x*N built by
+`reference_multiple` and never read from a ring's or module's table
 (`reference_s_prime_homothety` and `reference_s_second_homothety` build
 one homothety per ring element as a list of `act` values, with no
 `ModuleHom`, where the library walks each distinct homothety once);
@@ -31,7 +32,8 @@ each checked pair by pair, with no table shared between calls.
 `REFERENCE_CHECKERS` holds, by statement id, the checker bodies of P-EXT,
 P-FAM, P-PF, T-M3 and T-SSUM that recompute their module-only data for
 every (module, m.c.s.) pair and ask `first_multiplier` for every instance
-(P-EXT finds its first s of S by its own loop), and the bodies of P-HOMS
+(P-EXT finds its first s of S by its own loop; every other x*N they
+read is built by `reference_multiple`), and the bodies of P-HOMS
 and T-HOM that ask the public `monic_epic_bridge` and
 `transfer_theorem_check` once per (hom, m.c.s.) instance.  The e_S
 oracles check `MCS.idempotent` element by element and answer each "some
@@ -60,7 +62,6 @@ from scomult.modules import (
     direct_sum_module,
     enumerate_submodules,
     ideal_times_module_set,
-    scalar_times_set,
     self_module,
     zero_colon_set,
     zn_over_zk,
@@ -384,7 +385,7 @@ def s_multiplication_general_form(module, mcs):
     images = [ideal_times_module_set(module, i.elements, full)
               for i in enumerate_ideals(module.ring)]
     return all(
-        any(any(scalar_times_set(module, s, n.elements) <= im <= n.elements
+        any(any(reference_multiple(module, s, n.elements) <= im <= n.elements
                 for im in images)
             for s in mcs)
         for n in enumerate_submodules(module))
@@ -524,9 +525,9 @@ def reference_s_second(module, n, mcs, s):
     if annihilator_set(module, n) & mcs.elements:
         return False
     ring = module.ring
-    s_image = scalar_times_set(module, s, n)
+    s_image = reference_multiple(module, s, n)
     for a in ring.elements():
-        sa_image = scalar_times_set(module, ring.mul(s, a), n)
+        sa_image = reference_multiple(module, ring.mul(s, a), n)
         if sa_image != _ZERO and sa_image != s_image:
             return False
     return True
@@ -536,10 +537,10 @@ def reference_s_second_containment(module, n, mcs, s):
     if annihilator_set(module, n) & mcs.elements:
         return False
     ring = module.ring
-    s_image = scalar_times_set(module, s, n)
+    s_image = reference_multiple(module, s, n)
     for a in ring.elements():
-        sa_image = scalar_times_set(module, ring.mul(s, a), n)
-        a_image = scalar_times_set(module, a, n)
+        sa_image = reference_multiple(module, ring.mul(s, a), n)
+        a_image = reference_multiple(module, a, n)
         if sa_image != _ZERO and not s_image <= a_image:
             return False
     return True
@@ -818,7 +819,7 @@ def reference_p_pf(cat, tb, ctx):
                              detail="no s, a with sm = am")
             ring = module.ring
             if not any(
-                statements.scalar_times_set(module, ring.add(s, a), full) == _ZERO
+                reference_multiple(module, ring.add(s, a), full) == _ZERO
                 for s in mcs for a in sorted(ideal.elements)
             ):
                 ctx.fail(module=module, mcs=mcs, ideal=ideal,
@@ -862,9 +863,9 @@ def reference_p_ext(cat, tb, ctx):
         for n, _ in result.witnesses:
             colon = zero_colon_set(module, annihilator_set(module, n.elements))
             s = next(t for t in mcs
-                     if scalar_times_set(module, t, colon) <= n.elements)
+                     if reference_multiple(module, t, colon) <= n.elements)
             for ideal in statements.enumerate_ideals(module.ring):
-                shifted = statements.scalar_times_set(
+                shifted = reference_multiple(
                     module, s, statements.zero_colon_set(module, ideal.elements))
                 if not n.elements <= shifted:
                     continue
@@ -874,7 +875,7 @@ def reference_p_ext(cat, tb, ctx):
                 if not ideal.elements <= bigger.elements:
                     ctx.fail(module=module, mcs=mcs, ideal=ideal,
                              detail="sum ideal lost the original")
-                squeezed = statements.scalar_times_set(
+                squeezed = reference_multiple(
                     module, s, statements.zero_colon_set(module, bigger.elements))
                 if not squeezed <= n.elements:
                     ctx.fail(module=module, mcs=mcs, ideal=ideal,

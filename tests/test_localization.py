@@ -320,7 +320,7 @@ def test_pair_cap_guard_names_the_pair_count(monkeypatch, z6, m6, s13, what):
                  else (m6, localization.LocalizedModule))
     monkeypatch.setattr(localization, "DEFAULT_CAP", 3)
     with pytest.raises(SizeCapExceeded) as info:
-        localization._pair_classes(base, s13, s_torsion, what, cls)
+        localization._pair_classes(base, s13, s_torsion(base, s13), what, cls)
     assert (info.value.what, info.value.size, info.value.cap) == (
         f"{what} localization pairs", 12, 9)
 
@@ -329,8 +329,9 @@ def test_pair_cap_guard_admits_exactly_the_cap(monkeypatch):
     """Z8 with S = {1, 7} has 16 pairs, which a cap of 4 * 4 still admits."""
     z8 = make_ring_zn([8])
     monkeypatch.setattr(localization, "DEFAULT_CAP", 4)
-    loc, _, labels = localization._pair_classes(
-        z8, validate_mcs(z8, {1, 7}), s_torsion, "ring", localization.LocalizedRing)
+    mcs = validate_mcs(z8, {1, 7})
+    loc, labels = localization._pair_classes(
+        z8, mcs, s_torsion(z8, mcs), "ring", localization.LocalizedRing)
     assert len(labels) == len(loc.reps) == 8
 
 
